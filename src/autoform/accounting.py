@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,17 +64,14 @@ def _count(events: list[dict], run_ids: set[str] | None, label: str) -> int:
     if run_ids is None:
         run_ids = set(starts)
         run_ids.update(ev["run_id"] for ev in events if "run_id" in ev)
+    labelled = Counter(ev.get("run_id") for ev in events if ev.get("event") == label)
     total = 0
     for run_id in sorted(run_ids):
         schema = _schema_of(starts.get(run_id, {}))
         if schema == 1:
             total += _legacy_reconstruction(events, run_id)
         else:
-            total += sum(
-                1
-                for ev in events
-                if ev.get("run_id") == run_id and ev.get("event") == label
-            )
+            total += labelled[run_id]
     return total
 
 

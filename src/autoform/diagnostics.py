@@ -8,10 +8,13 @@ diagnostic pinned to a single position still localizes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 SEVERITIES = ("error", "warning", "info")
+
+_NEWLINE_RE = re.compile("\n")
 
 
 @dataclass(frozen=True, order=True)
@@ -172,9 +175,6 @@ class Scope:
         return any(sr.contains(r) for sr in self.ranges)
 
 
-EMPTY_SCOPE = Scope()
-
-
 def localize(diagnostics: DiagnosticSet, scope: Scope) -> DiagnosticSet:
     """Restrict a diagnostic multiset to items whose range intersects the scope."""
     if scope.is_empty:
@@ -184,9 +184,7 @@ def localize(diagnostics: DiagnosticSet, scope: Scope) -> DiagnosticSet:
 
 def line_starts(text: str) -> list[int]:
     starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
+    starts.extend(m.end() for m in _NEWLINE_RE.finditer(text))
     return starts
 
 

@@ -6,11 +6,17 @@ either a placeholder token or a small term referencing a previously
 declared name. Comments (``--`` line, ``/- -/`` block, nesting allowed)
 and double-quoted strings are opaque: placeholder tokens inside them do
 not count as holes.
+
+``analyse`` reads a file text once, in one linear pass, and memoises the
+result by content; the other readers here are views over that analysis.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .diagnostics import SourceRange, line_starts, offset_to_pos, pos_to_offset
@@ -20,81 +26,73 @@ DECL_KINDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "axiom
 DEFINITION_KINDS = frozenset({"def", "abbrev"})
 HEADER_KEYWORDS = ("import", "namespace", "section", "open")
 DEFAULT_HEADER_BOUND = 64
+ANALYSIS_MEMO_SIZE = 8
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
 _DOC_META_RE = re.compile(r"\[(\d+)\]\s?(.*)")
+_NONCODE_OPEN_RE = re.compile(r'--|/-|"')
+_BLOCK_DELIM_RE = re.compile(r"/-|-/")
+_STRING_STOP_RE = re.compile(r'[\\"]')
+_NOT_NEWLINE_RE = re.compile("[^\n]")
 
 
 def noncode_spans(text: str) -> list[tuple[str, int, int]]:
-    """Spans of comments and string literals as (kind, start, end) offsets."""
+    """Spans of comments and string literals as (kind, start, end) offsets.
+
+    This is the comment/string scanner: one left-to-right pass that jumps
+    from delimiter to delimiter. Block comments nest; a backslash escapes
+    the next character of a string; an unterminated block comment or
+    string runs to the end of the text.
+    """
     spans: list[tuple[str, int, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "-" and text.startswith("--", i):
+    n = len(text)
+    i = 0
+    while (opener := _NONCODE_OPEN_RE.search(text, i)) is not None:
+        i = opener.start()
+        token = opener.group()
+        if token == "--":
             j = text.find("\n", i)
             j = n if j == -1 else j
             spans.append(("line", i, j))
-            i = j
-        elif ch == "/" and text.startswith("/-", i):
+        elif token == "/-":
             depth, j = 1, i + 2
-            while j < n and depth:
-                if text.startswith("/-", j):
-                    depth += 1
-                    j += 2
-                elif text.startswith("-/", j):
-                    depth -= 1
-                    j += 2
-                else:
-                    j += 1
-            spans.append(("block", i, j))
-            i = j
-        elif ch == '"':
-            j = i + 1
-            closed = False
-            while j < n:
-                if text[j] == "\\":
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    j += 1
-                    closed = True
+            while depth:
+                delim = _BLOCK_DELIM_RE.search(text, j)
+                if delim is None:
+                    j = n
                     break
-                j += 1
-            if not closed:
-                j = n
-            spans.append(("string", i, j))
-            i = j
+                j = delim.end()
+                depth += 1 if delim.group() == "/-" else -1
+            spans.append(("block", i, j))
         else:
-            i += 1
+            j = i + 1
+            while True:
+                stop = _STRING_STOP_RE.search(text, j)
+                if stop is None:
+                    j = n
+                    break
+                if stop.group() == "\\":
+                    j = stop.start() + 2
+                    continue
+                j = stop.end()
+                break
+            spans.append(("string", i, j))
+        i = j
     return spans
 
 
 def mask_noncode(text: str) -> str:
     """Replace comment/string content with spaces, preserving line structure."""
-    chars = list(text)
-    for _, a, b in noncode_spans(text):
-        for k in range(a, min(b, len(chars))):
-            if chars[k] != "\n":
-                chars[k] = " "
-    return "".join(chars)
+    return analyse(text).masked
 
 
 def find_hole_ranges(text: str) -> list[SourceRange]:
     """Ranges of placeholder tokens outside comments and strings."""
-    masked = mask_noncode(text)
-    starts = line_starts(text)
-    out = []
-    for m in _IDENT_RE.finditer(masked):
-        if m.group(0) == HOLE_TOKEN:
-            sl, sc = offset_to_pos(text, m.start(), starts)
-            el, ec = offset_to_pos(text, m.end(), starts)
-            out.append(SourceRange(sl, sc, el, ec))
-    return out
+    return list(analyse(text).hole_ranges)
 
 
 def count_holes(text: str) -> int:
-    return len(find_hole_ranges(text))
+    return len(analyse(text).hole_ranges)
 
 
 def header_line_span(text: str, bound: int = DEFAULT_HEADER_BOUND) -> tuple[int, int] | None:
@@ -104,20 +102,7 @@ def header_line_span(text: str, bound: int = DEFAULT_HEADER_BOUND) -> tuple[int,
     ends at the last header-keyword line before the first code line, capped
     at ``bound`` lines.
     """
-    masked_lines = mask_noncode(text).split("\n")
-    last_header = None
-    for lineno, line in enumerate(masked_lines[:bound]):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        word = stripped.split()[0]
-        if word in HEADER_KEYWORDS:
-            last_header = lineno
-        else:
-            break
-    if last_header is None:
-        return None
-    return (0, last_header)
+    return analyse(text, bound).parsed.header_span
 
 
 @dataclass(frozen=True)
@@ -162,12 +147,79 @@ class ParsedFile:
 
 
 def parse_file(text: str, header_bound: int = DEFAULT_HEADER_BOUND) -> ParsedFile:
-    masked = mask_noncode(text)
+    return analyse(text, header_bound).parsed
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything read from one file text, computed in one linear pass.
+
+    ``body_tokens`` and ``decl_holes`` run parallel to
+    ``parsed.declarations``: the masked tokens of each declaration's body
+    and the placeholder ranges inside each declaration.
+    """
+
+    masked: str
+    line_starts: tuple[int, ...]
+    noncode: tuple[tuple[str, int, int], ...]
+    hole_ranges: tuple[SourceRange, ...]
+    parsed: ParsedFile
+    body_tokens: tuple[tuple[str, ...], ...]
+    decl_holes: tuple[tuple[SourceRange, ...], ...]
+
+
+def analyse(text: str, header_bound: int = DEFAULT_HEADER_BOUND) -> Analysis:
+    """The analysis of ``text`` under ``header_bound``.
+
+    Results are memoised by (text, header_bound) in a least-recently-used
+    memo of at most ``ANALYSIS_MEMO_SIZE`` entries. An analysis is immutable
+    and a pure function of its key, so sharing one between callers is safe.
+    """
+    return _memo(text, header_bound)
+
+
+def _mask(text: str, spans: list[tuple[str, int, int]]) -> str:
+    parts = []
+    done = 0
+    for _, a, b in spans:
+        parts.append(text[done:a])
+        parts.append(_NOT_NEWLINE_RE.sub(" ", text[a:b]))
+        done = b
+    parts.append(text[done:])
+    return "".join(parts)
+
+
+def _header_span(masked_lines: list[str], bound: int) -> tuple[int, int] | None:
+    last_header = None
+    for lineno, line in enumerate(masked_lines[:bound]):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        word = stripped.split()[0]
+        if word in HEADER_KEYWORDS:
+            last_header = lineno
+        else:
+            break
+    if last_header is None:
+        return None
+    return (0, last_header)
+
+
+def _analyse(text: str, header_bound: int) -> Analysis:
+    spans = noncode_spans(text)
+    masked = _mask(text, spans)
     masked_lines = masked.split("\n")
     starts = line_starts(text)
     n_lines = len(masked_lines)
 
-    header_span = header_line_span(text, header_bound)
+    holes = []
+    for m in _IDENT_RE.finditer(masked):
+        if m.group(0) == HOLE_TOKEN:
+            sl, sc = offset_to_pos(text, m.start(), starts)
+            el, ec = offset_to_pos(text, m.end(), starts)
+            holes.append(SourceRange(sl, sc, el, ec))
+
+    header_span = _header_span(masked_lines, header_bound)
     header_end = header_span[1] if header_span else -1
 
     imports = []
@@ -176,14 +228,20 @@ def parse_file(text: str, header_bound: int = DEFAULT_HEADER_BOUND) -> ParsedFil
         if len(parts) >= 2 and parts[0] == "import":
             imports.append(ImportLine(module=parts[1], lineno=lineno))
 
-    # docstring spans by (start_line, end_line)
+    # docstring spans by (start_line, end_line); both lines ascend with the
+    # span order because noncode spans are disjoint and sorted
     doc_spans = []
-    for kind, a, b in noncode_spans(text):
-        if kind == "block" and text[a : a + 3] == "/--":
+    for kind, a, b in spans:
+        if kind == "block" and text.startswith("/--", a):
             sl, _ = offset_to_pos(text, a, starts)
             el, _ = offset_to_pos(text, max(a, b - 1), starts)
             inner = text[a + 3 : max(a + 3, b - 2)]
             doc_spans.append((sl, el, inner))
+
+    # last_code[k]: the last non-blank masked line before line k, or -1
+    last_code = [-1] * (n_lines + 1)
+    for lineno, line in enumerate(masked_lines):
+        last_code[lineno + 1] = lineno if line.strip() else last_code[lineno]
 
     decl_starts = []
     for lineno in range(header_end + 1, n_lines):
@@ -192,38 +250,69 @@ def parse_file(text: str, header_bound: int = DEFAULT_HEADER_BOUND) -> ParsedFil
             decl_starts.append(lineno)
 
     declarations: list[Declaration] = []
-    covered: set[int] = set(range(0, header_end + 1))
+    covered = bytearray(n_lines)
+    covered[: header_end + 1] = b"\x01" * (header_end + 1)
+    next_doc = 0
     for idx, start in enumerate(decl_starts):
         end = (decl_starts[idx + 1] - 1) if idx + 1 < len(decl_starts) else n_lines - 1
         # trim trailing blank lines off the unit
         while end > start and not masked_lines[end].strip():
             end -= 1
+        # the docstring is the last one ending above the declaration, if
+        # only blank lines separate the two; when that one is cut off by
+        # code, every earlier one is too, so one forward pointer suffices
+        while next_doc < len(doc_spans) and doc_spans[next_doc][1] < start:
+            next_doc += 1
         doc = None
+        if next_doc and last_code[start] <= doc_spans[next_doc - 1][1]:
+            doc = doc_spans[next_doc - 1]
         unit_start = start
-        for sl, el, inner in doc_spans:
-            if el < start and all(
-                not masked_lines[k].strip() for k in range(el + 1, start)
-            ):
-                doc = (sl, el, inner)
         if doc is not None and (not declarations or doc[0] > declarations[-1].range.end_line):
             unit_start = doc[0]
         declarations.append(
             _parse_declaration(text, masked, starts, start, end, unit_start, doc)
         )
-        covered.update(range(unit_start, end + 1))
+        covered[unit_start : end + 1] = b"\x01" * (end + 1 - unit_start)
 
     stray = tuple(
         lineno
         for lineno in range(header_end + 1, n_lines)
-        if lineno not in covered and masked_lines[lineno].strip()
+        if not covered[lineno] and masked_lines[lineno].strip()
     )
-    return ParsedFile(
+
+    hole_starts = [h.start for h in holes]
+    bodies = []
+    decl_holes = []
+    for decl in declarations:
+        body = decl.body_range
+        a = pos_to_offset(text, body.start_line, body.start_col, starts)
+        b = pos_to_offset(text, body.end_line, body.end_col, starts)
+        bodies.append(tuple(masked[a:b].split()))
+        # a placeholder is one token on one line, so it lies in a
+        # declaration iff it starts inside the declaration's lines
+        lo = bisect_left(hole_starts, decl.range.start)
+        hi = bisect_left(hole_starts, decl.range.end, lo)
+        decl_holes.append(tuple(holes[lo:hi]))
+
+    parsed = ParsedFile(
         header_span=header_span,
         imports=tuple(imports),
         declarations=tuple(declarations),
         stray_lines=stray,
         line_count=n_lines,
     )
+    return Analysis(
+        masked=masked,
+        line_starts=tuple(starts),
+        noncode=tuple(spans),
+        hole_ranges=tuple(holes),
+        parsed=parsed,
+        body_tokens=tuple(bodies),
+        decl_holes=tuple(decl_holes),
+    )
+
+
+_memo = functools.lru_cache(maxsize=ANALYSIS_MEMO_SIZE)(_analyse)
 
 
 def _parse_declaration(
@@ -309,7 +398,7 @@ class BodyTerm:
     error: str | None = None
 
 
-def interpret_body(body_masked_tokens: list[str]) -> BodyTerm:
+def interpret_body(body_masked_tokens: Sequence[str]) -> BodyTerm:
     tokens = list(body_masked_tokens)
     if tokens and tokens[0] == "by":
         tokens = tokens[1:]
@@ -323,14 +412,6 @@ def interpret_body(body_masked_tokens: list[str]) -> BodyTerm:
     if _IDENT_RE.fullmatch(tok):
         return BodyTerm(reference=tok)
     return BodyTerm(error=f"unsupported term {tok!r}")
-
-
-def body_tokens(text: str, decl: Declaration) -> list[str]:
-    masked = mask_noncode(text)
-    starts = line_starts(text)
-    a = pos_to_offset(text, decl.body_range.start_line, decl.body_range.start_col, starts)
-    b = pos_to_offset(text, decl.body_range.end_line, decl.body_range.end_col, starts)
-    return masked[a:b].split()
 
 
 def module_name(file_id: str) -> str:

@@ -194,8 +194,8 @@ def insert_skeleton(project: Project, file_id: str, skeleton: str) -> SourceRang
 
 
 def _committed_names(project: Project, file_id: str, index: int) -> list[str]:
-    parsed = simlang.parse_file(project.read(file_id))
-    return [d.name for d in parsed.declarations if d.name and d.doc_index == index]
+    declarations = simlang.analyse(project.read(file_id)).parsed.declarations
+    return [d.name for d in declarations if d.name and d.doc_index == index]
 
 
 def run_stage1(
@@ -270,9 +270,8 @@ def _run_item(
         skeleton = provenance_docstring(record)
 
     decl_range = insert_skeleton(project, file_id, skeleton)
-    inserted = simlang.parse_file(project.read(file_id)).declarations
     inserted_name = None
-    for decl in inserted:
+    for decl in simlang.analyse(project.read(file_id)).parsed.declarations:
         if decl.doc_index == record.index and decl.name:
             inserted_name = decl.name
     span = (0, len(record.content))
@@ -298,16 +297,17 @@ def _run_item(
             expansions += 1
             rounds += 1
             continue
+        text = project.read(file_id)
         repair_req = OperatorRequest(
             kind="repair_patch",
             payload={
                 "task_id": str(record.index),
                 "index": record.index,
                 "file": file_id,
-                "file_text": project.read(file_id),
+                "file_text": text,
                 "diagnostics": [d.as_dict() for d in local],
                 "scope": scope,
-                "target_range": _repair_target(project.read(file_id), local, decl_range),
+                "target_range": _repair_target(text, local, decl_range),
             },
         )
         repair = operators.invoke(repair_req)
@@ -364,8 +364,7 @@ def _repair_target(text: str, local_diags, decl_range: SourceRange) -> SourceRan
     """Contiguous region a bridge repair patch should replace: the declaration
     containing the first localized error, else that error's own range."""
     first = min(local_diags, key=lambda d: d.sort_key())
-    parsed = simlang.parse_file(text)
-    for decl in parsed.declarations:
+    for decl in simlang.analyse(text).parsed.declarations:
         if decl.range.intersects(first.range):
             return decl.range
     return first.range

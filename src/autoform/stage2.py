@@ -96,31 +96,25 @@ class Stage2ItemResult:
         return self.status in ("solved", "already_closed")
 
 
-def _holes_in(decl: simlang.Declaration, hole_ranges: list[SourceRange]) -> list[SourceRange]:
-    return [h for h in hole_ranges if decl.range.contains(h)]
-
-
 def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
     """Find the task's placeholder: by docstring label, falling back to the
     unique holed declaration when labels are absent. None when already closed."""
-    text = project.read(file_id)
-    parsed = simlang.parse_file(text)
-    holes = simlang.find_hole_ranges(text)
+    analysis = simlang.analyse(project.read(file_id))
+    units = list(zip(analysis.parsed.declarations, analysis.decl_holes))
 
-    labeled = [d for d in parsed.declarations if d.doc_label == task.label]
+    labeled = [(d, holes) for d, holes in units if d.doc_label == task.label]
     if len(labeled) > 1:
         raise AmbiguousTargetError(f"label {task.label!r} matches {len(labeled)} declarations")
     if labeled:
-        decl = labeled[0]
-        decl_holes = _holes_in(decl, holes)
-        if not decl_holes:
+        decl, holes = labeled[0]
+        if not holes:
             return None
-        return HoleTarget(file=file_id, range=decl_holes[0], declaration=decl.name or "")
+        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
 
-    holed = [d for d in parsed.declarations if _holes_in(d, holes)]
+    holed = [(d, holes) for d, holes in units if holes]
     if len(holed) == 1:
-        decl = holed[0]
-        return HoleTarget(file=file_id, range=_holes_in(decl, holes)[0], declaration=decl.name or "")
+        decl, holes = holed[0]
+        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
     if not holed:
         return None
     raise AmbiguousTargetError(
@@ -158,7 +152,7 @@ def split_if_large_and_resolve(
     if len(lines) <= threshold:
         return file_id
 
-    parsed = simlang.parse_file(text)
+    parsed = simlang.analyse(text).parsed
     if parsed.stray_lines or not parsed.declarations:
         return file_id  # cannot attribute every line to a unit; abort split
     header_lines = []
@@ -207,7 +201,7 @@ def split_if_large_and_resolve(
             if decl.doc_label == task.label:
                 return part_ids[k]
     for pid in part_ids:
-        if simlang.count_holes(project.read(pid)) > 0:
+        if simlang.analyse(project.read(pid)).hole_ranges:
             return pid
     return file_id
 
@@ -251,9 +245,6 @@ def run_stage2_item(
         if instrumentation is not None:
             instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
 
-    _, diags = verifier.verify_file(project, file_id)
-    result.verifier_calls += 1
-
     def finish(status: str) -> Stage2ItemResult:
         result.status = status
         if instrumentation is not None:
@@ -273,6 +264,18 @@ def run_stage2_item(
             )
         return result
 
+    if not project.exists(file_id):
+        # stage 1 left no file for this section: nothing to verify or patch
+        if instrumentation is not None:
+            instrumentation.emit(
+                "warning",
+                {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
+            )
+        return finish("skipped")
+
+    _, diags = verifier.verify_file(project, file_id)
+    result.verifier_calls += 1
+
     goal_payload = None
     while result.verifier_calls < config.t:
         if err_count(diags) > 0:
@@ -281,15 +284,14 @@ def run_stage2_item(
                 # verifier budget; bound its attempts so the item terminates
                 return finish("unsolved")
             diag = select_error(diags)
-            scope = Scope.of(diag.range).union(
-                header_scope(project.read(file_id), verifier.header_bound)
-            )
+            text = project.read(file_id)
+            scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
             fix_req = OperatorRequest(
                 kind="fix_compile_error",
                 payload={
                     "task_id": str(task.index),
                     "file": file_id,
-                    "file_text": project.read(file_id),
+                    "file_text": text,
                     "diagnostic": diag.as_dict(),
                     "target_range": diag.range,
                 },

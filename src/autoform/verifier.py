@@ -131,8 +131,7 @@ class SimulatedVerifier:
         if file_id in seen or not project.exists(file_id):
             return {}
         seen.add(file_id)
-        text = project.read(file_id)
-        parsed = simlang.parse_file(text, self.header_bound)
+        parsed = simlang.analyse(project.read(file_id), self.header_bound).parsed
         table: dict[str, str] = {}
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
@@ -150,12 +149,12 @@ class SimulatedVerifier:
             full = SourceRange(0, 0, 0, 0)
             diags = DiagnosticSet.of([Diagnostic(full, "error", f"no such file: {file_id}")])
             return (False, diags)
-        text = project.read(file_id)
-        diags = self._check_text(project, file_id, text)
+        analysis = simlang.analyse(project.read(file_id), self.header_bound)
+        diags = self._check(project, file_id, analysis)
         return (err_count(diags) == 0, diags)
 
-    def _check_text(self, project: Project, file_id: str, text: str) -> DiagnosticSet:
-        parsed = simlang.parse_file(text, self.header_bound)
+    def _check(self, project: Project, file_id: str, analysis: simlang.Analysis) -> DiagnosticSet:
+        parsed = analysis.parsed
         out: list[Diagnostic] = []
 
         imported: dict[str, str] = {}
@@ -176,7 +175,7 @@ class SimulatedVerifier:
 
         scope_table = dict(self.builtins)
         scope_table.update(imported)
-        for decl in parsed.declarations:
+        for decl, body in zip(parsed.declarations, analysis.body_tokens):
             if decl.malformed:
                 out.append(
                     Diagnostic(decl.range, "error", f"malformed declaration: {decl.malformed}")
@@ -186,7 +185,7 @@ class SimulatedVerifier:
                 out.append(
                     Diagnostic(decl.range, "error", f"'{decl.name}' has already been declared")
                 )
-            term = simlang.interpret_body(simlang.body_tokens(text, decl))
+            term = simlang.interpret_body(body)
             if term.error:
                 out.append(Diagnostic(decl.body_range, "error", term.error))
             elif term.is_hole:
@@ -228,13 +227,16 @@ class SimulatedVerifier:
     def goal_state(
         self, project: Project, file_id: str, hole: SourceRange
     ) -> GoalState | None:
-        ok, _ = self.verify_file(project, file_id)
-        if not ok:
+        """Goal and preceding context of the declaration at ``hole``; None
+        unless the file exists and verifies. Not a counted verifier call."""
+        if not project.exists(file_id):
             return None
-        text = project.read(file_id)
-        parsed = simlang.parse_file(text, self.header_bound)
+        analysis = simlang.analyse(project.read(file_id), self.header_bound)
+        if err_count(self._check(project, file_id, analysis)) > 0:
+            return None
+        declarations = analysis.parsed.declarations
         target = None
-        for decl in parsed.declarations:
+        for decl in declarations:
             if decl.range.intersects(hole):
                 target = decl
                 break
@@ -242,7 +244,7 @@ class SimulatedVerifier:
             return None
         context = tuple(
             (d.name, d.type_text)
-            for d in parsed.declarations
+            for d in declarations
             if d.name and d.range.start < target.range.start
         )
         return GoalState(goal=target.type_text, context=context)
@@ -400,7 +402,7 @@ class Verifier:
         if project.exists(file_id):
             text = project.read(file_id)
             size = len(text.encode("utf-8"))
-            lines = text.count("\n") + 1
+            lines = simlang.analyse(text, self.header_bound).parsed.line_count
         self._emit(
             "lean_check",
             {
@@ -427,19 +429,10 @@ class Verifier:
             return None
         return self.adapter.goal_state(project, file_id, hole)
 
-    def count_holes(self, project: Project, file_id: str) -> int:
-        return simlang.count_holes(project.read(file_id))
-
-    def hole_ranges(self, project: Project, file_id: str) -> list[SourceRange]:
-        return simlang.find_hole_ranges(project.read(file_id))
-
-    def header_scope(self, project: Project, file_id: str) -> Scope:
-        return header_scope(project.read(file_id), self.header_bound)
-
 
 def header_scope(text: str, bound: int = DEFAULT_HEADER_BOUND) -> Scope:
     """Scope over the bounded contiguous header prefix; empty if none."""
-    span = simlang.header_line_span(text, bound)
+    span = simlang.analyse(text, bound).parsed.header_span
     if span is None:
         return Scope()
     return Scope.of(SourceRange.whole_lines(span[0], span[1]))

@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import hashlib
-from pathlib import Path
-
 import pytest
 
 from autoform.corpus import dump_dataset
@@ -11,18 +8,7 @@ from autoform.pipeline import RunConfig
 from autoform.toydata import build_toy_lemma_map, build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
 
-
-class EventSink:
-    """Minimal metrics stand-in collecting events in memory."""
-
-    def __init__(self):
-        self.events = []
-
-    def emit(self, event, data):
-        self.events.append({"event": event, "data": data})
-
-    def count(self, label):
-        return sum(1 for e in self.events if e["event"] == label)
+from helpers import EventSink
 
 
 @pytest.fixture
@@ -69,11 +55,3 @@ def instrumentation(tmp_path):
     metrics = MetricsWriter(tmp_path / "runs" / "metrics_test.jsonl", "test_stage0_run")
     metrics.run_start({"pipeline": "test"})
     return RunInstrumentation(metrics=metrics)
-
-
-def tree_hash(root: Path) -> str:
-    h = hashlib.sha256()
-    for f in sorted(root.rglob("*.lean")):
-        h.update(str(f.relative_to(root)).encode())
-        h.update(f.read_bytes())
-    return h.hexdigest()

@@ -21,7 +21,7 @@ from autoform.stage2 import Stage2Config, Stage2ItemResult, build_proof_tasks, r
 from autoform.toydata import build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
 
-from conftest import tree_hash
+from helpers import tree_hash
 from oracles import oracle_count_holes, oracle_signatures
 
 

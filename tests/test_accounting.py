@@ -50,6 +50,41 @@ class TestVerifierCallCounts:
         assert count_verifier_calls(both, {"seg_b"}) == 3
 
 
+class ReadCountingEvent(dict):
+    """An event that counts how often accounting reads its fields."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        ReadCountingEvent.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        ReadCountingEvent.reads += 1
+        return super().__getitem__(key)
+
+
+class TestManyResumedRunIds:
+    def test_counts_sum_over_segments_in_one_pass(self):
+        segments = 400
+        events = [
+            ReadCountingEvent(ev)
+            for k in range(segments)
+            for ev in synthlogs.stage2_events(
+                f"seg{k:03d}", targets=2, solved=1, verifier_calls=3, oracle_calls=4
+            )
+        ]
+        legacy = synthlogs.legacy_stage1_events("legacy", [0, 1])
+        events += [ReadCountingEvent(ev) for ev in legacy]
+        ReadCountingEvent.reads = 0
+        assert count_verifier_calls(events) == 3 * segments + (2 + 1)
+        assert count_oracle_calls(events) == 4 * segments + (2 + 1)
+        # a bounded number of field reads per event per count, not one
+        # rescan of the stream per run id; the one legacy segment rescans
+        assert ReadCountingEvent.reads <= 2 * 8 * len(events)
+        assert count_verifier_calls(events, {"seg007", "legacy"}) == 3 + 3
+
+
 class TestOracleCallCounts:
     def test_stage2_fixture_totals(self):
         events = synthlogs.real_analysis_stage2_fixture()

@@ -21,7 +21,7 @@ from autoform.kernel import (
 )
 from autoform.verifier import SimulatedVerifier, Verifier, header_scope
 
-from conftest import EventSink
+from helpers import EventSink
 
 
 def pair(a, b):

@@ -7,7 +7,7 @@ from autoform import accounting
 from autoform.instrumentation import read_checkpoint, read_events
 from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
 
-from conftest import tree_hash
+from helpers import tree_hash
 
 
 def run_both(cfg: RunConfig):

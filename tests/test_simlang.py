@@ -2,10 +2,24 @@ from __future__ import annotations
 
 import random
 
-from autoform import simlang
-from autoform.diagnostics import SourceRange
+from hypothesis import given, settings, strategies as st
 
-from oracles import oracle_count_holes, oracle_header_last_line, random_file
+from autoform import simlang
+from autoform.diagnostics import SourceRange, line_starts
+
+from oracles import (
+    oracle_count_holes,
+    oracle_header_last_line,
+    random_file,
+    random_module,
+    ref_body_tokens,
+    ref_find_hole_ranges,
+    ref_header_line_span,
+    ref_line_starts,
+    ref_mask_noncode,
+    ref_noncode_spans,
+    ref_parse_file,
+)
 
 
 class TestCountHoles:
@@ -94,9 +108,9 @@ class TestParseFile:
 
     def test_multiline_declaration(self):
         text = "theorem long :\n    SomeType :=\n  by sorry\n"
-        decl = simlang.parse_file(text).declarations[0]
-        assert decl.type_text == "SomeType"
-        assert simlang.interpret_body(simlang.body_tokens(text, decl)).is_hole
+        analysis = simlang.analyse(text)
+        assert analysis.parsed.declarations[0].type_text == "SomeType"
+        assert simlang.interpret_body(analysis.body_tokens[0]).is_hole
 
     def test_malformed_missing_assign(self):
         decl = simlang.parse_file("def broken : T\n").declarations[0]
@@ -112,9 +126,9 @@ class TestParseFile:
 
     def test_trailing_text_absorbed_into_body(self):
         text = "def x : T := sorry\nleftover junk\n"
-        parsed = simlang.parse_file(text)
-        assert parsed.stray_lines == ()
-        term = simlang.interpret_body(simlang.body_tokens(text, parsed.declarations[0]))
+        analysis = simlang.analyse(text)
+        assert analysis.parsed.stray_lines == ()
+        term = simlang.interpret_body(analysis.body_tokens[0])
         assert term.error is not None
 
     def test_signature_text_ignores_body(self):
@@ -126,8 +140,7 @@ class TestParseFile:
 class TestBodyInterpretation:
     def cases(self, body):
         text = f"def x : T := {body}\n"
-        decl = simlang.parse_file(text).declarations[0]
-        return simlang.interpret_body(simlang.body_tokens(text, decl))
+        return simlang.interpret_body(simlang.analyse(text).body_tokens[0])
 
     def test_hole_forms(self):
         assert self.cases("sorry").is_hole
@@ -141,6 +154,58 @@ class TestBodyInterpretation:
     def test_unsupported_terms(self):
         assert self.cases("a b c").error is not None
         assert self.cases("").error is not None
+
+
+SOUP_TOKENS = [
+    "-", "/", '"', "\\", "\n", "\n\n", " ", "--", "/-", "-/", "/--", "sorry", "def x",
+    "theorem t", "example", ":=", ":", "a", "[3] L", "import X", "open Y",
+]
+
+
+class TestAnalysisMatchesReference:
+    """The memoised single-pass analysis against verbatim copies of the
+    per-call scanner, parser and body tokenizer it replaced."""
+
+    def assert_same(self, text):
+        assert simlang.noncode_spans(text) == ref_noncode_spans(text)
+        assert simlang.mask_noncode(text) == ref_mask_noncode(text)
+        assert line_starts(text) == ref_line_starts(text)
+        for bound in (simlang.DEFAULT_HEADER_BOUND, 2):
+            assert simlang.parse_file(text, bound) == ref_parse_file(text, bound)
+            assert simlang.header_line_span(text, bound) == ref_header_line_span(text, bound)
+        holes = ref_find_hole_ranges(text)
+        assert simlang.find_hole_ranges(text) == holes
+        analysis = simlang.analyse(text)
+        assert list(analysis.line_starts) == ref_line_starts(text)
+        declarations = analysis.parsed.declarations
+        assert len(analysis.body_tokens) == len(analysis.decl_holes) == len(declarations)
+        for decl, body, decl_holes in zip(declarations, analysis.body_tokens, analysis.decl_holes):
+            assert list(body) == ref_body_tokens(text, decl)
+            assert list(decl_holes) == [h for h in holes if decl.range.contains(h)]
+
+    def test_random_files(self):
+        rng = random.Random(20261017)
+        for _ in range(300):
+            self.assert_same(random_file(rng, lines=rng.randint(0, 30)))
+
+    def test_random_modules(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            imports = [f"M{k}" for k in range(rng.randint(0, 3))]
+            self.assert_same(random_module(rng, imports, decls=rng.randint(0, 12)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SOUP_TOKENS), max_size=40).map("".join))
+    def test_delimiter_soup(self, text):
+        self.assert_same(text)
+
+    def test_long_file_attaches_every_docstring(self):
+        text = "".join(
+            f"/-- [{k}] Item {k} -/\n-- note\ndef d{k} : T := sorry\n\n" for k in range(120)
+        )
+        self.assert_same(text)
+        declarations = simlang.parse_file(text).declarations
+        assert [d.doc_index for d in declarations] == list(range(120))
 
 
 class TestModuleNames:

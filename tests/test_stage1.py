@@ -16,7 +16,7 @@ from autoform.stage1 import (
 )
 from autoform.verifier import SimulatedVerifier, Verifier
 
-from conftest import EventSink
+from helpers import EventSink
 
 
 def record(index=1, env="theorem", chapter=1, section="1", label=None, content=None, proof=""):

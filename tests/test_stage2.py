@@ -4,6 +4,7 @@ import pytest
 
 from autoform import simlang
 from autoform.diagnostics import Diagnostic, DiagnosticSet, SourceRange
+from autoform.instrumentation import read_events
 from autoform.operators import OperatorSet
 from autoform.scripted import adversarial_handlers, toy_handlers
 from autoform.stage1 import Stage1Config, run_stage1, target_file
@@ -20,7 +21,7 @@ from autoform.stage2 import (
 )
 from autoform.verifier import SimulatedVerifier, Verifier
 
-from conftest import EventSink
+from helpers import EventSink
 from oracles import oracle_signatures
 
 
@@ -189,6 +190,33 @@ class TestSplit:
         out = split_if_large_and_resolve(project, file_id, None, threshold=5)
         assert out == file_id
         assert not [f for f in project.files() if "section02_part" in f]
+
+
+class TestMissingSectionFile:
+    def test_items_of_a_missing_section_are_skipped(self, project, toy_records, instrumentation):
+        # stage 1 restored away every item of one section, so its file is absent
+        compiled_project(project, toy_records)
+        missing = target_file(build_proof_tasks(toy_records)[0][0])
+        project.delete(missing)
+        sink = EventSink()
+        results = run_stage2(
+            toy_records,
+            project,
+            Stage2Config(),
+            OperatorSet(toy_handlers(), None),
+            make_verifier(sink),
+            instrumentation,
+        )
+        gone = [r for r in results if r.file == missing]
+        assert gone and all(r.status == "skipped" and r.verifier_calls == 0 for r in gone)
+        assert all(r.closed for r in results if r.file != missing)
+        assert sink.count("lean_check") == sum(r.verifier_calls for r in results)
+        warnings = [
+            e["data"] for e in read_events(instrumentation.metrics.path) if e["event"] == "warning"
+        ]
+        assert [w["lean_file"] for w in warnings] == [missing] * len(gone)
+        assert all(missing in w["reason"] for w in warnings)
+        assert not project.exists(missing)
 
 
 class ToyWorld:

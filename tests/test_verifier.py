@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
 import stat
 
 import pytest
 
-from autoform.diagnostics import DiagnosticSet, err_count
+from autoform import simlang
+from autoform.diagnostics import DiagnosticSet, SourceRange, err_count
 from autoform.verifier import (
     ExternalVerifier,
     Project,
@@ -14,7 +16,8 @@ from autoform.verifier import (
     parse_toolchain_output,
 )
 
-from conftest import EventSink
+from helpers import EventSink
+from oracles import random_module, ref_find_hole_ranges, ref_goal_state, ref_verify_file
 
 
 @pytest.fixture
@@ -101,6 +104,83 @@ class TestSimulatedVerifyFile:
     def test_missing_file(self, project, sim):
         ok, diags = sim.verify_file(project, "Ghost.lean")
         assert not ok and err_count(diags) == 1
+
+
+def write_random_project(project, rng: random.Random, modules: int) -> list[str]:
+    """Modules M0..M{n-1}, each importing some earlier ones (import chains),
+    sometimes a missing module or a later one (an import cycle)."""
+    file_ids = []
+    for k in range(modules):
+        imports = [f"M{j}" for j in range(k) if rng.random() < 0.6]
+        if rng.random() < 0.1:
+            imports.append("Missing")
+        if rng.random() < 0.1:
+            imports.append(f"M{modules - 1}")
+        file_id = f"M{k}.lean"
+        project.write(file_id, random_module(rng, imports, decls=rng.randint(0, 10)))
+        file_ids.append(file_id)
+    return file_ids
+
+
+class TestCheckMatchesReference:
+    """verify_file and goal_state over the memoised analysis against the
+    checker that re-parsed every file on every call."""
+
+    def test_multi_file_projects_with_import_chains(self, project, sim):
+        rng = random.Random(2026)
+        verdicts, goals = set(), set()
+        for _ in range(40):
+            for file_id in project.files():
+                project.delete(file_id)
+            file_ids = write_random_project(project, rng, rng.randint(1, 5))
+            for round_ in range(2):
+                for file_id in file_ids:
+                    ok, diags = sim.verify_file(project, file_id)
+                    ref_ok, ref_diags = ref_verify_file(project, file_id)
+                    assert (ok, diags.items) == (ref_ok, ref_diags.items)
+                    verdicts.add(ok)
+                    text = project.read(file_id)
+                    for hole in ref_find_hole_ranges(text):
+                        goal = sim.goal_state(project, file_id, hole)
+                        got = None if goal is None else (goal.goal, goal.context)
+                        assert got == ref_goal_state(project, file_id, hole)
+                        goals.add(got is None)
+                # edit an imported module in place: importers must see the edit
+                victim = rng.choice(file_ids)
+                project.write(victim, project.read(victim).replace("T1", "T2"))
+        assert verdicts == goals == {True, False}
+
+    def test_goal_state_is_absent_for_a_missing_file(self, project, sim):
+        assert sim.goal_state(project, "Ghost.lean", SourceRange(0, 0, 0, 1)) is None
+
+
+class TestAnalysisReuse:
+    def test_verify_scans_each_content_once(self, project, monkeypatch):
+        scans = []
+        scan = simlang.noncode_spans
+        monkeypatch.setattr(simlang, "noncode_spans", lambda text: scans.append(1) or scan(text))
+        simlang._memo.cache_clear()
+        text = "".join(
+            f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400)
+        )
+        project.write("Big.lean", text)
+        verifier = Verifier(SimulatedVerifier())
+        ok, _ = verifier.verify_file(project, "Big.lean")
+        assert ok and len(scans) == 1
+        verifier.verify_file(project, "Big.lean")
+        hole = simlang.find_hole_ranges(project.read("Big.lean"))[-1]
+        assert verifier.goal_state(project, "Big.lean", hole).goal == "T"
+        assert len(scans) == 1
+        project.write("Big.lean", text + "def e : T := sorry\n")
+        verifier.verify_file(project, "Big.lean")
+        assert len(scans) == 2
+
+    def test_memo_never_exceeds_its_bound(self):
+        simlang._memo.cache_clear()
+        for k in range(3 * simlang.ANALYSIS_MEMO_SIZE):
+            simlang.analyse(f"def d{k} : T := sorry\n")
+            assert simlang._memo.cache_info().currsize <= simlang.ANALYSIS_MEMO_SIZE
+        assert simlang._memo.cache_info().currsize == simlang.ANALYSIS_MEMO_SIZE
 
 
 class TestSimulatedVerifyProject:
