@@ -137,11 +137,12 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_backfill(args: argparse.Namespace) -> int:
-    metrics = MetricsWriter(_resolve(args.output), args.run_id or new_run_id("backfill", "tokens"))
-    metrics.run_start({"pipeline": "backfill", "log_dir": str(args.logs)})
-    events = token_backfill(_resolve(args.logs), metrics)
-    total = sum(ev.tokens_used_total for ev in events)
-    metrics.run_end({"pipeline": "backfill", "tasks": len(events), "total_tokens_used": total})
+    run_id = args.run_id or new_run_id("backfill", "tokens")
+    with MetricsWriter(_resolve(args.output), run_id) as metrics:
+        metrics.run_start({"pipeline": "backfill", "log_dir": str(args.logs)})
+        events = token_backfill(_resolve(args.logs), metrics)
+        total = sum(ev.tokens_used_total for ev in events)
+        metrics.run_end({"pipeline": "backfill", "tasks": len(events), "total_tokens_used": total})
     print(f"backfilled {len(events)} tasks, {total} tokens")
     return EXIT_OK
 

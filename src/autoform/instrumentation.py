@@ -85,20 +85,45 @@ def read_checkpoint(path: str | Path) -> Checkpoint | None:
     return Checkpoint(key=key, cursor=cursor)
 
 
-class MetricsWriter:
+class _AppendStream:
+    """One append handle on a JSONL file, opened at the first line and kept
+    open until ``close``. Each line is flushed before the call that writes
+    it returns, so a reader tailing the file sees every line written so far."""
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = None
+
+    def _write_line(self, obj: dict) -> None:
+        if self._fh is None:
+            self._fh = self.path.open("a", encoding="utf-8")
+        self._fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        self._fh.flush()
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class MetricsWriter(_AppendStream):
     """Append-only metrics event stream for one run segment."""
 
     def __init__(self, path: str | Path, run_id: str):
-        self.path = Path(path)
+        super().__init__(path)
         self.run_id = run_id
         self._started = False
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def _append(self, event: str, data: dict) -> dict:
         record = {"ts": utc_now_iso(), "run_id": self.run_id, "event": event, "data": data}
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            fh.flush()
+        self._write_line(record)
         return record
 
     def run_start(self, data: dict) -> dict:
@@ -178,18 +203,16 @@ class HistoryRecord:
         }
 
 
-class HistoryStore:
+class HistoryStore(_AppendStream):
     """Append-only compact per-task trace; long strings are truncated."""
 
     def __init__(self, path: str | Path, truncation_bound: int = TRUNCATION_BOUND):
-        self.path = Path(path)
+        super().__init__(path)
         self.truncation_bound = truncation_bound
-        self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, record: HistoryRecord) -> dict:
         obj = record.as_dict(self.truncation_bound)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        self._write_line(obj)
         return obj
 
     def load_window(
@@ -316,3 +339,17 @@ class RunInstrumentation:
     def advance_cursor(self, key: str, cursor: int) -> None:
         if self.checkpoint_path is not None:
             write_checkpoint(self.checkpoint_path, Checkpoint(key=key, cursor=cursor))
+
+    def close(self) -> None:
+        """Close the stream handles; the owner of the run segment calls this."""
+        try:
+            self.metrics.close()
+        finally:
+            if self.history is not None:
+                self.history.close()
+
+    def __enter__(self) -> "RunInstrumentation":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -99,12 +99,14 @@ class Snapshot:
             project.delete(self.file)
         else:
             project.write_bytes(self.file, self.content)
-        now = Snapshot.capture(project, self.file)
-        if now.digest != self.digest:
+        if not self.matches(project):
             raise SnapshotRestoreError(f"restore of {self.file} did not reproduce snapshot")
 
     def matches(self, project: Project) -> bool:
-        return Snapshot.capture(project, self.file).digest == self.digest
+        """Whether the bytes on disk, not the project's cached copy, are the
+        snapshot's: the check that a restore really landed."""
+        data = project.reload_bytes(self.file)
+        return (fingerprint(data) if data is not None else "absent") == self.digest
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,8 @@ def try_patch(
 
     Exactly one verifier call is made. On rejection the file is restored
     byte-exactly and the returned diagnostics are the pre-patch ones, so
-    they always describe the committed state.
+    they always describe the committed state. If the verifier raises, the
+    file is restored before the exception propagates.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
@@ -146,11 +149,16 @@ def try_patch(
         before = stage2_objective(diagnostics_before, text_before)
 
     project.write(file_id, apply_replacement(text_before, target, patch.replacement))
-    ok, diags_after = verifier.verify_file(project, file_id)
-    if stage == 1:
-        after = stage1_objective(diags_after, scope)
-    else:
-        after = stage2_objective(diags_after, project.read(file_id))
+    try:
+        ok, diags_after = verifier.verify_file(project, file_id)
+        if stage == 1:
+            after = stage1_objective(diags_after, scope)
+        else:
+            after = stage2_objective(diags_after, project.read(file_id))
+    except BaseException:
+        # an uncertified patch never stays on disk, whatever interrupted the check
+        snap.restore(project)
+        raise
 
     if prec(after, before):
         return AttemptOutcome(True, before, after, diags_after)

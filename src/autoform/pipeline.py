@@ -176,61 +176,63 @@ def run_statement_stage(
     records = records if records is not None else load_dataset(config.dataset)
     start_index = resolve_cursor(config, pipeline)
     project = Project(config.project)
-    instr = build_instrumentation(config, pipeline, 1)
-    instr.metrics.run_start(
-        {
+    with build_instrumentation(config, pipeline, 1) as instr:
+        instr.metrics.run_start(
+            {
+                "pipeline": pipeline,
+                "stage": 1,
+                "data_file": str(config.dataset),
+                "environment": config.environment().as_dict(),
+                "config": config.as_dict(),
+            }
+        )
+        adapter = make_adapter(config)
+        verifier = Verifier(adapter, metrics=instr.metrics, header_bound=config.header_bound)
+        operators = make_operators(config, instr, pipeline)
+        stage_cfg = Stage1Config(k=config.budget_k)
+
+        provenance_path = config.runs_path() / "provenance.json"
+        provenance = (
+            ProvenanceMap.load(provenance_path) if provenance_path.exists() else ProvenanceMap()
+        )
+
+        started = time.monotonic()
+        provenance, results = run_stage1(
+            records,
+            project,
+            stage_cfg,
+            operators,
+            verifier,
+            instr,
+            provenance=provenance,
+            start_index=start_index,
+            max_items=config.max_items,
+        )
+        pb_ok, _ = verifier.verify_project(project)
+        provenance.save(provenance_path)
+
+        compiled = sum(1 for r in results if r.compiled)
+        summary = {
             "pipeline": pipeline,
             "stage": 1,
-            "data_file": str(config.dataset),
-            "environment": config.environment().as_dict(),
-            "config": config.as_dict(),
+            "processed_items": len(results),
+            "compiled": compiled,
+            "restored_failed": sum(1 for r in results if r.status == "restored_failed"),
+            "next_index": (results[-1].index + 1) if results else (start_index or 0),
+            "total_seconds": round(time.monotonic() - started, 6),
+            "total_b_attempts": sum(r.b_attempts for r in results),
+            "total_verifier_calls": verifier.calls,
+            "total_oracle_calls": operators.invocations,
+            "total_tokens_used": operators.tokens_used,
+            "scc": round(100.0 * compiled / len(results), 2) if results else None,
+            "arr": round(sum(r.b_attempts for r in results if r.compiled) / compiled, 4)
+            if compiled
+            else None,
+            "pb": pb_ok,
         }
-    )
-    adapter = make_adapter(config)
-    verifier = Verifier(adapter, metrics=instr.metrics, header_bound=config.header_bound)
-    operators = make_operators(config, instr, pipeline)
-    stage_cfg = Stage1Config(k=config.budget_k)
-
-    provenance_path = config.runs_path() / "provenance.json"
-    provenance = ProvenanceMap.load(provenance_path) if provenance_path.exists() else ProvenanceMap()
-
-    started = time.monotonic()
-    provenance, results = run_stage1(
-        records,
-        project,
-        stage_cfg,
-        operators,
-        verifier,
-        instr,
-        provenance=provenance,
-        start_index=start_index,
-        max_items=config.max_items,
-    )
-    pb_ok, _ = verifier.verify_project(project)
-    provenance.save(provenance_path)
-
-    compiled = sum(1 for r in results if r.compiled)
-    summary = {
-        "pipeline": pipeline,
-        "stage": 1,
-        "processed_items": len(results),
-        "compiled": compiled,
-        "restored_failed": sum(1 for r in results if r.status == "restored_failed"),
-        "next_index": (results[-1].index + 1) if results else (start_index or 0),
-        "total_seconds": round(time.monotonic() - started, 6),
-        "total_b_attempts": sum(r.b_attempts for r in results),
-        "total_verifier_calls": verifier.calls,
-        "total_oracle_calls": operators.invocations,
-        "total_tokens_used": operators.tokens_used,
-        "scc": round(100.0 * compiled / len(results), 2) if results else None,
-        "arr": round(sum(r.b_attempts for r in results if r.compiled) / compiled, 4)
-        if compiled
-        else None,
-        "pb": pb_ok,
-    }
-    instr.metrics.run_end(summary)
-    write_summary(config.runs_path() / f"summary_{instr.run_id}.json", summary)
-    return results, summary
+        instr.metrics.run_end(summary)
+        write_summary(config.runs_path() / f"summary_{instr.run_id}.json", summary)
+        return results, summary
 
 
 def run_proof_stage(
@@ -245,63 +247,63 @@ def run_proof_stage(
         lemma_map = load_lemma_map(config.lemma_map)
     start_index = resolve_cursor(config, pipeline)
     project = Project(config.project)
-    instr = build_instrumentation(config, pipeline, 2)
-    instr.metrics.run_start(
-        {
+    with build_instrumentation(config, pipeline, 2) as instr:
+        instr.metrics.run_start(
+            {
+                "pipeline": pipeline,
+                "stage": 2,
+                "data_file": str(config.dataset),
+                "environment": config.environment().as_dict(),
+                "config": config.as_dict(),
+            }
+        )
+        adapter = make_adapter(config)
+        verifier = Verifier(adapter, metrics=instr.metrics, header_bound=config.header_bound)
+        operators = make_operators(config, instr, pipeline)
+        stage_cfg = Stage2Config(
+            t=config.budget_t,
+            r=config.budget_r,
+            c=config.budget_c,
+            split_threshold=config.split_threshold,
+            goal_query_enabled=config.goal_query_enabled,
+        )
+
+        started = time.monotonic()
+        results = run_stage2(
+            records,
+            project,
+            stage_cfg,
+            operators,
+            verifier,
+            instr,
+            lemma_map=lemma_map,
+            start_index=start_index,
+            max_items=config.max_items,
+            proof_target_envs=frozenset(config.proof_target_envs),
+        )
+        pb_ok, _ = verifier.verify_project(project)
+
+        closed = sum(1 for r in results if r.closed)
+        summary = {
             "pipeline": pipeline,
             "stage": 2,
-            "data_file": str(config.dataset),
-            "environment": config.environment().as_dict(),
-            "config": config.as_dict(),
+            "processed_items": len(results),
+            "solved": sum(1 for r in results if r.status == "solved"),
+            "already_closed": sum(1 for r in results if r.status == "already_closed"),
+            "unsolved": sum(1 for r in results if r.status == "unsolved"),
+            "skipped": sum(1 for r in results if r.status == "skipped"),
+            "next_index": (results[-1].index + 1) if results else (start_index or 0),
+            "total_seconds": round(time.monotonic() - started, 6),
+            "total_a_attempts": sum(r.proof_attempts for r in results),
+            "total_b_attempts": sum(r.fix_attempts for r in results),
+            "total_c_plans": sum(r.plans for r in results),
+            "total_sorries_eliminated": sum(1 for r in results if r.status == "solved"),
+            "total_verifier_calls": verifier.calls,
+            "total_oracle_calls": operators.invocations,
+            "total_tokens_used": operators.tokens_used,
+            "psr": round(100.0 * closed / len(results), 2) if results else None,
+            "pb": pb_ok,
         }
-    )
-    adapter = make_adapter(config)
-    verifier = Verifier(adapter, metrics=instr.metrics, header_bound=config.header_bound)
-    operators = make_operators(config, instr, pipeline)
-    stage_cfg = Stage2Config(
-        t=config.budget_t,
-        r=config.budget_r,
-        c=config.budget_c,
-        split_threshold=config.split_threshold,
-        goal_query_enabled=config.goal_query_enabled,
-    )
-
-    started = time.monotonic()
-    results = run_stage2(
-        records,
-        project,
-        stage_cfg,
-        operators,
-        verifier,
-        instr,
-        lemma_map=lemma_map,
-        start_index=start_index,
-        max_items=config.max_items,
-        proof_target_envs=frozenset(config.proof_target_envs),
-    )
-    pb_ok, _ = verifier.verify_project(project)
-
-    closed = sum(1 for r in results if r.closed)
-    summary = {
-        "pipeline": pipeline,
-        "stage": 2,
-        "processed_items": len(results),
-        "solved": sum(1 for r in results if r.status == "solved"),
-        "already_closed": sum(1 for r in results if r.status == "already_closed"),
-        "unsolved": sum(1 for r in results if r.status == "unsolved"),
-        "skipped": sum(1 for r in results if r.status == "skipped"),
-        "next_index": (results[-1].index + 1) if results else (start_index or 0),
-        "total_seconds": round(time.monotonic() - started, 6),
-        "total_a_attempts": sum(r.proof_attempts for r in results),
-        "total_b_attempts": sum(r.fix_attempts for r in results),
-        "total_c_plans": sum(r.plans for r in results),
-        "total_sorries_eliminated": sum(1 for r in results if r.status == "solved"),
-        "total_verifier_calls": verifier.calls,
-        "total_oracle_calls": operators.invocations,
-        "total_tokens_used": operators.tokens_used,
-        "psr": round(100.0 * closed / len(results), 2) if results else None,
-        "pb": pb_ok,
-    }
-    instr.metrics.run_end(summary)
-    write_summary(config.runs_path() / f"summary_{instr.run_id}.json", summary)
-    return results, summary
+        instr.metrics.run_end(summary)
+        write_summary(config.runs_path() / f"summary_{instr.run_id}.json", summary)
+        return results, summary

@@ -252,97 +252,105 @@ def _run_item(
     snap0 = Snapshot.capture(project, file_id)
     result = Stage1ItemResult(index=record.index, label=record.label, status="skipped", file=file_id)
 
-    skeleton_req = OperatorRequest(
-        kind="gen_skeleton",
-        payload={
-            "task_id": str(record.index),
-            "index": record.index,
-            "record": record.as_dict(),
-            "file": file_id,
-            "file_text": project.read(file_id) if project.exists(file_id) else "",
-        },
-    )
-    response = operators.invoke(skeleton_req)
-    skeleton = response.text if response.ok else None
-    if skeleton is None:
-        # unusable skeleton output: fall back to a bare provenance comment so
-        # the verify/repair loop has something to chew on
-        skeleton = provenance_docstring(record)
-
-    decl_range = insert_skeleton(project, file_id, skeleton)
-    inserted_name = None
-    for decl in simlang.analyse(project.read(file_id)).parsed.declarations:
-        if decl.doc_index == record.index and decl.name:
-            inserted_name = decl.name
-    span = (0, len(record.content))
-    if inserted_name:
-        provenance.add(inserted_name, record.index, span)
-
-    scope = Scope.of(decl_range).union(header_scope(project.read(file_id), verifier.header_bound))
-    _, diags = verifier.verify_file(project, file_id)
-    result.verifier_calls += 1
-
-    rounds = 0
-    expansions = 0
-    expansion_failed = False
-    while err_count(diags) > 0 and rounds < config.k:
-        local = localize(diags, scope)
-        if err_count(local) == 0:
-            # nothing actionable localizes (warnings alone cannot drive the
-            # stage objective): grow the scope toward the nearest error
-            if expansions >= config.max_scope_expansions:
-                expansion_failed = True
-                break
-            scope = expand_scope(scope, diags, header_scope(project.read(file_id), verifier.header_bound))
-            expansions += 1
-            rounds += 1
-            continue
-        text = project.read(file_id)
-        repair_req = OperatorRequest(
-            kind="repair_patch",
+    try:
+        skeleton_req = OperatorRequest(
+            kind="gen_skeleton",
             payload={
                 "task_id": str(record.index),
                 "index": record.index,
+                "record": record.as_dict(),
                 "file": file_id,
-                "file_text": text,
-                "diagnostics": [d.as_dict() for d in local],
-                "scope": scope,
-                "target_range": _repair_target(text, local, decl_range),
+                "file_text": project.read(file_id) if project.exists(file_id) else "",
             },
         )
-        repair = operators.invoke(repair_req)
-        rounds += 1
-        if instrumentation is not None:
-            instrumentation.record_history(
-                HistoryRecord(
-                    pipeline="statement",
-                    run_id=instrumentation.run_id,
-                    lean_file=file_id,
-                    task_id=str(record.index),
-                    kind="agent_b_repair",
-                    summary=f"round={rounds} ok={repair.ok}",
-                    log_path=repair.transcript_ref or "",
-                    payload={"round": rounds, "tokens_used": repair.tokens_used or 0},
-                )
-            )
-        if not repair.ok or repair.patch is None:
-            continue
-        try:
-            outcome = try_patch(1, project, file_id, scope, repair.patch, diags, verifier)
-        except PatchOutOfScopeError:
-            continue
-        result.b_attempts += 1
-        result.verifier_calls += 1
-        diags = outcome.diagnostics_after
+        response = operators.invoke(skeleton_req)
+        skeleton = response.text if response.ok else None
+        if skeleton is None:
+            # unusable skeleton output: fall back to a bare provenance comment so
+            # the verify/repair loop has something to chew on
+            skeleton = provenance_docstring(record)
 
-    if err_count(diags) > 0 or expansion_failed:
+        decl_range = insert_skeleton(project, file_id, skeleton)
+        inserted_name = None
+        for decl in simlang.analyse(project.read(file_id)).parsed.declarations:
+            if decl.doc_index == record.index and decl.name:
+                inserted_name = decl.name
+        span = (0, len(record.content))
+        if inserted_name:
+            provenance.add(inserted_name, record.index, span)
+
+        header = header_scope(project.read(file_id), verifier.header_bound)
+        scope = Scope.of(decl_range).union(header)
+        _, diags = verifier.verify_file(project, file_id)
+        result.verifier_calls += 1
+
+        rounds = 0
+        expansions = 0
+        expansion_failed = False
+        while err_count(diags) > 0 and rounds < config.k:
+            local = localize(diags, scope)
+            if err_count(local) == 0:
+                # nothing actionable localizes (warnings alone cannot drive the
+                # stage objective): grow the scope toward the nearest error
+                if expansions >= config.max_scope_expansions:
+                    expansion_failed = True
+                    break
+                header = header_scope(project.read(file_id), verifier.header_bound)
+                scope = expand_scope(scope, diags, header)
+                expansions += 1
+                rounds += 1
+                continue
+            text = project.read(file_id)
+            repair_req = OperatorRequest(
+                kind="repair_patch",
+                payload={
+                    "task_id": str(record.index),
+                    "index": record.index,
+                    "file": file_id,
+                    "file_text": text,
+                    "diagnostics": [d.as_dict() for d in local],
+                    "scope": scope,
+                    "target_range": _repair_target(text, local, decl_range),
+                },
+            )
+            repair = operators.invoke(repair_req)
+            rounds += 1
+            if instrumentation is not None:
+                instrumentation.record_history(
+                    HistoryRecord(
+                        pipeline="statement",
+                        run_id=instrumentation.run_id,
+                        lean_file=file_id,
+                        task_id=str(record.index),
+                        kind="agent_b_repair",
+                        summary=f"round={rounds} ok={repair.ok}",
+                        log_path=repair.transcript_ref or "",
+                        payload={"round": rounds, "tokens_used": repair.tokens_used or 0},
+                    )
+                )
+            if not repair.ok or repair.patch is None:
+                continue
+            try:
+                outcome = try_patch(1, project, file_id, scope, repair.patch, diags, verifier)
+            except PatchOutOfScopeError:
+                continue
+            result.b_attempts += 1
+            result.verifier_calls += 1
+            diags = outcome.diagnostics_after
+
+        if err_count(diags) > 0 or expansion_failed:
+            snap0.restore(project)
+            provenance.drop_index(record.index)
+            result.status = "restored_failed"
+        else:
+            result.status = "compiled"
+            for name in _committed_names(project, file_id, record.index):
+                provenance.add(name, record.index, span)
+    except BaseException:
+        # a crash inside the item leaves the file as the item found it
         snap0.restore(project)
         provenance.drop_index(record.index)
-        result.status = "restored_failed"
-    else:
-        result.status = "compiled"
-        for name in _committed_names(project, file_id, record.index):
-            provenance.add(name, record.index, span)
+        raise
 
     if instrumentation is not None:
         instrumentation.emit(

@@ -55,36 +55,83 @@ class GoalState:
         return {"goal": self.goal, "context": [list(p) for p in self.context]}
 
 
+def _decode(data: bytes) -> str:
+    """The text ``Path.read_text(encoding="utf-8")`` returns for ``data``:
+    UTF-8 with universal newlines (``\\r\\n`` and lone ``\\r`` read as ``\\n``)."""
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 class Project:
-    """A project is a directory tree of source files addressed by relative path."""
+    """A project is a directory tree of source files addressed by relative path.
+
+    The project keeps, per file, the bytes it last read or wrote and their
+    decoded text, so unchanged bytes are read from disk once. Writes go to
+    disk first and then to the cache; a write that raises drops the file's
+    entry, so the next read goes to disk.
+
+    Ownership rule: while a run segment runs, its ``Project`` is the only
+    writer of the root. A change made under the root by anything else is
+    not seen by a live ``Project``; build a new one after it (each pipeline
+    segment builds its own, so ``--resume`` starts cold). ``reload_bytes``
+    is the one read that always goes to disk.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # file_id -> (bytes, decoded text or None until first read)
+        self._cache: dict[str, tuple[bytes, str | None]] = {}
 
     def path(self, file_id: str) -> Path:
         return self.root / file_id
 
     def exists(self, file_id: str) -> bool:
-        return self.path(file_id).is_file()
+        return file_id in self._cache or self.path(file_id).is_file()
 
     def read(self, file_id: str) -> str:
-        return self.path(file_id).read_text(encoding="utf-8")
+        data, text = self._cache.get(file_id) or self._load(file_id)
+        if text is None:
+            text = _decode(data)
+            self._cache[file_id] = (data, text)
+        return text
 
     def read_bytes(self, file_id: str) -> bytes:
-        return self.path(file_id).read_bytes()
+        return (self._cache.get(file_id) or self._load(file_id))[0]
+
+    def reload_bytes(self, file_id: str) -> bytes | None:
+        """The file's bytes read from disk, bypassing the cache and then
+        replacing its entry; None when the file is absent."""
+        self._cache.pop(file_id, None)
+        try:
+            return self._load(file_id)[0]
+        except FileNotFoundError:
+            return None
+
+    def _load(self, file_id: str) -> tuple[bytes, str | None]:
+        entry = (self.path(file_id).read_bytes(), None)
+        self._cache[file_id] = entry
+        return entry
 
     def write(self, file_id: str, text: str) -> None:
-        p = self.path(file_id)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text, encoding="utf-8")
+        data = text.encode("utf-8")
+        # text holding "\r" reads back with universal newlines, so decode it then
+        self._store(file_id, data, None if "\r" in text else text)
 
     def write_bytes(self, file_id: str, data: bytes) -> None:
+        self._store(file_id, bytes(data), None)
+
+    def _store(self, file_id: str, data: bytes, text: str | None) -> None:
         p = self.path(file_id)
-        p.parent.mkdir(parents=True, exist_ok=True)
+        if self._cache.pop(file_id, None) is None:
+            p.parent.mkdir(parents=True, exist_ok=True)
         p.write_bytes(data)
+        self._cache[file_id] = (data, text)
 
     def delete(self, file_id: str) -> None:
+        self._cache.pop(file_id, None)
         p = self.path(file_id)
         if p.exists():
             p.unlink()

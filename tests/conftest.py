@@ -54,4 +54,5 @@ def toy_config(tmp_path, toy_records):
 def instrumentation(tmp_path):
     metrics = MetricsWriter(tmp_path / "runs" / "metrics_test.jsonl", "test_stage0_run")
     metrics.run_start({"pipeline": "test"})
-    return RunInstrumentation(metrics=metrics)
+    with RunInstrumentation(metrics=metrics) as instr:
+        yield instr

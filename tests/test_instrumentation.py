@@ -69,32 +69,33 @@ class TestCheckpoint:
 class TestMetricsWriter:
     def test_every_line_has_exactly_four_fields(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        metrics = MetricsWriter(path, "proof_stage2_x")
-        metrics.run_start({"pipeline": "proof"})
-        metrics.emit("item_start", {"index": 1, "label": "Lemma 1.1"})
-        metrics.run_end({"processed": 1})
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
-            assert set(record) == {"ts", "run_id", "event", "data"}
-            assert record["run_id"] == "proof_stage2_x"
+        with MetricsWriter(path, "proof_stage2_x") as metrics:
+            metrics.run_start({"pipeline": "proof"})
+            metrics.emit("item_start", {"index": 1, "label": "Lemma 1.1"})
+            metrics.run_end({"processed": 1})
+            for line in path.read_text().splitlines():
+                record = json.loads(line)
+                assert set(record) == {"ts", "run_id", "event", "data"}
+                assert record["run_id"] == "proof_stage2_x"
 
     def test_emit_before_run_start_is_an_error(self, tmp_path):
-        metrics = MetricsWriter(tmp_path / "m.jsonl", "r")
-        with pytest.raises(RuntimeError, match="run_start"):
-            metrics.emit("item_start", {})
+        with MetricsWriter(tmp_path / "m.jsonl", "r") as metrics:
+            with pytest.raises(RuntimeError, match="run_start"):
+                metrics.emit("item_start", {})
 
     def test_ordering_preserved(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        metrics = MetricsWriter(path, "r")
-        metrics.run_start({})
-        for i in range(5):
-            metrics.emit("tick", {"i": i})
-        events = read_events(path)
-        assert [e["data"]["i"] for e in events if e["event"] == "tick"] == list(range(5))
+        with MetricsWriter(path, "r") as metrics:
+            metrics.run_start({})
+            for i in range(5):
+                metrics.emit("tick", {"i": i})
+            events = read_events(path)
+            assert [e["data"]["i"] for e in events if e["event"] == "tick"] == list(range(5))
 
     def test_run_start_carries_schema_version(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        MetricsWriter(path, "r").run_start({"pipeline": "proof"})
+        with MetricsWriter(path, "r") as metrics:
+            metrics.run_start({"pipeline": "proof"})
         assert read_events(path)[0]["data"]["schema_version"] == 2
 
     def test_run_id_shape(self):
@@ -109,13 +110,13 @@ class TestMetricsWriter:
 
     def test_torn_trailing_line_is_ignored_by_readers(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        metrics = MetricsWriter(path, "r")
-        metrics.run_start({})
-        metrics.emit("tick", {"i": 0})
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write('{"ts": "t", "run_id": "r", "eve')  # writer died mid-line
-        events = read_events(path)
-        assert [e["event"] for e in events] == ["run_start", "tick"]
+        with MetricsWriter(path, "r") as metrics:
+            metrics.run_start({})
+            metrics.emit("tick", {"i": 0})
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write('{"ts": "t", "run_id": "r", "eve')  # writer died mid-line
+            events = read_events(path)
+            assert [e["event"] for e in events] == ["run_start", "tick"]
 
 
 class TestHistoryStore:
@@ -133,33 +134,33 @@ class TestHistoryStore:
         return HistoryRecord(**base)
 
     def test_append_and_shape(self, tmp_path):
-        store = HistoryStore(tmp_path / "h.jsonl")
-        store.append(self.record())
-        line = json.loads((tmp_path / "h.jsonl").read_text())
-        assert line["kind"] == "agent_c_plan"
-        assert line["payload"]["plan"] == "use w"
-        assert {"ts", "pipeline", "run_id", "lean_file", "task_id", "kind"} <= set(line)
+        with HistoryStore(tmp_path / "h.jsonl") as store:
+            store.append(self.record())
+            line = json.loads((tmp_path / "h.jsonl").read_text())
+            assert line["kind"] == "agent_c_plan"
+            assert line["payload"]["plan"] == "use w"
+            assert {"ts", "pipeline", "run_id", "lean_file", "task_id", "kind"} <= set(line)
 
     def test_long_strings_truncated_with_marker(self, tmp_path):
-        store = HistoryStore(tmp_path / "h.jsonl", truncation_bound=100)
-        store.append(self.record(summary="x" * 100_000))
-        line = json.loads((tmp_path / "h.jsonl").read_text())
-        assert len(line["summary"]) == 100
-        assert line["summary"].endswith(TRUNCATION_MARK)
+        with HistoryStore(tmp_path / "h.jsonl", truncation_bound=100) as store:
+            store.append(self.record(summary="x" * 100_000))
+            line = json.loads((tmp_path / "h.jsonl").read_text())
+            assert len(line["summary"]) == 100
+            assert line["summary"].endswith(TRUNCATION_MARK)
 
     def test_payload_strings_truncated_too(self, tmp_path):
-        store = HistoryStore(tmp_path / "h.jsonl", truncation_bound=50)
-        store.append(self.record(payload={"error_log": "e" * 9000, "round": 2}))
-        line = json.loads((tmp_path / "h.jsonl").read_text())
-        assert len(line["payload"]["error_log"]) == 50
-        assert line["payload"]["round"] == 2
+        with HistoryStore(tmp_path / "h.jsonl", truncation_bound=50) as store:
+            store.append(self.record(payload={"error_log": "e" * 9000, "round": 2}))
+            line = json.loads((tmp_path / "h.jsonl").read_text())
+            assert len(line["payload"]["error_log"]) == 50
+            assert line["payload"]["round"] == 2
 
     def test_window_filters_by_file_and_task(self, tmp_path):
-        store = HistoryStore(tmp_path / "h.jsonl")
-        for i in range(8):
-            store.append(self.record(task_id=str(i % 2), summary=f"s{i}"))
-        window = store.load_window(lean_file="A.lean", task_id="1", limit=3)
-        assert [w["summary"] for w in window] == ["s3", "s5", "s7"]
+        with HistoryStore(tmp_path / "h.jsonl") as store:
+            for i in range(8):
+                store.append(self.record(task_id=str(i % 2), summary=f"s{i}"))
+            window = store.load_window(lean_file="A.lean", task_id="1", limit=3)
+            assert [w["summary"] for w in window] == ["s3", "s5", "s7"]
 
     def test_window_on_missing_store_is_empty(self, tmp_path):
         assert HistoryStore(tmp_path / "h.jsonl").load_window() == []
@@ -194,12 +195,12 @@ class TestTokenBackfill:
         logs = tmp_path / "calls"
         logs.mkdir()
         (logs / "random.log").write_text(agent_log("10"))
-        metrics = MetricsWriter(tmp_path / "m.jsonl", "backfill_tokens_x")
-        metrics.run_start({"pipeline": "backfill"})
-        events = token_backfill(logs, metrics)
-        assert events == []
-        warnings = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "warning"]
-        assert len(warnings) == 1
+        with MetricsWriter(tmp_path / "m.jsonl", "backfill_tokens_x") as metrics:
+            metrics.run_start({"pipeline": "backfill"})
+            events = token_backfill(logs, metrics)
+            assert events == []
+            warnings = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "warning"]
+            assert len(warnings) == 1
 
     def test_totals_equal_direct_footer_sums(self, tmp_path):
         logs = tmp_path / "calls"
@@ -223,12 +224,12 @@ class TestTokenBackfill:
         logs = tmp_path / "calls"
         logs.mkdir()
         (logs / "proof_agent_a_task_3_00001.log").write_text(agent_log("42"))
-        metrics = MetricsWriter(tmp_path / "m.jsonl", "backfill_tokens_y")
-        metrics.run_start({"pipeline": "backfill"})
-        token_backfill(logs, metrics)
-        events = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "task_tokens"]
-        assert len(events) == 1
-        assert events[0]["data"]["tokens_used_total"] == 42
+        with MetricsWriter(tmp_path / "m.jsonl", "backfill_tokens_y") as metrics:
+            metrics.run_start({"pipeline": "backfill"})
+            token_backfill(logs, metrics)
+            events = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "task_tokens"]
+            assert len(events) == 1
+            assert events[0]["data"]["tokens_used_total"] == 42
 
     def test_log_without_footer_counts_file_but_no_tokens(self, tmp_path):
         logs = tmp_path / "calls"
@@ -241,8 +242,8 @@ class TestTokenBackfill:
 
 class TestRunInstrumentation:
     def test_advance_cursor_writes_checkpoint(self, tmp_path):
-        metrics = MetricsWriter(tmp_path / "m.jsonl", "r")
-        metrics.run_start({})
-        instr = RunInstrumentation(metrics=metrics, checkpoint_path=tmp_path / "cp.json")
-        instr.advance_cursor("next_index", 12)
-        assert read_checkpoint(tmp_path / "cp.json").cursor == 12
+        with MetricsWriter(tmp_path / "m.jsonl", "r") as metrics:
+            metrics.run_start({})
+            instr = RunInstrumentation(metrics=metrics, checkpoint_path=tmp_path / "cp.json")
+            instr.advance_cursor("next_index", 12)
+            assert read_checkpoint(tmp_path / "cp.json").cursor == 12

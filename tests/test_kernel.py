@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,13 @@ from autoform.kernel import (
     stage2_objective,
     try_patch,
 )
-from autoform.verifier import SimulatedVerifier, Verifier, header_scope
+from autoform.verifier import (
+    ExternalVerifier,
+    SimulatedVerifier,
+    Verifier,
+    VerifierLaunchError,
+    header_scope,
+)
 
 from helpers import EventSink
 
@@ -271,6 +278,34 @@ class TestSnapshot:
         )
         with pytest.raises(SnapshotRestoreError):
             snap.restore(project)
+
+    def test_restore_check_reads_the_disk_not_the_cache(self, project, monkeypatch):
+        project.write("A.lean", "original\n")
+        snap = Snapshot.capture(project, "A.lean")
+        project.write("A.lean", "mutated\n")
+        real = Path.write_bytes
+        # the project caches the full bytes while the disk gets a torn write
+        monkeypatch.setattr(Path, "write_bytes", lambda self, data: real(self, data[:-1]))
+        with pytest.raises(SnapshotRestoreError):
+            snap.restore(project)
+        assert project.read("A.lean") == "original"  # what the disk holds
+
+
+class TestVerifierFailure:
+    def test_launch_error_restores_the_pre_attempt_bytes(self, project, tmp_path):
+        text = "def a : T := ghost\r\ndef b : U := sorry\n"
+        project.write_bytes("A.lean", text.encode())
+        before = (project.root / "A.lean").read_bytes()
+        _, diags = make_verifier().verify_file(project, "A.lean")
+        broken = Verifier(ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"]))
+        scope = Scope.of(SourceRange.whole_lines(0, 0))
+        patch = PatchProposal(file="A.lean", scope=scope, replacement="def a : T := sorry")
+        for stage in (1, 2):
+            with pytest.raises(VerifierLaunchError):
+                try_patch(stage, project, "A.lean", whole_file_scope(text), patch, diags, broken)
+            assert (project.root / "A.lean").read_bytes() == before
+            assert project.read_bytes("A.lean") == before
+            assert project.read("A.lean") == before.decode().replace("\r\n", "\n")
 
 
 class TestExpandScope:

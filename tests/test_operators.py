@@ -73,18 +73,18 @@ class TestScriptedOperators:
 
 class TestOperatorSet:
     def test_each_invoke_emits_exactly_one_oracle_result(self, tmp_path):
-        instr = instrumented(tmp_path)
-        ops = OperatorSet(toy_handlers(), instr)
-        ops.invoke(proof_request())
-        ops.invoke(proof_request())
-        from autoform.instrumentation import read_events
+        with instrumented(tmp_path) as instr:
+            ops = OperatorSet(toy_handlers(), instr)
+            ops.invoke(proof_request())
+            ops.invoke(proof_request())
+            from autoform.instrumentation import read_events
 
-        events = read_events(tmp_path / "ops.jsonl")
-        oracle = [e for e in events if e["event"] == "oracle_result"]
-        assert len(oracle) == 2
-        assert ops.invocations == 2
-        assert oracle[0]["data"]["agent"] == "a"
-        assert oracle[0]["data"]["kind"] == "propose_proof_patch"
+            events = read_events(tmp_path / "ops.jsonl")
+            oracle = [e for e in events if e["event"] == "oracle_result"]
+            assert len(oracle) == 2
+            assert ops.invocations == 2
+            assert oracle[0]["data"]["agent"] == "a"
+            assert oracle[0]["data"]["kind"] == "propose_proof_patch"
 
     def test_unregistered_kind_is_a_config_error(self):
         ops = OperatorSet({}, None)
@@ -99,12 +99,12 @@ class TestOperatorSet:
         def boom(request):
             raise RuntimeError("no thanks")
 
-        instr = instrumented(tmp_path)
-        ops = OperatorSet({"propose_proof_patch": boom}, instr)
-        response = ops.invoke(proof_request())
-        assert not response.ok
-        assert "no thanks" in response.error
-        assert ops.invocations == 1  # the failure consumed the attempt
+        with instrumented(tmp_path) as instr:
+            ops = OperatorSet({"propose_proof_patch": boom}, instr)
+            response = ops.invoke(proof_request())
+            assert not response.ok
+            assert "no thanks" in response.error
+            assert ops.invocations == 1  # the failure consumed the attempt
 
 
 class TestTokenFooter:
@@ -236,33 +236,33 @@ class TestExternalBridge:
         ops = OperatorSet(toy_handlers(), None)
         run_stage1(toy_records[:6], project, Stage1Config(), ops, verifier)
 
-        instr = instrumented(tmp_path)
-        cmd = write_agent_script(
-            tmp_path / "agent.sh", FIXED_PATCH_AGENT.replace("exact w", "exact c1s1Alpha")
-        )
-        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
-        from autoform.operators import OPERATOR_KINDS
+        with instrumented(tmp_path) as instr:
+            cmd = write_agent_script(
+                tmp_path / "agent.sh", FIXED_PATCH_AGENT.replace("exact w", "exact c1s1Alpha")
+            )
+            bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
+            from autoform.operators import OPERATOR_KINDS
 
-        bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, instr)
-        vers = Verifier(SimulatedVerifier(), metrics=instr.metrics)
-        record = toy_records[1]
-        task = ProofTask.from_record(record)
-        result = run_stage2_item(
-            project,
-            "Chapters/Chap01/section01.lean",
-            task,
-            Stage2Config(),
-            bridge_ops,
-            vers,
-            instr,
-        )
-        assert result.status == "solved"
-        from autoform.instrumentation import read_events
+            bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, instr)
+            vers = Verifier(SimulatedVerifier(), metrics=instr.metrics)
+            record = toy_records[1]
+            task = ProofTask.from_record(record)
+            result = run_stage2_item(
+                project,
+                "Chapters/Chap01/section01.lean",
+                task,
+                Stage2Config(),
+                bridge_ops,
+                vers,
+                instr,
+            )
+            assert result.status == "solved"
+            from autoform.instrumentation import read_events
 
-        events = read_events(tmp_path / "ops.jsonl")
-        oracle_events = [e for e in events if e["event"] == "oracle_result"]
-        logs = list((tmp_path / "calls").glob("*.log"))
-        assert len(oracle_events) == len(logs) == bridge_ops.invocations
+            events = read_events(tmp_path / "ops.jsonl")
+            oracle_events = [e for e in events if e["event"] == "oracle_result"]
+            logs = list((tmp_path / "calls").glob("*.log"))
+            assert len(oracle_events) == len(logs) == bridge_ops.invocations
 
 
 class TestFencedBlocks:

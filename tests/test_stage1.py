@@ -169,6 +169,30 @@ class TestRunStage1:
         assert results[0].status == "restored_failed"
         assert before.matches(project)
 
+    def test_item_that_raises_leaves_the_file_as_it_found_it(self, project, toy_records):
+        records = [r for r in toy_records if r.index <= 2]
+        verifier, operators, config, _ = build_world(project, toy_handlers())
+        run_stage1(records, project, config, operators, verifier)
+        file_id = target_file(records[0])
+        before = project.path(file_id).read_bytes()
+
+        class Crash(RuntimeError):
+            pass
+
+        class CrashingAdapter:
+            def verify_file(self, project, file_id):
+                raise Crash("verifier died")
+
+        provenance = ProvenanceMap()
+        crashing = Verifier(CrashingAdapter())
+        item = [r for r in toy_records if r.index == 3]
+        assert target_file(item[0]) == file_id
+        with pytest.raises(Crash):
+            run_stage1(item, project, config, operators, crashing, provenance=provenance)
+        assert project.path(file_id).read_bytes() == before
+        assert project.read(file_id) == before.decode()
+        assert provenance.names() == []
+
     def test_provenance_for_compiled_items_only(self, project, toy_records):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
@@ -216,23 +240,23 @@ class TestRunStage1:
             read_checkpoint,
         )
 
-        metrics = MetricsWriter(tmp_path / "m.jsonl", "statement_stage1_test")
-        metrics.run_start({"pipeline": "statement", "stage": 1})
-        instr = RunInstrumentation(metrics=metrics, checkpoint_path=tmp_path / "cp.json")
-        verifier = Verifier(SimulatedVerifier(), metrics=metrics)
-        operators = OperatorSet(toy_handlers(), instr)
-        run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, instr)
-        cp = read_checkpoint(tmp_path / "cp.json")
-        assert cp.key == "next_index" and cp.cursor == 4
+        with MetricsWriter(tmp_path / "m.jsonl", "statement_stage1_test") as metrics:
+            metrics.run_start({"pipeline": "statement", "stage": 1})
+            instr = RunInstrumentation(metrics=metrics, checkpoint_path=tmp_path / "cp.json")
+            verifier = Verifier(SimulatedVerifier(), metrics=metrics)
+            operators = OperatorSet(toy_handlers(), instr)
+            run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, instr)
+            cp = read_checkpoint(tmp_path / "cp.json")
+            assert cp.key == "next_index" and cp.cursor == 4
 
-        from autoform.instrumentation import read_events
+            from autoform.instrumentation import read_events
 
-        events = read_events(tmp_path / "m.jsonl")
-        starts = [e for e in events if e["event"] == "item_start"]
-        ends = [e for e in events if e["event"] == "item_end"]
-        assert len(starts) == len(ends) == 3
-        assert ends[0]["data"]["status"] == "compiled"
-        assert {"index", "label", "chapter", "section"} <= set(starts[0]["data"])
+            events = read_events(tmp_path / "m.jsonl")
+            starts = [e for e in events if e["event"] == "item_start"]
+            ends = [e for e in events if e["event"] == "item_end"]
+            assert len(starts) == len(ends) == 3
+            assert ends[0]["data"]["status"] == "compiled"
+            assert {"index", "label", "chapter", "section"} <= set(starts[0]["data"])
 
     def test_start_index_skips_processed_items(self, project, toy_records):
         verifier, operators, config, _ = build_world(project, toy_handlers())
