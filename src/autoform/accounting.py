@@ -264,10 +264,6 @@ def render_report_text(report: AccountingReport) -> str:
     return "\n".join(f"{label + ':':<21}{value}" for label, value in rows)
 
 
-def _nonempty_lines(text: str) -> int:
-    return sum(1 for line in text.split("\n") if line.strip())
-
-
 def per_problem_rows(events: list[dict], run_ids: set[str] | None = None) -> list[dict]:
     """One row per stage-2 item: index, label, file, length proxy, outcome.
 

@@ -3,7 +3,8 @@
 Positions are zero-based (line, column) pairs. Ranges are half-open in
 document order: a range covers [start, end). Zero-width ranges (insertion
 points) are treated as one column wide for intersection tests so that a
-diagnostic pinned to a single position still localizes.
+diagnostic pinned to a single position still localizes; a scope that merges
+such a point into the range ending at it keeps that column.
 """
 
 from __future__ import annotations
@@ -137,8 +138,12 @@ def _normalize_ranges(ranges: Iterable[SourceRange]) -> tuple[SourceRange, ...]:
     for r in ordered:
         if merged and r.start <= merged[-1].end:
             last = merged[-1]
-            if r.end > last.end:
-                merged[-1] = SourceRange(last.start_line, last.start_col, r.end_line, r.end_col)
+            end = r.end
+            if end == last.end and r.start == end and last.start != end:
+                # a point at the end of a range joins it as its one-column footprint
+                end = (r.end_line, r.end_col + 1)
+            if end > last.end:
+                merged[-1] = SourceRange(*last.start, *end)
         else:
             merged.append(r)
     return tuple(merged)

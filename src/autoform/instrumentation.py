@@ -170,9 +170,9 @@ def write_summary(path: str | Path, summary: dict) -> None:
     path.write_text(json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
-def _truncate(value: object, bound: int) -> object:
-    if isinstance(value, str) and len(value) > bound:
-        return value[: bound - len(TRUNCATION_MARK)] + TRUNCATION_MARK
+def _truncate(value: object) -> object:
+    if isinstance(value, str) and len(value) > TRUNCATION_BOUND:
+        return value[: TRUNCATION_BOUND - len(TRUNCATION_MARK)] + TRUNCATION_MARK
     return value
 
 
@@ -188,8 +188,8 @@ class HistoryRecord:
     payload: dict = field(default_factory=dict)
     ts: str = ""
 
-    def as_dict(self, bound: int = TRUNCATION_BOUND) -> dict:
-        payload = {k: _truncate(v, bound) for k, v in self.payload.items()}
+    def as_dict(self) -> dict:
+        payload = {k: _truncate(v) for k, v in self.payload.items()}
         return {
             "ts": self.ts or utc_now_iso(),
             "pipeline": self.pipeline,
@@ -197,7 +197,7 @@ class HistoryRecord:
             "lean_file": self.lean_file,
             "task_id": self.task_id,
             "kind": self.kind,
-            "summary": _truncate(self.summary, bound),
+            "summary": _truncate(self.summary),
             "log_path": self.log_path,
             "payload": payload,
         }
@@ -206,37 +206,10 @@ class HistoryRecord:
 class HistoryStore(_AppendStream):
     """Append-only compact per-task trace; long strings are truncated."""
 
-    def __init__(self, path: str | Path, truncation_bound: int = TRUNCATION_BOUND):
-        super().__init__(path)
-        self.truncation_bound = truncation_bound
-
     def append(self, record: HistoryRecord) -> dict:
-        obj = record.as_dict(self.truncation_bound)
+        obj = record.as_dict()
         self._write_line(obj)
         return obj
-
-    def load_window(
-        self,
-        lean_file: str | None = None,
-        task_id: str | None = None,
-        limit: int = 10,
-    ) -> list[dict]:
-        """Last ``limit`` records matching the given file/task filters."""
-        if not self.path.exists():
-            return []
-        matched = []
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if lean_file is not None and obj.get("lean_file") != lean_file:
-                    continue
-                if task_id is not None and obj.get("task_id") != task_id:
-                    continue
-                matched.append(obj)
-        return matched[-limit:]
 
 
 def parse_token_footer(log_text: str) -> int | None:
@@ -331,10 +304,34 @@ class RunInstrumentation:
     def emit(self, event: str, data: dict) -> None:
         self.metrics.emit(event, data)
 
-    def record_history(self, record: HistoryRecord) -> None:
-        if self.history is not None:
-            record.run_id = record.run_id or self.run_id
-            self.history.append(record)
+    def append_history(
+        self,
+        pipeline: str,
+        lean_file: str,
+        task_id: str,
+        kind: str,
+        summary: str,
+        response,
+        **payload,
+    ) -> None:
+        """One history line for an operator ``response``: this run's id, the
+        response's transcript as the log path and its token count in the
+        payload are filled in."""
+        if self.history is None:
+            return
+        payload["tokens_used"] = response.tokens_used or 0
+        self.history.append(
+            HistoryRecord(
+                pipeline=pipeline,
+                run_id=self.run_id,
+                lean_file=lean_file,
+                task_id=task_id,
+                kind=kind,
+                summary=summary,
+                log_path=response.transcript_ref or "",
+                payload=payload,
+            )
+        )
 
     def advance_cursor(self, key: str, cursor: int) -> None:
         if self.checkpoint_path is not None:

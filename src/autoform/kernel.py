@@ -45,9 +45,6 @@ class ObjectivePair:
         if self.primary < 0 or self.secondary < 0:
             raise ValueError("objective components must be non-negative")
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.primary, self.secondary)
-
 
 def prec(a: ObjectivePair, b: ObjectivePair) -> bool:
     """Strict lexicographic priority order: a comes before b."""

@@ -28,7 +28,6 @@ OPERATOR_KINDS = (
     "plan",
     "replan",
     "propose_proof_patch",
-    "split_hint",
 )
 
 # Short agent-role tags used in per-call log names and metrics payloads.
@@ -39,7 +38,6 @@ AGENT_ROLES = {
     "plan": "c",
     "replan": "c",
     "propose_proof_patch": "a",
-    "split_hint": "d",
 }
 
 _FENCED_BLOCK_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
@@ -75,7 +73,7 @@ class OperatorRequest:
 
 # Kinds whose proposal is free text (a plan or a skeleton) rather than a
 # range-bounded patch.
-TEXT_KINDS = frozenset({"gen_skeleton", "plan", "replan", "split_hint"})
+TEXT_KINDS = frozenset({"gen_skeleton", "plan", "replan"})
 
 
 @dataclass(frozen=True)
@@ -118,7 +116,7 @@ def write_per_call_log(
 ) -> Path:
     """Persist one invocation transcript; the returned path is the log id
     referenced from history records and consumed by token backfill."""
-    agent = AGENT_ROLES.get(kind, "x")
+    agent = AGENT_ROLES[kind]
     safe_task = re.sub(r"[^A-Za-z0-9_.-]", "-", task_id) or "task"
     log_dir.mkdir(parents=True, exist_ok=True)
     path = log_dir / f"{pipeline}_agent_{agent}_task_{safe_task}_{seq:05d}.log"
@@ -249,7 +247,7 @@ class OperatorSet:
         if self.instrumentation is not None:
             data = {
                 "kind": request.kind,
-                "agent": AGENT_ROLES.get(request.kind, "x"),
+                "agent": AGENT_ROLES[request.kind],
                 "ok": response.ok,
                 "task_id": str(request.payload.get("task_id", "")),
             }

@@ -31,7 +31,7 @@ from .instrumentation import (
     read_checkpoint,
     write_summary,
 )
-from .operators import ExternalBridge, OperatorSet
+from .operators import OPERATOR_KINDS, ExternalBridge, OperatorSet
 from .stage1 import ProvenanceMap, Stage1Config, Stage1ItemResult, run_stage1
 from .stage2 import Stage2Config, Stage2ItemResult, run_stage2
 from .verifier import (
@@ -134,8 +134,6 @@ def make_operators(
             pipeline=pipeline,
             timeout=config.operator_timeout,
         )
-        from .operators import OPERATOR_KINDS
-
         return OperatorSet({kind: bridge for kind in OPERATOR_KINDS}, instrumentation)
     raise ValueError(f"unknown operator set {config.operators!r}")
 
@@ -154,17 +152,55 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
     return None
 
 
-def build_instrumentation(config: RunConfig, pipeline: str, stage: int) -> RunInstrumentation:
+def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
+    """One run segment of ``stage``, wired to this segment's sinks.
+
+    ``drive(project, verifier, operators, instrumentation, start_index)``
+    processes the stage's items and returns them with the summary fields
+    only that stage reports; the fields every stage reports are added here.
+    """
+    pipeline = PIPELINE_NAMES[stage]
     runs = config.runs_path()
+    start_index = resolve_cursor(config, pipeline)
+    project = Project(config.project)
     run_id = config.run_id or new_run_id(pipeline, stage)
-    metrics = MetricsWriter(runs / f"metrics_{pipeline}.jsonl", run_id)
-    history = HistoryStore(runs / f"history_{pipeline}.jsonl")
-    return RunInstrumentation(
-        metrics=metrics,
-        history=history,
+    with RunInstrumentation(
+        metrics=MetricsWriter(runs / f"metrics_{pipeline}.jsonl", run_id),
+        history=HistoryStore(runs / f"history_{pipeline}.jsonl"),
         checkpoint_path=runs / f"checkpoint_{pipeline}.json",
         log_dir=runs / "calls",
-    )
+    ) as instr:
+        instr.metrics.run_start(
+            {
+                "pipeline": pipeline,
+                "stage": stage,
+                "data_file": str(config.dataset),
+                "environment": config.environment().as_dict(),
+                "config": config.as_dict(),
+            }
+        )
+        verifier = Verifier(
+            make_adapter(config), metrics=instr.metrics, header_bound=config.header_bound
+        )
+        operators = make_operators(config, instr, pipeline)
+        started = time.monotonic()
+        results, stage_fields = drive(project, verifier, operators, instr, start_index)
+        pb_ok, _ = verifier.verify_project(project)
+        summary = {
+            "pipeline": pipeline,
+            "stage": stage,
+            "processed_items": len(results),
+            "next_index": (results[-1].index + 1) if results else (start_index or 0),
+            "total_seconds": round(time.monotonic() - started, 6),
+            "total_verifier_calls": verifier.calls,
+            "total_oracle_calls": operators.invocations,
+            "total_tokens_used": operators.tokens_used,
+            "pb": pb_ok,
+            **stage_fields,
+        }
+        instr.metrics.run_end(summary)
+        write_summary(runs / f"summary_{instr.run_id}.json", summary)
+        return results, summary
 
 
 def run_statement_stage(
@@ -172,35 +208,17 @@ def run_statement_stage(
     records: list[DatasetRecord] | None = None,
 ) -> tuple[list[Stage1ItemResult], dict]:
     """One Stage-1 run segment over the dataset; returns results and summary."""
-    pipeline = PIPELINE_NAMES[1]
     records = records if records is not None else load_dataset(config.dataset)
-    start_index = resolve_cursor(config, pipeline)
-    project = Project(config.project)
-    with build_instrumentation(config, pipeline, 1) as instr:
-        instr.metrics.run_start(
-            {
-                "pipeline": pipeline,
-                "stage": 1,
-                "data_file": str(config.dataset),
-                "environment": config.environment().as_dict(),
-                "config": config.as_dict(),
-            }
-        )
-        adapter = make_adapter(config)
-        verifier = Verifier(adapter, metrics=instr.metrics, header_bound=config.header_bound)
-        operators = make_operators(config, instr, pipeline)
-        stage_cfg = Stage1Config(k=config.budget_k)
+    provenance_path = config.runs_path() / "provenance.json"
 
-        provenance_path = config.runs_path() / "provenance.json"
+    def drive(project, verifier, operators, instr, start_index):
         provenance = (
             ProvenanceMap.load(provenance_path) if provenance_path.exists() else ProvenanceMap()
         )
-
-        started = time.monotonic()
         provenance, results = run_stage1(
             records,
             project,
-            stage_cfg,
+            Stage1Config(k=config.budget_k),
             operators,
             verifier,
             instr,
@@ -208,31 +226,19 @@ def run_statement_stage(
             start_index=start_index,
             max_items=config.max_items,
         )
-        pb_ok, _ = verifier.verify_project(project)
         provenance.save(provenance_path)
-
         compiled = sum(1 for r in results if r.compiled)
-        summary = {
-            "pipeline": pipeline,
-            "stage": 1,
-            "processed_items": len(results),
+        return results, {
             "compiled": compiled,
             "restored_failed": sum(1 for r in results if r.status == "restored_failed"),
-            "next_index": (results[-1].index + 1) if results else (start_index or 0),
-            "total_seconds": round(time.monotonic() - started, 6),
             "total_b_attempts": sum(r.b_attempts for r in results),
-            "total_verifier_calls": verifier.calls,
-            "total_oracle_calls": operators.invocations,
-            "total_tokens_used": operators.tokens_used,
             "scc": round(100.0 * compiled / len(results), 2) if results else None,
             "arr": round(sum(r.b_attempts for r in results if r.compiled) / compiled, 4)
             if compiled
             else None,
-            "pb": pb_ok,
         }
-        instr.metrics.run_end(summary)
-        write_summary(config.runs_path() / f"summary_{instr.run_id}.json", summary)
-        return results, summary
+
+    return _run_segment(config, 1, drive)
 
 
 def run_proof_stage(
@@ -241,25 +247,11 @@ def run_proof_stage(
     lemma_map: dict[str, LemmaMapEntry] | None = None,
 ) -> tuple[list[Stage2ItemResult], dict]:
     """One Stage-2 run segment over the proof targets."""
-    pipeline = PIPELINE_NAMES[2]
     records = records if records is not None else load_dataset(config.dataset)
     if lemma_map is None and config.lemma_map:
         lemma_map = load_lemma_map(config.lemma_map)
-    start_index = resolve_cursor(config, pipeline)
-    project = Project(config.project)
-    with build_instrumentation(config, pipeline, 2) as instr:
-        instr.metrics.run_start(
-            {
-                "pipeline": pipeline,
-                "stage": 2,
-                "data_file": str(config.dataset),
-                "environment": config.environment().as_dict(),
-                "config": config.as_dict(),
-            }
-        )
-        adapter = make_adapter(config)
-        verifier = Verifier(adapter, metrics=instr.metrics, header_bound=config.header_bound)
-        operators = make_operators(config, instr, pipeline)
+
+    def drive(project, verifier, operators, instr, start_index):
         stage_cfg = Stage2Config(
             t=config.budget_t,
             r=config.budget_r,
@@ -267,8 +259,6 @@ def run_proof_stage(
             split_threshold=config.split_threshold,
             goal_query_enabled=config.goal_query_enabled,
         )
-
-        started = time.monotonic()
         results = run_stage2(
             records,
             project,
@@ -281,29 +271,18 @@ def run_proof_stage(
             max_items=config.max_items,
             proof_target_envs=frozenset(config.proof_target_envs),
         )
-        pb_ok, _ = verifier.verify_project(project)
-
         closed = sum(1 for r in results if r.closed)
-        summary = {
-            "pipeline": pipeline,
-            "stage": 2,
-            "processed_items": len(results),
-            "solved": sum(1 for r in results if r.status == "solved"),
+        solved = sum(1 for r in results if r.status == "solved")
+        return results, {
+            "solved": solved,
             "already_closed": sum(1 for r in results if r.status == "already_closed"),
             "unsolved": sum(1 for r in results if r.status == "unsolved"),
             "skipped": sum(1 for r in results if r.status == "skipped"),
-            "next_index": (results[-1].index + 1) if results else (start_index or 0),
-            "total_seconds": round(time.monotonic() - started, 6),
             "total_a_attempts": sum(r.proof_attempts for r in results),
             "total_b_attempts": sum(r.fix_attempts for r in results),
             "total_c_plans": sum(r.plans for r in results),
-            "total_sorries_eliminated": sum(1 for r in results if r.status == "solved"),
-            "total_verifier_calls": verifier.calls,
-            "total_oracle_calls": operators.invocations,
-            "total_tokens_used": operators.tokens_used,
+            "total_sorries_eliminated": solved,
             "psr": round(100.0 * closed / len(results), 2) if results else None,
-            "pb": pb_ok,
         }
-        instr.metrics.run_end(summary)
-        write_summary(config.runs_path() / f"summary_{instr.run_id}.json", summary)
-        return results, summary
+
+    return _run_segment(config, 2, drive)

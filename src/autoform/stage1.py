@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import simlang
 from .corpus import DatasetRecord
 from .diagnostics import Scope, SourceRange, err_count, localize
-from .instrumentation import HistoryRecord, RunInstrumentation
+from .instrumentation import RunInstrumentation
 from .kernel import (
     DEFAULT_MAX_SCOPE_EXPANSIONS,
     PatchOutOfScopeError,
@@ -43,7 +43,7 @@ STUB_TEMPLATES = {
 }
 
 # env tag -> stub template kind; proposition-like tags default to lemma
-DEFAULT_STUB_POLICY = {
+STUB_POLICY = {
     "theorem": "theorem",
     "lemma": "lemma",
     "proposition": "lemma",
@@ -60,20 +60,12 @@ class StubTemplateError(ValueError):
     """Record env tag has no configured stub template."""
 
 
-@dataclass(frozen=True)
-class TargetLayout:
-    chapter_dir: str = "Chapters"
-    chapter_fmt: str = "Chap{:02d}"
-    section_fmt: str = "section{:02d}"
-    extension: str = ".lean"
+TARGET_FILE = "Chapters/Chap{chapter:02d}/section{section:02d}.lean"
 
 
 @dataclass
 class Stage1Config:
     k: int = DEFAULT_K
-    layout: TargetLayout = field(default_factory=TargetLayout)
-    stub_policy: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_STUB_POLICY))
-    max_scope_expansions: int = DEFAULT_MAX_SCOPE_EXPANSIONS
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -145,33 +137,27 @@ def _section_number(raw: str) -> int:
     return int(digits) if digits else 0
 
 
-def target_file(record: DatasetRecord, layout: TargetLayout | None = None) -> str:
+def target_file(record: DatasetRecord) -> str:
     """Deterministic project path for a record, derived from its context.
 
     Records with an empty or non-numeric section number fall back to the
     chapter-level section00 file.
     """
-    layout = layout or TargetLayout()
-    chapter = layout.chapter_fmt.format(record.context.chapter_number)
-    section = layout.section_fmt.format(_section_number(record.context.section_number))
-    return f"{layout.chapter_dir}/{chapter}/{section}{layout.extension}"
+    return TARGET_FILE.format(
+        chapter=record.context.chapter_number,
+        section=_section_number(record.context.section_number),
+    )
 
 
 def provenance_docstring(record: DatasetRecord) -> str:
     return f"/-- [{record.index}] {record.label} -/"
 
 
-def gen_stub(
-    record: DatasetRecord,
-    name: str,
-    type_text: str,
-    stub_policy: dict[str, str] | None = None,
-) -> str:
+def gen_stub(record: DatasetRecord, name: str, type_text: str) -> str:
     """One of the typed stub templates keyed by env tag, preceded by the
     provenance docstring carrying the record index and label verbatim."""
-    policy = DEFAULT_STUB_POLICY if stub_policy is None else stub_policy
-    kind = policy.get(record.env)
-    if kind is None or kind not in STUB_TEMPLATES:
+    kind = STUB_POLICY.get(record.env)
+    if kind is None:
         raise StubTemplateError(f"no stub template configured for env {record.env!r}")
     stub = STUB_TEMPLATES[kind].format(name=name, type=type_text)
     return f"{provenance_docstring(record)}\n{stub}"
@@ -235,7 +221,7 @@ def _run_item(
     instrumentation: RunInstrumentation | None,
     provenance: ProvenanceMap,
 ) -> Stage1ItemResult:
-    file_id = target_file(record, config.layout)
+    file_id = target_file(record)
     started = time.monotonic()
     if instrumentation is not None:
         instrumentation.emit(
@@ -292,7 +278,7 @@ def _run_item(
             if err_count(local) == 0:
                 # nothing actionable localizes (warnings alone cannot drive the
                 # stage objective): grow the scope toward the nearest error
-                if expansions >= config.max_scope_expansions:
+                if expansions >= DEFAULT_MAX_SCOPE_EXPANSIONS:
                     expansion_failed = True
                     break
                 header = header_scope(project.read(file_id), verifier.header_bound)
@@ -316,17 +302,14 @@ def _run_item(
             repair = operators.invoke(repair_req)
             rounds += 1
             if instrumentation is not None:
-                instrumentation.record_history(
-                    HistoryRecord(
-                        pipeline="statement",
-                        run_id=instrumentation.run_id,
-                        lean_file=file_id,
-                        task_id=str(record.index),
-                        kind="agent_b_repair",
-                        summary=f"round={rounds} ok={repair.ok}",
-                        log_path=repair.transcript_ref or "",
-                        payload={"round": rounds, "tokens_used": repair.tokens_used or 0},
-                    )
+                instrumentation.append_history(
+                    "statement",
+                    file_id,
+                    str(record.index),
+                    "agent_b_repair",
+                    f"round={rounds} ok={repair.ok}",
+                    repair,
+                    round=rounds,
                 )
             if not repair.ok or repair.patch is None:
                 continue

@@ -14,11 +14,12 @@ import time
 from dataclasses import dataclass
 
 from . import simlang
-from .corpus import DatasetRecord, LemmaMapEntry
+from .corpus import DEFAULT_PROOF_TARGET_ENVS, DatasetRecord, LemmaMapEntry, is_proof_target
 from .diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count
-from .instrumentation import HistoryRecord, RunInstrumentation
+from .instrumentation import RunInstrumentation
 from .kernel import PatchOutOfScopeError, try_patch
 from .operators import OperatorRequest, OperatorSet
+from .stage1 import target_file
 from .verifier import Project, Verifier, header_scope
 
 DEFAULT_R = 10
@@ -334,21 +335,15 @@ def run_stage2_item(
         result.plans += 1
         plan_text = plan_resp.text if plan_resp.ok else ""
         if instrumentation is not None:
-            instrumentation.record_history(
-                HistoryRecord(
-                    pipeline="proof",
-                    run_id=instrumentation.run_id,
-                    lean_file=file_id,
-                    task_id=str(task.index),
-                    kind="agent_c_plan",
-                    summary=f"plans={result.plans} ok={plan_resp.ok}",
-                    log_path=plan_resp.transcript_ref or "",
-                    payload={
-                        "round": result.plans,
-                        "tokens_used": plan_resp.tokens_used or 0,
-                        "plan": plan_text or "",
-                    },
-                )
+            instrumentation.append_history(
+                "proof",
+                file_id,
+                str(task.index),
+                "agent_c_plan",
+                f"plans={result.plans} ok={plan_resp.ok}",
+                plan_resp,
+                round=result.plans,
+                plan=plan_text or "",
             )
 
         for _ in range(config.c):
@@ -383,21 +378,15 @@ def run_stage2_item(
                     except PatchOutOfScopeError:
                         pass
                 if instrumentation is not None:
-                    instrumentation.record_history(
-                        HistoryRecord(
-                            pipeline="proof",
-                            run_id=instrumentation.run_id,
-                            lean_file=file_id,
-                            task_id=str(task.index),
-                            kind="agent_a_attempt",
-                            summary=f"attempt={result.proof_attempts} accepted={accepted}",
-                            log_path=proposal.transcript_ref or "",
-                            payload={
-                                "attempt": result.proof_attempts,
-                                "accepted": accepted,
-                                "tokens_used": proposal.tokens_used or 0,
-                            },
-                        )
+                    instrumentation.append_history(
+                        "proof",
+                        file_id,
+                        str(task.index),
+                        "agent_a_attempt",
+                        f"attempt={result.proof_attempts} accepted={accepted}",
+                        proposal,
+                        attempt=result.proof_attempts,
+                        accepted=accepted,
                     )
                 if accepted and locate_target_hole(project, file_id, task) is None:
                     return finish("solved")
@@ -431,15 +420,12 @@ def build_proof_tasks(
     records: list[DatasetRecord],
     lemma_map: dict[str, LemmaMapEntry] | None = None,
     proof_target_envs=None,
-    require_proof_text: bool = True,
 ) -> list[tuple[DatasetRecord, ProofTask]]:
-    from .corpus import DEFAULT_PROOF_TARGET_ENVS, is_proof_target
-
     envs = proof_target_envs or DEFAULT_PROOF_TARGET_ENVS
     lemma_map = lemma_map or {}
     out = []
     for record in records:
-        if not is_proof_target(record, envs, require_proof_text):
+        if not is_proof_target(record, envs):
             continue
         hints = lemma_map.get(str(record.index)) or lemma_map.get(record.label)
         out.append((record, ProofTask.from_record(record, hints)))
@@ -454,14 +440,11 @@ def run_stage2(
     verifier: Verifier,
     instrumentation: RunInstrumentation | None = None,
     lemma_map: dict[str, LemmaMapEntry] | None = None,
-    layout=None,
     start_index: int | None = None,
     max_items: int | None = None,
     proof_target_envs=None,
 ) -> list[Stage2ItemResult]:
     """Process proof items in increasing index order (Stage 2)."""
-    from .stage1 import target_file
-
     results: list[Stage2ItemResult] = []
     processed = 0
     for record, task in build_proof_tasks(records, lemma_map, proof_target_envs):
@@ -469,7 +452,7 @@ def run_stage2(
             continue
         if max_items is not None and processed >= max_items:
             break
-        file_id = target_file(record, layout)
+        file_id = target_file(record)
         result = run_stage2_item(project, file_id, task, config, operators, verifier, instrumentation)
         results.append(result)
         processed += 1

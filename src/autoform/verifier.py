@@ -150,6 +150,16 @@ class Project:
         )
 
 
+def _verify_each_file(adapter, project: Project) -> tuple[bool, DiagnosticSet]:
+    """Project check as one ``adapter.verify_file`` call per source file; ok
+    iff every file verifies."""
+    checks = [adapter.verify_file(project, file_id) for file_id in project.files()]
+    return (
+        all(ok for ok, _ in checks),
+        DiagnosticSet.of(d for _, diags in checks for d in diags),
+    )
+
+
 class SimulatedVerifier:
     """Deterministic in-memory checker for the miniature declaration language.
 
@@ -157,8 +167,6 @@ class SimulatedVerifier:
     body; a declared-type/body-type mismatch under the trivial type table is
     an error; a hole in a definition-kind declaration is a warning.
     """
-
-    supports_goal_state = True
 
     def __init__(
         self,
@@ -263,13 +271,7 @@ class SimulatedVerifier:
         return DiagnosticSet.of(out)
 
     def verify_project(self, project: Project) -> tuple[bool, DiagnosticSet]:
-        all_diags: list[Diagnostic] = []
-        ok = True
-        for file_id in project.files():
-            f_ok, diags = self.verify_file(project, file_id)
-            ok = ok and f_ok
-            all_diags.extend(diags)
-        return (ok, DiagnosticSet.of(all_diags))
+        return _verify_each_file(self, project)
 
     def goal_state(
         self, project: Project, file_id: str, hole: SourceRange
@@ -350,8 +352,6 @@ class ExternalVerifier:
     The working directory is the project root.
     """
 
-    supports_goal_state = False
-
     def __init__(
         self,
         command: list[str],
@@ -411,13 +411,7 @@ class ExternalVerifier:
                     )
                 )
             return (err_count(diags) == 0, diags)
-        all_diags: list[Diagnostic] = []
-        ok = True
-        for file_id in project.files():
-            f_ok, diags = self.verify_file(project, file_id)
-            ok = ok and f_ok
-            all_diags.extend(diags)
-        return (ok, DiagnosticSet.of(all_diags))
+        return _verify_each_file(self, project)
 
     def goal_state(self, project: Project, file_id: str, hole: SourceRange) -> GoalState | None:
         return None
@@ -472,8 +466,6 @@ class Verifier:
         return ok, diags
 
     def goal_state(self, project: Project, file_id: str, hole: SourceRange) -> GoalState | None:
-        if not getattr(self.adapter, "supports_goal_state", False):
-            return None
         return self.adapter.goal_state(project, file_id, hole)
 
 

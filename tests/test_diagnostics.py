@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from autoform.diagnostics import (
     Diagnostic,
@@ -109,6 +109,11 @@ class TestLocalize:
         assert err_count(localize(ds, scope)) <= err_count(ds)
 
     @given(diag_sets, scopes, scopes)
+    @example(  # a point at the end of another scope's range
+        ds=DiagnosticSet.of([diag(1, 0, 1, 0)]),
+        s1=Scope.of(rng(0, 0, 1, 0)),
+        s2=Scope.of(rng(1, 0, 1, 0)),
+    )
     def test_distributes_over_scope_union(self, ds, s1, s2):
         union = s1.union(s2)
         left = set(localize(ds, union).normalized())
@@ -120,6 +125,11 @@ class TestScope:
     def test_overlapping_ranges_merge(self):
         s = Scope.of(rng(0, 0, 5, 0), rng(3, 0, 8, 0))
         assert s.ranges == (rng(0, 0, 8, 0),)
+
+    def test_point_at_the_end_of_a_range_keeps_its_footprint(self):
+        s = Scope.of(rng(0, 0, 1, 0), rng(1, 0, 1, 0))
+        assert s.ranges == (rng(0, 0, 1, 1),)
+        assert s.intersects(rng(1, 0, 1, 0))
 
     def test_covers_requires_containment_in_one_range(self):
         s = Scope.of(rng(0, 0, 2, 0), rng(10, 0, 12, 0))

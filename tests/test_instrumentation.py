@@ -12,6 +12,7 @@ from autoform.instrumentation import (
     HistoryStore,
     MetricsWriter,
     RunInstrumentation,
+    TRUNCATION_BOUND,
     TRUNCATION_MARK,
     new_run_id,
     parse_token_footer,
@@ -142,28 +143,19 @@ class TestHistoryStore:
             assert {"ts", "pipeline", "run_id", "lean_file", "task_id", "kind"} <= set(line)
 
     def test_long_strings_truncated_with_marker(self, tmp_path):
-        with HistoryStore(tmp_path / "h.jsonl", truncation_bound=100) as store:
-            store.append(self.record(summary="x" * 100_000))
+        with HistoryStore(tmp_path / "h.jsonl") as store:
+            store.append(self.record(summary="x" * (25 * TRUNCATION_BOUND)))
             line = json.loads((tmp_path / "h.jsonl").read_text())
-            assert len(line["summary"]) == 100
+            assert len(line["summary"]) == TRUNCATION_BOUND
             assert line["summary"].endswith(TRUNCATION_MARK)
 
     def test_payload_strings_truncated_too(self, tmp_path):
-        with HistoryStore(tmp_path / "h.jsonl", truncation_bound=50) as store:
-            store.append(self.record(payload={"error_log": "e" * 9000, "round": 2}))
-            line = json.loads((tmp_path / "h.jsonl").read_text())
-            assert len(line["payload"]["error_log"]) == 50
-            assert line["payload"]["round"] == 2
-
-    def test_window_filters_by_file_and_task(self, tmp_path):
         with HistoryStore(tmp_path / "h.jsonl") as store:
-            for i in range(8):
-                store.append(self.record(task_id=str(i % 2), summary=f"s{i}"))
-            window = store.load_window(lean_file="A.lean", task_id="1", limit=3)
-            assert [w["summary"] for w in window] == ["s3", "s5", "s7"]
-
-    def test_window_on_missing_store_is_empty(self, tmp_path):
-        assert HistoryStore(tmp_path / "h.jsonl").load_window() == []
+            long_log = "e" * (3 * TRUNCATION_BOUND)
+            store.append(self.record(payload={"error_log": long_log, "round": 2}))
+            line = json.loads((tmp_path / "h.jsonl").read_text())
+            assert len(line["payload"]["error_log"]) == TRUNCATION_BOUND
+            assert line["payload"]["round"] == 2
 
 
 def agent_log(tokens: str) -> str:

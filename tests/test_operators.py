@@ -15,6 +15,9 @@ from autoform.instrumentation import (
 )
 from autoform.kernel import try_patch
 from autoform.operators import (
+    AGENT_ROLES,
+    OPERATOR_KINDS,
+    TEXT_KINDS,
     ExternalBridge,
     OperatorConfigError,
     OperatorRequest,
@@ -23,7 +26,7 @@ from autoform.operators import (
     extract_fenced_block,
     format_per_call_log,
 )
-from autoform.scripted import toy_handlers, toy_propose_proof_patch
+from autoform.scripted import adversarial_handlers, toy_handlers, toy_propose_proof_patch
 from autoform.stage1 import Stage1Config, run_stage1
 from autoform.stage2 import ProofTask, Stage2Config, run_stage2_item
 from autoform.verifier import SimulatedVerifier, Verifier
@@ -69,6 +72,14 @@ class TestScriptedOperators:
         ops = OperatorSet(toy_handlers(), None)
         ops.invoke(proof_request())
         assert project.read("A.lean") == before  # proposal only; no certification authority
+
+
+def test_operator_registry_is_consistent():
+    """Every kind has an agent role and a handler in both scripted sets, and
+    the free-text kinds are operator kinds."""
+    kinds = set(OPERATOR_KINDS)
+    assert kinds == set(AGENT_ROLES) == set(toy_handlers()) == set(adversarial_handlers())
+    assert TEXT_KINDS <= kinds
 
 
 class TestOperatorSet:

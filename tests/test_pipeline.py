@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -134,3 +135,54 @@ class TestResumeEquivalence:
             )
 
         assert totals(solid) == totals(stepped)
+
+
+# Digest of every artifact a toy run leaves (metrics, history, summaries,
+# checkpoints, provenance, project tree), taken with ``_artifact_dump``.
+# A refactor that claims to change no behaviour must leave it as it is.
+PINNED_ARTIFACT_DIGEST = "1f625a9157863f84a41d4241a4960aa6c5b49f9ef6549729e0eff8ce31343f67"
+
+_VOLATILE_KEYS = frozenset({"ts", "run_id", "seconds", "total_seconds"})
+
+
+def _scrub(value, tmp: str):
+    """``value`` with timestamps, run ids and durations dropped and the
+    temporary directory replaced by a fixed token."""
+    if isinstance(value, dict):
+        return {k: _scrub(v, tmp) for k, v in value.items() if k not in _VOLATILE_KEYS}
+    if isinstance(value, list):
+        return [_scrub(v, tmp) for v in value]
+    if isinstance(value, str):
+        return value.replace(tmp, "<tmp>")
+    return value
+
+
+def _artifact_dump(cfg: RunConfig, tmp: str) -> str:
+    """Every JSON artifact with sorted keys (keys and values are pinned, key
+    order is not), then every project file, in a fixed order."""
+    runs, project = Path(cfg.runs_dir), Path(cfg.project)
+    out = []
+
+    def add(title, obj):
+        text = json.dumps(_scrub(obj, tmp), ensure_ascii=False, sort_keys=True)
+        out.append(f"== {title}\n{text}")
+
+    for pipeline in ("statement", "proof"):
+        for kind in ("metrics", "history"):
+            for line in read_events(runs / f"{kind}_{pipeline}.jsonl"):
+                add(f"{kind}_{pipeline}", line)
+        add(f"checkpoint_{pipeline}", json.loads((runs / f"checkpoint_{pipeline}.json").read_text()))
+    summaries = [json.loads(p.read_text()) for p in runs.glob("summary_*.json")]
+    for summary in sorted(summaries, key=lambda s: s["stage"]):
+        add("summary", summary)
+    add("provenance", json.loads((runs / "provenance.json").read_text()))
+    for f in sorted(p for p in project.rglob("*") if p.is_file()):
+        out.append(f"== {f.relative_to(project).as_posix()}\n{f.read_text(encoding='utf-8')}")
+    return "\n".join(out) + "\n"
+
+
+def test_toy_run_artifacts_match_pinned_digest(toy_config, tmp_path):
+    run_both(toy_config)
+    dump = _artifact_dump(toy_config, str(tmp_path))
+    digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
+    assert digest == PINNED_ARTIFACT_DIGEST, f"artifact digest {digest}; normalised dump:\n{dump}"

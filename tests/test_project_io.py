@@ -206,7 +206,7 @@ class TestIOCounts:
         with HistoryStore(path) as store:
             for i in range(20):
                 store.append(HistoryRecord("proof", "r", "A.lean", str(i), "agent_a_attempt"))
-                assert store.load_window(limit=1)[0]["task_id"] == str(i)
+                assert read_events(path)[-1]["task_id"] == str(i)
         assert opens.count(path, "a") == 1
 
     def test_closed_writer_reopens_on_the_next_line(self, tmp_path):
