@@ -1,12 +1,16 @@
 """The refinement primitive: objectives, priority order, and the
-snapshot -> apply -> verify -> accept/revert patch executor.
+snapshot -> stage -> verify -> commit/discard patch executor.
 
-A patch is a whole-region text replacement for one contiguous range. It is
-committed only when the stage objective strictly improves under the
-priority order; anything else is rolled back byte-exactly. Primary metric
-is always the file error count; the secondary is the localized error count
-(stage 1) or the file hole count (stage 2), so a patch that increases
-compilation errors is never accepted.
+A patch is a whole-region text replacement for one contiguous range. The
+patched text is staged in the ``Project``'s memory, not written, and
+verified once; it is committed, which is its one disk write, only when the
+stage objective strictly improves under the priority order. Anything else
+is discarded, and the file is read back from disk to check that it holds
+its pre-attempt bytes. An adapter whose tool reads the disk syncs the
+staged text to it first; the restore then writes the pre-attempt bytes
+back. Primary metric is always the file error count; the secondary is the
+localized error count (stage 1) or the file hole count (stage 2), so a
+patch that increases compilation errors is never accepted.
 """
 
 from __future__ import annotations
@@ -92,10 +96,14 @@ class Snapshot:
         return cls(file_id, None, "absent")
 
     def restore(self, project: Project) -> None:
-        if self.content is None:
-            project.delete(self.file)
-        else:
-            project.write_bytes(self.file, self.content)
+        """Put the snapshot's bytes back: drop a staged candidate, and write
+        the bytes only when the disk may hold something else. Either way the
+        disk is read back to check."""
+        if not project.discard(self.file):
+            if self.content is None:
+                project.delete(self.file)
+            else:
+                project.write_bytes(self.file, self.content)
         if not self.matches(project):
             raise SnapshotRestoreError(f"restore of {self.file} did not reproduce snapshot")
 
@@ -125,7 +133,8 @@ def try_patch(
 ) -> AttemptOutcome:
     """Apply one candidate patch under the accept/revert contract.
 
-    Exactly one verifier call is made. On rejection the file is restored
+    Exactly one verifier call is made, on the staged candidate, which is
+    written to disk only on acceptance. On rejection the file is restored
     byte-exactly and the returned diagnostics are the pre-patch ones, so
     they always describe the committed state. If the verifier raises, the
     file is restored before the exception propagates.
@@ -145,19 +154,23 @@ def try_patch(
     else:
         before = stage2_objective(diagnostics_before, text_before)
 
-    project.write(file_id, apply_replacement(text_before, target, patch.replacement))
+    candidate = apply_replacement(text_before, target, patch.replacement)
+    project.stage(file_id, candidate)
     try:
         ok, diags_after = verifier.verify_file(project, file_id)
         if stage == 1:
             after = stage1_objective(diags_after, scope)
         else:
             after = stage2_objective(diags_after, project.read(file_id))
+        accepted = prec(after, before)
+        if accepted:
+            project.write(file_id, candidate)  # the commit: the attempt's one disk write
     except BaseException:
         # an uncertified patch never stays on disk, whatever interrupted the check
         snap.restore(project)
         raise
 
-    if prec(after, before):
+    if accepted:
         return AttemptOutcome(True, before, after, diags_after)
     snap.restore(project)
     return AttemptOutcome(False, before, after, diagnostics_before)

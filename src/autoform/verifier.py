@@ -64,6 +64,12 @@ def _decode(data: bytes) -> str:
     return text
 
 
+def _encode(text: str) -> tuple[bytes, str | None]:
+    """A cache entry for ``text``: its UTF-8 bytes, and the text itself
+    unless it holds "\\r", which reads back with universal newlines."""
+    return text.encode("utf-8"), None if "\r" in text else text
+
+
 class Project:
     """A project is a directory tree of source files addressed by relative path.
 
@@ -71,6 +77,12 @@ class Project:
     decoded text, so unchanged bytes are read from disk once. Writes go to
     disk first and then to the cache; a write that raises drops the file's
     entry, so the next read goes to disk.
+
+    A candidate edit can be *staged*: held in memory on top of the cache,
+    where ``read``, ``read_bytes`` and ``exists`` see it and the disk does
+    not. A write or delete of the file drops it, ``discard`` drops it, and
+    ``sync`` writes every staged candidate to disk for a tool that reads
+    the files itself. ``files`` lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
     writer of the root. A change made under the root by anything else is
@@ -84,22 +96,28 @@ class Project:
         self.root.mkdir(parents=True, exist_ok=True)
         # file_id -> (bytes, decoded text or None until first read)
         self._cache: dict[str, tuple[bytes, str | None]] = {}
+        # staged candidates, same shape; on disk only once ``sync`` moves them
+        self._staged: dict[str, tuple[bytes, str | None]] = {}
 
     def path(self, file_id: str) -> Path:
         return self.root / file_id
 
     def exists(self, file_id: str) -> bool:
-        return file_id in self._cache or self.path(file_id).is_file()
+        return file_id in self._staged or file_id in self._cache or self.path(file_id).is_file()
 
     def read(self, file_id: str) -> str:
-        data, text = self._cache.get(file_id) or self._load(file_id)
+        data, text = self._entry(file_id)
         if text is None:
             text = _decode(data)
-            self._cache[file_id] = (data, text)
+            entries = self._staged if file_id in self._staged else self._cache
+            entries[file_id] = (data, text)
         return text
 
     def read_bytes(self, file_id: str) -> bytes:
-        return (self._cache.get(file_id) or self._load(file_id))[0]
+        return self._entry(file_id)[0]
+
+    def _entry(self, file_id: str) -> tuple[bytes, str | None]:
+        return self._staged.get(file_id) or self._cache.get(file_id) or self._load(file_id)
 
     def reload_bytes(self, file_id: str) -> bytes | None:
         """The file's bytes read from disk, bypassing the cache and then
@@ -116,21 +134,38 @@ class Project:
         return entry
 
     def write(self, file_id: str, text: str) -> None:
-        data = text.encode("utf-8")
-        # text holding "\r" reads back with universal newlines, so decode it then
-        self._store(file_id, data, None if "\r" in text else text)
+        self._store(file_id, *_encode(text))
 
     def write_bytes(self, file_id: str, data: bytes) -> None:
         self._store(file_id, bytes(data), None)
 
     def _store(self, file_id: str, data: bytes, text: str | None) -> None:
+        self._staged.pop(file_id, None)
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
             p.parent.mkdir(parents=True, exist_ok=True)
         p.write_bytes(data)
         self._cache[file_id] = (data, text)
 
+    def stage(self, file_id: str, text: str) -> None:
+        """Make ``text`` the file's content as this project reads it, with no
+        disk call."""
+        self._staged[file_id] = _encode(text)
+
+    def discard(self, file_id: str) -> bool:
+        """Drop the file's staged candidate. True when there was one, so the
+        candidate never reached the disk."""
+        return self._staged.pop(file_id, None) is not None
+
+    def sync(self) -> None:
+        """Write every staged candidate to disk by the write path, so the
+        disk holds what this project reads."""
+        while self._staged:
+            file_id, (data, text) = self._staged.popitem()
+            self._store(file_id, data, text)
+
     def delete(self, file_id: str) -> None:
+        self._staged.pop(file_id, None)
         self._cache.pop(file_id, None)
         p = self.path(file_id)
         if p.exists():
@@ -349,7 +384,8 @@ class ExternalVerifier:
 
     The command is a template list; ``{file}`` expands to the project-relative
     path, ``{abs_file}`` to the absolute path, ``{root}`` to the project root.
-    The working directory is the project root.
+    The working directory is the project root. The tool reads the disk, so
+    each check first syncs the project's staged candidates to it.
     """
 
     def __init__(
@@ -380,6 +416,7 @@ class ExternalVerifier:
         return proc.returncode, (proc.stdout or "") + (proc.stderr or "")
 
     def verify_file(self, project: Project, file_id: str) -> tuple[bool, DiagnosticSet]:
+        project.sync()
         argv = [
             a.format(file=file_id, abs_file=str(project.path(file_id)), root=str(project.root))
             for a in self.command
@@ -400,6 +437,7 @@ class ExternalVerifier:
 
     def verify_project(self, project: Project) -> tuple[bool, DiagnosticSet]:
         if self.project_command is not None:
+            project.sync()
             argv = [a.format(root=str(project.root)) for a in self.project_command]
             code, output = self._run(argv, project.root)
             diags = parse_toolchain_output(output, "<project>", 1)

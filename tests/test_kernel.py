@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count, localize
+from autoform.diagnostics import (
+    Diagnostic,
+    DiagnosticSet,
+    Scope,
+    SourceRange,
+    apply_replacement,
+    err_count,
+    localize,
+)
 from autoform.kernel import (
     AttemptOutcome,
     ObjectivePair,
@@ -306,6 +315,106 @@ class TestVerifierFailure:
             assert (project.root / "A.lean").read_bytes() == before
             assert project.read_bytes("A.lean") == before
             assert project.read("A.lean") == before.decode().replace("\r\n", "\n")
+
+
+class DiskSpy:
+    """``SimulatedVerifier`` that records, inside every check, what the disk
+    holds for the file under check (None when absent)."""
+
+    def __init__(self):
+        self.inner = SimulatedVerifier()
+        self.seen: list[bytes | None] = []
+
+    def verify_file(self, project, file_id):
+        path = project.root / file_id
+        self.seen.append(path.read_bytes() if path.is_file() else None)
+        return self.inner.verify_file(project, file_id)
+
+
+# tool for ExternalVerifier: copies the file it checks to seen.bin, and
+# reports an error when the file contains "ghost"
+MARKER_CHECK = """
+import sys
+data = open(sys.argv[1], "rb").read()
+open(sys.argv[2], "wb").write(data)
+if b"ghost" in data:
+    print(sys.argv[1] + ":1:0: error: ghost")
+    sys.exit(1)
+"""
+
+
+ERRING = "def a : T := ghost\n"
+HOLED = "def w : P := sorry\nlemma l : P := by sorry\n"
+NEW = "new/dir/N.lean"  # absent, in a directory that does not exist
+LINE0 = SourceRange.whole_lines(0, 0)
+HOLE = SourceRange(1, 18, 1, 23)  # the "sorry" of lemma l in HOLED
+
+
+class TestStagedCandidates:
+    """The candidate is checked from memory; the disk changes only on accept."""
+
+    @pytest.mark.parametrize(
+        "stage, file_id, text, rng, replacement, accepted",
+        [
+            pytest.param(1, "A.lean", ERRING, LINE0, "def a : T := sorry", True, id="1-accept"),
+            pytest.param(1, "A.lean", ERRING, LINE0, "def a : T := phantom", False, id="1-reject"),
+            pytest.param(1, NEW, None, LINE0, "def n : T := sorry\n", True, id="1-accept-new"),
+            pytest.param(1, NEW, None, LINE0, "def n : T := ghost\n", False, id="1-reject-new"),
+            pytest.param(2, "A.lean", HOLED, HOLE, "exact w", True, id="2-accept"),
+            pytest.param(2, "A.lean", HOLED, HOLE, "ghost", False, id="2-reject"),
+        ],
+    )
+    def test_disk_holds_the_pre_attempt_bytes_during_the_check(
+        self, project, stage, file_id, text, rng, replacement, accepted
+    ):
+        if text is not None:
+            project.write(file_id, text)
+        before = text.encode() if text is not None else None
+        spy = DiskSpy()
+        verifier = Verifier(spy)
+        _, diags = verifier.verify_file(project, file_id)
+        patch = PatchProposal(file=file_id, scope=Scope.of(rng), replacement=replacement)
+        scope = whole_file_scope(text or "")
+        outcome = try_patch(stage, project, file_id, scope, patch, diags, verifier)
+        assert outcome.accepted == accepted
+        assert spy.seen == [before, before]  # the initial check, then the attempt's
+        path = project.root / file_id
+        if accepted:
+            candidate = apply_replacement(text or "", rng, replacement).encode()
+            assert path.read_bytes() == candidate == project.read_bytes(file_id)
+        elif before is None:
+            assert not path.exists() and not project.exists(file_id)
+        else:
+            assert path.read_bytes() == before == project.read_bytes(file_id)
+
+    def test_external_tool_checks_the_staged_candidate(self, project, tmp_path):
+        tool = tmp_path / "check.py"
+        tool.write_text(MARKER_CHECK)
+        seen = tmp_path / "seen.bin"
+        ext = ExternalVerifier([sys.executable, str(tool), "{file}", str(seen)])
+        verifier = Verifier(ext)
+        text = HOLED
+        project.write("A.lean", text)
+        before = text.encode()
+        ok, diags = verifier.verify_file(project, "A.lean")
+        assert ok
+        scope = whole_file_scope(text)
+
+        rejected = PatchProposal(file="A.lean", scope=Scope.of(HOLE), replacement="ghost")
+        outcome = try_patch(2, project, "A.lean", scope, rejected, diags, verifier)
+        assert not outcome.accepted
+        assert seen.read_bytes() == apply_replacement(text, HOLE, "ghost").encode()
+        assert (project.root / "A.lean").read_bytes() == before == project.read_bytes("A.lean")
+        assert project.read("A.lean") == text
+
+        accepted = PatchProposal(file="A.lean", scope=Scope.of(HOLE), replacement="exact w")
+        outcome = try_patch(2, project, "A.lean", scope, accepted, diags, verifier)
+        assert outcome.accepted
+        candidate = apply_replacement(text, HOLE, "exact w")
+        assert seen.read_bytes() == candidate.encode()
+        assert (project.root / "A.lean").read_bytes() == candidate.encode()
+        assert project.read_bytes("A.lean") == candidate.encode()
+        assert project.read("A.lean") == candidate
 
 
 class TestExpandScope:

@@ -1,8 +1,10 @@
-"""Project's write-through content cache and the kept-open stream handles.
+"""Project's write-through content cache, its staged candidates, and the
+kept-open stream handles.
 
 The cache is checked against a cold ``Project`` on the same root and
-against the disk itself after every operation of random sequences; the
-I/O savings are checked as counts of ``open`` calls, never as timings.
+against the disk itself after every operation of random sequences, kernel
+attempts included, so no staged candidate outlives its attempt; the I/O
+savings are checked as counts of ``open`` calls, never as timings.
 """
 
 from __future__ import annotations
@@ -10,16 +12,23 @@ from __future__ import annotations
 import builtins
 import io
 import random
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoform.diagnostics import Scope, SourceRange
+from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange
 from autoform.instrumentation import HistoryRecord, HistoryStore, MetricsWriter, read_events
 from autoform.kernel import PatchProposal, try_patch
-from autoform.verifier import Project, SimulatedVerifier, Verifier
+from autoform.verifier import (
+    ExternalVerifier,
+    Project,
+    SimulatedVerifier,
+    Verifier,
+    VerifierLaunchError,
+)
 
 FILES = ("A.lean", "sub/B.lean", "sub/deep/C.lean", "other/D.lean")
 CONTENTS = (
@@ -32,7 +41,48 @@ CONTENTS = (
     "ünï ∀ x → y\n",
     "no newline at end",
 )
-OPS = ("write", "write_bytes", "delete", "ensure", "read", "read_bytes", "exists", "files")
+OPS = (
+    "write",
+    "write_bytes",
+    "delete",
+    "ensure",
+    "read",
+    "read_bytes",
+    "exists",
+    "files",
+    "patch_accepted",
+    "patch_rejected",
+    "patch_raises",
+)
+FIRST_LINE = SourceRange.whole_lines(0, 0)
+LINE_ERROR = DiagnosticSet.of([Diagnostic(FIRST_LINE, "error", "e")])
+
+
+class VerdictAdapter:
+    """Adapter whose verdict is fixed: one error on the first line, none, or
+    a launch error. It reads the file under check, as a checker would."""
+
+    def __init__(self, verdict: str):
+        self.verdict = verdict
+
+    def verify_file(self, project, file_id):
+        project.read(file_id)
+        if self.verdict == "raises":
+            raise VerifierLaunchError("no toolchain")
+        return (self.verdict == "ok", DiagnosticSet() if self.verdict == "ok" else LINE_ERROR)
+
+
+def patch_attempt(project: Project, op: str, file_id: str, content: str) -> None:
+    """A stage-1 attempt that replaces the first line with ``content``. The
+    adapter decides: accepted (an error goes away), rejected (one appears)
+    or raising."""
+    verdict = {"patch_accepted": "ok", "patch_rejected": "error", "patch_raises": "raises"}[op]
+    before = LINE_ERROR if verdict == "ok" else DiagnosticSet()
+    scope = Scope.of(FIRST_LINE)
+    patch = PatchProposal(file=file_id, scope=scope, replacement=content)
+    verifier = Verifier(VerdictAdapter(verdict))
+    outcome = try_patch(1, project, file_id, scope, patch, before, verifier)
+    assert outcome.accepted == (verdict == "ok")
 
 
 def _answer(fn, *args):
@@ -81,6 +131,11 @@ def apply(project: Project, op: str, file_id: str, content: str, raw: bytes) -> 
         project.files()
     elif op == "exists":
         project.exists(file_id)
+    elif op.startswith("patch_"):
+        try:
+            patch_attempt(project, op, file_id, content)
+        except (UnicodeDecodeError, VerifierLaunchError):
+            pass
     else:
         _answer(getattr(project, op), file_id)
 
@@ -149,6 +204,41 @@ class TestProjectCache:
         assert project.read_bytes("A.lean") == b"new"
 
 
+class TestStagedCandidates:
+    def test_a_staged_candidate_is_read_from_memory_until_synced(self, tmp_path):
+        project = Project(tmp_path)
+        project.stage("new/N.lean", "staged\r\n")
+        assert project.exists("new/N.lean")
+        assert project.read("new/N.lean") == "staged\n"
+        assert project.read_bytes("new/N.lean") == b"staged\r\n"
+        assert not (tmp_path / "new").exists() and project.files() == []
+        assert project.discard("new/N.lean") and not project.discard("new/N.lean")
+        assert not project.exists("new/N.lean")
+
+        project.stage("new/N.lean", "staged\n")
+        project.sync()
+        assert (tmp_path / "new" / "N.lean").read_bytes() == b"staged\n"
+        assert project.files() == ["new/N.lean"]
+        assert not project.discard("new/N.lean")  # synced: nothing left to drop
+
+        project.stage("new/N.lean", "again\n")
+        project.write("new/N.lean", "written\n")
+        assert not project.discard("new/N.lean")  # a write drops the candidate
+        project.stage("new/N.lean", "again\n")
+        project.delete("new/N.lean")
+        assert not project.exists("new/N.lean")
+
+    def test_a_project_command_sees_staged_candidates(self, tmp_path):
+        project = Project(tmp_path / "p")
+        project.write("A.lean", "def a : T := sorry\n")
+        project.stage("A.lean", "def a : T := ghost\n")
+        fails_on_ghost = "import sys; sys.exit(b'ghost' in open('A.lean', 'rb').read())"
+        build = [sys.executable, "-c", fails_on_ghost]
+        ok, _ = ExternalVerifier(["true"], project_command=build).verify_project(project)
+        assert not ok
+        assert (tmp_path / "p" / "A.lean").read_text() == "def a : T := ghost\n"
+
+
 class OpenCounter:
     """Records the (path, mode) of every ``open`` made through io or builtins."""
 
@@ -180,9 +270,10 @@ class TestIOCounts:
         opens = OpenCounter(monkeypatch)
         for _ in range(50):
             assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
-        # the one disk read per attempt is the restore read-back
+        # the one disk read per attempt is the restore read-back; the
+        # candidate is staged in memory, so nothing is written
         assert opens.count(tmp_path / "A.lean", "r") == 50
-        assert opens.count(tmp_path / "A.lean", "w") == 100  # patch and restore
+        assert opens.count(tmp_path / "A.lean", "w") == 0
 
         opens.calls.clear()
         verifier.verify_file(project, "A.lean")

@@ -1,0 +1,35 @@
+"""Guard on where staged candidates are made and flushed: in ``src/autoform``
+only ``kernel.py`` calls ``.stage(`` (``try_patch``) and only ``verifier.py``
+calls ``.sync(`` (the adapter whose tool reads the disk), so a staged
+candidate lives only inside one kernel attempt."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "autoform"
+
+CALLERS = {"stage": {"kernel.py"}, "sync": {"verifier.py"}}
+
+
+def files_calling(method: str) -> set[str]:
+    """Names of the package's modules holding a call ``<expr>.<method>(...)``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == method
+            ):
+                found.add(path.name)
+    return found
+
+
+@pytest.mark.parametrize("method", sorted(CALLERS))
+def test_only_its_owner_calls(method):
+    assert files_calling(method) == CALLERS[method]
