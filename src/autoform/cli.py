@@ -52,29 +52,14 @@ def _resolve(path: str) -> str:
 def _config_from_args(args: argparse.Namespace, stage: int) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
     cfg.stage = stage
-    for attr, key in [
-        ("dataset", "dataset"),
-        ("project", "project"),
-        ("runs_dir", "runs_dir"),
-        ("adapter", "adapter"),
-        ("operators", "operators"),
-        ("lemma_map", "lemma_map"),
-        ("run_id", "run_id"),
-    ]:
+    for key in ("dataset", "project", "runs_dir", "adapter", "operators", "lemma_map", "run_id"):
         value = getattr(args, key, None)
         if value:
-            setattr(cfg, attr, value)
-    for attr, key in [
-        ("budget_k", "budget_k"),
-        ("budget_t", "budget_t"),
-        ("budget_r", "budget_r"),
-        ("budget_c", "budget_c"),
-        ("split_threshold", "split_threshold"),
-        ("max_items", "max_items"),
-    ]:
+            setattr(cfg, key, value)
+    for key in ("budget_k", "budget_t", "budget_r", "budget_c", "split_threshold", "max_items"):
         value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, attr, value)
+            setattr(cfg, key, value)
     if getattr(args, "alpha", None):
         cfg.alphas = tuple(args.alpha)
     if getattr(args, "resume", False):
@@ -131,6 +116,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     project = Project(_resolve(args.project))
     result = split_if_large_and_resolve(project, args.file, None, args.threshold)
+    project.commit()
     parts = [f for f in project.files() if f.startswith(args.file[:-5] + "_part")]
     print(json.dumps({"file": args.file, "resolved": result, "parts": parts}, indent=2))
     return EXIT_OK

@@ -1,21 +1,20 @@
 """The refinement primitive: objectives, priority order, and the
-snapshot -> stage -> verify -> commit/discard patch executor.
+snapshot -> stage -> verify -> keep/restore patch executor.
 
 A patch is a whole-region text replacement for one contiguous range. The
-patched text is staged in the ``Project``'s memory, not written, and
-verified once; it is committed, which is its one disk write, only when the
+patched text is staged in the ``Project``, the item's working copy, and
+verified once. It stays staged, for the item to commit, only when the
 stage objective strictly improves under the priority order. Anything else
-is discarded, and the file is read back from disk to check that it holds
-its pre-attempt bytes. An adapter whose tool reads the disk syncs the
-staged text to it first; the restore then writes the pre-attempt bytes
-back. Primary metric is always the file error count; the secondary is the
-localized error count (stage 1) or the file hole count (stage 2), so a
-patch that increases compilation errors is never accepted.
+puts back the pre-attempt view, and the file is read back from disk to
+check that it holds its committed bytes. An adapter whose tool reads the
+disk syncs the staged text to it first; the restore then writes the
+committed bytes back. Primary metric is always the file error count; the
+secondary is the localized error count (stage 1) or the file hole count
+(stage 2), so a patch that increases compilation errors is never accepted.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from . import simlang
@@ -78,40 +77,30 @@ class PatchProposal:
         return self.scope.ranges[0]
 
 
-def fingerprint(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 @dataclass(frozen=True)
 class Snapshot:
     file: str
-    content: bytes | None  # None when the file did not exist
-    digest: str
+    staged: str | None  # the item's edit of the file before the attempt
+    committed: bytes | None  # what the disk must hold after a restore; None: absent
 
     @classmethod
     def capture(cls, project: Project, file_id: str) -> "Snapshot":
-        if project.exists(file_id):
-            data = project.read_bytes(file_id)
-            return cls(file_id, data, fingerprint(data))
-        return cls(file_id, None, "absent")
+        return cls(file_id, project.staged(file_id), project.committed_bytes(file_id))
 
     def restore(self, project: Project) -> None:
-        """Put the snapshot's bytes back: drop a staged candidate, and write
-        the bytes only when the disk may hold something else. Either way the
-        disk is read back to check."""
-        if not project.discard(self.file):
-            if self.content is None:
-                project.delete(self.file)
-            else:
-                project.write_bytes(self.file, self.content)
+        """Put back the pre-attempt view: drop the candidate (a synced one by
+        writing the committed bytes back) and re-stage the item's earlier
+        edit. Either way the disk is read back to check."""
+        project.discard(self.file)
+        if self.staged is not None:
+            project.stage(self.file, self.staged)
         if not self.matches(project):
             raise SnapshotRestoreError(f"restore of {self.file} did not reproduce snapshot")
 
     def matches(self, project: Project) -> bool:
         """Whether the bytes on disk, not the project's cached copy, are the
-        snapshot's: the check that a restore really landed."""
-        data = project.reload_bytes(self.file)
-        return (fingerprint(data) if data is not None else "absent") == self.digest
+        committed bytes: the check that a restore really landed."""
+        return project.reload_bytes(self.file) == self.committed
 
 
 @dataclass(frozen=True)
@@ -133,11 +122,11 @@ def try_patch(
 ) -> AttemptOutcome:
     """Apply one candidate patch under the accept/revert contract.
 
-    Exactly one verifier call is made, on the staged candidate, which is
-    written to disk only on acceptance. On rejection the file is restored
-    byte-exactly and the returned diagnostics are the pre-patch ones, so
-    they always describe the committed state. If the verifier raises, the
-    file is restored before the exception propagates.
+    Exactly one verifier call is made, on the staged candidate. An accepted
+    candidate stays staged in the item's working copy, for the item to
+    commit. On rejection the pre-attempt view is put back and the returned
+    diagnostics are the pre-patch ones, so they always describe that view.
+    If the verifier raises, the view is put back before it propagates.
     """
     if stage not in (1, 2):
         raise ValueError(f"stage must be 1 or 2, got {stage}")
@@ -148,7 +137,7 @@ def try_patch(
         raise PatchOutOfScopeError(f"patch range {target} not covered by permitted scope")
 
     snap = Snapshot.capture(project, file_id)
-    text_before = project.read(file_id) if snap.content is not None else ""
+    text_before = project.read(file_id) if project.exists(file_id) else ""
     if stage == 1:
         before = stage1_objective(diagnostics_before, scope)
     else:
@@ -162,15 +151,12 @@ def try_patch(
             after = stage1_objective(diags_after, scope)
         else:
             after = stage2_objective(diags_after, project.read(file_id))
-        accepted = prec(after, before)
-        if accepted:
-            project.write(file_id, candidate)  # the commit: the attempt's one disk write
     except BaseException:
-        # an uncertified patch never stays on disk, whatever interrupted the check
+        # an uncertified patch never stays staged, whatever interrupted the check
         snap.restore(project)
         raise
 
-    if accepted:
+    if prec(after, before):
         return AttemptOutcome(True, before, after, diags_after)
     snap.restore(project)
     return AttemptOutcome(False, before, after, diagnostics_before)

@@ -215,18 +215,21 @@ def run_statement_stage(
         provenance = (
             ProvenanceMap.load(provenance_path) if provenance_path.exists() else ProvenanceMap()
         )
-        provenance, results = run_stage1(
-            records,
-            project,
-            Stage1Config(k=config.budget_k),
-            operators,
-            verifier,
-            instr,
-            provenance=provenance,
-            start_index=start_index,
-            max_items=config.max_items,
-        )
-        provenance.save(provenance_path)
+        try:
+            provenance, results = run_stage1(
+                records,
+                project,
+                Stage1Config(k=config.budget_k),
+                operators,
+                verifier,
+                instr,
+                provenance=provenance,
+                start_index=start_index,
+                max_items=config.max_items,
+            )
+        finally:
+            # committed items are past the cursor: keep their provenance on a raise too
+            provenance.save(provenance_path)
         compiled = sum(1 for r in results if r.compiled)
         return results, {
             "compiled": compiled,

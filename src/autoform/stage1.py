@@ -1,13 +1,14 @@
 """Statement compilation: insert declaration skeletons item by item and
 repair each target file until it verifies, allowing proof placeholders.
 
-Items are processed in strictly increasing index order. Per item: snapshot
-the target file, insert the skeleton proposed by the skeleton operator, set
-the scope to the inserted declaration plus the file header, verify once,
-then run up to K localize/repair rounds through the patch executor,
-expanding the scope when localization comes up empty. If errors remain the
-pre-item snapshot is restored and the item is marked failed; later items
-are unaffected.
+Items are processed in strictly increasing index order. Per item: stage
+the skeleton proposed by the skeleton operator, set the scope to the
+inserted declaration plus the file header, verify once, then run up to K
+localize/repair rounds through the patch executor, expanding the scope
+when localization comes up empty. The item commits once if no errors
+remain and discards otherwise or on a raise, so later items are
+unaffected; a declaration already committed by an interrupted run is
+checked again, not inserted again.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .instrumentation import RunInstrumentation
 from .kernel import (
     DEFAULT_MAX_SCOPE_EXPANSIONS,
     PatchOutOfScopeError,
-    Snapshot,
     expand_scope,
     try_patch,
 )
@@ -95,14 +95,6 @@ class ProvenanceMap:
     def add(self, name: str, index: int, span: tuple[int, int]) -> None:
         self.entries.setdefault(name, set()).add((index, tuple(span)))
 
-    def drop_index(self, index: int) -> None:
-        for name in list(self.entries):
-            kept = {e for e in self.entries[name] if e[0] != index}
-            if kept:
-                self.entries[name] = kept
-            else:
-                del self.entries[name]
-
     def names(self) -> list[str]:
         return sorted(self.entries)
 
@@ -163,25 +155,46 @@ def gen_stub(record: DatasetRecord, name: str, type_text: str) -> str:
     return f"{provenance_docstring(record)}\n{stub}"
 
 
-def insert_skeleton(project: Project, file_id: str, skeleton: str) -> SourceRange:
-    """Append a skeleton at the end of the target file; returns its range."""
-    project.ensure(file_id)
-    text = project.read(file_id)
+def insert_skeleton(
+    record: DatasetRecord, project: Project, file_id: str, operators: OperatorSet
+) -> SourceRange:
+    """Stage the skeleton operator's declaration for ``record`` at the end of
+    the target file; returns its range."""
+    text = project.read(file_id) if project.exists(file_id) else ""
+    skeleton_req = OperatorRequest(
+        kind="gen_skeleton",
+        payload={
+            "task_id": str(record.index),
+            "index": record.index,
+            "record": record.as_dict(),
+            "file": file_id,
+            "file_text": text,
+        },
+    )
+    response = operators.invoke(skeleton_req)
+    skeleton = response.text if response.ok else None
+    if skeleton is None:
+        # unusable skeleton output: fall back to a bare provenance comment so
+        # the verify/repair loop has something to chew on
+        skeleton = provenance_docstring(record)
     if text and not text.endswith("\n"):
         text += "\n"
     stub = skeleton.rstrip("\n")
     if text.strip():
-        project.write(file_id, text + "\n" + stub + "\n")
+        project.stage(file_id, text + "\n" + stub + "\n")
         start = text.count("\n") + 1
     else:
-        project.write(file_id, stub + "\n")
+        project.stage(file_id, stub + "\n")
         start = 0
     return SourceRange.whole_lines(start, start + stub.count("\n"))
 
 
-def _committed_names(project: Project, file_id: str, index: int) -> list[str]:
+def _item_units(project: Project, file_id: str, index: int) -> list[simlang.Declaration]:
+    """The named declarations whose docstring carries ``[index]``."""
+    if not project.exists(file_id):
+        return []
     declarations = simlang.analyse(project.read(file_id)).parsed.declarations
-    return [d.name for d in declarations if d.name and d.doc_index == index]
+    return [d for d in declarations if d.name and d.doc_index == index]
 
 
 def run_stage1(
@@ -198,15 +211,13 @@ def run_stage1(
     """Compile ordered statement items into the project (Stage 1)."""
     provenance = provenance if provenance is not None else ProvenanceMap()
     results: list[Stage1ItemResult] = []
-    processed = 0
     for record in records:
         if start_index is not None and record.index < start_index:
             continue
-        if max_items is not None and processed >= max_items:
+        if max_items is not None and len(results) >= max_items:
             break
         result = _run_item(record, project, config, operators, verifier, instrumentation, provenance)
         results.append(result)
-        processed += 1
         if instrumentation is not None:
             instrumentation.advance_cursor("next_index", record.index + 1)
     return provenance, results
@@ -235,35 +246,16 @@ def _run_item(
             },
         )
 
-    snap0 = Snapshot.capture(project, file_id)
     result = Stage1ItemResult(index=record.index, label=record.label, status="skipped", file=file_id)
 
     try:
-        skeleton_req = OperatorRequest(
-            kind="gen_skeleton",
-            payload={
-                "task_id": str(record.index),
-                "index": record.index,
-                "record": record.as_dict(),
-                "file": file_id,
-                "file_text": project.read(file_id) if project.exists(file_id) else "",
-            },
-        )
-        response = operators.invoke(skeleton_req)
-        skeleton = response.text if response.ok else None
-        if skeleton is None:
-            # unusable skeleton output: fall back to a bare provenance comment so
-            # the verify/repair loop has something to chew on
-            skeleton = provenance_docstring(record)
-
-        decl_range = insert_skeleton(project, file_id, skeleton)
-        inserted_name = None
-        for decl in simlang.analyse(project.read(file_id)).parsed.declarations:
-            if decl.doc_index == record.index and decl.name:
-                inserted_name = decl.name
-        span = (0, len(record.content))
-        if inserted_name:
-            provenance.add(inserted_name, record.index, span)
+        committed = _item_units(project, file_id, record.index)
+        if committed:
+            # committed before a crash that came ahead of its item_end line:
+            # check it again, do not insert it again
+            decl_range = committed[-1].unit_range
+        else:
+            decl_range = insert_skeleton(record, project, file_id, operators)
 
         header = header_scope(project.read(file_id), verifier.header_bound)
         scope = Scope.of(decl_range).union(header)
@@ -322,17 +314,16 @@ def _run_item(
             diags = outcome.diagnostics_after
 
         if err_count(diags) > 0 or expansion_failed:
-            snap0.restore(project)
-            provenance.drop_index(record.index)
+            project.discard()
             result.status = "restored_failed"
         else:
+            project.commit()
             result.status = "compiled"
-            for name in _committed_names(project, file_id, record.index):
-                provenance.add(name, record.index, span)
+            for decl in _item_units(project, file_id, record.index):
+                provenance.add(decl.name, record.index, (0, len(record.content)))
     except BaseException:
-        # a crash inside the item leaves the file as the item found it
-        snap0.restore(project)
-        provenance.drop_index(record.index)
+        # a crash inside the item leaves the project as the item found it
+        project.discard()
         raise
 
     if instrumentation is not None:

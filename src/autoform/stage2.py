@@ -5,7 +5,9 @@ Statement signatures are never edited here; a proof patch is scoped to the
 hole's range plus the file header, and the kernel rejects anything that
 does not strictly improve (errors first, then hole count). The verifier
 call budget T caps everything an item does, including its initial check;
-executor proof-patch attempts are additionally capped at R * C.
+executor proof-patch attempts are additionally capped at R * C. The item's
+split and accepted patches are staged in the ``Project`` and committed once,
+before its ``item_end`` line; an item that raises discards them.
 """
 
 from __future__ import annotations
@@ -142,9 +144,9 @@ def split_if_large_and_resolve(
 
     Parts are named ``<stem>_part<K>.lean`` with a linear import chain
     (each part imports its predecessor) and the original path becomes a
-    thin aggregate importing every part. Returns the part containing the
-    task's target, or the input file when no split happens. The
-    declaration multiset across parts equals the original file's.
+    thin aggregate importing every part; all are staged. Returns the part
+    containing the task's target, or the input file when no split happens.
+    The declaration multiset across parts equals the original file's.
     """
     if not project.exists(file_id):
         return file_id
@@ -186,10 +188,10 @@ def split_if_large_and_resolve(
             head.append(f"import {simlang.module_name(part_ids[k - 1])}")
         body = "\n\n".join(unit_text for _, unit_text in group)
         content = "\n".join(head) + ("\n\n" if head else "") + body + "\n"
-        project.write(part_ids[k], content)
+        project.stage(part_ids[k], content)
 
     aggregate = "\n".join(f"import {simlang.module_name(pid)}" for pid in part_ids) + "\n"
-    project.write(file_id, aggregate)
+    project.stage(file_id, aggregate)
     if instrumentation is not None:
         instrumentation.emit(
             "split", {"lean_file": file_id, "parts": part_ids, "lines": len(lines)}
@@ -220,7 +222,7 @@ def run_stage2_item(
     verifier: Verifier,
     instrumentation: RunInstrumentation | None = None,
 ) -> Stage2ItemResult:
-    """Close one proof item's hole under the verifier-call budget."""
+    """Close one proof item's hole under the verifier-call budget, committing its edits once."""
     started = time.monotonic()
     result = Stage2ItemResult(index=task.index, label=task.label, file=file_id)
     if instrumentation is not None:
@@ -237,16 +239,8 @@ def run_stage2_item(
             },
         )
 
-    try:
-        file_id = split_if_large_and_resolve(
-            project, file_id, task, config.split_threshold, instrumentation
-        )
-        result.file = file_id
-    except Exception as exc:  # split failure: log and continue unsplit
-        if instrumentation is not None:
-            instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
-
     def finish(status: str) -> Stage2ItemResult:
+        project.commit()
         result.status = status
         if instrumentation is not None:
             instrumentation.emit(
@@ -265,155 +259,169 @@ def run_stage2_item(
             )
         return result
 
-    if not project.exists(file_id):
-        # stage 1 left no file for this section: nothing to verify or patch
-        if instrumentation is not None:
-            instrumentation.emit(
-                "warning",
-                {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
-            )
-        return finish("skipped")
-
-    _, diags = verifier.verify_file(project, file_id)
-    result.verifier_calls += 1
-
-    goal_payload = None
-    while result.verifier_calls < config.t:
-        if err_count(diags) > 0:
-            if result.fix_attempts >= config.t:
-                # a fixer that never yields an applicable patch consumes no
-                # verifier budget; bound its attempts so the item terminates
-                return finish("unsolved")
-            diag = select_error(diags)
-            text = project.read(file_id)
-            scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
-            fix_req = OperatorRequest(
-                kind="fix_compile_error",
-                payload={
-                    "task_id": str(task.index),
-                    "file": file_id,
-                    "file_text": text,
-                    "diagnostic": diag.as_dict(),
-                    "target_range": diag.range,
-                },
-            )
-            response = operators.invoke(fix_req)
-            result.fix_attempts += 1
-            if response.ok and response.patch is not None:
-                try:
-                    outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
-                    result.verifier_calls += 1
-                    diags = outcome.diagnostics_after
-                except PatchOutOfScopeError:
-                    pass
-            continue
-
+    try:
         try:
-            hole = locate_target_hole(project, file_id, task)
-        except AmbiguousTargetError as exc:
+            file_id = split_if_large_and_resolve(
+                project, file_id, task, config.split_threshold, instrumentation
+            )
+            result.file = file_id
+        except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
+            project.discard()
+            if instrumentation is not None:
+                instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
+
+        if not project.exists(file_id):
+            # stage 1 left no file for this section: nothing to verify or patch
             if instrumentation is not None:
                 instrumentation.emit(
-                    "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
+                    "warning",
+                    {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
                 )
             return finish("skipped")
-        if hole is None:
-            closed = result.proof_attempts > 0
-            return finish("solved" if closed else "already_closed")
-        if result.proof_attempts >= config.attempt_bound:
-            return finish("unsolved")
 
-        goal = None
-        if config.goal_query_enabled:
-            goal = verifier.goal_state(project, file_id, hole.range)
-        goal_payload = goal.as_dict() if goal is not None else None
+        _, diags = verifier.verify_file(project, file_id)
+        result.verifier_calls += 1
 
-        plan_req = OperatorRequest(
-            kind="plan",
-            payload={"task_id": str(task.index), "task": task.payload(), "goal_state": goal_payload},
-        )
-        plan_resp = operators.invoke(plan_req)
-        result.plans += 1
-        plan_text = plan_resp.text if plan_resp.ok else ""
-        if instrumentation is not None:
-            instrumentation.append_history(
-                "proof",
-                file_id,
-                str(task.index),
-                "agent_c_plan",
-                f"plans={result.plans} ok={plan_resp.ok}",
-                plan_resp,
-                round=result.plans,
-                plan=plan_text or "",
-            )
-
-        for _ in range(config.c):
-            for _ in range(config.r):
-                propose_req = OperatorRequest(
-                    kind="propose_proof_patch",
+        goal_payload = None
+        while result.verifier_calls < config.t:
+            if err_count(diags) > 0:
+                if result.fix_attempts >= config.t:
+                    # a fixer that never yields an applicable patch consumes no
+                    # verifier budget; bound its attempts so the item terminates
+                    return finish("unsolved")
+                diag = select_error(diags)
+                text = project.read(file_id)
+                scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
+                fix_req = OperatorRequest(
+                    kind="fix_compile_error",
                     payload={
                         "task_id": str(task.index),
                         "file": file_id,
-                        "file_text": project.read(file_id),
-                        "hole": hole.range,
-                        "declaration": hole.declaration,
-                        "plan": plan_text,
-                        "task": task.payload(),
-                        "goal_state": goal_payload,
-                        "target_range": hole.range,
-                        "attempt": result.proof_attempts + 1,
+                        "file_text": text,
+                        "diagnostic": diag.as_dict(),
+                        "target_range": diag.range,
                     },
                 )
-                proposal = operators.invoke(propose_req)
-                result.proof_attempts += 1
-                accepted = False
-                if proposal.ok and proposal.patch is not None:
-                    scope = _hole_scope(project, file_id, hole.range, verifier)
+                response = operators.invoke(fix_req)
+                result.fix_attempts += 1
+                if response.ok and response.patch is not None:
                     try:
-                        outcome = try_patch(
-                            2, project, file_id, scope, proposal.patch, diags, verifier
-                        )
+                        outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
                         result.verifier_calls += 1
                         diags = outcome.diagnostics_after
-                        accepted = outcome.accepted
                     except PatchOutOfScopeError:
                         pass
-                if instrumentation is not None:
-                    instrumentation.append_history(
-                        "proof",
-                        file_id,
-                        str(task.index),
-                        "agent_a_attempt",
-                        f"attempt={result.proof_attempts} accepted={accepted}",
-                        proposal,
-                        attempt=result.proof_attempts,
-                        accepted=accepted,
-                    )
-                if accepted and locate_target_hole(project, file_id, task) is None:
-                    return finish("solved")
-                if result.verifier_calls >= config.t:
-                    return finish("unsolved")
-                if result.proof_attempts >= config.attempt_bound:
-                    return finish("unsolved")
-                if err_count(diags) > 0:
-                    break
-            else:
-                replan_req = OperatorRequest(
-                    kind="replan",
-                    payload={
-                        "task_id": str(task.index),
-                        "task": task.payload(),
-                        "plan": plan_text,
-                        "goal_state": goal_payload,
-                        "diagnostics": [d.as_dict() for d in diags],
-                    },
-                )
-                replan = operators.invoke(replan_req)
-                result.plans += 1
-                if replan.ok and replan.text:
-                    plan_text = replan.text
                 continue
-            break  # compile errors surfaced: back to the outer loop's fixer
-    return finish("unsolved")
+
+            try:
+                hole = locate_target_hole(project, file_id, task)
+            except AmbiguousTargetError as exc:
+                if instrumentation is not None:
+                    instrumentation.emit(
+                        "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
+                    )
+                return finish("skipped")
+            if hole is None:
+                closed = result.proof_attempts > 0
+                return finish("solved" if closed else "already_closed")
+            if result.proof_attempts >= config.attempt_bound:
+                return finish("unsolved")
+
+            goal = None
+            if config.goal_query_enabled:
+                goal = verifier.goal_state(project, file_id, hole.range)
+            goal_payload = goal.as_dict() if goal is not None else None
+
+            plan_req = OperatorRequest(
+                kind="plan",
+                payload={"task_id": str(task.index), "task": task.payload(), "goal_state": goal_payload},
+            )
+            plan_resp = operators.invoke(plan_req)
+            result.plans += 1
+            plan_text = plan_resp.text if plan_resp.ok else ""
+            if instrumentation is not None:
+                instrumentation.append_history(
+                    "proof",
+                    file_id,
+                    str(task.index),
+                    "agent_c_plan",
+                    f"plans={result.plans} ok={plan_resp.ok}",
+                    plan_resp,
+                    round=result.plans,
+                    plan=plan_text or "",
+                )
+
+            for _ in range(config.c):
+                for _ in range(config.r):
+                    propose_req = OperatorRequest(
+                        kind="propose_proof_patch",
+                        payload={
+                            "task_id": str(task.index),
+                            "file": file_id,
+                            "file_text": project.read(file_id),
+                            "hole": hole.range,
+                            "declaration": hole.declaration,
+                            "plan": plan_text,
+                            "task": task.payload(),
+                            "goal_state": goal_payload,
+                            "target_range": hole.range,
+                            "attempt": result.proof_attempts + 1,
+                        },
+                    )
+                    proposal = operators.invoke(propose_req)
+                    result.proof_attempts += 1
+                    accepted = False
+                    if proposal.ok and proposal.patch is not None:
+                        scope = _hole_scope(project, file_id, hole.range, verifier)
+                        try:
+                            outcome = try_patch(
+                                2, project, file_id, scope, proposal.patch, diags, verifier
+                            )
+                            result.verifier_calls += 1
+                            diags = outcome.diagnostics_after
+                            accepted = outcome.accepted
+                        except PatchOutOfScopeError:
+                            pass
+                    if instrumentation is not None:
+                        instrumentation.append_history(
+                            "proof",
+                            file_id,
+                            str(task.index),
+                            "agent_a_attempt",
+                            f"attempt={result.proof_attempts} accepted={accepted}",
+                            proposal,
+                            attempt=result.proof_attempts,
+                            accepted=accepted,
+                        )
+                    if accepted and locate_target_hole(project, file_id, task) is None:
+                        return finish("solved")
+                    if result.verifier_calls >= config.t:
+                        return finish("unsolved")
+                    if result.proof_attempts >= config.attempt_bound:
+                        return finish("unsolved")
+                    if err_count(diags) > 0:
+                        break
+                else:
+                    replan_req = OperatorRequest(
+                        kind="replan",
+                        payload={
+                            "task_id": str(task.index),
+                            "task": task.payload(),
+                            "plan": plan_text,
+                            "goal_state": goal_payload,
+                            "diagnostics": [d.as_dict() for d in diags],
+                        },
+                    )
+                    replan = operators.invoke(replan_req)
+                    result.plans += 1
+                    if replan.ok and replan.text:
+                        plan_text = replan.text
+                    continue
+                break  # compile errors surfaced: back to the outer loop's fixer
+        return finish("unsolved")
+    except BaseException:
+        project.discard()
+        raise
 
 
 def build_proof_tasks(
@@ -446,16 +454,14 @@ def run_stage2(
 ) -> list[Stage2ItemResult]:
     """Process proof items in increasing index order (Stage 2)."""
     results: list[Stage2ItemResult] = []
-    processed = 0
     for record, task in build_proof_tasks(records, lemma_map, proof_target_envs):
         if start_index is not None and record.index < start_index:
             continue
-        if max_items is not None and processed >= max_items:
+        if max_items is not None and len(results) >= max_items:
             break
         file_id = target_file(record)
         result = run_stage2_item(project, file_id, task, config, operators, verifier, instrumentation)
         results.append(result)
-        processed += 1
         if instrumentation is not None:
             instrumentation.advance_cursor("next_index", record.index + 1)
     return results

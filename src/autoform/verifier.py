@@ -78,11 +78,12 @@ class Project:
     disk first and then to the cache; a write that raises drops the file's
     entry, so the next read goes to disk.
 
-    A candidate edit can be *staged*: held in memory on top of the cache,
-    where ``read``, ``read_bytes`` and ``exists`` see it and the disk does
-    not. A write or delete of the file drops it, ``discard`` drops it, and
-    ``sync`` writes every staged candidate to disk for a tool that reads
-    the files itself. ``files`` lists the disk.
+    The project is the working copy of one dataset item: its edits are
+    *staged* in memory on top of the committed bytes, where ``read``,
+    ``read_bytes`` and ``exists`` see them and the disk does not, until
+    ``commit`` writes or ``discard`` drops them. ``sync`` writes them to disk
+    for a tool that reads it; ``discard`` then puts the committed bytes back.
+    A write or delete of a file drops its staged edit. ``files`` lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
     writer of the root. A change made under the root by anything else is
@@ -96,8 +97,11 @@ class Project:
         self.root.mkdir(parents=True, exist_ok=True)
         # file_id -> (bytes, decoded text or None until first read)
         self._cache: dict[str, tuple[bytes, str | None]] = {}
-        # staged candidates, same shape; on disk only once ``sync`` moves them
+        # staged edits, same shape, in staging order
         self._staged: dict[str, tuple[bytes, str | None]] = {}
+        # file_id -> (committed bytes, None when absent; the staged bytes a sync
+        # wrote) for each file whose disk holds the latter
+        self._synced: dict[str, tuple[bytes | None, bytes]] = {}
 
     def path(self, file_id: str) -> Path:
         return self.root / file_id
@@ -118,6 +122,18 @@ class Project:
 
     def _entry(self, file_id: str) -> tuple[bytes, str | None]:
         return self._staged.get(file_id) or self._cache.get(file_id) or self._load(file_id)
+
+    def staged(self, file_id: str) -> str | None:
+        """The text staged for the file; None when nothing is."""
+        entry = self._staged.get(file_id)
+        return entry[0].decode("utf-8") if entry is not None else None
+
+    def committed_bytes(self, file_id: str) -> bytes | None:
+        """The file's committed bytes, whatever is staged; None when absent."""
+        if file_id in self._synced:
+            return self._synced[file_id][0]
+        entry = self._cache.get(file_id)
+        return entry[0] if entry is not None else self.reload_bytes(file_id)
 
     def reload_bytes(self, file_id: str) -> bytes | None:
         """The file's bytes read from disk, bypassing the cache and then
@@ -141,6 +157,7 @@ class Project:
 
     def _store(self, file_id: str, data: bytes, text: str | None) -> None:
         self._staged.pop(file_id, None)
+        self._synced.pop(file_id, None)
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
             p.parent.mkdir(parents=True, exist_ok=True)
@@ -152,28 +169,38 @@ class Project:
         disk call."""
         self._staged[file_id] = _encode(text)
 
-    def discard(self, file_id: str) -> bool:
-        """Drop the file's staged candidate. True when there was one, so the
-        candidate never reached the disk."""
-        return self._staged.pop(file_id, None) is not None
+    def commit(self) -> None:
+        """Write every staged edit by the write path in staging order, so
+        the parts of a split land before the aggregate that imports them."""
+        for file_id, entry in list(self._staged.items()):
+            self._store(file_id, *entry)
+
+    def discard(self, file_id: str | None = None) -> None:
+        """Drop the file's staged edit, or every one. Where ``sync`` wrote
+        the edit to disk, the committed bytes go back."""
+        for fid in list(self._staged) if file_id is None else [file_id]:
+            self._staged.pop(fid, None)
+            if fid in self._synced and self._synced[fid][0] is None:
+                self.delete(fid)
+            elif fid in self._synced:
+                self._store(fid, self._synced[fid][0], None)
 
     def sync(self) -> None:
-        """Write every staged candidate to disk by the write path, so the
-        disk holds what this project reads."""
-        while self._staged:
-            file_id, (data, text) = self._staged.popitem()
-            self._store(file_id, data, text)
+        """Write every staged edit to disk for a tool that reads it; the
+        edits stay staged and the cache keeps the committed bytes."""
+        for file_id, (data, _) in self._staged.items():
+            if self._synced.get(file_id, (None, None))[1] is not data:
+                self._synced[file_id] = (self.committed_bytes(file_id), data)
+                self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
+                self.path(file_id).write_bytes(data)
 
     def delete(self, file_id: str) -> None:
         self._staged.pop(file_id, None)
+        self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
         p = self.path(file_id)
         if p.exists():
             p.unlink()
-
-    def ensure(self, file_id: str) -> None:
-        if not self.exists(file_id):
-            self.write(file_id, "")
 
     def files(self) -> list[str]:
         if not self.root.exists():

@@ -265,33 +265,52 @@ class TestTryPatch:
 
 
 class TestSnapshot:
+    """A restore puts back the pre-attempt view and checks that the disk
+    holds the committed bytes, writing them back where a sync replaced
+    them."""
+
     def test_restore_is_byte_exact(self, project):
-        project.write("A.lean", "original\n")
+        project.write_bytes("A.lean", b"original\r\n")
         snap = Snapshot.capture(project, "A.lean")
-        project.write("A.lean", "mutated\n")
+        project.stage("A.lean", "mutated\n")
+        project.sync()
         snap.restore(project)
+        assert (project.root / "A.lean").read_bytes() == b"original\r\n"
         assert project.read("A.lean") == "original\n"
 
-    def test_missing_file_snapshot_restores_to_absent(self, project):
-        snap = Snapshot.capture(project, "Ghost.lean")
-        project.write("Ghost.lean", "now exists\n")
+    def test_restore_puts_back_the_items_earlier_edit(self, project):
+        project.write("A.lean", "original\n")
+        project.stage("A.lean", "item edit\r\n")
+        snap = Snapshot.capture(project, "A.lean")
+        project.stage("A.lean", "candidate\n")
+        project.sync()
         snap.restore(project)
-        assert not project.exists("Ghost.lean")
+        assert project.read_bytes("A.lean") == b"item edit\r\n"
+        assert (project.root / "A.lean").read_bytes() == b"original\n"
+
+    def test_missing_file_snapshot_restores_to_absent(self, project):
+        snap = Snapshot.capture(project, "new/Ghost.lean")
+        project.stage("new/Ghost.lean", "now exists\n")
+        project.sync()
+        assert (project.root / "new" / "Ghost.lean").exists()
+        snap.restore(project)
+        assert not project.exists("new/Ghost.lean")
+        assert not (project.root / "new" / "Ghost.lean").exists()
 
     def test_restore_failure_detected(self, project, monkeypatch):
         project.write("A.lean", "original\n")
         snap = Snapshot.capture(project, "A.lean")
-        project.write("A.lean", "mutated\n")
-        monkeypatch.setattr(
-            type(project), "write_bytes", lambda self, f, d: None
-        )
+        project.stage("A.lean", "mutated\n")
+        project.sync()
+        monkeypatch.setattr(Path, "write_bytes", lambda self, data: None)
         with pytest.raises(SnapshotRestoreError):
             snap.restore(project)
 
     def test_restore_check_reads_the_disk_not_the_cache(self, project, monkeypatch):
         project.write("A.lean", "original\n")
         snap = Snapshot.capture(project, "A.lean")
-        project.write("A.lean", "mutated\n")
+        project.stage("A.lean", "mutated\n")
+        project.sync()
         real = Path.write_bytes
         # the project caches the full bytes while the disk gets a torn write
         monkeypatch.setattr(Path, "write_bytes", lambda self, data: real(self, data[:-1]))
@@ -379,6 +398,9 @@ class TestStagedCandidates:
         assert outcome.accepted == accepted
         assert spy.seen == [before, before]  # the initial check, then the attempt's
         path = project.root / file_id
+        on_disk = path.read_bytes() if path.is_file() else None
+        assert on_disk == before  # an accepted candidate stays staged until the commit
+        project.commit()
         if accepted:
             candidate = apply_replacement(text or "", rng, replacement).encode()
             assert path.read_bytes() == candidate == project.read_bytes(file_id)
@@ -412,9 +434,44 @@ class TestStagedCandidates:
         assert outcome.accepted
         candidate = apply_replacement(text, HOLE, "exact w")
         assert seen.read_bytes() == candidate.encode()
+        project.commit()
         assert (project.root / "A.lean").read_bytes() == candidate.encode()
         assert project.read_bytes("A.lean") == candidate.encode()
         assert project.read("A.lean") == candidate
+
+    def test_external_tool_writes_each_accept_once_plus_one_commit(
+        self, project, tmp_path, monkeypatch
+    ):
+        tool = tmp_path / "check.py"
+        tool.write_text(MARKER_CHECK)
+        seen = str(tmp_path / "seen.bin")
+        verifier = Verifier(ExternalVerifier([sys.executable, str(tool), "{file}", seen]))
+        text = "def w : P := sorry\nlemma l : P := by sorry\nlemma m : P := by sorry\n"
+        project.write("A.lean", text)
+        _, diags = verifier.verify_file(project, "A.lean")
+        real = Path.write_bytes
+        writes = []
+
+        def counting(path, data):
+            writes.append(data)
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", counting)
+        for line in (1, 2):  # k = 2 accepted attempts: one sync write each
+            scope = Scope.of(SourceRange(line, 18, line, 23))
+            patch = PatchProposal(file="A.lean", scope=scope, replacement="exact w")
+            outcome = try_patch(2, project, "A.lean", whole_file_scope(text), patch, diags, verifier)
+            assert outcome.accepted
+            diags = outcome.diagnostics_after
+        assert len(writes) == 2
+        project.commit()
+        assert len(writes) == 3 and writes[-1] == project.read_bytes("A.lean")
+
+        writes.clear()  # a rejected attempt: its sync write, then the restore write
+        scope = Scope.of(SourceRange(0, 13, 0, 18))
+        patch = PatchProposal(file="A.lean", scope=scope, replacement="ghost")
+        assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
+        assert len(writes) == 2 and writes[-1] == project.read_bytes("A.lean")
 
 
 class TestExpandScope:

@@ -1,10 +1,12 @@
-"""Project's write-through content cache, its staged candidates, and the
+"""Project's write-through content cache, its staged edits, and the
 kept-open stream handles.
 
-The cache is checked against a cold ``Project`` on the same root and
-against the disk itself after every operation of random sequences, kernel
-attempts included, so no staged candidate outlives its attempt; the I/O
-savings are checked as counts of ``open`` calls, never as timings.
+Over random sequences of operations, kernel attempts, commits and
+discards included, the committed bytes the project knows are checked
+against the disk after every operation, and everything it answers is
+checked against a cold ``Project`` on the same root and against the disk
+whenever nothing is staged; the I/O savings are checked as counts of
+``open`` calls, never as timings.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ OPS = (
     "write",
     "write_bytes",
     "delete",
-    "ensure",
+    "commit",
+    "discard",
+    "sync",
     "read",
     "read_bytes",
     "exists",
@@ -125,8 +129,8 @@ def apply(project: Project, op: str, file_id: str, content: str, raw: bytes) -> 
         project.write_bytes(file_id, raw)
     elif op == "delete":
         project.delete(file_id)
-    elif op == "ensure":
-        project.ensure(file_id)
+    elif op in ("commit", "discard", "sync"):
+        getattr(project, op)()
     elif op == "files":
         project.files()
     elif op == "exists":
@@ -142,11 +146,20 @@ def apply(project: Project, op: str, file_id: str, content: str, raw: bytes) -> 
 
 def check_sequence(root: Path, steps) -> None:
     project = Project(root)
+    synced = False  # a sync put staged edits on disk that a commit or discard has not settled
     for step in steps:
         apply(project, *step)
-        cached = observe(project)
-        assert cached == observe(Project(root)), step
-        assert cached == disk(root), step
+        synced = step[0] == "sync" or synced and step[0] not in ("commit", "discard")
+        if synced:
+            continue
+        on_disk = {f: (root / f).read_bytes() if (root / f).is_file() else None for f in FILES}
+        assert {f: project.committed_bytes(f) for f in FILES} == on_disk, step
+        if all(project.staged(f) is None for f in FILES):
+            cached = observe(project)
+            assert cached == observe(Project(root)), step
+            assert cached == disk(root), step
+    project.commit()
+    assert observe(project) == observe(Project(root)) == disk(root)
 
 
 class TestProjectCache:
@@ -211,22 +224,78 @@ class TestStagedCandidates:
         assert project.exists("new/N.lean")
         assert project.read("new/N.lean") == "staged\n"
         assert project.read_bytes("new/N.lean") == b"staged\r\n"
+        assert project.staged("new/N.lean") == "staged\r\n"
         assert not (tmp_path / "new").exists() and project.files() == []
-        assert project.discard("new/N.lean") and not project.discard("new/N.lean")
-        assert not project.exists("new/N.lean")
+        project.discard()
+        assert not project.exists("new/N.lean") and project.staged("new/N.lean") is None
 
         project.stage("new/N.lean", "staged\n")
-        project.sync()
+        project.sync()  # on disk for a tool that reads it, still staged, not committed
         assert (tmp_path / "new" / "N.lean").read_bytes() == b"staged\n"
         assert project.files() == ["new/N.lean"]
-        assert not project.discard("new/N.lean")  # synced: nothing left to drop
+        assert project.committed_bytes("new/N.lean") is None
+        assert project.staged("new/N.lean") == "staged\n"
+        project.discard()  # puts the committed state, absent, back on disk
+        assert not (tmp_path / "new" / "N.lean").exists() and not project.exists("new/N.lean")
 
         project.stage("new/N.lean", "again\n")
-        project.write("new/N.lean", "written\n")
-        assert not project.discard("new/N.lean")  # a write drops the candidate
+        project.write("new/N.lean", "written\n")  # a write drops the staged edit
+        assert project.staged("new/N.lean") is None
         project.stage("new/N.lean", "again\n")
         project.delete("new/N.lean")
         assert not project.exists("new/N.lean")
+
+    def test_commit_writes_in_staging_order_and_discard_writes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        project = Project(tmp_path)
+        project.write("S.lean", "original\n")
+        real = Path.write_bytes
+        written = []
+
+        def recording(path, data):
+            written.append(path.relative_to(tmp_path).as_posix())
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", recording)
+        project.stage("S_part1.lean", "one\n")
+        project.stage("S_part2.lean", "two\n")
+        project.stage("S.lean", "import S_part1\nimport S_part2\n")
+        project.stage("S_part1.lean", "one, patched\n")  # keeps its place
+        project.discard("S_part2.lean")
+        project.stage("S_part2.lean", "two\n")  # staged again: now after the aggregate
+        assert written == []
+        project.commit()
+        assert written == ["S_part1.lean", "S.lean", "S_part2.lean"]
+        assert project.staged("S.lean") is None
+        assert (tmp_path / "S_part1.lean").read_text() == "one, patched\n"
+
+        written.clear()
+        project.stage("S.lean", "edit\n")
+        project.discard()
+        assert written == [] and project.read("S.lean") == "import S_part1\nimport S_part2\n"
+
+        project.stage("S.lean", "edit\n")
+        project.sync()
+        project.discard()  # the sync wrote the edit, so the committed bytes go back
+        assert written == ["S.lean", "S.lean"]
+        assert (tmp_path / "S.lean").read_text() == "import S_part1\nimport S_part2\n"
+
+    def test_sync_writes_only_edits_the_disk_does_not_hold(self, tmp_path, monkeypatch):
+        project = Project(tmp_path)
+        real = Path.write_bytes
+        written = []
+        monkeypatch.setattr(Path, "write_bytes", lambda p, d: (written.append(p.name), real(p, d)))
+        project.stage("A_part1.lean", "one\n")
+        project.stage("A.lean", "import A_part1\n")
+        project.sync()
+        project.sync()  # nothing changed since the last sync
+        project.stage("A_part1.lean", "one, patched\n")
+        project.sync()
+        assert written == ["A_part1.lean", "A.lean", "A_part1.lean"]
+        project.discard("A_part1.lean")  # never committed: the sync is undone
+        assert not (tmp_path / "A_part1.lean").exists()
+        assert (tmp_path / "A.lean").read_text() == "import A_part1\n"
 
     def test_a_project_command_sees_staged_candidates(self, tmp_path):
         project = Project(tmp_path / "p")

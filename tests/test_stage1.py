@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from autoform.corpus import DatasetRecord, SectionContext
@@ -14,7 +16,7 @@ from autoform.stage1 import (
     run_stage1,
     target_file,
 )
-from autoform.verifier import SimulatedVerifier, Verifier
+from autoform.verifier import Project, SimulatedVerifier, Verifier
 
 from helpers import EventSink
 
@@ -268,3 +270,79 @@ class TestRunStage1:
         assert [r.index for r in rest] == list(range(3, 25))
         ok, _ = verifier.verify_project(project)
         assert ok
+
+
+class TestItemCommit:
+    """The project is each item's working copy: a compiled item writes each
+    file it changed once, and a failed or crashing item writes nothing."""
+
+    def record_writes(self, monkeypatch):
+        real = Path.write_bytes
+        writes = []
+
+        def recording(path, data):
+            writes.append(path.name)
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", recording)
+        return writes
+
+    def test_each_compiled_item_writes_once_and_a_failed_one_never(
+        self, project, toy_records, monkeypatch
+    ):
+        toy, adversarial = toy_handlers(), adversarial_handlers()
+
+        def selective_gen(request):
+            index = request.payload["record"]["index"]
+            return (adversarial if index == 3 else toy)["gen_skeleton"](request)
+
+        def selective_repair(request):
+            failing = "broken3" in request.payload["file_text"]
+            return (adversarial if failing else toy)["repair_patch"](request)
+
+        handlers = dict(toy, gen_skeleton=selective_gen, repair_patch=selective_repair)
+        verifier, operators, config, _ = build_world(project, handlers)
+        writes = self.record_writes(monkeypatch)
+        _, results = run_stage1(toy_records, project, config, operators, verifier)
+        by_index = {r.index: r for r in results}
+        assert by_index[3].status == "restored_failed" and by_index[3].b_attempts > 0
+        assert by_index[2].b_attempts == 1  # an accepted repair adds no write
+        compiled = [r for r in results if r.compiled]
+        assert len(writes) == len(compiled) == len(results) - 1
+        assert sorted(writes) == sorted(Path(r.file).name for r in compiled)
+
+    def test_an_item_that_raises_writes_nothing(self, project, toy_records, monkeypatch):
+        class Crash(BaseException):
+            pass
+
+        def crashing_repair(request):
+            raise Crash("operator killed")
+
+        handlers = dict(toy_handlers(), repair_patch=crashing_repair)
+        verifier, operators, config, _ = build_world(project, handlers)
+        writes = self.record_writes(monkeypatch)
+        with pytest.raises(Crash):
+            run_stage1(toy_records[:2], project, config, operators, verifier)
+        assert writes == ["section01.lean"]  # item 1 only; tricky item 2 crashed
+        assert "[2]" not in project.read("Chapters/Chap01/section01.lean")
+
+
+class TestReentry:
+    def test_a_committed_declaration_is_checked_not_inserted_again(self, project, toy_records):
+        verifier, operators, config, _ = build_world(project, toy_handlers())
+        run_stage1(toy_records[:2], project, config, operators, verifier)
+        file_id = target_file(toy_records[1])
+        before = project.path(file_id).read_bytes()
+
+        # a crash came after item 2's commit but before its item_end line,
+        # so a resumed run starts at item 2 again
+        resumed = Project(project.root)
+        verifier, operators, config, sink = build_world(resumed, toy_handlers())
+        provenance, results = run_stage1(
+            toy_records[:2], resumed, config, operators, verifier, start_index=2
+        )
+        assert [(r.index, r.status, r.verifier_calls) for r in results] == [(2, "compiled", 1)]
+        assert operators.invocations == 0  # no skeleton was asked for
+        assert sink.count("lean_check") == 1
+        assert resumed.path(file_id).read_bytes() == before
+        assert provenance.names() == ["c1s1AlphaSpec"]

@@ -19,7 +19,7 @@ from autoform.stage2 import (
     select_error,
     split_if_large_and_resolve,
 )
-from autoform.verifier import SimulatedVerifier, Verifier
+from autoform.verifier import Project, SimulatedVerifier, Verifier
 
 from helpers import EventSink
 from oracles import oracle_signatures
@@ -147,6 +147,9 @@ class TestSplit:
         ]
         task = ProofTask(index=40, label="Lemma 9.40")
         resolved = split_if_large_and_resolve(project, file_id, task, threshold=40)
+        assert not [f for f in project.files() if "_part" in f]  # staged, not yet written
+        assert (project.root / file_id).read_text() == original
+        project.commit()
         parts = sorted(f for f in project.files() if "_part" in f)
         assert len(parts) >= 3
         assert resolved in parts
@@ -177,6 +180,7 @@ class TestSplit:
         resolved = split_if_large_and_resolve(
             project, file_id, ProofTask(index=69, label="Lemma 9.69"), threshold=9
         )
+        project.commit()
         parts = [f for f in project.files() if "_part" in f]
         assert len(parts) >= 23
         verifier = make_verifier()
@@ -190,6 +194,64 @@ class TestSplit:
         out = split_if_large_and_resolve(project, file_id, None, threshold=5)
         assert out == file_id
         assert not [f for f in project.files() if "section02_part" in f]
+
+
+class TestItemCommit:
+    def test_a_split_that_raises_leaves_nothing_staged(
+        self, project, toy_records, instrumentation, monkeypatch
+    ):
+        compiled_project(project, toy_records)
+        record, task = build_proof_tasks(toy_records)[0]
+        file_id = target_file(record)
+        real = Project.stage
+
+        def failing_stage(self, staged_id, text):
+            if staged_id.endswith("_part2.lean"):
+                raise OSError("no space for part 2")
+            return real(self, staged_id, text)
+
+        monkeypatch.setattr(Project, "stage", failing_stage)
+        config = Stage2Config(split_threshold=10)
+        operators = OperatorSet(toy_handlers())
+        verifier = make_verifier()
+        result = run_stage2_item(
+            project, file_id, task, config, operators, verifier, instrumentation
+        )
+        assert result.status == "solved" and result.file == file_id  # solved unsplit
+        events = read_events(instrumentation.metrics.path)
+        warnings = [e["data"]["reason"] for e in events if e["event"] == "warning"]
+        assert warnings == ["split failed: no space for part 2"]
+        assert project.staged(file_id.replace(".lean", "_part1.lean")) is None
+        assert not [f for f in project.files() if "_part" in f]
+
+    def test_the_items_edits_land_in_one_commit_before_its_item_end(
+        self, project, toy_records, instrumentation, monkeypatch
+    ):
+        compiled_project(project, toy_records)
+        record, task = build_proof_tasks(toy_records)[0]
+        file_id = target_file(record)
+        before = project.path(file_id).read_bytes()
+        log = []
+        real_emit, real_commit = instrumentation.metrics.emit, project.commit
+
+        def emit(event, data):
+            log.append(event)
+            return real_emit(event, data)
+
+        def commit():
+            log.append(("commit", project.path(file_id).read_bytes()))
+            real_commit()
+
+        monkeypatch.setattr(instrumentation.metrics, "emit", emit)
+        monkeypatch.setattr(project, "commit", commit)
+        verifier = Verifier(SimulatedVerifier(), metrics=instrumentation.metrics)
+        operators = OperatorSet(toy_handlers(), instrumentation)
+        result = run_stage2_item(
+            project, file_id, task, Stage2Config(), operators, verifier, instrumentation
+        )
+        assert result.status == "solved" and verifier.calls == 2
+        assert log[-2:] == [("commit", before), "item_end"]  # the accept was only staged
+        assert project.path(file_id).read_bytes() == project.read_bytes(file_id) != before
 
 
 class TestMissingSectionFile:

@@ -1,7 +1,8 @@
-"""Guard on where staged candidates are made and flushed: in ``src/autoform``
-only ``kernel.py`` calls ``.stage(`` (``try_patch``) and only ``verifier.py``
-calls ``.sync(`` (the adapter whose tool reads the disk), so a staged
-candidate lives only inside one kernel attempt."""
+"""Guard on where staged edits are made, committed and flushed: in
+``src/autoform`` only the kernel and the two stages call ``.stage(``, only
+the stages and the ``split`` command call ``.commit(``, so an edit lands
+once per item, and only ``verifier.py`` calls ``.sync(`` (the adapter whose
+tool reads the disk)."""
 
 from __future__ import annotations
 
@@ -13,7 +14,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "autoform"
 
-CALLERS = {"stage": {"kernel.py"}, "sync": {"verifier.py"}}
+CALLERS = {
+    "stage": {"kernel.py", "stage1.py", "stage2.py"},
+    "commit": {"stage1.py", "stage2.py", "cli.py"},
+    "sync": {"verifier.py"},
+}
 
 
 def files_calling(method: str) -> set[str]:
