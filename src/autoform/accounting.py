@@ -27,6 +27,8 @@ class UnknownSchemaError(ValueError):
 
 KNOWN_SCHEMAS = (1, 2)
 
+DEFAULT_ALPHAS = (0.05, 0.10, 0.25)
+
 
 def runs_in(events: list[dict]) -> dict[str, dict]:
     """run_id -> run_start payload for every run present in the stream."""
@@ -219,7 +221,7 @@ def _targets_solved(events: list[dict]) -> tuple[int, int]:
 def build_report(
     events: list[dict],
     run_ids: set[str] | None = None,
-    alphas: tuple[float, ...] = (0.05, 0.10, 0.25),
+    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
 ) -> AccountingReport:
     chosen = select_events(events, run_ids)
     v = count_verifier_calls(events, run_ids)

@@ -27,7 +27,7 @@ from .instrumentation import (
     token_backfill,
 )
 from .pipeline import RunConfig, run_proof_stage, run_statement_stage
-from .stage2 import split_if_large_and_resolve
+from .stage2 import DEFAULT_SPLIT_THRESHOLD, split_if_large_and_resolve
 from .verifier import Project, VerifierLaunchError
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def _load_all_events(paths: list[str]) -> list[dict]:
 def cmd_account(args: argparse.Namespace) -> int:
     events = _load_all_events(args.metrics)
     run_ids = set(args.run_id) if args.run_id else None
-    alphas = tuple(args.alpha) if args.alpha else (0.05, 0.10, 0.25)
+    alphas = tuple(args.alpha) if args.alpha else accounting.DEFAULT_ALPHAS
     report = accounting.build_report(events, run_ids, alphas)
     if args.json:
         print(json.dumps(report.as_dict(), indent=2))
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="split an oversized file at declaration boundaries")
     p.add_argument("--project", required=True)
     p.add_argument("--file", required=True)
-    p.add_argument("--threshold", type=int, default=1200)
+    p.add_argument("--threshold", type=int, default=DEFAULT_SPLIT_THRESHOLD)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("backfill", help="aggregate token totals from per-call logs")

@@ -242,10 +242,7 @@ class TokenBackfillEvent:
         return data
 
 
-def token_backfill(
-    log_directory: str | Path,
-    metrics: MetricsWriter | None = None,
-) -> list[TokenBackfillEvent]:
+def token_backfill(log_directory: str | Path, metrics: MetricsWriter) -> list[TokenBackfillEvent]:
     """Aggregate per-task token totals from per-call logs.
 
     Logs whose names do not follow the per-call naming pattern, or that
@@ -256,14 +253,12 @@ def token_backfill(
     for path in sorted(log_directory.glob("*.log")):
         m = LOG_NAME_RE.match(path.name)
         if not m:
-            if metrics is not None:
-                metrics.emit("warning", {"reason": "unrecognized log name", "log": path.name})
+            metrics.emit("warning", {"reason": "unrecognized log name", "log": path.name})
             continue
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
-            if metrics is not None:
-                metrics.emit("warning", {"reason": f"unreadable log: {exc}", "log": path.name})
+            metrics.emit("warning", {"reason": f"unreadable log: {exc}", "log": path.name})
             continue
         tokens = parse_token_footer(text)
         key = (m.group("pipeline"), m.group("task"))
@@ -283,8 +278,7 @@ def token_backfill(
             log_file_count=entry["count"],
         )
         events.append(ev)
-        if metrics is not None:
-            metrics.emit("task_tokens", ev.as_data())
+        metrics.emit("task_tokens", ev.as_data())
     return events
 
 
@@ -293,9 +287,9 @@ class RunInstrumentation:
     """Bundle of the per-run sinks handed to pipeline stages."""
 
     metrics: MetricsWriter
-    history: HistoryStore | None = None
-    checkpoint_path: Path | None = None
-    log_dir: Path | None = None
+    history: HistoryStore
+    checkpoint_path: Path
+    log_dir: Path
 
     @property
     def run_id(self) -> str:
@@ -317,8 +311,6 @@ class RunInstrumentation:
         """One history line for an operator ``response``: this run's id, the
         response's transcript as the log path and its token count in the
         payload are filled in."""
-        if self.history is None:
-            return
         payload["tokens_used"] = response.tokens_used or 0
         self.history.append(
             HistoryRecord(
@@ -334,16 +326,14 @@ class RunInstrumentation:
         )
 
     def advance_cursor(self, key: str, cursor: int) -> None:
-        if self.checkpoint_path is not None:
-            write_checkpoint(self.checkpoint_path, Checkpoint(key=key, cursor=cursor))
+        write_checkpoint(self.checkpoint_path, Checkpoint(key=key, cursor=cursor))
 
     def close(self) -> None:
         """Close the stream handles; the owner of the run segment calls this."""
         try:
             self.metrics.close()
         finally:
-            if self.history is not None:
-                self.history.close()
+            self.history.close()
 
     def __enter__(self) -> "RunInstrumentation":
         return self

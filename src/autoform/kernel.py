@@ -1,5 +1,5 @@
 """The refinement primitive: objectives, priority order, and the
-snapshot -> stage -> verify -> keep/restore patch executor.
+snapshot -> stage -> verify -> keep/restore patch executor, inside an item.
 
 A patch is a whole-region text replacement for one contiguous range. The
 patched text is staged in the ``Project``, the item's working copy, and
@@ -11,11 +11,15 @@ disk syncs the staged text to it first; the restore then writes the
 committed bytes back. Primary metric is always the file error count; the
 secondary is the localized error count (stage 1) or the file hole count
 (stage 2), so a patch that increases compilation errors is never accepted.
+``run_item`` makes a dataset item one transaction of the ``Project``, and
+``run_items`` runs a stage's items in order behind the checkpoint cursor.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import simlang
 from .diagnostics import (
@@ -26,6 +30,7 @@ from .diagnostics import (
     err_count,
     localize,
 )
+from .instrumentation import RunInstrumentation
 from .verifier import Project, Verifier
 
 DEFAULT_MAX_SCOPE_EXPANSIONS = 3
@@ -160,6 +165,48 @@ def try_patch(
         return AttemptOutcome(True, before, after, diags_after)
     snap.restore(project)
     return AttemptOutcome(False, before, after, diagnostics_before)
+
+
+def run_item(project: Project, instrumentation: RunInstrumentation, start: dict, work: Callable):
+    """One dataset item as one transaction: the ``item_start`` line with
+    ``start``, then ``work()``, the stage's work, which returns the item's
+    result and leaves its edits staged. They are committed once, before the
+    ``item_end`` line with the result's ``end_fields()`` and ``seconds``; if
+    anything raises, they are discarded and no ``item_end`` line follows."""
+    started = time.monotonic()
+    instrumentation.emit("item_start", start)
+    try:
+        result = work()
+        project.commit()
+    except BaseException:
+        # a crash inside the item leaves the project as the item found it
+        project.discard()
+        raise
+    instrumentation.emit(
+        "item_end", {**result.end_fields(), "seconds": round(time.monotonic() - started, 6)}
+    )
+    return result
+
+
+def run_items(
+    instrumentation: RunInstrumentation,
+    items: Iterable[tuple[int, object]],
+    run_one: Callable,
+    start_index: int | None,
+    max_items: int | None,
+) -> list:
+    """``run_one`` on each ``(index, item)`` in order, skipping indices below
+    ``start_index`` and stopping after ``max_items`` results; the checkpoint
+    cursor moves past each item once ``run_one`` returns."""
+    results = []
+    for index, item in items:
+        if start_index is not None and index < start_index:
+            continue
+        if max_items is not None and len(results) >= max_items:
+            break
+        results.append(run_one(item))
+        instrumentation.advance_cursor("next_index", index + 1)
+    return results
 
 
 def _line_distance(r: SourceRange, scope: Scope) -> int:

@@ -220,11 +220,7 @@ class OperatorSet:
     accounting are counts of these events.
     """
 
-    def __init__(
-        self,
-        handlers: dict[str, Handler],
-        instrumentation: RunInstrumentation | None = None,
-    ):
+    def __init__(self, handlers: dict[str, Handler], instrumentation: RunInstrumentation):
         unknown = set(handlers) - set(OPERATOR_KINDS)
         if unknown:
             raise OperatorConfigError(f"unknown operator kinds: {sorted(unknown)}")
@@ -244,21 +240,20 @@ class OperatorSet:
         self.invocations += 1
         if response.tokens_used:
             self.tokens_used += response.tokens_used
-        if self.instrumentation is not None:
-            data = {
-                "kind": request.kind,
-                "agent": AGENT_ROLES[request.kind],
-                "ok": response.ok,
-                "task_id": str(request.payload.get("task_id", "")),
-            }
-            if response.tokens_used is not None:
-                data["tokens_used"] = response.tokens_used
-            if response.transcript_ref:
-                data["log_path"] = response.transcript_ref
-            if response.error:
-                data["error"] = response.error
-            snap = _file_snapshot(request.payload)
-            if snap is not None and response.transcript_ref:
-                data["file_snapshot"] = snap
-            self.instrumentation.emit("oracle_result", data)
+        data = {
+            "kind": request.kind,
+            "agent": AGENT_ROLES[request.kind],
+            "ok": response.ok,
+            "task_id": str(request.payload.get("task_id", "")),
+        }
+        if response.tokens_used is not None:
+            data["tokens_used"] = response.tokens_used
+        if response.transcript_ref:
+            data["log_path"] = response.transcript_ref
+        if response.error:
+            data["error"] = response.error
+        snap = _file_snapshot(request.payload)
+        if snap is not None and response.transcript_ref:
+            data["file_snapshot"] = snap
+        self.instrumentation.emit("oracle_result", data)
         return response

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from . import scripted
+from . import accounting, scripted, simlang, stage1, stage2
 from .corpus import (
     DEFAULT_PROOF_TARGET_ENVS,
     DatasetRecord,
@@ -52,13 +52,13 @@ class RunConfig:
     adapter: str = "simulated"
     toolchain_id: str = "sim-verifier-1"
     dependency_revision: str = "builtin-prelude-1"
-    budget_k: int = 3
-    budget_t: int = 219
-    budget_r: int = 10
-    budget_c: int = 21
-    split_threshold: int = 1200
-    header_bound: int = 64
-    alphas: tuple[float, ...] = (0.05, 0.10, 0.25)
+    budget_k: int = stage1.DEFAULT_K
+    budget_t: int = stage2.DEFAULT_T
+    budget_r: int = stage2.DEFAULT_R
+    budget_c: int = stage2.DEFAULT_C
+    split_threshold: int = stage2.DEFAULT_SPLIT_THRESHOLD
+    header_bound: int = simlang.DEFAULT_HEADER_BOUND
+    alphas: tuple[float, ...] = accounting.DEFAULT_ALPHAS
     operators: str = "toy"  # toy | adversarial | bridge
     operator_command: list[str] = field(default_factory=list)
     verify_command: list[str] = field(default_factory=list)
@@ -113,7 +113,6 @@ def make_adapter(config: RunConfig):
         return ExternalVerifier(
             command=config.verify_command,
             project_command=config.project_command or None,
-            header_bound=config.header_bound,
         )
     raise ValueError(f"unknown adapter {config.adapter!r}")
 
@@ -130,7 +129,7 @@ def make_operators(
             raise ValueError("bridge operators require operator_command")
         bridge = ExternalBridge(
             command=config.operator_command,
-            log_dir=instrumentation.log_dir or (config.runs_path() / "calls"),
+            log_dir=instrumentation.log_dir,
             pipeline=pipeline,
             timeout=config.operator_timeout,
         )
@@ -179,9 +178,7 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
                 "config": config.as_dict(),
             }
         )
-        verifier = Verifier(
-            make_adapter(config), metrics=instr.metrics, header_bound=config.header_bound
-        )
+        verifier = Verifier(make_adapter(config), instr.metrics, config.header_bound)
         operators = make_operators(config, instr, pipeline)
         started = time.monotonic()
         results, stage_fields = drive(project, verifier, operators, instr, start_index)

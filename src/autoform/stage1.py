@@ -5,17 +5,18 @@ Items are processed in strictly increasing index order. Per item: stage
 the skeleton proposed by the skeleton operator, set the scope to the
 inserted declaration plus the file header, verify once, then run up to K
 localize/repair rounds through the patch executor, expanding the scope
-when localization comes up empty. The item commits once if no errors
-remain and discards otherwise or on a raise, so later items are
-unaffected; a declaration already committed by an interrupted run is
-checked again, not inserted again.
+when localization comes up empty. Each item is one ``kernel.run_item``
+transaction: it commits once if no errors remain and is discarded
+otherwise or on a raise, so later items are unaffected; its provenance is
+recorded after the commit. A declaration already committed by an
+interrupted run is checked again, not inserted again.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from . import simlang
@@ -26,6 +27,8 @@ from .kernel import (
     DEFAULT_MAX_SCOPE_EXPANSIONS,
     PatchOutOfScopeError,
     expand_scope,
+    run_item,
+    run_items,
     try_patch,
 )
 from .operators import OperatorRequest, OperatorSet
@@ -76,7 +79,7 @@ class Stage1Config:
 class Stage1ItemResult:
     index: int
     label: str
-    status: str  # compiled | restored_failed | skipped
+    status: str  # compiled | restored_failed
     b_attempts: int = 0
     verifier_calls: int = 0
     file: str = ""
@@ -84,6 +87,16 @@ class Stage1ItemResult:
     @property
     def compiled(self) -> bool:
         return self.status == "compiled"
+
+    def end_fields(self) -> dict:
+        return {
+            "index": self.index,
+            "label": self.label,
+            "status": self.status,
+            "b_attempts": self.b_attempts,
+            "verifier_calls": self.verifier_calls,
+            "lean_file": self.file,
+        }
 
 
 class ProvenanceMap:
@@ -203,23 +216,33 @@ def run_stage1(
     config: Stage1Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation | None = None,
+    instrumentation: RunInstrumentation,
     provenance: ProvenanceMap | None = None,
     start_index: int | None = None,
     max_items: int | None = None,
 ) -> tuple[ProvenanceMap, list[Stage1ItemResult]]:
     """Compile ordered statement items into the project (Stage 1)."""
     provenance = provenance if provenance is not None else ProvenanceMap()
-    results: list[Stage1ItemResult] = []
-    for record in records:
-        if start_index is not None and record.index < start_index:
-            continue
-        if max_items is not None and len(results) >= max_items:
-            break
-        result = _run_item(record, project, config, operators, verifier, instrumentation, provenance)
-        results.append(result)
-        if instrumentation is not None:
-            instrumentation.advance_cursor("next_index", record.index + 1)
+
+    def run_one(record: DatasetRecord) -> Stage1ItemResult:
+        file_id = target_file(record)
+        start = {
+            "index": record.index,
+            "label": record.label,
+            "chapter": record.context.chapter_number,
+            "section": record.context.section_number,
+            "lean_file": file_id,
+        }
+        work = partial(_run_item, record, project, config, operators, verifier, instrumentation)
+        result = run_item(project, instrumentation, start, work)
+        if result.compiled:
+            for decl in _item_units(project, file_id, record.index):
+                provenance.add(decl.name, record.index, (0, len(record.content)))
+        return result
+
+    results = run_items(
+        instrumentation, ((r.index, r) for r in records), run_one, start_index, max_items
+    )
     return provenance, results
 
 
@@ -229,116 +252,77 @@ def _run_item(
     config: Stage1Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation | None,
-    provenance: ProvenanceMap,
+    instrumentation: RunInstrumentation,
 ) -> Stage1ItemResult:
+    """Stage the record's declaration and repair its file; the edits stay
+    staged for the item's commit, or are discarded if errors remain."""
     file_id = target_file(record)
-    started = time.monotonic()
-    if instrumentation is not None:
-        instrumentation.emit(
-            "item_start",
-            {
-                "index": record.index,
-                "label": record.label,
-                "chapter": record.context.chapter_number,
-                "section": record.context.section_number,
-                "lean_file": file_id,
-            },
-        )
+    result = Stage1ItemResult(record.index, record.label, "compiled", file=file_id)
 
-    result = Stage1ItemResult(index=record.index, label=record.label, status="skipped", file=file_id)
+    committed = _item_units(project, file_id, record.index)
+    if committed:
+        # committed before a crash that came ahead of its item_end line:
+        # check it again, do not insert it again
+        decl_range = committed[-1].unit_range
+    else:
+        decl_range = insert_skeleton(record, project, file_id, operators)
 
-    try:
-        committed = _item_units(project, file_id, record.index)
-        if committed:
-            # committed before a crash that came ahead of its item_end line:
-            # check it again, do not insert it again
-            decl_range = committed[-1].unit_range
-        else:
-            decl_range = insert_skeleton(record, project, file_id, operators)
+    header = header_scope(project.read(file_id), verifier.header_bound)
+    scope = Scope.of(decl_range).union(header)
+    _, diags = verifier.verify_file(project, file_id)
+    result.verifier_calls += 1
 
-        header = header_scope(project.read(file_id), verifier.header_bound)
-        scope = Scope.of(decl_range).union(header)
-        _, diags = verifier.verify_file(project, file_id)
-        result.verifier_calls += 1
-
-        rounds = 0
-        expansions = 0
-        expansion_failed = False
-        while err_count(diags) > 0 and rounds < config.k:
-            local = localize(diags, scope)
-            if err_count(local) == 0:
-                # nothing actionable localizes (warnings alone cannot drive the
-                # stage objective): grow the scope toward the nearest error
-                if expansions >= DEFAULT_MAX_SCOPE_EXPANSIONS:
-                    expansion_failed = True
-                    break
-                header = header_scope(project.read(file_id), verifier.header_bound)
-                scope = expand_scope(scope, diags, header)
-                expansions += 1
-                rounds += 1
-                continue
-            text = project.read(file_id)
-            repair_req = OperatorRequest(
-                kind="repair_patch",
-                payload={
-                    "task_id": str(record.index),
-                    "index": record.index,
-                    "file": file_id,
-                    "file_text": text,
-                    "diagnostics": [d.as_dict() for d in local],
-                    "scope": scope,
-                    "target_range": _repair_target(text, local, decl_range),
-                },
-            )
-            repair = operators.invoke(repair_req)
+    rounds = 0
+    expansions = 0
+    while err_count(diags) > 0 and rounds < config.k:
+        local = localize(diags, scope)
+        if err_count(local) == 0:
+            # nothing actionable localizes (warnings alone cannot drive the
+            # stage objective): grow the scope toward the nearest error
+            if expansions >= DEFAULT_MAX_SCOPE_EXPANSIONS:
+                break
+            header = header_scope(project.read(file_id), verifier.header_bound)
+            scope = expand_scope(scope, diags, header)
+            expansions += 1
             rounds += 1
-            if instrumentation is not None:
-                instrumentation.append_history(
-                    "statement",
-                    file_id,
-                    str(record.index),
-                    "agent_b_repair",
-                    f"round={rounds} ok={repair.ok}",
-                    repair,
-                    round=rounds,
-                )
-            if not repair.ok or repair.patch is None:
-                continue
-            try:
-                outcome = try_patch(1, project, file_id, scope, repair.patch, diags, verifier)
-            except PatchOutOfScopeError:
-                continue
-            result.b_attempts += 1
-            result.verifier_calls += 1
-            diags = outcome.diagnostics_after
-
-        if err_count(diags) > 0 or expansion_failed:
-            project.discard()
-            result.status = "restored_failed"
-        else:
-            project.commit()
-            result.status = "compiled"
-            for decl in _item_units(project, file_id, record.index):
-                provenance.add(decl.name, record.index, (0, len(record.content)))
-    except BaseException:
-        # a crash inside the item leaves the project as the item found it
-        project.discard()
-        raise
-
-    if instrumentation is not None:
-        instrumentation.emit(
-            "item_end",
-            {
+            continue
+        text = project.read(file_id)
+        repair_req = OperatorRequest(
+            kind="repair_patch",
+            payload={
+                "task_id": str(record.index),
                 "index": record.index,
-                "label": record.label,
-                "status": result.status,
-                "b_attempts": result.b_attempts,
-                "verifier_calls": result.verifier_calls,
-                "lean_file": file_id,
-                "seconds": round(time.monotonic() - started, 6),
+                "file": file_id,
+                "file_text": text,
+                "diagnostics": [d.as_dict() for d in local],
+                "scope": scope,
+                "target_range": _repair_target(text, local, decl_range),
             },
         )
+        repair = operators.invoke(repair_req)
+        rounds += 1
+        instrumentation.append_history(
+            "statement",
+            file_id,
+            str(record.index),
+            "agent_b_repair",
+            f"round={rounds} ok={repair.ok}",
+            repair,
+            round=rounds,
+        )
+        if not repair.ok or repair.patch is None:
+            continue
+        try:
+            outcome = try_patch(1, project, file_id, scope, repair.patch, diags, verifier)
+        except PatchOutOfScopeError:
+            continue
+        result.b_attempts += 1
+        result.verifier_calls += 1
+        diags = outcome.diagnostics_after
+
+    if err_count(diags) > 0:
+        project.discard()
+        result.status = "restored_failed"
     return result
 
 

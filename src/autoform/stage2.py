@@ -6,32 +6,34 @@ hole's range plus the file header, and the kernel rejects anything that
 does not strictly improve (errors first, then hole count). The verifier
 call budget T caps everything an item does, including its initial check;
 executor proof-patch attempts are additionally capped at R * C. The item's
-split and accepted patches are staged in the ``Project`` and committed once,
-before its ``item_end`` line; an item that raises discards them.
+split and accepted patches are staged in the ``Project``; the item runs as
+one transaction of the kernel (``kernel.run_item``), which commits them
+once before its ``item_end`` line and discards them if the item raises.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from functools import partial
 
 from . import simlang
 from .corpus import DEFAULT_PROOF_TARGET_ENVS, DatasetRecord, LemmaMapEntry, is_proof_target
 from .diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count
 from .instrumentation import RunInstrumentation
-from .kernel import PatchOutOfScopeError, try_patch
+from .kernel import PatchOutOfScopeError, run_item, run_items, try_patch
 from .operators import OperatorRequest, OperatorSet
 from .stage1 import target_file
 from .verifier import Project, Verifier, header_scope
 
 DEFAULT_R = 10
 DEFAULT_C = 21
+DEFAULT_T = DEFAULT_R * DEFAULT_C + 9
 DEFAULT_SPLIT_THRESHOLD = 1200
 
 
 @dataclass
 class Stage2Config:
-    t: int = DEFAULT_R * DEFAULT_C + 9
+    t: int = DEFAULT_T
     r: int = DEFAULT_R
     c: int = DEFAULT_C
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD
@@ -97,6 +99,18 @@ class Stage2ItemResult:
     @property
     def closed(self) -> bool:
         return self.status in ("solved", "already_closed")
+
+    def end_fields(self) -> dict:
+        return {
+            "index": self.index,
+            "label": self.label,
+            "status": self.status,
+            "verifier_calls": self.verifier_calls,
+            "a_attempts": self.proof_attempts,
+            "b_attempts": self.fix_attempts,
+            "c_plans": self.plans,
+            "lean_file": self.file,
+        }
 
 
 def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
@@ -220,208 +234,169 @@ def run_stage2_item(
     config: Stage2Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation | None = None,
+    instrumentation: RunInstrumentation,
 ) -> Stage2ItemResult:
-    """Close one proof item's hole under the verifier-call budget, committing its edits once."""
-    started = time.monotonic()
+    """Close one proof item's hole under the verifier-call budget; its edits
+    stay staged for the item's commit. Every exit but the ``skipped``,
+    ``solved`` and ``already_closed`` ones leaves the status ``unsolved``."""
     result = Stage2ItemResult(index=task.index, label=task.label, file=file_id)
-    if instrumentation is not None:
-        nonempty = 0
-        if project.exists(file_id):
-            nonempty = sum(1 for ln in project.read(file_id).split("\n") if ln.strip())
-        instrumentation.emit(
-            "item_start",
-            {
-                "index": task.index,
-                "label": task.label,
-                "lean_file": file_id,
-                "nonempty_lines": nonempty,
-            },
+    try:
+        file_id = split_if_large_and_resolve(
+            project, file_id, task, config.split_threshold, instrumentation
         )
+        result.file = file_id
+    except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
+        project.discard()
+        instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
 
-    def finish(status: str) -> Stage2ItemResult:
-        project.commit()
-        result.status = status
-        if instrumentation is not None:
-            instrumentation.emit(
-                "item_end",
-                {
-                    "index": task.index,
-                    "label": task.label,
-                    "status": status,
-                    "verifier_calls": result.verifier_calls,
-                    "a_attempts": result.proof_attempts,
-                    "b_attempts": result.fix_attempts,
-                    "c_plans": result.plans,
-                    "lean_file": file_id,
-                    "seconds": round(time.monotonic() - started, 6),
-                },
-            )
+    if not project.exists(file_id):
+        # stage 1 left no file for this section: nothing to verify or patch
+        instrumentation.emit(
+            "warning",
+            {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
+        )
+        result.status = "skipped"
         return result
 
-    try:
-        try:
-            file_id = split_if_large_and_resolve(
-                project, file_id, task, config.split_threshold, instrumentation
+    _, diags = verifier.verify_file(project, file_id)
+    result.verifier_calls += 1
+
+    goal_payload = None
+    while result.verifier_calls < config.t:
+        if err_count(diags) > 0:
+            if result.fix_attempts >= config.t:
+                # a fixer that never yields an applicable patch consumes no
+                # verifier budget; bound its attempts so the item terminates
+                return result
+            diag = select_error(diags)
+            text = project.read(file_id)
+            scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
+            fix_req = OperatorRequest(
+                kind="fix_compile_error",
+                payload={
+                    "task_id": str(task.index),
+                    "file": file_id,
+                    "file_text": text,
+                    "diagnostic": diag.as_dict(),
+                    "target_range": diag.range,
+                },
             )
-            result.file = file_id
-        except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
-            project.discard()
-            if instrumentation is not None:
-                instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
+            response = operators.invoke(fix_req)
+            result.fix_attempts += 1
+            if response.ok and response.patch is not None:
+                try:
+                    outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
+                    result.verifier_calls += 1
+                    diags = outcome.diagnostics_after
+                except PatchOutOfScopeError:
+                    pass
+            continue
 
-        if not project.exists(file_id):
-            # stage 1 left no file for this section: nothing to verify or patch
-            if instrumentation is not None:
-                instrumentation.emit(
-                    "warning",
-                    {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
-                )
-            return finish("skipped")
+        try:
+            hole = locate_target_hole(project, file_id, task)
+        except AmbiguousTargetError as exc:
+            instrumentation.emit(
+                "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
+            )
+            result.status = "skipped"
+            return result
+        if hole is None:
+            result.status = "solved" if result.proof_attempts > 0 else "already_closed"
+            return result
+        if result.proof_attempts >= config.attempt_bound:
+            return result
 
-        _, diags = verifier.verify_file(project, file_id)
-        result.verifier_calls += 1
+        goal = None
+        if config.goal_query_enabled:
+            goal = verifier.goal_state(project, file_id, hole.range)
+        goal_payload = goal.as_dict() if goal is not None else None
 
-        goal_payload = None
-        while result.verifier_calls < config.t:
-            if err_count(diags) > 0:
-                if result.fix_attempts >= config.t:
-                    # a fixer that never yields an applicable patch consumes no
-                    # verifier budget; bound its attempts so the item terminates
-                    return finish("unsolved")
-                diag = select_error(diags)
-                text = project.read(file_id)
-                scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
-                fix_req = OperatorRequest(
-                    kind="fix_compile_error",
+        plan_req = OperatorRequest(
+            kind="plan",
+            payload={"task_id": str(task.index), "task": task.payload(), "goal_state": goal_payload},
+        )
+        plan_resp = operators.invoke(plan_req)
+        result.plans += 1
+        plan_text = plan_resp.text if plan_resp.ok else ""
+        instrumentation.append_history(
+            "proof",
+            file_id,
+            str(task.index),
+            "agent_c_plan",
+            f"plans={result.plans} ok={plan_resp.ok}",
+            plan_resp,
+            round=result.plans,
+            plan=plan_text or "",
+        )
+
+        for _ in range(config.c):
+            for _ in range(config.r):
+                propose_req = OperatorRequest(
+                    kind="propose_proof_patch",
                     payload={
                         "task_id": str(task.index),
                         "file": file_id,
-                        "file_text": text,
-                        "diagnostic": diag.as_dict(),
-                        "target_range": diag.range,
+                        "file_text": project.read(file_id),
+                        "hole": hole.range,
+                        "declaration": hole.declaration,
+                        "plan": plan_text,
+                        "task": task.payload(),
+                        "goal_state": goal_payload,
+                        "target_range": hole.range,
+                        "attempt": result.proof_attempts + 1,
                     },
                 )
-                response = operators.invoke(fix_req)
-                result.fix_attempts += 1
-                if response.ok and response.patch is not None:
+                proposal = operators.invoke(propose_req)
+                result.proof_attempts += 1
+                accepted = False
+                if proposal.ok and proposal.patch is not None:
+                    scope = _hole_scope(project, file_id, hole.range, verifier)
                     try:
-                        outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
+                        outcome = try_patch(
+                            2, project, file_id, scope, proposal.patch, diags, verifier
+                        )
                         result.verifier_calls += 1
                         diags = outcome.diagnostics_after
+                        accepted = outcome.accepted
                     except PatchOutOfScopeError:
                         pass
-                continue
-
-            try:
-                hole = locate_target_hole(project, file_id, task)
-            except AmbiguousTargetError as exc:
-                if instrumentation is not None:
-                    instrumentation.emit(
-                        "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
-                    )
-                return finish("skipped")
-            if hole is None:
-                closed = result.proof_attempts > 0
-                return finish("solved" if closed else "already_closed")
-            if result.proof_attempts >= config.attempt_bound:
-                return finish("unsolved")
-
-            goal = None
-            if config.goal_query_enabled:
-                goal = verifier.goal_state(project, file_id, hole.range)
-            goal_payload = goal.as_dict() if goal is not None else None
-
-            plan_req = OperatorRequest(
-                kind="plan",
-                payload={"task_id": str(task.index), "task": task.payload(), "goal_state": goal_payload},
-            )
-            plan_resp = operators.invoke(plan_req)
-            result.plans += 1
-            plan_text = plan_resp.text if plan_resp.ok else ""
-            if instrumentation is not None:
                 instrumentation.append_history(
                     "proof",
                     file_id,
                     str(task.index),
-                    "agent_c_plan",
-                    f"plans={result.plans} ok={plan_resp.ok}",
-                    plan_resp,
-                    round=result.plans,
-                    plan=plan_text or "",
+                    "agent_a_attempt",
+                    f"attempt={result.proof_attempts} accepted={accepted}",
+                    proposal,
+                    attempt=result.proof_attempts,
+                    accepted=accepted,
                 )
-
-            for _ in range(config.c):
-                for _ in range(config.r):
-                    propose_req = OperatorRequest(
-                        kind="propose_proof_patch",
-                        payload={
-                            "task_id": str(task.index),
-                            "file": file_id,
-                            "file_text": project.read(file_id),
-                            "hole": hole.range,
-                            "declaration": hole.declaration,
-                            "plan": plan_text,
-                            "task": task.payload(),
-                            "goal_state": goal_payload,
-                            "target_range": hole.range,
-                            "attempt": result.proof_attempts + 1,
-                        },
-                    )
-                    proposal = operators.invoke(propose_req)
-                    result.proof_attempts += 1
-                    accepted = False
-                    if proposal.ok and proposal.patch is not None:
-                        scope = _hole_scope(project, file_id, hole.range, verifier)
-                        try:
-                            outcome = try_patch(
-                                2, project, file_id, scope, proposal.patch, diags, verifier
-                            )
-                            result.verifier_calls += 1
-                            diags = outcome.diagnostics_after
-                            accepted = outcome.accepted
-                        except PatchOutOfScopeError:
-                            pass
-                    if instrumentation is not None:
-                        instrumentation.append_history(
-                            "proof",
-                            file_id,
-                            str(task.index),
-                            "agent_a_attempt",
-                            f"attempt={result.proof_attempts} accepted={accepted}",
-                            proposal,
-                            attempt=result.proof_attempts,
-                            accepted=accepted,
-                        )
-                    if accepted and locate_target_hole(project, file_id, task) is None:
-                        return finish("solved")
-                    if result.verifier_calls >= config.t:
-                        return finish("unsolved")
-                    if result.proof_attempts >= config.attempt_bound:
-                        return finish("unsolved")
-                    if err_count(diags) > 0:
-                        break
-                else:
-                    replan_req = OperatorRequest(
-                        kind="replan",
-                        payload={
-                            "task_id": str(task.index),
-                            "task": task.payload(),
-                            "plan": plan_text,
-                            "goal_state": goal_payload,
-                            "diagnostics": [d.as_dict() for d in diags],
-                        },
-                    )
-                    replan = operators.invoke(replan_req)
-                    result.plans += 1
-                    if replan.ok and replan.text:
-                        plan_text = replan.text
-                    continue
-                break  # compile errors surfaced: back to the outer loop's fixer
-        return finish("unsolved")
-    except BaseException:
-        project.discard()
-        raise
+                if accepted and locate_target_hole(project, file_id, task) is None:
+                    result.status = "solved"
+                    return result
+                if result.verifier_calls >= config.t:
+                    return result
+                if result.proof_attempts >= config.attempt_bound:
+                    return result
+                if err_count(diags) > 0:
+                    break
+            else:
+                replan_req = OperatorRequest(
+                    kind="replan",
+                    payload={
+                        "task_id": str(task.index),
+                        "task": task.payload(),
+                        "plan": plan_text,
+                        "goal_state": goal_payload,
+                        "diagnostics": [d.as_dict() for d in diags],
+                    },
+                )
+                replan = operators.invoke(replan_req)
+                result.plans += 1
+                if replan.ok and replan.text:
+                    plan_text = replan.text
+                continue
+            break  # compile errors surfaced: back to the outer loop's fixer
+    return result
 
 
 def build_proof_tasks(
@@ -446,22 +421,28 @@ def run_stage2(
     config: Stage2Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation | None = None,
+    instrumentation: RunInstrumentation,
     lemma_map: dict[str, LemmaMapEntry] | None = None,
     start_index: int | None = None,
     max_items: int | None = None,
     proof_target_envs=None,
 ) -> list[Stage2ItemResult]:
     """Process proof items in increasing index order (Stage 2)."""
-    results: list[Stage2ItemResult] = []
-    for record, task in build_proof_tasks(records, lemma_map, proof_target_envs):
-        if start_index is not None and record.index < start_index:
-            continue
-        if max_items is not None and len(results) >= max_items:
-            break
-        file_id = target_file(record)
-        result = run_stage2_item(project, file_id, task, config, operators, verifier, instrumentation)
-        results.append(result)
-        if instrumentation is not None:
-            instrumentation.advance_cursor("next_index", record.index + 1)
-    return results
+
+    def run_one(item: tuple[str, ProofTask]) -> Stage2ItemResult:
+        file_id, task = item
+        text = project.read(file_id) if project.exists(file_id) else ""
+        start = {
+            "index": task.index,
+            "label": task.label,
+            "lean_file": file_id,
+            "nonempty_lines": sum(1 for ln in text.split("\n") if ln.strip()),
+        }
+        work = partial(
+            run_stage2_item, project, file_id, task, config, operators, verifier, instrumentation
+        )
+        return run_item(project, instrumentation, start, work)
+
+    tasks = build_proof_tasks(records, lemma_map, proof_target_envs)
+    items = ((task.index, (target_file(record), task)) for record, task in tasks)
+    return run_items(instrumentation, items, run_one, start_index, max_items)

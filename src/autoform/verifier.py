@@ -23,6 +23,7 @@ from .diagnostics import (
     SourceRange,
     err_count,
 )
+from .instrumentation import MetricsWriter
 from .simlang import DEFAULT_HEADER_BOUND, DEFINITION_KINDS
 
 DEFAULT_BUILTINS = {"trivial": "True"}
@@ -82,7 +83,8 @@ class Project:
     *staged* in memory on top of the committed bytes, where ``read``,
     ``read_bytes`` and ``exists`` see them and the disk does not, until
     ``commit`` writes or ``discard`` drops them. ``sync`` writes them to disk
-    for a tool that reads it; ``discard`` then puts the committed bytes back.
+    for a tool that reads it; ``commit`` then writes no file twice, and
+    ``discard`` puts the committed bytes back.
     A write or delete of a file drops its staged edit. ``files`` lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
@@ -171,9 +173,14 @@ class Project:
 
     def commit(self) -> None:
         """Write every staged edit by the write path in staging order, so
-        the parts of a split land before the aggregate that imports them."""
+        the parts of a split land before the aggregate that imports them. An
+        edit whose bytes the last ``sync`` put on disk is not written again."""
         for file_id, entry in list(self._staged.items()):
-            self._store(file_id, *entry)
+            if self._synced.pop(file_id, (None, None))[1] == entry[0]:
+                del self._staged[file_id]
+                self._cache[file_id] = entry
+            else:
+                self._store(file_id, *entry)
 
     def discard(self, file_id: str | None = None) -> None:
         """Drop the file's staged edit, or every one. Where ``sync`` wrote
@@ -420,12 +427,10 @@ class ExternalVerifier:
         command: list[str],
         project_command: list[str] | None = None,
         timeout: float = 600.0,
-        header_bound: int = DEFAULT_HEADER_BOUND,
     ):
         self.command = list(command)
         self.project_command = list(project_command) if project_command else None
         self.timeout = timeout
-        self.header_bound = header_bound
 
     def _run(self, argv: list[str], cwd: Path) -> tuple[int, str]:
         try:
@@ -493,13 +498,9 @@ class Verifier:
     """
 
     adapter: object
-    metrics: object | None = None
+    metrics: MetricsWriter
     header_bound: int = DEFAULT_HEADER_BOUND
     calls: int = field(default=0, init=False)
-
-    def _emit(self, event: str, data: dict) -> None:
-        if self.metrics is not None:
-            self.metrics.emit(event, data)
 
     def verify_file(self, project: Project, file_id: str) -> tuple[bool, DiagnosticSet]:
         ok, diags = self.adapter.verify_file(project, file_id)
@@ -508,8 +509,8 @@ class Verifier:
         if project.exists(file_id):
             text = project.read(file_id)
             size = len(text.encode("utf-8"))
-            lines = simlang.analyse(text, self.header_bound).parsed.line_count
-        self._emit(
+            lines = text.count("\n") + 1
+        self.metrics.emit(
             "lean_check",
             {
                 "lean_file": file_id,
@@ -524,7 +525,7 @@ class Verifier:
 
     def verify_project(self, project: Project) -> tuple[bool, DiagnosticSet]:
         ok, diags = self.adapter.verify_project(project)
-        self._emit(
+        self.metrics.emit(
             "project_check",
             {"ok": ok, "errors": err_count(diags), "files": len(project.files())},
         )

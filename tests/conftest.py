@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from autoform.corpus import dump_dataset
-from autoform.instrumentation import MetricsWriter, RunInstrumentation
+from autoform.instrumentation import HistoryStore, MetricsWriter, RunInstrumentation
 from autoform.pipeline import RunConfig
 from autoform.toydata import build_toy_lemma_map, build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
@@ -52,7 +52,13 @@ def toy_config(tmp_path, toy_records):
 
 @pytest.fixture
 def instrumentation(tmp_path):
-    metrics = MetricsWriter(tmp_path / "runs" / "metrics_test.jsonl", "test_stage0_run")
+    runs = tmp_path / "runs"
+    metrics = MetricsWriter(runs / "metrics_test.jsonl", "test_stage0_run")
     metrics.run_start({"pipeline": "test"})
-    with RunInstrumentation(metrics=metrics) as instr:
+    with RunInstrumentation(
+        metrics=metrics,
+        history=HistoryStore(runs / "history_test.jsonl"),
+        checkpoint_path=runs / "checkpoint_test.json",
+        log_dir=runs / "calls",
+    ) as instr:
         yield instr

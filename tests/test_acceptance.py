@@ -21,7 +21,7 @@ from autoform.stage2 import Stage2Config, Stage2ItemResult, build_proof_tasks, r
 from autoform.toydata import build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
 
-from helpers import tree_hash
+from helpers import EventSink, tree_hash
 from oracles import oracle_count_holes, oracle_signatures
 
 
@@ -49,7 +49,7 @@ def randomized_attempts(project: Project, total_attempts: int, seed: int):
     """Yield (outcome, snapshot, stage) for randomized patches against the
     simulated verifier, mixing improving, worsening, neutral, and junk edits."""
     rng = random.Random(seed)
-    verifier = Verifier(SimulatedVerifier())
+    verifier = Verifier(SimulatedVerifier(), EventSink())
     produced = 0
     trial = 0
     while produced < total_attempts:
@@ -121,31 +121,31 @@ def test_rollback_fidelity(tmp_path):
 
 
 @criterion("budget bounds under adversarial operators")
-def test_budget_bounds(tmp_path):
+def test_budget_bounds(tmp_path, instrumentation):
     records = build_toy_records()
 
     # stage 1: per-item verifier calls <= 1 + K with K = 3
     project = Project(tmp_path / "s1")
-    verifier = Verifier(SimulatedVerifier())
-    operators = OperatorSet(adversarial_handlers(), None)
+    verifier = Verifier(SimulatedVerifier(), EventSink())
+    operators = OperatorSet(adversarial_handlers(), EventSink())
     config = Stage1Config(k=3)
-    _, results = run_stage1(records[:6], project, config, operators, verifier)
+    _, results = run_stage1(records[:6], project, config, operators, verifier, instrumentation)
     for r in results:
         assert r.verifier_calls <= 1 + config.k, r
         assert r.b_attempts <= config.k, r
 
     # stage 2: proof-patch attempts <= R*C with R=10, C=21; calls <= T
     project2 = Project(tmp_path / "s2")
-    good = OperatorSet(toy_handlers(), None)
-    ver2 = Verifier(SimulatedVerifier())
-    _, ok_results = run_stage1(records, project2, Stage1Config(), good, ver2)
+    good = OperatorSet(toy_handlers(), EventSink())
+    ver2 = Verifier(SimulatedVerifier(), EventSink())
+    _, ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, instrumentation)
     assert all(r.compiled for r in ok_results)
 
     s2cfg = Stage2Config(r=10, c=21)
-    adversarial = OperatorSet(adversarial_handlers(), None)
+    adversarial = OperatorSet(adversarial_handlers(), EventSink())
     record, task = build_proof_tasks(records)[0]
     result = run_stage2_item(
-        project2, target_file(record), task, s2cfg, adversarial, ver2
+        project2, target_file(record), task, s2cfg, adversarial, ver2, instrumentation
     )
     assert result.status == "unsolved"
     assert result.proof_attempts <= s2cfg.r * s2cfg.c
@@ -228,7 +228,7 @@ def test_token_backfill(tmp_path):
     (logs / "final_agent_c_task_0_L119_00002.log").write_text(
         "STDOUT:\n...\ntokens used\n31,661\nSTDERR:\n"
     )
-    events = token_backfill(logs)
+    events = token_backfill(logs, EventSink())
     assert len(events) == 1
     assert events[0].tokens_used_total == 65831
     assert events[0].tokens_used_by_agent == {"a": 34170, "c": 31661}
@@ -328,12 +328,12 @@ def test_resume_idempotence(tmp_path):
 
 
 @criterion("matched-statement guard (zero signature changes)")
-def test_matched_statement_guard(tmp_path):
+def test_matched_statement_guard(tmp_path, instrumentation):
     records = build_toy_records()
     project = Project(tmp_path / "project")
-    verifier = Verifier(SimulatedVerifier())
-    operators = OperatorSet(toy_handlers(), None)
-    _, results = run_stage1(records, project, Stage1Config(), operators, verifier)
+    verifier = Verifier(SimulatedVerifier(), EventSink())
+    operators = OperatorSet(toy_handlers(), EventSink())
+    _, results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
     assert all(r.compiled for r in results)
 
     changes = 0
@@ -341,7 +341,7 @@ def test_matched_statement_guard(tmp_path):
         file_id = target_file(record)
         before = oracle_signatures(project.read(file_id))
         result = run_stage2_item(
-            project, file_id, task, Stage2Config(), operators, verifier
+            project, file_id, task, Stage2Config(), operators, verifier, instrumentation
         )
         assert result.status == "solved"
         after = oracle_signatures(project.read(file_id))

@@ -11,7 +11,6 @@ from autoform.instrumentation import (
     HistoryRecord,
     HistoryStore,
     MetricsWriter,
-    RunInstrumentation,
     TRUNCATION_BOUND,
     TRUNCATION_MARK,
     new_run_id,
@@ -22,6 +21,8 @@ from autoform.instrumentation import (
     write_checkpoint,
     write_summary,
 )
+
+from helpers import EventSink
 
 
 class TestCheckpoint:
@@ -168,7 +169,7 @@ class TestTokenBackfill:
         logs.mkdir()
         (logs / "final_agent_a_task_0_L119_00001.log").write_text(agent_log("34,170"))
         (logs / "final_agent_c_task_0_L119_00002.log").write_text(agent_log("31,661"))
-        events = token_backfill(logs)
+        events = token_backfill(logs, EventSink())
         assert len(events) == 1
         ev = events[0]
         assert ev.stage == "final" and ev.task == "0_L119"
@@ -181,7 +182,7 @@ class TestTokenBackfill:
     def test_empty_directory(self, tmp_path):
         logs = tmp_path / "calls"
         logs.mkdir()
-        assert token_backfill(logs) == []
+        assert token_backfill(logs, EventSink()) == []
 
     def test_unrecognized_names_warned_and_skipped(self, tmp_path):
         logs = tmp_path / "calls"
@@ -205,7 +206,7 @@ class TestTokenBackfill:
         ]
         for i, name in enumerate(names):
             (logs / name).write_text(agent_log(str(1000 + i)))
-        events = {e.task: e for e in token_backfill(logs)}
+        events = {e.task: e for e in token_backfill(logs, EventSink())}
         direct = sum(
             parse_token_footer((logs / n).read_text()) for n in names if "_task_7_" in n
         )
@@ -227,15 +228,12 @@ class TestTokenBackfill:
         logs = tmp_path / "calls"
         logs.mkdir()
         (logs / "proof_agent_a_task_4_00001.log").write_text("STDOUT:\nno footer\nSTDERR:\n")
-        events = token_backfill(logs)
+        events = token_backfill(logs, EventSink())
         assert events[0].log_file_count == 1
         assert events[0].tokens_used_total == 0
 
 
 class TestRunInstrumentation:
-    def test_advance_cursor_writes_checkpoint(self, tmp_path):
-        with MetricsWriter(tmp_path / "m.jsonl", "r") as metrics:
-            metrics.run_start({})
-            instr = RunInstrumentation(metrics=metrics, checkpoint_path=tmp_path / "cp.json")
-            instr.advance_cursor("next_index", 12)
-            assert read_checkpoint(tmp_path / "cp.json").cursor == 12
+    def test_advance_cursor_writes_checkpoint(self, instrumentation):
+        instrumentation.advance_cursor("next_index", 12)
+        assert read_checkpoint(instrumentation.checkpoint_path).cursor == 12

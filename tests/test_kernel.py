@@ -105,7 +105,7 @@ class TestObjectives:
 
 
 def make_verifier(sink=None):
-    return Verifier(SimulatedVerifier(), metrics=sink)
+    return Verifier(SimulatedVerifier(), sink or EventSink())
 
 
 def whole_file_scope(text: str) -> Scope:
@@ -325,7 +325,8 @@ class TestVerifierFailure:
         project.write_bytes("A.lean", text.encode())
         before = (project.root / "A.lean").read_bytes()
         _, diags = make_verifier().verify_file(project, "A.lean")
-        broken = Verifier(ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"]))
+        adapter = ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"])
+        broken = Verifier(adapter, EventSink())
         scope = Scope.of(SourceRange.whole_lines(0, 0))
         patch = PatchProposal(file="A.lean", scope=scope, replacement="def a : T := sorry")
         for stage in (1, 2):
@@ -390,7 +391,7 @@ class TestStagedCandidates:
             project.write(file_id, text)
         before = text.encode() if text is not None else None
         spy = DiskSpy()
-        verifier = Verifier(spy)
+        verifier = Verifier(spy, EventSink())
         _, diags = verifier.verify_file(project, file_id)
         patch = PatchProposal(file=file_id, scope=Scope.of(rng), replacement=replacement)
         scope = whole_file_scope(text or "")
@@ -414,7 +415,7 @@ class TestStagedCandidates:
         tool.write_text(MARKER_CHECK)
         seen = tmp_path / "seen.bin"
         ext = ExternalVerifier([sys.executable, str(tool), "{file}", str(seen)])
-        verifier = Verifier(ext)
+        verifier = Verifier(ext, EventSink())
         text = HOLED
         project.write("A.lean", text)
         before = text.encode()
@@ -439,13 +440,14 @@ class TestStagedCandidates:
         assert project.read_bytes("A.lean") == candidate.encode()
         assert project.read("A.lean") == candidate
 
-    def test_external_tool_writes_each_accept_once_plus_one_commit(
+    def test_external_tool_writes_each_accept_once_and_the_commit_no_more(
         self, project, tmp_path, monkeypatch
     ):
         tool = tmp_path / "check.py"
         tool.write_text(MARKER_CHECK)
         seen = str(tmp_path / "seen.bin")
-        verifier = Verifier(ExternalVerifier([sys.executable, str(tool), "{file}", seen]))
+        adapter = ExternalVerifier([sys.executable, str(tool), "{file}", seen])
+        verifier = Verifier(adapter, EventSink())
         text = "def w : P := sorry\nlemma l : P := by sorry\nlemma m : P := by sorry\n"
         project.write("A.lean", text)
         _, diags = verifier.verify_file(project, "A.lean")
@@ -464,8 +466,9 @@ class TestStagedCandidates:
             assert outcome.accepted
             diags = outcome.diagnostics_after
         assert len(writes) == 2
-        project.commit()
-        assert len(writes) == 3 and writes[-1] == project.read_bytes("A.lean")
+        project.commit()  # the last sync already put the staged bytes on disk
+        assert len(writes) == 2 and writes[-1] == project.read_bytes("A.lean")
+        assert (project.root / "A.lean").read_bytes() == project.read_bytes("A.lean")
 
         writes.clear()  # a rejected attempt: its sync write, then the restore write
         scope = Scope.of(SourceRange(0, 13, 0, 18))

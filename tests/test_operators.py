@@ -7,12 +7,7 @@ from pathlib import Path
 import pytest
 
 from autoform.diagnostics import Scope, SourceRange
-from autoform.instrumentation import (
-    MetricsWriter,
-    RunInstrumentation,
-    parse_token_footer,
-    token_backfill,
-)
+from autoform.instrumentation import parse_token_footer, read_events, token_backfill
 from autoform.kernel import try_patch
 from autoform.operators import (
     AGENT_ROLES,
@@ -31,11 +26,7 @@ from autoform.stage1 import Stage1Config, run_stage1
 from autoform.stage2 import ProofTask, Stage2Config, run_stage2_item
 from autoform.verifier import SimulatedVerifier, Verifier
 
-
-def instrumented(tmp_path, name="ops"):
-    metrics = MetricsWriter(tmp_path / f"{name}.jsonl", "proof_stage2_test")
-    metrics.run_start({"pipeline": "proof"})
-    return RunInstrumentation(metrics=metrics, log_dir=tmp_path / "calls")
+from helpers import EventSink
 
 
 def proof_request(project_text="def w : P := sorry\nlemma l : P := by sorry\n"):
@@ -69,7 +60,7 @@ class TestScriptedOperators:
     def test_invoking_never_touches_the_project(self, project):
         project.write("A.lean", "def w : P := sorry\nlemma l : P := by sorry\n")
         before = project.read("A.lean")
-        ops = OperatorSet(toy_handlers(), None)
+        ops = OperatorSet(toy_handlers(), EventSink())
         ops.invoke(proof_request())
         assert project.read("A.lean") == before  # proposal only; no certification authority
 
@@ -83,22 +74,19 @@ def test_operator_registry_is_consistent():
 
 
 class TestOperatorSet:
-    def test_each_invoke_emits_exactly_one_oracle_result(self, tmp_path):
-        with instrumented(tmp_path) as instr:
-            ops = OperatorSet(toy_handlers(), instr)
-            ops.invoke(proof_request())
-            ops.invoke(proof_request())
-            from autoform.instrumentation import read_events
-
-            events = read_events(tmp_path / "ops.jsonl")
-            oracle = [e for e in events if e["event"] == "oracle_result"]
-            assert len(oracle) == 2
-            assert ops.invocations == 2
-            assert oracle[0]["data"]["agent"] == "a"
-            assert oracle[0]["data"]["kind"] == "propose_proof_patch"
+    def test_each_invoke_emits_exactly_one_oracle_result(self, instrumentation):
+        ops = OperatorSet(toy_handlers(), instrumentation)
+        ops.invoke(proof_request())
+        ops.invoke(proof_request())
+        events = read_events(instrumentation.metrics.path)
+        oracle = [e for e in events if e["event"] == "oracle_result"]
+        assert len(oracle) == 2
+        assert ops.invocations == 2
+        assert oracle[0]["data"]["agent"] == "a"
+        assert oracle[0]["data"]["kind"] == "propose_proof_patch"
 
     def test_unregistered_kind_is_a_config_error(self):
-        ops = OperatorSet({}, None)
+        ops = OperatorSet({}, EventSink())
         with pytest.raises(OperatorConfigError):
             ops.invoke(proof_request())
 
@@ -106,16 +94,15 @@ class TestOperatorSet:
         with pytest.raises(ValueError):
             OperatorRequest(kind="transmute", payload={})
 
-    def test_crashing_handler_becomes_failed_response(self, tmp_path):
+    def test_crashing_handler_becomes_failed_response(self, instrumentation):
         def boom(request):
             raise RuntimeError("no thanks")
 
-        with instrumented(tmp_path) as instr:
-            ops = OperatorSet({"propose_proof_patch": boom}, instr)
-            response = ops.invoke(proof_request())
-            assert not response.ok
-            assert "no thanks" in response.error
-            assert ops.invocations == 1  # the failure consumed the attempt
+        ops = OperatorSet({"propose_proof_patch": boom}, instrumentation)
+        response = ops.invoke(proof_request())
+        assert not response.ok
+        assert "no thanks" in response.error
+        assert ops.invocations == 1  # the failure consumed the attempt
 
 
 class TestTokenFooter:
@@ -211,7 +198,7 @@ class TestExternalBridge:
     def test_bridge_and_scripted_agree_on_kernel_outcome(self, project, tmp_path):
         """The same fixed proof patch is accepted identically through either path."""
         text = "def w : P := sorry\nlemma l : P := by sorry\n"
-        verifier = Verifier(SimulatedVerifier())
+        verifier = Verifier(SimulatedVerifier(), EventSink())
 
         project.write("A.lean", text)
         _, diags = verifier.verify_file(project, "A.lean")
@@ -241,39 +228,37 @@ class TestExternalBridge:
         assert scripted_outcome.accepted and bridge_outcome.accepted
         assert project.read("A.lean") == project.read("B.lean")
 
-    def test_oracle_event_count_matches_per_call_logs(self, project, tmp_path, toy_records):
+    def test_oracle_event_count_matches_per_call_logs(
+        self, project, tmp_path, toy_records, instrumentation
+    ):
         """Q from events equals the number of per-call transcripts written."""
-        verifier = Verifier(SimulatedVerifier())
-        ops = OperatorSet(toy_handlers(), None)
-        run_stage1(toy_records[:6], project, Stage1Config(), ops, verifier)
+        instr = instrumentation
+        verifier = Verifier(SimulatedVerifier(), EventSink())
+        ops = OperatorSet(toy_handlers(), EventSink())
+        run_stage1(toy_records[:6], project, Stage1Config(), ops, verifier, instr)
 
-        with instrumented(tmp_path) as instr:
-            cmd = write_agent_script(
-                tmp_path / "agent.sh", FIXED_PATCH_AGENT.replace("exact w", "exact c1s1Alpha")
-            )
-            bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
-            from autoform.operators import OPERATOR_KINDS
-
-            bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, instr)
-            vers = Verifier(SimulatedVerifier(), metrics=instr.metrics)
-            record = toy_records[1]
-            task = ProofTask.from_record(record)
-            result = run_stage2_item(
-                project,
-                "Chapters/Chap01/section01.lean",
-                task,
-                Stage2Config(),
-                bridge_ops,
-                vers,
-                instr,
-            )
-            assert result.status == "solved"
-            from autoform.instrumentation import read_events
-
-            events = read_events(tmp_path / "ops.jsonl")
-            oracle_events = [e for e in events if e["event"] == "oracle_result"]
-            logs = list((tmp_path / "calls").glob("*.log"))
-            assert len(oracle_events) == len(logs) == bridge_ops.invocations
+        cmd = write_agent_script(
+            tmp_path / "agent.sh", FIXED_PATCH_AGENT.replace("exact w", "exact c1s1Alpha")
+        )
+        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
+        bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, instr)
+        vers = Verifier(SimulatedVerifier(), metrics=instr.metrics)
+        record = toy_records[1]
+        task = ProofTask.from_record(record)
+        result = run_stage2_item(
+            project,
+            "Chapters/Chap01/section01.lean",
+            task,
+            Stage2Config(),
+            bridge_ops,
+            vers,
+            instr,
+        )
+        assert result.status == "solved"
+        events = read_events(instr.metrics.path)
+        oracle_events = [e for e in events if e["event"] == "oracle_result"]
+        logs = list((tmp_path / "calls").glob("*.log"))
+        assert len(oracle_events) == len(logs) == bridge_ops.invocations
 
 
 class TestFencedBlocks:
@@ -318,7 +303,7 @@ class TestPerCallLogFormat:
         bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
         bridge(proof_request())
         bridge(proof_request())
-        events = token_backfill(tmp_path / "calls")
+        events = token_backfill(tmp_path / "calls", EventSink())
         assert len(events) == 1
         assert events[0].task == "2"
         assert events[0].tokens_used_total == 2468

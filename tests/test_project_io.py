@@ -32,6 +32,8 @@ from autoform.verifier import (
     VerifierLaunchError,
 )
 
+from helpers import EventSink
+
 FILES = ("A.lean", "sub/B.lean", "sub/deep/C.lean", "other/D.lean")
 CONTENTS = (
     "",
@@ -84,7 +86,7 @@ def patch_attempt(project: Project, op: str, file_id: str, content: str) -> None
     before = LINE_ERROR if verdict == "ok" else DiagnosticSet()
     scope = Scope.of(FIRST_LINE)
     patch = PatchProposal(file=file_id, scope=scope, replacement=content)
-    verifier = Verifier(VerdictAdapter(verdict))
+    verifier = Verifier(VerdictAdapter(verdict), EventSink())
     outcome = try_patch(1, project, file_id, scope, patch, before, verifier)
     assert outcome.accepted == (verdict == "ok")
 
@@ -331,7 +333,7 @@ class TestIOCounts:
         project = Project(tmp_path)
         text = "def w : P := sorry\nlemma l : P := by sorry\n"
         project.write("A.lean", text)
-        verifier = Verifier(SimulatedVerifier())
+        verifier = Verifier(SimulatedVerifier(), EventSink())
         _, diags = verifier.verify_file(project, "A.lean")
         scope = Scope.of(SourceRange.whole_lines(1, 1))
         patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")

@@ -89,14 +89,16 @@ class TestGenStub:
 def build_world(project, handlers, sink=None, k=3):
     sink = sink or EventSink()
     verifier = Verifier(SimulatedVerifier(), metrics=sink)
-    operators = OperatorSet(handlers, None)
+    operators = OperatorSet(handlers, EventSink())
     return verifier, operators, Stage1Config(k=k), sink
 
 
 class TestRunStage1:
-    def test_toy_corpus_compiles_fully(self, project, toy_records):
+    def test_toy_corpus_compiles_fully(self, project, toy_records, instrumentation):
         verifier, operators, config, sink = build_world(project, toy_handlers())
-        provenance, results = run_stage1(toy_records, project, config, operators, verifier)
+        provenance, results = run_stage1(
+            toy_records, project, config, operators, verifier, instrumentation
+        )
         assert all(r.compiled for r in results)
         assert len(results) == len(toy_records)
         # early exit keeps total calls far below the cap
@@ -105,29 +107,31 @@ class TestRunStage1:
         assert ok  # PB with placeholders present
         assert any("sorry" in project.read(f) for f in project.files())
 
-    def test_per_item_call_bounds(self, project, toy_records):
+    def test_per_item_call_bounds(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records, project, config, operators, verifier)
+        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         for r in results:
             assert 1 <= r.verifier_calls <= 1 + config.k
             assert r.b_attempts <= config.k
 
-    def test_tricky_items_consume_repair_rounds(self, project, toy_records):
+    def test_tricky_items_consume_repair_rounds(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records, project, config, operators, verifier)
+        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         repaired = {r.index for r in results if r.b_attempts > 0}
         assert repaired == {2, 9, 20}
         for r in results:
             if r.index in repaired:
                 assert r.verifier_calls == 2  # initial check + one accepted repair
 
-    def test_oracle_call_accounting(self, project, toy_records):
+    def test_oracle_call_accounting(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records, project, config, operators, verifier)
+        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         # one synthesis call per item plus one repair call per attempt
         assert operators.invocations == len(results) + sum(r.b_attempts for r in results)
 
-    def test_failed_item_restores_file_and_later_items_proceed(self, project, toy_records):
+    def test_failed_item_restores_file_and_later_items_proceed(
+        self, project, toy_records, instrumentation
+    ):
         toy = toy_handlers()
         adversarial = adversarial_handlers()
 
@@ -146,7 +150,7 @@ class TestRunStage1:
         verifier, operators, config, _ = build_world(project, handlers)
 
         records = [r for r in toy_records if r.index <= 6]
-        _, results = run_stage1(records, project, config, operators, verifier)
+        _, results = run_stage1(records, project, config, operators, verifier, instrumentation)
 
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed"
@@ -158,23 +162,25 @@ class TestRunStage1:
         ok, _ = verifier.verify_project(project)
         assert ok
 
-    def test_restored_item_leaves_no_trace_in_bytes(self, project, toy_records):
+    def test_restored_item_leaves_no_trace_in_bytes(self, project, toy_records, instrumentation):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        run_stage1(records, project, config, operators, verifier)
+        run_stage1(records, project, config, operators, verifier, instrumentation)
         file_id = target_file(records[0])
         before = Snapshot.capture(project, file_id)
 
         failing = [r for r in toy_records if r.index == 3]
         verifier2, operators2, config2, _ = build_world(project, adversarial_handlers())
-        _, results = run_stage1(failing, project, config2, operators2, verifier2)
+        _, results = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
         assert results[0].status == "restored_failed"
         assert before.matches(project)
 
-    def test_item_that_raises_leaves_the_file_as_it_found_it(self, project, toy_records):
+    def test_item_that_raises_leaves_the_file_as_it_found_it(
+        self, project, toy_records, instrumentation
+    ):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        run_stage1(records, project, config, operators, verifier)
+        run_stage1(records, project, config, operators, verifier, instrumentation)
         file_id = target_file(records[0])
         before = project.path(file_id).read_bytes()
 
@@ -186,19 +192,23 @@ class TestRunStage1:
                 raise Crash("verifier died")
 
         provenance = ProvenanceMap()
-        crashing = Verifier(CrashingAdapter())
+        crashing = Verifier(CrashingAdapter(), EventSink())
         item = [r for r in toy_records if r.index == 3]
         assert target_file(item[0]) == file_id
         with pytest.raises(Crash):
-            run_stage1(item, project, config, operators, crashing, provenance=provenance)
+            run_stage1(
+                item, project, config, operators, crashing, instrumentation, provenance=provenance
+            )
         assert project.path(file_id).read_bytes() == before
         assert project.read(file_id) == before.decode()
         assert provenance.names() == []
 
-    def test_provenance_for_compiled_items_only(self, project, toy_records):
+    def test_provenance_for_compiled_items_only(self, project, toy_records, instrumentation):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        provenance, results = run_stage1(records, project, config, operators, verifier)
+        provenance, results = run_stage1(
+            records, project, config, operators, verifier, instrumentation
+        )
         assert "c1s1Alpha" in provenance.names()
         assert "c1s1AlphaSpec" in provenance.names()
         spans = provenance.entries["c1s1Alpha"]
@@ -206,27 +216,35 @@ class TestRunStage1:
 
         failing = [r for r in toy_records if r.index == 3]
         verifier2, operators2, config2, _ = build_world(project, adversarial_handlers())
-        pm2, _ = run_stage1(failing, project, config2, operators2, verifier2)
+        pm2, _ = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
         assert pm2.names() == []
 
-    def test_unparseable_skeleton_consumes_rounds_not_the_run(self, project, toy_records):
+    def test_unparseable_skeleton_consumes_rounds_not_the_run(
+        self, project, toy_records, instrumentation
+    ):
         def garbage_gen(request):
             return OperatorResponse(ok=True, text="%% not a declaration %%")
 
         handlers = dict(toy_handlers(), gen_skeleton=garbage_gen)
         verifier, operators, config, _ = build_world(project, handlers)
-        _, results = run_stage1(toy_records[:2], project, config, operators, verifier)
+        _, results = run_stage1(
+            toy_records[:2], project, config, operators, verifier, instrumentation
+        )
         assert all(r.status == "restored_failed" for r in results)
         assert all(r.verifier_calls <= 1 + config.k for r in results)
 
-    def test_scope_expansion_reaches_preexisting_breakage(self, project, toy_records):
+    def test_scope_expansion_reaches_preexisting_breakage(
+        self, project, toy_records, instrumentation
+    ):
         # the target file already contains a broken declaration; the new item's
         # scope localizes nothing, so the loop expands to the nearest error and
         # the repair operator fixes the old declaration
         file_id = target_file(toy_records[0])
         project.write(file_id, "def older : Z9 := ghostName\n")
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records[:1], project, config, operators, verifier)
+        _, results = run_stage1(
+            toy_records[:1], project, config, operators, verifier, instrumentation
+        )
         assert results[0].status == "compiled"
         assert results[0].b_attempts == 1
         text = project.read(file_id)
@@ -235,37 +253,31 @@ class TestRunStage1:
         ok, _ = verifier.verify_project(project)
         assert ok
 
-    def test_checkpoint_and_events(self, project, toy_records, tmp_path):
-        from autoform.instrumentation import (
-            MetricsWriter,
-            RunInstrumentation,
-            read_checkpoint,
-        )
+    def test_checkpoint_and_events(self, project, toy_records, instrumentation):
+        from autoform.instrumentation import read_checkpoint, read_events
 
-        with MetricsWriter(tmp_path / "m.jsonl", "statement_stage1_test") as metrics:
-            metrics.run_start({"pipeline": "statement", "stage": 1})
-            instr = RunInstrumentation(metrics=metrics, checkpoint_path=tmp_path / "cp.json")
-            verifier = Verifier(SimulatedVerifier(), metrics=metrics)
-            operators = OperatorSet(toy_handlers(), instr)
-            run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, instr)
-            cp = read_checkpoint(tmp_path / "cp.json")
-            assert cp.key == "next_index" and cp.cursor == 4
+        instr = instrumentation
+        verifier = Verifier(SimulatedVerifier(), metrics=instr.metrics)
+        operators = OperatorSet(toy_handlers(), instr)
+        run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, instr)
+        cp = read_checkpoint(instr.checkpoint_path)
+        assert cp.key == "next_index" and cp.cursor == 4
 
-            from autoform.instrumentation import read_events
+        events = read_events(instr.metrics.path)
+        starts = [e for e in events if e["event"] == "item_start"]
+        ends = [e for e in events if e["event"] == "item_end"]
+        assert len(starts) == len(ends) == 3
+        assert ends[0]["data"]["status"] == "compiled"
+        assert {"index", "label", "chapter", "section"} <= set(starts[0]["data"])
 
-            events = read_events(tmp_path / "m.jsonl")
-            starts = [e for e in events if e["event"] == "item_start"]
-            ends = [e for e in events if e["event"] == "item_end"]
-            assert len(starts) == len(ends) == 3
-            assert ends[0]["data"]["status"] == "compiled"
-            assert {"index", "label", "chapter", "section"} <= set(starts[0]["data"])
-
-    def test_start_index_skips_processed_items(self, project, toy_records):
+    def test_start_index_skips_processed_items(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, first = run_stage1(toy_records, project, config, operators, verifier, max_items=2)
+        _, first = run_stage1(
+            toy_records, project, config, operators, verifier, instrumentation, max_items=2
+        )
         assert [r.index for r in first] == [1, 2]
         _, rest = run_stage1(
-            toy_records, project, config, operators, verifier, start_index=3
+            toy_records, project, config, operators, verifier, instrumentation, start_index=3
         )
         assert [r.index for r in rest] == list(range(3, 25))
         ok, _ = verifier.verify_project(project)
@@ -288,7 +300,7 @@ class TestItemCommit:
         return writes
 
     def test_each_compiled_item_writes_once_and_a_failed_one_never(
-        self, project, toy_records, monkeypatch
+        self, project, toy_records, monkeypatch, instrumentation
     ):
         toy, adversarial = toy_handlers(), adversarial_handlers()
 
@@ -303,7 +315,7 @@ class TestItemCommit:
         handlers = dict(toy, gen_skeleton=selective_gen, repair_patch=selective_repair)
         verifier, operators, config, _ = build_world(project, handlers)
         writes = self.record_writes(monkeypatch)
-        _, results = run_stage1(toy_records, project, config, operators, verifier)
+        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed" and by_index[3].b_attempts > 0
         assert by_index[2].b_attempts == 1  # an accepted repair adds no write
@@ -311,7 +323,9 @@ class TestItemCommit:
         assert len(writes) == len(compiled) == len(results) - 1
         assert sorted(writes) == sorted(Path(r.file).name for r in compiled)
 
-    def test_an_item_that_raises_writes_nothing(self, project, toy_records, monkeypatch):
+    def test_an_item_that_raises_writes_nothing(
+        self, project, toy_records, monkeypatch, instrumentation
+    ):
         class Crash(BaseException):
             pass
 
@@ -322,15 +336,17 @@ class TestItemCommit:
         verifier, operators, config, _ = build_world(project, handlers)
         writes = self.record_writes(monkeypatch)
         with pytest.raises(Crash):
-            run_stage1(toy_records[:2], project, config, operators, verifier)
+            run_stage1(toy_records[:2], project, config, operators, verifier, instrumentation)
         assert writes == ["section01.lean"]  # item 1 only; tricky item 2 crashed
         assert "[2]" not in project.read("Chapters/Chap01/section01.lean")
 
 
 class TestReentry:
-    def test_a_committed_declaration_is_checked_not_inserted_again(self, project, toy_records):
+    def test_a_committed_declaration_is_checked_not_inserted_again(
+        self, project, toy_records, instrumentation
+    ):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        run_stage1(toy_records[:2], project, config, operators, verifier)
+        run_stage1(toy_records[:2], project, config, operators, verifier, instrumentation)
         file_id = target_file(toy_records[1])
         before = project.path(file_id).read_bytes()
 
@@ -339,7 +355,7 @@ class TestReentry:
         resumed = Project(project.root)
         verifier, operators, config, sink = build_world(resumed, toy_handlers())
         provenance, results = run_stage1(
-            toy_records[:2], resumed, config, operators, verifier, start_index=2
+            toy_records[:2], resumed, config, operators, verifier, instrumentation, start_index=2
         )
         assert [(r.index, r.status, r.verifier_calls) for r in results] == [(2, "compiled", 1)]
         assert operators.invocations == 0  # no skeleton was asked for

@@ -26,13 +26,13 @@ from oracles import oracle_signatures
 
 
 def make_verifier(sink=None):
-    return Verifier(SimulatedVerifier(), metrics=sink)
+    return Verifier(SimulatedVerifier(), sink or EventSink())
 
 
-def compiled_project(project, records):
+def compiled_project(project, records, instrumentation):
     verifier = make_verifier()
-    operators = OperatorSet(toy_handlers(), None)
-    _, results = run_stage1(records, project, Stage1Config(), operators, verifier)
+    operators = OperatorSet(toy_handlers(), EventSink())
+    _, results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
     assert all(r.compiled for r in results)
     return project
 
@@ -200,7 +200,7 @@ class TestItemCommit:
     def test_a_split_that_raises_leaves_nothing_staged(
         self, project, toy_records, instrumentation, monkeypatch
     ):
-        compiled_project(project, toy_records)
+        compiled_project(project, toy_records, instrumentation)
         record, task = build_proof_tasks(toy_records)[0]
         file_id = target_file(record)
         real = Project.stage
@@ -212,7 +212,7 @@ class TestItemCommit:
 
         monkeypatch.setattr(Project, "stage", failing_stage)
         config = Stage2Config(split_threshold=10)
-        operators = OperatorSet(toy_handlers())
+        operators = OperatorSet(toy_handlers(), EventSink())
         verifier = make_verifier()
         result = run_stage2_item(
             project, file_id, task, config, operators, verifier, instrumentation
@@ -227,7 +227,7 @@ class TestItemCommit:
     def test_the_items_edits_land_in_one_commit_before_its_item_end(
         self, project, toy_records, instrumentation, monkeypatch
     ):
-        compiled_project(project, toy_records)
+        compiled_project(project, toy_records, instrumentation)
         record, task = build_proof_tasks(toy_records)[0]
         file_id = target_file(record)
         before = project.path(file_id).read_bytes()
@@ -246,9 +246,10 @@ class TestItemCommit:
         monkeypatch.setattr(project, "commit", commit)
         verifier = Verifier(SimulatedVerifier(), metrics=instrumentation.metrics)
         operators = OperatorSet(toy_handlers(), instrumentation)
-        result = run_stage2_item(
-            project, file_id, task, Stage2Config(), operators, verifier, instrumentation
+        [result] = run_stage2(
+            toy_records, project, Stage2Config(), operators, verifier, instrumentation, max_items=1
         )
+        assert result.index == task.index and result.file == file_id
         assert result.status == "solved" and verifier.calls == 2
         assert log[-2:] == [("commit", before), "item_end"]  # the accept was only staged
         assert project.path(file_id).read_bytes() == project.read_bytes(file_id) != before
@@ -257,7 +258,7 @@ class TestItemCommit:
 class TestMissingSectionFile:
     def test_items_of_a_missing_section_are_skipped(self, project, toy_records, instrumentation):
         # stage 1 restored away every item of one section, so its file is absent
-        compiled_project(project, toy_records)
+        compiled_project(project, toy_records, instrumentation)
         missing = target_file(build_proof_tasks(toy_records)[0][0])
         project.delete(missing)
         sink = EventSink()
@@ -265,7 +266,7 @@ class TestMissingSectionFile:
             toy_records,
             project,
             Stage2Config(),
-            OperatorSet(toy_handlers(), None),
+            OperatorSet(toy_handlers(), EventSink()),
             make_verifier(sink),
             instrumentation,
         )
@@ -282,12 +283,13 @@ class TestMissingSectionFile:
 
 
 class ToyWorld:
-    def __init__(self, project, records, handlers=None, sink=None, config=None):
-        self.project = compiled_project(project, records)
+    def __init__(self, project, records, instrumentation, handlers=None, sink=None, config=None):
+        self.project = compiled_project(project, records, instrumentation)
+        self.instrumentation = instrumentation
         self.records = records
         self.sink = sink or EventSink()
         self.verifier = make_verifier(self.sink)
-        self.operators = OperatorSet(handlers or toy_handlers(), None)
+        self.operators = OperatorSet(handlers or toy_handlers(), EventSink())
         self.config = config or Stage2Config()
 
     def tasks(self):
@@ -301,12 +303,13 @@ class ToyWorld:
             self.config,
             self.operators,
             self.verifier,
+            self.instrumentation,
         )
 
 
 class TestRunStage2Item:
-    def test_first_attempt_close(self, project, toy_records):
-        world = ToyWorld(project, toy_records)
+    def test_first_attempt_close(self, project, toy_records, instrumentation):
+        world = ToyWorld(project, toy_records, instrumentation)
         record, task = world.tasks()[0]
         file_id = target_file(record)
         holes_before = simlang.count_holes(project.read(file_id))
@@ -317,8 +320,8 @@ class TestRunStage2Item:
         assert result.verifier_calls == 2
         assert simlang.count_holes(project.read(file_id)) == holes_before - 1
 
-    def test_already_proved_target(self, project, toy_records):
-        world = ToyWorld(project, toy_records)
+    def test_already_proved_target(self, project, toy_records, instrumentation):
+        world = ToyWorld(project, toy_records, instrumentation)
         record, task = world.tasks()[0]
         world.run_item(record, task)
         again = world.run_item(record, task)
@@ -326,10 +329,10 @@ class TestRunStage2Item:
         assert again.proof_attempts == 0
         assert again.verifier_calls == 1
 
-    def test_adversarial_budget_exhaustion(self, project, toy_records):
+    def test_adversarial_budget_exhaustion(self, project, toy_records, instrumentation):
         config = Stage2Config(t=50, r=3, c=4)
         world = ToyWorld(
-            project, toy_records, handlers=adversarial_handlers(), config=config
+            project, toy_records, instrumentation, handlers=adversarial_handlers(), config=config
         )
         record, task = world.tasks()[0]
         file_id = target_file(record)
@@ -342,14 +345,16 @@ class TestRunStage2Item:
         assert ok  # file still verifies
         assert simlang.count_holes(project.read(file_id)) == holes_before
 
-    def test_tight_verifier_budget_stops_early(self, project, toy_records):
+    def test_tight_verifier_budget_stops_early(self, project, toy_records, instrumentation):
         config = Stage2Config(t=5, r=10, c=21)
-        world = ToyWorld(project, toy_records, handlers=adversarial_handlers(), config=config)
+        world = ToyWorld(
+            project, toy_records, instrumentation, handlers=adversarial_handlers(), config=config
+        )
         record, task = world.tasks()[0]
         result = world.run_item(record, task)
         assert result.verifier_calls <= config.t
 
-    def test_broken_file_with_failing_fixer_terminates(self, project, toy_records):
+    def test_broken_file_with_failing_fixer_terminates(self, project, toy_records, instrumentation):
         def hopeless(request):
             raise RuntimeError("fixer is down")
 
@@ -357,6 +362,7 @@ class TestRunStage2Item:
         world = ToyWorld(
             project,
             toy_records,
+            instrumentation,
             handlers=dict(toy_handlers(), fix_compile_error=hopeless),
             config=config,
         )
@@ -368,10 +374,10 @@ class TestRunStage2Item:
         assert result.fix_attempts == config.t  # starved fixer is bounded too
         assert result.verifier_calls <= config.t
 
-    def test_error_fix_interlude_then_close(self, project, toy_records):
+    def test_error_fix_interlude_then_close(self, project, toy_records, instrumentation):
         # the file acquired a compile error since stage 1: the item first
         # commits an error fix, then locates the hole and closes it
-        world = ToyWorld(project, toy_records)
+        world = ToyWorld(project, toy_records, instrumentation)
         record, task = world.tasks()[0]
         file_id = target_file(record)
         project.write(file_id, project.read(file_id) + "\ndef zz : Q9 := ghost\n")
@@ -383,22 +389,22 @@ class TestRunStage2Item:
         ok, _ = world.verifier.adapter.verify_file(project, file_id)
         assert ok
 
-    def test_goal_query_disabled_pipeline_completes(self, project, toy_records):
+    def test_goal_query_disabled_pipeline_completes(self, project, toy_records, instrumentation):
         config = Stage2Config(goal_query_enabled=False)
-        world = ToyWorld(project, toy_records, config=config)
+        world = ToyWorld(project, toy_records, instrumentation, config=config)
         record, task = world.tasks()[0]
         assert world.run_item(record, task).status == "solved"
 
-    def test_elaboration_preserved_after_every_item(self, project, toy_records):
-        world = ToyWorld(project, toy_records, handlers=adversarial_handlers(),
+    def test_elaboration_preserved_after_every_item(self, project, toy_records, instrumentation):
+        world = ToyWorld(project, toy_records, instrumentation, handlers=adversarial_handlers(),
                          config=Stage2Config(t=8, r=2, c=2))
         for record, task in world.tasks():
             world.run_item(record, task)
             ok, diags = world.verifier.adapter.verify_file(project, target_file(record))
             assert ok, diags
 
-    def test_hole_count_never_increases_across_items(self, project, toy_records):
-        world = ToyWorld(project, toy_records)
+    def test_hole_count_never_increases_across_items(self, project, toy_records, instrumentation):
+        world = ToyWorld(project, toy_records, instrumentation)
         for record, task in world.tasks():
             file_id = target_file(record)
             before = simlang.count_holes(project.read(file_id))
@@ -407,8 +413,8 @@ class TestRunStage2Item:
 
 
 class TestMatchedStatementGuard:
-    def test_signatures_byte_identical_across_items(self, project, toy_records):
-        world = ToyWorld(project, toy_records)
+    def test_signatures_byte_identical_across_items(self, project, toy_records, instrumentation):
+        world = ToyWorld(project, toy_records, instrumentation)
         for record, task in world.tasks():
             file_id = target_file(record)
             before = oracle_signatures(project.read(file_id))
@@ -418,14 +424,17 @@ class TestMatchedStatementGuard:
 
 
 class TestRunStage2Driver:
-    def test_full_toy_run_closes_every_target(self, project, toy_records, toy_lemma_map):
-        world = ToyWorld(project, toy_records)
+    def test_full_toy_run_closes_every_target(
+        self, project, toy_records, toy_lemma_map, instrumentation
+    ):
+        world = ToyWorld(project, toy_records, instrumentation)
         results = run_stage2(
             toy_records,
             world.project,
             world.config,
             world.operators,
             world.verifier,
+            instrumentation,
             lemma_map=toy_lemma_map,
         )
         assert len(results) == 16
@@ -452,7 +461,7 @@ class TestRequestConditioning:
     """Operators see only the conditioning each kind is allowed."""
 
     def test_plan_requests_carry_task_and_goal_but_no_file_text(
-        self, project, toy_records, toy_lemma_map
+        self, project, toy_records, toy_lemma_map, instrumentation
     ):
         captured = {"plan": [], "propose_proof_patch": []}
         base = toy_handlers()
@@ -466,13 +475,14 @@ class TestRequestConditioning:
 
         handlers = dict(base, plan=spy("plan"),
                         propose_proof_patch=spy("propose_proof_patch"))
-        world = ToyWorld(project, toy_records, handlers=handlers)
+        world = ToyWorld(project, toy_records, instrumentation, handlers=handlers)
         results = run_stage2(
             toy_records,
             world.project,
             world.config,
             world.operators,
             world.verifier,
+            instrumentation,
             lemma_map=toy_lemma_map,
         )
         assert all(r.closed for r in results)
@@ -486,7 +496,9 @@ class TestRequestConditioning:
         for payload in captured["propose_proof_patch"]:
             assert {"file", "file_text", "hole", "plan", "task"} <= set(payload)
 
-    def test_goal_state_reaches_plan_requests_when_available(self, project, toy_records):
+    def test_goal_state_reaches_plan_requests_when_available(
+        self, project, toy_records, instrumentation
+    ):
         seen_goals = []
         base = toy_handlers()
 
@@ -494,7 +506,7 @@ class TestRequestConditioning:
             seen_goals.append(request.payload["goal_state"])
             return base["plan"](request)
 
-        world = ToyWorld(project, toy_records, handlers=dict(base, plan=plan_spy))
+        world = ToyWorld(project, toy_records, instrumentation, handlers=dict(base, plan=plan_spy))
         record, task = world.tasks()[0]
         world.run_item(record, task)
         assert seen_goals and seen_goals[0] is not None

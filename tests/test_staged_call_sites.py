@@ -1,8 +1,10 @@
-"""Guard on where staged edits are made, committed and flushed: in
-``src/autoform`` only the kernel and the two stages call ``.stage(``, only
-the stages and the ``split`` command call ``.commit(``, so an edit lands
-once per item, and only ``verifier.py`` calls ``.sync(`` (the adapter whose
-tool reads the disk)."""
+"""Guard on where staged edits are made, committed, dropped and flushed: in
+``src/autoform`` only the kernel and the two stages call ``.stage(``; only
+the kernel's item transaction and the ``split`` command call ``.commit(``,
+so an edit lands once per item; only the kernel (the item transaction and
+``Snapshot.restore``) and the two stages (stage 1's ``restored_failed``
+item, stage 2's failed split) call ``.discard(``; and only ``verifier.py``
+calls ``.sync(`` (the adapter whose tool reads the disk)."""
 
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ PACKAGE = ROOT / "src" / "autoform"
 
 CALLERS = {
     "stage": {"kernel.py", "stage1.py", "stage2.py"},
-    "commit": {"stage1.py", "stage2.py", "cli.py"},
+    "commit": {"kernel.py", "cli.py"},
+    "discard": {"kernel.py", "stage1.py", "stage2.py"},
     "sync": {"verifier.py"},
 }
 

@@ -164,7 +164,7 @@ class TestAnalysisReuse:
             f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400)
         )
         project.write("Big.lean", text)
-        verifier = Verifier(SimulatedVerifier())
+        verifier = Verifier(SimulatedVerifier(), EventSink())
         ok, _ = verifier.verify_file(project, "Big.lean")
         assert ok and len(scans) == 1
         verifier.verify_file(project, "Big.lean")
@@ -216,7 +216,7 @@ class TestGoalState:
 
     def test_adapter_without_goal_support_yields_absent(self, project):
         ext = ExternalVerifier(command=["true"])
-        verifier = Verifier(ext)
+        verifier = Verifier(ext, EventSink())
         project.write("A.lean", "lemma l : P := by sorry\n")
         from autoform.simlang import find_hole_ranges
 
