@@ -227,19 +227,15 @@ class TokenBackfillEvent:
     tokens_used_total: int
     tokens_used_by_agent: dict[str, int]
     log_file_count: int
-    lean_file: str | None = None
 
     def as_data(self) -> dict:
-        data = {
+        return {
             "stage": self.stage,
             "task": self.task,
             "tokens_used_total": self.tokens_used_total,
             "tokens_used_by_agent": dict(sorted(self.tokens_used_by_agent.items())),
             "log_file_count": self.log_file_count,
         }
-        if self.lean_file:
-            data["lean_file"] = self.lean_file
-        return data
 
 
 def token_backfill(log_directory: str | Path, metrics: MetricsWriter) -> list[TokenBackfillEvent]:

@@ -9,6 +9,19 @@ executor proof-patch attempts are additionally capped at R * C. The item's
 split and accepted patches are staged in the ``Project``; the item runs as
 one transaction of the kernel (``kernel.run_item``), which commits them
 once before its ``item_end`` line and discards them if the item raises.
+
+An item is one loop. Each pass first looks the target hole up, if it is
+about to plan or its last proposal was accepted: a closed target ends the
+item ``solved`` (``already_closed`` before any proposal), and a label that
+matches two declarations, or none in a labelled file, ends it ``skipped``.
+Then the pass ends the item when T is spent, fixes one compile error if
+there is one, ends the item after R * C proposals, plans (goal query, then
+``plan``) when it holds no plan or replans after every R proposals, and
+makes one proof proposal. Proposals are made only on a file without
+errors, and the kernel accepts no patch that adds one, so errors are fixed
+before the plan is made and one plan serves the item: C rounds of R
+proposals reach the attempt bound, which ends the item before a C-th
+replan or a fresh plan could be due.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from .corpus import DEFAULT_PROOF_TARGET_ENVS, DatasetRecord, LemmaMapEntry, is_
 from .diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count
 from .instrumentation import RunInstrumentation
 from .kernel import PatchOutOfScopeError, run_item, run_items, try_patch
-from .operators import OperatorRequest, OperatorSet
+from .operators import OperatorRequest, OperatorResponse, OperatorSet
 from .stage1 import target_file
 from .verifier import Project, Verifier, header_scope
 
@@ -82,7 +95,8 @@ class HoleTarget:
 
 
 class AmbiguousTargetError(RuntimeError):
-    """Two declarations match the task label; the item is skipped."""
+    """The task label matches two declarations, or none in a file that has
+    labels; the item is skipped."""
 
 
 @dataclass
@@ -115,12 +129,13 @@ class Stage2ItemResult:
 
 def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
     """Find the task's placeholder: by docstring label, falling back to the
-    unique holed declaration when labels are absent. None when already closed."""
+    unique holed declaration only in a file without labels. None when
+    already closed."""
     analysis = simlang.analyse(project.read(file_id))
     units = list(zip(analysis.parsed.declarations, analysis.decl_holes))
 
     labeled = [(d, holes) for d, holes in units if d.doc_label == task.label]
-    if len(labeled) > 1:
+    if len(labeled) > 1 or (not labeled and any(d.doc_label for d, _ in units)):
         raise AmbiguousTargetError(f"label {task.label!r} matches {len(labeled)} declarations")
     if labeled:
         decl, holes = labeled[0]
@@ -223,10 +238,6 @@ def split_if_large_and_resolve(
     return file_id
 
 
-def _hole_scope(project: Project, file_id: str, hole: SourceRange, verifier: Verifier) -> Scope:
-    return Scope.of(hole).union(header_scope(project.read(file_id), verifier.header_bound))
-
-
 def run_stage2_item(
     project: Project,
     file_id: str,
@@ -240,6 +251,37 @@ def run_stage2_item(
     stay staged for the item's commit. Every exit but the ``skipped``,
     ``solved`` and ``already_closed`` ones leaves the status ``unsolved``."""
     result = Stage2ItemResult(index=task.index, label=task.label, file=file_id)
+
+    def skip(reason: str) -> Stage2ItemResult:
+        instrumentation.emit(
+            "warning", {"reason": reason, "lean_file": file_id, "index": task.index}
+        )
+        result.status = "skipped"
+        return result
+
+    def attempt(kind: str, payload: dict) -> tuple[OperatorResponse, bool]:
+        """Invoke ``kind`` on the file and put the patch it returns, if any,
+        through the kernel, scoped to ``payload["target_range"]`` plus the
+        header. Returns the response and whether the patch was accepted."""
+        nonlocal diags
+        text = project.read(file_id)
+        response = operators.invoke(
+            OperatorRequest(
+                kind=kind,
+                payload={"task_id": str(task.index), "file": file_id, "file_text": text, **payload},
+            )
+        )
+        if not response.ok or response.patch is None:
+            return response, False
+        scope = Scope.of(payload["target_range"]).union(header_scope(text, verifier.header_bound))
+        try:
+            outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
+        except PatchOutOfScopeError:
+            return response, False  # rejected unchecked: no verifier call
+        result.verifier_calls += 1
+        diags = outcome.diagnostics_after
+        return response, outcome.accepted
+
     try:
         file_id = split_if_large_and_resolve(
             project, file_id, task, config.split_threshold, instrumentation
@@ -250,153 +292,108 @@ def run_stage2_item(
         instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
 
     if not project.exists(file_id):
-        # stage 1 left no file for this section: nothing to verify or patch
-        instrumentation.emit(
-            "warning",
-            {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
-        )
-        result.status = "skipped"
-        return result
+        return skip(f"no such file: {file_id}")  # stage 1 left no file for this section
 
     _, diags = verifier.verify_file(project, file_id)
     result.verifier_calls += 1
 
-    goal_payload = None
-    while result.verifier_calls < config.t:
-        if err_count(diags) > 0:
+    hole = plan = goal_payload = None  # hole: the target located when planning
+    accepted = False
+    while True:
+        # look the target up before planning and after every accepted proposal
+        planning = hole is None and result.verifier_calls < config.t and not err_count(diags)
+        if planning or accepted:
+            try:
+                found = locate_target_hole(project, file_id, task)
+            except AmbiguousTargetError as exc:
+                return skip(str(exc))
+            if found is None:
+                result.status = "solved" if result.proof_attempts else "already_closed"
+                return result
+            if planning:
+                hole = found
+
+        if result.verifier_calls >= config.t:
+            return result
+        if err_count(diags):
             if result.fix_attempts >= config.t:
                 # a fixer that never yields an applicable patch consumes no
                 # verifier budget; bound its attempts so the item terminates
                 return result
             diag = select_error(diags)
-            text = project.read(file_id)
-            scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
-            fix_req = OperatorRequest(
-                kind="fix_compile_error",
-                payload={
-                    "task_id": str(task.index),
-                    "file": file_id,
-                    "file_text": text,
-                    "diagnostic": diag.as_dict(),
-                    "target_range": diag.range,
-                },
-            )
-            response = operators.invoke(fix_req)
             result.fix_attempts += 1
-            if response.ok and response.patch is not None:
-                try:
-                    outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
-                    result.verifier_calls += 1
-                    diags = outcome.diagnostics_after
-                except PatchOutOfScopeError:
-                    pass
+            attempt("fix_compile_error", {"diagnostic": diag.as_dict(), "target_range": diag.range})
             continue
-
-        try:
-            hole = locate_target_hole(project, file_id, task)
-        except AmbiguousTargetError as exc:
-            instrumentation.emit(
-                "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
-            )
-            result.status = "skipped"
-            return result
-        if hole is None:
-            result.status = "solved" if result.proof_attempts > 0 else "already_closed"
-            return result
         if result.proof_attempts >= config.attempt_bound:
             return result
 
-        goal = None
-        if config.goal_query_enabled:
-            goal = verifier.goal_state(project, file_id, hole.range)
-        goal_payload = goal.as_dict() if goal is not None else None
-
-        plan_req = OperatorRequest(
-            kind="plan",
-            payload={"task_id": str(task.index), "task": task.payload(), "goal_state": goal_payload},
-        )
-        plan_resp = operators.invoke(plan_req)
-        result.plans += 1
-        plan_text = plan_resp.text if plan_resp.ok else ""
-        instrumentation.append_history(
-            "proof",
-            file_id,
-            str(task.index),
-            "agent_c_plan",
-            f"plans={result.plans} ok={plan_resp.ok}",
-            plan_resp,
-            round=result.plans,
-            plan=plan_text or "",
-        )
-
-        for _ in range(config.c):
-            for _ in range(config.r):
-                propose_req = OperatorRequest(
-                    kind="propose_proof_patch",
+        if planning:
+            goal = None
+            if config.goal_query_enabled:
+                goal = verifier.goal_state(project, file_id, hole.range)
+            goal_payload = goal.as_dict() if goal is not None else None
+            plan_resp = operators.invoke(
+                OperatorRequest(
+                    kind="plan",
                     payload={
                         "task_id": str(task.index),
-                        "file": file_id,
-                        "file_text": project.read(file_id),
-                        "hole": hole.range,
-                        "declaration": hole.declaration,
-                        "plan": plan_text,
                         "task": task.payload(),
                         "goal_state": goal_payload,
-                        "target_range": hole.range,
-                        "attempt": result.proof_attempts + 1,
                     },
                 )
-                proposal = operators.invoke(propose_req)
-                result.proof_attempts += 1
-                accepted = False
-                if proposal.ok and proposal.patch is not None:
-                    scope = _hole_scope(project, file_id, hole.range, verifier)
-                    try:
-                        outcome = try_patch(
-                            2, project, file_id, scope, proposal.patch, diags, verifier
-                        )
-                        result.verifier_calls += 1
-                        diags = outcome.diagnostics_after
-                        accepted = outcome.accepted
-                    except PatchOutOfScopeError:
-                        pass
-                instrumentation.append_history(
-                    "proof",
-                    file_id,
-                    str(task.index),
-                    "agent_a_attempt",
-                    f"attempt={result.proof_attempts} accepted={accepted}",
-                    proposal,
-                    attempt=result.proof_attempts,
-                    accepted=accepted,
-                )
-                if accepted and locate_target_hole(project, file_id, task) is None:
-                    result.status = "solved"
-                    return result
-                if result.verifier_calls >= config.t:
-                    return result
-                if result.proof_attempts >= config.attempt_bound:
-                    return result
-                if err_count(diags) > 0:
-                    break
-            else:
-                replan_req = OperatorRequest(
+            )
+            result.plans += 1
+            plan = plan_resp.text if plan_resp.ok else ""
+            instrumentation.append_history(
+                "proof",
+                file_id,
+                str(task.index),
+                "agent_c_plan",
+                f"plans={result.plans} ok={plan_resp.ok}",
+                plan_resp,
+                round=result.plans,
+                plan=plan or "",
+            )
+        elif result.proof_attempts % config.r == 0:
+            replan = operators.invoke(
+                OperatorRequest(
                     kind="replan",
                     payload={
                         "task_id": str(task.index),
                         "task": task.payload(),
-                        "plan": plan_text,
+                        "plan": plan,
                         "goal_state": goal_payload,
                         "diagnostics": [d.as_dict() for d in diags],
                     },
                 )
-                replan = operators.invoke(replan_req)
-                result.plans += 1
-                if replan.ok and replan.text:
-                    plan_text = replan.text
-                continue
-            break  # compile errors surfaced: back to the outer loop's fixer
-    return result
+            )
+            result.plans += 1
+            if replan.ok and replan.text:
+                plan = replan.text
+
+        result.proof_attempts += 1
+        proposal, accepted = attempt(
+            "propose_proof_patch",
+            {
+                "hole": hole.range,
+                "declaration": hole.declaration,
+                "plan": plan,
+                "task": task.payload(),
+                "goal_state": goal_payload,
+                "target_range": hole.range,
+                "attempt": result.proof_attempts,
+            },
+        )
+        instrumentation.append_history(
+            "proof",
+            file_id,
+            str(task.index),
+            "agent_a_attempt",
+            f"attempt={result.proof_attempts} accepted={accepted}",
+            proposal,
+            attempt=result.proof_attempts,
+            accepted=accepted,
+        )
 
 
 def build_proof_tasks(

@@ -5,20 +5,27 @@ random file generator mixing code, comments, and strings.
 
 Below them, reference copies of the per-call scanner, parser and checker
 that the memoised file analysis replaced, and a generator of modules with
-imports for multi-file projects."""
+imports for multi-file projects. Last, a reference copy of the stage-2 item
+loop as nested ``for``/``else`` rounds, with the target lookup it used."""
 
 from __future__ import annotations
 
 import random
 import re
 
+from autoform import simlang
 from autoform.diagnostics import (
     Diagnostic,
     DiagnosticSet,
+    Scope,
     SourceRange,
+    err_count,
     offset_to_pos,
     pos_to_offset,
 )
+from autoform.instrumentation import RunInstrumentation
+from autoform.kernel import PatchOutOfScopeError, try_patch
+from autoform.operators import OperatorRequest, OperatorSet
 from autoform.simlang import (
     DECL_KINDS,
     DEFINITION_KINDS,
@@ -30,6 +37,16 @@ from autoform.simlang import (
     interpret_body,
     module_file,
 )
+from autoform.stage2 import (
+    AmbiguousTargetError,
+    HoleTarget,
+    ProofTask,
+    Stage2Config,
+    Stage2ItemResult,
+    select_error,
+    split_if_large_and_resolve,
+)
+from autoform.verifier import Project, Verifier, header_scope
 
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.'")
 
@@ -536,3 +553,212 @@ def random_module(rng: random.Random, imports: list[str], decls: int = 8) -> str
         if rng.random() < 0.6:
             out.append("")
     return "\n".join(out) + ("\n" if rng.random() < 0.9 else "")
+
+
+# -- reference stage-2 item loop ---------------------------------------------
+# The item loop before it became one flat loop, verbatim but for the names
+# of the two helpers it calls. Its lookup falls back to the unique holed
+# declaration even when the file has labels, and its lookup after an
+# accepted proposal lets AmbiguousTargetError escape.
+
+
+def ref_locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
+    """Find the task's placeholder: by docstring label, falling back to the
+    unique holed declaration when labels are absent. None when already closed."""
+    analysis = simlang.analyse(project.read(file_id))
+    units = list(zip(analysis.parsed.declarations, analysis.decl_holes))
+
+    labeled = [(d, holes) for d, holes in units if d.doc_label == task.label]
+    if len(labeled) > 1:
+        raise AmbiguousTargetError(f"label {task.label!r} matches {len(labeled)} declarations")
+    if labeled:
+        decl, holes = labeled[0]
+        if not holes:
+            return None
+        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
+
+    holed = [(d, holes) for d, holes in units if holes]
+    if len(holed) == 1:
+        decl, holes = holed[0]
+        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
+    if not holed:
+        return None
+    raise AmbiguousTargetError(
+        f"no label match for {task.label!r} and {len(holed)} positional candidates"
+    )
+
+
+def ref_hole_scope(project: Project, file_id: str, hole: SourceRange, verifier: Verifier) -> Scope:
+    return Scope.of(hole).union(header_scope(project.read(file_id), verifier.header_bound))
+
+
+def ref_run_stage2_item(
+    project: Project,
+    file_id: str,
+    task: ProofTask,
+    config: Stage2Config,
+    operators: OperatorSet,
+    verifier: Verifier,
+    instrumentation: RunInstrumentation,
+) -> Stage2ItemResult:
+    """Close one proof item's hole under the verifier-call budget; its edits
+    stay staged for the item's commit. Every exit but the ``skipped``,
+    ``solved`` and ``already_closed`` ones leaves the status ``unsolved``."""
+    result = Stage2ItemResult(index=task.index, label=task.label, file=file_id)
+    try:
+        file_id = split_if_large_and_resolve(
+            project, file_id, task, config.split_threshold, instrumentation
+        )
+        result.file = file_id
+    except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
+        project.discard()
+        instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
+
+    if not project.exists(file_id):
+        # stage 1 left no file for this section: nothing to verify or patch
+        instrumentation.emit(
+            "warning",
+            {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
+        )
+        result.status = "skipped"
+        return result
+
+    _, diags = verifier.verify_file(project, file_id)
+    result.verifier_calls += 1
+
+    goal_payload = None
+    while result.verifier_calls < config.t:
+        if err_count(diags) > 0:
+            if result.fix_attempts >= config.t:
+                # a fixer that never yields an applicable patch consumes no
+                # verifier budget; bound its attempts so the item terminates
+                return result
+            diag = select_error(diags)
+            text = project.read(file_id)
+            scope = Scope.of(diag.range).union(header_scope(text, verifier.header_bound))
+            fix_req = OperatorRequest(
+                kind="fix_compile_error",
+                payload={
+                    "task_id": str(task.index),
+                    "file": file_id,
+                    "file_text": text,
+                    "diagnostic": diag.as_dict(),
+                    "target_range": diag.range,
+                },
+            )
+            response = operators.invoke(fix_req)
+            result.fix_attempts += 1
+            if response.ok and response.patch is not None:
+                try:
+                    outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
+                    result.verifier_calls += 1
+                    diags = outcome.diagnostics_after
+                except PatchOutOfScopeError:
+                    pass
+            continue
+
+        try:
+            hole = ref_locate_target_hole(project, file_id, task)
+        except AmbiguousTargetError as exc:
+            instrumentation.emit(
+                "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
+            )
+            result.status = "skipped"
+            return result
+        if hole is None:
+            result.status = "solved" if result.proof_attempts > 0 else "already_closed"
+            return result
+        if result.proof_attempts >= config.attempt_bound:
+            return result
+
+        goal = None
+        if config.goal_query_enabled:
+            goal = verifier.goal_state(project, file_id, hole.range)
+        goal_payload = goal.as_dict() if goal is not None else None
+
+        plan_req = OperatorRequest(
+            kind="plan",
+            payload={"task_id": str(task.index), "task": task.payload(), "goal_state": goal_payload},
+        )
+        plan_resp = operators.invoke(plan_req)
+        result.plans += 1
+        plan_text = plan_resp.text if plan_resp.ok else ""
+        instrumentation.append_history(
+            "proof",
+            file_id,
+            str(task.index),
+            "agent_c_plan",
+            f"plans={result.plans} ok={plan_resp.ok}",
+            plan_resp,
+            round=result.plans,
+            plan=plan_text or "",
+        )
+
+        for _ in range(config.c):
+            for _ in range(config.r):
+                propose_req = OperatorRequest(
+                    kind="propose_proof_patch",
+                    payload={
+                        "task_id": str(task.index),
+                        "file": file_id,
+                        "file_text": project.read(file_id),
+                        "hole": hole.range,
+                        "declaration": hole.declaration,
+                        "plan": plan_text,
+                        "task": task.payload(),
+                        "goal_state": goal_payload,
+                        "target_range": hole.range,
+                        "attempt": result.proof_attempts + 1,
+                    },
+                )
+                proposal = operators.invoke(propose_req)
+                result.proof_attempts += 1
+                accepted = False
+                if proposal.ok and proposal.patch is not None:
+                    scope = ref_hole_scope(project, file_id, hole.range, verifier)
+                    try:
+                        outcome = try_patch(
+                            2, project, file_id, scope, proposal.patch, diags, verifier
+                        )
+                        result.verifier_calls += 1
+                        diags = outcome.diagnostics_after
+                        accepted = outcome.accepted
+                    except PatchOutOfScopeError:
+                        pass
+                instrumentation.append_history(
+                    "proof",
+                    file_id,
+                    str(task.index),
+                    "agent_a_attempt",
+                    f"attempt={result.proof_attempts} accepted={accepted}",
+                    proposal,
+                    attempt=result.proof_attempts,
+                    accepted=accepted,
+                )
+                if accepted and ref_locate_target_hole(project, file_id, task) is None:
+                    result.status = "solved"
+                    return result
+                if result.verifier_calls >= config.t:
+                    return result
+                if result.proof_attempts >= config.attempt_bound:
+                    return result
+                if err_count(diags) > 0:
+                    break
+            else:
+                replan_req = OperatorRequest(
+                    kind="replan",
+                    payload={
+                        "task_id": str(task.index),
+                        "task": task.payload(),
+                        "plan": plan_text,
+                        "goal_state": goal_payload,
+                        "diagnostics": [d.as_dict() for d in diags],
+                    },
+                )
+                replan = operators.invoke(replan_req)
+                result.plans += 1
+                if replan.ok and replan.text:
+                    plan_text = replan.text
+                continue
+            break  # compile errors surfaced: back to the outer loop's fixer
+    return result

@@ -173,7 +173,7 @@ def _artifact_dump(cfg: RunConfig, tmp: str) -> str:
                 add(f"{kind}_{pipeline}", line)
         add(f"checkpoint_{pipeline}", json.loads((runs / f"checkpoint_{pipeline}.json").read_text()))
     summaries = [json.loads(p.read_text()) for p in runs.glob("summary_*.json")]
-    for summary in sorted(summaries, key=lambda s: s["stage"]):
+    for summary in sorted(summaries, key=lambda s: (s["stage"], s["next_index"])):
         add("summary", summary)
     add("provenance", json.loads((runs / "provenance.json").read_text()))
     for f in sorted(p for p in project.rglob("*") if p.is_file()):
@@ -186,3 +186,25 @@ def test_toy_run_artifacts_match_pinned_digest(toy_config, tmp_path):
     dump = _artifact_dump(toy_config, str(tmp_path))
     digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
     assert digest == PINNED_ARTIFACT_DIGEST, f"artifact digest {digest}; normalised dump:\n{dump}"
+
+
+# Digest of the same dump for a run whose stage 2 uses the adversarial
+# operators, which never close a hole. Its first segment ends every item on
+# the attempt bound R * C and the resumed second segment on the verifier
+# budget T, both after replans every R proposals: exits the toy run, which
+# closes every hole on its first proposal, never takes.
+PINNED_ADVERSARIAL_DIGEST = "552288fe63b79f474c54b38e2c49d715212de740708d1d02a8cf212cd3ed8c95"
+
+
+def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):
+    toy_config.stage = 1
+    run_statement_stage(toy_config)
+    toy_config.stage, toy_config.operators = 2, "adversarial"
+    toy_config.budget_r, toy_config.budget_c = 2, 3
+    for resume, budget_t, max_items in ((False, 9, 8), (True, 4, None)):
+        toy_config.resume, toy_config.budget_t, toy_config.max_items = resume, budget_t, max_items
+        results, _ = run_proof_stage(toy_config)
+        assert all(r.status == "unsolved" for r in results)
+    dump = _artifact_dump(toy_config, str(tmp_path))
+    digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
+    assert digest == PINNED_ADVERSARIAL_DIGEST, f"artifact digest {digest}; dump:\n{dump}"

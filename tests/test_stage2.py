@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+from dataclasses import asdict
+
 import pytest
 
 from autoform import simlang
-from autoform.diagnostics import Diagnostic, DiagnosticSet, SourceRange
-from autoform.instrumentation import read_events
-from autoform.operators import OperatorSet
+from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, range_text
+from autoform.instrumentation import HistoryStore, MetricsWriter, RunInstrumentation, read_events
+from autoform.kernel import PatchProposal
+from autoform.operators import OperatorResponse, OperatorSet
 from autoform.scripted import adversarial_handlers, toy_handlers
 from autoform.stage1 import Stage1Config, run_stage1, target_file
 from autoform.stage2 import (
+    DEFAULT_SPLIT_THRESHOLD,
     AmbiguousTargetError,
     ProofTask,
     Stage2Config,
@@ -22,7 +28,7 @@ from autoform.stage2 import (
 from autoform.verifier import Project, SimulatedVerifier, Verifier
 
 from helpers import EventSink
-from oracles import oracle_signatures
+from oracles import oracle_signatures, ref_run_stage2_item
 
 
 def make_verifier(sink=None):
@@ -43,6 +49,15 @@ def w : P := sorry
 
 /-- [2] Lemma 0.2 -/
 lemma goal : P := by sorry
+"""
+
+
+TWO_THEOREMS = """\
+/-- [1] Theorem A -/
+theorem a : True := sorry
+
+/-- [2] Theorem B -/
+theorem b : True := trivial
 """
 
 
@@ -78,6 +93,11 @@ class TestLocateTargetHole:
         project.write("A.lean", "lemma a : P := by sorry\nlemma b : Q := by sorry\n")
         with pytest.raises(AmbiguousTargetError):
             locate_target_hole(project, "A.lean", ProofTask(index=9, label="Lemma 9"))
+
+    def test_missing_label_does_not_borrow_another_hole(self, project):
+        project.write("A.lean", TWO_THEOREMS)
+        with pytest.raises(AmbiguousTargetError, match="matches 0 declarations"):
+            locate_target_hole(project, "A.lean", ProofTask(index=3, label="Theorem C"))
 
 
 class TestSelectError:
@@ -280,6 +300,51 @@ class TestMissingSectionFile:
         assert [w["lean_file"] for w in warnings] == [missing] * len(gone)
         assert all(missing in w["reason"] for w in warnings)
         assert not project.exists(missing)
+
+
+class TestTargetLookupSkips:
+    """Every lookup of the target ends the item ``skipped`` with a warning
+    when the task label picks out no single declaration."""
+
+    def run(self, project, instrumentation, label, propose):
+        project.write("A.lean", TWO_THEOREMS)
+        handlers = dict(toy_handlers(), propose_proof_patch=propose)
+        result = run_stage2_item(
+            project,
+            "A.lean",
+            ProofTask(index=1, label=label),
+            Stage2Config(),
+            OperatorSet(handlers, EventSink()),
+            make_verifier(),
+            instrumentation,
+        )
+        events = read_events(instrumentation.metrics.path)
+        return result, [e["data"] for e in events if e["event"] == "warning"]
+
+    def test_accepted_patch_that_duplicates_the_label(self, project, instrumentation):
+        def propose(request):
+            patch = PatchProposal(
+                file="A.lean",
+                scope=Scope.of(request.payload["hole"]),
+                replacement="trivial\n\n/-- [1] Theorem A -/\ntheorem a2 : True := trivial",
+            )
+            return OperatorResponse(ok=True, patch=patch)
+
+        result, warnings = self.run(project, instrumentation, "Theorem A", propose)
+        assert (result.status, result.proof_attempts, result.verifier_calls) == ("skipped", 1, 2)
+        reason = "label 'Theorem A' matches 2 declarations"
+        assert warnings == [{"reason": reason, "lean_file": "A.lean", "index": 1}]
+        assert "theorem a2" in project.staged("A.lean")  # the accepted patch stays staged
+
+    def test_label_missing_from_a_labelled_file(self, project, instrumentation):
+        def propose(request):
+            raise AssertionError("no proposal for a target that was not found")
+
+        result, warnings = self.run(project, instrumentation, "Theorem C", propose)
+        assert (result.status, result.plans, result.verifier_calls) == ("skipped", 0, 1)
+        reason = "label 'Theorem C' matches 0 declarations"
+        assert warnings == [{"reason": reason, "lean_file": "A.lean", "index": 1}]
+        assert project.staged("A.lean") is None
 
 
 class ToyWorld:
@@ -511,3 +576,171 @@ class TestRequestConditioning:
         world.run_item(record, task)
         assert seen_goals and seen_goals[0] is not None
         assert seen_goals[0]["goal"] == "T11A"
+
+
+# -- differential check against the reference item loop ----------------------
+
+SECTION = "Chapters/Chap01/section01.lean"
+
+
+def random_section(rng: random.Random, labels: list[str]) -> str:
+    """A section of holed, closed and broken declarations, each labelled
+    with a draw from ``labels``, or unlabelled when ``labels`` is empty."""
+    lines = ["open Classical", ""] if rng.random() < 0.4 else []
+    for k in range(rng.randint(1, 5)):
+        if labels:
+            lines.append(f"/-- [{k + 1}] {rng.choice(labels)} -/")
+        lines.append(
+            rng.choice(
+                [
+                    f"theorem t{k} : True := by sorry",
+                    f"theorem t{k} : True := sorry",
+                    f"theorem t{k} : True := trivial",
+                    f"lemma t{k} : True := ghost{k}",
+                    f"def t{k} : T0 := sorry",
+                ]
+            )
+        )
+        lines.append("")
+    return "\n".join(lines)
+
+
+def random_handlers(rng: random.Random) -> dict:
+    """Operators whose every response is drawn from ``rng``: failures,
+    crashes, empty and out-of-scope patches, no-ops, patches that add an
+    error, close a hole, or close one and add a labelled declaration."""
+    fresh = iter(range(10**6))
+
+    def patched(request, target, replacement, extra=()):
+        scope = Scope(tuple([target, *extra]))
+        patch = PatchProposal(request.payload["file"], scope, replacement, "scripted:random")
+        return OperatorResponse(ok=True, patch=patch)
+
+    def common(request, target):
+        roll = rng.randrange(6)
+        if roll == 0:
+            return OperatorResponse.failed("no proposal")
+        if roll == 1:
+            raise RuntimeError("operator crashed")
+        if roll == 2:
+            return OperatorResponse(ok=True)
+        if roll == 3:
+            far = SourceRange(target.end_line + 40, 0, target.end_line + 40, 1)
+            return patched(request, far, "trivial")
+        if roll == 4:  # a patch over two ranges is out of scope too
+            return patched(request, target, "trivial", extra=[SourceRange(0, 0, 0, 1)])
+        return patched(request, target, range_text(request.payload["file_text"], target))
+
+    def propose(request):
+        target = request.payload["target_range"]
+        roll = rng.randrange(10)
+        if roll < 4:
+            return common(request, target)
+        if roll < 6:
+            return patched(request, target, rng.choice(["trivial", "exact trivial"]))
+        if roll < 8:
+            return patched(request, target, rng.choice(["ghost", "sorry", "a b"]))
+        label = rng.choice([request.payload["task"]["label"], "Theorem 9"])
+        added = f"/-- [9] {label} -/\ntheorem dup{next(fresh)} : True := trivial"
+        return patched(request, target, f"trivial\n\n{added}")
+
+    def fix(request):
+        target = request.payload["target_range"]
+        roll = rng.randrange(8)
+        if roll < 4:
+            return common(request, target)
+        return patched(request, target, rng.choice(["sorry", "trivial", "a b", "ghost"]))
+
+    def plan(request):
+        return rng.choice(
+            [OperatorResponse(ok=True, text=f"plan {next(fresh)}"), OperatorResponse.failed("down")]
+        )
+
+    def replan(request):
+        return rng.choice(
+            [
+                OperatorResponse(ok=True, text=f"replan {next(fresh)}"),
+                OperatorResponse(ok=True, text=""),
+                OperatorResponse.failed("down"),
+            ]
+        )
+
+    return {
+        "fix_compile_error": fix,
+        "plan": plan,
+        "replan": replan,
+        "propose_proof_patch": propose,
+    }
+
+
+def run_scenario(item_fn, root, seed: int):
+    """One item of scenario ``seed`` under ``item_fn``: its result fields (or
+    the text of the AmbiguousTargetError it raised), metrics and history
+    lines without timestamps, and the project's staged and committed text."""
+    rng = random.Random(seed)
+    labels = [f"Theorem {k}" for k in range(rng.choice([0, 2, 4, 8]))]
+    text = random_section(rng, labels)
+    used = [d.doc_label for d in simlang.parse_file(text).declarations if d.doc_label]
+    label = rng.choice(used * 3 + ["Theorem 1", "Theorem 9"])
+    config = Stage2Config(
+        t=rng.randint(1, 14),
+        r=rng.randint(1, 4),
+        c=rng.randint(1, 4),
+        split_threshold=rng.choice([DEFAULT_SPLIT_THRESHOLD, 6]),
+        goal_query_enabled=rng.random() < 0.5,
+    )
+    project = Project(root / "project")
+    if rng.random() < 0.97:
+        project.write(SECTION, text)
+    task = ProofTask(index=seed, label=label, reference_proof="trivial")
+    runs = root / "runs"
+    metrics = MetricsWriter(runs / "metrics.jsonl", "run")
+    metrics.run_start({})
+    with RunInstrumentation(
+        metrics=metrics,
+        history=HistoryStore(runs / "history.jsonl"),
+        checkpoint_path=runs / "checkpoint.json",
+        log_dir=runs / "calls",
+    ) as instr:
+        verifier = Verifier(SimulatedVerifier(), metrics)
+        operators = OperatorSet(random_handlers(random.Random(-seed)), instr)
+        try:
+            outcome = asdict(item_fn(project, SECTION, task, config, operators, verifier, instr))
+        except AmbiguousTargetError as exc:
+            outcome = str(exc)
+
+    def lines(name):
+        return [{k: v for k, v in e.items() if k != "ts"} for e in read_events(runs / name)]
+
+    ids = [SECTION] + [SECTION.replace(".lean", f"_part{k}.lean") for k in range(1, 9)]
+    files = {f: (project.staged(f), project.committed_bytes(f)) for f in ids}
+    return outcome, lines("metrics.jsonl")[1:], lines("history.jsonl"), files
+
+
+def test_item_loop_matches_reference_loop(tmp_path):
+    """The flat item loop against the nested reference loop on seeded
+    scenarios. The two differ only where the reference was wrong: its lookup
+    after an accepted proposal raised on an ambiguous label, and its lookup
+    borrowed another declaration's hole for a label missing from a labelled
+    file. There the item ends ``skipped`` with a warning after the same
+    events."""
+    seen = Counter()
+    for seed in range(600):
+        old = run_scenario(ref_run_stage2_item, tmp_path / f"{seed}" / "old", seed)
+        new = run_scenario(run_stage2_item, tmp_path / f"{seed}" / "new", seed)
+        outcome, events, history, files = new
+        if old == new:
+            seen[outcome["status"]] += 1
+            continue
+        assert outcome["status"] == "skipped", seed
+        *before, warning = events
+        assert warning["event"] == "warning" and warning["data"]["index"] == seed
+        reason = warning["data"]["reason"]
+        if isinstance(old[0], str):  # raised by the reference after an accept
+            seen["ambiguous after accept"] += 1
+            assert (reason, before, history, files) == old, seed
+        else:
+            seen["label missing"] += 1
+            assert reason.endswith("matches 0 declarations"), seed
+            assert before == old[1][: len(before)] and history == old[2][: len(history)], seed
+    assert min(seen.values()) >= 5 and len(seen) == 6, seen
