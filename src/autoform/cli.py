@@ -60,8 +60,6 @@ def _config_from_args(args: argparse.Namespace, stage: int) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    if getattr(args, "alpha", None):
-        cfg.alphas = tuple(args.alpha)
     if getattr(args, "resume", False):
         cfg.resume = True
     if getattr(args, "force_restart", False):
@@ -114,7 +112,10 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    project = Project(_resolve(args.project))
+    root = Path(_resolve(args.project))
+    if not (root / args.file).is_file():
+        raise FileNotFoundError(f"no such file: {args.file}")
+    project = Project(root)
     result = split_if_large_and_resolve(project, args.file, None, args.threshold)
     project.commit()
     parts = [f for f in project.files() if f.startswith(args.file[:-5] + "_part")]
@@ -235,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-r", dest="budget_r", type=int)
         p.add_argument("--budget-c", dest="budget_c", type=int)
         p.add_argument("--split-threshold", dest="split_threshold", type=int)
-        p.add_argument("--alpha", action="append", type=float)
         p.add_argument("--lemma-map", dest="lemma_map")
         p.add_argument("--max-items", dest="max_items", type=int)
         p.add_argument("--resume", action="store_true")
@@ -276,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("account", help="reconstruct totals and metrics from metrics streams")
     p.add_argument("--metrics", action="append", required=True)
     p.add_argument("--run-id", dest="run_id", action="append")
-    p.add_argument("--alpha", action="append", type=float)
+    p.add_argument("--alpha", action="append", type=float,
+                   help="cost fraction alpha in Cost_alpha = V + alpha * Q (repeatable)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_account)
 

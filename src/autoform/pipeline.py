@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from . import accounting, scripted, simlang, stage1, stage2
+from . import scripted, stage1, stage2
 from .corpus import (
     DEFAULT_PROOF_TARGET_ENVS,
     DatasetRecord,
@@ -57,8 +57,6 @@ class RunConfig:
     budget_r: int = stage2.DEFAULT_R
     budget_c: int = stage2.DEFAULT_C
     split_threshold: int = stage2.DEFAULT_SPLIT_THRESHOLD
-    header_bound: int = simlang.DEFAULT_HEADER_BOUND
-    alphas: tuple[float, ...] = accounting.DEFAULT_ALPHAS
     operators: str = "toy"  # toy | adversarial | bridge
     operator_command: list[str] = field(default_factory=list)
     verify_command: list[str] = field(default_factory=list)
@@ -96,7 +94,6 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         d = asdict(self)
-        d["alphas"] = list(self.alphas)
         d["proof_target_envs"] = list(self.proof_target_envs)
         return d
 
@@ -106,7 +103,7 @@ PIPELINE_NAMES = {1: "statement", 2: "proof"}
 
 def make_adapter(config: RunConfig):
     if config.adapter == "simulated":
-        return SimulatedVerifier(header_bound=config.header_bound)
+        return SimulatedVerifier()
     if config.adapter == "external":
         if not config.verify_command:
             raise ValueError("external adapter requires verify_command")
@@ -178,7 +175,7 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
                 "config": config.as_dict(),
             }
         )
-        verifier = Verifier(make_adapter(config), instr.metrics, config.header_bound)
+        verifier = Verifier(make_adapter(config), instr.metrics)
         operators = make_operators(config, instr, pipeline)
         started = time.monotonic()
         results, stage_fields = drive(project, verifier, operators, instr, start_index)

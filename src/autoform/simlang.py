@@ -7,8 +7,13 @@ declared name. Comments (``--`` line, ``/- -/`` block, nesting allowed)
 and double-quoted strings are opaque: placeholder tokens inside them do
 not count as holes.
 
+The header is the contiguous prefix of header-keyword lines within the
+first ``HEADER_BOUND`` lines; the bound is a property of the language, not
+of a run.
+
 ``analyse`` reads a file text once, in one linear pass, and memoises the
-result by content; the other readers here are views over that analysis.
+result by content; ``parse_file``, ``find_hole_ranges`` and ``count_holes``
+are views over that analysis.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ HOLE_TOKEN = "sorry"
 DECL_KINDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "axiom")
 DEFINITION_KINDS = frozenset({"def", "abbrev"})
 HEADER_KEYWORDS = ("import", "namespace", "section", "open")
-DEFAULT_HEADER_BOUND = 64
+HEADER_BOUND = 64
 ANALYSIS_MEMO_SIZE = 8
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
@@ -81,11 +86,6 @@ def noncode_spans(text: str) -> list[tuple[str, int, int]]:
     return spans
 
 
-def mask_noncode(text: str) -> str:
-    """Replace comment/string content with spaces, preserving line structure."""
-    return analyse(text).masked
-
-
 def find_hole_ranges(text: str) -> list[SourceRange]:
     """Ranges of placeholder tokens outside comments and strings."""
     return list(analyse(text).hole_ranges)
@@ -93,16 +93,6 @@ def find_hole_ranges(text: str) -> list[SourceRange]:
 
 def count_holes(text: str) -> int:
     return len(analyse(text).hole_ranges)
-
-
-def header_line_span(text: str, bound: int = DEFAULT_HEADER_BOUND) -> tuple[int, int] | None:
-    """(first, last) line numbers of the contiguous header prefix, or None.
-
-    Blank and comment-only lines inside the prefix are tolerated; the span
-    ends at the last header-keyword line before the first code line, capped
-    at ``bound`` lines.
-    """
-    return analyse(text, bound).parsed.header_span
 
 
 @dataclass(frozen=True)
@@ -119,17 +109,6 @@ class Declaration:
     doc_label: str | None = None
     malformed: str | None = None
 
-    @property
-    def signature_text(self) -> str:
-        """Everything before the body delimiter, whitespace-normalized."""
-        return " ".join(
-            filter(None, [self.kind, self.name or "", ":", _norm_type(self.type_text)])
-        )
-
-
-def _norm_type(t: str) -> str:
-    return " ".join(t.split())
-
 
 @dataclass(frozen=True)
 class ImportLine:
@@ -139,6 +118,10 @@ class ImportLine:
 
 @dataclass(frozen=True)
 class ParsedFile:
+    # (first, last) line numbers of the header prefix, or None. Blank and
+    # comment-only lines inside the prefix are tolerated; the span ends at
+    # the last header-keyword line before the first code line, capped at
+    # HEADER_BOUND lines.
     header_span: tuple[int, int] | None
     imports: tuple[ImportLine, ...]
     declarations: tuple[Declaration, ...]
@@ -146,8 +129,8 @@ class ParsedFile:
     line_count: int
 
 
-def parse_file(text: str, header_bound: int = DEFAULT_HEADER_BOUND) -> ParsedFile:
-    return analyse(text, header_bound).parsed
+def parse_file(text: str) -> ParsedFile:
+    return analyse(text).parsed
 
 
 @dataclass(frozen=True)
@@ -168,14 +151,14 @@ class Analysis:
     decl_holes: tuple[tuple[SourceRange, ...], ...]
 
 
-def analyse(text: str, header_bound: int = DEFAULT_HEADER_BOUND) -> Analysis:
-    """The analysis of ``text`` under ``header_bound``.
+def analyse(text: str) -> Analysis:
+    """The analysis of ``text``.
 
-    Results are memoised by (text, header_bound) in a least-recently-used
-    memo of at most ``ANALYSIS_MEMO_SIZE`` entries. An analysis is immutable
-    and a pure function of its key, so sharing one between callers is safe.
+    Results are memoised by text in a least-recently-used memo of at most
+    ``ANALYSIS_MEMO_SIZE`` entries. An analysis is immutable and a pure
+    function of the text, so sharing one between callers is safe.
     """
-    return _memo(text, header_bound)
+    return _memo(text)
 
 
 def _mask(text: str, spans: list[tuple[str, int, int]]) -> str:
@@ -189,9 +172,9 @@ def _mask(text: str, spans: list[tuple[str, int, int]]) -> str:
     return "".join(parts)
 
 
-def _header_span(masked_lines: list[str], bound: int) -> tuple[int, int] | None:
+def _header_span(masked_lines: list[str]) -> tuple[int, int] | None:
     last_header = None
-    for lineno, line in enumerate(masked_lines[:bound]):
+    for lineno, line in enumerate(masked_lines[:HEADER_BOUND]):
         stripped = line.strip()
         if not stripped:
             continue
@@ -205,7 +188,7 @@ def _header_span(masked_lines: list[str], bound: int) -> tuple[int, int] | None:
     return (0, last_header)
 
 
-def _analyse(text: str, header_bound: int) -> Analysis:
+def _analyse(text: str) -> Analysis:
     spans = noncode_spans(text)
     masked = _mask(text, spans)
     masked_lines = masked.split("\n")
@@ -219,7 +202,7 @@ def _analyse(text: str, header_bound: int) -> Analysis:
             el, ec = offset_to_pos(text, m.end(), starts)
             holes.append(SourceRange(sl, sc, el, ec))
 
-    header_span = _header_span(masked_lines, header_bound)
+    header_span = _header_span(masked_lines)
     header_end = header_span[1] if header_span else -1
 
     imports = []
@@ -381,7 +364,7 @@ def _parse_declaration(
     if colon == -1:
         return make(kind=kind, name=name, body_text=body_text, body_rng=body_rng,
                     malformed="missing type ascription")
-    type_text = _norm_type(raw_unit[colon + 1 : assign])
+    type_text = " ".join(raw_unit[colon + 1 : assign].split())
     if not type_text:
         return make(kind=kind, name=name, body_text=body_text, body_rng=body_rng,
                     malformed="empty type")
@@ -422,9 +405,3 @@ def module_name(file_id: str) -> str:
 
 def module_file(module: str) -> str:
     return module.replace(".", "/") + ".lean"
-
-
-def extract_signatures(text: str) -> list[str]:
-    """Independent of acceptance: the signature text of every declaration."""
-    parsed = parse_file(text)
-    return [d.signature_text for d in parsed.declarations]

@@ -267,7 +267,7 @@ def _run_item(
     else:
         decl_range = insert_skeleton(record, project, file_id, operators)
 
-    header = header_scope(project.read(file_id), verifier.header_bound)
+    header = header_scope(project.read(file_id))
     scope = Scope.of(decl_range).union(header)
     _, diags = verifier.verify_file(project, file_id)
     result.verifier_calls += 1
@@ -281,7 +281,7 @@ def _run_item(
             # stage objective): grow the scope toward the nearest error
             if expansions >= DEFAULT_MAX_SCOPE_EXPANSIONS:
                 break
-            header = header_scope(project.read(file_id), verifier.header_bound)
+            header = header_scope(project.read(file_id))
             scope = expand_scope(scope, diags, header)
             expansions += 1
             rounds += 1

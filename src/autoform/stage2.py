@@ -273,7 +273,7 @@ def run_stage2_item(
         )
         if not response.ok or response.patch is None:
             return response, False
-        scope = Scope.of(payload["target_range"]).union(header_scope(text, verifier.header_bound))
+        scope = Scope.of(payload["target_range"]).union(header_scope(text))
         try:
             outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
         except PatchOutOfScopeError:

@@ -1,7 +1,7 @@
 """Verification oracles: project store, simulated and external adapters.
 
-The simulated adapter is a pure function of file bytes and is the desk-scale
-test oracle. The external adapter shells out to a configurable single-file
+The simulated adapter is a pure function of file bytes, takes no settings,
+and is the desk-scale test oracle. The external adapter shells out to a configurable single-file
 check command and parses its output; it never silently drops toolchain
 output. Both present the same surface: ``verify_file`` returning
 ``(ok, DiagnosticSet)`` where ok holds iff there are zero error-level
@@ -24,7 +24,7 @@ from .diagnostics import (
     err_count,
 )
 from .instrumentation import MetricsWriter
-from .simlang import DEFAULT_HEADER_BOUND, DEFINITION_KINDS
+from .simlang import DEFINITION_KINDS
 
 DEFAULT_BUILTINS = {"trivial": "True"}
 
@@ -234,18 +234,10 @@ class SimulatedVerifier:
 
     Diagnostics: an unresolved name reference is an error at the referencing
     body; a declared-type/body-type mismatch under the trivial type table is
-    an error; a hole in a definition-kind declaration is a warning.
+    an error; a hole in a definition-kind declaration is a warning. Names in
+    ``DEFAULT_BUILTINS`` are in scope everywhere, and every import must name
+    a project file.
     """
-
-    def __init__(
-        self,
-        builtins: dict[str, str] | None = None,
-        external_modules: frozenset[str] = frozenset(),
-        header_bound: int = DEFAULT_HEADER_BOUND,
-    ):
-        self.builtins = dict(DEFAULT_BUILTINS if builtins is None else builtins)
-        self.external_modules = external_modules
-        self.header_bound = header_bound
 
     # -- name resolution -------------------------------------------------
 
@@ -255,7 +247,7 @@ class SimulatedVerifier:
         if file_id in seen or not project.exists(file_id):
             return {}
         seen.add(file_id)
-        parsed = simlang.analyse(project.read(file_id), self.header_bound).parsed
+        parsed = simlang.analyse(project.read(file_id)).parsed
         table: dict[str, str] = {}
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
@@ -273,7 +265,7 @@ class SimulatedVerifier:
             full = SourceRange(0, 0, 0, 0)
             diags = DiagnosticSet.of([Diagnostic(full, "error", f"no such file: {file_id}")])
             return (False, diags)
-        analysis = simlang.analyse(project.read(file_id), self.header_bound)
+        analysis = simlang.analyse(project.read(file_id))
         diags = self._check(project, file_id, analysis)
         return (err_count(diags) == 0, diags)
 
@@ -284,8 +276,6 @@ class SimulatedVerifier:
         imported: dict[str, str] = {}
         cache: dict = {}
         for imp in parsed.imports:
-            if imp.module in self.external_modules:
-                continue
             dep = simlang.module_file(imp.module)
             if not project.exists(dep):
                 rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
@@ -297,7 +287,7 @@ class SimulatedVerifier:
             rng = SourceRange.whole_lines(lineno, lineno)
             out.append(Diagnostic(rng, "error", "unexpected content outside a declaration"))
 
-        scope_table = dict(self.builtins)
+        scope_table = dict(DEFAULT_BUILTINS)
         scope_table.update(imported)
         for decl, body in zip(parsed.declarations, analysis.body_tokens):
             if decl.malformed:
@@ -305,7 +295,7 @@ class SimulatedVerifier:
                     Diagnostic(decl.range, "error", f"malformed declaration: {decl.malformed}")
                 )
                 continue
-            if decl.name and decl.name in scope_table and decl.name not in self.builtins:
+            if decl.name and decl.name in scope_table and decl.name not in DEFAULT_BUILTINS:
                 out.append(
                     Diagnostic(decl.range, "error", f"'{decl.name}' has already been declared")
                 )
@@ -349,7 +339,7 @@ class SimulatedVerifier:
         unless the file exists and verifies. Not a counted verifier call."""
         if not project.exists(file_id):
             return None
-        analysis = simlang.analyse(project.read(file_id), self.header_bound)
+        analysis = simlang.analyse(project.read(file_id))
         if err_count(self._check(project, file_id, analysis)) > 0:
             return None
         declarations = analysis.parsed.declarations
@@ -499,7 +489,6 @@ class Verifier:
 
     adapter: object
     metrics: MetricsWriter
-    header_bound: int = DEFAULT_HEADER_BOUND
     calls: int = field(default=0, init=False)
 
     def verify_file(self, project: Project, file_id: str) -> tuple[bool, DiagnosticSet]:
@@ -535,9 +524,10 @@ class Verifier:
         return self.adapter.goal_state(project, file_id, hole)
 
 
-def header_scope(text: str, bound: int = DEFAULT_HEADER_BOUND) -> Scope:
-    """Scope over the bounded contiguous header prefix; empty if none."""
-    span = simlang.analyse(text, bound).parsed.header_span
+def header_scope(text: str) -> Scope:
+    """Scope over the file's header prefix (``simlang.HEADER_BOUND``); empty
+    if none."""
+    span = simlang.analyse(text).parsed.header_span
     if span is None:
         return Scope()
     return Scope.of(SourceRange.whole_lines(span[0], span[1]))

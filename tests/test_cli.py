@@ -8,6 +8,7 @@ from autoform import synthlogs
 from autoform.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import read_events
+from autoform.pipeline import RunConfig
 from autoform.toydata import build_toy_records
 
 
@@ -97,6 +98,26 @@ class TestStages:
         assert summary["scc"] == 100.0
 
 
+class TestRemovedSettings:
+    """The header bound and the run-level cost fractions are not settings:
+    a config or flag that names one is refused, not stored and ignored."""
+
+    @pytest.mark.parametrize("key, value", [("header_bound", 64), ("alphas", [0.1])])
+    def test_config_key_is_unknown(self, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match="unknown config key"):
+            RunConfig.from_file(cfg)
+
+    @pytest.mark.parametrize("command", [["stage1"], ["stage2"], ["resume", "--stage", "1"]])
+    def test_alpha_flag_is_a_usage_error(self, toy_dataset, tmp_path, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--dataset", toy_dataset, "--project", tmp_path / "project",
+                    "--alpha", "0.3")
+        assert exc.value.code == EXIT_CONFIG
+        assert "--alpha" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_full_toy_pipeline(self, tmp_path, capsys):
         assert run_cli("simulate", "--workdir", tmp_path / "sim") == EXIT_OK
@@ -172,6 +193,18 @@ class TestSplitCommand:
         assert code == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert len(data["parts"]) >= 4
+
+    def test_missing_file_exits_3(self, tmp_path, capsys):
+        project = tmp_path / "project"
+        project.mkdir()
+        for root in (project, tmp_path / "typo"):
+            code = run_cli("split", "--project", root, "--file", "Ghost.lean")
+            assert code == EXIT_DATA
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "io error: no such file" in err and "Ghost.lean" in err
+        assert list(tmp_path.iterdir()) == [project]
+        assert list(project.iterdir()) == []
 
 
 class TestBackfillCommand:

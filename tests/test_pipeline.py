@@ -140,7 +140,7 @@ class TestResumeEquivalence:
 # Digest of every artifact a toy run leaves (metrics, history, summaries,
 # checkpoints, provenance, project tree), taken with ``_artifact_dump``.
 # A refactor that claims to change no behaviour must leave it as it is.
-PINNED_ARTIFACT_DIGEST = "1f625a9157863f84a41d4241a4960aa6c5b49f9ef6549729e0eff8ce31343f67"
+PINNED_ARTIFACT_DIGEST = "fb4ec84c12837528bec4997153ba9a5ac942760f345e3c8c5db401c3d2bb1227"
 
 _VOLATILE_KEYS = frozenset({"ts", "run_id", "seconds", "total_seconds"})
 
@@ -193,7 +193,7 @@ def test_toy_run_artifacts_match_pinned_digest(toy_config, tmp_path):
 # the attempt bound R * C and the resumed second segment on the verifier
 # budget T, both after replans every R proposals: exits the toy run, which
 # closes every hole on its first proposal, never takes.
-PINNED_ADVERSARIAL_DIGEST = "552288fe63b79f474c54b38e2c49d715212de740708d1d02a8cf212cd3ed8c95"
+PINNED_ADVERSARIAL_DIGEST = "16af632480bb6a47a38cf115b5b02f45951996d2437c63829d68e9ec73d59e8b"
 
 
 def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):

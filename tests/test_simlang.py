@@ -64,21 +64,25 @@ class TestCountHoles:
             assert simlang.count_holes(text) == oracle_count_holes(text), text
 
 
+def header_span(text):
+    return simlang.analyse(text).parsed.header_span
+
+
 class TestHeaderSpan:
     def test_three_imports_then_declaration(self):
         text = "import A\nimport B\nimport C\ndef x : T := sorry\n"
-        assert simlang.header_line_span(text) == (0, 2)
+        assert header_span(text) == (0, 2)
 
     def test_no_header_lines(self):
-        assert simlang.header_line_span("def x : T := sorry\n") is None
+        assert header_span("def x : T := sorry\n") is None
 
     def test_blank_and_comment_lines_tolerated(self):
         text = "import A\n\n-- setup\nopen B\ndef x : T := sorry\n"
-        assert simlang.header_line_span(text) == (0, 3)
+        assert header_span(text) == (0, 3)
 
     def test_bound_caps_the_prefix(self):
-        text = "\n".join(f"import M{i}" for i in range(10)) + "\ndef x : T := sorry\n"
-        assert simlang.header_line_span(text, bound=4) == (0, 3)
+        text = "\n".join(f"import M{i}" for i in range(70)) + "\ndef x : T := sorry\n"
+        assert header_span(text) == (0, 63)
 
     def test_randomized_agreement_with_line_classifier(self):
         rng = random.Random(99)
@@ -90,7 +94,7 @@ class TestHeaderSpan:
             )
             text = "\n".join(lines) + "\n"
             expected = oracle_header_last_line(text)
-            got = simlang.header_line_span(text)
+            got = header_span(text)
             assert (got[1] if got else None) == expected, text
 
 
@@ -131,11 +135,6 @@ class TestParseFile:
         term = simlang.interpret_body(analysis.body_tokens[0])
         assert term.error is not None
 
-    def test_signature_text_ignores_body(self):
-        a = "lemma f : T := by sorry\n"
-        b = "lemma f : T := by exact witness\n"
-        assert simlang.extract_signatures(a) == simlang.extract_signatures(b) == ["lemma f : T"]
-
 
 class TestBodyInterpretation:
     def cases(self, body):
@@ -168,14 +167,13 @@ class TestAnalysisMatchesReference:
 
     def assert_same(self, text):
         assert simlang.noncode_spans(text) == ref_noncode_spans(text)
-        assert simlang.mask_noncode(text) == ref_mask_noncode(text)
         assert line_starts(text) == ref_line_starts(text)
-        for bound in (simlang.DEFAULT_HEADER_BOUND, 2):
-            assert simlang.parse_file(text, bound) == ref_parse_file(text, bound)
-            assert simlang.header_line_span(text, bound) == ref_header_line_span(text, bound)
+        analysis = simlang.analyse(text)
+        assert analysis.masked == ref_mask_noncode(text)
+        assert simlang.parse_file(text) == ref_parse_file(text, 64)
+        assert analysis.parsed.header_span == ref_header_line_span(text, 64)
         holes = ref_find_hole_ranges(text)
         assert simlang.find_hole_ranges(text) == holes
-        analysis = simlang.analyse(text)
         assert list(analysis.line_starts) == ref_line_starts(text)
         declarations = analysis.parsed.declarations
         assert len(analysis.body_tokens) == len(analysis.decl_holes) == len(declarations)

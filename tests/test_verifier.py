@@ -95,12 +95,6 @@ class TestSimulatedVerifyFile:
         err = diags.errors()[0]
         assert err.range.start_line == 0 and "Nowhere.Real" in err.message
 
-    def test_external_modules_are_tolerated_when_configured(self, project):
-        sim = SimulatedVerifier(external_modules=frozenset({"Mathlib"}))
-        project.write("A.lean", "import Mathlib\ndef a : T := sorry\n")
-        ok, _ = sim.verify_file(project, "A.lean")
-        assert ok
-
     def test_missing_file(self, project, sim):
         ok, diags = sim.verify_file(project, "Ghost.lean")
         assert not ok and err_count(diags) == 1
