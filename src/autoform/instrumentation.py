@@ -17,6 +17,7 @@ import secrets
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 SCHEMA_VERSION = 2
 TRUNCATION_BOUND = 4096
@@ -162,6 +163,41 @@ def read_events(path: str | Path) -> list[dict]:
             raise ValueError(f"{path}:{lineno + 1}: bad metrics line: {exc}") from exc
         events.append(obj)
     return events
+
+
+def read_events_backwards(path: str | Path, block_size: int = 8192) -> Iterator[dict]:
+    """The durable lines of a JSONL event stream, last first, each parsed
+    only when it is reached: a reader that stops early reads and parses
+    only the tail. The bytes after the last newline are ignored, as
+    ``read_events`` ignores them."""
+    path = Path(path)
+    if not path.exists():
+        return
+    with path.open("rb") as fh:
+        pos = fh.seek(0, os.SEEK_END)
+        pending = b""  # bytes before the lines already yielded
+        durable = False  # whether the torn tail has been cut off
+        while pos > 0:
+            step = min(block_size, pos)
+            pos -= step
+            fh.seek(pos)
+            pending = fh.read(step) + pending
+            if not durable:
+                cut = pending.rfind(b"\n")
+                if cut < 0:
+                    continue
+                pending, durable = pending[:cut], True
+            lines = pending.split(b"\n")
+            # the first line may continue before this block unless the file starts here
+            pending = lines.pop(0) if pos > 0 else b""
+            for line in reversed(lines):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    yield json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: bad metrics line: {exc}") from exc
 
 
 def write_summary(path: str | Path, summary: dict) -> None:

@@ -12,7 +12,10 @@ committed bytes back. Primary metric is always the file error count; the
 secondary is the localized error count (stage 1) or the file hole count
 (stage 2), so a patch that increases compilation errors is never accepted.
 ``run_item`` makes a dataset item one transaction of the ``Project``, and
-``run_items`` runs a stage's items in order behind the checkpoint cursor.
+``run_items`` runs a stage's items in order from a start cursor. The
+``item_end`` line of an item, appended and flushed after its commit, is
+the durable record that moves the cursor past it; the single-key
+checkpoint is written once, when the item loop ends.
 """
 
 from __future__ import annotations
@@ -167,17 +170,28 @@ def try_patch(
     return AttemptOutcome(False, before, after, diagnostics_before)
 
 
-def run_item(project: Project, instrumentation: RunInstrumentation, start: dict, work: Callable):
+def run_item(
+    project: Project,
+    instrumentation: RunInstrumentation,
+    start: dict,
+    work: Callable,
+    on_commit: Callable | None = None,
+):
     """One dataset item as one transaction: the ``item_start`` line with
     ``start``, then ``work()``, the stage's work, which returns the item's
-    result and leaves its edits staged. They are committed once, before the
-    ``item_end`` line with the result's ``end_fields()`` and ``seconds``; if
-    anything raises, they are discarded and no ``item_end`` line follows."""
+    result and leaves its edits staged. They are committed once, then
+    ``on_commit(result)`` runs, then the ``item_end`` line with the result's
+    ``end_fields()`` and ``seconds`` is written: that line moves the resume
+    cursor past the item, so nothing the item owns may follow it. If
+    anything raises, the edits are discarded and no ``item_end`` line
+    follows."""
     started = time.monotonic()
     instrumentation.emit("item_start", start)
     try:
         result = work()
         project.commit()
+        if on_commit is not None:
+            on_commit(result)
     except BaseException:
         # a crash inside the item leaves the project as the item found it
         project.discard()
@@ -196,16 +210,26 @@ def run_items(
     max_items: int | None,
 ) -> list:
     """``run_one`` on each ``(index, item)`` in order, skipping indices below
-    ``start_index`` and stopping after ``max_items`` results; the checkpoint
-    cursor moves past each item once ``run_one`` returns."""
+    ``start_index`` and stopping after ``max_items`` results.
+
+    The cursor, one past the last item ``run_one`` returned, is kept in
+    memory: each item's ``item_end`` line already records it durably. It is
+    written to the checkpoint once, when the loop ends, also when it
+    raises; a segment that starts at no cursor and ends no item writes none.
+    """
     results = []
-    for index, item in items:
-        if start_index is not None and index < start_index:
-            continue
-        if max_items is not None and len(results) >= max_items:
-            break
-        results.append(run_one(item))
-        instrumentation.advance_cursor("next_index", index + 1)
+    cursor = start_index
+    try:
+        for index, item in items:
+            if start_index is not None and index < start_index:
+                continue
+            if max_items is not None and len(results) >= max_items:
+                break
+            results.append(run_one(item))
+            cursor = index + 1
+    finally:
+        if cursor is not None:
+            instrumentation.advance_cursor("next_index", cursor)
     return results
 
 

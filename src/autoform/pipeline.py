@@ -3,8 +3,9 @@
 A run segment wires together the dataset, project, verifier adapter,
 operator set, and instrumentation sinks, emits run_start/run_end around the
 stage driver, and writes a summary mirroring the run_end payload. Resumed
-segments get a fresh run id and start from the checkpoint cursor; totals
-are reconstructed later by summing over run ids.
+segments get a fresh run id and start one past the last ``item_end`` line
+of the metrics stream (``resolve_cursor``); totals are reconstructed later
+by summing over run ids.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .instrumentation import (
     RunInstrumentation,
     new_run_id,
     read_checkpoint,
+    read_events_backwards,
     write_summary,
 )
 from .operators import OPERATOR_KINDS, ExternalBridge, OperatorSet
@@ -135,17 +137,32 @@ def make_operators(
 
 
 def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
-    """Start index for this segment, honoring checkpoint and override rules."""
-    path = config.runs_path() / f"checkpoint_{pipeline}.json"
+    """Start index for this segment; None starts at the first item.
+
+    Without ``--resume`` that is always None. With it, the segment starts
+    one past the ``index`` of the last ``item_end`` line in the pipeline's
+    metrics stream: the line is flushed right after the item's commit, so it
+    is the durable record of the last item done, also when the segment
+    that wrote it was killed before its checkpoint write. The stream is read
+    backwards and only the lines after that ``item_end`` are parsed; when
+    the last segment ended no item, the scan goes on into the segment
+    before it. A stream with no ``item_end`` line gives the checkpoint's
+    cursor. A corrupt checkpoint refuses to run, resumed or not, unless
+    ``--force-restart`` is given, which starts at the first item.
+    """
+    runs = config.runs_path()
     try:
-        checkpoint = read_checkpoint(path)
+        checkpoint = read_checkpoint(runs / f"checkpoint_{pipeline}.json")
     except CheckpointError:
         if config.force_restart:
             return None
         raise
-    if config.resume and checkpoint is not None:
-        return checkpoint.cursor
-    return None
+    if not config.resume:
+        return None
+    for event in read_events_backwards(runs / f"metrics_{pipeline}.jsonl"):
+        if event["event"] == "item_end":
+            return event["data"]["index"] + 1
+    return checkpoint.cursor if checkpoint is not None else None
 
 
 def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
@@ -209,6 +226,8 @@ def run_statement_stage(
         provenance = (
             ProvenanceMap.load(provenance_path) if provenance_path.exists() else ProvenanceMap()
         )
+        if start_index is not None:
+            stage1.recover_provenance(provenance, records, project, start_index)
         try:
             provenance, results = run_stage1(
                 records,

@@ -8,8 +8,10 @@ localize/repair rounds through the patch executor, expanding the scope
 when localization comes up empty. Each item is one ``kernel.run_item``
 transaction: it commits once if no errors remain and is discarded
 otherwise or on a raise, so later items are unaffected; its provenance is
-recorded after the commit. A declaration already committed by an
-interrupted run is checked again, not inserted again.
+recorded after the commit and before its ``item_end`` line. A declaration
+already committed by an interrupted run is checked again, not inserted
+again, and a resumed segment recovers from the project the provenance of
+committed items that an interrupted segment could not save.
 """
 
 from __future__ import annotations
@@ -111,6 +113,9 @@ class ProvenanceMap:
     def names(self) -> list[str]:
         return sorted(self.entries)
 
+    def indices(self) -> set[int]:
+        return {index for spans in self.entries.values() for index, _ in spans}
+
     def as_dict(self) -> dict:
         return {
             name: sorted([idx, list(span)] for idx, span in spans)
@@ -210,6 +215,23 @@ def _item_units(project: Project, file_id: str, index: int) -> list[simlang.Decl
     return [d for d in declarations if d.name and d.doc_index == index]
 
 
+def _record_provenance(provenance: ProvenanceMap, project: Project, record: DatasetRecord) -> None:
+    for decl in _item_units(project, target_file(record), record.index):
+        provenance.add(decl.name, record.index, (0, len(record.content)))
+
+
+def recover_provenance(
+    provenance: ProvenanceMap, records: list[DatasetRecord], project: Project, start_index: int
+) -> None:
+    """Add the names of the items below ``start_index`` that ``provenance``
+    has no entry for, from their ``[index]`` docstrings in the project: a
+    segment killed before it saved ``provenance.json`` committed them."""
+    known = provenance.indices()
+    for record in records:
+        if record.index < start_index and record.index not in known:
+            _record_provenance(provenance, project, record)
+
+
 def run_stage1(
     records: list[DatasetRecord],
     project: Project,
@@ -225,20 +247,20 @@ def run_stage1(
     provenance = provenance if provenance is not None else ProvenanceMap()
 
     def run_one(record: DatasetRecord) -> Stage1ItemResult:
-        file_id = target_file(record)
         start = {
             "index": record.index,
             "label": record.label,
             "chapter": record.context.chapter_number,
             "section": record.context.section_number,
-            "lean_file": file_id,
+            "lean_file": target_file(record),
         }
         work = partial(_run_item, record, project, config, operators, verifier, instrumentation)
-        result = run_item(project, instrumentation, start, work)
-        if result.compiled:
-            for decl in _item_units(project, file_id, record.index):
-                provenance.add(decl.name, record.index, (0, len(record.content)))
-        return result
+
+        def committed(result: Stage1ItemResult) -> None:
+            if result.compiled:
+                _record_provenance(provenance, project, record)
+
+        return run_item(project, instrumentation, start, work, on_commit=committed)
 
     results = run_items(
         instrumentation, ((r.index, r) for r in records), run_one, start_index, max_items

@@ -90,8 +90,10 @@ class Project:
     Ownership rule: while a run segment runs, its ``Project`` is the only
     writer of the root. A change made under the root by anything else is
     not seen by a live ``Project``; build a new one after it (each pipeline
-    segment builds its own, so ``--resume`` starts cold). ``reload_bytes``
-    is the one read that always goes to disk.
+    segment builds its own, so ``--resume`` starts cold). That holds for a
+    file it has seen absent too: ``exists`` and ``committed_bytes`` do not
+    ask the disk again until the project writes or deletes the file.
+    ``reload_bytes`` is the one read that always goes to disk.
     """
 
     def __init__(self, root: str | Path):
@@ -104,12 +106,21 @@ class Project:
         # file_id -> (committed bytes, None when absent; the staged bytes a sync
         # wrote) for each file whose disk holds the latter
         self._synced: dict[str, tuple[bytes | None, bytes]] = {}
+        # files seen absent on disk since the project last wrote or deleted them
+        self._absent: dict[str, None] = {}
 
     def path(self, file_id: str) -> Path:
         return self.root / file_id
 
     def exists(self, file_id: str) -> bool:
-        return file_id in self._staged or file_id in self._cache or self.path(file_id).is_file()
+        if file_id in self._staged or file_id in self._cache:
+            return True
+        if file_id in self._absent:
+            return False
+        if self.path(file_id).is_file():
+            return True
+        self._absent[file_id] = None
+        return False
 
     def read(self, file_id: str) -> str:
         data, text = self._entry(file_id)
@@ -135,16 +146,21 @@ class Project:
         if file_id in self._synced:
             return self._synced[file_id][0]
         entry = self._cache.get(file_id)
-        return entry[0] if entry is not None else self.reload_bytes(file_id)
+        if entry is not None:
+            return entry[0]
+        return None if file_id in self._absent else self.reload_bytes(file_id)
 
     def reload_bytes(self, file_id: str) -> bytes | None:
         """The file's bytes read from disk, bypassing the cache and then
         replacing its entry; None when the file is absent."""
         self._cache.pop(file_id, None)
         try:
-            return self._load(file_id)[0]
+            data = self._load(file_id)[0]
         except FileNotFoundError:
+            self._absent[file_id] = None
             return None
+        self._absent.pop(file_id, None)
+        return data
 
     def _load(self, file_id: str) -> tuple[bytes, str | None]:
         entry = (self.path(file_id).read_bytes(), None)
@@ -160,6 +176,7 @@ class Project:
     def _store(self, file_id: str, data: bytes, text: str | None) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
+        self._absent.pop(file_id, None)
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
             p.parent.mkdir(parents=True, exist_ok=True)
@@ -198,6 +215,7 @@ class Project:
         for file_id, (data, _) in self._staged.items():
             if self._synced.get(file_id, (None, None))[1] is not data:
                 self._synced[file_id] = (self.committed_bytes(file_id), data)
+                self._absent.pop(file_id, None)
                 self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
                 self.path(file_id).write_bytes(data)
 
@@ -205,6 +223,7 @@ class Project:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
+        self._absent.pop(file_id, None)
         p = self.path(file_id)
         if p.exists():
             p.unlink()

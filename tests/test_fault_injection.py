@@ -2,25 +2,30 @@
 
 Each case raises once at the N-th crossing of one boundary, then resumes
 with ``--resume`` semantics until both stages are complete. The project
-bytes, the provenance map and the reported targets, solved, SCC and PSR
-must equal those of an uninterrupted run. The faults are ``BaseException``
-subclasses, so no ``except Exception`` on the way swallows them: they act
-like a kill at that point. Both corpora are the toy corpus; the second
-splits every section file in stage 2.
+bytes, the provenance map, the checkpoints and the reported targets,
+solved, SCC and PSR must equal those of an uninterrupted run. The faults
+are ``BaseException`` subclasses, so no ``except Exception`` on the way
+swallows them. In ``crash`` mode the segment unwinds as after an
+exception: its ``finally`` blocks still write the checkpoint and
+``provenance.json``. In ``kill`` mode no write lands after the fault
+fires, as when the process dies there. Both corpora are the toy corpus;
+the second splits every section file in stage 2.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from autoform import accounting
+from autoform import accounting, instrumentation, pipeline
 from autoform.corpus import dump_dataset
-from autoform.instrumentation import HistoryStore, MetricsWriter, read_events
+from autoform.instrumentation import HistoryStore, MetricsWriter, _AppendStream, read_events
 from autoform.operators import OperatorSet
 from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
+from autoform.stage1 import ProvenanceMap
 from autoform.toydata import build_toy_records
 from autoform.verifier import SimulatedVerifier
 
@@ -60,6 +65,42 @@ class Fault:
         return self.calls == self.n
 
 
+class Kill:
+    """Makes ``fault`` a kill: from the moment it fires until its run
+    segment has unwound, no write lands (stream lines, project files and
+    deletions, the checkpoint, the summary and ``provenance.json``)."""
+
+    WRITES = (
+        (_AppendStream, "_write_line"),
+        (Path, "write_bytes"),
+        (Path, "write_text"),
+        (Path, "unlink"),
+        (os, "replace"),
+    )
+
+    def __init__(self, monkeypatch, fault: Fault):
+        self.fault, self.unwound = fault, False
+        for owner, name in self.WRITES:
+            monkeypatch.setattr(owner, name, self._unless_dead(getattr(owner, name)))
+        real_segment = pipeline._run_segment
+
+        def segment(*args):
+            try:
+                return real_segment(*args)
+            finally:
+                self.unwound = self.fault.fired
+
+        monkeypatch.setattr(pipeline, "_run_segment", segment)
+
+    def _unless_dead(self, real):
+        def write(*args, **kwargs):
+            if self.fault.fired and not self.unwound:
+                return None
+            return real(*args, **kwargs)
+
+        return write
+
+
 def make_config(work: Path, split: bool) -> RunConfig:
     work.mkdir(parents=True)
     dump_dataset(build_toy_records(), work / "toy.json")
@@ -97,6 +138,10 @@ def outcome(cfg: RunConfig) -> dict:
     return {
         "tree": tree_hash(Path(cfg.project)),
         "provenance": json.loads((runs / "provenance.json").read_text(encoding="utf-8")),
+        "checkpoints": [
+            json.loads((runs / f"checkpoint_{p}.json").read_text(encoding="utf-8"))
+            for p in ("statement", "proof")
+        ],
         "targets": report.targets,
         "solved": report.solved,
         "scc": report.metrics.scc,
@@ -122,47 +167,64 @@ def item_end(writer, event, *args) -> bool:
     return event == "item_end"
 
 
+def lean_check(writer, event, *args) -> bool:
+    return event == "lean_check"
+
+
 # (owner, method, call numbers, after, matches). The call numbers cross
 # both stages on both corpora: the toy run makes 31 + 36 verifier calls
 # (the last 4 of each stage are the closing project check), 27 + 32
 # (split: 27 + 8) operator calls, 3 + 32 (split: 3 + 8) history lines,
-# 24 + 16 item_end lines and 24 + 16 project file writes, all of them
-# commits.
+# 27 + 32 lean_check lines, 24 + 16 item_end lines and 24 + 16 project
+# file writes, all of them commits. Each stage is one segment, so it
+# writes one run_start line, one checkpoint and one summary; stage 1 saves
+# provenance once.
 BOUNDARIES = {
     "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
     "history line": (HistoryStore, "append", (1, 3, 4, 11), False, None),
     "commit write, before it lands": (Path, "write_bytes", (1, 24, 25, 40), False, lean_file),
     "commit write, after it lands": (Path, "write_bytes", (1, 24, 25, 40), True, lean_file),
+    "run_start line": (MetricsWriter, "run_start", (1, 2), False, None),
+    "run_start line, after it lands": (MetricsWriter, "run_start", (1, 2), True, None),
+    "lean_check line, after it lands": (MetricsWriter, "emit", (1, 5, 27, 40), True, lean_check),
     "item_end line": (MetricsWriter, "emit", (1, 24, 25, 40), False, item_end),
+    "item_end line, after it lands": (
+        MetricsWriter,
+        "emit",
+        (1, 3, 12, 24, 25, 30, 40),
+        True,
+        item_end,
+    ),
+    "checkpoint write": (instrumentation, "write_checkpoint", (1, 2), False, None),
+    "summary write": (pipeline, "write_summary", (1, 2), False, None),
+    "provenance save": (ProvenanceMap, "save", (1,), False, None),
 }
 
 CASES = [
-    pytest.param(boundary, n, split, id=f"{boundary}-{n}-{'split' if split else 'toy'}")
+    pytest.param(boundary, n, split, mode, id=f"{mode}-{boundary}-{n}-{'split' if split else 'toy'}")
     for boundary, (_, _, ns, _, _) in BOUNDARIES.items()
     for n in ns
     for split in (False, True)
+    for mode in ("crash", "kill")
 ]
 
 
-@pytest.mark.parametrize("boundary, n, split", CASES)
+@pytest.mark.parametrize("boundary, n, split, mode", CASES)
 def test_crash_then_resume_matches_an_uninterrupted_run(
-    boundary, n, split, tmp_path, monkeypatch, uninterrupted
+    boundary, n, split, mode, tmp_path, monkeypatch, uninterrupted
 ):
     owner, name, _, after, matches = BOUNDARIES[boundary]
     cfg = make_config(tmp_path / "work", split)
     fault = Fault(monkeypatch, owner, name, n, after=after, matches=matches)
+    if mode == "kill":
+        Kill(monkeypatch, fault)
     assert run_to_completion(cfg) == 1
     assert fault.fired
     monkeypatch.undo()
     assert outcome(cfg) == uninterrupted[split]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="checkpoint window: a crash between an item's item_end line and its "
-    "checkpoint write re-runs the item on resume, so its item_end is counted twice",
-)
 def test_crash_at_a_checkpoint_write_then_resume(tmp_path, monkeypatch, uninterrupted):
     import autoform.instrumentation as instrumentation
 

@@ -17,6 +17,7 @@ from autoform.instrumentation import (
     parse_token_footer,
     read_checkpoint,
     read_events,
+    read_events_backwards,
     token_backfill,
     write_checkpoint,
     write_summary,
@@ -119,6 +120,35 @@ class TestMetricsWriter:
                 fh.write('{"ts": "t", "run_id": "r", "eve')  # writer died mid-line
             events = read_events(path)
             assert [e["event"] for e in events] == ["run_start", "tick"]
+
+    @pytest.mark.parametrize("tail", ["", '{"ts": "t", "eve', '{"ts": "t"}', "\n\n", "  "])
+    @pytest.mark.parametrize("block_size", [1, 2, 3, 7, 64, 8192])
+    def test_backwards_reader_yields_the_durable_lines_last_first(self, tmp_path, tail, block_size):
+        path = tmp_path / "m.jsonl"
+        with MetricsWriter(path, "r") as metrics:
+            metrics.run_start({"text": "ünï ∀ x → y"})
+            for i in range(12):
+                metrics.emit("tick", {"i": i, "pad": "x" * (i * 5)})
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(tail)
+        expected = list(reversed(read_events(path)))
+        assert len(expected) == 13
+        assert list(read_events_backwards(path, block_size)) == expected
+
+    def test_backwards_reader_of_no_durable_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        assert list(read_events_backwards(path)) == []
+        path.write_text('{"ts": "t", "run_id": "r", "event": "tick", "data": {}}')
+        assert list(read_events_backwards(path, 4)) == []
+
+    def test_backwards_reader_stops_early_and_raises_on_a_bad_line(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('not json\n{"event": "a"}\n{"event": "b"}\n')
+        events = read_events_backwards(path, 5)
+        assert next(events) == {"event": "b"}
+        events.close()  # a reader that stops early leaves no handle open
+        with pytest.raises(ValueError, match="bad metrics line"):
+            list(read_events_backwards(path, 5))
 
 
 class TestHistoryStore:

@@ -4,9 +4,18 @@ import hashlib
 import json
 from pathlib import Path
 
-from autoform import accounting
-from autoform.instrumentation import read_checkpoint, read_events
-from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
+import pytest
+
+from autoform import accounting, instrumentation
+from autoform.instrumentation import (
+    Checkpoint,
+    CheckpointError,
+    MetricsWriter,
+    read_checkpoint,
+    read_events,
+    write_checkpoint,
+)
+from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_statement_stage
 
 from helpers import tree_hash
 
@@ -87,6 +96,87 @@ class TestRunSegments:
         toy_config.max_items = None
         results, _ = run_statement_stage(toy_config)
         assert [r.index for r in results] == list(range(6, 25))
+
+
+class TestResolveCursor:
+    """``--resume`` starts one past the last durable ``item_end`` line of the
+    stream; the checkpoint is read only when the stream has none."""
+
+    @staticmethod
+    def segment(runs: Path, *item_indices: int) -> None:
+        with MetricsWriter(runs / "metrics_statement.jsonl", f"seg{len(item_indices)}") as m:
+            m.run_start({"pipeline": "statement"})
+            for index in item_indices:
+                m.emit("item_start", {"index": index})
+                m.emit("lean_check", {"ok": True})
+                m.emit("item_end", {"index": index, "status": "compiled"})
+
+    @staticmethod
+    def cursor(runs: Path, resume: bool = True, force_restart: bool = False):
+        cfg = RunConfig(runs_dir=str(runs), resume=resume, force_restart=force_restart)
+        return resolve_cursor(cfg, "statement")
+
+    def test_resumes_after_the_last_item_end_not_at_the_checkpoint(self, tmp_path):
+        self.segment(tmp_path, 1, 2, 3, 4)
+        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 3))
+        assert self.cursor(tmp_path) == 5
+
+    def test_a_torn_last_line_is_ignored(self, tmp_path):
+        self.segment(tmp_path, 1, 2, 3)
+        torn = {"ts": "t", "run_id": "r", "event": "item_end", "data": {"index": 4}}
+        with (tmp_path / "metrics_statement.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(torn))  # a whole object, but no newline: not durable
+        assert read_events(tmp_path / "metrics_statement.jsonl")[-1]["data"]["index"] == 3
+        assert self.cursor(tmp_path) == 4
+
+    def test_a_stream_with_no_item_end_falls_back_to_the_checkpoint(self, tmp_path):
+        assert self.cursor(tmp_path) is None  # neither stream nor checkpoint
+        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 7))
+        assert self.cursor(tmp_path) == 7  # no stream
+        self.segment(tmp_path)
+        self.segment(tmp_path)
+        assert self.cursor(tmp_path) == 7  # segments that ended no item
+
+    def test_a_last_segment_with_no_item_end_resumes_after_the_one_before(self, tmp_path):
+        # a segment ended items 1-5 and was killed before its checkpoint
+        # write; the next one was killed before it ended any item
+        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 1))
+        self.segment(tmp_path, 1, 2, 3, 4, 5)
+        self.segment(tmp_path)
+        assert self.cursor(tmp_path) == 6
+
+    def test_without_resume_the_stream_and_the_checkpoint_are_ignored(self, tmp_path):
+        self.segment(tmp_path, 1, 2, 3)
+        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 4))
+        assert self.cursor(tmp_path, resume=False) is None
+
+    def test_a_corrupt_checkpoint_refuses_without_force_restart(self, tmp_path):
+        self.segment(tmp_path, 1, 2, 3)
+        (tmp_path / "checkpoint_statement.json").write_text("{broken")
+        for resume in (True, False):
+            with pytest.raises(CheckpointError):
+                self.cursor(tmp_path, resume=resume)
+            assert self.cursor(tmp_path, resume=resume, force_restart=True) is None
+
+    def test_a_fresh_run_after_a_completed_one_resumes_after_its_own_items(
+        self, toy_config, monkeypatch
+    ):
+        toy_config.stage = 1
+        run_statement_stage(toy_config)
+        checkpoint_path = Path(toy_config.runs_dir) / "checkpoint_statement.json"
+        assert read_checkpoint(checkpoint_path).cursor == 25
+        # a fresh run, killed after its 10th item: its checkpoint write is lost
+        monkeypatch.setattr(instrumentation, "write_checkpoint", lambda path, checkpoint: None)
+        toy_config.max_items = 10
+        results, _ = run_statement_stage(toy_config)
+        assert [r.index for r in results] == list(range(1, 11))
+        monkeypatch.undo()
+        assert read_checkpoint(checkpoint_path).cursor == 25  # the old run's
+        toy_config.resume, toy_config.max_items = True, None
+        assert resolve_cursor(toy_config, "statement") == 11
+        results, _ = run_statement_stage(toy_config)
+        assert [r.index for r in results] == list(range(11, 25))
+        assert read_checkpoint(checkpoint_path).cursor == 25
 
 
 class TestResumeEquivalence:

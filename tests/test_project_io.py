@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange
 from autoform.instrumentation import HistoryRecord, HistoryStore, MetricsWriter, read_events
-from autoform.kernel import PatchProposal, try_patch
+from autoform.kernel import PatchProposal, Snapshot, try_patch
 from autoform.verifier import (
     ExternalVerifier,
     Project,
@@ -350,6 +350,46 @@ class TestIOCounts:
         verifier.verify_file(project, "A.lean")
         verifier.goal_state(project, "A.lean", SourceRange.whole_lines(1, 1))
         assert opens.calls == []
+
+    def test_rejected_attempts_on_a_never_committed_file_read_the_disk_only_to_restore(
+        self, tmp_path, monkeypatch
+    ):
+        project = Project(tmp_path)
+        assert not project.exists("N.lean")  # stage 1 looks before it stages a skeleton
+        project.stage("N.lean", "def w : P := sorry\nlemma l : P := by sorry\n")
+        verifier = Verifier(SimulatedVerifier(), EventSink())
+        _, diags = verifier.verify_file(project, "N.lean")
+        scope = Scope.of(SourceRange.whole_lines(1, 1))
+        patch = PatchProposal(file="N.lean", scope=scope, replacement="lemma l : P := by ghost")
+
+        capturing = [False]
+        reloads = {"capture": 0, "restore": 0}
+        real_capture, real_reload = Snapshot.capture.__func__, Project.reload_bytes
+
+        def capture(cls, project, file_id):
+            capturing[0] = True
+            try:
+                return real_capture(cls, project, file_id)
+            finally:
+                capturing[0] = False
+
+        def reload_bytes(project, file_id):
+            reloads["capture" if capturing[0] else "restore"] += 1
+            return real_reload(project, file_id)
+
+        monkeypatch.setattr(Snapshot, "capture", classmethod(capture))
+        monkeypatch.setattr(Project, "reload_bytes", reload_bytes)
+        opens = OpenCounter(monkeypatch)
+        for _ in range(50):
+            assert not try_patch(2, project, "N.lean", scope, patch, diags, verifier).accepted
+        # the project remembers the file is absent, so capturing the snapshot
+        # asks no disk; every restore still reads the disk back, once
+        assert reloads == {"capture": 0, "restore": 50}
+        assert opens.count(tmp_path / "N.lean", "r") == 50
+        assert project.committed_bytes("N.lean") is None and not (tmp_path / "N.lean").exists()
+
+        project.commit()  # the write forgets the absence
+        assert project.exists("N.lean") and project.committed_bytes("N.lean") is not None
 
     def test_metrics_writer_opens_once_and_flushes_every_line(self, tmp_path, monkeypatch):
         path = tmp_path / "m.jsonl"
