@@ -175,10 +175,10 @@ def lean_check(writer, event, *args) -> bool:
 # both stages on both corpora: the toy run makes 31 + 36 verifier calls
 # (the last 4 of each stage are the closing project check), 27 + 32
 # (split: 27 + 8) operator calls, 3 + 32 (split: 3 + 8) history lines,
-# 27 + 32 lean_check lines, 24 + 16 item_end lines and 24 + 16 project
-# file writes, all of them commits. Each stage is one segment, so it
-# writes one run_start line, one checkpoint and one summary; stage 1 saves
-# provenance once.
+# 27 + 32 (split: 27 + 20) lean_check lines, 24 + 16 item_end lines and
+# 24 + 16 project file writes, all of them commits. Each stage is one
+# segment, so it writes one run_start line, one checkpoint and one
+# summary; stage 1 saves provenance once.
 BOUNDARIES = {
     "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
@@ -202,7 +202,13 @@ BOUNDARIES = {
 }
 
 CASES = [
-    pytest.param(boundary, n, split, mode, id=f"{mode}-{boundary}-{n}-{'split' if split else 'toy'}")
+    pytest.param(
+        boundary,
+        n,
+        split,
+        mode,
+        id=f"{'kill-' if mode == 'kill' else ''}{boundary}-{n}-{'split' if split else 'toy'}",
+    )
     for boundary, (_, _, ns, _, _) in BOUNDARIES.items()
     for n in ns
     for split in (False, True)
