@@ -22,6 +22,7 @@ from typing import Iterator
 SCHEMA_VERSION = 2
 TRUNCATION_BOUND = 4096
 TRUNCATION_MARK = "...[truncated]"
+_BLOCK = 8192  # bytes read at a time when a JSONL stream is read from its end
 
 CHECKPOINT_KEYS = ("next_index", "next_file_index")
 
@@ -86,10 +87,32 @@ def read_checkpoint(path: str | Path) -> Checkpoint | None:
     return Checkpoint(key=key, cursor=cursor)
 
 
+def _cut_torn_tail(path: Path) -> None:
+    """Drop the bytes after the last newline of ``path``: a line a killed
+    writer left unfinished, which no reader counts. Lines appended after it
+    then start on a line of their own instead of extending it."""
+    if not path.exists():
+        return
+    with path.open("r+b") as fh:
+        end = pos = fh.seek(0, os.SEEK_END)
+        while pos > 0:
+            step = min(_BLOCK, pos)
+            pos -= step
+            fh.seek(pos)
+            cut = fh.read(step).rfind(b"\n")
+            if cut >= 0:
+                pos += cut + 1
+                break
+        if pos < end:
+            fh.truncate(pos)
+
+
 class _AppendStream:
     """One append handle on a JSONL file, opened at the first line and kept
     open until ``close``. Each line is flushed before the call that writes
-    it returns, so a reader tailing the file sees every line written so far."""
+    it returns, so a reader tailing the file sees every line written so far.
+    A torn last line left by a killed segment is cut off when the handle
+    opens."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -98,6 +121,7 @@ class _AppendStream:
 
     def _write_line(self, obj: dict) -> None:
         if self._fh is None:
+            _cut_torn_tail(self.path)
             self._fh = self.path.open("a", encoding="utf-8")
         self._fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
         self._fh.flush()
@@ -165,7 +189,7 @@ def read_events(path: str | Path) -> list[dict]:
     return events
 
 
-def read_events_backwards(path: str | Path, block_size: int = 8192) -> Iterator[dict]:
+def read_events_backwards(path: str | Path) -> Iterator[dict]:
     """The durable lines of a JSONL event stream, last first, each parsed
     only when it is reached: a reader that stops early reads and parses
     only the tail. The bytes after the last newline are ignored, as
@@ -178,7 +202,7 @@ def read_events_backwards(path: str | Path, block_size: int = 8192) -> Iterator[
         pending = b""  # bytes before the lines already yielded
         durable = False  # whether the torn tail has been cut off
         while pos > 0:
-            step = min(block_size, pos)
+            step = min(_BLOCK, pos)
             pos -= step
             fh.seek(pos)
             pending = fh.read(step) + pending

@@ -170,28 +170,18 @@ def try_patch(
     return AttemptOutcome(False, before, after, diagnostics_before)
 
 
-def run_item(
-    project: Project,
-    instrumentation: RunInstrumentation,
-    start: dict,
-    work: Callable,
-    on_commit: Callable | None = None,
-):
+def run_item(project: Project, instrumentation: RunInstrumentation, start: dict, work: Callable):
     """One dataset item as one transaction: the ``item_start`` line with
     ``start``, then ``work()``, the stage's work, which returns the item's
-    result and leaves its edits staged. They are committed once, then
-    ``on_commit(result)`` runs, then the ``item_end`` line with the result's
-    ``end_fields()`` and ``seconds`` is written: that line moves the resume
-    cursor past the item, so nothing the item owns may follow it. If
-    anything raises, the edits are discarded and no ``item_end`` line
-    follows."""
+    result and leaves its edits staged. They are committed once, before the
+    ``item_end`` line with the result's ``end_fields()`` and ``seconds``,
+    which moves the resume cursor past the item; if anything raises, they
+    are discarded and no ``item_end`` line follows."""
     started = time.monotonic()
     instrumentation.emit("item_start", start)
     try:
         result = work()
         project.commit()
-        if on_commit is not None:
-            on_commit(result)
     except BaseException:
         # a crash inside the item leaves the project as the item found it
         project.discard()

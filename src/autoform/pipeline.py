@@ -146,8 +146,10 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
     that wrote it was killed before its checkpoint write. The stream is read
     backwards and only the lines after that ``item_end`` are parsed; when
     the last segment ended no item, the scan goes on into the segment
-    before it. A stream with no ``item_end`` line gives the checkpoint's
-    cursor. A corrupt checkpoint refuses to run, resumed or not, unless
+    before it, but not past the ``run_start`` of a segment run without
+    ``--resume``: that run started at the first item, and so does this one.
+    A stream with no ``item_end`` line gives the checkpoint's cursor. A
+    corrupt checkpoint refuses to run, resumed or not, unless
     ``--force-restart`` is given, which starts at the first item.
     """
     runs = config.runs_path()
@@ -162,6 +164,8 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
     for event in read_events_backwards(runs / f"metrics_{pipeline}.jsonl"):
         if event["event"] == "item_end":
             return event["data"]["index"] + 1
+        if event["event"] == "run_start" and not event["data"]["config"]["resume"]:
+            return None
     return checkpoint.cursor if checkpoint is not None else None
 
 

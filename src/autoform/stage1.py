@@ -8,10 +8,10 @@ localize/repair rounds through the patch executor, expanding the scope
 when localization comes up empty. Each item is one ``kernel.run_item``
 transaction: it commits once if no errors remain and is discarded
 otherwise or on a raise, so later items are unaffected; its provenance is
-recorded after the commit and before its ``item_end`` line. A declaration
-already committed by an interrupted run is checked again, not inserted
-again, and a resumed segment recovers from the project the provenance of
-committed items that an interrupted segment could not save.
+recorded after the commit. A declaration already committed by an
+interrupted run is checked again, not inserted again, and a resumed
+segment recovers from the project the provenance of committed items that
+an interrupted segment did not record or save.
 """
 
 from __future__ import annotations
@@ -225,7 +225,8 @@ def recover_provenance(
 ) -> None:
     """Add the names of the items below ``start_index`` that ``provenance``
     has no entry for, from their ``[index]`` docstrings in the project: a
-    segment killed before it saved ``provenance.json`` committed them."""
+    segment interrupted after an item's ``item_end`` line, or killed before
+    it saved ``provenance.json``, committed them unrecorded."""
     known = provenance.indices()
     for record in records:
         if record.index < start_index and record.index not in known:
@@ -255,12 +256,10 @@ def run_stage1(
             "lean_file": target_file(record),
         }
         work = partial(_run_item, record, project, config, operators, verifier, instrumentation)
-
-        def committed(result: Stage1ItemResult) -> None:
-            if result.compiled:
-                _record_provenance(provenance, project, record)
-
-        return run_item(project, instrumentation, start, work, on_commit=committed)
+        result = run_item(project, instrumentation, start, work)
+        if result.compiled:
+            _record_provenance(provenance, project, record)
+        return result
 
     results = run_items(
         instrumentation, ((r.index, r) for r in records), run_one, start_index, max_items

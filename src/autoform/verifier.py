@@ -107,7 +107,7 @@ class Project:
         # wrote) for each file whose disk holds the latter
         self._synced: dict[str, tuple[bytes | None, bytes]] = {}
         # files seen absent on disk since the project last wrote or deleted them
-        self._absent: dict[str, None] = {}
+        self._absent: set[str] = set()
 
     def path(self, file_id: str) -> Path:
         return self.root / file_id
@@ -119,7 +119,7 @@ class Project:
             return False
         if self.path(file_id).is_file():
             return True
-        self._absent[file_id] = None
+        self._absent.add(file_id)
         return False
 
     def read(self, file_id: str) -> str:
@@ -157,9 +157,9 @@ class Project:
         try:
             data = self._load(file_id)[0]
         except FileNotFoundError:
-            self._absent[file_id] = None
+            self._absent.add(file_id)
             return None
-        self._absent.pop(file_id, None)
+        self._absent -= {file_id}
         return data
 
     def _load(self, file_id: str) -> tuple[bytes, str | None]:
@@ -176,7 +176,7 @@ class Project:
     def _store(self, file_id: str, data: bytes, text: str | None) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
-        self._absent.pop(file_id, None)
+        self._absent -= {file_id}
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
             p.parent.mkdir(parents=True, exist_ok=True)
@@ -215,7 +215,7 @@ class Project:
         for file_id, (data, _) in self._staged.items():
             if self._synced.get(file_id, (None, None))[1] is not data:
                 self._synced[file_id] = (self.committed_bytes(file_id), data)
-                self._absent.pop(file_id, None)
+                self._absent -= {file_id}
                 self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
                 self.path(file_id).write_bytes(data)
 
@@ -223,7 +223,7 @@ class Project:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
-        self._absent.pop(file_id, None)
+        self._absent -= {file_id}
         p = self.path(file_id)
         if p.exists():
             p.unlink()

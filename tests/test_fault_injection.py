@@ -259,16 +259,3 @@ def test_provenance_of_committed_items_survives_a_crash(tmp_path, monkeypatch, u
     assert saved == uninterrupted[False]["provenance"]
     assert len(saved) == 24
 
-
-def test_provenance_is_recorded_before_the_item_end_line(tmp_path, monkeypatch):
-    # the crash comes right after item 3's item_end line lands, which moves
-    # the cursor past item 3: the provenance the segment saves as it unwinds
-    # must already hold item 3's name
-    cfg = make_config(tmp_path / "work", split=False)
-    Fault(monkeypatch, MetricsWriter, "emit", 3, after=True, matches=item_end)
-    cfg.stage = 1
-    with pytest.raises(Crash):
-        run_statement_stage(cfg)
-    monkeypatch.undo()
-    saved = json.loads((Path(cfg.runs_dir) / "provenance.json").read_text(encoding="utf-8"))
-    assert set(saved) == {"c1s1Alpha", "c1s1AlphaSpec", "c1s1Beta"}

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from autoform import instrumentation
 from autoform.instrumentation import (
     Checkpoint,
     CheckpointError,
@@ -121,9 +122,37 @@ class TestMetricsWriter:
             events = read_events(path)
             assert [e["event"] for e in events] == ["run_start", "tick"]
 
+    def test_a_torn_line_does_not_merge_with_the_next_segment(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        with MetricsWriter(path, "a") as metrics:
+            metrics.run_start({})
+            metrics.emit("tick", {"i": 0, "pad": "x" * 40})
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"ts": "t", "run_id": "a", "event": "tick", "da')  # writer killed mid-line
+        monkeypatch.setattr(instrumentation, "_BLOCK", 16)  # the cut is found across blocks
+        with MetricsWriter(path, "b") as metrics:
+            metrics.run_start({})
+        events = read_events(path)
+        assert [(e["run_id"], e["event"]) for e in events] == [
+            ("a", "run_start"),
+            ("a", "tick"),
+            ("b", "run_start"),
+        ]
+        assert list(read_events_backwards(path)) == list(reversed(events))
+
+    def test_a_stream_that_is_all_torn_line_starts_empty(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"ts": "t", "eve')
+        with MetricsWriter(path, "b") as metrics:
+            metrics.run_start({})
+        assert [e["run_id"] for e in read_events(path)] == ["b"]
+
     @pytest.mark.parametrize("tail", ["", '{"ts": "t", "eve', '{"ts": "t"}', "\n\n", "  "])
     @pytest.mark.parametrize("block_size", [1, 2, 3, 7, 64, 8192])
-    def test_backwards_reader_yields_the_durable_lines_last_first(self, tmp_path, tail, block_size):
+    def test_backwards_reader_yields_the_durable_lines_last_first(
+        self, tmp_path, monkeypatch, tail, block_size
+    ):
+        monkeypatch.setattr(instrumentation, "_BLOCK", block_size)
         path = tmp_path / "m.jsonl"
         with MetricsWriter(path, "r") as metrics:
             metrics.run_start({"text": "ünï ∀ x → y"})
@@ -133,22 +162,25 @@ class TestMetricsWriter:
             fh.write(tail)
         expected = list(reversed(read_events(path)))
         assert len(expected) == 13
-        assert list(read_events_backwards(path, block_size)) == expected
+        assert list(read_events_backwards(path)) == expected
 
-    def test_backwards_reader_of_no_durable_line(self, tmp_path):
+    def test_backwards_reader_of_no_durable_line(self, tmp_path, monkeypatch):
         path = tmp_path / "m.jsonl"
         assert list(read_events_backwards(path)) == []
         path.write_text('{"ts": "t", "run_id": "r", "event": "tick", "data": {}}')
-        assert list(read_events_backwards(path, 4)) == []
+        assert list(read_events_backwards(path)) == []
+        monkeypatch.setattr(instrumentation, "_BLOCK", 4)
+        assert list(read_events_backwards(path)) == []
 
-    def test_backwards_reader_stops_early_and_raises_on_a_bad_line(self, tmp_path):
+    def test_backwards_reader_stops_early_and_raises_on_a_bad_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(instrumentation, "_BLOCK", 5)
         path = tmp_path / "m.jsonl"
         path.write_text('not json\n{"event": "a"}\n{"event": "b"}\n')
-        events = read_events_backwards(path, 5)
+        events = read_events_backwards(path)
         assert next(events) == {"event": "b"}
         events.close()  # a reader that stops early leaves no handle open
         with pytest.raises(ValueError, match="bad metrics line"):
-            list(read_events_backwards(path, 5))
+            list(read_events_backwards(path))
 
 
 class TestHistoryStore:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from autoform import accounting, instrumentation
+from autoform import accounting, instrumentation, stage1
 from autoform.instrumentation import (
     Checkpoint,
     CheckpointError,
@@ -103,9 +103,9 @@ class TestResolveCursor:
     stream; the checkpoint is read only when the stream has none."""
 
     @staticmethod
-    def segment(runs: Path, *item_indices: int) -> None:
+    def segment(runs: Path, *item_indices: int, resume: bool = True) -> None:
         with MetricsWriter(runs / "metrics_statement.jsonl", f"seg{len(item_indices)}") as m:
-            m.run_start({"pipeline": "statement"})
+            m.run_start({"pipeline": "statement", "config": {"resume": resume}})
             for index in item_indices:
                 m.emit("item_start", {"index": index})
                 m.emit("lean_check", {"ok": True})
@@ -129,6 +129,17 @@ class TestResolveCursor:
         assert read_events(tmp_path / "metrics_statement.jsonl")[-1]["data"]["index"] == 3
         assert self.cursor(tmp_path) == 4
 
+    def test_a_torn_line_then_a_segment_that_ended_no_item(self, tmp_path):
+        self.segment(tmp_path, 1, 2, 3)
+        with (tmp_path / "metrics_statement.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"ts": "t", "run_id": "r", "event": "item_e')  # killed mid-line
+        self.segment(tmp_path)
+        assert self.cursor(tmp_path) == 4
+        assert [e["event"] for e in read_events(tmp_path / "metrics_statement.jsonl")][-2:] == [
+            "item_end",
+            "run_start",
+        ]
+
     def test_a_stream_with_no_item_end_falls_back_to_the_checkpoint(self, tmp_path):
         assert self.cursor(tmp_path) is None  # neither stream nor checkpoint
         write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 7))
@@ -144,6 +155,16 @@ class TestResolveCursor:
         self.segment(tmp_path, 1, 2, 3, 4, 5)
         self.segment(tmp_path)
         assert self.cursor(tmp_path) == 6
+
+    def test_the_scan_stops_at_a_segment_run_without_resume(self, tmp_path):
+        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 4))
+        self.segment(tmp_path, 1, 2, 3, resume=False)
+        self.segment(tmp_path, resume=False)  # a fresh run that ended no item
+        assert self.cursor(tmp_path) is None
+        self.segment(tmp_path)  # and a resumed one after it, which ended none either
+        assert self.cursor(tmp_path) is None
+        self.segment(tmp_path, 1, 2)
+        assert self.cursor(tmp_path) == 3
 
     def test_without_resume_the_stream_and_the_checkpoint_are_ignored(self, tmp_path):
         self.segment(tmp_path, 1, 2, 3)
@@ -177,6 +198,26 @@ class TestResolveCursor:
         results, _ = run_statement_stage(toy_config)
         assert [r.index for r in results] == list(range(11, 25))
         assert read_checkpoint(checkpoint_path).cursor == 25
+
+    def test_a_fresh_run_that_ended_no_item_resumes_at_the_first_item(
+        self, toy_config, monkeypatch
+    ):
+        toy_config.stage = 1
+        run_statement_stage(toy_config)
+
+        def killed(*args):
+            raise RuntimeError("killed before the first item ended")
+
+        monkeypatch.setattr(stage1, "run_item", killed)
+        with pytest.raises(RuntimeError):
+            run_statement_stage(toy_config)  # a fresh run
+        monkeypatch.undo()
+        checkpoint_path = Path(toy_config.runs_dir) / "checkpoint_statement.json"
+        assert read_checkpoint(checkpoint_path).cursor == 25  # the completed run's
+        toy_config.resume = True
+        assert resolve_cursor(toy_config, "statement") is None
+        results, _ = run_statement_stage(toy_config)
+        assert [r.index for r in results] == list(range(1, 25))
 
 
 class TestResumeEquivalence:
