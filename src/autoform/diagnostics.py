@@ -10,6 +10,7 @@ such a point into the range ending at it keeps that column.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -187,9 +188,11 @@ def localize(diagnostics: DiagnosticSet, scope: Scope) -> DiagnosticSet:
     return DiagnosticSet.of(d for d in diagnostics if scope.intersects(d.range))
 
 
-def line_starts(text: str) -> list[int]:
-    starts = [0]
-    starts.extend(m.end() for m in _NEWLINE_RE.finditer(text))
+def line_starts(text: str, start: int = 0) -> list[int]:
+    """Offsets of the lines of ``text`` from the line that begins at
+    ``start`` on."""
+    starts = [start]
+    starts.extend(m.end() for m in _NEWLINE_RE.finditer(text, start))
     return starts
 
 
@@ -210,14 +213,8 @@ def offset_to_pos(text: str, offset: int, starts: list[int] | None = None) -> tu
     if starts is None:
         starts = line_starts(text)
     offset = max(0, min(offset, len(text)))
-    lo, hi = 0, len(starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if starts[mid] <= offset:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, offset - starts[lo]
+    line = bisect_right(starts, offset) - 1
+    return line, offset - starts[line]
 
 
 def apply_replacement(text: str, rng: SourceRange, replacement: str) -> str:

@@ -13,16 +13,19 @@ of a run.
 
 ``analyse`` reads a file text once, in one linear pass, and memoises the
 result by content; ``parse_file``, ``find_hole_ranges`` and ``count_holes``
-are views over that analysis.
+are views over that analysis. A text that extends or edits a memoised one
+is read only from the first declaration the edit can reach, so appending a
+declaration costs that declaration, not the file.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from bisect import bisect_left
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
 from .diagnostics import SourceRange, line_starts, offset_to_pos, pos_to_offset
 
@@ -41,17 +44,18 @@ _STRING_STOP_RE = re.compile(r'[\\"]')
 _NOT_NEWLINE_RE = re.compile("[^\n]")
 
 
-def noncode_spans(text: str) -> list[tuple[str, int, int]]:
+def noncode_spans(text: str, start: int = 0) -> list[tuple[str, int, int]]:
     """Spans of comments and string literals as (kind, start, end) offsets.
 
     This is the comment/string scanner: one left-to-right pass that jumps
     from delimiter to delimiter. Block comments nest; a backslash escapes
     the next character of a string; an unterminated block comment or
-    string runs to the end of the text.
+    string runs to the end of the text. The scan begins at offset
+    ``start``, which must lie outside every span of the whole text.
     """
     spans: list[tuple[str, int, int]] = []
     n = len(text)
-    i = 0
+    i = start
     while (opener := _NONCODE_OPEN_RE.search(text, i)) is not None:
         i = opener.start()
         token = opener.group()
@@ -155,15 +159,31 @@ def analyse(text: str) -> Analysis:
     """The analysis of ``text``.
 
     Results are memoised by text in a least-recently-used memo of at most
-    ``ANALYSIS_MEMO_SIZE`` entries. An analysis is immutable and a pure
-    function of the text, so sharing one between callers is safe.
+    ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from the
+    memoised analysis that shares the longest prefix with ``text``: it keeps
+    that analysis's declaration units the edit cannot reach and reads only
+    the rest of the text (``_kept_units``). It falls back to reading the
+    whole text when no unit can be kept. Either way the result equals a
+    fresh analysis of ``text``, field for field. An analysis is immutable
+    and a pure function of the text, so sharing one between callers is
+    safe.
     """
-    return _memo(text)
+    analysis = _memo.get(text)
+    if analysis is None:
+        analysis = _analyse(text, *_resume_point(text))
+        _memo[text] = analysis
+        if len(_memo) > ANALYSIS_MEMO_SIZE:
+            _memo.popitem(last=False)
+    else:
+        _memo.move_to_end(text)
+    return analysis
 
 
-def _mask(text: str, spans: list[tuple[str, int, int]]) -> str:
+def _mask(text: str, spans: list[tuple[str, int, int]], start: int = 0) -> str:
+    """``text[start:]`` with every character of ``spans`` but newlines
+    blanked; the spans lie at or after ``start``."""
     parts = []
-    done = 0
+    done = start
     for _, a, b in spans:
         parts.append(text[done:a])
         parts.append(_NOT_NEWLINE_RE.sub(" ", text[a:b]))
@@ -188,51 +208,86 @@ def _header_span(masked_lines: list[str]) -> tuple[int, int] | None:
     return (0, last_header)
 
 
-def _analyse(text: str) -> Analysis:
-    spans = noncode_spans(text)
-    masked = _mask(text, spans)
-    masked_lines = masked.split("\n")
-    starts = line_starts(text)
+def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis:
+    """The analysis of ``text``, read in one left-to-right pass.
+
+    With ``kept`` > 0, the pass reuses the first ``kept`` declaration units
+    of ``base`` and starts at the line after them. The caller
+    (``_kept_units``) guarantees that ``text`` has the same lines as the
+    base's text up to that point, and that no comment or string of the base
+    crosses it, so everything read before it is the same in both texts.
+    """
+    if kept:
+        # lines before ``first`` come from the base and are never read again
+        declarations = list(base.parsed.declarations[:kept])
+        first = declarations[-1].range.end_line
+        resume = base.line_starts[first]
+        spans = list(base.noncode[: bisect_left(base.noncode, resume, key=itemgetter(1))])
+        kept_holes = bisect_left(base.hole_ranges, first, key=attrgetter("start_line"))
+        holes = list(base.hole_ranges[:kept_holes])
+        stray_lines = base.parsed.stray_lines
+        stray = list(stray_lines[: bisect_left(stray_lines, first)])
+        bodies = list(base.body_tokens[:kept])
+        decl_holes = list(base.decl_holes[:kept])
+        starts = list(base.line_starts[:first]) + line_starts(text, resume)
+        header_span, imports = base.parsed.header_span, list(base.parsed.imports)
+        prefix = base.masked[:resume]
+    else:
+        declarations, spans, holes, stray, bodies, decl_holes = [], [], [], [], [], []
+        first = resume = 0
+        starts = line_starts(text)
+        prefix = ""
+    new_spans = noncode_spans(text, resume)
+    tail = _mask(text, new_spans, resume)
+    masked = prefix + tail
+    # blank stand-ins for the kept lines keep line numbers as list indexes
+    masked_lines = [""] * first + tail.split("\n")
     n_lines = len(masked_lines)
 
-    holes = []
-    for m in _IDENT_RE.finditer(masked):
+    new_holes = []
+    for m in _IDENT_RE.finditer(masked, resume):
         if m.group(0) == HOLE_TOKEN:
             sl, sc = offset_to_pos(text, m.start(), starts)
             el, ec = offset_to_pos(text, m.end(), starts)
-            holes.append(SourceRange(sl, sc, el, ec))
+            new_holes.append(SourceRange(sl, sc, el, ec))
 
-    header_span = _header_span(masked_lines)
+    if not kept:
+        header_span = _header_span(masked_lines)
+        imports = []
+        for lineno in range(header_span[1] + 1 if header_span else 0):
+            parts = masked_lines[lineno].strip().split()
+            if len(parts) >= 2 and parts[0] == "import":
+                imports.append(ImportLine(module=parts[1], lineno=lineno))
     header_end = header_span[1] if header_span else -1
 
-    imports = []
-    for lineno in range(0, header_end + 1):
-        parts = masked_lines[lineno].strip().split()
-        if len(parts) >= 2 and parts[0] == "import":
-            imports.append(ImportLine(module=parts[1], lineno=lineno))
-
     # docstring spans by (start_line, end_line); both lines ascend with the
-    # span order because noncode spans are disjoint and sorted
+    # span order because noncode spans are disjoint and sorted. Of the
+    # base's docstrings, only one that ends on the last kept line, where it
+    # shares a line with code, can still attach to a declaration read now.
     doc_spans = []
-    for kind, a, b in spans:
+    for kind, a, b in reversed(spans):
+        if b <= starts[first - 1]:
+            break
         if kind == "block" and text.startswith("/--", a):
-            sl, _ = offset_to_pos(text, a, starts)
-            el, _ = offset_to_pos(text, max(a, b - 1), starts)
-            inner = text[a + 3 : max(a + 3, b - 2)]
-            doc_spans.append((sl, el, inner))
+            doc_spans.append(_doc_span(text, a, b, starts))
+            break
+    for kind, a, b in new_spans:
+        if kind == "block" and text.startswith("/--", a):
+            doc_spans.append(_doc_span(text, a, b, starts))
 
-    # last_code[k]: the last non-blank masked line before line k, or -1
+    # last_code[k]: the last non-blank masked line before line k, or -1; a
+    # kept unit's last line is code
     last_code = [-1] * (n_lines + 1)
-    for lineno, line in enumerate(masked_lines):
-        last_code[lineno + 1] = lineno if line.strip() else last_code[lineno]
+    last_code[first] = first - 1
+    for lineno in range(first, n_lines):
+        last_code[lineno + 1] = lineno if masked_lines[lineno].strip() else last_code[lineno]
 
     decl_starts = []
-    for lineno in range(header_end + 1, n_lines):
+    for lineno in range(max(header_end + 1, first), n_lines):
         parts = masked_lines[lineno].split()
         if parts and parts[0] in DECL_KINDS:
             decl_starts.append(lineno)
 
-    declarations: list[Declaration] = []
     covered = bytearray(n_lines)
     covered[: header_end + 1] = b"\x01" * (header_end + 1)
     next_doc = 0
@@ -257,16 +312,15 @@ def _analyse(text: str) -> Analysis:
         )
         covered[unit_start : end + 1] = b"\x01" * (end + 1 - unit_start)
 
-    stray = tuple(
+    stray.extend(
         lineno
-        for lineno in range(header_end + 1, n_lines)
+        for lineno in range(max(header_end + 1, first), n_lines)
         if not covered[lineno] and masked_lines[lineno].strip()
     )
 
-    hole_starts = [h.start for h in holes]
-    bodies = []
-    decl_holes = []
-    for decl in declarations:
+    # the holes of a declaration read now are new: they lie in its lines
+    hole_starts = [h.start for h in new_holes]
+    for decl in declarations[kept:]:
         body = decl.body_range
         a = pos_to_offset(text, body.start_line, body.start_col, starts)
         b = pos_to_offset(text, body.end_line, body.end_col, starts)
@@ -275,27 +329,85 @@ def _analyse(text: str) -> Analysis:
         # declaration iff it starts inside the declaration's lines
         lo = bisect_left(hole_starts, decl.range.start)
         hi = bisect_left(hole_starts, decl.range.end, lo)
-        decl_holes.append(tuple(holes[lo:hi]))
+        decl_holes.append(tuple(new_holes[lo:hi]))
 
     parsed = ParsedFile(
         header_span=header_span,
         imports=tuple(imports),
         declarations=tuple(declarations),
-        stray_lines=stray,
+        stray_lines=tuple(stray),
         line_count=n_lines,
     )
     return Analysis(
         masked=masked,
         line_starts=tuple(starts),
-        noncode=tuple(spans),
-        hole_ranges=tuple(holes),
+        noncode=tuple(spans + new_spans),
+        hole_ranges=tuple(holes + new_holes),
         parsed=parsed,
         body_tokens=tuple(bodies),
         decl_holes=tuple(decl_holes),
     )
 
 
-_memo = functools.lru_cache(maxsize=ANALYSIS_MEMO_SIZE)(_analyse)
+def _doc_span(text: str, a: int, b: int, starts: list[int]) -> tuple[int, int, str]:
+    """(start_line, end_line, inner text) of the docstring span [a, b)."""
+    sl, _ = offset_to_pos(text, a, starts)
+    el, _ = offset_to_pos(text, max(a, b - 1), starts)
+    return sl, el, text[a + 3 : max(a + 3, b - 2)]
+
+
+def _resume_point(text: str) -> tuple[Analysis | None, int]:
+    """The memoised analysis to start ``text``'s analysis from, and how many
+    of its declaration units to keep: the one that keeps the most text, or
+    (None, 0) when none keeps a unit."""
+    best: tuple[Analysis | None, int] = (None, 0)
+    best_resume = 0
+    for base_text, base in _memo.items():
+        decls = base.parsed.declarations
+        starts = base.line_starts
+        # a base is a candidate only if text keeps its first two declaration
+        # lines; one startswith rejects every other text
+        after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
+        if after >= len(starts) or not text.startswith(base_text[: starts[after]]):
+            continue
+        kept = _kept_units(text, base_text, base)
+        if kept:
+            resume = starts[decls[kept - 1].range.end_line]
+            if resume > best_resume:
+                best, best_resume = (base, kept), resume
+    return best
+
+
+def _kept_units(text: str, base_text: str, base: Analysis) -> int:
+    """How many of a candidate ``base``'s declaration units ``text`` keeps.
+
+    Let d be the line of the first character where the two texts differ; a
+    candidate's second declaration starts before d. The base's declarations
+    that start before line d are kept, except the last of them, whose end
+    can still move. None is kept (0) when a comment or string of the base
+    crosses the offset where the kept units end: the scan would resume
+    inside it.
+    """
+    decls = base.parsed.declarations
+    starts = base.line_starts
+    lo, hi = 1, len(decls) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        # does text have the base's lines through declaration mid's first?
+        after = decls[mid].range.start_line + 1
+        if after < len(starts) and text.startswith(base_text[: starts[after]]):
+            lo = mid
+        else:
+            hi = mid - 1
+    resume = starts[decls[lo - 1].range.end_line]
+    spans = base.noncode
+    i = bisect_left(spans, resume, key=itemgetter(1))
+    if i and spans[i - 1][2] > resume:
+        return 0
+    return lo
+
+
+_memo: OrderedDict[str, Analysis] = OrderedDict()
 
 
 def _parse_declaration(

@@ -238,10 +238,14 @@ class Project:
         )
 
 
-def _verify_each_file(adapter, project: Project) -> tuple[bool, DiagnosticSet]:
-    """Project check as one ``adapter.verify_file`` call per source file; ok
-    iff every file verifies."""
-    checks = [adapter.verify_file(project, file_id) for file_id in project.files()]
+def _verify_each_file(
+    adapter, project: Project, files: list[str] | None
+) -> tuple[bool, DiagnosticSet]:
+    """Project check as one ``adapter.verify_file`` call per source file
+    (``files``, else the project's listing); ok iff every file verifies."""
+    if files is None:
+        files = project.files()
+    checks = [adapter.verify_file(project, file_id) for file_id in files]
     return (
         all(ok for ok, _ in checks),
         DiagnosticSet.of(d for _, diags in checks for d in diags),
@@ -348,8 +352,10 @@ class SimulatedVerifier:
                 scope_table[decl.name] = decl.type_text
         return DiagnosticSet.of(out)
 
-    def verify_project(self, project: Project) -> tuple[bool, DiagnosticSet]:
-        return _verify_each_file(self, project)
+    def verify_project(
+        self, project: Project, files: list[str] | None = None
+    ) -> tuple[bool, DiagnosticSet]:
+        return _verify_each_file(self, project, files)
 
     def goal_state(
         self, project: Project, file_id: str, hole: SourceRange
@@ -476,7 +482,9 @@ class ExternalVerifier:
             )
         return (err_count(diags) == 0, diags)
 
-    def verify_project(self, project: Project) -> tuple[bool, DiagnosticSet]:
+    def verify_project(
+        self, project: Project, files: list[str] | None = None
+    ) -> tuple[bool, DiagnosticSet]:
         if self.project_command is not None:
             project.sync()
             argv = [a.format(root=str(project.root)) for a in self.project_command]
@@ -490,7 +498,7 @@ class ExternalVerifier:
                     )
                 )
             return (err_count(diags) == 0, diags)
-        return _verify_each_file(self, project)
+        return _verify_each_file(self, project, files)
 
     def goal_state(self, project: Project, file_id: str, hole: SourceRange) -> GoalState | None:
         return None
@@ -532,10 +540,12 @@ class Verifier:
         return ok, diags
 
     def verify_project(self, project: Project) -> tuple[bool, DiagnosticSet]:
-        ok, diags = self.adapter.verify_project(project)
+        """Check the whole project over one listing of its files, which the
+        ``project_check`` event counts."""
+        files = project.files()
+        ok, diags = self.adapter.verify_project(project, files)
         self.metrics.emit(
-            "project_check",
-            {"ok": ok, "errors": err_count(diags), "files": len(project.files())},
+            "project_check", {"ok": ok, "errors": err_count(diags), "files": len(files)}
         )
         return ok, diags
 

@@ -206,6 +206,169 @@ class TestAnalysisMatchesReference:
         assert [d.doc_index for d in declarations] == list(range(120))
 
 
+UNITS = [
+    "def a{k} : T := sorry",
+    "/-- [{k}] Item {k} -/\ntheorem t{k} : P := by sorry",
+    "lemma l{k} : Q :=\n  by exact a{k}",
+    "def b{k} : T := sorry /-- [{k}] on the same line -/",
+    "example : T := sorry -- note",
+    "stray words {k}",
+    "",
+    'def s{k} : S := "a string {k}"',
+]
+DELIMITERS = ["/-", "-/", "--", '"']
+
+
+def random_edit(rng, text):
+    """One edit of ``text``: append a unit, replace a range of lines, insert
+    or delete lines, or put a delimiter on either side of the line where a
+    declaration's analysis would resume."""
+    lines = text.split("\n")
+    unit = rng.choice(UNITS).format(k=rng.randrange(1000))
+    op = rng.randrange(5)
+    if op == 0:
+        return text + unit + "\n"
+    i = rng.randrange(len(lines))
+    if op == 1:
+        lines[i : i + rng.randint(1, 3)] = unit.split("\n")
+    elif op == 2:
+        lines[i:i] = unit.split("\n")
+    elif op == 3:
+        del lines[i : i + rng.randint(1, 2)]
+    else:
+        declarations = simlang.analyse(text).parsed.declarations
+        if declarations:
+            resume = rng.choice(declarations).range.end_line
+            if rng.random() < 0.5 or resume == len(lines):
+                lines[resume - 1] += rng.choice(DELIMITERS)
+            else:
+                lines[resume] = rng.choice(DELIMITERS) + lines[resume]
+    return "\n".join(lines)
+
+
+def units_file(rng, units):
+    return "import A\n\n" + "".join(
+        rng.choice(UNITS).format(k=k) + "\n" for k in range(units)
+    )
+
+
+def assert_fresh(text):
+    """The memoised analysis of ``text`` equals one read with no base."""
+    assert simlang.analyse(text) == simlang._analyse(text), text
+
+
+def kept_units(base_text, text):
+    """How many declaration units the analysis of ``text`` keeps from that
+    of ``base_text``, with nothing else memoised."""
+    simlang._memo.clear()
+    base = simlang.analyse(base_text)
+    found, kept = simlang._resume_point(text)
+    assert found in (None, base)
+    return kept
+
+
+class TestIncrementalAnalysis:
+    """An analysis that starts from a memoised one must equal a fresh one."""
+
+    def test_random_edit_sequences(self):
+        rng = random.Random(20261018)
+        resumed = 0
+        for _ in range(300):
+            simlang._memo.clear()
+            if rng.random() < 0.5:
+                text = random_file(rng, lines=rng.randint(0, 30))
+            else:
+                text = units_file(rng, rng.randint(0, 20))
+            for _ in range(rng.randint(1, 10)):
+                resumed += simlang._resume_point(text)[1] > 0
+                assert_fresh(text)
+                text = random_edit(rng, text)
+        assert resumed > 300
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(SOUP_TOKENS), max_size=30).map("".join),
+        st.lists(st.sampled_from(SOUP_TOKENS), max_size=20).map("".join),
+        st.lists(st.sampled_from(SOUP_TOKENS), max_size=20).map("".join),
+    )
+    def test_delimiter_soup_edits(self, shared, before, after):
+        prefix = "def a : T := sorry\ntheorem b : P := a\n" + shared
+        simlang.analyse(prefix + before)
+        assert_fresh(prefix + after)
+
+    def test_edit_inside_the_header_reads_everything(self):
+        base = units_file(random.Random(1), 6)
+        text = base.replace("import A", "import B")
+        assert kept_units(base, text) == 0
+        assert_fresh(text)
+
+    def test_edit_in_the_first_declaration_reads_everything(self):
+        base = "def a : T := sorry\ndef b : T := a\ndef c : T := b\n"
+        text = base.replace(": T := sorry", ": T := c")
+        assert kept_units(base, text) == 0
+        assert_fresh(text)
+
+    def test_comment_or_string_across_the_resume_offset_reads_everything(self):
+        for opener, closer in (("/- note", "-/"), ('"note', '"')):
+            base = (
+                "def a : T := sorry\n"
+                f"def b : T := sorry {opener}\n"
+                f"{closer} def c : T := sorry\n"
+                "def d : T := sorry\n"
+            )
+            text = base.replace("def d : T := sorry", "def d : T := c")
+            assert simlang.parse_file(base).declarations[2].name == "c"
+            assert kept_units(base, text) == 0
+            assert_fresh(text)
+
+    def test_edit_that_leaves_a_comment_or_string_unterminated(self):
+        base = "".join(f"def d{k} : T := sorry\n" for k in range(6))
+        for opener in ("/- open", '"open'):
+            text = base.replace("def d4 : T := sorry", f"def d4 : T := sorry {opener}")
+            assert kept_units(base, text) == 3
+            assert_fresh(text)
+            assert len(simlang.parse_file(text).declarations) == 5
+
+    def test_declaration_line_turned_into_a_stray_line(self):
+        # only lines above the first declaration can be stray; a later
+        # declaration line that loses its keyword joins the body above it
+        base = "import A\n" + "".join(f"def d{k} : T := sorry\n\n" for k in range(5))
+        text = base.replace("def d0 ", "xdef d0 ")
+        assert kept_units(base, text) == 0
+        assert_fresh(text)
+        assert simlang.parse_file(text).stray_lines == (1,)
+        text = base.replace("def d3 ", "xdef d3 ")
+        assert kept_units(base, text) == 2
+        assert_fresh(text)
+        assert simlang.parse_file(text).stray_lines == ()
+
+    def test_docstring_on_the_line_of_the_previous_units_code(self):
+        base = (
+            "def a : T := sorry\n"
+            "def b : T := sorry /-- [2] Item 2 -/\n"
+            "def c : T := sorry\n"
+        )
+        text = base + "def d : T := c\n"
+        assert kept_units(base, text) == 2
+        assert_fresh(text)
+        assert simlang.parse_file(text).declarations[2].doc_index == 2
+
+    def test_appending_to_a_long_file_parses_at_most_two_declarations(self, monkeypatch):
+        text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
+        simlang._memo.clear()
+        simlang.analyse(text)
+        parsed = []
+        parse = simlang._parse_declaration
+        monkeypatch.setattr(
+            simlang, "_parse_declaration", lambda *args: parsed.append(1) or parse(*args)
+        )
+        longer = text + "/-- [400] Item 400 -/\ndef e : T := d399\n"
+        analysis = simlang.analyse(longer)
+        assert len(parsed) <= 2
+        monkeypatch.undo()
+        assert analysis == simlang._analyse(longer)
+
+
 class TestModuleNames:
     def test_roundtrip(self):
         assert simlang.module_name("Chapters/Chap01/section01.lean") == "Chapters.Chap01.section01"

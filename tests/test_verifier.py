@@ -152,8 +152,10 @@ class TestAnalysisReuse:
     def test_verify_scans_each_content_once(self, project, monkeypatch):
         scans = []
         scan = simlang.noncode_spans
-        monkeypatch.setattr(simlang, "noncode_spans", lambda text: scans.append(1) or scan(text))
-        simlang._memo.cache_clear()
+        monkeypatch.setattr(
+            simlang, "noncode_spans", lambda text, start=0: scans.append(1) or scan(text, start)
+        )
+        simlang._memo.clear()
         text = "".join(
             f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400)
         )
@@ -170,11 +172,11 @@ class TestAnalysisReuse:
         assert len(scans) == 2
 
     def test_memo_never_exceeds_its_bound(self):
-        simlang._memo.cache_clear()
+        simlang._memo.clear()
         for k in range(3 * simlang.ANALYSIS_MEMO_SIZE):
             simlang.analyse(f"def d{k} : T := sorry\n")
-            assert simlang._memo.cache_info().currsize <= simlang.ANALYSIS_MEMO_SIZE
-        assert simlang._memo.cache_info().currsize == simlang.ANALYSIS_MEMO_SIZE
+            assert len(simlang._memo) <= simlang.ANALYSIS_MEMO_SIZE
+        assert len(simlang._memo) == simlang.ANALYSIS_MEMO_SIZE
 
 
 class TestSimulatedVerifyProject:
@@ -235,6 +237,18 @@ class TestInstrumentedVerifier:
         verifier.verify_project(project)
         assert sink.count("lean_check") == 0
         assert sink.count("project_check") == 1
+
+    def test_closing_check_lists_the_project_once(self, project, monkeypatch):
+        sink = EventSink()
+        verifier = Verifier(SimulatedVerifier(), metrics=sink)
+        project.write("A.lean", "def a : T := sorry\n")
+        project.write("B.lean", "def b : T := ghost\n")
+        listings = []
+        files = Project.files
+        monkeypatch.setattr(Project, "files", lambda self: listings.append(1) or files(self))
+        ok, _ = verifier.verify_project(project)
+        assert not ok and len(listings) == 1
+        assert sink.events[-1]["data"] == {"ok": False, "errors": 1, "files": 2}
 
 
 DIAG_OUTPUT = """\
