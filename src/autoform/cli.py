@@ -6,7 +6,7 @@ file; the only environment override is AUTOFORM_ROOT, which rebases
 relative dataset/project paths.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data or IO error,
-4 runtime failure (verifier launch, checkpoint refusal, failed pipeline).
+4 runtime failure (verifier launch, failed pipeline).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from pathlib import Path
 from . import accounting, synthlogs, toydata
 from .corpus import DatasetError, load_dataset, load_lemma_map, is_proof_target, dump_dataset
 from .instrumentation import (
-    CheckpointError,
     MetricsWriter,
     new_run_id,
     read_events,
@@ -62,8 +61,6 @@ def _config_from_args(args: argparse.Namespace, stage: int) -> RunConfig:
             setattr(cfg, key, value)
     if getattr(args, "resume", False):
         cfg.resume = True
-    if getattr(args, "force_restart", False):
-        cfg.force_restart = True
     if getattr(args, "no_goal_query", False):
         cfg.goal_query_enabled = False
     if not cfg.dataset or not cfg.project:
@@ -112,6 +109,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
+    if not args.file.endswith(".lean"):
+        raise SystemExit2(f"--file must name a .lean file: {args.file}")
     root = Path(_resolve(args.project))
     if not (root / args.file).is_file():
         raise FileNotFoundError(f"no such file: {args.file}")
@@ -239,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lemma-map", dest="lemma_map")
         p.add_argument("--max-items", dest="max_items", type=int)
         p.add_argument("--resume", action="store_true")
-        p.add_argument("--force-restart", action="store_true")
         p.add_argument("--no-goal-query", dest="no_goal_query", action="store_true")
         p.add_argument("--run-id", dest="run_id")
 
@@ -256,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_flags(p)
     p.set_defaults(func=cmd_stage2)
 
-    p = sub.add_parser("resume", help="resume a stage from its checkpoint")
+    p = sub.add_parser("resume", help="resume a stage after its last ended item")
     p.add_argument("--stage", type=int, choices=[1, 2], required=True)
     add_run_flags(p)
     p.set_defaults(func=cmd_resume)
@@ -309,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     except DatasetError as exc:
         print(f"dataset error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (CheckpointError, VerifierLaunchError) as exc:
+    except VerifierLaunchError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (FileNotFoundError, OSError) as exc:

@@ -1,9 +1,9 @@
-"""Run instrumentation: checkpoints, metrics events, history, token backfill.
+"""Run instrumentation: metrics events, history, token backfill.
 
 Everything reported about a run is reconstructable from these artifacts
 alone. The metrics stream is append-only JSONL where every line has exactly
-four top-level fields (ts, run_id, event, data); the checkpoint is a single
-JSON object with exactly one integer cursor key; history is a compact
+four top-level fields (ts, run_id, event, data); its ``item_end`` lines are
+also the one record a resumed run starts from. History is a compact
 append-only JSONL trace with truncated strings whose full text remains in
 per-call logs.
 """
@@ -24,8 +24,6 @@ TRUNCATION_BOUND = 4096
 TRUNCATION_MARK = "...[truncated]"
 _BLOCK = 8192  # bytes read at a time when a JSONL stream is read from its end
 
-CHECKPOINT_KEYS = ("next_index", "next_file_index")
-
 TOKEN_FOOTER_RE = re.compile(r"tokens used\s*([0-9][0-9,]*)")
 
 LOG_NAME_RE = re.compile(
@@ -40,51 +38,6 @@ def utc_now_iso() -> str:
 def new_run_id(pipeline: str, stage: str | int) -> str:
     ts = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     return f"{pipeline}_stage{stage}_{ts}_{secrets.token_hex(4)}"
-
-
-class CheckpointError(RuntimeError):
-    """Unreadable or malformed checkpoint; refuse to run without an override."""
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    key: str
-    cursor: int
-
-    def __post_init__(self) -> None:
-        if self.key not in CHECKPOINT_KEYS:
-            raise CheckpointError(f"checkpoint key must be one of {CHECKPOINT_KEYS}: {self.key!r}")
-        if not isinstance(self.cursor, int) or isinstance(self.cursor, bool):
-            raise CheckpointError(f"checkpoint cursor must be an integer: {self.cursor!r}")
-
-    def as_dict(self) -> dict:
-        return {self.key: self.cursor}
-
-
-def write_checkpoint(path: str | Path, checkpoint: Checkpoint) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(checkpoint.as_dict()) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def read_checkpoint(path: str | Path) -> Checkpoint | None:
-    """Last durable cursor, or None when no checkpoint exists yet."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
-    if not isinstance(data, dict) or len(data) != 1:
-        raise CheckpointError(f"checkpoint {path} must hold exactly one key")
-    key, cursor = next(iter(data.items()))
-    if not isinstance(cursor, int) or isinstance(cursor, bool):
-        raise CheckpointError(f"checkpoint {path} cursor is not an integer")
-    return Checkpoint(key=key, cursor=cursor)
 
 
 def _cut_torn_tail(path: Path) -> None:
@@ -344,7 +297,6 @@ class RunInstrumentation:
 
     metrics: MetricsWriter
     history: HistoryStore
-    checkpoint_path: Path
     log_dir: Path
 
     @property
@@ -380,9 +332,6 @@ class RunInstrumentation:
                 payload=payload,
             )
         )
-
-    def advance_cursor(self, key: str, cursor: int) -> None:
-        write_checkpoint(self.checkpoint_path, Checkpoint(key=key, cursor=cursor))
 
     def close(self) -> None:
         """Close the stream handles; the owner of the run segment calls this."""

@@ -14,8 +14,7 @@ secondary is the localized error count (stage 1) or the file hole count
 ``run_item`` makes a dataset item one transaction of the ``Project``, and
 ``run_items`` runs a stage's items in order from a start cursor. The
 ``item_end`` line of an item, appended and flushed after its commit, is
-the durable record that moves the cursor past it; the single-key
-checkpoint is written once, when the item loop ends.
+the durable record that moves the cursor past it.
 """
 
 from __future__ import annotations
@@ -193,33 +192,20 @@ def run_item(project: Project, instrumentation: RunInstrumentation, start: dict,
 
 
 def run_items(
-    instrumentation: RunInstrumentation,
     items: Iterable[tuple[int, object]],
     run_one: Callable,
     start_index: int | None,
     max_items: int | None,
 ) -> list:
     """``run_one`` on each ``(index, item)`` in order, skipping indices below
-    ``start_index`` and stopping after ``max_items`` results.
-
-    The cursor, one past the last item ``run_one`` returned, is kept in
-    memory: each item's ``item_end`` line already records it durably. It is
-    written to the checkpoint once, when the loop ends, also when it
-    raises; a segment that starts at no cursor and ends no item writes none.
-    """
+    ``start_index`` and stopping after ``max_items`` results."""
     results = []
-    cursor = start_index
-    try:
-        for index, item in items:
-            if start_index is not None and index < start_index:
-                continue
-            if max_items is not None and len(results) >= max_items:
-                break
-            results.append(run_one(item))
-            cursor = index + 1
-    finally:
-        if cursor is not None:
-            instrumentation.advance_cursor("next_index", cursor)
+    for index, item in items:
+        if start_index is not None and index < start_index:
+            continue
+        if max_items is not None and len(results) >= max_items:
+            break
+        results.append(run_one(item))
     return results
 
 

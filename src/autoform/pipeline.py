@@ -4,8 +4,8 @@ A run segment wires together the dataset, project, verifier adapter,
 operator set, and instrumentation sinks, emits run_start/run_end around the
 stage driver, and writes a summary mirroring the run_end payload. Resumed
 segments get a fresh run id and start one past the last ``item_end`` line
-of the metrics stream (``resolve_cursor``); totals are reconstructed later
-by summing over run ids.
+of the metrics stream (``resolve_cursor``), the one record of what the
+run committed; totals are reconstructed later by summing over run ids.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from .corpus import (
     load_lemma_map,
 )
 from .instrumentation import (
-    CheckpointError,
     HistoryStore,
     MetricsWriter,
     RunInstrumentation,
     new_run_id,
-    read_checkpoint,
     read_events_backwards,
     write_summary,
 )
@@ -69,17 +67,20 @@ class RunConfig:
     proof_target_envs: tuple[str, ...] = tuple(sorted(DEFAULT_PROOF_TARGET_ENVS))
     max_items: int | None = None
     resume: bool = False
-    force_restart: bool = False
     run_id: str = ""
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path} must hold a JSON object")
         cfg = cls()
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"unknown config key {key!r}")
             if isinstance(getattr(cfg, key), tuple):
+                if not isinstance(value, list):
+                    raise ValueError(f"config key {key!r} must be a list")
                 value = tuple(value)
             setattr(cfg, key, value)
         return cfg
@@ -142,31 +143,21 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
     Without ``--resume`` that is always None. With it, the segment starts
     one past the ``index`` of the last ``item_end`` line in the pipeline's
     metrics stream: the line is flushed right after the item's commit, so it
-    is the durable record of the last item done, also when the segment
-    that wrote it was killed before its checkpoint write. The stream is read
+    is the durable record of the last item done. The stream is read
     backwards and only the lines after that ``item_end`` are parsed; when
     the last segment ended no item, the scan goes on into the segment
     before it, but not past the ``run_start`` of a segment run without
     ``--resume``: that run started at the first item, and so does this one.
-    A stream with no ``item_end`` line gives the checkpoint's cursor. A
-    corrupt checkpoint refuses to run, resumed or not, unless
-    ``--force-restart`` is given, which starts at the first item.
+    A stream with no ``item_end`` line starts at the first item too.
     """
-    runs = config.runs_path()
-    try:
-        checkpoint = read_checkpoint(runs / f"checkpoint_{pipeline}.json")
-    except CheckpointError:
-        if config.force_restart:
-            return None
-        raise
     if not config.resume:
         return None
-    for event in read_events_backwards(runs / f"metrics_{pipeline}.jsonl"):
+    for event in read_events_backwards(config.runs_path() / f"metrics_{pipeline}.jsonl"):
         if event["event"] == "item_end":
             return event["data"]["index"] + 1
         if event["event"] == "run_start" and not event["data"]["config"]["resume"]:
-            return None
-    return checkpoint.cursor if checkpoint is not None else None
+            break
+    return None
 
 
 def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
@@ -184,7 +175,6 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
     with RunInstrumentation(
         metrics=MetricsWriter(runs / f"metrics_{pipeline}.jsonl", run_id),
         history=HistoryStore(runs / f"history_{pipeline}.jsonl"),
-        checkpoint_path=runs / f"checkpoint_{pipeline}.json",
         log_dir=runs / "calls",
     ) as instr:
         instr.metrics.run_start(

@@ -261,9 +261,7 @@ def run_stage1(
             _record_provenance(provenance, project, record)
         return result
 
-    results = run_items(
-        instrumentation, ((r.index, r) for r in records), run_one, start_index, max_items
-    )
+    results = run_items(((r.index, r) for r in records), run_one, start_index, max_items)
     return provenance, results
 
 

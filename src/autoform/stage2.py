@@ -442,4 +442,4 @@ def run_stage2(
 
     tasks = build_proof_tasks(records, lemma_map, proof_target_envs)
     items = ((task.index, (target_file(record), task)) for record, task in tasks)
-    return run_items(instrumentation, items, run_one, start_index, max_items)
+    return run_items(items, run_one, start_index, max_items)

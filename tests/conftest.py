@@ -58,7 +58,6 @@ def instrumentation(tmp_path):
     with RunInstrumentation(
         metrics=metrics,
         history=HistoryStore(runs / "history_test.jsonl"),
-        checkpoint_path=runs / "checkpoint_test.json",
         log_dir=runs / "calls",
     ) as instr:
         yield instr

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from autoform import synthlogs
-from autoform.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME, main
+from autoform.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import read_events
 from autoform.pipeline import RunConfig
@@ -69,18 +69,16 @@ class TestStages:
         summary = json.loads(capsys.readouterr().out)
         assert summary["processed_items"] == 21  # 24 minus the 3 already done
 
-    def test_corrupt_checkpoint_refuses_without_override(self, toy_dataset, tmp_path, capsys):
+    def test_a_leftover_checkpoint_file_is_ignored(self, toy_dataset, tmp_path, capsys):
         project = tmp_path / "project"
         runs = project / "runs"
         runs.mkdir(parents=True)
         (runs / "checkpoint_statement.json").write_text("{broken")
-        code = run_cli("stage1", "--dataset", toy_dataset, "--project", project,
-                       "--operators", "toy")
-        assert code == EXIT_RUNTIME
-        capsys.readouterr()
-        code = run_cli("stage1", "--dataset", toy_dataset, "--project", project,
-                       "--operators", "toy", "--force-restart")
-        assert code == EXIT_OK
+        for command in (["stage1"], ["resume", "--stage", "1"]):
+            code = run_cli(*command, "--dataset", toy_dataset, "--project", project,
+                           "--operators", "toy")
+            assert code == EXIT_OK
+        assert (runs / "checkpoint_statement.json").read_text() == "{broken"
 
     def test_config_file_with_flag_overrides(self, toy_dataset, tmp_path, capsys):
         project = tmp_path / "project"
@@ -99,23 +97,51 @@ class TestStages:
 
 
 class TestRemovedSettings:
-    """The header bound and the run-level cost fractions are not settings:
-    a config or flag that names one is refused, not stored and ignored."""
+    """The header bound, the run-level cost fractions and the override of a
+    corrupt checkpoint are not settings: a config or flag that names one is
+    refused, not stored and ignored."""
 
-    @pytest.mark.parametrize("key, value", [("header_bound", 64), ("alphas", [0.1])])
+    @pytest.mark.parametrize(
+        "key, value", [("header_bound", 64), ("alphas", [0.1]), ("force_restart", False)]
+    )
     def test_config_key_is_unknown(self, tmp_path, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_file(cfg)
 
+    @pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--force-restart"]])
     @pytest.mark.parametrize("command", [["stage1"], ["stage2"], ["resume", "--stage", "1"]])
-    def test_alpha_flag_is_a_usage_error(self, toy_dataset, tmp_path, command, capsys):
+    def test_removed_flag_is_a_usage_error(self, toy_dataset, tmp_path, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
-            run_cli(*command, "--dataset", toy_dataset, "--project", tmp_path / "project",
-                    "--alpha", "0.3")
+            run_cli(*command, "--dataset", toy_dataset, "--project", tmp_path / "project", *flag)
         assert exc.value.code == EXIT_CONFIG
-        assert "--alpha" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
+        assert not (tmp_path / "project").exists()
+
+
+class TestMalformedConfig:
+    """A config file that is valid JSON but not a run configuration is a
+    configuration error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([{"dataset": "toy.json"}], "must hold a JSON object"),
+            ({"proof_target_envs": None}, "'proof_target_envs' must be a list"),
+            ({"proof_target_envs": "theorem"}, "'proof_target_envs' must be a list"),
+        ],
+    )
+    def test_is_a_config_error(self, toy_dataset, tmp_path, data, message, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_file(cfg)
+        code = run_cli("stage1", "--config", cfg, "--dataset", toy_dataset,
+                       "--project", tmp_path / "project")
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "project").exists()
 
 
 class TestSimulate:
@@ -205,6 +231,18 @@ class TestSplitCommand:
             assert "io error: no such file" in err and "Ghost.lean" in err
         assert list(tmp_path.iterdir()) == [project]
         assert list(project.iterdir()) == []
+
+    def test_a_file_not_ending_in_lean_exits_2_untouched(self, tmp_path, capsys):
+        project = tmp_path / "project"
+        project.mkdir()
+        notes = "def d0 : T := sorry\n" * 40
+        (project / "Notes.txt").write_text(notes)
+        code = run_cli("split", "--project", project, "--file", "Notes.txt", "--threshold", "10")
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "Notes.txt" in err
+        assert [p.name for p in project.iterdir()] == ["Notes.txt"]
+        assert (project / "Notes.txt").read_text() == notes
 
 
 class TestBackfillCommand:

@@ -2,14 +2,14 @@
 
 Each case raises once at the N-th crossing of one boundary, then resumes
 with ``--resume`` semantics until both stages are complete. The project
-bytes, the provenance map, the checkpoints and the reported targets,
-solved, SCC and PSR must equal those of an uninterrupted run. The faults
-are ``BaseException`` subclasses, so no ``except Exception`` on the way
+bytes, the provenance map and the reported targets, solved, SCC and PSR
+must equal those of an uninterrupted run. The faults are
+``BaseException`` subclasses, so no ``except Exception`` on the way
 swallows them. In ``crash`` mode the segment unwinds as after an
-exception: its ``finally`` blocks still write the checkpoint and
-``provenance.json``. In ``kill`` mode no write lands after the fault
-fires, as when the process dies there. Both corpora are the toy corpus;
-the second splits every section file in stage 2.
+exception: its ``finally`` block still writes ``provenance.json``. In
+``kill`` mode no write lands after the fault fires, as when the process
+dies there. Both corpora are the toy corpus; the second splits every
+section file in stage 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from autoform import accounting, instrumentation, pipeline
+from autoform import accounting, pipeline
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import HistoryStore, MetricsWriter, _AppendStream, read_events
 from autoform.operators import OperatorSet
@@ -68,7 +68,7 @@ class Fault:
 class Kill:
     """Makes ``fault`` a kill: from the moment it fires until its run
     segment has unwound, no write lands (stream lines, project files and
-    deletions, the checkpoint, the summary and ``provenance.json``)."""
+    deletions, renames, the summary and ``provenance.json``)."""
 
     WRITES = (
         (_AppendStream, "_write_line"),
@@ -138,10 +138,6 @@ def outcome(cfg: RunConfig) -> dict:
     return {
         "tree": tree_hash(Path(cfg.project)),
         "provenance": json.loads((runs / "provenance.json").read_text(encoding="utf-8")),
-        "checkpoints": [
-            json.loads((runs / f"checkpoint_{p}.json").read_text(encoding="utf-8"))
-            for p in ("statement", "proof")
-        ],
         "targets": report.targets,
         "solved": report.solved,
         "scc": report.metrics.scc,
@@ -177,8 +173,8 @@ def lean_check(writer, event, *args) -> bool:
 # (split: 27 + 8) operator calls, 3 + 32 (split: 3 + 8) history lines,
 # 27 + 32 (split: 27 + 20) lean_check lines, 24 + 16 item_end lines and
 # 24 + 16 project file writes, all of them commits. Each stage is one
-# segment, so it writes one run_start line, one checkpoint and one
-# summary; stage 1 saves provenance once.
+# segment, so it writes one run_start line and one summary; stage 1 saves
+# provenance once.
 BOUNDARIES = {
     "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
@@ -196,7 +192,6 @@ BOUNDARIES = {
         True,
         item_end,
     ),
-    "checkpoint write": (instrumentation, "write_checkpoint", (1, 2), False, None),
     "summary write": (pipeline, "write_summary", (1, 2), False, None),
     "provenance save": (ProvenanceMap, "save", (1,), False, None),
 }
@@ -229,17 +224,6 @@ def test_crash_then_resume_matches_an_uninterrupted_run(
     assert fault.fired
     monkeypatch.undo()
     assert outcome(cfg) == uninterrupted[split]
-
-
-def test_crash_at_a_checkpoint_write_then_resume(tmp_path, monkeypatch, uninterrupted):
-    import autoform.instrumentation as instrumentation
-
-    cfg = make_config(tmp_path / "work", split=False)
-    fault = Fault(monkeypatch, instrumentation, "write_checkpoint", 2)
-    assert run_to_completion(cfg) == 1
-    assert fault.fired
-    monkeypatch.undo()
-    assert outcome(cfg) == uninterrupted[False]
 
 
 def test_provenance_of_committed_items_survives_a_crash(tmp_path, monkeypatch, uninterrupted):

@@ -1,14 +1,11 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from autoform import instrumentation
 from autoform.instrumentation import (
-    Checkpoint,
-    CheckpointError,
     HistoryRecord,
     HistoryStore,
     MetricsWriter,
@@ -16,58 +13,13 @@ from autoform.instrumentation import (
     TRUNCATION_MARK,
     new_run_id,
     parse_token_footer,
-    read_checkpoint,
     read_events,
     read_events_backwards,
     token_backfill,
-    write_checkpoint,
     write_summary,
 )
 
 from helpers import EventSink
-
-
-class TestCheckpoint:
-    def test_next_index_roundtrip(self, tmp_path):
-        path = tmp_path / "cp.json"
-        write_checkpoint(path, Checkpoint("next_index", 5))
-        assert json.loads(path.read_text()) == {"next_index": 5}
-        assert read_checkpoint(path) == Checkpoint("next_index", 5)
-
-    def test_next_file_index_for_file_level_pipelines(self, tmp_path):
-        path = tmp_path / "cp.json"
-        write_checkpoint(path, Checkpoint("next_file_index", 2))
-        assert read_checkpoint(path) == Checkpoint("next_file_index", 2)
-
-    def test_missing_file_reads_none(self, tmp_path):
-        assert read_checkpoint(tmp_path / "absent.json") is None
-
-    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
-        path = tmp_path / "cp.json"
-        write_checkpoint(path, Checkpoint("next_index", 9))
-        assert os.listdir(tmp_path) == ["cp.json"]
-
-    def test_corrupt_checkpoint_refuses(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text("{broken")
-        with pytest.raises(CheckpointError):
-            read_checkpoint(path)
-
-    def test_multiple_keys_rejected(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({"next_index": 1, "next_file_index": 2}))
-        with pytest.raises(CheckpointError, match="exactly one"):
-            read_checkpoint(path)
-
-    def test_non_integer_cursor_rejected(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text(json.dumps({"next_index": "five"}))
-        with pytest.raises(CheckpointError):
-            read_checkpoint(path)
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(CheckpointError):
-            Checkpoint("next_thing", 0)
 
 
 class TestMetricsWriter:
@@ -294,8 +246,3 @@ class TestTokenBackfill:
         assert events[0].log_file_count == 1
         assert events[0].tokens_used_total == 0
 
-
-class TestRunInstrumentation:
-    def test_advance_cursor_writes_checkpoint(self, instrumentation):
-        instrumentation.advance_cursor("next_index", 12)
-        assert read_checkpoint(instrumentation.checkpoint_path).cursor == 12

@@ -6,15 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from autoform import accounting, instrumentation, stage1
-from autoform.instrumentation import (
-    Checkpoint,
-    CheckpointError,
-    MetricsWriter,
-    read_checkpoint,
-    read_events,
-    write_checkpoint,
-)
+from autoform import accounting, stage1
+from autoform.instrumentation import MetricsWriter, read_events
 from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_statement_stage
 
 from helpers import tree_hash
@@ -86,21 +79,24 @@ class TestRunSegments:
         run_ids = {e["run_id"] for e in events}
         assert len(run_ids) == 2
 
-    def test_checkpoint_advances_and_resume_skips(self, toy_config):
+    def test_cursor_advances_and_resume_skips(self, toy_config):
         toy_config.stage = 1
         toy_config.max_items = 5
         _, s_first = run_statement_stage(toy_config)
-        cp = read_checkpoint(Path(toy_config.runs_dir) / "checkpoint_statement.json")
-        assert cp.key == "next_index" and cp.cursor == 6
+        assert s_first["next_index"] == 6
         toy_config.resume = True
         toy_config.max_items = None
         results, _ = run_statement_stage(toy_config)
         assert [r.index for r in results] == list(range(6, 25))
 
+    def test_a_stage_run_leaves_no_checkpoint_file(self, toy_config):
+        run_both(toy_config)
+        assert list(Path(toy_config.runs_dir).glob("checkpoint_*.json")) == []
+
 
 class TestResolveCursor:
     """``--resume`` starts one past the last durable ``item_end`` line of the
-    stream; the checkpoint is read only when the stream has none."""
+    stream, and at the first item when the stream has none."""
 
     @staticmethod
     def segment(runs: Path, *item_indices: int, resume: bool = True) -> None:
@@ -112,13 +108,11 @@ class TestResolveCursor:
                 m.emit("item_end", {"index": index, "status": "compiled"})
 
     @staticmethod
-    def cursor(runs: Path, resume: bool = True, force_restart: bool = False):
-        cfg = RunConfig(runs_dir=str(runs), resume=resume, force_restart=force_restart)
-        return resolve_cursor(cfg, "statement")
+    def cursor(runs: Path, resume: bool = True):
+        return resolve_cursor(RunConfig(runs_dir=str(runs), resume=resume), "statement")
 
-    def test_resumes_after_the_last_item_end_not_at_the_checkpoint(self, tmp_path):
+    def test_resumes_after_the_last_item_end(self, tmp_path):
         self.segment(tmp_path, 1, 2, 3, 4)
-        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 3))
         assert self.cursor(tmp_path) == 5
 
     def test_a_torn_last_line_is_ignored(self, tmp_path):
@@ -140,24 +134,35 @@ class TestResolveCursor:
             "run_start",
         ]
 
-    def test_a_stream_with_no_item_end_falls_back_to_the_checkpoint(self, tmp_path):
-        assert self.cursor(tmp_path) is None  # neither stream nor checkpoint
-        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 7))
-        assert self.cursor(tmp_path) == 7  # no stream
+    def test_a_stream_with_no_item_end_starts_at_the_first_item(self, tmp_path):
+        assert self.cursor(tmp_path) is None  # no stream
         self.segment(tmp_path)
         self.segment(tmp_path)
-        assert self.cursor(tmp_path) == 7  # segments that ended no item
+        assert self.cursor(tmp_path) is None  # resumed segments that ended no item
+
+    def test_a_lost_stream_resumes_each_stage_at_its_first_item(self, toy_config):
+        (first1, _), (first2, _) = run_both(toy_config)
+        project = tree_hash(Path(toy_config.project))
+        for pipeline in ("statement", "proof"):
+            (Path(toy_config.runs_dir) / f"metrics_{pipeline}.jsonl").unlink()
+        toy_config.resume = True
+        assert resolve_cursor(toy_config, "statement") is None
+        assert resolve_cursor(toy_config, "proof") is None
+        (r1, s1), (r2, s2) = run_both(toy_config)
+        assert [r.index for r in r1] == [r.index for r in first1]
+        assert [r.index for r in r2] == [r.index for r in first2]
+        assert tree_hash(Path(toy_config.project)) == project
+        assert s1["scc"] == 100.0 and s2["psr"] == 100.0
+        assert s2["already_closed"] == 16 and s2["solved"] == 0
 
     def test_a_last_segment_with_no_item_end_resumes_after_the_one_before(self, tmp_path):
-        # a segment ended items 1-5 and was killed before its checkpoint
-        # write; the next one was killed before it ended any item
-        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 1))
+        # a segment ended items 1-5; the next one was killed before it
+        # ended any item
         self.segment(tmp_path, 1, 2, 3, 4, 5)
         self.segment(tmp_path)
         assert self.cursor(tmp_path) == 6
 
     def test_the_scan_stops_at_a_segment_run_without_resume(self, tmp_path):
-        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 4))
         self.segment(tmp_path, 1, 2, 3, resume=False)
         self.segment(tmp_path, resume=False)  # a fresh run that ended no item
         assert self.cursor(tmp_path) is None
@@ -166,38 +171,21 @@ class TestResolveCursor:
         self.segment(tmp_path, 1, 2)
         assert self.cursor(tmp_path) == 3
 
-    def test_without_resume_the_stream_and_the_checkpoint_are_ignored(self, tmp_path):
+    def test_without_resume_the_stream_is_ignored(self, tmp_path):
         self.segment(tmp_path, 1, 2, 3)
-        write_checkpoint(tmp_path / "checkpoint_statement.json", Checkpoint("next_index", 4))
         assert self.cursor(tmp_path, resume=False) is None
 
-    def test_a_corrupt_checkpoint_refuses_without_force_restart(self, tmp_path):
-        self.segment(tmp_path, 1, 2, 3)
-        (tmp_path / "checkpoint_statement.json").write_text("{broken")
-        for resume in (True, False):
-            with pytest.raises(CheckpointError):
-                self.cursor(tmp_path, resume=resume)
-            assert self.cursor(tmp_path, resume=resume, force_restart=True) is None
-
-    def test_a_fresh_run_after_a_completed_one_resumes_after_its_own_items(
-        self, toy_config, monkeypatch
-    ):
+    def test_a_fresh_run_after_a_completed_one_resumes_after_its_own_items(self, toy_config):
         toy_config.stage = 1
         run_statement_stage(toy_config)
-        checkpoint_path = Path(toy_config.runs_dir) / "checkpoint_statement.json"
-        assert read_checkpoint(checkpoint_path).cursor == 25
-        # a fresh run, killed after its 10th item: its checkpoint write is lost
-        monkeypatch.setattr(instrumentation, "write_checkpoint", lambda path, checkpoint: None)
+        # a fresh run that ended 10 items, after one that ended all 24
         toy_config.max_items = 10
         results, _ = run_statement_stage(toy_config)
         assert [r.index for r in results] == list(range(1, 11))
-        monkeypatch.undo()
-        assert read_checkpoint(checkpoint_path).cursor == 25  # the old run's
         toy_config.resume, toy_config.max_items = True, None
         assert resolve_cursor(toy_config, "statement") == 11
         results, _ = run_statement_stage(toy_config)
         assert [r.index for r in results] == list(range(11, 25))
-        assert read_checkpoint(checkpoint_path).cursor == 25
 
     def test_a_fresh_run_that_ended_no_item_resumes_at_the_first_item(
         self, toy_config, monkeypatch
@@ -212,8 +200,6 @@ class TestResolveCursor:
         with pytest.raises(RuntimeError):
             run_statement_stage(toy_config)  # a fresh run
         monkeypatch.undo()
-        checkpoint_path = Path(toy_config.runs_dir) / "checkpoint_statement.json"
-        assert read_checkpoint(checkpoint_path).cursor == 25  # the completed run's
         toy_config.resume = True
         assert resolve_cursor(toy_config, "statement") is None
         results, _ = run_statement_stage(toy_config)
@@ -269,9 +255,9 @@ class TestResumeEquivalence:
 
 
 # Digest of every artifact a toy run leaves (metrics, history, summaries,
-# checkpoints, provenance, project tree), taken with ``_artifact_dump``.
+# provenance, project tree), taken with ``_artifact_dump``.
 # A refactor that claims to change no behaviour must leave it as it is.
-PINNED_ARTIFACT_DIGEST = "fb4ec84c12837528bec4997153ba9a5ac942760f345e3c8c5db401c3d2bb1227"
+PINNED_ARTIFACT_DIGEST = "0299116464dc704407419d1e93d82192c363835fe26361b5e804d2b98da46ed7"
 
 _VOLATILE_KEYS = frozenset({"ts", "run_id", "seconds", "total_seconds"})
 
@@ -302,7 +288,6 @@ def _artifact_dump(cfg: RunConfig, tmp: str) -> str:
         for kind in ("metrics", "history"):
             for line in read_events(runs / f"{kind}_{pipeline}.jsonl"):
                 add(f"{kind}_{pipeline}", line)
-        add(f"checkpoint_{pipeline}", json.loads((runs / f"checkpoint_{pipeline}.json").read_text()))
     summaries = [json.loads(p.read_text()) for p in runs.glob("summary_*.json")]
     for summary in sorted(summaries, key=lambda s: (s["stage"], s["next_index"])):
         add("summary", summary)
@@ -324,7 +309,7 @@ def test_toy_run_artifacts_match_pinned_digest(toy_config, tmp_path):
 # the attempt bound R * C and the resumed second segment on the verifier
 # budget T, both after replans every R proposals: exits the toy run, which
 # closes every hole on its first proposal, never takes.
-PINNED_ADVERSARIAL_DIGEST = "16af632480bb6a47a38cf115b5b02f45951996d2437c63829d68e9ec73d59e8b"
+PINNED_ADVERSARIAL_DIGEST = "a1ec62b7a662dfcc16b5300fd53388b0b96f2d6d4a666f4b3100f5d919f21a6a"
 
 
 def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):

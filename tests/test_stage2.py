@@ -699,7 +699,6 @@ def run_scenario(item_fn, root, seed: int):
     with RunInstrumentation(
         metrics=metrics,
         history=HistoryStore(runs / "history.jsonl"),
-        checkpoint_path=runs / "checkpoint.json",
         log_dir=runs / "calls",
     ) as instr:
         verifier = Verifier(SimulatedVerifier(), metrics)

@@ -1,13 +1,11 @@
-"""Guard on where staged edits are made, committed, dropped and flushed,
-and where the resume cursor is written: in ``src/autoform`` only the kernel
-and the two stages call ``.stage(``; only the kernel's item transaction and
-the ``split`` command call ``.commit(``, so an edit lands once per item;
-only the kernel (the item transaction and ``Snapshot.restore``) and the two
-stages (stage 1's ``restored_failed`` item, stage 2's failed split) call
-``.discard(``; only ``verifier.py`` calls ``.sync(`` (the adapter whose
-tool reads the disk); only the kernel's item loop calls ``advance_cursor(``
-and only ``instrumentation.py`` calls ``write_checkpoint(``, so the
-checkpoint is written once per run segment, not once per item."""
+"""Guard on where staged edits are made, committed, dropped and flushed:
+in ``src/autoform`` only the kernel and the two stages call ``.stage(``;
+only the kernel's item transaction and the ``split`` command call
+``.commit(``, so an edit lands once per item; only the kernel (the item
+transaction and ``Snapshot.restore``) and the two stages (stage 1's
+``restored_failed`` item, stage 2's failed split) call ``.discard(``; only
+``verifier.py`` calls ``.sync(`` (the adapter whose tool reads the
+disk)."""
 
 from __future__ import annotations
 
@@ -15,9 +13,6 @@ import ast
 from pathlib import Path
 
 import pytest
-
-from autoform import instrumentation
-from autoform.pipeline import run_statement_stage
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "autoform"
@@ -27,8 +22,6 @@ CALLERS = {
     "commit": {"kernel.py", "cli.py"},
     "discard": {"kernel.py", "stage1.py", "stage2.py"},
     "sync": {"verifier.py"},
-    "advance_cursor": {"kernel.py"},
-    "write_checkpoint": {"instrumentation.py"},
 }
 
 
@@ -52,16 +45,3 @@ def files_calling(name: str) -> set[str]:
 def test_only_its_owner_calls(name):
     assert files_calling(name) == CALLERS[name]
 
-
-def test_a_segment_writes_the_checkpoint_once(toy_config, monkeypatch):
-    written = []
-    real = instrumentation.write_checkpoint
-    monkeypatch.setattr(
-        instrumentation,
-        "write_checkpoint",
-        lambda path, checkpoint: (written.append(checkpoint.as_dict()), real(path, checkpoint)),
-    )
-    toy_config.stage = 1
-    results, _ = run_statement_stage(toy_config)
-    assert len(results) == 24
-    assert written == [{"next_index": 25}]
