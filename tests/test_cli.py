@@ -128,8 +128,11 @@ class TestMalformedConfig:
         "data, message",
         [
             ([{"dataset": "toy.json"}], "must hold a JSON object"),
+            ("toy.json", "must hold a JSON object"),
+            (None, "must hold a JSON object"),
             ({"proof_target_envs": None}, "'proof_target_envs' must be a list"),
             ({"proof_target_envs": "theorem"}, "'proof_target_envs' must be a list"),
+            ({"proof_target_envs": {"theorem": True}}, "'proof_target_envs' must be a list"),
         ],
     )
     def test_is_a_config_error(self, toy_dataset, tmp_path, data, message, capsys):

@@ -177,8 +177,10 @@ def lean_check(writer, event, *args) -> bool:
 # provenance once.
 BOUNDARIES = {
     "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
+    "verifier call, after it returns": (SimulatedVerifier, "verify_file", (5, 40), True, None),
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
     "history line": (HistoryStore, "append", (1, 3, 4, 11), False, None),
+    "history line, after it lands": (HistoryStore, "append", (1, 4), True, None),
     "commit write, before it lands": (Path, "write_bytes", (1, 24, 25, 40), False, lean_file),
     "commit write, after it lands": (Path, "write_bytes", (1, 24, 25, 40), True, lean_file),
     "run_start line": (MetricsWriter, "run_start", (1, 2), False, None),
