@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from . import scripted, stage1, stage2
@@ -41,6 +41,28 @@ from .verifier import (
     Verifier,
     VerifierEnvironment,
 )
+
+
+# The JSON values a config file may give a RunConfig field, by the field's
+# annotation, and how a message names them. JSON true and false are not
+# integers here, and an integer is a number.
+_JSON_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "list[str]": ((list,), "a list of strings"),
+    "tuple[str, ...]": ((list,), "a list of strings"),
+}
+
+
+def _json_type_ok(value, accepted: tuple[type, ...]) -> bool:
+    if isinstance(value, bool) and bool not in accepted:
+        return False
+    if isinstance(value, list):
+        return list in accepted and all(isinstance(v, str) for v in value)
+    return isinstance(value, accepted)
 
 
 @dataclass
@@ -74,13 +96,15 @@ class RunConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"config {path} must hold a JSON object")
+        annotations = {f.name: f.type for f in fields(cls)}
         cfg = cls()
         for key, value in data.items():
-            if not hasattr(cfg, key):
+            if key not in annotations:
                 raise ValueError(f"unknown config key {key!r}")
+            accepted, name = _JSON_TYPES[annotations[key]]
+            if not _json_type_ok(value, accepted):
+                raise ValueError(f"config key {key!r} must be {name}")
             if isinstance(getattr(cfg, key), tuple):
-                if not isinstance(value, list):
-                    raise ValueError(f"config key {key!r} must be a list")
                 value = tuple(value)
             setattr(cfg, key, value)
         return cfg

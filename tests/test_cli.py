@@ -133,6 +133,15 @@ class TestMalformedConfig:
             ({"proof_target_envs": None}, "'proof_target_envs' must be a list"),
             ({"proof_target_envs": "theorem"}, "'proof_target_envs' must be a list"),
             ({"proof_target_envs": {"theorem": True}}, "'proof_target_envs' must be a list"),
+            ({"proof_target_envs": ["theorem", 1]}, "'proof_target_envs' must be a list"),
+            ({"budget_k": "3"}, "'budget_k' must be an integer"),
+            ({"budget_k": True}, "'budget_k' must be an integer"),
+            ({"budget_t": 2.5}, "'budget_t' must be an integer"),
+            ({"max_items": "2"}, "'max_items' must be an integer or null"),
+            ({"max_items": False}, "'max_items' must be an integer or null"),
+            ({"operator_timeout": "60"}, "'operator_timeout' must be a number"),
+            ({"goal_query_enabled": 1}, "'goal_query_enabled' must be true or false"),
+            ({"operators": ["toy"]}, "'operators' must be a string"),
         ],
     )
     def test_is_a_config_error(self, toy_dataset, tmp_path, data, message, capsys):
@@ -145,6 +154,15 @@ class TestMalformedConfig:
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not (tmp_path / "project").exists()
+
+    def test_an_integer_timeout_and_a_null_max_items_load(self, toy_dataset, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"operator_timeout": 30, "max_items": None}))
+        loaded = RunConfig.from_file(cfg)
+        assert loaded.operator_timeout == 30 and loaded.max_items is None
+        code = run_cli("stage1", "--config", cfg, "--dataset", toy_dataset,
+                       "--project", tmp_path / "project")
+        assert code == EXIT_OK
 
 
 class TestSimulate:

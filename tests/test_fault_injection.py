@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from autoform import accounting, pipeline
+from autoform import accounting, pipeline, verifier
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import HistoryStore, MetricsWriter, _AppendStream, read_events
 from autoform.operators import OperatorSet
@@ -72,6 +72,7 @@ class Kill:
 
     WRITES = (
         (_AppendStream, "_write_line"),
+        (verifier, "_write_file"),
         (Path, "write_bytes"),
         (Path, "write_text"),
         (Path, "unlink"),
@@ -181,8 +182,8 @@ BOUNDARIES = {
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
     "history line": (HistoryStore, "append", (1, 3, 4, 11), False, None),
     "history line, after it lands": (HistoryStore, "append", (1, 4), True, None),
-    "commit write, before it lands": (Path, "write_bytes", (1, 24, 25, 40), False, lean_file),
-    "commit write, after it lands": (Path, "write_bytes", (1, 24, 25, 40), True, lean_file),
+    "commit write, before it lands": (verifier, "_write_file", (1, 24, 25, 40), False, lean_file),
+    "commit write, after it lands": (verifier, "_write_file", (1, 24, 25, 40), True, lean_file),
     "run_start line": (MetricsWriter, "run_start", (1, 2), False, None),
     "run_start line, after it lands": (MetricsWriter, "run_start", (1, 2), True, None),
     "lean_check line, after it lands": (MetricsWriter, "emit", (1, 5, 27, 40), True, lean_check),

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import random
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +33,7 @@ from autoform.verifier import (
     SimulatedVerifier,
     Verifier,
     VerifierLaunchError,
+    _write_file,
     header_scope,
 )
 
@@ -302,7 +302,7 @@ class TestSnapshot:
         snap = Snapshot.capture(project, "A.lean")
         project.stage("A.lean", "mutated\n")
         project.sync()
-        monkeypatch.setattr(Path, "write_bytes", lambda self, data: None)
+        monkeypatch.setattr("autoform.verifier._write_file", lambda path, data: None)
         with pytest.raises(SnapshotRestoreError):
             snap.restore(project)
 
@@ -311,9 +311,10 @@ class TestSnapshot:
         snap = Snapshot.capture(project, "A.lean")
         project.stage("A.lean", "mutated\n")
         project.sync()
-        real = Path.write_bytes
         # the project caches the full bytes while the disk gets a torn write
-        monkeypatch.setattr(Path, "write_bytes", lambda self, data: real(self, data[:-1]))
+        monkeypatch.setattr(
+            "autoform.verifier._write_file", lambda path, data: _write_file(path, data[:-1])
+        )
         with pytest.raises(SnapshotRestoreError):
             snap.restore(project)
         assert project.read("A.lean") == "original"  # what the disk holds
@@ -451,14 +452,13 @@ class TestStagedCandidates:
         text = "def w : P := sorry\nlemma l : P := by sorry\nlemma m : P := by sorry\n"
         project.write("A.lean", text)
         _, diags = verifier.verify_file(project, "A.lean")
-        real = Path.write_bytes
         writes = []
 
         def counting(path, data):
             writes.append(data)
-            return real(path, data)
+            return _write_file(path, data)
 
-        monkeypatch.setattr(Path, "write_bytes", counting)
+        monkeypatch.setattr("autoform.verifier._write_file", counting)
         for line in (1, 2):  # k = 2 accepted attempts: one sync write each
             scope = Scope.of(SourceRange(line, 18, line, 23))
             patch = PatchProposal(file="A.lean", scope=scope, replacement="exact w")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import builtins
 import io
+import os
 import random
 import sys
 import tempfile
@@ -30,6 +31,7 @@ from autoform.verifier import (
     SimulatedVerifier,
     Verifier,
     VerifierLaunchError,
+    _write_file,
 )
 
 from helpers import EventSink
@@ -205,18 +207,72 @@ class TestProjectCache:
         project = Project(tmp_path)
         project.write("A.lean", "old text\n")
         assert project.read("A.lean") == "old text\n"
-        real = Path.write_bytes
-
-        def torn(self, data):
-            real(self, data[:3])
+        def torn(path, data):
+            _write_file(path, data[:3])
             raise OSError("disk full")
 
-        monkeypatch.setattr(Path, "write_bytes", torn)
+        monkeypatch.setattr("autoform.verifier._write_file", torn)
         with pytest.raises(OSError, match="disk full"):
             project.write("A.lean", "new text\n")
         monkeypatch.undo()
         assert project.read("A.lean") == "new" == (tmp_path / "A.lean").read_text()
         assert project.read_bytes("A.lean") == b"new"
+
+
+class TestInPlaceWrite:
+    """A project file is written in place from offset 0 and then cut to
+    the new length; it is never truncated to zero first. A first write into
+    new directories and a sync then discard of a new file are covered by
+    ``test_delete_then_recreate_in_a_new_directory`` and
+    ``TestStagedCandidates``."""
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (b"a longer first version\n", b"short\n"),
+            (b"short\n", b"a longer second version\n"),
+            (b"same length\n", b"SAME LENGTH\n"),
+            (b"something\n", b""),
+            (b"", b"from empty\n"),
+            (b"x\n", b"x\r\ny\r\n\r"),
+        ],
+    )
+    def test_a_rewrite_lands_byte_exact(self, tmp_path, before, after):
+        project = Project(tmp_path)
+        project.write_bytes("A.lean", before)
+        project.write_bytes("A.lean", after)
+        assert (tmp_path / "A.lean").read_bytes() == after
+        assert Project(tmp_path).read_bytes("A.lean") == after
+
+    def test_a_commit_and_a_discard_after_a_sync_land_byte_exact(self, tmp_path):
+        project = Project(tmp_path)
+        project.write("A.lean", "the committed text, longer\r\n")
+        project.stage("A.lean", "short\n")
+        project.sync()
+        assert (tmp_path / "A.lean").read_bytes() == b"short\n"
+        project.discard()  # the longer committed bytes go back over the shorter ones
+        assert (tmp_path / "A.lean").read_bytes() == b"the committed text, longer\r\n"
+        project.stage("A.lean", "short\r\n")
+        project.commit()
+        assert (tmp_path / "A.lean").read_bytes() == b"short\r\n"
+
+    def test_a_commit_never_truncates_an_existing_file(self, tmp_path, monkeypatch):
+        project = Project(tmp_path)
+        project.write("A.lean", "a long committed version\n")
+        real = os.open
+        flags = []
+
+        def recording(path, flag, *args, **kwargs):
+            if Path(path) == tmp_path / "A.lean":
+                flags.append(flag)
+            return real(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording)
+        project.stage("A.lean", "short\n")
+        project.commit()
+        monkeypatch.undo()
+        assert flags and all(f & os.O_WRONLY and not f & os.O_TRUNC for f in flags)
+        assert (tmp_path / "A.lean").read_bytes() == b"short\n"
 
 
 class TestStagedCandidates:
@@ -252,14 +308,13 @@ class TestStagedCandidates:
     ):
         project = Project(tmp_path)
         project.write("S.lean", "original\n")
-        real = Path.write_bytes
         written = []
 
         def recording(path, data):
             written.append(path.relative_to(tmp_path).as_posix())
-            return real(path, data)
+            return _write_file(path, data)
 
-        monkeypatch.setattr(Path, "write_bytes", recording)
+        monkeypatch.setattr("autoform.verifier._write_file", recording)
         project.stage("S_part1.lean", "one\n")
         project.stage("S_part2.lean", "two\n")
         project.stage("S.lean", "import S_part1\nimport S_part2\n")
@@ -285,9 +340,11 @@ class TestStagedCandidates:
 
     def test_sync_writes_only_edits_the_disk_does_not_hold(self, tmp_path, monkeypatch):
         project = Project(tmp_path)
-        real = Path.write_bytes
         written = []
-        monkeypatch.setattr(Path, "write_bytes", lambda p, d: (written.append(p.name), real(p, d)))
+        monkeypatch.setattr(
+            "autoform.verifier._write_file",
+            lambda p, d: (written.append(p.name), _write_file(p, d)),
+        )
         project.stage("A_part1.lean", "one\n")
         project.stage("A.lean", "import A_part1\n")
         project.sync()
@@ -311,18 +368,25 @@ class TestStagedCandidates:
 
 
 class OpenCounter:
-    """Records the (path, mode) of every ``open`` made through io or builtins."""
+    """Records the (path, mode) of every ``open`` made through io or
+    builtins, and of every ``os.open`` as mode "w" when it opens for
+    writing, else "r"."""
 
     def __init__(self, monkeypatch):
         self.calls: list[tuple[str, str]] = []
-        real = io.open
+        real, real_os_open = io.open, os.open
 
         def counting(file, mode="r", *args, **kwargs):
             self.calls.append((str(file), mode))
             return real(file, mode, *args, **kwargs)
 
+        def os_counting(path, flags, *args, **kwargs):
+            self.calls.append((str(path), "w" if flags & (os.O_WRONLY | os.O_RDWR) else "r"))
+            return real_os_open(path, flags, *args, **kwargs)
+
         monkeypatch.setattr(io, "open", counting)
         monkeypatch.setattr(builtins, "open", counting)
+        monkeypatch.setattr(os, "open", os_counting)
 
     def count(self, path: Path, modes: str) -> int:
         return sum(1 for f, m in self.calls if f == str(path) and any(c in m for c in modes))

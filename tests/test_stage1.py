@@ -16,7 +16,7 @@ from autoform.stage1 import (
     run_stage1,
     target_file,
 )
-from autoform.verifier import Project, SimulatedVerifier, Verifier
+from autoform.verifier import Project, SimulatedVerifier, Verifier, _write_file
 
 from helpers import EventSink
 
@@ -287,14 +287,13 @@ class TestItemCommit:
     file it changed once, and a failed or crashing item writes nothing."""
 
     def record_writes(self, monkeypatch):
-        real = Path.write_bytes
         writes = []
 
         def recording(path, data):
             writes.append(path.name)
-            return real(path, data)
+            return _write_file(path, data)
 
-        monkeypatch.setattr(Path, "write_bytes", recording)
+        monkeypatch.setattr("autoform.verifier._write_file", recording)
         return writes
 
     def test_each_compiled_item_writes_once_and_a_failed_one_never(
