@@ -156,14 +156,9 @@ def dump_dataset(records: list[DatasetRecord], path: str | Path) -> None:
 def is_proof_target(
     record: DatasetRecord,
     proof_target_envs: frozenset[str] = DEFAULT_PROOF_TARGET_ENVS,
-    require_proof_text: bool = True,
 ) -> bool:
     """True iff the record is a proposition-like item eligible for proof repair."""
-    if record.env not in proof_target_envs:
-        return False
-    if require_proof_text and not record.proof.strip():
-        return False
-    return True
+    return record.env in proof_target_envs and bool(record.proof.strip())
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Run orchestration: configuration, per-run wiring, and stage drivers.
 
-A run segment wires together the dataset, project, verifier adapter,
-operator set, and instrumentation sinks, emits run_start/run_end around the
-stage driver, and writes a summary mirroring the run_end payload. Resumed
+A run segment checks the whole configuration before it reads its metrics
+stream or writes anything, wires together the dataset, project, verifier
+adapter, operator set, and instrumentation sinks, emits run_start/run_end
+around the stage driver, and writes a summary mirroring the run_end
+payload. Resumed
 segments get a fresh run id and start one past the last ``item_end`` line
 of the metrics stream (``resolve_cursor``), the one record of what the
-run committed; totals are reconstructed later by summing over run ids.
+run committed, including the names each stage-1 item declared; totals are
+reconstructed later by summing over run ids.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .instrumentation import (
     write_summary,
 )
 from .operators import OPERATOR_KINDS, ExternalBridge, OperatorSet
-from .stage1 import ProvenanceMap, Stage1Config, Stage1ItemResult, run_stage1
+from .stage1 import Stage1Config, Stage1ItemResult, run_stage1
 from .stage2 import Stage2Config, Stage2ItemResult, run_stage2
 from .verifier import (
     ExternalVerifier,
@@ -116,6 +119,28 @@ class RunConfig:
             adapter=self.adapter,
         )
 
+    def stage1_config(self) -> Stage1Config:
+        return Stage1Config(k=self.budget_k)
+
+    def stage2_config(self) -> Stage2Config:
+        return Stage2Config(
+            t=self.budget_t,
+            r=self.budget_r,
+            c=self.budget_c,
+            split_threshold=self.split_threshold,
+            goal_query_enabled=self.goal_query_enabled,
+        )
+
+    def check(self) -> None:
+        """Raise ValueError for a value that a run of either stage rejects;
+        the stage configs hold the rules for their own fields."""
+        if self.max_items is not None and self.max_items < 0:
+            raise ValueError("max_items must be non-negative or null")
+        if self.operator_timeout <= 0:
+            raise ValueError("operator_timeout must be positive")
+        self.stage1_config()
+        self.stage2_config()
+
     def runs_path(self) -> Path:
         return Path(self.runs_dir) if self.runs_dir else Path(self.project) / "runs"
 
@@ -141,23 +166,21 @@ def make_adapter(config: RunConfig):
     raise ValueError(f"unknown adapter {config.adapter!r}")
 
 
-def make_operators(
-    config: RunConfig, instrumentation: RunInstrumentation, pipeline: str
-) -> OperatorSet:
+def operator_handlers(config: RunConfig, log_dir: Path, pipeline: str) -> dict:
     if config.operators == "toy":
-        return OperatorSet(scripted.toy_handlers(), instrumentation)
+        return scripted.toy_handlers()
     if config.operators == "adversarial":
-        return OperatorSet(scripted.adversarial_handlers(), instrumentation)
+        return scripted.adversarial_handlers()
     if config.operators == "bridge":
         if not config.operator_command:
             raise ValueError("bridge operators require operator_command")
         bridge = ExternalBridge(
             command=config.operator_command,
-            log_dir=instrumentation.log_dir,
+            log_dir=log_dir,
             pipeline=pipeline,
             timeout=config.operator_timeout,
         )
-        return OperatorSet({kind: bridge for kind in OPERATOR_KINDS}, instrumentation)
+        return {kind: bridge for kind in OPERATOR_KINDS}
     raise ValueError(f"unknown operator set {config.operators!r}")
 
 
@@ -193,6 +216,10 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
     """
     pipeline = PIPELINE_NAMES[stage]
     runs = config.runs_path()
+    # the whole config is checked before the segment reads its stream or writes anything
+    config.check()
+    adapter = make_adapter(config)
+    handlers = operator_handlers(config, runs / "calls", pipeline)
     start_index = resolve_cursor(config, pipeline)
     project = Project(config.project)
     run_id = config.run_id or new_run_id(pipeline, stage)
@@ -210,8 +237,8 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
                 "config": config.as_dict(),
             }
         )
-        verifier = Verifier(make_adapter(config), instr.metrics)
-        operators = make_operators(config, instr, pipeline)
+        verifier = Verifier(adapter, instr.metrics)
+        operators = OperatorSet(handlers, instr)
         started = time.monotonic()
         results, stage_fields = drive(project, verifier, operators, instr, start_index)
         pb_ok, _ = verifier.verify_project(project)
@@ -238,29 +265,18 @@ def run_statement_stage(
 ) -> tuple[list[Stage1ItemResult], dict]:
     """One Stage-1 run segment over the dataset; returns results and summary."""
     records = records if records is not None else load_dataset(config.dataset)
-    provenance_path = config.runs_path() / "provenance.json"
 
     def drive(project, verifier, operators, instr, start_index):
-        provenance = (
-            ProvenanceMap.load(provenance_path) if provenance_path.exists() else ProvenanceMap()
+        results = run_stage1(
+            records,
+            project,
+            config.stage1_config(),
+            operators,
+            verifier,
+            instr,
+            start_index=start_index,
+            max_items=config.max_items,
         )
-        if start_index is not None:
-            stage1.recover_provenance(provenance, records, project, start_index)
-        try:
-            provenance, results = run_stage1(
-                records,
-                project,
-                Stage1Config(k=config.budget_k),
-                operators,
-                verifier,
-                instr,
-                provenance=provenance,
-                start_index=start_index,
-                max_items=config.max_items,
-            )
-        finally:
-            # committed items are past the cursor: keep their provenance on a raise too
-            provenance.save(provenance_path)
         compiled = sum(1 for r in results if r.compiled)
         return results, {
             "compiled": compiled,
@@ -286,17 +302,10 @@ def run_proof_stage(
         lemma_map = load_lemma_map(config.lemma_map)
 
     def drive(project, verifier, operators, instr, start_index):
-        stage_cfg = Stage2Config(
-            t=config.budget_t,
-            r=config.budget_r,
-            c=config.budget_c,
-            split_threshold=config.split_threshold,
-            goal_query_enabled=config.goal_query_enabled,
-        )
         results = run_stage2(
             records,
             project,
-            stage_cfg,
+            config.stage2_config(),
             operators,
             verifier,
             instr,

@@ -12,10 +12,10 @@ first ``HEADER_BOUND`` lines; the bound is a property of the language, not
 of a run.
 
 ``analyse`` reads a file text once, in one linear pass, and memoises the
-result by content; ``parse_file``, ``find_hole_ranges`` and ``count_holes``
-are views over that analysis. A text that extends or edits a memoised one
-is read only from the first declaration the edit can reach, so appending a
-declaration costs that declaration, not the file.
+result by content; ``parse_file`` and ``count_holes`` are views over that
+analysis. A text that extends or edits a memoised one is read only from the
+first declaration the edit can reach, so appending a declaration costs that
+declaration, not the file.
 """
 
 from __future__ import annotations
@@ -88,11 +88,6 @@ def noncode_spans(text: str, start: int = 0) -> list[tuple[str, int, int]]:
             spans.append(("string", i, j))
         i = j
     return spans
-
-
-def find_hole_ranges(text: str) -> list[SourceRange]:
-    """Ranges of placeholder tokens outside comments and strings."""
-    return list(analyse(text).hole_ranges)
 
 
 def count_holes(text: str) -> int:

@@ -7,19 +7,17 @@ inserted declaration plus the file header, verify once, then run up to K
 localize/repair rounds through the patch executor, expanding the scope
 when localization comes up empty. Each item is one ``kernel.run_item``
 transaction: it commits once if no errors remain and is discarded
-otherwise or on a raise, so later items are unaffected; its provenance is
-recorded after the commit. A declaration already committed by an
-interrupted run is checked again, not inserted again, and a resumed
-segment recovers from the project the provenance of committed items that
-an interrupted segment did not record or save.
+otherwise or on a raise, so later items are unaffected. Its ``item_end``
+line carries the names it declared, read from the ``[index]`` docstrings
+of the text it commits: that line is the one record of its provenance. A
+declaration already committed by an interrupted run is checked again, not
+inserted again.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 
 from . import simlang
 from .corpus import DatasetRecord
@@ -85,6 +83,7 @@ class Stage1ItemResult:
     b_attempts: int = 0
     verifier_calls: int = 0
     file: str = ""
+    names: tuple[str, ...] = ()
 
     @property
     def compiled(self) -> bool:
@@ -98,43 +97,8 @@ class Stage1ItemResult:
             "b_attempts": self.b_attempts,
             "verifier_calls": self.verifier_calls,
             "lean_file": self.file,
+            "names": list(self.names),
         }
-
-
-class ProvenanceMap:
-    """Declaration name -> set of (dataset index, character span in content)."""
-
-    def __init__(self) -> None:
-        self.entries: dict[str, set[tuple[int, tuple[int, int]]]] = {}
-
-    def add(self, name: str, index: int, span: tuple[int, int]) -> None:
-        self.entries.setdefault(name, set()).add((index, tuple(span)))
-
-    def names(self) -> list[str]:
-        return sorted(self.entries)
-
-    def indices(self) -> set[int]:
-        return {index for spans in self.entries.values() for index, _ in spans}
-
-    def as_dict(self) -> dict:
-        return {
-            name: sorted([idx, list(span)] for idx, span in spans)
-            for name, spans in sorted(self.entries.items())
-        }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.as_dict(), indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProvenanceMap":
-        pm = cls()
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        for name, spans in data.items():
-            for idx, span in spans:
-                pm.add(name, idx, (span[0], span[1]))
-        return pm
 
 
 def _section_number(raw: str) -> int:
@@ -215,24 +179,6 @@ def _item_units(project: Project, file_id: str, index: int) -> list[simlang.Decl
     return [d for d in declarations if d.name and d.doc_index == index]
 
 
-def _record_provenance(provenance: ProvenanceMap, project: Project, record: DatasetRecord) -> None:
-    for decl in _item_units(project, target_file(record), record.index):
-        provenance.add(decl.name, record.index, (0, len(record.content)))
-
-
-def recover_provenance(
-    provenance: ProvenanceMap, records: list[DatasetRecord], project: Project, start_index: int
-) -> None:
-    """Add the names of the items below ``start_index`` that ``provenance``
-    has no entry for, from their ``[index]`` docstrings in the project: a
-    segment interrupted after an item's ``item_end`` line, or killed before
-    it saved ``provenance.json``, committed them unrecorded."""
-    known = provenance.indices()
-    for record in records:
-        if record.index < start_index and record.index not in known:
-            _record_provenance(provenance, project, record)
-
-
 def run_stage1(
     records: list[DatasetRecord],
     project: Project,
@@ -240,12 +186,10 @@ def run_stage1(
     operators: OperatorSet,
     verifier: Verifier,
     instrumentation: RunInstrumentation,
-    provenance: ProvenanceMap | None = None,
     start_index: int | None = None,
     max_items: int | None = None,
-) -> tuple[ProvenanceMap, list[Stage1ItemResult]]:
+) -> list[Stage1ItemResult]:
     """Compile ordered statement items into the project (Stage 1)."""
-    provenance = provenance if provenance is not None else ProvenanceMap()
 
     def run_one(record: DatasetRecord) -> Stage1ItemResult:
         start = {
@@ -256,13 +200,9 @@ def run_stage1(
             "lean_file": target_file(record),
         }
         work = partial(_run_item, record, project, config, operators, verifier, instrumentation)
-        result = run_item(project, instrumentation, start, work)
-        if result.compiled:
-            _record_provenance(provenance, project, record)
-        return result
+        return run_item(project, instrumentation, start, work)
 
-    results = run_items(((r.index, r) for r in records), run_one, start_index, max_items)
-    return provenance, results
+    return run_items(((r.index, r) for r in records), run_one, start_index, max_items)
 
 
 def _run_item(
@@ -274,7 +214,9 @@ def _run_item(
     instrumentation: RunInstrumentation,
 ) -> Stage1ItemResult:
     """Stage the record's declaration and repair its file; the edits stay
-    staged for the item's commit, or are discarded if errors remain."""
+    staged for the item's commit, or are discarded if errors remain. A
+    compiled result names the declarations that carry the record's
+    ``[index]`` in the text to be committed."""
     file_id = target_file(record)
     result = Stage1ItemResult(record.index, record.label, "compiled", file=file_id)
 
@@ -342,6 +284,8 @@ def _run_item(
     if err_count(diags) > 0:
         project.discard()
         result.status = "restored_failed"
+    else:
+        result.names = tuple(d.name for d in _item_units(project, file_id, record.index))
     return result
 
 

@@ -55,6 +55,8 @@ class Stage2Config:
     def __post_init__(self) -> None:
         if min(self.t, self.r, self.c) < 1:
             raise ValueError("budgets T, R, C must all be at least 1")
+        if self.split_threshold < 1:
+            raise ValueError("split threshold must be at least 1")
 
     @property
     def attempt_bound(self) -> int:

@@ -129,7 +129,7 @@ def test_budget_bounds(tmp_path, instrumentation):
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(adversarial_handlers(), EventSink())
     config = Stage1Config(k=3)
-    _, results = run_stage1(records[:6], project, config, operators, verifier, instrumentation)
+    results = run_stage1(records[:6], project, config, operators, verifier, instrumentation)
     for r in results:
         assert r.verifier_calls <= 1 + config.k, r
         assert r.b_attempts <= config.k, r
@@ -138,7 +138,7 @@ def test_budget_bounds(tmp_path, instrumentation):
     project2 = Project(tmp_path / "s2")
     good = OperatorSet(toy_handlers(), EventSink())
     ver2 = Verifier(SimulatedVerifier(), EventSink())
-    _, ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, instrumentation)
+    ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, instrumentation)
     assert all(r.compiled for r in ok_results)
 
     s2cfg = Stage2Config(r=10, c=21)
@@ -333,7 +333,7 @@ def test_matched_statement_guard(tmp_path, instrumentation):
     project = Project(tmp_path / "project")
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(toy_handlers(), EventSink())
-    _, results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
+    results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
     assert all(r.compiled for r in results)
 
     changes = 0

@@ -165,6 +165,34 @@ class TestMalformedConfig:
         assert code == EXIT_OK
 
 
+class TestOutOfRangeConfig:
+    """A config value of the right type that a run rejects is a configuration
+    error, raised before the run reads its streams or writes anything."""
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"budget_k": -1}, "per-item repair budget must be non-negative"),
+            ({"adapter": "nope"}, "unknown adapter 'nope'"),
+            ({"operators": "nope"}, "unknown operator set 'nope'"),
+            ({"split_threshold": 0}, "split threshold must be at least 1"),
+            ({"operator_timeout": -5}, "operator_timeout must be positive"),
+            ({"max_items": -1}, "max_items must be non-negative or null"),
+            ({"budget_t": 0}, "budgets T, R, C must all be at least 1"),
+        ],
+    )
+    def test_exits_2_and_writes_nothing(self, toy_dataset, tmp_path, data, message, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(data))
+        runs = tmp_path / "runs"
+        code = run_cli("stage1", "--config", cfg, "--dataset", toy_dataset,
+                       "--project", tmp_path / "project", "--runs-dir", runs)
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not runs.exists()
+        assert not (tmp_path / "project").exists()
+
+
 class TestSimulate:
     def test_full_toy_pipeline(self, tmp_path, capsys):
         assert run_cli("simulate", "--workdir", tmp_path / "sim") == EXIT_OK

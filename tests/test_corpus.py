@@ -134,10 +134,10 @@ class TestIsProofTarget:
         for env in ("theorem", "lemma", "proposition", "corollary"):
             assert is_proof_target(self.make(env, "..."))
 
-    def test_empty_proof_excluded_unless_configured(self):
+    def test_empty_proof_excluded(self):
         rec = self.make("theorem", "")
         assert not is_proof_target(rec)
-        assert is_proof_target(rec, require_proof_text=False)
+        assert not is_proof_target(self.make("theorem", "  \n"))
 
     def test_env_vocabulary_is_configurable(self):
         rec = self.make("claim", "...")

@@ -2,20 +2,20 @@
 
 Each case raises once at the N-th crossing of one boundary, then resumes
 with ``--resume`` semantics until both stages are complete. The project
-bytes, the provenance map and the reported targets, solved, SCC and PSR
-must equal those of an uninterrupted run. The faults are
-``BaseException`` subclasses, so no ``except Exception`` on the way
-swallows them. In ``crash`` mode the segment unwinds as after an
-exception: its ``finally`` block still writes ``provenance.json``. In
-``kill`` mode no write lands after the fault fires, as when the process
-dies there. Both corpora are the toy corpus; the second splits every
+bytes, the provenance map (the names in the stage-1 ``item_end`` lines)
+and the reported targets, solved, SCC and PSR must equal those of an
+uninterrupted run. The faults are ``BaseException`` subclasses, so no
+``except Exception`` on the way swallows them. In ``crash`` mode the
+segment unwinds as after an exception, closing its streams. In ``kill``
+mode no write lands after the fault fires, as when the process dies
+there. Both corpora are the toy corpus; the second splits every
 section file in stage 2.
 """
 
 from __future__ import annotations
 
-import json
 import os
+from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,6 @@ from autoform.corpus import dump_dataset
 from autoform.instrumentation import HistoryStore, MetricsWriter, _AppendStream, read_events
 from autoform.operators import OperatorSet
 from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
-from autoform.stage1 import ProvenanceMap
 from autoform.toydata import build_toy_records
 from autoform.verifier import SimulatedVerifier
 
@@ -68,7 +67,7 @@ class Fault:
 class Kill:
     """Makes ``fault`` a kill: from the moment it fires until its run
     segment has unwound, no write lands (stream lines, project files and
-    deletions, renames, the summary and ``provenance.json``)."""
+    deletions, renames and the summary)."""
 
     WRITES = (
         (_AppendStream, "_write_line"),
@@ -130,15 +129,24 @@ def run_to_completion(cfg: RunConfig) -> int:
     return crashes
 
 
+def provenance(statement_events: list[dict]) -> dict[str, list[int]]:
+    """Declaration name -> sorted indices of the stage-1 items whose
+    ``item_end`` line names it."""
+    indices: dict[str, set[int]] = {}
+    for event in statement_events:
+        if event["event"] == "item_end":
+            for name in event["data"]["names"]:
+                indices.setdefault(name, set()).add(event["data"]["index"])
+    return {name: sorted(found) for name, found in sorted(indices.items())}
+
+
 def outcome(cfg: RunConfig) -> dict:
     runs = Path(cfg.runs_dir)
-    events = read_events(runs / "metrics_statement.jsonl") + read_events(
-        runs / "metrics_proof.jsonl"
-    )
-    report = accounting.build_report(events)
+    statement = read_events(runs / "metrics_statement.jsonl")
+    report = accounting.build_report(statement + read_events(runs / "metrics_proof.jsonl"))
     return {
         "tree": tree_hash(Path(cfg.project)),
-        "provenance": json.loads((runs / "provenance.json").read_text(encoding="utf-8")),
+        "provenance": provenance(statement),
         "targets": report.targets,
         "solved": report.solved,
         "scc": report.metrics.scc,
@@ -174,8 +182,7 @@ def lean_check(writer, event, *args) -> bool:
 # (split: 27 + 8) operator calls, 3 + 32 (split: 3 + 8) history lines,
 # 27 + 32 (split: 27 + 20) lean_check lines, 24 + 16 item_end lines and
 # 24 + 16 project file writes, all of them commits. Each stage is one
-# segment, so it writes one run_start line and one summary; stage 1 saves
-# provenance once.
+# segment, so it writes one run_start line and one summary.
 BOUNDARIES = {
     "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
     "verifier call, after it returns": (SimulatedVerifier, "verify_file", (5, 40), True, None),
@@ -196,7 +203,6 @@ BOUNDARIES = {
         item_end,
     ),
     "summary write": (pipeline, "write_summary", (1, 2), False, None),
-    "provenance save": (ProvenanceMap, "save", (1,), False, None),
 }
 
 CASES = [
@@ -231,18 +237,38 @@ def test_crash_then_resume_matches_an_uninterrupted_run(
 
 def test_provenance_of_committed_items_survives_a_crash(tmp_path, monkeypatch, uninterrupted):
     # the verifier dies on its 5th call, inside item 4; items 1-3 are
-    # committed and the cursor is past them, so their names must be saved
+    # committed and the cursor is past them, so their item_end lines name them
     cfg = make_config(tmp_path / "work", split=False)
     Fault(monkeypatch, SimulatedVerifier, "verify_file", 5)
     cfg.stage = 1
     with pytest.raises(Crash):
         run_statement_stage(cfg)
     monkeypatch.undo()
-    saved = json.loads((Path(cfg.runs_dir) / "provenance.json").read_text(encoding="utf-8"))
-    assert {"c1s1Alpha", "c1s1AlphaSpec", "c1s1Beta"} <= set(saved)
+    stream = Path(cfg.runs_dir) / "metrics_statement.jsonl"
+    assert provenance(read_events(stream)) == {
+        "c1s1Alpha": [1],
+        "c1s1AlphaSpec": [2],
+        "c1s1Beta": [3],
+    }
     cfg.resume = True
     run_statement_stage(cfg)
-    saved = json.loads((Path(cfg.runs_dir) / "provenance.json").read_text(encoding="utf-8"))
-    assert saved == uninterrupted[False]["provenance"]
-    assert len(saved) == 24
+    recorded = provenance(read_events(stream))
+    assert recorded == uninterrupted[False]["provenance"]
+    assert len(recorded) == 24
 
+
+
+RUN_FILES = ("metrics_*.jsonl", "history_*.jsonl", "summary_*.json")
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["uninterrupted", "crash-then-resume"])
+def test_the_runs_directory_holds_only_streams_and_summaries(tmp_path, monkeypatch, crash):
+    # the streams are the record of a run: no other state file is kept beside them
+    cfg = make_config(tmp_path / "work", split=False)
+    if crash:
+        Fault(monkeypatch, SimulatedVerifier, "verify_file", 5)
+    assert run_to_completion(cfg) == int(crash)
+    entries = sorted(p.name for p in Path(cfg.runs_dir).iterdir())
+    assert [e for e in entries if not any(fnmatch(e, pattern) for pattern in RUN_FILES)] == []
+    # one summary per segment that ran to its end
+    assert len([e for e in entries if e.startswith("summary_")]) == 2

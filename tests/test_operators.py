@@ -30,9 +30,9 @@ from helpers import EventSink
 
 
 def proof_request(project_text="def w : P := sorry\nlemma l : P := by sorry\n"):
-    from autoform.simlang import find_hole_ranges
+    from autoform.simlang import analyse
 
-    hole = find_hole_ranges(project_text)[1]
+    hole = analyse(project_text).hole_ranges[1]
     return OperatorRequest(
         kind="propose_proof_patch",
         payload={

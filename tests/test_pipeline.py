@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from autoform import accounting, stage1
+from autoform import accounting, simlang, stage1
 from autoform.instrumentation import MetricsWriter, read_events
 from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_statement_stage
 
@@ -62,12 +62,25 @@ class TestRunSegments:
         assert s1["total_b_attempts"] == sum(r.b_attempts for r in r1)
         assert s2["total_a_attempts"] == sum(r.proof_attempts for r in r2)
 
-    def test_provenance_saved_with_entry_per_declaration(self, toy_config):
-        run_both(toy_config)
-        data = json.loads((Path(toy_config.runs_dir) / "provenance.json").read_text())
-        assert len(data) == 24  # one generated declaration per statement item
-        for name, spans in data.items():
-            assert spans, name
+    def test_item_end_names_the_declaration_carrying_its_index(self, toy_config):
+        (r1, _), _ = run_both(toy_config)
+        events = read_events(Path(toy_config.runs_dir) / "metrics_statement.jsonl")
+        ends = [e["data"] for e in events if e["event"] == "item_end"]
+        assert len(ends) == 24 and all(r.compiled for r in r1)
+        # one generated declaration per statement item
+        doc_index = {
+            d.name: d.doc_index
+            for f in Path(toy_config.project).rglob("*.lean")
+            for d in simlang.analyse(f.read_text(encoding="utf-8")).parsed.declarations
+            if d.name and d.doc_index is not None
+        }
+        assert len(doc_index) == 24
+        for end in ends:
+            assert len(end["names"]) == 1, end
+            assert doc_index[end["names"][0]] == end["index"]
+        assert [tuple(e["names"]) for e in ends] == [r.names for r in r1]
+        proof = read_events(Path(toy_config.runs_dir) / "metrics_proof.jsonl")
+        assert all("names" not in e["data"] for e in proof if e["event"] == "item_end")
 
     def test_fresh_run_ids_per_segment(self, toy_config):
         toy_config.stage = 1
@@ -255,9 +268,9 @@ class TestResumeEquivalence:
 
 
 # Digest of every artifact a toy run leaves (metrics, history, summaries,
-# provenance, project tree), taken with ``_artifact_dump``.
+# project tree), taken with ``_artifact_dump``.
 # A refactor that claims to change no behaviour must leave it as it is.
-PINNED_ARTIFACT_DIGEST = "0299116464dc704407419d1e93d82192c363835fe26361b5e804d2b98da46ed7"
+PINNED_ARTIFACT_DIGEST = "2099fdb1896445e41bc2a3b32ebc57513723c4d4bd9766ab662aaec73f2baa31"
 
 _VOLATILE_KEYS = frozenset({"ts", "run_id", "seconds", "total_seconds"})
 
@@ -291,7 +304,6 @@ def _artifact_dump(cfg: RunConfig, tmp: str) -> str:
     summaries = [json.loads(p.read_text()) for p in runs.glob("summary_*.json")]
     for summary in sorted(summaries, key=lambda s: (s["stage"], s["next_index"])):
         add("summary", summary)
-    add("provenance", json.loads((runs / "provenance.json").read_text()))
     for f in sorted(p for p in project.rglob("*") if p.is_file()):
         out.append(f"== {f.relative_to(project).as_posix()}\n{f.read_text(encoding='utf-8')}")
     return "\n".join(out) + "\n"
@@ -309,7 +321,7 @@ def test_toy_run_artifacts_match_pinned_digest(toy_config, tmp_path):
 # the attempt bound R * C and the resumed second segment on the verifier
 # budget T, both after replans every R proposals: exits the toy run, which
 # closes every hole on its first proposal, never takes.
-PINNED_ADVERSARIAL_DIGEST = "a1ec62b7a662dfcc16b5300fd53388b0b96f2d6d4a666f4b3100f5d919f21a6a"
+PINNED_ADVERSARIAL_DIGEST = "951c2f371a10802b4c2c5fccdea33eab276da307f39761256aeec9f800ed034e"
 
 
 def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):

@@ -54,8 +54,8 @@ class TestCountHoles:
         assert simlang.count_holes('def a : T := "sorry\nsorry\n') == 0
 
     def test_positions_reported(self):
-        ranges = simlang.find_hole_ranges("theorem t : P := by sorry\n")
-        assert ranges == [SourceRange(0, 20, 0, 25)]
+        ranges = simlang.analyse("theorem t : P := by sorry\n").hole_ranges
+        assert ranges == (SourceRange(0, 20, 0, 25),)
 
     def test_randomized_agreement_with_state_machine_oracle(self):
         rng = random.Random(20260808)
@@ -173,7 +173,7 @@ class TestAnalysisMatchesReference:
         assert simlang.parse_file(text) == ref_parse_file(text, 64)
         assert analysis.parsed.header_span == ref_header_line_span(text, 64)
         holes = ref_find_hole_ranges(text)
-        assert simlang.find_hole_ranges(text) == holes
+        assert list(analysis.hole_ranges) == holes
         assert list(analysis.line_starts) == ref_line_starts(text)
         declarations = analysis.parsed.declarations
         assert len(analysis.body_tokens) == len(analysis.decl_holes) == len(declarations)

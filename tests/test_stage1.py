@@ -5,11 +5,11 @@ from pathlib import Path
 import pytest
 
 from autoform.corpus import DatasetRecord, SectionContext
+from autoform.instrumentation import read_events
 from autoform.kernel import Snapshot
 from autoform.operators import OperatorResponse, OperatorSet
 from autoform.scripted import adversarial_handlers, toy_handlers
 from autoform.stage1 import (
-    ProvenanceMap,
     Stage1Config,
     StubTemplateError,
     gen_stub,
@@ -86,6 +86,11 @@ class TestGenStub:
             gen_stub(record(env="axiomset"), "n", "T")
 
 
+def item_ends(instrumentation) -> list[dict]:
+    events = read_events(instrumentation.metrics.path)
+    return [e["data"] for e in events if e["event"] == "item_end"]
+
+
 def build_world(project, handlers, sink=None, k=3):
     sink = sink or EventSink()
     verifier = Verifier(SimulatedVerifier(), metrics=sink)
@@ -96,9 +101,7 @@ def build_world(project, handlers, sink=None, k=3):
 class TestRunStage1:
     def test_toy_corpus_compiles_fully(self, project, toy_records, instrumentation):
         verifier, operators, config, sink = build_world(project, toy_handlers())
-        provenance, results = run_stage1(
-            toy_records, project, config, operators, verifier, instrumentation
-        )
+        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         assert all(r.compiled for r in results)
         assert len(results) == len(toy_records)
         # early exit keeps total calls far below the cap
@@ -109,14 +112,14 @@ class TestRunStage1:
 
     def test_per_item_call_bounds(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         for r in results:
             assert 1 <= r.verifier_calls <= 1 + config.k
             assert r.b_attempts <= config.k
 
     def test_tricky_items_consume_repair_rounds(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         repaired = {r.index for r in results if r.b_attempts > 0}
         assert repaired == {2, 9, 20}
         for r in results:
@@ -125,7 +128,7 @@ class TestRunStage1:
 
     def test_oracle_call_accounting(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         # one synthesis call per item plus one repair call per attempt
         assert operators.invocations == len(results) + sum(r.b_attempts for r in results)
 
@@ -150,7 +153,7 @@ class TestRunStage1:
         verifier, operators, config, _ = build_world(project, handlers)
 
         records = [r for r in toy_records if r.index <= 6]
-        _, results = run_stage1(records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(records, project, config, operators, verifier, instrumentation)
 
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed"
@@ -171,7 +174,7 @@ class TestRunStage1:
 
         failing = [r for r in toy_records if r.index == 3]
         verifier2, operators2, config2, _ = build_world(project, adversarial_handlers())
-        _, results = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
+        results = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
         assert results[0].status == "restored_failed"
         assert before.matches(project)
 
@@ -191,33 +194,33 @@ class TestRunStage1:
             def verify_file(self, project, file_id):
                 raise Crash("verifier died")
 
-        provenance = ProvenanceMap()
         crashing = Verifier(CrashingAdapter(), EventSink())
         item = [r for r in toy_records if r.index == 3]
         assert target_file(item[0]) == file_id
         with pytest.raises(Crash):
-            run_stage1(
-                item, project, config, operators, crashing, instrumentation, provenance=provenance
-            )
+            run_stage1(item, project, config, operators, crashing, instrumentation)
         assert project.path(file_id).read_bytes() == before
         assert project.read(file_id) == before.decode()
-        assert provenance.names() == []
+        # no item_end line, so no names are recorded for the crashed item
+        ends = item_ends(instrumentation)
+        assert [e["index"] for e in ends] == [1, 2]
 
-    def test_provenance_for_compiled_items_only(self, project, toy_records, instrumentation):
+    def test_names_for_compiled_items_only(self, project, toy_records, instrumentation):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        provenance, results = run_stage1(
-            records, project, config, operators, verifier, instrumentation
-        )
-        assert "c1s1Alpha" in provenance.names()
-        assert "c1s1AlphaSpec" in provenance.names()
-        spans = provenance.entries["c1s1Alpha"]
-        assert any(idx == 1 for idx, _ in spans)
+        results = run_stage1(records, project, config, operators, verifier, instrumentation)
+        assert [r.names for r in results] == [("c1s1Alpha",), ("c1s1AlphaSpec",)]
 
         failing = [r for r in toy_records if r.index == 3]
         verifier2, operators2, config2, _ = build_world(project, adversarial_handlers())
-        pm2, _ = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
-        assert pm2.names() == []
+        failed = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
+        assert failed[0].status == "restored_failed" and failed[0].names == ()
+        ends = item_ends(instrumentation)
+        assert [(e["index"], e["names"]) for e in ends] == [
+            (1, ["c1s1Alpha"]),
+            (2, ["c1s1AlphaSpec"]),
+            (3, []),
+        ]
 
     def test_unparseable_skeleton_consumes_rounds_not_the_run(
         self, project, toy_records, instrumentation
@@ -227,7 +230,7 @@ class TestRunStage1:
 
         handlers = dict(toy_handlers(), gen_skeleton=garbage_gen)
         verifier, operators, config, _ = build_world(project, handlers)
-        _, results = run_stage1(
+        results = run_stage1(
             toy_records[:2], project, config, operators, verifier, instrumentation
         )
         assert all(r.status == "restored_failed" for r in results)
@@ -242,7 +245,7 @@ class TestRunStage1:
         file_id = target_file(toy_records[0])
         project.write(file_id, "def older : Z9 := ghostName\n")
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, results = run_stage1(
+        results = run_stage1(
             toy_records[:1], project, config, operators, verifier, instrumentation
         )
         assert results[0].status == "compiled"
@@ -254,8 +257,6 @@ class TestRunStage1:
         assert ok
 
     def test_item_events(self, project, toy_records, instrumentation):
-        from autoform.instrumentation import read_events
-
         instr = instrumentation
         verifier = Verifier(SimulatedVerifier(), metrics=instr.metrics)
         operators = OperatorSet(toy_handlers(), instr)
@@ -270,11 +271,11 @@ class TestRunStage1:
 
     def test_start_index_skips_processed_items(self, project, toy_records, instrumentation):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        _, first = run_stage1(
+        first = run_stage1(
             toy_records, project, config, operators, verifier, instrumentation, max_items=2
         )
         assert [r.index for r in first] == [1, 2]
-        _, rest = run_stage1(
+        rest = run_stage1(
             toy_records, project, config, operators, verifier, instrumentation, start_index=3
         )
         assert [r.index for r in rest] == list(range(3, 25))
@@ -312,7 +313,7 @@ class TestItemCommit:
         handlers = dict(toy, gen_skeleton=selective_gen, repair_patch=selective_repair)
         verifier, operators, config, _ = build_world(project, handlers)
         writes = self.record_writes(monkeypatch)
-        _, results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed" and by_index[3].b_attempts > 0
         assert by_index[2].b_attempts == 1  # an accepted repair adds no write
@@ -351,11 +352,11 @@ class TestReentry:
         # so a resumed run starts at item 2 again
         resumed = Project(project.root)
         verifier, operators, config, sink = build_world(resumed, toy_handlers())
-        provenance, results = run_stage1(
+        results = run_stage1(
             toy_records[:2], resumed, config, operators, verifier, instrumentation, start_index=2
         )
         assert [(r.index, r.status, r.verifier_calls) for r in results] == [(2, "compiled", 1)]
         assert operators.invocations == 0  # no skeleton was asked for
         assert sink.count("lean_check") == 1
         assert resumed.path(file_id).read_bytes() == before
-        assert provenance.names() == ["c1s1AlphaSpec"]
+        assert results[0].names == ("c1s1AlphaSpec",)

@@ -38,7 +38,7 @@ def make_verifier(sink=None):
 def compiled_project(project, records, instrumentation):
     verifier = make_verifier()
     operators = OperatorSet(toy_handlers(), EventSink())
-    _, results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
+    results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
     assert all(r.compiled for r in results)
     return project
 
@@ -68,7 +68,7 @@ class TestLocateTargetHole:
         hole = locate_target_hole(project, "A.lean", task)
         assert hole is not None
         assert hole.declaration == "goal"
-        text_at = simlang.find_hole_ranges(project.read("A.lean"))
+        text_at = simlang.analyse(project.read("A.lean")).hole_ranges
         assert hole.range in text_at
 
     def test_already_closed_target_is_absent(self, project):

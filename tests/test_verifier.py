@@ -164,7 +164,7 @@ class TestAnalysisReuse:
         ok, _ = verifier.verify_file(project, "Big.lean")
         assert ok and len(scans) == 1
         verifier.verify_file(project, "Big.lean")
-        hole = simlang.find_hole_ranges(project.read("Big.lean"))[-1]
+        hole = simlang.analyse(project.read("Big.lean")).hole_ranges[-1]
         assert verifier.goal_state(project, "Big.lean", hole).goal == "T"
         assert len(scans) == 1
         project.write("Big.lean", text + "def e : T := sorry\n")
@@ -195,16 +195,12 @@ class TestSimulatedVerifyProject:
 class TestGoalState:
     def test_absent_when_file_has_errors(self, project, sim):
         project.write("A.lean", "lemma l : P := by sorry\ndef bad : T := ghost\n")
-        from autoform.simlang import find_hole_ranges
-
-        hole = find_hole_ranges(project.read("A.lean"))[0]
+        hole = simlang.analyse(project.read("A.lean")).hole_ranges[0]
         assert sim.goal_state(project, "A.lean", hole) is None
 
     def test_goal_and_context_at_hole(self, project, sim):
         project.write("A.lean", "def w : P := sorry\nlemma l : P := by sorry\n")
-        from autoform.simlang import find_hole_ranges
-
-        hole = find_hole_ranges(project.read("A.lean"))[1]
+        hole = simlang.analyse(project.read("A.lean")).hole_ranges[1]
         goal = sim.goal_state(project, "A.lean", hole)
         assert goal is not None
         assert goal.goal == "P"
@@ -214,9 +210,7 @@ class TestGoalState:
         ext = ExternalVerifier(command=["true"])
         verifier = Verifier(ext, EventSink())
         project.write("A.lean", "lemma l : P := by sorry\n")
-        from autoform.simlang import find_hole_ranges
-
-        hole = find_hole_ranges(project.read("A.lean"))[0]
+        hole = simlang.analyse(project.read("A.lean")).hole_ranges[0]
         assert verifier.goal_state(project, "A.lean", hole) is None
 
 
