@@ -188,11 +188,12 @@ def localize(diagnostics: DiagnosticSet, scope: Scope) -> DiagnosticSet:
     return DiagnosticSet.of(d for d in diagnostics if scope.intersects(d.range))
 
 
-def line_starts(text: str, start: int = 0) -> list[int]:
+def line_starts(text: str, start: int = 0, end: int | None = None) -> list[int]:
     """Offsets of the lines of ``text`` from the line that begins at
-    ``start`` on."""
+    ``start`` on, through the line after the last line break before ``end``."""
     starts = [start]
-    starts.extend(m.end() for m in _NEWLINE_RE.finditer(text, start))
+    stop = len(text) if end is None else end
+    starts.extend(m.end() for m in _NEWLINE_RE.finditer(text, start, stop))
     return starts
 
 

@@ -60,6 +60,11 @@ def _cut_torn_tail(path: Path) -> None:
             fh.truncate(pos)
 
 
+# one encoder for every stream line; json.dumps with a non-default option
+# builds a new one per call
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 class _AppendStream:
     """One append handle on a JSONL file, opened at the first line and kept
     open until ``close``. Each line is flushed before the call that writes
@@ -76,7 +81,7 @@ class _AppendStream:
         if self._fh is None:
             _cut_torn_tail(self.path)
             self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        self._fh.write(_LINE_ENCODER.encode(obj) + "\n")
         self._fh.flush()
 
     def close(self) -> None:

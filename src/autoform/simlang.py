@@ -24,7 +24,7 @@ import re
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 
 from .diagnostics import SourceRange, line_starts, offset_to_pos, pos_to_offset
@@ -44,19 +44,24 @@ _STRING_STOP_RE = re.compile(r'[\\"]')
 _NOT_NEWLINE_RE = re.compile("[^\n]")
 
 
-def noncode_spans(text: str, start: int = 0) -> list[tuple[str, int, int]]:
+def noncode_spans(
+    text: str, start: int = 0, end: int | None = None
+) -> list[tuple[str, int, int]]:
     """Spans of comments and string literals as (kind, start, end) offsets.
 
     This is the comment/string scanner: one left-to-right pass that jumps
     from delimiter to delimiter. Block comments nest; a backslash escapes
     the next character of a string; an unterminated block comment or
     string runs to the end of the text. The scan begins at offset
-    ``start``, which must lie outside every span of the whole text.
+    ``start``, which must lie outside every span of the whole text, and
+    opens no span at or after ``end``; a span opened before ``end`` still
+    runs to its own end.
     """
     spans: list[tuple[str, int, int]] = []
     n = len(text)
     i = start
-    while (opener := _NONCODE_OPEN_RE.search(text, i)) is not None:
+    limit = n if end is None else end
+    while (opener := _NONCODE_OPEN_RE.search(text, i, limit)) is not None:
         i = opener.start()
         token = opener.group()
         if token == "--":
@@ -174,16 +179,16 @@ def analyse(text: str) -> Analysis:
     return analysis
 
 
-def _mask(text: str, spans: list[tuple[str, int, int]], start: int = 0) -> str:
-    """``text[start:]`` with every character of ``spans`` but newlines
-    blanked; the spans lie at or after ``start``."""
+def _mask(text: str, spans: list[tuple[str, int, int]], start: int, end: int) -> str:
+    """``text[start:end]`` with every character of ``spans`` but newlines
+    blanked; the spans lie within it."""
     parts = []
     done = start
     for _, a, b in spans:
         parts.append(text[done:a])
         parts.append(_NOT_NEWLINE_RE.sub(" ", text[a:b]))
         done = b
-    parts.append(text[done:])
+    parts.append(text[done:end])
     return "".join(parts)
 
 
@@ -203,7 +208,9 @@ def _header_span(masked_lines: list[str]) -> tuple[int, int] | None:
     return (0, last_header)
 
 
-def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis:
+def _analyse(
+    text: str, base: Analysis | None = None, kept: int = 0, tail: int = 0
+) -> Analysis:
     """The analysis of ``text``, read in one left-to-right pass.
 
     With ``kept`` > 0, the pass reuses the first ``kept`` declaration units
@@ -211,7 +218,25 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
     (``_kept_units``) guarantees that ``text`` has the same lines as the
     base's text up to that point, and that no comment or string of the base
     crosses it, so everything read before it is the same in both texts.
+
+    With ``tail`` > 0, the pass also reuses the last ``tail`` units of
+    ``base`` and stops at the line where the first of them starts. The
+    caller (``_kept_tail``) guarantees that ``text`` ends with the base's
+    text from the line break before that line, and that no comment or
+    string of the base crosses that line's start. The pass checks what also
+    depends on the lines it reads: that no comment or string of ``text``
+    crosses that line's start either, and that the first kept unit would
+    get the same docstring and unit start if it were read now. If both
+    hold, everything from that line on is the base's, moved by the change
+    in length and line count; otherwise the pass reads to the end of the
+    text as with ``tail`` = 0.
     """
+    stop = len(text)
+    if tail:
+        first_tail = base.parsed.declarations[-tail]
+        tail_line = first_tail.range.start_line
+        tail_start = base.line_starts[tail_line]
+        stop = tail_start + len(text) - len(base.masked)
     if kept:
         # lines before ``first`` come from the base and are never read again
         declarations = list(base.parsed.declarations[:kept])
@@ -224,19 +249,23 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
         stray = list(stray_lines[: bisect_left(stray_lines, first)])
         bodies = list(base.body_tokens[:kept])
         decl_holes = list(base.decl_holes[:kept])
-        starts = list(base.line_starts[:first]) + line_starts(text, resume)
+        starts = list(base.line_starts[:first]) + line_starts(text, resume, stop)
         header_span, imports = base.parsed.header_span, list(base.parsed.imports)
         prefix = base.masked[:resume]
     else:
         declarations, spans, holes, stray, bodies, decl_holes = [], [], [], [], [], []
         first = resume = 0
-        starts = line_starts(text)
+        starts = line_starts(text, 0, stop)
         prefix = ""
-    new_spans = noncode_spans(text, resume)
-    tail = _mask(text, new_spans, resume)
-    masked = prefix + tail
+    new_spans = noncode_spans(text, resume, stop)
+    if tail and _crosses(new_spans, stop):
+        return _analyse(text, base, kept)
+    fresh = _mask(text, new_spans, resume, stop)
+    masked = prefix + fresh
     # blank stand-ins for the kept lines keep line numbers as list indexes
-    masked_lines = [""] * first + tail.split("\n")
+    masked_lines = [""] * first + fresh.split("\n")
+    if tail:
+        masked_lines.pop()  # the start of the first kept tail line
     n_lines = len(masked_lines)
 
     new_holes = []
@@ -247,6 +276,7 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
             new_holes.append(SourceRange(sl, sc, el, ec))
 
     if not kept:
+        # a kept tail starts with a declaration line, which ends the header
         header_span = _header_span(masked_lines)
         imports = []
         for lineno in range(header_span[1] + 1 if header_span else 0):
@@ -282,15 +312,13 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
         parts = masked_lines[lineno].split()
         if parts and parts[0] in DECL_KINDS:
             decl_starts.append(lineno)
+    if tail:
+        decl_starts.append(n_lines)
 
     covered = bytearray(n_lines)
     covered[: header_end + 1] = b"\x01" * (header_end + 1)
     next_doc = 0
     for idx, start in enumerate(decl_starts):
-        end = (decl_starts[idx + 1] - 1) if idx + 1 < len(decl_starts) else n_lines - 1
-        # trim trailing blank lines off the unit
-        while end > start and not masked_lines[end].strip():
-            end -= 1
         # the docstring is the last one ending above the declaration, if
         # only blank lines separate the two; when that one is cut off by
         # code, every earlier one is too, so one forward pointer suffices
@@ -302,6 +330,19 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
         unit_start = start
         if doc is not None and (not declarations or doc[0] > declarations[-1].range.end_line):
             unit_start = doc[0]
+        if start == n_lines:
+            # the first kept tail unit: what the lines read now decide of it
+            # must be what they decided in the base
+            if (doc[2].strip() if doc else None) != first_tail.docstring or (
+                start - unit_start != tail_line - first_tail.unit_range.start_line
+            ):
+                return _analyse(text, base, kept)
+            covered[unit_start:] = b"\x01" * (n_lines - unit_start)
+            break
+        end = decl_starts[idx + 1] - 1 if idx + 1 < len(decl_starts) else n_lines - 1
+        # trim trailing blank lines off the unit
+        while end > start and not masked_lines[end].strip():
+            end -= 1
         declarations.append(
             _parse_declaration(text, masked, starts, start, end, unit_start, doc)
         )
@@ -326,6 +367,36 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
         hi = bisect_left(hole_starts, decl.range.end, lo)
         decl_holes.append(tuple(new_holes[lo:hi]))
 
+    if tail:
+        # the kept tail: the same columns, ``chars`` further on, ``lines``
+        # lines further down
+        chars, lines = stop - tail_start, n_lines - tail_line
+        tail_starts = base.line_starts[tail_line + 1 :]
+        tail_spans = base.noncode[bisect_left(base.noncode, tail_start, key=itemgetter(1)) :]
+        if chars:
+            tail_starts = [offset + chars for offset in tail_starts]
+            tail_spans = [(kind, a + chars, b + chars) for kind, a, b in tail_spans]
+        tail_decls = base.parsed.declarations[-tail:]
+        tail_decl_holes = base.decl_holes[-tail:]
+        tail_holes = base.hole_ranges[
+            bisect_left(base.hole_ranges, tail_line, key=attrgetter("start_line")) :
+        ]
+        tail_stray = base.parsed.stray_lines[bisect_left(base.parsed.stray_lines, tail_line) :]
+        if lines:
+            tail_decls = [_moved_declaration(decl, lines) for decl in tail_decls]
+            tail_decl_holes = [_moved_ranges(hs, lines) for hs in tail_decl_holes]
+            tail_holes = _moved_ranges(tail_holes, lines)
+            tail_stray = [lineno + lines for lineno in tail_stray]
+        masked += base.masked[tail_start:]
+        starts.extend(tail_starts)
+        new_spans.extend(tail_spans)
+        new_holes.extend(tail_holes)
+        stray.extend(tail_stray)
+        declarations.extend(tail_decls)
+        bodies.extend(base.body_tokens[-tail:])
+        decl_holes.extend(tail_decl_holes)
+        n_lines += base.parsed.line_count - tail_line
+
     parsed = ParsedFile(
         header_span=header_span,
         imports=tuple(imports),
@@ -344,6 +415,21 @@ def _analyse(text: str, base: Analysis | None = None, kept: int = 0) -> Analysis
     )
 
 
+def _moved_ranges(ranges: Sequence[SourceRange], lines: int) -> tuple[SourceRange, ...]:
+    return tuple(
+        SourceRange(r.start_line + lines, r.start_col, r.end_line + lines, r.end_col)
+        for r in ranges
+    )
+
+
+def _moved_declaration(decl: Declaration, lines: int) -> Declaration:
+    """``decl`` moved ``lines`` lines down."""
+    rng, unit_rng, body_rng = _moved_ranges(
+        (decl.range, decl.unit_range, decl.body_range), lines
+    )
+    return replace(decl, range=rng, unit_range=unit_rng, body_range=body_rng)
+
+
 def _doc_span(text: str, a: int, b: int, starts: list[int]) -> tuple[int, int, str]:
     """(start_line, end_line, inner text) of the docstring span [a, b)."""
     sl, _ = offset_to_pos(text, a, starts)
@@ -351,30 +437,40 @@ def _doc_span(text: str, a: int, b: int, starts: list[int]) -> tuple[int, int, s
     return sl, el, text[a + 3 : max(a + 3, b - 2)]
 
 
-def _resume_point(text: str) -> tuple[Analysis | None, int]:
+def _resume_point(text: str) -> tuple[Analysis | None, int, int]:
     """The memoised analysis to start ``text``'s analysis from, and how many
-    of its declaration units to keep: the one that keeps the most text, or
-    (None, 0) when none keeps a unit."""
-    best: tuple[Analysis | None, int] = (None, 0)
-    best_resume = 0
+    of its declaration units to keep at the front and at the end: the one
+    that keeps the most text, or (None, 0, 0) when none keeps a unit."""
+    best: tuple[Analysis | None, int, int] = (None, 0, 0)
+    best_reused = 0
     for base_text, base in _memo.items():
         decls = base.parsed.declarations
-        starts = base.line_starts
-        # a base is a candidate only if text keeps its first two declaration
-        # lines; one startswith rejects every other text
-        after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
-        if after >= len(starts) or not text.startswith(base_text[: starts[after]]):
+        if not decls:
             continue
-        kept = _kept_units(text, base_text, base)
-        if kept:
-            resume = starts[decls[kept - 1].range.end_line]
-            if resume > best_resume:
-                best, best_resume = (base, kept), resume
+        starts = base.line_starts
+        kept = tail = 0
+        # a base keeps front units only if text keeps its first two
+        # declaration lines, and tail units only if text ends with its last
+        # declaration from the line break before it: one startswith and one
+        # endswith reject every other text
+        after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
+        if after < len(starts) and text.startswith(base_text[: starts[after]]):
+            kept = _kept_units(text, base_text, base)
+        resume = starts[decls[kept - 1].range.end_line] if kept else 0
+        last = starts[decls[-1].range.start_line]
+        if last and text.endswith(base_text[last - 1 :]):
+            tail = _kept_tail(text, base_text, base, kept, resume)
+        reused = resume
+        if tail:
+            reused += len(base_text) - starts[decls[-tail].range.start_line]
+        if reused > best_reused:
+            best, best_reused = (base, kept, tail), reused
     return best
 
 
 def _kept_units(text: str, base_text: str, base: Analysis) -> int:
-    """How many of a candidate ``base``'s declaration units ``text`` keeps.
+    """How many of a candidate ``base``'s declaration units ``text`` keeps
+    at the front.
 
     Let d be the line of the first character where the two texts differ; a
     candidate's second declaration starts before d. The base's declarations
@@ -395,11 +491,48 @@ def _kept_units(text: str, base_text: str, base: Analysis) -> int:
         else:
             hi = mid - 1
     resume = starts[decls[lo - 1].range.end_line]
-    spans = base.noncode
-    i = bisect_left(spans, resume, key=itemgetter(1))
-    if i and spans[i - 1][2] > resume:
+    if _crosses(base.noncode, resume):
         return 0
     return lo
+
+
+def _kept_tail(text: str, base_text: str, base: Analysis, kept: int, resume: int) -> int:
+    """How many of a candidate ``base``'s declaration units ``text`` keeps
+    at the end, after the ``kept`` front units that end at ``resume``.
+
+    A unit after the front units is kept, with every unit after it, when
+    ``text`` ends with the base's text from the line break before the
+    unit's first line, at an offset of ``text`` not before ``resume``. The
+    first such unit is found by bisection; a candidate's last unit is one.
+    None is kept (0) when a comment or string of the base crosses the start
+    of that unit's first line: the scan there would not start afresh.
+    """
+    decls = base.parsed.declarations
+    starts = base.line_starts
+    grow = len(text) - len(base_text)
+
+    def keeps(idx: int) -> bool:
+        at = starts[decls[idx].range.start_line]
+        return 0 < at and resume <= at + grow and text.endswith(base_text[at - 1 :])
+
+    lo, hi = kept, len(decls) - 1
+    if not keeps(hi):
+        return 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if keeps(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    if _crosses(base.noncode, starts[decls[lo].range.start_line]):
+        return 0
+    return len(decls) - lo
+
+
+def _crosses(spans: Sequence[tuple[str, int, int]], offset: int) -> bool:
+    """Whether a span of ``spans`` starts before ``offset`` and ends after it."""
+    i = bisect_left(spans, offset, key=itemgetter(1))
+    return bool(i) and spans[i - 1][2] > offset
 
 
 _memo: OrderedDict[str, Analysis] = OrderedDict()

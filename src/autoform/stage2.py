@@ -177,7 +177,11 @@ def split_if_large_and_resolve(
     (each part imports its predecessor) and the original path becomes a
     thin aggregate importing every part; all are staged. Returns the part
     containing the task's target, or the input file when no split happens.
-    The declaration multiset across parts equals the original file's.
+    The declaration multiset across parts equals the original file's. A
+    split never stages over another file: if a part's name holds a file
+    whose declarations are not the part's, nothing is staged and a warning
+    line names it. A file with the part's declarations is that part, left
+    by a commit of this split that did not finish, and is written again.
     """
     if not project.exists(file_id):
         return file_id
@@ -213,6 +217,21 @@ def split_if_large_and_resolve(
 
     stem = file_id[:-5] if file_id.endswith(".lean") else file_id
     part_ids = [f"{stem}_part{k}.lean" for k in range(1, len(groups) + 1)]
+    # every name is looked up, so the project knows the parts are absent
+    taken = [
+        pid
+        for pid, group in zip(part_ids, groups)
+        if project.exists(pid)
+        and _signatures(simlang.analyse(project.read(pid)).parsed.declarations)
+        != _signatures(decl for decl, _ in group)
+    ]
+    if taken:
+        if instrumentation is not None:
+            instrumentation.emit(
+                "warning",
+                {"reason": f"split part exists: {taken[0]}", "lean_file": file_id},
+            )
+        return file_id
     for k, group in enumerate(groups):
         head = list(header_lines)
         if k > 0:
@@ -238,6 +257,10 @@ def split_if_large_and_resolve(
         if simlang.analyse(project.read(pid)).hole_ranges:
             return pid
     return file_id
+
+
+def _signatures(declarations) -> list[tuple[str, str | None, str]]:
+    return [(decl.kind, decl.name, decl.type_text) for decl in declarations]
 
 
 def run_stage2_item(

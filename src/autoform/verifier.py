@@ -276,28 +276,39 @@ class SimulatedVerifier:
     Diagnostics: an unresolved name reference is an error at the referencing
     body; a declared-type/body-type mismatch under the trivial type table is
     an error; a hole in a definition-kind declaration is a warning. Names in
-    ``DEFAULT_BUILTINS`` are in scope everywhere, and every import must name
-    a project file.
+    ``DEFAULT_BUILTINS`` are in scope everywhere, every import must name
+    a project file, and an import from which the imports lead round a cycle
+    is an error at its line.
     """
 
     # -- name resolution -------------------------------------------------
 
-    def _exports(self, project: Project, file_id: str, cache: dict, seen: set) -> dict[str, str]:
+    def _exports(
+        self, project: Project, file_id: str, cache: dict, seen: set
+    ) -> tuple[dict[str, str], bool]:
+        """The names ``file_id`` and everything it imports declare, and
+        whether its imports lead to a file still on the walk (in ``seen``
+        but not yet in ``cache``): an import cycle."""
         if file_id in cache:
             return cache[file_id]
-        if file_id in seen or not project.exists(file_id):
-            return {}
+        if file_id in seen:
+            return {}, True
+        if not project.exists(file_id):
+            return {}, False
         seen.add(file_id)
         parsed = simlang.analyse(project.read(file_id)).parsed
         table: dict[str, str] = {}
+        cyclic = False
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
-            table.update(self._exports(project, dep, cache, seen))
+            exports, cycle = self._exports(project, dep, cache, seen)
+            table.update(exports)
+            cyclic = cyclic or cycle
         for decl in parsed.declarations:
             if decl.name and not decl.malformed:
                 table[decl.name] = decl.type_text
-        cache[file_id] = table
-        return table
+        cache[file_id] = (table, cyclic)
+        return table, cyclic
 
     # -- oracle surface ---------------------------------------------------
 
@@ -318,11 +329,14 @@ class SimulatedVerifier:
         cache: dict = {}
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
+            rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
             if not project.exists(dep):
-                rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
                 out.append(Diagnostic(rng, "error", f"unknown module '{imp.module}'"))
                 continue
-            imported.update(self._exports(project, dep, cache, {file_id}))
+            exports, cyclic = self._exports(project, dep, cache, {file_id})
+            if cyclic:
+                out.append(Diagnostic(rng, "error", f"import cycle through '{imp.module}'"))
+            imported.update(exports)
 
         for lineno in parsed.stray_lines:
             rng = SourceRange.whole_lines(lineno, lineno)

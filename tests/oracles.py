@@ -433,20 +433,26 @@ def ref_verify_file(
     text = project.read(file_id)
 
     def exports(fid, cache, seen):
+        # (names, whether the walk meets a file still on it: a cycle)
         if fid in cache:
             return cache[fid]
-        if fid in seen or not project.exists(fid):
-            return {}
+        if fid in seen:
+            return {}, True
+        if not project.exists(fid):
+            return {}, False
         seen.add(fid)
         parsed = ref_parse_file(project.read(fid), header_bound)
         table: dict[str, str] = {}
+        cyclic = False
         for imp in parsed.imports:
-            table.update(exports(module_file(imp.module), cache, seen))
+            names, cycle = exports(module_file(imp.module), cache, seen)
+            table.update(names)
+            cyclic = cyclic or cycle
         for decl in parsed.declarations:
             if decl.name and not decl.malformed:
                 table[decl.name] = decl.type_text
-        cache[fid] = table
-        return table
+        cache[fid] = (table, cyclic)
+        return table, cyclic
 
     parsed = ref_parse_file(text, header_bound)
     out: list[Diagnostic] = []
@@ -456,11 +462,14 @@ def ref_verify_file(
         if imp.module in external_modules:
             continue
         dep = module_file(imp.module)
+        rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
         if not project.exists(dep):
-            rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
             out.append(Diagnostic(rng, "error", f"unknown module '{imp.module}'"))
             continue
-        imported.update(exports(dep, cache, {file_id}))
+        names, cyclic = exports(dep, cache, {file_id})
+        if cyclic:
+            out.append(Diagnostic(rng, "error", f"import cycle through '{imp.module}'"))
+        imported.update(names)
 
     for lineno in parsed.stray_lines:
         rng = SourceRange.whole_lines(lineno, lineno)

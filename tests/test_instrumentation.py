@@ -34,6 +34,14 @@ class TestMetricsWriter:
                 assert set(record) == {"ts", "run_id", "event", "data"}
                 assert record["run_id"] == "proof_stage2_x"
 
+    def test_lines_are_the_bytes_json_dumps_gives(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        data = {"label": "Lemma \u00e9\u2200", "x": [1.5, None, True], "q": 'a"\\\n'}
+        with MetricsWriter(path, "r") as metrics:
+            records = [metrics.run_start({}), metrics.emit("tick", data)]
+        expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_emit_before_run_start_is_an_error(self, tmp_path):
         with MetricsWriter(tmp_path / "m.jsonl", "r") as metrics:
             with pytest.raises(RuntimeError, match="run_start"):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from autoform import simlang
+from autoform.corpus import dump_dataset
 from autoform.diagnostics import SourceRange, line_starts
+from autoform.pipeline import run_proof_stage, run_statement_stage
+from autoform.toydata import build_toy_records
 
 from oracles import (
     oracle_count_holes,
@@ -258,13 +262,50 @@ def assert_fresh(text):
 
 
 def kept_units(base_text, text):
-    """How many declaration units the analysis of ``text`` keeps from that
-    of ``base_text``, with nothing else memoised."""
+    """How many declaration units the analysis of ``text`` plans to keep
+    from that of ``base_text`` at the front and at the end, with nothing
+    else memoised."""
     simlang._memo.clear()
     base = simlang.analyse(base_text)
-    found, kept = simlang._resume_point(text)
+    found, kept, tail = simlang._resume_point(text)
     assert found in (None, base)
-    return kept
+    return kept, tail
+
+
+def read(text):
+    """Analyse ``text``, assert that the analysis equals a fresh one, and
+    return how many units the read behind it kept at the front and at the
+    end; a read that could not keep its planned tail reports 0 there."""
+    plans = []
+    real = simlang._analyse
+
+    def spy(text, base=None, kept=0, tail=0):
+        plans.append((kept, tail))
+        return real(text, base, kept, tail)
+
+    simlang._analyse = spy
+    try:
+        simlang.analyse(text)
+    finally:
+        simlang._analyse = real
+    assert_fresh(text)
+    return plans[-1]
+
+
+def edit_line(text, lineno, new):
+    lines = text.split("\n")
+    lines[lineno] = new
+    return "\n".join(lines)
+
+
+def count_parses(monkeypatch):
+    """A list that grows by one for each declaration parsed from now on."""
+    parsed = []
+    parse = simlang._parse_declaration
+    monkeypatch.setattr(
+        simlang, "_parse_declaration", lambda *args: parsed.append(1) or parse(*args)
+    )
+    return parsed
 
 
 class TestIncrementalAnalysis:
@@ -296,17 +337,19 @@ class TestIncrementalAnalysis:
         simlang.analyse(prefix + before)
         assert_fresh(prefix + after)
 
-    def test_edit_inside_the_header_reads_everything(self):
+    def test_edit_inside_the_header_keeps_every_unit_at_the_end(self):
         base = units_file(random.Random(1), 6)
         text = base.replace("import A", "import B")
-        assert kept_units(base, text) == 0
-        assert_fresh(text)
+        units = len(simlang.parse_file(base).declarations)
+        assert kept_units(base, text) == (0, units)
+        assert read(text) == (0, units)
+        assert simlang.parse_file(text).imports[0].module == "B"
 
-    def test_edit_in_the_first_declaration_reads_everything(self):
+    def test_edit_in_the_first_declaration_keeps_the_rest_at_the_end(self):
         base = "def a : T := sorry\ndef b : T := a\ndef c : T := b\n"
         text = base.replace(": T := sorry", ": T := c")
-        assert kept_units(base, text) == 0
-        assert_fresh(text)
+        assert kept_units(base, text) == (0, 2)
+        assert read(text) == (0, 2)
 
     def test_comment_or_string_across_the_resume_offset_reads_everything(self):
         for opener, closer in (("/- note", "-/"), ('"note', '"')):
@@ -318,15 +361,17 @@ class TestIncrementalAnalysis:
             )
             text = base.replace("def d : T := sorry", "def d : T := c")
             assert simlang.parse_file(base).declarations[2].name == "c"
-            assert kept_units(base, text) == 0
+            assert kept_units(base, text) == (0, 0)
             assert_fresh(text)
 
     def test_edit_that_leaves_a_comment_or_string_unterminated(self):
+        # the new span swallows the planned tail, so the read goes on to the
+        # end of the text
         base = "".join(f"def d{k} : T := sorry\n" for k in range(6))
         for opener in ("/- open", '"open'):
             text = base.replace("def d4 : T := sorry", f"def d4 : T := sorry {opener}")
-            assert kept_units(base, text) == 3
-            assert_fresh(text)
+            assert kept_units(base, text) == (3, 1)
+            assert read(text) == (3, 0)
             assert len(simlang.parse_file(text).declarations) == 5
 
     def test_declaration_line_turned_into_a_stray_line(self):
@@ -334,12 +379,12 @@ class TestIncrementalAnalysis:
         # declaration line that loses its keyword joins the body above it
         base = "import A\n" + "".join(f"def d{k} : T := sorry\n\n" for k in range(5))
         text = base.replace("def d0 ", "xdef d0 ")
-        assert kept_units(base, text) == 0
-        assert_fresh(text)
+        assert kept_units(base, text) == (0, 4)
+        assert read(text) == (0, 4)
         assert simlang.parse_file(text).stray_lines == (1,)
         text = base.replace("def d3 ", "xdef d3 ")
-        assert kept_units(base, text) == 2
-        assert_fresh(text)
+        assert kept_units(base, text) == (2, 1)
+        assert read(text) == (2, 1)
         assert simlang.parse_file(text).stray_lines == ()
 
     def test_docstring_on_the_line_of_the_previous_units_code(self):
@@ -349,7 +394,7 @@ class TestIncrementalAnalysis:
             "def c : T := sorry\n"
         )
         text = base + "def d : T := c\n"
-        assert kept_units(base, text) == 2
+        assert kept_units(base, text) == (2, 0)
         assert_fresh(text)
         assert simlang.parse_file(text).declarations[2].doc_index == 2
 
@@ -357,16 +402,174 @@ class TestIncrementalAnalysis:
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
         simlang._memo.clear()
         simlang.analyse(text)
-        parsed = []
-        parse = simlang._parse_declaration
-        monkeypatch.setattr(
-            simlang, "_parse_declaration", lambda *args: parsed.append(1) or parse(*args)
-        )
+        parsed = count_parses(monkeypatch)
         longer = text + "/-- [400] Item 400 -/\ndef e : T := d399\n"
         analysis = simlang.analyse(longer)
         assert len(parsed) <= 2
         monkeypatch.undo()
         assert analysis == simlang._analyse(longer)
+
+    def test_mid_file_edit_of_a_long_file_parses_at_most_two_declarations(self, monkeypatch):
+        text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
+        line = 3 * 200 + 1
+        assert text.split("\n")[line] == "def d200 : T := sorry"
+        for new in ("def d200 : T := exact d199", "def d200 : T :=\n  exact d199\n"):
+            simlang._memo.clear()
+            simlang.analyse(text)
+            parsed = count_parses(monkeypatch)
+            edited = edit_line(text, line, new)
+            analysis = simlang.analyse(edited)
+            assert len(parsed) <= 2, new
+            monkeypatch.undo()
+            assert analysis == simlang._analyse(edited)
+            assert analysis.parsed.declarations[399].doc_index == 399
+
+    def test_mid_file_random_edit_sequences(self):
+        # edits that keep the line count, as proof patches do, and edits that
+        # insert or delete lines; most keep a tail, and keeping one must
+        # never change the result
+        rng = random.Random(20261019)
+        tails = {True: 0, False: 0}
+        for _ in range(150):
+            simlang._memo.clear()
+            text = units_file(rng, rng.randint(3, 25))
+            simlang.analyse(text)
+            for _ in range(rng.randint(1, 8)):
+                lines = text.split("\n")
+                i = rng.randrange(2, len(lines))
+                unit = rng.choice(UNITS).format(k=rng.randrange(1000))
+                op = rng.randrange(4)
+                if op == 0:
+                    lines[i] = lines[i].replace("sorry", rng.choice(["exact a1", "b2", "by sorry"]))
+                elif op == 1:
+                    lines[i] = unit.replace("\n", " ")
+                elif op == 2:
+                    lines[i:i] = unit.split("\n")
+                else:
+                    del lines[i : i + rng.randint(1, 3)]
+                edited = "\n".join(lines)
+                if edited not in simlang._memo:
+                    same = edited.count("\n") == text.count("\n")
+                    tails[same] += read(edited)[1] > 0
+                text = edited
+        print(tails)
+        assert tails[True] >= 100 and tails[False] >= 120, tails
+
+    def test_docstring_on_the_first_kept_tail_unit(self):
+        base = (
+            "def d0 : T := sorry\n"
+            "def d1 : T := sorry\n"
+            "\n"
+            "/-- [2] Item 2 -/\n"
+            "def d2 : T := sorry\n"
+            "def d3 : T := sorry\n"
+        )
+        # an edit above the docstring keeps the unit with its docstring
+        text = base.replace("def d1 : T := sorry", "def d1 : T := d0")
+        assert kept_units(base, text) == (0, 2)
+        assert read(text) == (0, 2)
+        assert simlang.parse_file(text).declarations[2].unit_range.start_line == 3
+        # a new docstring text, or a unit start that moves onto the docstring,
+        # falls back to reading to the end
+        for edited in (
+            base.replace("[2] Item 2", "[7] Item 7"),
+            base.replace("sorry\n\n/--", "sorry\n/--"),
+            base.replace("/-- [2] Item 2 -/\n", "/-- [2] Item 2 -/ code\n"),
+        ):
+            assert kept_units(base, edited) == (1, 2), edited
+            assert read(edited) == (1, 0), edited
+
+    def test_edit_that_opens_a_comment_closed_inside_the_tail(self):
+        base = "".join(f"def d{k} : T := sorry\n" for k in range(5)) + 'def s : S := "-/"\n'
+        text = base.replace("def d1 : T := sorry", "def d1 : T := sorry /- open")
+        assert kept_units(base, text) == (0, 4)
+        assert read(text) == (0, 0)
+        assert [d.name for d in simlang.parse_file(text).declarations] == ["d0", "d1"]
+
+    def test_edit_that_closes_a_base_comment_reaching_into_the_tail(self):
+        # the base's comment crosses the first line the tail could keep, so
+        # no tail is planned
+        base = (
+            "def d0 : T := sorry\n"
+            "def d1 : T := sorry\n"
+            "def d2 : T := sorry /- open\n"
+            "def d3 : T := sorry\n"
+            "-/ def d4 : T := sorry\n"
+            "def d5 : T := sorry\n"
+        )
+        assert [d.name for d in simlang.parse_file(base).declarations] == [
+            "d0", "d1", "d2", "d4", "d5",
+        ]
+        text = base.replace("/- open", "/- open -/")
+        assert kept_units(base, text) == (1, 0)
+        assert read(text) == (1, 0)
+        assert [d.name for d in simlang.parse_file(text).declarations] == [
+            "d0", "d1", "d2", "d3", "d5",
+        ]
+
+
+def one_section_records(n_items):
+    """``n_items`` records in one section: the toy corpus's first section
+    over and over, its names made unique in each round."""
+    plan = build_toy_records()[:6]
+    records = []
+    for i in range(n_items):
+        record, tag, k = plan[i % 6], f"c1s1r{i // 6}", i + 1
+        label = f"{record.label.split()[0]} 1.1.{k}"
+        records.append(
+            replace(
+                record,
+                index=k,
+                label=label,
+                number_components=(1, 1, k),
+                extracted_labels=(f"{record.env}:1.1.{k}",),
+                content=record.content.replace(record.label, label).replace("c1s1", tag),
+                proof=record.proof.replace("c1s1", tag),
+            )
+        )
+    return records
+
+
+class TestPipelineAnalyses:
+    """Every analysis a whole run makes equals a fresh read of its text."""
+
+    def run_checked(self, monkeypatch, cfg):
+        """Run both stages, checking each analysis the memo did not hold;
+        return how many of those kept a tail of a memoised analysis."""
+        simlang._memo.clear()
+        tails = []
+        real = simlang.analyse
+
+        def analyse(text):
+            if text not in simlang._memo:
+                tails.append(simlang._resume_point(text)[2] > 0)
+                analysis = real(text)
+                assert analysis == simlang._analyse(text), text
+                return analysis
+            return real(text)
+
+        monkeypatch.setattr(simlang, "analyse", analyse)
+        cfg.stage = 1
+        run_statement_stage(cfg)
+        cfg.stage = 2
+        run_proof_stage(cfg)
+        return sum(tails)
+
+    def test_toy_run(self, monkeypatch, toy_config):
+        assert self.run_checked(monkeypatch, toy_config) >= 10
+
+    def test_toy_run_with_splits(self, monkeypatch, toy_config, tmp_path):
+        # parts of one or two units leave no tail to keep; the reads must
+        # still be exact
+        toy_config.split_threshold = 10
+        self.run_checked(monkeypatch, toy_config)
+        assert any("_part" in p.name for p in (tmp_path / "project").rglob("*.lean"))
+
+    def test_sixty_items_in_one_section(self, monkeypatch, toy_config, tmp_path):
+        dataset = tmp_path / "data" / "one_section.json"
+        dump_dataset(one_section_records(60), dataset)
+        toy_config.dataset = str(dataset)
+        assert self.run_checked(monkeypatch, toy_config) >= 39
 
 
 class TestModuleNames:

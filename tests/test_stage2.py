@@ -216,6 +216,60 @@ class TestSplit:
         assert not [f for f in project.files() if "section02_part" in f]
 
 
+    def test_split_never_stages_over_an_existing_file(self, project, instrumentation):
+        file_id = self.setup_project(project, n_decls=40)
+        taken = "Chapters/Chap09/section01_part2.lean"
+        project.write(taken, "def unrelated : U := sorry\n")
+        before = {f: (project.root / f).read_bytes() for f in project.files()}
+        task = ProofTask(index=40, label="Lemma 9.40")
+        resolved = split_if_large_and_resolve(project, file_id, task, 40, instrumentation)
+        assert resolved == file_id
+        assert project.staged(file_id) is None
+        assert project.staged(file_id.replace(".lean", "_part1.lean")) is None
+        project.commit()
+        assert {f: (project.root / f).read_bytes() for f in project.files()} == before
+        events = read_events(instrumentation.metrics.path)
+        warnings = [e["data"] for e in events if e["event"] == "warning"]
+        assert warnings == [{"reason": f"split part exists: {taken}", "lean_file": file_id}]
+
+    def test_split_writes_again_a_part_an_unfinished_commit_left(self, project):
+        file_id = self.setup_project(project, n_decls=40)
+        task = ProofTask(index=40, label="Lemma 9.40")
+        split_if_large_and_resolve(project, file_id, task, threshold=40)
+        part1 = file_id.replace(".lean", "_part1.lean")
+        staged = project.staged(part1)
+        project.discard()
+        # the commit landed part 1, with a proof in it, and stopped there
+        project.write(part1, staged.replace(":= sorry", ":= ground", 1))
+        assert project.read(part1) != staged
+        resolved = split_if_large_and_resolve(project, file_id, task, threshold=40)
+        assert resolved != file_id
+        assert project.staged(part1) == staged
+
+    def test_a_toy_split_asks_the_disk_for_no_absent_file(
+        self, project, toy_records, instrumentation, monkeypatch
+    ):
+        compiled_project(project, toy_records, instrumentation)
+        record, task = build_proof_tasks(toy_records)[0]
+        file_id = target_file(record)
+        absent_reads = []
+        real = Project.reload_bytes
+
+        def reload_bytes(self, reload_id):
+            data = real(self, reload_id)
+            if data is None:
+                absent_reads.append(reload_id)
+            return data
+
+        monkeypatch.setattr(Project, "reload_bytes", reload_bytes)
+        result = run_stage2_item(
+            project, file_id, task, Stage2Config(split_threshold=10),
+            OperatorSet(toy_handlers(), EventSink()), make_verifier(), instrumentation,
+        )
+        assert result.status == "solved" and "_part" in result.file
+        assert absent_reads == []
+
+
 class TestItemCommit:
     def test_a_split_that_raises_leaves_nothing_staged(
         self, project, toy_records, instrumentation, monkeypatch

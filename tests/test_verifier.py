@@ -99,6 +99,38 @@ class TestSimulatedVerifyFile:
         ok, diags = sim.verify_file(project, "Ghost.lean")
         assert not ok and err_count(diags) == 1
 
+    def test_two_file_import_cycle_is_an_error_in_both(self, project, sim):
+        project.write("A.lean", "import B\ndef a : T := sorry\n")
+        project.write("B.lean", "import A\ndef b : T := sorry\n")
+        for file_id, module in (("A.lean", "B"), ("B.lean", "A")):
+            ok, diags = sim.verify_file(project, file_id)
+            assert not ok
+            assert [(e.range.start_line, e.message) for e in diags.errors()] == [
+                (0, f"import cycle through '{module}'")
+            ]
+            ref_ok, ref_diags = ref_verify_file(project, file_id)
+            assert (ok, diags.items) == (ref_ok, ref_diags.items)
+
+    def test_self_import_is_an_error_at_its_line(self, project, sim):
+        project.write("A.lean", "import Lib\nimport A\ndef a : T := sorry\n")
+        project.write("Lib.lean", "def lib : T := sorry\n")
+        ok, diags = sim.verify_file(project, "A.lean")
+        assert not ok
+        assert [(e.range.start_line, e.message) for e in diags.errors()] == [
+            (1, "import cycle through 'A'")
+        ]
+
+    def test_importing_a_module_on_a_cycle_is_an_error(self, project, sim):
+        project.write("A.lean", "import B\ndef a : T := sorry\n")
+        project.write("B.lean", "import A\ndef b : T := sorry\n")
+        project.write("C.lean", "import Lib\nimport B\ntheorem c : T := b\n")
+        project.write("Lib.lean", "def lib : T := sorry\n")
+        ok, diags = sim.verify_file(project, "C.lean")
+        assert not ok
+        assert [(e.range.start_line, e.message) for e in diags.errors()] == [
+            (1, "import cycle through 'B'")
+        ]
+
 
 def write_random_project(project, rng: random.Random, modules: int) -> list[str]:
     """Modules M0..M{n-1}, each importing some earlier ones (import chains),
@@ -123,6 +155,7 @@ class TestCheckMatchesReference:
     def test_multi_file_projects_with_import_chains(self, project, sim):
         rng = random.Random(2026)
         verdicts, goals = set(), set()
+        cycles = 0
         for _ in range(40):
             for file_id in project.files():
                 project.delete(file_id)
@@ -133,6 +166,7 @@ class TestCheckMatchesReference:
                     ref_ok, ref_diags = ref_verify_file(project, file_id)
                     assert (ok, diags.items) == (ref_ok, ref_diags.items)
                     verdicts.add(ok)
+                    cycles += any(d.message.startswith("import cycle") for d in diags)
                     text = project.read(file_id)
                     for hole in ref_find_hole_ranges(text):
                         goal = sim.goal_state(project, file_id, hole)
@@ -143,6 +177,7 @@ class TestCheckMatchesReference:
                 victim = rng.choice(file_ids)
                 project.write(victim, project.read(victim).replace("T1", "T2"))
         assert verdicts == goals == {True, False}
+        assert cycles > 0
 
     def test_goal_state_is_absent_for_a_missing_file(self, project, sim):
         assert sim.goal_state(project, "Ghost.lean", SourceRange(0, 0, 0, 1)) is None
@@ -153,7 +188,7 @@ class TestAnalysisReuse:
         scans = []
         scan = simlang.noncode_spans
         monkeypatch.setattr(
-            simlang, "noncode_spans", lambda text, start=0: scans.append(1) or scan(text, start)
+            simlang, "noncode_spans", lambda *args: scans.append(1) or scan(*args)
         )
         simlang._memo.clear()
         text = "".join(
