@@ -13,9 +13,10 @@ of a run.
 
 ``analyse`` reads a file text once, in one linear pass, and memoises the
 result by content; ``parse_file`` and ``count_holes`` are views over that
-analysis. A text that extends or edits a memoised one is read only from the
-first declaration the edit can reach, so appending a declaration costs that
-declaration, not the file.
+analysis. A text that extends or edits a memoised one is read only between
+the declarations the edit cannot reach on either side, so appending a
+declaration costs that declaration, and patching one in the middle of a
+file costs it and its predecessor, not the file.
 """
 
 from __future__ import annotations
@@ -160,13 +161,15 @@ def analyse(text: str) -> Analysis:
 
     Results are memoised by text in a least-recently-used memo of at most
     ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from the
-    memoised analysis that shares the longest prefix with ``text``: it keeps
-    that analysis's declaration units the edit cannot reach and reads only
-    the rest of the text (``_kept_units``). It falls back to reading the
-    whole text when no unit can be kept. Either way the result equals a
-    fresh analysis of ``text``, field for field. An analysis is immutable
-    and a pure function of the text, so sharing one between callers is
-    safe.
+    memoised analysis that lets it keep the most text: it keeps that
+    analysis's declaration units the edit cannot reach before it
+    (``_kept_units``) and after it (``_kept_tail``), and reads only the
+    lines between. It keeps no units after the edit when a comment or
+    string of either text crosses their first line, or when the edit would
+    change the first one's docstring or unit start, and reads the whole
+    text when no unit can be kept. Either way the result equals a fresh
+    analysis of ``text``, field for field. An analysis is immutable and a
+    pure function of the text, so sharing one between callers is safe.
     """
     analysis = _memo.get(text)
     if analysis is None:

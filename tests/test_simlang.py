@@ -292,12 +292,6 @@ def read(text):
     return plans[-1]
 
 
-def edit_line(text, lineno, new):
-    lines = text.split("\n")
-    lines[lineno] = new
-    return "\n".join(lines)
-
-
 def count_parses(monkeypatch):
     """A list that grows by one for each declaration parsed from now on."""
     parsed = []
@@ -333,9 +327,11 @@ class TestIncrementalAnalysis:
         st.lists(st.sampled_from(SOUP_TOKENS), max_size=20).map("".join),
     )
     def test_delimiter_soup_edits(self, shared, before, after):
+        # the edit ends the text, or comes before an unchanged tail
         prefix = "def a : T := sorry\ntheorem b : P := a\n" + shared
-        simlang.analyse(prefix + before)
-        assert_fresh(prefix + after)
+        for tail in ("", "\ndef y : T := sorry\n/-- [3] Y -/\ndef z : T := y\n"):
+            simlang.analyse(prefix + before + tail)
+            assert_fresh(prefix + after + tail)
 
     def test_edit_inside_the_header_keeps_every_unit_at_the_end(self):
         base = units_file(random.Random(1), 6)
@@ -411,13 +407,11 @@ class TestIncrementalAnalysis:
 
     def test_mid_file_edit_of_a_long_file_parses_at_most_two_declarations(self, monkeypatch):
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
-        line = 3 * 200 + 1
-        assert text.split("\n")[line] == "def d200 : T := sorry"
-        for new in ("def d200 : T := exact d199", "def d200 : T :=\n  exact d199\n"):
+        for new in ("def d200 : T := exact d199\n", "def d200 : T :=\n  exact d199\n\n"):
             simlang._memo.clear()
             simlang.analyse(text)
             parsed = count_parses(monkeypatch)
-            edited = edit_line(text, line, new)
+            edited = text.replace("def d200 : T := sorry\n", new)
             analysis = simlang.analyse(edited)
             assert len(parsed) <= 2, new
             monkeypatch.undo()
