@@ -164,10 +164,11 @@ def analyse(text: str) -> Analysis:
     memoised analysis that lets it keep the most text: it keeps that
     analysis's declaration units the edit cannot reach before it
     (``_kept_units``) and after it (``_kept_tail``), and reads only the
-    lines between. It keeps no units after the edit when a comment or
-    string of either text crosses their first line, or when the edit would
-    change the first one's docstring or unit start, and reads the whole
-    text when no unit can be kept. Either way the result equals a fresh
+    lines between. After the edit, it keeps the units from the first one
+    whose first line no comment or string of the base crosses; it keeps
+    none there when a comment or string of ``text`` crosses that line, or
+    when the edit would change that unit's docstring or unit start. It
+    reads the whole text when no unit can be kept. Either way the result equals a fresh
     analysis of ``text``, field for field. An analysis is immutable and a
     pure function of the text, so sharing one between callers is safe.
     """
@@ -507,15 +508,20 @@ def _kept_tail(text: str, base_text: str, base: Analysis, kept: int, resume: int
     ``text`` ends with the base's text from the line break before the
     unit's first line, at an offset of ``text`` not before ``resume``. The
     first such unit is found by bisection; a candidate's last unit is one.
-    None is kept (0) when a comment or string of the base crosses the start
-    of that unit's first line: the scan there would not start afresh.
+    A comment or string of the base that crosses the start of that unit's
+    first line would not let the scan there start afresh, so the tail then
+    starts at the first unit after the span instead; none is kept (0) when
+    no unit starts after it.
     """
     decls = base.parsed.declarations
     starts = base.line_starts
     grow = len(text) - len(base_text)
 
+    def first_offset(decl: Declaration) -> int:
+        return starts[decl.range.start_line]
+
     def keeps(idx: int) -> bool:
-        at = starts[decls[idx].range.start_line]
+        at = first_offset(decls[idx])
         return 0 < at and resume <= at + grow and text.endswith(base_text[at - 1 :])
 
     lo, hi = kept, len(decls) - 1
@@ -527,9 +533,13 @@ def _kept_tail(text: str, base_text: str, base: Analysis, kept: int, resume: int
             hi = mid
         else:
             lo = mid + 1
-    if _crosses(base.noncode, starts[decls[lo].range.start_line]):
-        return 0
-    return len(decls) - lo
+    while lo < len(decls):
+        at = first_offset(decls[lo])
+        if not _crosses(base.noncode, at):
+            return len(decls) - lo
+        span_end = base.noncode[bisect_left(base.noncode, at, key=itemgetter(1)) - 1][2]
+        lo = bisect_left(decls, span_end, lo + 1, key=first_offset)
+    return 0
 
 
 def _crosses(spans: Sequence[tuple[str, int, int]], offset: int) -> bool:

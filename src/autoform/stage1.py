@@ -175,7 +175,7 @@ def _item_units(project: Project, file_id: str, index: int) -> list[simlang.Decl
     """The named declarations whose docstring carries ``[index]``."""
     if not project.exists(file_id):
         return []
-    declarations = simlang.analyse(project.read(file_id)).parsed.declarations
+    declarations = project.analysis(file_id).parsed.declarations
     return [d for d in declarations if d.name and d.doc_index == index]
 
 
@@ -228,7 +228,7 @@ def _run_item(
     else:
         decl_range = insert_skeleton(record, project, file_id, operators)
 
-    header = header_scope(project.read(file_id))
+    header = header_scope(project.analysis(file_id))
     scope = Scope.of(decl_range).union(header)
     _, diags = verifier.verify_file(project, file_id)
     result.verifier_calls += 1
@@ -242,7 +242,7 @@ def _run_item(
             # stage objective): grow the scope toward the nearest error
             if expansions >= DEFAULT_MAX_SCOPE_EXPANSIONS:
                 break
-            header = header_scope(project.read(file_id))
+            header = header_scope(project.analysis(file_id))
             scope = expand_scope(scope, diags, header)
             expansions += 1
             rounds += 1

@@ -133,7 +133,7 @@ def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleT
     """Find the task's placeholder: by docstring label, falling back to the
     unique holed declaration only in a file without labels. None when
     already closed."""
-    analysis = simlang.analyse(project.read(file_id))
+    analysis = project.analysis(file_id)
     units = list(zip(analysis.parsed.declarations, analysis.decl_holes))
 
     labeled = [(d, holes) for d, holes in units if d.doc_label == task.label]
@@ -190,7 +190,7 @@ def split_if_large_and_resolve(
     if len(lines) <= threshold:
         return file_id
 
-    parsed = simlang.analyse(text).parsed
+    parsed = project.analysis(file_id).parsed
     if parsed.stray_lines or not parsed.declarations:
         return file_id  # cannot attribute every line to a unit; abort split
     header_lines = []
@@ -222,7 +222,7 @@ def split_if_large_and_resolve(
         pid
         for pid, group in zip(part_ids, groups)
         if project.exists(pid)
-        and _signatures(simlang.analyse(project.read(pid)).parsed.declarations)
+        and _signatures(project.analysis(pid).parsed.declarations)
         != _signatures(decl for decl, _ in group)
     ]
     if taken:
@@ -254,7 +254,7 @@ def split_if_large_and_resolve(
             if decl.doc_label == task.label:
                 return part_ids[k]
     for pid in part_ids:
-        if simlang.analyse(project.read(pid)).hole_ranges:
+        if project.analysis(pid).hole_ranges:
             return pid
     return file_id
 
@@ -298,7 +298,7 @@ def run_stage2_item(
         )
         if not response.ok or response.patch is None:
             return response, False
-        scope = Scope.of(payload["target_range"]).union(header_scope(text))
+        scope = Scope.of(payload["target_range"]).union(header_scope(project.analysis(file_id)))
         try:
             outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
         except PatchOutOfScopeError:

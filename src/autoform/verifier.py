@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 from dataclasses import dataclass, field
+from operator import is_
 from pathlib import Path
 
 from . import simlang
@@ -83,27 +84,37 @@ def _write_file(path: Path, data: bytes) -> None:
         os.close(fd)
 
 
-def _encode(text: str) -> tuple[bytes, str | None]:
+# a file's entry: its bytes, their decoded text and the text's analysis, each
+# None until first asked for
+Entry = tuple[bytes, str | None, simlang.Analysis | None]
+
+
+def _encode(text: str) -> Entry:
     """A cache entry for ``text``: its UTF-8 bytes, and the text itself
     unless it holds "\\r", which reads back with universal newlines."""
-    return text.encode("utf-8"), None if "\r" in text else text
+    return text.encode("utf-8"), None if "\r" in text else text, None
 
 
 class Project:
     """A project is a directory tree of source files addressed by relative path.
 
-    The project keeps, per file, the bytes it last read or wrote and their
-    decoded text, so unchanged bytes are read from disk once. Writes go to
-    disk first and then to the cache; a write that raises drops the file's
-    entry, so the next read goes to disk.
+    The project keeps, per file, an entry: the bytes it last read or wrote,
+    their decoded text and the text's analysis, so unchanged bytes are read
+    from disk once and analysed once. ``analysis`` computes the analysis on
+    first ask through ``simlang.analyse``, whose memo and incremental reuse
+    still apply, and keeps it in the entry until the bytes change. Writes go
+    to disk first and then to the cache; a write that raises drops the
+    file's entry, so the next read goes to disk.
 
     The project is the working copy of one dataset item: its edits are
     *staged* in memory on top of the committed bytes, where ``read``,
-    ``read_bytes`` and ``exists`` see them and the disk does not, until
-    ``commit`` writes or ``discard`` drops them. ``sync`` writes them to disk
-    for a tool that reads it; ``commit`` then writes no file twice, and
-    ``discard`` puts the committed bytes back.
-    A write or delete of a file drops its staged edit. ``files`` lists the disk.
+    ``read_bytes``, ``analysis`` and ``exists`` see them and the disk does
+    not, until ``commit`` writes or ``discard`` drops them. A staged edit
+    carries its own analysis, which ``commit`` moves into the committed
+    entry. ``sync`` writes the edits to disk for a tool that reads it;
+    ``commit`` then writes no file twice, and ``discard`` puts the committed
+    bytes back. A write or delete of a file drops its staged edit. ``files``
+    lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
     writer of the root. A change made under the root by anything else is
@@ -117,10 +128,10 @@ class Project:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # file_id -> (bytes, decoded text or None until first read)
-        self._cache: dict[str, tuple[bytes, str | None]] = {}
+        # file_id -> the entry of its committed bytes
+        self._cache: dict[str, Entry] = {}
         # staged edits, same shape, in staging order
-        self._staged: dict[str, tuple[bytes, str | None]] = {}
+        self._staged: dict[str, Entry] = {}
         # file_id -> (committed bytes, None when absent; the staged bytes a sync
         # wrote) for each file whose disk holds the latter
         self._synced: dict[str, tuple[bytes | None, bytes]] = {}
@@ -141,18 +152,31 @@ class Project:
         return False
 
     def read(self, file_id: str) -> str:
-        data, text = self._entry(file_id)
+        data, text, analysis = self._entry(file_id)
         if text is None:
             text = _decode(data)
-            entries = self._staged if file_id in self._staged else self._cache
-            entries[file_id] = (data, text)
+            self._holder(file_id)[file_id] = (data, text, analysis)
         return text
 
     def read_bytes(self, file_id: str) -> bytes:
         return self._entry(file_id)[0]
 
-    def _entry(self, file_id: str) -> tuple[bytes, str | None]:
+    def analysis(self, file_id: str) -> simlang.Analysis:
+        """The analysis of the text ``read`` returns, kept with the bytes."""
+        data, text, analysis = self._entry(file_id)
+        if analysis is None:
+            if text is None:
+                text = _decode(data)
+            analysis = simlang.analyse(text)
+            self._holder(file_id)[file_id] = (data, text, analysis)
+        return analysis
+
+    def _entry(self, file_id: str) -> Entry:
         return self._staged.get(file_id) or self._cache.get(file_id) or self._load(file_id)
+
+    def _holder(self, file_id: str) -> dict[str, Entry]:
+        """The entries that hold the file's entry as this project reads it."""
+        return self._staged if file_id in self._staged else self._cache
 
     def staged(self, file_id: str) -> str | None:
         """The text staged for the file; None when nothing is."""
@@ -169,37 +193,41 @@ class Project:
         return None if file_id in self._absent else self.reload_bytes(file_id)
 
     def reload_bytes(self, file_id: str) -> bytes | None:
-        """The file's bytes read from disk, bypassing the cache and then
-        replacing its entry; None when the file is absent."""
-        self._cache.pop(file_id, None)
+        """The file's bytes read from disk, bypassing the cache; None when
+        the file is absent. Bytes that differ from the entry's replace it;
+        the same bytes keep its text and analysis."""
+        entry = self._cache.pop(file_id, None)
         try:
-            data = self._load(file_id)[0]
+            data = self.path(file_id).read_bytes()
         except FileNotFoundError:
             self._absent.add(file_id)
             return None
         self._absent -= {file_id}
+        if entry is None or entry[0] != data:
+            entry = (data, None, None)
+        self._cache[file_id] = entry
         return data
 
-    def _load(self, file_id: str) -> tuple[bytes, str | None]:
-        entry = (self.path(file_id).read_bytes(), None)
+    def _load(self, file_id: str) -> Entry:
+        entry = (self.path(file_id).read_bytes(), None, None)
         self._cache[file_id] = entry
         return entry
 
     def write(self, file_id: str, text: str) -> None:
-        self._store(file_id, *_encode(text))
+        self._store(file_id, _encode(text))
 
     def write_bytes(self, file_id: str, data: bytes) -> None:
-        self._store(file_id, bytes(data), None)
+        self._store(file_id, (bytes(data), None, None))
 
-    def _store(self, file_id: str, data: bytes, text: str | None) -> None:
+    def _store(self, file_id: str, entry: Entry) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._absent -= {file_id}
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
             p.parent.mkdir(parents=True, exist_ok=True)
-        _write_file(p, data)
-        self._cache[file_id] = (data, text)
+        _write_file(p, entry[0])
+        self._cache[file_id] = entry
 
     def stage(self, file_id: str, text: str) -> None:
         """Make ``text`` the file's content as this project reads it, with no
@@ -209,13 +237,14 @@ class Project:
     def commit(self) -> None:
         """Write every staged edit by the write path in staging order, so
         the parts of a split land before the aggregate that imports them. An
-        edit whose bytes the last ``sync`` put on disk is not written again."""
+        edit whose bytes the last ``sync`` put on disk is not written again.
+        Each edit's entry, analysis included, becomes the committed one."""
         for file_id, entry in list(self._staged.items()):
             if self._synced.pop(file_id, (None, None))[1] == entry[0]:
                 del self._staged[file_id]
                 self._cache[file_id] = entry
             else:
-                self._store(file_id, *entry)
+                self._store(file_id, entry)
 
     def discard(self, file_id: str | None = None) -> None:
         """Drop the file's staged edit, or every one. Where ``sync`` wrote
@@ -225,12 +254,12 @@ class Project:
             if fid in self._synced and self._synced[fid][0] is None:
                 self.delete(fid)
             elif fid in self._synced:
-                self._store(fid, self._synced[fid][0], None)
+                self._store(fid, (self._synced[fid][0], None, None))
 
     def sync(self) -> None:
         """Write every staged edit to disk for a tool that reads it; the
         edits stay staged and the cache keeps the committed bytes."""
-        for file_id, (data, _) in self._staged.items():
+        for file_id, (data, _, _) in self._staged.items():
             if self._synced.get(file_id, (None, None))[1] is not data:
                 self._synced[file_id] = (self.committed_bytes(file_id), data)
                 self._absent -= {file_id}
@@ -279,35 +308,56 @@ class SimulatedVerifier:
     ``DEFAULT_BUILTINS`` are in scope everywhere, every import must name
     a project file, and an import from which the imports lead round a cycle
     is an error at its line.
+
+    The checker reads each file through ``Project.analysis`` and keeps, per
+    file, the export table of its last walk that met no cycle, with the
+    analysis and the import tables it was built from. A walk reuses a table
+    while the file's analysis and every import's table are the same objects,
+    so a check reads its imports' tables and does not rebuild them, and an
+    edit anywhere in a file's import closure rebuilds its table. A walk that
+    meets a cycle keeps nothing. A table is never changed once built.
     """
+
+    def __init__(self) -> None:
+        # file_id -> (analysis, import tables, export table) of its last
+        # acyclic walk
+        self._tables: dict[str, tuple[simlang.Analysis, tuple[dict, ...], dict[str, str]]] = {}
 
     # -- name resolution -------------------------------------------------
 
     def _exports(
-        self, project: Project, file_id: str, cache: dict, seen: set
+        self, project: Project, file_id: str, walked: dict, seen: set
     ) -> tuple[dict[str, str], bool]:
         """The names ``file_id`` and everything it imports declare, and
         whether its imports lead to a file still on the walk (in ``seen``
-        but not yet in ``cache``): an import cycle."""
-        if file_id in cache:
-            return cache[file_id]
+        but not yet in ``walked``): an import cycle."""
+        if file_id in walked:
+            return walked[file_id]
         if file_id in seen:
             return {}, True
         if not project.exists(file_id):
             return {}, False
         seen.add(file_id)
-        parsed = simlang.analyse(project.read(file_id)).parsed
-        table: dict[str, str] = {}
-        cyclic = False
-        for imp in parsed.imports:
-            dep = simlang.module_file(imp.module)
-            exports, cycle = self._exports(project, dep, cache, seen)
-            table.update(exports)
-            cyclic = cyclic or cycle
-        for decl in parsed.declarations:
-            if decl.name and not decl.malformed:
-                table[decl.name] = decl.type_text
-        cache[file_id] = (table, cyclic)
+        analysis = project.analysis(file_id)
+        imports = [
+            self._exports(project, simlang.module_file(imp.module), walked, seen)
+            for imp in analysis.parsed.imports
+        ]
+        tables = tuple(table for table, _ in imports)
+        cyclic = any(cycle for _, cycle in imports)
+        kept = self._tables.get(file_id)
+        if kept is not None and kept[0] is analysis and all(map(is_, kept[1], tables)):
+            table = kept[2]
+        else:
+            table = {}
+            for exports in tables:
+                table.update(exports)
+            for decl in analysis.parsed.declarations:
+                if decl.name and not decl.malformed:
+                    table[decl.name] = decl.type_text
+            if not cyclic:
+                self._tables[file_id] = (analysis, tables, table)
+        walked[file_id] = (table, cyclic)
         return table, cyclic
 
     # -- oracle surface ---------------------------------------------------
@@ -317,43 +367,48 @@ class SimulatedVerifier:
             full = SourceRange(0, 0, 0, 0)
             diags = DiagnosticSet.of([Diagnostic(full, "error", f"no such file: {file_id}")])
             return (False, diags)
-        analysis = simlang.analyse(project.read(file_id))
-        diags = self._check(project, file_id, analysis)
+        diags = self._check(project, file_id, project.analysis(file_id))
         return (err_count(diags) == 0, diags)
 
     def _check(self, project: Project, file_id: str, analysis: simlang.Analysis) -> DiagnosticSet:
         parsed = analysis.parsed
         out: list[Diagnostic] = []
 
-        imported: dict[str, str] = {}
-        cache: dict = {}
+        tables: list[dict[str, str]] = []
+        walked: dict = {}
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
             rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
             if not project.exists(dep):
                 out.append(Diagnostic(rng, "error", f"unknown module '{imp.module}'"))
                 continue
-            exports, cyclic = self._exports(project, dep, cache, {file_id})
+            exports, cyclic = self._exports(project, dep, walked, {file_id})
             if cyclic:
                 out.append(Diagnostic(rng, "error", f"import cycle through '{imp.module}'"))
-            imported.update(exports)
+            tables.append(exports)
+        if len(tables) == 1:
+            imported = tables[0]  # read where it is, not copied
+        else:
+            imported = {}
+            for exports in tables:
+                imported.update(exports)
 
         for lineno in parsed.stray_lines:
             rng = SourceRange.whole_lines(lineno, lineno)
             out.append(Diagnostic(rng, "error", "unexpected content outside a declaration"))
 
-        scope_table = dict(DEFAULT_BUILTINS)
-        scope_table.update(imported)
+        # names in scope: this file's so far, then the imported ones, then
+        # the builtins
+        local: dict[str, str] = {}
         for decl, body in zip(parsed.declarations, analysis.body_tokens):
             if decl.malformed:
                 out.append(
                     Diagnostic(decl.range, "error", f"malformed declaration: {decl.malformed}")
                 )
                 continue
-            if decl.name and decl.name in scope_table and decl.name not in DEFAULT_BUILTINS:
-                out.append(
-                    Diagnostic(decl.range, "error", f"'{decl.name}' has already been declared")
-                )
+            name = decl.name
+            if name and name not in DEFAULT_BUILTINS and (name in local or name in imported):
+                out.append(Diagnostic(decl.range, "error", f"'{name}' has already been declared"))
             term = simlang.interpret_body(body)
             if term.error:
                 out.append(Diagnostic(decl.body_range, "error", term.error))
@@ -363,7 +418,9 @@ class SimulatedVerifier:
                         Diagnostic(decl.body_range, "warning", "declaration uses placeholder")
                     )
             elif term.reference is not None:
-                ref_type = scope_table.get(term.reference)
+                ref_type = local.get(term.reference)
+                if ref_type is None:
+                    ref_type = imported.get(term.reference, DEFAULT_BUILTINS.get(term.reference))
                 if ref_type is None:
                     out.append(
                         Diagnostic(
@@ -380,8 +437,8 @@ class SimulatedVerifier:
                             f"type mismatch: expected '{decl.type_text}', got '{ref_type}'",
                         )
                     )
-            if decl.name:
-                scope_table[decl.name] = decl.type_text
+            if name:
+                local[name] = decl.type_text
         return DiagnosticSet.of(out)
 
     def verify_project(
@@ -396,7 +453,7 @@ class SimulatedVerifier:
         unless the file exists and verifies. Not a counted verifier call."""
         if not project.exists(file_id):
             return None
-        analysis = simlang.analyse(project.read(file_id))
+        analysis = project.analysis(file_id)
         if err_count(self._check(project, file_id, analysis)) > 0:
             return None
         declarations = analysis.parsed.declarations
@@ -585,10 +642,10 @@ class Verifier:
         return self.adapter.goal_state(project, file_id, hole)
 
 
-def header_scope(text: str) -> Scope:
-    """Scope over the file's header prefix (``simlang.HEADER_BOUND``); empty
-    if none."""
-    span = simlang.analyse(text).parsed.header_span
+def header_scope(analysis: simlang.Analysis) -> Scope:
+    """Scope over the header prefix (``simlang.HEADER_BOUND``) of the
+    analysed file; empty if none."""
+    span = analysis.parsed.header_span
     if span is None:
         return Scope()
     return Scope.of(SourceRange.whole_lines(span[0], span[1]))

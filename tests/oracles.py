@@ -598,7 +598,7 @@ def ref_locate_target_hole(project: Project, file_id: str, task: ProofTask) -> H
 
 
 def ref_hole_scope(project: Project, file_id: str, hole: SourceRange, verifier: Verifier) -> Scope:
-    return Scope.of(hole).union(header_scope(project.read(file_id)))
+    return Scope.of(hole).union(header_scope(simlang.analyse(project.read(file_id))))
 
 
 def ref_run_stage2_item(
@@ -644,7 +644,7 @@ def ref_run_stage2_item(
                 return result
             diag = select_error(diags)
             text = project.read(file_id)
-            scope = Scope.of(diag.range).union(header_scope(text))
+            scope = Scope.of(diag.range).union(header_scope(simlang.analyse(text)))
             fix_req = OperatorRequest(
                 kind="fix_compile_error",
                 payload={

@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from autoform import simlang
 from autoform.diagnostics import (
     Diagnostic,
     DiagnosticSet,
@@ -494,7 +495,7 @@ class TestExpandScope:
         _, diags = verifier.verify_file(project, "A.lean")
         scope = Scope.of(SourceRange.whole_lines(5, 10))
         assert len(localize(diags, scope)) == 0  # precondition: nothing localizes
-        header = header_scope(text)
+        header = header_scope(simlang.analyse(text))
         grown = expand_scope(scope, diags, header)
         assert len(localize(diags, grown)) > 0
         assert any(r.start_line == 0 for r in grown.ranges)  # header joined

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from autoform import simlang
 from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange
 from autoform.instrumentation import HistoryRecord, HistoryStore, MetricsWriter, read_events
 from autoform.kernel import PatchProposal, Snapshot, try_patch
@@ -219,6 +220,113 @@ class TestProjectCache:
         assert project.read_bytes("A.lean") == b"new"
 
 
+ANALYSED_TEXTS = (
+    "",
+    "def a : T := sorry\n",
+    "import B\n\n/-- [1] One -/\ndef a : T := sorry\n\ntheorem t : T := a\n",
+    "import B\n\n/-- [1] One -/\ndef a : T := sorry\n\ntheorem t : T := by exact a\n",
+    "/- open\ndef a : T := sorry\n-/ def b : T := \"sorry\"\n",
+    "def a : T := sorry\r\nlemma l : T := a\r\n",
+    "stray sorry line\ndef a : T :=",
+)
+ANALYSED_BYTES = tuple(t.encode("utf-8") for t in ANALYSED_TEXTS) + (
+    b"def a : T := sorry\r\n\r\ntheorem t : T := a\r\n",
+    b"\xff\xfe bad utf-8",
+)
+ANALYSIS_OPS = (
+    "write",
+    "write_bytes",
+    "stage",
+    "commit",
+    "discard",
+    "sync",
+    "delete",
+    "reload_bytes",
+    "analysis",  # asks only
+)
+CHANGING_OPS = ("write", "write_bytes", "stage", "delete", "reload_bytes")
+
+
+class TestProjectAnalysis:
+    """``Project.analysis`` answers for the text ``read`` returns, once per
+    content: the staged candidate has its own, a commit keeps it, and
+    everything that changes the bytes drops it."""
+
+    def test_seeded_sequences_keep_the_analysis_of_what_read_returns(self, tmp_path, monkeypatch):
+        rng = random.Random(16)
+        analysed = []  # the texts simlang.analyse was asked for
+        analyse = simlang.analyse
+        monkeypatch.setattr(simlang, "analyse", lambda text: analysed.append(text) or analyse(text))
+        for trial in range(12):
+            root = tmp_path / f"t{trial}"
+            project = Project(root)
+            kept: dict[str, object] = {}  # file -> its analysis after the last step
+            discarded = []  # (text, analysis) of every discarded candidate
+            for step in range(60):
+                op, f = rng.choice(ANALYSIS_OPS), rng.choice(FILES)
+                staged = {g for g in FILES if project.staged(g) is not None}
+                if op == "write":
+                    project.write(f, rng.choice(ANALYSED_TEXTS))
+                elif op == "write_bytes":
+                    project.write_bytes(f, rng.choice(ANALYSED_BYTES))
+                elif op == "stage":
+                    project.stage(f, rng.choice(ANALYSED_TEXTS))
+                elif op == "discard":
+                    discarded += [(project.read(g), kept[g]) for g in staged if g in kept]
+                    project.discard()
+                elif op == "reload_bytes":
+                    if rng.random() < 0.5 and (root / f).is_file():
+                        # new bytes behind the project: the reload must drop the entry
+                        (root / f).write_bytes(rng.choice(ANALYSED_BYTES))
+                    data = project.reload_bytes(f)
+                    if data is not None and project.staged(f) is None:
+                        assert project.read_bytes(f) == data == (root / f).read_bytes()
+                elif op in ("commit", "sync"):
+                    getattr(project, op)()
+                elif op == "delete":
+                    project.delete(f)
+                # the files whose content the step may change; a commit moves
+                # each staged analysis into the committed entry as it is
+                changed = staged if op == "discard" else {f} if op in CHANGING_OPS else set()
+                for g in FILES:
+                    try:
+                        text = project.read(g) if project.exists(g) else None
+                    except UnicodeDecodeError:
+                        text = None
+                    if text is None:
+                        kept.pop(g, None)
+                        continue
+                    analysed.clear()
+                    analysis = project.analysis(g)
+                    where = (trial, step, op, f, g)
+                    assert analysis == simlang._analyse(text), where
+                    assert project.analysis(g) is analysis, where
+                    # a file the step did not change is not analysed again
+                    assert g in changed or g not in kept or analysed == [], where
+                    assert g in changed or g not in kept or kept[g] is analysis, where
+                    assert not any(old is analysis for t, old in discarded if t != text), where
+                    kept[g] = analysis
+
+    def test_a_commit_keeps_the_candidate_analysis_and_a_write_drops_it(self, tmp_path):
+        project = Project(tmp_path)
+        project.write("A.lean", "def a : T := sorry\n")
+        committed = project.analysis("A.lean")
+        project.stage("A.lean", "def a : T := sorry\ndef b : T := a\n")
+        candidate = project.analysis("A.lean")
+        assert candidate is not committed
+        project.discard()
+        assert project.analysis("A.lean") is committed
+        project.stage("A.lean", "def a : T := sorry\ndef b : T := a\n")
+        project.analysis("A.lean")
+        project.commit()
+        assert project.analysis("A.lean") == candidate
+        moved = project.analysis("A.lean")
+        assert project.reload_bytes("A.lean") is not None  # same bytes: kept
+        assert project.analysis("A.lean") is moved
+        project.write("A.lean", "def c : T := sorry\n")
+        assert project.analysis("A.lean").parsed.declarations[0].name == "c"
+
+
 class TestInPlaceWrite:
     """A project file is written in place from offset 0 and then cut to
     the new length; it is never truncated to zero first. A first write into
@@ -402,6 +510,7 @@ class TestIOCounts:
         scope = Scope.of(SourceRange.whole_lines(1, 1))
         patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")
 
+        committed = project.analysis("A.lean")
         opens = OpenCounter(monkeypatch)
         for _ in range(50):
             assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
@@ -409,6 +518,8 @@ class TestIOCounts:
         # candidate is staged in memory, so nothing is written
         assert opens.count(tmp_path / "A.lean", "r") == 50
         assert opens.count(tmp_path / "A.lean", "w") == 0
+        # the read-back finds the same bytes, so the entry keeps its analysis
+        assert project.analysis("A.lean") is committed
 
         opens.calls.clear()
         verifier.verify_file(project, "A.lean")

@@ -482,7 +482,7 @@ class TestIncrementalAnalysis:
 
     def test_edit_that_closes_a_base_comment_reaching_into_the_tail(self):
         # the base's comment crosses the first line the tail could keep, so
-        # no tail is planned
+        # the tail starts at the first unit after the comment: d5
         base = (
             "def d0 : T := sorry\n"
             "def d1 : T := sorry\n"
@@ -495,11 +495,34 @@ class TestIncrementalAnalysis:
             "d0", "d1", "d2", "d4", "d5",
         ]
         text = base.replace("/- open", "/- open -/")
-        assert kept_units(base, text) == (1, 0)
-        assert read(text) == (1, 0)
+        assert kept_units(base, text) == (1, 1)
+        assert read(text) == (1, 1)
         assert [d.name for d in simlang.parse_file(text).declarations] == [
             "d0", "d1", "d2", "d3", "d5",
         ]
+
+    def test_tail_skips_every_unit_that_a_base_comment_crosses(self):
+        # two base comments in a row cross the first lines of d4 and d5, so
+        # the tail starts at d6; without d6, no unit starts after them
+        base = (
+            "def d0 : T := sorry\n"
+            "def d1 : T := sorry\n"
+            "def d2 : T := sorry /- open\n"
+            "def d3 : T := sorry\n"
+            "-/ def d4 : T := sorry /- again\n"
+            "-/ def d5 : T := sorry\n"
+            "def d6 : T := sorry\n"
+        )
+        text = base.replace("/- open", "/- open -/")
+        assert kept_units(base, text) == (1, 1)
+        assert read(text) == (1, 1)
+        assert [d.name for d in simlang.parse_file(text).declarations] == [
+            "d0", "d1", "d2", "d3", "d5", "d6",
+        ]
+        short_base = base.removesuffix("def d6 : T := sorry\n")
+        short_text = text.removesuffix("def d6 : T := sorry\n")
+        assert kept_units(short_base, short_text) == (1, 0)
+        assert read(short_text) == (1, 0)
 
 
 def one_section_records(n_items):

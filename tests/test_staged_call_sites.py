@@ -5,7 +5,8 @@ only the kernel's item transaction and the ``split`` command call
 transaction and ``Snapshot.restore``) and the two stages (stage 1's
 ``restored_failed`` item, stage 2's failed split) call ``.discard(``; only
 ``verifier.py`` calls ``.sync(`` (the adapter whose tool reads the
-disk)."""
+disk). No module analyses the text of a project file itself:
+``Project.analysis`` is the one path, so each content is analysed once."""
 
 from __future__ import annotations
 
@@ -25,18 +26,21 @@ CALLERS = {
 }
 
 
+def called_name(call: ast.Call) -> str | None:
+    """``name`` for a call ``<expr>.name(...)`` or ``name(...)``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return func.id if isinstance(func, ast.Name) else None
+
+
 def files_calling(name: str) -> set[str]:
     """Names of the package's modules holding a call ``<expr>.<name>(...)``
     or ``<name>(...)``."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (isinstance(func, ast.Attribute) and func.attr == name) or (
-                isinstance(func, ast.Name) and func.id == name
-            ):
+            if isinstance(node, ast.Call) and called_name(node) == name:
                 found.add(path.name)
     return found
 
@@ -45,3 +49,20 @@ def files_calling(name: str) -> set[str]:
 def test_only_its_owner_calls(name):
     assert files_calling(name) == CALLERS[name]
 
+
+
+def test_project_files_are_analysed_through_the_project():
+    """No call ``analyse(<expr>.read(...))`` or ``simlang.analyse(...)`` of
+    one in the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and called_name(node) == "analyse"
+                and node.args
+                and isinstance(node.args[0], ast.Call)
+                and called_name(node.args[0]) == "read"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -7,6 +7,7 @@ import pytest
 
 from autoform import simlang
 from autoform.diagnostics import DiagnosticSet, SourceRange, err_count
+from autoform.stage2 import split_if_large_and_resolve
 from autoform.verifier import (
     ExternalVerifier,
     Project,
@@ -212,6 +213,122 @@ class TestAnalysisReuse:
             simlang.analyse(f"def d{k} : T := sorry\n")
             assert len(simlang._memo) <= simlang.ANALYSIS_MEMO_SIZE
         assert len(simlang._memo) == simlang.ANALYSIS_MEMO_SIZE
+
+
+def ref_check(project, file_id: str) -> tuple[bool, tuple]:
+    ok, diags = ref_verify_file(project, file_id)
+    return ok, diags.items
+
+
+def assert_checks_match_reference(project, sim) -> list[tuple[bool, DiagnosticSet]]:
+    """Every file's ``verify_file`` and its ``goal_state`` at the first
+    hole, and ``verify_project``, against the checker that re-parses every
+    file on every call; returns the file checks."""
+    checks = []
+    for file_id in project.files():
+        ok, diags = sim.verify_file(project, file_id)
+        assert (ok, diags.items) == ref_check(project, file_id), file_id
+        checks.append((ok, diags))
+        for hole in ref_find_hole_ranges(project.read(file_id))[:1]:
+            goal = sim.goal_state(project, file_id, hole)
+            got = None if goal is None else (goal.goal, goal.context)
+            assert got == ref_goal_state(project, file_id, hole), (file_id, hole)
+    ok, diags = sim.verify_project(project)
+    every = DiagnosticSet.of(d for _, ds in checks for d in ds)
+    assert (ok, diags.items) == (all(ok for ok, _ in checks), every.items)
+    return checks
+
+
+class TestLongLivedChecker:
+    """One checker kept across in-place edits of an import graph: staged and
+    committed, at the bottom of a chain, into and out of cycles. Its kept
+    export tables must never answer for bytes that changed anywhere below."""
+
+    def test_answers_match_the_reference_across_edits(self, project):
+        rng = random.Random(1616)
+        sim = SimulatedVerifier()
+        n = 6
+        imports = {k: [f"M{k - 1}"] if k else [] for k in range(n)}  # M0 <- M1 <- ... <- M5
+        for k in range(n):
+            project.write(f"M{k}.lean", random_module(rng, imports[k], decls=6))
+        checks = []
+        for _ in range(50):
+            # most edits are at the bottom of the chain, below every other file
+            k = rng.choice((0, 0, 1, rng.randrange(n)))
+            file_id = f"M{k}.lean"
+            roll = rng.random()
+            if roll < 0.15:  # import a module at or above this one: a cycle
+                imports[k] = imports[k] + [f"M{rng.randrange(k, n)}"]
+            elif roll < 0.35:  # import only modules below: no cycle through here
+                imports[k] = [m for m in imports[k] if int(m[1:]) < k]
+            if rng.random() < 0.5:
+                text = random_module(rng, imports[k], decls=rng.randint(0, 8))
+            else:  # a small edit of the current text
+                text = project.read(file_id).replace(f"T{rng.randrange(3)}", f"T{rng.randrange(3)}")
+            how = rng.choice(("write", "stage", "stage_then_commit", "stage_then_discard"))
+            if how == "write":
+                project.write(file_id, text)
+            else:
+                project.stage(file_id, text)
+            checks += assert_checks_match_reference(project, sim)
+            if how == "stage_then_commit":
+                project.commit()
+            elif how == "stage_then_discard":
+                project.discard()
+            if how.startswith("stage_then"):
+                checks += assert_checks_match_reference(project, sim)
+        assert {ok for ok, _ in checks} == {True, False}
+        assert any(d.message.startswith("import cycle") for _, diags in checks for d in diags)
+
+
+def probe_chain(project: Project) -> list[str]:
+    """A 270-item section in the shape of the benchmark's probe file (a
+    docstring, a declaration and a blank line per item, definitions
+    alternating with theorems that use them), split at 40 lines into a
+    chain of 27 parts, each importing the one before, and committed;
+    returns the part files in chain order."""
+    items = []
+    for k in range(270):
+        if k % 2 == 0:
+            decl = f"def probe{k} : P{k} := sorry"
+        else:
+            decl = f"theorem probe{k}Spec : P{k - 1} := by exact probe{k - 1}"
+        items.append(f"/-- [{k + 1}] Item {k + 1} -/\n{decl}\n\n")
+    project.write("Probe.lean", "".join(items))
+    split_if_large_and_resolve(project, "Probe.lean", None, 40)
+    project.commit()
+    parts = [f for f in project.files() if f != "Probe.lean"]
+    return sorted(parts, key=lambda f: int(f.removeprefix("Probe_part").removesuffix(".lean")))
+
+
+class TestSplitChain:
+    """Counts, not timings: a check of a chain's last part reads its
+    imports' kept tables, so it analyses no file it has analysed before."""
+
+    def test_each_part_is_analysed_once_and_an_edit_only_where_it_is(
+        self, tmp_path, monkeypatch
+    ):
+        parts = probe_chain(Project(tmp_path))
+        assert len(parts) == 27
+        simlang._memo.clear()
+        analysed = []
+        real = simlang._analyse
+        monkeypatch.setattr(
+            simlang, "_analyse", lambda text, *args: analysed.append(text) or real(text, *args)
+        )
+        project, sim = Project(tmp_path), SimulatedVerifier()
+        ok, _ = sim.verify_project(project)
+        assert ok and len(analysed) <= len(project.files()) == 28
+        analysed.clear()
+        assert sim.verify_project(project)[0] and analysed == []
+
+        edited = project.read(parts[0]).replace(
+            "def probe0 : P0 := sorry", "def probe0 : P0 := by sorry"
+        )
+        project.write(parts[0], edited)
+        ok, diags = sim.verify_file(project, parts[-1])
+        assert analysed == [edited]
+        assert (ok, diags.items) == ref_check(project, parts[-1])
 
 
 class TestSimulatedVerifyProject:
