@@ -168,9 +168,10 @@ def analyse(text: str) -> Analysis:
     whose first line no comment or string of the base crosses; it keeps
     none there when a comment or string of ``text`` crosses that line, or
     when the edit would change that unit's docstring or unit start. It
-    reads the whole text when no unit can be kept. Either way the result equals a fresh
-    analysis of ``text``, field for field. An analysis is immutable and a
-    pure function of the text, so sharing one between callers is safe.
+    reads the whole text when no unit can be kept. Either way the result
+    equals a fresh analysis of ``text``, field for field. An analysis is
+    immutable and a pure function of the text, so sharing one between
+    callers is safe.
     """
     analysis = _memo.get(text)
     if analysis is None:

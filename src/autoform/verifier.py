@@ -86,10 +86,10 @@ def _write_file(path: Path, data: bytes) -> None:
 
 # a file's entry: its bytes, their decoded text and the text's analysis, each
 # None until first asked for
-Entry = tuple[bytes, str | None, simlang.Analysis | None]
+_Entry = tuple[bytes, str | None, simlang.Analysis | None]
 
 
-def _encode(text: str) -> Entry:
+def _encode(text: str) -> _Entry:
     """A cache entry for ``text``: its UTF-8 bytes, and the text itself
     unless it holds "\\r", which reads back with universal newlines."""
     return text.encode("utf-8"), None if "\r" in text else text, None
@@ -129,9 +129,9 @@ class Project:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # file_id -> the entry of its committed bytes
-        self._cache: dict[str, Entry] = {}
+        self._cache: dict[str, _Entry] = {}
         # staged edits, same shape, in staging order
-        self._staged: dict[str, Entry] = {}
+        self._staged: dict[str, _Entry] = {}
         # file_id -> (committed bytes, None when absent; the staged bytes a sync
         # wrote) for each file whose disk holds the latter
         self._synced: dict[str, tuple[bytes | None, bytes]] = {}
@@ -171,10 +171,10 @@ class Project:
             self._holder(file_id)[file_id] = (data, text, analysis)
         return analysis
 
-    def _entry(self, file_id: str) -> Entry:
+    def _entry(self, file_id: str) -> _Entry:
         return self._staged.get(file_id) or self._cache.get(file_id) or self._load(file_id)
 
-    def _holder(self, file_id: str) -> dict[str, Entry]:
+    def _holder(self, file_id: str) -> dict[str, _Entry]:
         """The entries that hold the file's entry as this project reads it."""
         return self._staged if file_id in self._staged else self._cache
 
@@ -208,7 +208,7 @@ class Project:
         self._cache[file_id] = entry
         return data
 
-    def _load(self, file_id: str) -> Entry:
+    def _load(self, file_id: str) -> _Entry:
         entry = (self.path(file_id).read_bytes(), None, None)
         self._cache[file_id] = entry
         return entry
@@ -219,7 +219,7 @@ class Project:
     def write_bytes(self, file_id: str, data: bytes) -> None:
         self._store(file_id, (bytes(data), None, None))
 
-    def _store(self, file_id: str, entry: Entry) -> None:
+    def _store(self, file_id: str, entry: _Entry) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._absent -= {file_id}

@@ -256,7 +256,9 @@ class TestProjectAnalysis:
         rng = random.Random(16)
         analysed = []  # the texts simlang.analyse was asked for
         analyse = simlang.analyse
-        monkeypatch.setattr(simlang, "analyse", lambda text: analysed.append(text) or analyse(text))
+        monkeypatch.setattr(
+            simlang, "analyse", lambda text: analysed.append(text) or analyse(text)
+        )
         for trial in range(12):
             root = tmp_path / f"t{trial}"
             project = Project(root)

@@ -52,8 +52,8 @@ def test_only_its_owner_calls(name):
 
 
 def test_project_files_are_analysed_through_the_project():
-    """No call ``analyse(<expr>.read(...))`` or ``simlang.analyse(...)`` of
-    one in the package."""
+    """No module of the package calls ``analyse(<expr>.read(...))``, bare
+    or as ``simlang.analyse``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -264,7 +264,8 @@ class TestLongLivedChecker:
             if rng.random() < 0.5:
                 text = random_module(rng, imports[k], decls=rng.randint(0, 8))
             else:  # a small edit of the current text
-                text = project.read(file_id).replace(f"T{rng.randrange(3)}", f"T{rng.randrange(3)}")
+                old, new = (f"T{rng.randrange(3)}" for _ in range(2))
+                text = project.read(file_id).replace(old, new)
             how = rng.choice(("write", "stage", "stage_then_commit", "stage_then_discard"))
             if how == "write":
                 project.write(file_id, text)
