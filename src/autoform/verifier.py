@@ -14,7 +14,6 @@ import os
 import re
 import subprocess
 from dataclasses import dataclass, field
-from operator import is_
 from pathlib import Path
 
 from . import simlang
@@ -254,7 +253,11 @@ class Project:
             if fid in self._synced and self._synced[fid][0] is None:
                 self.delete(fid)
             elif fid in self._synced:
-                self._store(fid, (self._synced[fid][0], None, None))
+                data = self._synced[fid][0]
+                entry = self._cache.get(fid)
+                if entry is None or entry[0] != data:
+                    entry = (data, None, None)
+                self._store(fid, entry)
 
     def sync(self) -> None:
         """Write every staged edit to disk for a tool that reads it; the
@@ -309,55 +312,38 @@ class SimulatedVerifier:
     a project file, and an import from which the imports lead round a cycle
     is an error at its line.
 
-    The checker reads each file through ``Project.analysis`` and keeps, per
-    file, the export table of its last walk that met no cycle, with the
-    analysis and the import tables it was built from. A walk reuses a table
-    while the file's analysis and every import's table are the same objects,
-    so a check reads its imports' tables and does not rebuild them, and an
-    edit anywhere in a file's import closure rebuilds its table. A walk that
-    meets a cycle keeps nothing. A table is never changed once built.
+    The checker reads each file through ``Project.analysis``, so it analyses
+    each file's content once; each check walks its import closure and merges
+    the names it finds afresh.
     """
-
-    def __init__(self) -> None:
-        # file_id -> (analysis, import tables, export table) of its last
-        # acyclic walk
-        self._tables: dict[str, tuple[simlang.Analysis, tuple[dict, ...], dict[str, str]]] = {}
 
     # -- name resolution -------------------------------------------------
 
     def _exports(
-        self, project: Project, file_id: str, walked: dict, seen: set
+        self, project: Project, file_id: str, cache: dict, seen: set
     ) -> tuple[dict[str, str], bool]:
         """The names ``file_id`` and everything it imports declare, and
         whether its imports lead to a file still on the walk (in ``seen``
-        but not yet in ``walked``): an import cycle."""
-        if file_id in walked:
-            return walked[file_id]
+        but not yet in ``cache``): an import cycle."""
+        if file_id in cache:
+            return cache[file_id]
         if file_id in seen:
             return {}, True
         if not project.exists(file_id):
             return {}, False
         seen.add(file_id)
-        analysis = project.analysis(file_id)
-        imports = [
-            self._exports(project, simlang.module_file(imp.module), walked, seen)
-            for imp in analysis.parsed.imports
-        ]
-        tables = tuple(table for table, _ in imports)
-        cyclic = any(cycle for _, cycle in imports)
-        kept = self._tables.get(file_id)
-        if kept is not None and kept[0] is analysis and all(map(is_, kept[1], tables)):
-            table = kept[2]
-        else:
-            table = {}
-            for exports in tables:
-                table.update(exports)
-            for decl in analysis.parsed.declarations:
-                if decl.name and not decl.malformed:
-                    table[decl.name] = decl.type_text
-            if not cyclic:
-                self._tables[file_id] = (analysis, tables, table)
-        walked[file_id] = (table, cyclic)
+        parsed = project.analysis(file_id).parsed
+        table: dict[str, str] = {}
+        cyclic = False
+        for imp in parsed.imports:
+            dep = simlang.module_file(imp.module)
+            exports, cycle = self._exports(project, dep, cache, seen)
+            table.update(exports)
+            cyclic = cyclic or cycle
+        for decl in parsed.declarations:
+            if decl.name and not decl.malformed:
+                table[decl.name] = decl.type_text
+        cache[file_id] = (table, cyclic)
         return table, cyclic
 
     # -- oracle surface ---------------------------------------------------
@@ -374,41 +360,35 @@ class SimulatedVerifier:
         parsed = analysis.parsed
         out: list[Diagnostic] = []
 
-        tables: list[dict[str, str]] = []
-        walked: dict = {}
+        imported: dict[str, str] = {}
+        cache: dict = {}
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
             rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
             if not project.exists(dep):
                 out.append(Diagnostic(rng, "error", f"unknown module '{imp.module}'"))
                 continue
-            exports, cyclic = self._exports(project, dep, walked, {file_id})
+            exports, cyclic = self._exports(project, dep, cache, {file_id})
             if cyclic:
                 out.append(Diagnostic(rng, "error", f"import cycle through '{imp.module}'"))
-            tables.append(exports)
-        if len(tables) == 1:
-            imported = tables[0]  # read where it is, not copied
-        else:
-            imported = {}
-            for exports in tables:
-                imported.update(exports)
+            imported.update(exports)
 
         for lineno in parsed.stray_lines:
             rng = SourceRange.whole_lines(lineno, lineno)
             out.append(Diagnostic(rng, "error", "unexpected content outside a declaration"))
 
-        # names in scope: this file's so far, then the imported ones, then
-        # the builtins
-        local: dict[str, str] = {}
+        scope_table = dict(DEFAULT_BUILTINS)
+        scope_table.update(imported)
         for decl, body in zip(parsed.declarations, analysis.body_tokens):
             if decl.malformed:
                 out.append(
                     Diagnostic(decl.range, "error", f"malformed declaration: {decl.malformed}")
                 )
                 continue
-            name = decl.name
-            if name and name not in DEFAULT_BUILTINS and (name in local or name in imported):
-                out.append(Diagnostic(decl.range, "error", f"'{name}' has already been declared"))
+            if decl.name and decl.name in scope_table and decl.name not in DEFAULT_BUILTINS:
+                out.append(
+                    Diagnostic(decl.range, "error", f"'{decl.name}' has already been declared")
+                )
             term = simlang.interpret_body(body)
             if term.error:
                 out.append(Diagnostic(decl.body_range, "error", term.error))
@@ -418,9 +398,7 @@ class SimulatedVerifier:
                         Diagnostic(decl.body_range, "warning", "declaration uses placeholder")
                     )
             elif term.reference is not None:
-                ref_type = local.get(term.reference)
-                if ref_type is None:
-                    ref_type = imported.get(term.reference, DEFAULT_BUILTINS.get(term.reference))
+                ref_type = scope_table.get(term.reference)
                 if ref_type is None:
                     out.append(
                         Diagnostic(
@@ -437,8 +415,8 @@ class SimulatedVerifier:
                             f"type mismatch: expected '{decl.type_text}', got '{ref_type}'",
                         )
                     )
-            if name:
-                local[name] = decl.type_text
+            if decl.name:
+                scope_table[decl.name] = decl.type_text
         return DiagnosticSet.of(out)
 
     def verify_project(

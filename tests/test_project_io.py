@@ -329,6 +329,17 @@ class TestProjectAnalysis:
         assert project.analysis("A.lean").parsed.declarations[0].name == "c"
 
 
+    def test_a_discard_after_a_sync_keeps_the_committed_analysis(self, tmp_path):
+        project = Project(tmp_path)
+        project.write("A.lean", "def a : T := sorry\n")
+        committed = project.analysis("A.lean")
+        project.stage("A.lean", "def a : T := sorry\ndef b : T := a\n")
+        project.sync()
+        project.discard()
+        assert (tmp_path / "A.lean").read_text() == "def a : T := sorry\n"
+        simlang._memo.clear()  # so a dropped analysis could not come back from the memo
+        assert project.analysis("A.lean") is committed
+
 class TestInPlaceWrite:
     """A project file is written in place from offset 0 and then cut to
     the new length; it is never truncated to zero first. A first write into

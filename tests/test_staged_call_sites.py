@@ -51,18 +51,58 @@ def test_only_its_owner_calls(name):
 
 
 
-def test_project_files_are_analysed_through_the_project():
-    """No module of the package calls ``analyse(<expr>.read(...))``, bare
-    or as ``simlang.analyse``."""
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.Call)
-                and called_name(node) == "analyse"
-                and node.args
-                and isinstance(node.args[0], ast.Call)
-                and called_name(node.args[0]) == "read"
+def read_into(scope: ast.AST) -> set[str]:
+    """Names that ``scope`` assigns from an expression holding a
+    ``<expr>.read(...)`` call, as in ``text = project.read(f)``."""
+    names = set()
+    for node in ast.walk(scope):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            if any(
+                isinstance(n, ast.Call) and called_name(n) == "read" for n in ast.walk(node.value)
             ):
-                found.append(f"{path.name}:{node.lineno}")
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def analysed_reads(tree: ast.AST) -> set[int]:
+    """Lines of ``analyse`` calls (bare or as ``simlang.analyse``) on
+    ``<expr>.read(...)``, or on a name that the same function assigns from
+    such a read."""
+    found = set()
+    functions = [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for scope in [tree, *functions]:
+        read = read_into(scope) if scope is not tree else set()
+        for node in ast.walk(scope):
+            if not (isinstance(node, ast.Call) and called_name(node) == "analyse" and node.args):
+                continue
+            arg = node.args[0]
+            if (isinstance(arg, ast.Call) and called_name(arg) == "read") or (
+                isinstance(arg, ast.Name) and arg.id in read
+            ):
+                found.add(node.lineno)
+    return found
+
+
+def test_project_files_are_analysed_through_the_project():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in sorted(analysed_reads(ast.parse(path.read_text(encoding="utf-8"))))
+    ]
     assert found == []
+
+
+def test_the_analysis_guard_sees_both_forms_and_spares_text_callers():
+    source = (
+        "def direct(project):\n"
+        "    return simlang.analyse(project.read('A.lean'))\n"
+        "def through_a_name(project):\n"
+        "    text = project.read('A.lean') if project.exists('A.lean') else ''\n"
+        "    return analyse(text)\n"
+        "def given_text(text):\n"
+        "    return simlang.analyse(text)\n"
+    )
+    assert analysed_reads(ast.parse(source)) == {2, 5}

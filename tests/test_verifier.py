@@ -241,8 +241,8 @@ def assert_checks_match_reference(project, sim) -> list[tuple[bool, DiagnosticSe
 
 class TestLongLivedChecker:
     """One checker kept across in-place edits of an import graph: staged and
-    committed, at the bottom of a chain, into and out of cycles. Its kept
-    export tables must never answer for bytes that changed anywhere below."""
+    committed, at the bottom of a chain, into and out of cycles. No file's
+    kept analysis may answer for bytes that changed, anywhere in the graph."""
 
     def test_answers_match_the_reference_across_edits(self, project):
         rng = random.Random(1616)
@@ -304,7 +304,7 @@ def probe_chain(project: Project) -> list[str]:
 
 class TestSplitChain:
     """Counts, not timings: a check of a chain's last part reads its
-    imports' kept tables, so it analyses no file it has analysed before."""
+    imports' kept analyses, so it analyses no file it has analysed before."""
 
     def test_each_part_is_analysed_once_and_an_edit_only_where_it_is(
         self, tmp_path, monkeypatch
