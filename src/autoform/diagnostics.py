@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -96,6 +96,12 @@ class DiagnosticSet:
     """
 
     items: tuple[Diagnostic, ...] = ()
+    # the number of error-severity items, counted once when the set is built
+    error_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        errors = sum(1 for d in self.items if d.severity == "error")
+        object.__setattr__(self, "error_count", errors)
 
     @classmethod
     def of(cls, items: Iterable[Diagnostic]) -> "DiagnosticSet":
@@ -130,10 +136,12 @@ EMPTY_DIAGNOSTICS = DiagnosticSet()
 
 def err_count(diagnostics: DiagnosticSet) -> int:
     """Number of error-severity diagnostics, multiset-counted."""
-    return sum(1 for d in diagnostics if d.severity == "error")
+    return diagnostics.error_count
 
 
-def _normalize_ranges(ranges: Iterable[SourceRange]) -> tuple[SourceRange, ...]:
+def _normalize_ranges(ranges: Sequence[SourceRange]) -> tuple[SourceRange, ...]:
+    if len(ranges) == 1:
+        return tuple(ranges)  # one range is normalized already
     ordered = sorted(ranges, key=lambda r: (r.start, r.end))
     merged: list[SourceRange] = []
     for r in ordered:
@@ -197,7 +205,7 @@ def line_starts(text: str, start: int = 0, end: int | None = None) -> list[int]:
     return starts
 
 
-def pos_to_offset(text: str, line: int, col: int, starts: list[int] | None = None) -> int:
+def pos_to_offset(text: str, line: int, col: int, starts: Sequence[int] | None = None) -> int:
     """Character offset of (line, col), clamped to the document."""
     if starts is None:
         starts = line_starts(text)
@@ -218,9 +226,13 @@ def offset_to_pos(text: str, offset: int, starts: list[int] | None = None) -> tu
     return line, offset - starts[line]
 
 
-def apply_replacement(text: str, rng: SourceRange, replacement: str) -> str:
-    """Replace the half-open region covered by rng with new text."""
-    starts = line_starts(text)
+def apply_replacement(
+    text: str, rng: SourceRange, replacement: str, starts: Sequence[int] | None = None
+) -> str:
+    """Replace the half-open region covered by rng with new text; ``starts``,
+    when given, are the line offsets of ``text``."""
+    if starts is None:
+        starts = line_starts(text)
     a = pos_to_offset(text, rng.start_line, rng.start_col, starts)
     b = pos_to_offset(text, rng.end_line, rng.end_col, starts)
     if b < a:

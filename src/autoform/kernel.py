@@ -65,8 +65,9 @@ def stage1_objective(diagnostics: DiagnosticSet, scope: Scope) -> ObjectivePair:
     return ObjectivePair(err_count(diagnostics), err_count(localize(diagnostics, scope)))
 
 
-def stage2_objective(diagnostics: DiagnosticSet, file_text: str) -> ObjectivePair:
-    return ObjectivePair(err_count(diagnostics), simlang.count_holes(file_text))
+def stage2_objective(diagnostics: DiagnosticSet, analysis: simlang.Analysis) -> ObjectivePair:
+    """The file error count, then the hole count of the file's analysis."""
+    return ObjectivePair(err_count(diagnostics), len(analysis.hole_ranges))
 
 
 @dataclass(frozen=True)
@@ -144,20 +145,24 @@ def try_patch(
         raise PatchOutOfScopeError(f"patch range {target} not covered by permitted scope")
 
     snap = Snapshot.capture(project, file_id)
-    text_before = project.read(file_id) if project.exists(file_id) else ""
+    exists = project.exists(file_id)
+    text_before = project.read(file_id) if exists else ""
     if stage == 1:
-        before = stage1_objective(diagnostics_before, scope)
+        before, starts = stage1_objective(diagnostics_before, scope), None
     else:
-        before = stage2_objective(diagnostics_before, text_before)
+        # the project keeps the analysis of the text, so the objective and
+        # the line offsets cost no scan of it
+        analysis = project.analysis(file_id) if exists else simlang.analyse("")
+        before, starts = stage2_objective(diagnostics_before, analysis), analysis.line_starts
 
-    candidate = apply_replacement(text_before, target, patch.replacement)
+    candidate = apply_replacement(text_before, target, patch.replacement, starts)
     project.stage(file_id, candidate)
     try:
         ok, diags_after = verifier.verify_file(project, file_id)
         if stage == 1:
             after = stage1_objective(diags_after, scope)
         else:
-            after = stage2_objective(diags_after, project.read(file_id))
+            after = stage2_objective(diags_after, project.analysis(file_id))
     except BaseException:
         # an uncertified patch never stays staged, whatever interrupted the check
         snap.restore(project)

@@ -252,8 +252,9 @@ class OperatorSet:
             data["log_path"] = response.transcript_ref
         if response.error:
             data["error"] = response.error
-        snap = _file_snapshot(request.payload)
-        if snap is not None and response.transcript_ref:
-            data["file_snapshot"] = snap
+        if response.transcript_ref:
+            snap = _file_snapshot(request.payload)
+            if snap is not None:
+                data["file_snapshot"] = snap
         self.instrumentation.emit("oracle_result", data)
         return response

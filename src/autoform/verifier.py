@@ -66,6 +66,12 @@ def _decode(data: bytes) -> str:
     return text
 
 
+def _read_file(path: Path) -> bytes:
+    """The bytes of the file at ``path``: one ``open`` and one read."""
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _write_file(path: Path, data: bytes) -> None:
     """Write ``data`` as the whole file at ``path``, in place: open without
     truncating, write from offset 0, then cut the file to the new length.
@@ -121,7 +127,8 @@ class Project:
     segment builds its own, so ``--resume`` starts cold). That holds for a
     file it has seen absent too: ``exists`` and ``committed_bytes`` do not
     ask the disk again until the project writes or deletes the file.
-    ``reload_bytes`` is the one read that always goes to disk.
+    ``reload_bytes`` is the one read that always goes to disk, one ``open``
+    of the file's path, which the project builds once and keeps.
     """
 
     def __init__(self, root: str | Path):
@@ -136,9 +143,14 @@ class Project:
         self._synced: dict[str, tuple[bytes | None, bytes]] = {}
         # files seen absent on disk since the project last wrote or deleted them
         self._absent: set[str] = set()
+        # file_id -> its path under the root, built once
+        self._paths: dict[str, Path] = {}
 
     def path(self, file_id: str) -> Path:
-        return self.root / file_id
+        path = self._paths.get(file_id)
+        if path is None:
+            path = self._paths[file_id] = self.root / file_id
+        return path
 
     def exists(self, file_id: str) -> bool:
         if file_id in self._staged or file_id in self._cache:
@@ -197,7 +209,7 @@ class Project:
         the same bytes keep its text and analysis."""
         entry = self._cache.pop(file_id, None)
         try:
-            data = self.path(file_id).read_bytes()
+            data = _read_file(self.path(file_id))
         except FileNotFoundError:
             self._absent.add(file_id)
             return None
@@ -208,7 +220,7 @@ class Project:
         return data
 
     def _load(self, file_id: str) -> _Entry:
-        entry = (self.path(file_id).read_bytes(), None, None)
+        entry = (_read_file(self.path(file_id)), None, None)
         self._cache[file_id] = entry
         return entry
 

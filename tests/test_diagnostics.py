@@ -85,6 +85,15 @@ class TestErrCount:
     def test_matches_brute_force_filter(self, ds):
         assert err_count(ds) == len([d for d in ds if d.severity == "error"])
 
+    @given(diag_sets, diag_sets, scopes)
+    def test_kept_count_equals_a_recount_however_the_set_is_built(self, a, b, scope):
+        def recount(ds):
+            return sum(1 for d in ds.items if d.severity == "error")
+
+        built = (a, a.union(b), localize(a.union(b), scope), localize(a, Scope()), DiagnosticSet())
+        for ds in built:
+            assert err_count(ds) == ds.error_count == recount(ds)
+
 
 class TestLocalize:
     def test_empty_scope_localizes_nothing(self):

@@ -98,11 +98,11 @@ class TestObjectives:
 
     def test_stage2_clean_file_three_holes(self):
         text = "def a : T := sorry\ndef b : U := sorry\ntheorem t : P := by sorry\n"
-        assert stage2_objective(DiagnosticSet(), text) == pair(0, 3)
+        assert stage2_objective(DiagnosticSet(), simlang.analyse(text)) == pair(0, 3)
 
     def test_stage2_erroring_file_zero_holes(self):
         ds = DiagnosticSet.of([Diagnostic(SourceRange(0, 0, 0, 1), "error", "x")])
-        assert stage2_objective(ds, "def a : T := ghost\n") == pair(1, 0)
+        assert stage2_objective(ds, simlang.analyse("def a : T := ghost\n")) == pair(1, 0)
 
 
 def make_verifier(sink=None):

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoform import simlang
+from autoform import diagnostics, simlang
 from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange
 from autoform.instrumentation import HistoryRecord, HistoryStore, MetricsWriter, read_events
 from autoform.kernel import PatchProposal, Snapshot, try_patch
@@ -578,6 +578,37 @@ class TestIOCounts:
 
         project.commit()  # the write forgets the absence
         assert project.exists("N.lean") and project.committed_bytes("N.lean") is not None
+
+    def test_rejected_attempts_take_objective_and_offsets_from_the_project(
+        self, tmp_path, monkeypatch
+    ):
+        project = Project(tmp_path)
+        project.write("A.lean", "def w : P := sorry\nlemma l : P := by sorry\n")
+        verifier = Verifier(SimulatedVerifier(), EventSink())
+        _, diags = verifier.verify_file(project, "A.lean")
+        scope = Scope.of(SourceRange.whole_lines(1, 1))
+        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")
+
+        counts = {"analyse": 0, "line_starts": 0}
+        real_analyse, real_line_starts = simlang.analyse, diagnostics.line_starts
+
+        def analyse(text):
+            counts["analyse"] += 1
+            return real_analyse(text)
+
+        def line_starts(*args, **kwargs):
+            counts["line_starts"] += 1
+            return real_line_starts(*args, **kwargs)
+
+        monkeypatch.setattr(simlang, "analyse", analyse)
+        monkeypatch.setattr(diagnostics, "line_starts", line_starts)
+        opens = OpenCounter(monkeypatch)
+        for _ in range(20):
+            assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
+        # the one analysis lookup per attempt is the staged candidate's check;
+        # both hole counts and the line offsets come from the project's analyses
+        assert counts == {"analyse": 20, "line_starts": 0}
+        assert opens.count(tmp_path / "A.lean", "r") == 20
 
     def test_metrics_writer_opens_once_and_flushes_every_line(self, tmp_path, monkeypatch):
         path = tmp_path / "m.jsonl"

@@ -5,7 +5,8 @@ only the kernel's item transaction and the ``split`` command call
 transaction and ``Snapshot.restore``) and the two stages (stage 1's
 ``restored_failed`` item, stage 2's failed split) call ``.discard(``; only
 ``verifier.py`` calls ``.sync(`` (the adapter whose tool reads the
-disk). No module analyses the text of a project file itself:
+disk). No module analyses the text of a project file itself, through
+``analyse`` or its ``count_holes`` and ``parse_file`` views:
 ``Project.analysis`` is the one path, so each content is analysed once."""
 
 from __future__ import annotations
@@ -65,10 +66,13 @@ def read_into(scope: ast.AST) -> set[str]:
     return names
 
 
+ANALYSIS_VIEWS = {"analyse", "count_holes", "parse_file"}
+
+
 def analysed_reads(tree: ast.AST) -> set[int]:
-    """Lines of ``analyse`` calls (bare or as ``simlang.analyse``) on
-    ``<expr>.read(...)``, or on a name that the same function assigns from
-    such a read."""
+    """Lines of ``analyse``, ``count_holes`` or ``parse_file`` calls (bare or
+    as ``simlang.<name>``) on ``<expr>.read(...)``, or on a name that the
+    same function assigns from such a read."""
     found = set()
     functions = [
         n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -76,7 +80,8 @@ def analysed_reads(tree: ast.AST) -> set[int]:
     for scope in [tree, *functions]:
         read = read_into(scope) if scope is not tree else set()
         for node in ast.walk(scope):
-            if not (isinstance(node, ast.Call) and called_name(node) == "analyse" and node.args):
+            call = isinstance(node, ast.Call) and called_name(node) in ANALYSIS_VIEWS
+            if not (call and node.args):
                 continue
             arg = node.args[0]
             if (isinstance(arg, ast.Call) and called_name(arg) == "read") or (
@@ -98,11 +103,13 @@ def test_project_files_are_analysed_through_the_project():
 def test_the_analysis_guard_sees_both_forms_and_spares_text_callers():
     source = (
         "def direct(project):\n"
+        "    parse_file(project.read('A.lean'))\n"
         "    return simlang.analyse(project.read('A.lean'))\n"
         "def through_a_name(project):\n"
         "    text = project.read('A.lean') if project.exists('A.lean') else ''\n"
+        "    simlang.count_holes(text)\n"
         "    return analyse(text)\n"
         "def given_text(text):\n"
         "    return simlang.analyse(text)\n"
     )
-    assert analysed_reads(ast.parse(source)) == {2, 5}
+    assert analysed_reads(ast.parse(source)) == {2, 3, 6, 7}
