@@ -33,7 +33,7 @@ from .diagnostics import (
     localize,
 )
 from .instrumentation import RunInstrumentation
-from .verifier import Project, Verifier
+from .verifier import Entry, Project, Verifier
 
 DEFAULT_MAX_SCOPE_EXPANSIONS = 3
 
@@ -88,20 +88,22 @@ class PatchProposal:
 @dataclass(frozen=True)
 class Snapshot:
     file: str
-    staged: str | None  # the item's edit of the file before the attempt
+    # the item's staged entry of the file before the attempt: its bytes, and
+    # the text and analysis made of them, so a restore keeps the analysis
+    staged: Entry | None
     committed: bytes | None  # what the disk must hold after a restore; None: absent
 
     @classmethod
     def capture(cls, project: Project, file_id: str) -> "Snapshot":
-        return cls(file_id, project.staged(file_id), project.committed_bytes(file_id))
+        return cls(file_id, project.staged_entry(file_id), project.committed_bytes(file_id))
 
     def restore(self, project: Project) -> None:
         """Put back the pre-attempt view: drop the candidate (a synced one by
         writing the committed bytes back) and re-stage the item's earlier
-        edit. Either way the disk is read back to check."""
+        edit, entry and all. Either way the disk is read back to check."""
         project.discard(self.file)
         if self.staged is not None:
-            project.stage(self.file, self.staged)
+            project.restage(self.file, self.staged)
         if not self.matches(project):
             raise SnapshotRestoreError(f"restore of {self.file} did not reproduce snapshot")
 
@@ -144,7 +146,6 @@ def try_patch(
     if not scope.covers(target):
         raise PatchOutOfScopeError(f"patch range {target} not covered by permitted scope")
 
-    snap = Snapshot.capture(project, file_id)
     exists = project.exists(file_id)
     text_before = project.read(file_id) if exists else ""
     if stage == 1:
@@ -154,6 +155,9 @@ def try_patch(
         # the line offsets cost no scan of it
         analysis = project.analysis(file_id) if exists else simlang.analyse("")
         before, starts = stage2_objective(diagnostics_before, analysis), analysis.line_starts
+    # captured after the reads above, so a staged edit's entry holds its
+    # text and analysis and a restore puts both back
+    snap = Snapshot.capture(project, file_id)
 
     candidate = apply_replacement(text_before, target, patch.replacement, starts)
     project.stage(file_id, candidate)

@@ -142,9 +142,10 @@ def parse_file(text: str) -> ParsedFile:
 class Analysis:
     """Everything read from one file text, computed in one linear pass.
 
-    ``body_tokens`` and ``decl_holes`` run parallel to
-    ``parsed.declarations``: the masked tokens of each declaration's body
-    and the placeholder ranges inside each declaration.
+    ``body_terms`` and ``decl_holes`` run parallel to
+    ``parsed.declarations``: each declaration's body term, interpreted once
+    from its masked tokens when its unit is read, and the placeholder ranges
+    inside each declaration.
     """
 
     masked: str
@@ -152,7 +153,7 @@ class Analysis:
     noncode: tuple[tuple[str, int, int], ...]
     hole_ranges: tuple[SourceRange, ...]
     parsed: ParsedFile
-    body_tokens: tuple[tuple[str, ...], ...]
+    body_terms: tuple[BodyTerm, ...]
     decl_holes: tuple[tuple[SourceRange, ...], ...]
 
 
@@ -252,7 +253,7 @@ def _analyse(
         holes = list(base.hole_ranges[:kept_holes])
         stray_lines = base.parsed.stray_lines
         stray = list(stray_lines[: bisect_left(stray_lines, first)])
-        bodies = list(base.body_tokens[:kept])
+        bodies = list(base.body_terms[:kept])
         decl_holes = list(base.decl_holes[:kept])
         starts = list(base.line_starts[:first]) + line_starts(text, resume, stop)
         header_span, imports = base.parsed.header_span, list(base.parsed.imports)
@@ -365,7 +366,7 @@ def _analyse(
         body = decl.body_range
         a = pos_to_offset(text, body.start_line, body.start_col, starts)
         b = pos_to_offset(text, body.end_line, body.end_col, starts)
-        bodies.append(tuple(masked[a:b].split()))
+        bodies.append(interpret_body(masked[a:b].split()))
         # a placeholder is one token on one line, so it lies in a
         # declaration iff it starts inside the declaration's lines
         lo = bisect_left(hole_starts, decl.range.start)
@@ -398,7 +399,7 @@ def _analyse(
         new_holes.extend(tail_holes)
         stray.extend(tail_stray)
         declarations.extend(tail_decls)
-        bodies.extend(base.body_tokens[-tail:])
+        bodies.extend(base.body_terms[-tail:])
         decl_holes.extend(tail_decl_holes)
         n_lines += base.parsed.line_count - tail_line
 
@@ -415,7 +416,7 @@ def _analyse(
         noncode=tuple(spans + new_spans),
         hole_ranges=tuple(holes + new_holes),
         parsed=parsed,
-        body_tokens=tuple(bodies),
+        body_terms=tuple(bodies),
         decl_holes=tuple(decl_holes),
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import re
 import subprocess
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,10 +92,10 @@ def _write_file(path: Path, data: bytes) -> None:
 
 # a file's entry: its bytes, their decoded text and the text's analysis, each
 # None until first asked for
-_Entry = tuple[bytes, str | None, simlang.Analysis | None]
+Entry = tuple[bytes, str | None, simlang.Analysis | None]
 
 
-def _encode(text: str) -> _Entry:
+def _encode(text: str) -> Entry:
     """A cache entry for ``text``: its UTF-8 bytes, and the text itself
     unless it holds "\\r", which reads back with universal newlines."""
     return text.encode("utf-8"), None if "\r" in text else text, None
@@ -135,9 +136,9 @@ class Project:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # file_id -> the entry of its committed bytes
-        self._cache: dict[str, _Entry] = {}
+        self._cache: dict[str, Entry] = {}
         # staged edits, same shape, in staging order
-        self._staged: dict[str, _Entry] = {}
+        self._staged: dict[str, Entry] = {}
         # file_id -> (committed bytes, None when absent; the staged bytes a sync
         # wrote) for each file whose disk holds the latter
         self._synced: dict[str, tuple[bytes | None, bytes]] = {}
@@ -182,10 +183,10 @@ class Project:
             self._holder(file_id)[file_id] = (data, text, analysis)
         return analysis
 
-    def _entry(self, file_id: str) -> _Entry:
+    def _entry(self, file_id: str) -> Entry:
         return self._staged.get(file_id) or self._cache.get(file_id) or self._load(file_id)
 
-    def _holder(self, file_id: str) -> dict[str, _Entry]:
+    def _holder(self, file_id: str) -> dict[str, Entry]:
         """The entries that hold the file's entry as this project reads it."""
         return self._staged if file_id in self._staged else self._cache
 
@@ -193,6 +194,16 @@ class Project:
         """The text staged for the file; None when nothing is."""
         entry = self._staged.get(file_id)
         return entry[0].decode("utf-8") if entry is not None else None
+
+    def staged_entry(self, file_id: str) -> Entry | None:
+        """The file's staged entry, with whatever text and analysis it holds
+        so far; None when nothing is staged. ``restage`` puts it back."""
+        return self._staged.get(file_id)
+
+    def restage(self, file_id: str, entry: Entry) -> None:
+        """Stage an entry ``staged_entry`` returned, as it is: the bytes,
+        and the text and analysis already made of them."""
+        self._staged[file_id] = entry
 
     def committed_bytes(self, file_id: str) -> bytes | None:
         """The file's committed bytes, whatever is staged; None when absent."""
@@ -219,7 +230,7 @@ class Project:
         self._cache[file_id] = entry
         return data
 
-    def _load(self, file_id: str) -> _Entry:
+    def _load(self, file_id: str) -> Entry:
         entry = (_read_file(self.path(file_id)), None, None)
         self._cache[file_id] = entry
         return entry
@@ -230,7 +241,7 @@ class Project:
     def write_bytes(self, file_id: str, data: bytes) -> None:
         self._store(file_id, (bytes(data), None, None))
 
-    def _store(self, file_id: str, entry: _Entry) -> None:
+    def _store(self, file_id: str, entry: Entry) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._absent -= {file_id}
@@ -325,8 +336,10 @@ class SimulatedVerifier:
     is an error at its line.
 
     The checker reads each file through ``Project.analysis``, so it analyses
-    each file's content once; each check walks its import closure and merges
-    the names it finds afresh.
+    each file's content once and takes each body's term from the analysis,
+    which interprets it when it reads the declaration. Each check still walks
+    every import, the import closure's names and every declaration afresh,
+    so its cost grows with the file.
     """
 
     # -- name resolution -------------------------------------------------
@@ -391,7 +404,7 @@ class SimulatedVerifier:
 
         scope_table = dict(DEFAULT_BUILTINS)
         scope_table.update(imported)
-        for decl, body in zip(parsed.declarations, analysis.body_tokens):
+        for decl, term in zip(parsed.declarations, analysis.body_terms):
             if decl.malformed:
                 out.append(
                     Diagnostic(decl.range, "error", f"malformed declaration: {decl.malformed}")
@@ -401,7 +414,6 @@ class SimulatedVerifier:
                 out.append(
                     Diagnostic(decl.range, "error", f"'{decl.name}' has already been declared")
                 )
-            term = simlang.interpret_body(body)
             if term.error:
                 out.append(Diagnostic(decl.body_range, "error", term.error))
             elif term.is_hole:
@@ -446,20 +458,14 @@ class SimulatedVerifier:
         analysis = project.analysis(file_id)
         if err_count(self._check(project, file_id, analysis)) > 0:
             return None
+        # declarations are disjoint and in line order, so the only one that
+        # can meet the hole is the first that ends after the hole starts
         declarations = analysis.parsed.declarations
-        target = None
-        for decl in declarations:
-            if decl.range.intersects(hole):
-                target = decl
-                break
-        if target is None:
+        i = bisect_right(declarations, hole.start, key=lambda d: d.range.end)
+        if i == len(declarations) or not declarations[i].range.intersects(hole):
             return None
-        context = tuple(
-            (d.name, d.type_text)
-            for d in declarations
-            if d.name and d.range.start < target.range.start
-        )
-        return GoalState(goal=target.type_text, context=context)
+        context = tuple((d.name, d.type_text) for d in declarations[:i] if d.name)
+        return GoalState(goal=declarations[i].type_text, context=context)
 
 
 _DIAG_LINE_RE = re.compile(

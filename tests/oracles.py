@@ -185,7 +185,9 @@ def random_file(rng: random.Random, lines: int = 14) -> str:
 # The differential tests require the analysis-backed library to agree with
 # these exactly. They share with the library only its result types, its
 # constants and helpers the analysis did not replace (`interpret_body`,
-# `module_file`, `offset_to_pos`, `pos_to_offset`).
+# `module_file`, `offset_to_pos`, `pos_to_offset`). The library applies
+# `interpret_body` inside the analysis, once per declaration read; the
+# reference checker applies it to every body on every call.
 
 _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
 _REF_DOC_META_RE = re.compile(r"\[(\d+)\]\s?(.*)")

@@ -610,6 +610,38 @@ class TestIOCounts:
         assert counts == {"analyse": 20, "line_starts": 0}
         assert opens.count(tmp_path / "A.lean", "r") == 20
 
+    def test_rejected_attempts_after_an_accepted_one_keep_its_analysis(
+        self, tmp_path, monkeypatch
+    ):
+        project = Project(tmp_path)
+        project.write(
+            "A.lean", "def w : P := sorry\nlemma l : P := by sorry\nlemma m : P := sorry\n"
+        )
+        verifier = Verifier(SimulatedVerifier(), EventSink())
+        _, diags = verifier.verify_file(project, "A.lean")
+        scope = Scope.of(SourceRange.whole_lines(2, 2))
+        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma m : P := w")
+        outcome = try_patch(2, project, "A.lean", scope, patch, diags, verifier)
+        assert outcome.accepted and project.staged("A.lean") is not None
+        staged = project.analysis("A.lean")
+
+        lookups = []
+        real_analyse = simlang.analyse
+        monkeypatch.setattr(
+            simlang, "analyse", lambda text: lookups.append(1) or real_analyse(text)
+        )
+        opens = OpenCounter(monkeypatch)
+        scope = Scope.of(SourceRange.whole_lines(1, 1))
+        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")
+        diags = outcome.diagnostics_after
+        for _ in range(20):
+            assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
+        # a restore puts back the accepted edit's entry, analysis included, so
+        # the one lookup per attempt is the candidate's check
+        assert len(lookups) == 20
+        assert opens.count(tmp_path / "A.lean", "r") == 20
+        assert project.analysis("A.lean") is staged
+
     def test_metrics_writer_opens_once_and_flushes_every_line(self, tmp_path, monkeypatch):
         path = tmp_path / "m.jsonl"
         opens = OpenCounter(monkeypatch)

@@ -10,6 +10,7 @@ from autoform.corpus import dump_dataset
 from autoform.diagnostics import SourceRange, line_starts
 from autoform.pipeline import run_proof_stage, run_statement_stage
 from autoform.toydata import build_toy_records
+from autoform.verifier import Project, SimulatedVerifier
 
 from oracles import (
     oracle_count_holes,
@@ -118,7 +119,7 @@ class TestParseFile:
         text = "theorem long :\n    SomeType :=\n  by sorry\n"
         analysis = simlang.analyse(text)
         assert analysis.parsed.declarations[0].type_text == "SomeType"
-        assert simlang.interpret_body(analysis.body_tokens[0]).is_hole
+        assert analysis.body_terms[0].is_hole
 
     def test_malformed_missing_assign(self):
         decl = simlang.parse_file("def broken : T\n").declarations[0]
@@ -136,14 +137,13 @@ class TestParseFile:
         text = "def x : T := sorry\nleftover junk\n"
         analysis = simlang.analyse(text)
         assert analysis.parsed.stray_lines == ()
-        term = simlang.interpret_body(analysis.body_tokens[0])
-        assert term.error is not None
+        assert analysis.body_terms[0].error is not None
 
 
 class TestBodyInterpretation:
     def cases(self, body):
         text = f"def x : T := {body}\n"
-        return simlang.interpret_body(simlang.analyse(text).body_tokens[0])
+        return simlang.analyse(text).body_terms[0]
 
     def test_hole_forms(self):
         assert self.cases("sorry").is_hole
@@ -180,9 +180,9 @@ class TestAnalysisMatchesReference:
         assert list(analysis.hole_ranges) == holes
         assert list(analysis.line_starts) == ref_line_starts(text)
         declarations = analysis.parsed.declarations
-        assert len(analysis.body_tokens) == len(analysis.decl_holes) == len(declarations)
-        for decl, body, decl_holes in zip(declarations, analysis.body_tokens, analysis.decl_holes):
-            assert list(body) == ref_body_tokens(text, decl)
+        assert len(analysis.body_terms) == len(analysis.decl_holes) == len(declarations)
+        for decl, term, decl_holes in zip(declarations, analysis.body_terms, analysis.decl_holes):
+            assert term == simlang.interpret_body(ref_body_tokens(text, decl))
             assert list(decl_holes) == [h for h in holes if decl.range.contains(h)]
 
     def test_random_files(self):
@@ -417,6 +417,32 @@ class TestIncrementalAnalysis:
             monkeypatch.undo()
             assert analysis == simlang._analyse(edited)
             assert analysis.parsed.declarations[399].doc_index == 399
+
+    def test_mid_file_edit_of_a_long_file_interprets_at_most_two_bodies(
+        self, monkeypatch, tmp_path
+    ):
+        # a body's term is read with its unit: kept units keep theirs, and a
+        # check of the analysis interprets nothing
+        text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
+        simlang._memo.clear()
+        simlang.analyse(text)
+        interpreted = []
+        interpret = simlang.interpret_body
+        monkeypatch.setattr(
+            simlang, "interpret_body", lambda tokens: interpreted.append(1) or interpret(tokens)
+        )
+        edited = text.replace("def d200 : T := sorry\n", "def d200 : T := exact d199\n")
+        analysis = simlang.analyse(edited)
+        assert 1 <= len(interpreted) <= 2
+        assert analysis.body_terms[200] == simlang.BodyTerm(reference="d199")
+        interpreted.clear()
+        project = Project(tmp_path)
+        project.stage("Big.lean", edited)
+        checker = SimulatedVerifier()
+        for _ in range(10):
+            ok, _ = checker.verify_file(project, "Big.lean")
+            assert ok
+        assert interpreted == []
 
     def test_mid_file_random_edit_sequences(self):
         # edits that keep the line count, as proof patches do, and edits that

@@ -1,5 +1,6 @@
 """Guard on where staged edits are made, committed, dropped and flushed:
-in ``src/autoform`` only the kernel and the two stages call ``.stage(``;
+in ``src/autoform`` only the kernel and the two stages call ``.stage(``,
+and only the kernel (``Snapshot.restore``) calls ``.restage(``;
 only the kernel's item transaction and the ``split`` command call
 ``.commit(``, so an edit lands once per item; only the kernel (the item
 transaction and ``Snapshot.restore``) and the two stages (stage 1's
@@ -7,7 +8,10 @@ transaction and ``Snapshot.restore``) and the two stages (stage 1's
 ``verifier.py`` calls ``.sync(`` (the adapter whose tool reads the
 disk). No module analyses the text of a project file itself, through
 ``analyse`` or its ``count_holes`` and ``parse_file`` views:
-``Project.analysis`` is the one path, so each content is analysed once."""
+``Project.analysis`` is the one path, so each content is analysed once.
+Only ``simlang.py`` calls ``interpret_body(``: a body's term is read with
+its declaration, into the analysis, so no checker or stage interprets
+bodies again on every call."""
 
 from __future__ import annotations
 
@@ -21,9 +25,11 @@ PACKAGE = ROOT / "src" / "autoform"
 
 CALLERS = {
     "stage": {"kernel.py", "stage1.py", "stage2.py"},
+    "restage": {"kernel.py"},
     "commit": {"kernel.py", "cli.py"},
     "discard": {"kernel.py", "stage1.py", "stage2.py"},
     "sync": {"verifier.py"},
+    "interpret_body": {"simlang.py"},
 }
 
 

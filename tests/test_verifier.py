@@ -180,6 +180,46 @@ class TestCheckMatchesReference:
         assert verdicts == goals == {True, False}
         assert cycles > 0
 
+    def test_goal_state_at_the_edges_of_declarations(self, project, sim):
+        lines = [
+            "open Foo",
+            "",
+            "def a : A := sorry",
+            "",
+            "theorem t :",
+            "    B :=",
+            "  by sorry",
+            "",
+            "lemma l : B := t",
+            "theorem u : B := l",
+        ]
+        project.write("A.lean", "\n".join(lines) + "\n")
+        expected = {
+            (4, 0, 4, 0): "B",  # column 0 of a declaration's first line
+            (9, 0, 9, 0): "B",  # the same, right where the one before ends
+            (6, 10, 6, 10): "B",  # the end of a declaration's last line
+            (9, 18, 9, 18): "B",  # the end of the last declaration
+            (2, 18, 4, 0): "A",  # from one declaration's end into the next
+            (3, 0, 3, 0): None,  # a blank line between two declarations
+            (7, 0, 7, 0): None,
+            (0, 0, 0, 8): None,  # the header
+            (1, 0, 1, 0): None,
+            (10, 0, 10, 0): None,  # past the last line
+            (40, 3, 41, 0): None,
+        }
+        for hole, goal in expected.items():
+            hole = SourceRange(*hole)
+            got = sim.goal_state(project, "A.lean", hole)
+            assert (got and got.goal) == goal, hole
+            ref = ref_goal_state(project, "A.lean", hole)
+            assert (None if got is None else (got.goal, got.context)) == ref, hole
+        # a malformed declaration fails the check, so no hole has a goal
+        project.write("B.lean", "def a : A := sorry\ndef bad : T\nlemma l : A := by sorry\n")
+        for hole in [(0, 13, 0, 18), (1, 0, 1, 0), (2, 18, 2, 23)]:
+            hole = SourceRange(*hole)
+            assert sim.goal_state(project, "B.lean", hole) is None
+            assert ref_goal_state(project, "B.lean", hole) is None
+
     def test_goal_state_is_absent_for_a_missing_file(self, project, sim):
         assert sim.goal_state(project, "Ghost.lean", SourceRange(0, 0, 0, 1)) is None
 
