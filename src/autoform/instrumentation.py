@@ -14,6 +14,7 @@ import json
 import os
 import re
 import secrets
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,8 +32,24 @@ LOG_NAME_RE = re.compile(
 )
 
 
+# the last whole second ``utc_now_iso`` formatted, and its text: a cache of
+# a pure function, so every caller may share it
+_second: tuple[int, str] = (0, "1970-01-01T00:00:00")
+
+
 def utc_now_iso() -> str:
-    return datetime.now(timezone.utc).isoformat()
+    """The current UTC time as ``datetime.now(timezone.utc).isoformat()``
+    gives it. The whole second is formatted only when it differs from the
+    last one formatted, in either direction, so a clock that steps back is
+    stamped right; the microseconds are appended to it."""
+    global _second
+    sec, us = divmod(time.time_ns() // 1000, 1_000_000)
+    cached = _second  # one read, so another thread's update cannot mix two seconds
+    if sec != cached[0]:
+        cached = _second = (sec, time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(sec)))
+    if us:
+        return f"{cached[1]}.{us:06d}+00:00"
+    return f"{cached[1]}+00:00"
 
 
 def new_run_id(pipeline: str, stage: str | int) -> str:
@@ -63,25 +80,28 @@ def _cut_torn_tail(path: Path) -> None:
 # one encoder for every stream line; json.dumps with a non-default option
 # builds a new one per call
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 class _AppendStream:
-    """One append handle on a JSONL file, opened at the first line and kept
-    open until ``close``. Each line is flushed before the call that writes
-    it returns, so a reader tailing the file sees every line written so far.
-    A torn last line left by a killed segment is cut off when the handle
-    opens."""
+    """One append handle on a JSONL file, opened in binary append mode at
+    the first line and kept open until ``close``. Every line of the stream
+    passes through ``_write_line``: one write of its UTF-8 bytes and one
+    flush before the call returns, so a reader tailing the file sees every
+    line written so far. A torn last line left by a killed segment is cut
+    off when the handle opens."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = None
 
-    def _write_line(self, obj: dict) -> None:
+    def _write_line(self, line: str) -> None:
+        """Append ``line``, which ends in a newline, and flush it."""
         if self._fh is None:
             _cut_torn_tail(self.path)
-            self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(_LINE_ENCODER.encode(obj) + "\n")
+            self._fh = self.path.open("ab")
+        self._fh.write(line.encode("utf-8"))
         self._fh.flush()
 
     def close(self) -> None:
@@ -102,12 +122,17 @@ class MetricsWriter(_AppendStream):
     def __init__(self, path: str | Path, run_id: str):
         super().__init__(path)
         self.run_id = run_id
+        self._run_id_json = _LINE_ENCODER.encode(run_id)
         self._started = False
 
     def _append(self, event: str, data: dict) -> dict:
-        record = {"ts": utc_now_iso(), "run_id": self.run_id, "event": event, "data": data}
-        self._write_line(record)
-        return record
+        # the bytes json.dumps(record, ensure_ascii=False) gives; a ts needs no escaping
+        ts = utc_now_iso()
+        self._write_line(
+            f'{{"ts": "{ts}", "run_id": {self._run_id_json}, '
+            f'"event": {_LINE_ENCODER.encode(event)}, "data": {_LINE_ENCODER.encode(data)}}}\n'
+        )
+        return {"ts": ts, "run_id": self.run_id, "event": event, "data": data}
 
     def run_start(self, data: dict) -> dict:
         payload = {"schema_version": SCHEMA_VERSION}
@@ -124,9 +149,25 @@ class MetricsWriter(_AppendStream):
         return self.emit("run_end", summary)
 
 
+def _decode_line(line: str) -> object:
+    """``json.loads(line)`` for a line with no surrounding whitespace: one
+    decode, without ``json.loads``'s per-call checks. A line that does not
+    decode whole is handed to ``json.loads``, which raises its error."""
+    try:
+        obj, end = _raw_decode(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
 def read_events(path: str | Path) -> list[dict]:
     """Parse a JSONL event stream, reading only durable (newline-terminated)
-    lines so readers can tail a file a pipeline is still writing."""
+    lines so readers can tail a file a pipeline is still writing. Each
+    stripped line is decoded once, as ``json.loads`` decodes it; a line
+    that does not hold exactly one JSON value raises ``json.loads``'s error
+    as a ``ValueError`` naming its path and line."""
     events = []
     path = Path(path)
     if not path.exists():
@@ -140,7 +181,7 @@ def read_events(path: str | Path) -> list[dict]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{lineno + 1}: bad metrics line: {exc}") from exc
         events.append(obj)
@@ -226,7 +267,7 @@ class HistoryStore(_AppendStream):
 
     def append(self, record: HistoryRecord) -> dict:
         obj = record.as_dict()
-        self._write_line(obj)
+        self._write_line(_LINE_ENCODER.encode(obj) + "\n")
         return obj
 
 
@@ -260,7 +301,7 @@ def token_backfill(log_directory: str | Path, metrics: MetricsWriter) -> list[To
     """Aggregate per-task token totals from per-call logs.
 
     Logs whose names do not follow the per-call naming pattern, or that
-    cannot be read, are skipped with a warning event.
+    cannot be read as UTF-8 text, are skipped with a warning event.
     """
     log_directory = Path(log_directory)
     groups: dict[tuple[str, str], dict] = {}
@@ -271,7 +312,7 @@ def token_backfill(log_directory: str | Path, metrics: MetricsWriter) -> list[To
             continue
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             metrics.emit("warning", {"reason": f"unreadable log: {exc}", "log": path.name})
             continue
         tokens = parse_token_footer(text)

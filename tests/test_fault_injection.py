@@ -257,6 +257,61 @@ def test_provenance_of_committed_items_survives_a_crash(tmp_path, monkeypatch, u
     assert len(recorded) == 24
 
 
+def stream_lines(runs: Path) -> int:
+    """The lines of every metrics and history stream in ``runs``."""
+    streams = [*runs.glob("metrics_*.jsonl"), *runs.glob("history_*.jsonl")]
+    return sum(len(path.read_bytes().splitlines()) for path in streams)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["toy", "split"])
+def test_every_stream_line_passes_the_kill_harness_write_point(tmp_path, monkeypatch, split):
+    # Kill silences _AppendStream._write_line; a line written any other way
+    # would land after a kill
+    cfg = make_config(tmp_path / "work", split)
+    real = _AppendStream._write_line
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_AppendStream, "_write_line", counted)
+    assert run_to_completion(cfg) == 0
+    assert len(calls) == stream_lines(Path(cfg.runs_dir)) > 0
+
+
+def test_no_metrics_line_lands_between_a_kill_and_the_unwind(tmp_path, monkeypatch):
+    # the 5th lean_check line lands, then the process dies; the line the
+    # dying writer still tries to emit must not land
+    cfg = make_config(tmp_path / "work", split=False)
+    stream = Path(cfg.runs_dir) / "metrics_statement.jsonl"
+    fault = Fault(monkeypatch, MetricsWriter, "emit", 5, after=True, matches=lean_check)
+    Kill(monkeypatch, fault)
+    at_fault, at_unwind = [], []
+    faulty_emit, killed_segment = MetricsWriter.emit, pipeline._run_segment
+
+    def emit(writer, *args, **kwargs):
+        try:
+            return faulty_emit(writer, *args, **kwargs)
+        except Crash:
+            at_fault.append(len(read_events(stream)))
+            writer.emit("tick", {"after": "the kill"})
+            raise
+
+    def segment(*args):
+        try:
+            return killed_segment(*args)
+        except Crash:
+            at_unwind.append(len(read_events(stream)))
+            raise
+
+    monkeypatch.setattr(MetricsWriter, "emit", emit)
+    monkeypatch.setattr(pipeline, "_run_segment", segment)
+    assert run_to_completion(cfg) == 1
+    assert len(at_fault) == 1 and at_fault[0] > 5
+    assert at_fault == at_unwind
+
+
 
 RUN_FILES = ("metrics_*.jsonl", "history_*.jsonl", "summary_*.json")
 

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+import tempfile
+import time
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from autoform import instrumentation
 from autoform.instrumentation import (
@@ -16,10 +22,42 @@ from autoform.instrumentation import (
     read_events,
     read_events_backwards,
     token_backfill,
+    utc_now_iso,
     write_summary,
 )
 
 from helpers import EventSink
+
+
+# strings of the characters a JSON string escapes or leaves, or any text
+NAMES = st.text(alphabet=st.sampled_from('a"\\\u00e9\u2200\n\x00 ')) | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+class TestUtcNowIso:
+    # (seconds, microseconds) in the order the clock reads them: microsecond
+    # 0 and 999,999 in one second, a rollover, a step back into an earlier
+    # second, and the second left before the step back again
+    READINGS = [
+        (1_760_000_000, 0),
+        (1_760_000_000, 999_999),
+        (1_760_000_001, 0),
+        (1_760_000_001, 42),
+        (1_759_999_999, 500_000),
+        (1_760_000_001, 7),
+    ]
+
+    def test_equals_isoformat_of_the_same_instant(self, monkeypatch):
+        for sec, us in self.READINGS:
+            # the nanoseconds below a microsecond are dropped, as datetime.now drops them
+            ns = (sec * 1_000_000 + us) * 1000 + 999
+            monkeypatch.setattr(time, "time_ns", lambda: ns)
+            expected = datetime.fromtimestamp(sec, timezone.utc).replace(microsecond=us)
+            assert utc_now_iso() == expected.isoformat()
 
 
 class TestMetricsWriter:
@@ -41,6 +79,22 @@ class TestMetricsWriter:
             records = [metrics.run_start({}), metrics.emit("tick", data)]
         expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
         assert path.read_bytes() == expected.encode("utf-8")
+
+    @given(
+        run_id=NAMES,
+        events=st.lists(st.tuples(NAMES, JSON_VALUES), max_size=4),
+    )
+    def test_any_line_is_the_bytes_json_dumps_gives(self, run_id, events):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.jsonl"
+            with MetricsWriter(path, run_id) as metrics:
+                records = [metrics.run_start({})]
+                records += [metrics.emit(event, data) for event, data in events]
+            expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+            assert path.read_bytes() == expected.encode("utf-8")
+        for record in records:
+            assert datetime.fromisoformat(record["ts"]).tzinfo == timezone.utc
+            assert record["ts"].endswith("+00:00")
 
     def test_emit_before_run_start_is_an_error(self, tmp_path):
         with MetricsWriter(tmp_path / "m.jsonl", "r") as metrics:
@@ -143,6 +197,33 @@ class TestMetricsWriter:
             list(read_events_backwards(path))
 
 
+class TestReadEvents:
+    # each line after a good first line, and what the per-line json.loads
+    # reader gave for it: the events, or the error after "<path>:2: "
+    ODD_LINES = [
+        ('{"a": 1} {"b": 2}', "bad metrics line: Extra data: line 1 column 10 (char 9)"),
+        ('{"a": 1}, {"b": 2}', "bad metrics line: Extra data: line 1 column 9 (char 8)"),
+        ("1", [{"z": 0}, 1]),
+        (" \t  ", [{"z": 0}]),
+        (
+            '\ufeff{"a": 1}',
+            "bad metrics line: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+            " line 1 column 1 (char 0)",
+        ),
+        (' {"a": 1}\r', [{"z": 0}, {"a": 1}]),
+    ]
+
+    @pytest.mark.parametrize("line, expected", ODD_LINES)
+    def test_an_odd_line_reads_as_json_loads_read_it(self, tmp_path, line, expected):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(('{"z": 0}\n' + line + "\n").encode("utf-8"))
+        if isinstance(expected, list):
+            assert read_events(path) == expected
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{path}:2: {expected}")):
+                read_events(path)
+
+
 class TestHistoryStore:
     def record(self, **kw):
         base = dict(
@@ -216,6 +297,19 @@ class TestTokenBackfill:
             assert events == []
             warnings = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "warning"]
             assert len(warnings) == 1
+
+    def test_a_log_that_is_not_utf8_is_warned_and_skipped(self, tmp_path):
+        logs = tmp_path / "calls"
+        logs.mkdir()
+        (logs / "proof_agent_a_task_5_00001.log").write_text(agent_log("1,234"))
+        (logs / "proof_agent_b_task_5_00002.log").write_bytes(b"tokens used\n99\n\xff\n")
+        sink = EventSink()
+        events = token_backfill(logs, sink)
+        assert [(e.task, e.tokens_used_total, e.log_file_count) for e in events] == [("5", 1234, 1)]
+        warnings = [e["data"] for e in sink.events if e["event"] == "warning"]
+        assert len(warnings) == 1
+        assert warnings[0]["log"] == "proof_agent_b_task_5_00002.log"
+        assert warnings[0]["reason"].startswith("unreadable log: ")
 
     def test_totals_equal_direct_footer_sums(self, tmp_path):
         logs = tmp_path / "calls"

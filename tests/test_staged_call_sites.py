@@ -11,7 +11,10 @@ disk). No module analyses the text of a project file itself, through
 ``Project.analysis`` is the one path, so each content is analysed once.
 Only ``simlang.py`` calls ``interpret_body(``: a body's term is read with
 its declaration, into the analysis, so no checker or stage interprets
-bodies again on every call."""
+bodies again on every call. Only ``instrumentation.py`` calls
+``_write_line(``: every metrics and history line passes through that one
+write point, which the kill harness of ``test_fault_injection.py``
+silences once a fault fires."""
 
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ CALLERS = {
     "discard": {"kernel.py", "stage1.py", "stage2.py"},
     "sync": {"verifier.py"},
     "interpret_body": {"simlang.py"},
+    "_write_line": {"instrumentation.py"},
 }
 
 
