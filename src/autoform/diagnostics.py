@@ -27,7 +27,9 @@ class SourceRange:
     end_col: int
 
     def __post_init__(self) -> None:
-        if self.start > self.end:
+        if self.end_line < self.start_line or (
+            self.end_line == self.start_line and self.end_col < self.start_col
+        ):
             raise ValueError(f"range start {self.start} after end {self.end}")
 
     @property

@@ -123,14 +123,19 @@ class MetricsWriter(_AppendStream):
         super().__init__(path)
         self.run_id = run_id
         self._run_id_json = _LINE_ENCODER.encode(run_id)
+        # event name -> its JSON string; a run writes a handful of names
+        self._event_json: dict[str, str] = {}
         self._started = False
 
     def _append(self, event: str, data: dict) -> dict:
         # the bytes json.dumps(record, ensure_ascii=False) gives; a ts needs no escaping
         ts = utc_now_iso()
+        event_json = self._event_json.get(event)
+        if event_json is None:
+            event_json = self._event_json[event] = _LINE_ENCODER.encode(event)
         self._write_line(
             f'{{"ts": "{ts}", "run_id": {self._run_id_json}, '
-            f'"event": {_LINE_ENCODER.encode(event)}, "data": {_LINE_ENCODER.encode(data)}}}\n'
+            f'"event": {event_json}, "data": {_LINE_ENCODER.encode(data)}}}\n'
         )
         return {"ts": ts, "run_id": self.run_id, "event": event, "data": data}
 

@@ -13,22 +13,31 @@ of a run.
 
 ``analyse`` reads a file text once, in one linear pass, and memoises the
 result by content; ``parse_file`` and ``count_holes`` are views over that
-analysis. A text that extends or edits a memoised one is read only between
-the declarations the edit cannot reach on either side, so appending a
-declaration costs that declaration, and patching one in the middle of a
-file costs it and its predecessor, not the file.
+analysis. The pass masks comments and strings, finds the declaration lines
+with one search, and reads each declaration unit once, in one call that
+gives its declaration, body term and placeholders; positions come from the
+line numbers the pass already has, and placeholders are found by substring
+search with an identifier-boundary check.
+
+A text that edits another is read only between the declarations the edit
+cannot reach on either side, so appending a declaration costs that
+declaration, and patching one in the middle of a file costs it and its
+predecessor, not the file. The base is the text the edit replaced when the
+caller knows it (``Project.analysis`` passes the entry a staged edit
+replaced), else the memoised text that keeps the most.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
 
-from .diagnostics import SourceRange, line_starts, offset_to_pos, pos_to_offset
+from .diagnostics import SourceRange, line_starts
 
 HOLE_TOKEN = "sorry"
 DECL_KINDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "axiom")
@@ -38,6 +47,10 @@ HEADER_BOUND = 64
 ANALYSIS_MEMO_SIZE = 8
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
+_IDENT_STARTS = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_STARTS | frozenset(string.digits + ".'")
+# the line break before a line whose first word is a declaration kind
+_DECL_LINE_RE = re.compile(r"\n[^\S\n]*+(?:%s)(?!\S)" % "|".join(DECL_KINDS))
 _DOC_META_RE = re.compile(r"\[(\d+)\]\s?(.*)")
 _NONCODE_OPEN_RE = re.compile(r'--|/-|"')
 _BLOCK_DELIM_RE = re.compile(r"/-|-/")
@@ -157,13 +170,15 @@ class Analysis:
     decl_holes: tuple[tuple[SourceRange, ...], ...]
 
 
-def analyse(text: str) -> Analysis:
+def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
     """The analysis of ``text``.
 
     Results are memoised by text in a least-recently-used memo of at most
-    ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from the
-    memoised analysis that lets it keep the most text: it keeps that
-    analysis's declaration units the edit cannot reach before it
+    ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from a
+    base: ``base``, a text and its analysis that the caller knows ``text``
+    was made from (``Project.analysis`` passes the entry a staged edit
+    replaced), else the memoised analysis that lets it keep the most text.
+    It keeps the base's declaration units the edit cannot reach before it
     (``_kept_units``) and after it (``_kept_tail``), and reads only the
     lines between. After the edit, it keeps the units from the first one
     whose first line no comment or string of the base crosses; it keeps
@@ -176,7 +191,7 @@ def analyse(text: str) -> Analysis:
     """
     analysis = _memo.get(text)
     if analysis is None:
-        analysis = _analyse(text, *_resume_point(text))
+        analysis = _analyse(text, *_resume_point(text, base))
         _memo[text] = analysis
         if len(_memo) > ANALYSIS_MEMO_SIZE:
             _memo.popitem(last=False)
@@ -192,26 +207,32 @@ def _mask(text: str, spans: list[tuple[str, int, int]], start: int, end: int) ->
     done = start
     for _, a, b in spans:
         parts.append(text[done:a])
-        parts.append(_NOT_NEWLINE_RE.sub(" ", text[a:b]))
+        if text.find("\n", a, b) == -1:
+            parts.append(" " * (b - a))
+        else:
+            parts.append(_NOT_NEWLINE_RE.sub(" ", text[a:b]))
         done = b
     parts.append(text[done:end])
     return "".join(parts)
 
 
-def _header_span(masked_lines: list[str]) -> tuple[int, int] | None:
+def _header(
+    masked: str, starts: list[int], n_lines: int
+) -> tuple[tuple[int, int] | None, list[ImportLine]]:
+    """The header span and the imports in it."""
     last_header = None
-    for lineno, line in enumerate(masked_lines[:HEADER_BOUND]):
-        stripped = line.strip()
-        if not stripped:
+    imports = []
+    for lineno in range(min(n_lines, HEADER_BOUND)):
+        end = starts[lineno + 1] - 1 if lineno + 1 < len(starts) else len(masked)
+        words = masked[starts[lineno] : end].split()
+        if not words:
             continue
-        word = stripped.split()[0]
-        if word in HEADER_KEYWORDS:
-            last_header = lineno
-        else:
+        if words[0] not in HEADER_KEYWORDS:
             break
-    if last_header is None:
-        return None
-    return (0, last_header)
+        last_header = lineno
+        if words[0] == "import" and len(words) >= 2:
+            imports.append(ImportLine(module=words[1], lineno=lineno))
+    return (None if last_header is None else (0, last_header)), imports
 
 
 def _analyse(
@@ -236,6 +257,10 @@ def _analyse(
     hold, everything from that line on is the base's, moved by the change
     in length and line count; otherwise the pass reads to the end of the
     text as with ``tail`` = 0.
+
+    The lines read are found by offset: one search finds the declaration
+    lines, each unit is read once by ``_parse_declaration``, and a
+    position is a line the pass already knows plus a column.
     """
     stop = len(text)
     if tail:
@@ -268,110 +293,92 @@ def _analyse(
         return _analyse(text, base, kept)
     fresh = _mask(text, new_spans, resume, stop)
     masked = prefix + fresh
-    # blank stand-ins for the kept lines keep line numbers as list indexes
-    masked_lines = [""] * first + fresh.split("\n")
-    if tail:
-        masked_lines.pop()  # the start of the first kept tail line
-    n_lines = len(masked_lines)
-
-    new_holes = []
-    for m in _IDENT_RE.finditer(masked, resume):
-        if m.group(0) == HOLE_TOKEN:
-            sl, sc = offset_to_pos(text, m.start(), starts)
-            el, ec = offset_to_pos(text, m.end(), starts)
-            new_holes.append(SourceRange(sl, sc, el, ec))
+    # lines [first, n_lines) are read now; with a tail, ``starts`` also
+    # holds the start of the tail's first line, ``stop``
+    n_lines = len(starts) - 1 if tail else len(starts)
 
     if not kept:
         # a kept tail starts with a declaration line, which ends the header
-        header_span = _header_span(masked_lines)
-        imports = []
-        for lineno in range(header_span[1] + 1 if header_span else 0):
-            parts = masked_lines[lineno].strip().split()
-            if len(parts) >= 2 and parts[0] == "import":
-                imports.append(ImportLine(module=parts[1], lineno=lineno))
+        header_span, imports = _header(masked, starts, n_lines)
     header_end = header_span[1] if header_span else -1
 
-    # docstring spans by (start_line, end_line); both lines ascend with the
-    # span order because noncode spans are disjoint and sorted. Of the
-    # base's docstrings, only one that ends on the last kept line, where it
-    # shares a line with code, can still attach to a declaration read now.
+    # a declaration line starts with its kind, and no header line does; a
+    # line break put before the lines read lets one search find them all
+    decl_starts = []
+    lineno = first
+    for m in _DECL_LINE_RE.finditer("\n" + fresh):
+        lineno = bisect_left(starts, resume + m.start(), lineno)
+        decl_starts.append(lineno)
+    if tail:
+        decl_starts.append(n_lines)
+
+    # docstring spans as (offset of the last character, start, end), in
+    # order of both offsets because noncode spans are disjoint and sorted.
+    # Of the base's docstrings, only one that ends on the last kept line,
+    # where it shares a line with code, can still attach to a declaration
+    # read now.
     doc_spans = []
     for kind, a, b in reversed(spans):
         if b <= starts[first - 1]:
             break
         if kind == "block" and text.startswith("/--", a):
-            doc_spans.append(_doc_span(text, a, b, starts))
+            doc_spans.append((max(a, b - 1), a, b))
             break
     for kind, a, b in new_spans:
         if kind == "block" and text.startswith("/--", a):
-            doc_spans.append(_doc_span(text, a, b, starts))
+            doc_spans.append((max(a, b - 1), a, b))
 
-    # last_code[k]: the last non-blank masked line before line k, or -1; a
-    # kept unit's last line is code
-    last_code = [-1] * (n_lines + 1)
-    last_code[first] = first - 1
-    for lineno in range(first, n_lines):
-        last_code[lineno + 1] = lineno if masked_lines[lineno].strip() else last_code[lineno]
+    # the lines above the first declaration: placeholders, and the last
+    # line with code (a kept unit's last line is code)
+    above = starts[decl_starts[0]] if decl_starts else stop
+    new_holes = list(_holes(masked, resume, above, first, starts))
+    code = masked[resume:above].rstrip()
+    last_code = first + code.count("\n") if code else first - 1
 
-    decl_starts = []
-    for lineno in range(max(header_end + 1, first), n_lines):
-        parts = masked_lines[lineno].split()
-        if parts and parts[0] in DECL_KINDS:
-            decl_starts.append(lineno)
-    if tail:
-        decl_starts.append(n_lines)
-
-    covered = bytearray(n_lines)
-    covered[: header_end + 1] = b"\x01" * (header_end + 1)
+    first_unit = n_lines
     next_doc = 0
     for idx, start in enumerate(decl_starts):
+        at = starts[start]
         # the docstring is the last one ending above the declaration, if
         # only blank lines separate the two; when that one is cut off by
         # code, every earlier one is too, so one forward pointer suffices
-        while next_doc < len(doc_spans) and doc_spans[next_doc][1] < start:
+        while next_doc < len(doc_spans) and doc_spans[next_doc][0] < at:
             next_doc += 1
         doc = None
-        if next_doc and last_code[start] <= doc_spans[next_doc - 1][1]:
-            doc = doc_spans[next_doc - 1]
+        if next_doc:
+            doc_last, a, b = doc_spans[next_doc - 1]
+            if last_code < 0 or doc_last >= starts[last_code]:
+                doc = (start - masked.count("\n", a, at), text[a + 3 : max(a + 3, b - 2)])
         unit_start = start
         if doc is not None and (not declarations or doc[0] > declarations[-1].range.end_line):
             unit_start = doc[0]
+        if not idx:
+            first_unit = unit_start
         if start == n_lines:
             # the first kept tail unit: what the lines read now decide of it
             # must be what they decided in the base
-            if (doc[2].strip() if doc else None) != first_tail.docstring or (
+            if (doc[1].strip() if doc else None) != first_tail.docstring or (
                 start - unit_start != tail_line - first_tail.unit_range.start_line
             ):
                 return _analyse(text, base, kept)
-            covered[unit_start:] = b"\x01" * (n_lines - unit_start)
             break
-        end = decl_starts[idx + 1] - 1 if idx + 1 < len(decl_starts) else n_lines - 1
-        # trim trailing blank lines off the unit
-        while end > start and not masked_lines[end].strip():
-            end -= 1
-        declarations.append(
-            _parse_declaration(text, masked, starts, start, end, unit_start, doc)
+        # the unit ends on its last line with code before the next one
+        after = decl_starts[idx + 1] if idx + 1 < len(decl_starts) else n_lines
+        limit = starts[after] - 1 if after < len(starts) else stop
+        end = last_code = start + masked[at:limit].rstrip().count("\n")
+        decl, body, unit_holes = _parse_declaration(
+            text, masked, starts, start, end, unit_start, doc, at
         )
-        covered[unit_start : end + 1] = b"\x01" * (end + 1 - unit_start)
+        declarations.append(decl)
+        bodies.append(body)
+        decl_holes.append(unit_holes)
+        new_holes.extend(unit_holes)
 
-    stray.extend(
-        lineno
-        for lineno in range(max(header_end + 1, first), n_lines)
-        if not covered[lineno] and masked_lines[lineno].strip()
-    )
-
-    # the holes of a declaration read now are new: they lie in its lines
-    hole_starts = [h.start for h in new_holes]
-    for decl in declarations[kept:]:
-        body = decl.body_range
-        a = pos_to_offset(text, body.start_line, body.start_col, starts)
-        b = pos_to_offset(text, body.end_line, body.end_col, starts)
-        bodies.append(interpret_body(masked[a:b].split()))
-        # a placeholder is one token on one line, so it lies in a
-        # declaration iff it starts inside the declaration's lines
-        lo = bisect_left(hole_starts, decl.range.start)
-        hi = bisect_left(hole_starts, decl.range.end, lo)
-        decl_holes.append(tuple(new_holes[lo:hi]))
+    # only a line above the first unit can be outside every unit and hold code
+    lo = max(header_end + 1, first)
+    if lo < first_unit:
+        region = masked[starts[lo] : starts[first_unit] if first_unit < len(starts) else stop]
+        stray.extend(lo + k for k, line in enumerate(region.split("\n")) if line.strip())
 
     if tail:
         # the kept tail: the same columns, ``chars`` further on, ``lines``
@@ -436,24 +443,20 @@ def _moved_declaration(decl: Declaration, lines: int) -> Declaration:
     return replace(decl, range=rng, unit_range=unit_rng, body_range=body_rng)
 
 
-def _doc_span(text: str, a: int, b: int, starts: list[int]) -> tuple[int, int, str]:
-    """(start_line, end_line, inner text) of the docstring span [a, b)."""
-    sl, _ = offset_to_pos(text, a, starts)
-    el, _ = offset_to_pos(text, max(a, b - 1), starts)
-    return sl, el, text[a + 3 : max(a + 3, b - 2)]
-
-
-def _resume_point(text: str) -> tuple[Analysis | None, int, int]:
-    """The memoised analysis to start ``text``'s analysis from, and how many
-    of its declaration units to keep at the front and at the end: the one
-    that keeps the most text, or (None, 0, 0) when none keeps a unit."""
+def _resume_point(
+    text: str, base: tuple[str, Analysis] | None = None
+) -> tuple[Analysis | None, int, int]:
+    """The analysis to start ``text``'s analysis from, and how many of its
+    declaration units to keep at the front and at the end: ``base``'s when
+    it keeps a unit, else, with no ``base``, the memoised one that keeps the
+    most text; (None, 0, 0) when none keeps a unit."""
     best: tuple[Analysis | None, int, int] = (None, 0, 0)
     best_reused = 0
-    for base_text, base in _memo.items():
-        decls = base.parsed.declarations
+    for base_text, candidate in _memo.items() if base is None else (base,):
+        decls = candidate.parsed.declarations
         if not decls:
             continue
-        starts = base.line_starts
+        starts = candidate.line_starts
         kept = tail = 0
         # a base keeps front units only if text keeps its first two
         # declaration lines, and tail units only if text ends with its last
@@ -461,16 +464,16 @@ def _resume_point(text: str) -> tuple[Analysis | None, int, int]:
         # endswith reject every other text
         after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
         if after < len(starts) and text.startswith(base_text[: starts[after]]):
-            kept = _kept_units(text, base_text, base)
+            kept = _kept_units(text, base_text, candidate)
         resume = starts[decls[kept - 1].range.end_line] if kept else 0
         last = starts[decls[-1].range.start_line]
         if last and text.endswith(base_text[last - 1 :]):
-            tail = _kept_tail(text, base_text, base, kept, resume)
+            tail = _kept_tail(text, base_text, candidate, kept, resume)
         reused = resume
         if tail:
             reused += len(base_text) - starts[decls[-tail].range.start_line]
         if reused > best_reused:
-            best, best_reused = (base, kept, tail), reused
+            best, best_reused = (candidate, kept, tail), reused
     return best
 
 
@@ -560,71 +563,105 @@ def _parse_declaration(
     start: int,
     end: int,
     unit_start: int,
-    doc: tuple[int, int, str] | None,
-) -> Declaration:
-    rng = SourceRange.whole_lines(start, end)
-    unit_rng = SourceRange.whole_lines(unit_start, end)
-    a = starts[start]
-    b = starts[end + 1] - 1 if end + 1 < len(starts) else len(text)
-    masked_unit = masked[a:b]
-    raw_unit = text[a:b]
+    doc: tuple[int, str] | None,
+    a: int,
+) -> tuple[Declaration, BodyTerm, tuple[SourceRange, ...]]:
+    """The declaration on lines [start, end], which begin at offset ``a``,
+    read once: the declaration, its body term and its placeholders. ``doc``
+    is its docstring's (first line, inner text), or None."""
+    b = starts[end + 1] - 1 if end + 1 < len(starts) else len(masked)
+    unit = masked[a:b]
+    rng = SourceRange(start, 0, end + 1, 0)
+    unit_rng = rng if unit_start == start else SourceRange(unit_start, 0, end + 1, 0)
 
     docstring = doc_index = doc_label = None
     if doc is not None:
-        docstring = doc[2].strip()
-        first_line = docstring.splitlines()[0] if docstring else ""
-        m = _DOC_META_RE.search(first_line)
+        docstring = doc[1].strip()
+        m = _DOC_META_RE.search(docstring.splitlines()[0]) if docstring else None
         if m:
             doc_index = int(m.group(1))
             doc_label = m.group(2).strip()
 
-    def make(kind="", name=None, type_text="", body_text="", body_rng=None, malformed=None):
-        return Declaration(
-            kind=kind,
-            name=name,
-            type_text=type_text,
-            body_text=body_text,
-            range=rng,
-            unit_range=unit_rng,
-            body_range=body_rng or rng,
-            docstring=docstring,
-            doc_index=doc_index,
-            doc_label=doc_label,
-            malformed=malformed,
-        )
-
-    kind = masked_unit.split()[0]
-    assign = masked_unit.find(":=")
+    kind = unit.split(None, 1)[0]
+    name = None
+    type_text = body_text = ""
+    body_rng = rng
+    malformed = None
+    assign = unit.find(":=")
     if assign == -1:
-        return make(kind=kind, malformed="missing ':='")
-    head_masked = masked_unit[:assign]
-    body_off = assign + 2
-    body_sl, body_sc = offset_to_pos(text, a + body_off, starts)
-    body_el, body_ec = offset_to_pos(text, b, starts)
-    body_rng = SourceRange(body_sl, body_sc, body_el, body_ec)
-    body_text = raw_unit[body_off:]
-
-    head_tokens = head_masked.split()
-    name: str | None = None
-    colon: int
-    if kind == "example":
-        colon = head_masked.find(":")
+        malformed = "missing ':='"
+        body = unit
     else:
-        if len(head_tokens) < 2 or not _IDENT_RE.fullmatch(head_tokens[1]):
-            return make(kind=kind, body_text=body_text, body_rng=body_rng,
-                        malformed="missing declaration name")
-        name = head_tokens[1]
-        name_pos = head_masked.find(name, len(kind))
-        colon = head_masked.find(":", name_pos + len(name))
-    if colon == -1:
-        return make(kind=kind, name=name, body_text=body_text, body_rng=body_rng,
-                    malformed="missing type ascription")
-    type_text = " ".join(raw_unit[colon + 1 : assign].split())
-    if not type_text:
-        return make(kind=kind, name=name, body_text=body_text, body_rng=body_rng,
-                    malformed="empty type")
-    return make(kind=kind, name=name, type_text=type_text, body_text=body_text,
-                body_rng=body_rng)
+        # the body runs from after ":=" to the end of the unit's last line
+        body_off = assign + 2
+        line_break = unit.rfind("\n", 0, body_off)
+        body_line = start + unit.count("\n", 0, line_break + 1)
+        body_rng = SourceRange(body_line, body_off - line_break - 1, end, b - starts[end])
+        body_text = text[a + body_off : b]
+        body = unit[body_off:]
+        head = unit[:assign]
+        colon = -1
+        if kind == "example":
+            colon = head.find(":")
+        else:
+            words = head.split(None, 2)
+            if len(words) < 2 or not _IDENT_RE.fullmatch(words[1]):
+                malformed = "missing declaration name"
+            else:
+                name = words[1]
+                colon = head.find(":", head.find(name, len(kind)) + len(name))
+        if malformed is None:
+            if colon == -1:
+                malformed = "missing type ascription"
+            else:
+                type_text = " ".join(text[a + colon + 1 : a + assign].split())
+                if not type_text:
+                    malformed = "empty type"
+    decl = Declaration(
+        kind=kind,
+        name=name,
+        type_text=type_text,
+        body_text=body_text,
+        range=rng,
+        unit_range=unit_rng,
+        body_range=body_rng,
+        docstring=docstring,
+        doc_index=doc_index,
+        doc_label=doc_label,
+        malformed=malformed,
+    )
+    return decl, interpret_body(body.split()), _holes(masked, a, b, start, starts)
+
+
+def _holes(masked: str, a: int, b: int, line: int, starts: list[int]) -> tuple[SourceRange, ...]:
+    """The placeholders in ``masked[a:b]``, where ``a`` starts line ``line``."""
+    holes = []
+    i = masked.find(HOLE_TOKEN, a, b)
+    while i != -1:
+        if _is_hole(masked, i):
+            line += masked.count("\n", a, i)
+            a = i
+            col = i - starts[line]
+            holes.append(SourceRange(line, col, line, col + len(HOLE_TOKEN)))
+        i = masked.find(HOLE_TOKEN, i + len(HOLE_TOKEN), b)
+    return tuple(holes)
+
+
+def _is_hole(masked: str, i: int) -> bool:
+    """Whether the placeholder token at offset ``i`` is a whole identifier
+    in a left-to-right identifier scan (``_IDENT_RE``): no identifier
+    character follows it, and no identifier that the scan starts before it
+    runs into it. Such an identifier starts at a letter or underscore in
+    the run of identifier characters right before ``i``; digits, dots and
+    primes alone start none."""
+    after = i + len(HOLE_TOKEN)
+    if after < len(masked) and masked[after] in _IDENT_CHARS:
+        return False
+    while i and masked[i - 1] in _IDENT_CHARS:
+        i -= 1
+        if masked[i] in _IDENT_STARTS:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -636,6 +673,11 @@ class BodyTerm:
     error: str | None = None
 
 
+# terms are immutable, so every body of these forms shares one
+_HOLE_TERM = BodyTerm(is_hole=True)
+_UNSUPPORTED_TERM = BodyTerm(error="unsupported term")
+
+
 def interpret_body(body_masked_tokens: Sequence[str]) -> BodyTerm:
     tokens = list(body_masked_tokens)
     if tokens and tokens[0] == "by":
@@ -643,10 +685,10 @@ def interpret_body(body_masked_tokens: Sequence[str]) -> BodyTerm:
     if tokens and tokens[0] == "exact":
         tokens = tokens[1:]
     if len(tokens) != 1:
-        return BodyTerm(error="unsupported term")
+        return _UNSUPPORTED_TERM
     tok = tokens[0]
     if tok == HOLE_TOKEN:
-        return BodyTerm(is_hole=True)
+        return _HOLE_TERM
     if _IDENT_RE.fullmatch(tok):
         return BodyTerm(reference=tok)
     return BodyTerm(error=f"unsupported term {tok!r}")

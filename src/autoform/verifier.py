@@ -117,9 +117,11 @@ class Project:
     ``read_bytes``, ``analysis`` and ``exists`` see them and the disk does
     not, until ``commit`` writes or ``discard`` drops them. A staged edit
     carries its own analysis, which ``commit`` moves into the committed
-    entry. ``sync`` writes the edits to disk for a tool that reads it;
-    ``commit`` then writes no file twice, and ``discard`` puts the committed
-    bytes back. A write or delete of a file drops its staged edit. ``files``
+    entry. Its analysis starts from the analysis of the entry it replaced,
+    when that entry has one, so only the edited units are read again.
+    ``sync`` writes the edits to disk for a tool that reads it; ``commit``
+    then writes no file twice, and ``discard`` puts the committed bytes
+    back. A write or delete of a file drops its staged edit. ``files``
     lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
@@ -127,7 +129,9 @@ class Project:
     not seen by a live ``Project``; build a new one after it (each pipeline
     segment builds its own, so ``--resume`` starts cold). That holds for a
     file it has seen absent too: ``exists`` and ``committed_bytes`` do not
-    ask the disk again until the project writes or deletes the file.
+    ask the disk again until the project writes or deletes the file, and
+    for a directory it has made: a later write there makes none, until the
+    project deletes a file in it.
     ``reload_bytes`` is the one read that always goes to disk, one ``open``
     of the file's path, which the project builds once and keeps.
     """
@@ -146,6 +150,11 @@ class Project:
         self._absent: set[str] = set()
         # file_id -> its path under the root, built once
         self._paths: dict[str, Path] = {}
+        # file_id -> (text, analysis) of the entry its staged edit replaced,
+        # until the edit is analysed or dropped
+        self._bases: dict[str, tuple[str, simlang.Analysis]] = {}
+        # the root and the directories under it this project has made
+        self._dirs: set[Path] = {self.root}
 
     def path(self, file_id: str) -> Path:
         path = self._paths.get(file_id)
@@ -179,7 +188,7 @@ class Project:
         if analysis is None:
             if text is None:
                 text = _decode(data)
-            analysis = simlang.analyse(text)
+            analysis = simlang.analyse(text, self._bases.pop(file_id, None))
             self._holder(file_id)[file_id] = (data, text, analysis)
         return analysis
 
@@ -243,17 +252,33 @@ class Project:
 
     def _store(self, file_id: str, entry: Entry) -> None:
         self._staged.pop(file_id, None)
+        self._bases.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._absent -= {file_id}
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
-            p.parent.mkdir(parents=True, exist_ok=True)
+            self._make_parent(p)
         _write_file(p, entry[0])
         self._cache[file_id] = entry
 
+    def _make_parent(self, path: Path) -> None:
+        """Make the directory ``path`` goes in, unless this project has
+        made it already."""
+        if path.parent not in self._dirs:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self._dirs.add(path.parent)
+
     def stage(self, file_id: str, text: str) -> None:
         """Make ``text`` the file's content as this project reads it, with no
-        disk call."""
+        disk call. The entry it replaces, staged or committed, is the base
+        its analysis starts from when that entry has an analysis."""
+        _, old_text, old_analysis = self._staged.get(file_id) or self._cache.get(
+            file_id, (None, None, None)
+        )
+        if old_analysis is not None:
+            self._bases[file_id] = (old_text, old_analysis)
+        else:
+            self._bases.pop(file_id, None)
         self._staged[file_id] = _encode(text)
 
     def commit(self) -> None:
@@ -264,6 +289,7 @@ class Project:
         for file_id, entry in list(self._staged.items()):
             if self._synced.pop(file_id, (None, None))[1] == entry[0]:
                 del self._staged[file_id]
+                self._bases.pop(file_id, None)
                 self._cache[file_id] = entry
             else:
                 self._store(file_id, entry)
@@ -273,6 +299,7 @@ class Project:
         the edit to disk, the committed bytes go back."""
         for fid in list(self._staged) if file_id is None else [file_id]:
             self._staged.pop(fid, None)
+            self._bases.pop(fid, None)
             if fid in self._synced and self._synced[fid][0] is None:
                 self.delete(fid)
             elif fid in self._synced:
@@ -289,15 +316,18 @@ class Project:
             if self._synced.get(file_id, (None, None))[1] is not data:
                 self._synced[file_id] = (self.committed_bytes(file_id), data)
                 self._absent -= {file_id}
-                self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
+                self._make_parent(self.path(file_id))
                 _write_file(self.path(file_id), data)
 
     def delete(self, file_id: str) -> None:
         self._staged.pop(file_id, None)
+        self._bases.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
         self._absent -= {file_id}
         p = self.path(file_id)
+        # the directory may be left empty, for anything to remove
+        self._dirs -= {p.parent}
         if p.exists():
             p.unlink()
 

@@ -80,6 +80,20 @@ class TestMetricsWriter:
         expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
         assert path.read_bytes() == expected.encode("utf-8")
 
+    def test_an_event_name_that_needs_escaping_is_encoded_as_json_dumps_does(self, tmp_path):
+        # the writer encodes each name once; the second line reuses it
+        path = tmp_path / "m.jsonl"
+        name = 'odd "name"\x01\t\u00e9\u2200\\'
+        with MetricsWriter(path, "r") as metrics:
+            records = [metrics.run_start({})]
+            records += [metrics.emit(name, {"k": k}) for k in range(2)]
+            records.append(metrics.emit("tick", {}))
+        expected = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert [json.loads(line)["event"] for line in path.read_text().splitlines()] == [
+            "run_start", name, name, "tick",
+        ]
+
     @given(
         run_id=NAMES,
         events=st.lists(st.tuples(NAMES, JSON_VALUES), max_size=4),

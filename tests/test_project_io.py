@@ -204,6 +204,25 @@ class TestProjectCache:
         assert project.read("x/y/Z.lean") == "second\n"
         assert (tmp_path / "x" / "y" / "Z.lean").read_bytes() == b"second\r\n"
 
+    def test_a_directory_is_made_once(self, tmp_path, monkeypatch):
+        project = Project(tmp_path)
+        made = []
+        mkdir = Path.mkdir
+
+        def counting(path, *args, **kwargs):
+            made.append(path)
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting)
+        project.write("x/A.lean", "a\n")
+        project.write("x/B.lean", "b\n")
+        project.stage("y/C.lean", "c\n")
+        project.stage("y/D.lean", "d\n")
+        project.sync()
+        project.commit()
+        project.write("E.lean", "e\n")
+        assert made == [tmp_path / "x", tmp_path / "y"]
+
     def test_failed_disk_write_drops_the_entry(self, tmp_path, monkeypatch):
         project = Project(tmp_path)
         project.write("A.lean", "old text\n")
@@ -257,7 +276,7 @@ class TestProjectAnalysis:
         analysed = []  # the texts simlang.analyse was asked for
         analyse = simlang.analyse
         monkeypatch.setattr(
-            simlang, "analyse", lambda text: analysed.append(text) or analyse(text)
+            simlang, "analyse", lambda text, base=None: analysed.append(text) or analyse(text, base)
         )
         for trial in range(12):
             root = tmp_path / f"t{trial}"
@@ -592,9 +611,9 @@ class TestIOCounts:
         counts = {"analyse": 0, "line_starts": 0}
         real_analyse, real_line_starts = simlang.analyse, diagnostics.line_starts
 
-        def analyse(text):
+        def analyse(text, base=None):
             counts["analyse"] += 1
-            return real_analyse(text)
+            return real_analyse(text, base)
 
         def line_starts(*args, **kwargs):
             counts["line_starts"] += 1
@@ -628,7 +647,9 @@ class TestIOCounts:
         lookups = []
         real_analyse = simlang.analyse
         monkeypatch.setattr(
-            simlang, "analyse", lambda text: lookups.append(1) or real_analyse(text)
+            simlang,
+            "analyse",
+            lambda text, base=None: lookups.append(1) or real_analyse(text, base),
         )
         opens = OpenCounter(monkeypatch)
         scope = Scope.of(SourceRange.whole_lines(1, 1))
@@ -641,6 +662,46 @@ class TestIOCounts:
         assert len(lookups) == 20
         assert opens.count(tmp_path / "A.lean", "r") == 20
         assert project.analysis("A.lean") is staged
+
+    def test_a_staged_edit_starts_from_the_analysis_of_the_entry_it_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
+        project = Project(tmp_path)
+        project.write("Big.lean", text)
+        verifier = Verifier(SimulatedVerifier(), EventSink())
+        _, diags = verifier.verify_file(project, "Big.lean")
+        # a memo full of other edits of the file, each a candidate base
+        for k in range(300, 300 + simlang.ANALYSIS_MEMO_SIZE):
+            simlang.analyse(text.replace(f"def d{k} : T := sorry", f"def d{k} : T := d0"))
+        line = 1 + 3 * 200
+        target = SourceRange(line, 16, line, 21)
+        patch = PatchProposal(file="Big.lean", scope=Scope.of(target), replacement="d199")
+
+        kept_units = []
+        real_kept_units = simlang._kept_units
+        monkeypatch.setattr(
+            simlang, "_kept_units", lambda *args: kept_units.append(1) or real_kept_units(*args)
+        )
+        outcome = try_patch(2, project, "Big.lean", Scope.of(target), patch, diags, verifier)
+        assert outcome.accepted
+        assert len(kept_units) <= 1
+        edited = project.read("Big.lean")
+        assert edited == text.replace("def d200 : T := sorry", "def d200 : T := d199")
+
+        # with nothing memoised, the base still comes from the project
+        project.discard()
+        simlang._memo.clear()
+        project.stage("Big.lean", edited)
+        parsed = []
+        parse = simlang._parse_declaration
+        monkeypatch.setattr(
+            simlang, "_parse_declaration", lambda *args: parsed.append(1) or parse(*args)
+        )
+        analysis = project.analysis("Big.lean")
+        assert 1 <= len(parsed) <= 2
+        monkeypatch.undo()
+        assert analysis == simlang._analyse(edited)
 
     def test_metrics_writer_opens_once_and_flushes_every_line(self, tmp_path, monkeypatch):
         path = tmp_path / "m.jsonl"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from autoform import simlang
@@ -67,6 +68,59 @@ class TestCountHoles:
         for _ in range(300):
             text = random_file(rng)
             assert simlang.count_holes(text) == oracle_count_holes(text), text
+
+
+# text next to a placeholder token: identifier characters that start an
+# identifier (letters, underscore) or only continue one (digits, dot,
+# prime), non-ASCII letters and digits, which are neither, and delimiters
+BOUNDARY_TOKENS = [
+    "sorry", "1", "x", "a1", ".", "'", "_", "é", "λ", "٣", " ", "\n", "(", ":=",
+    "--", "/-", "-/", '"', "def x : T := ", "theorem t : P := by ",
+]
+BOUNDARY_CASES = [
+    "1sorry", "x.sorry", ".sorry", "'sorry", "sorry'", "_sorry", "a1.sorry", "sorry.x",
+    "1.sorry", "x1sorry", "sorryé", "ésorry", "λsorry", "٣sorry", "sorrysorry", "sorry",
+]
+
+
+class TestHoleBoundaries:
+    """Placeholder tokens found by search, against the reference's
+    identifier scan, next to every kind of identifier boundary."""
+
+    def assert_same(self, text):
+        for analysis in (simlang.analyse(text), simlang._analyse(text)):
+            assert list(analysis.hole_ranges) == ref_find_hole_ranges(text), text
+            assert analysis.parsed == ref_parse_file(text, 64), text
+            for decl, holes in zip(analysis.parsed.declarations, analysis.decl_holes):
+                assert list(holes) == [h for h in analysis.hole_ranges if decl.range.contains(h)]
+
+    @pytest.mark.parametrize("case", BOUNDARY_CASES)
+    def test_each_boundary_alone_in_code_comments_and_strings(self, case):
+        for text in (
+            case,
+            f"{case}\n",
+            f"def x : T := {case}\n",
+            f"def x : T := by exact {case} -- {case}\n",
+            f"/- {case} -/ def x : T := {case}\n",
+            f'def x : S := "{case}" {case}\n',
+            f"/-- [1] {case} -/\ndef x : T := ({case})\n",
+        ):
+            self.assert_same(text)
+
+    def test_which_boundaries_make_a_hole(self):
+        holes = {case: simlang.count_holes(f"def x : T := {case}\n") for case in BOUNDARY_CASES}
+        # a run of digits, dots and primes starts no identifier, so the token
+        # after it is one; a letter or underscore starts one that takes it in
+        assert holes == {
+            "1sorry": 1, "x.sorry": 0, ".sorry": 1, "'sorry": 1, "sorry'": 0, "_sorry": 0,
+            "a1.sorry": 0, "sorry.x": 0, "1.sorry": 1, "x1sorry": 0, "sorryé": 1,
+            "ésorry": 1, "λsorry": 1, "٣sorry": 1, "sorrysorry": 0, "sorry": 1,
+        }
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(BOUNDARY_TOKENS), max_size=30).map("".join))
+    def test_boundary_soup(self, text):
+        self.assert_same(text)
 
 
 def header_span(text):
@@ -583,13 +637,13 @@ class TestPipelineAnalyses:
         tails = []
         real = simlang.analyse
 
-        def analyse(text):
+        def analyse(text, base=None):
             if text not in simlang._memo:
-                tails.append(simlang._resume_point(text)[2] > 0)
-                analysis = real(text)
+                tails.append(simlang._resume_point(text, base)[2] > 0)
+                analysis = real(text, base)
                 assert analysis == simlang._analyse(text), text
                 return analysis
-            return real(text)
+            return real(text, base)
 
         monkeypatch.setattr(simlang, "analyse", analyse)
         cfg.stage = 1
