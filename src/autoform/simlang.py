@@ -23,8 +23,8 @@ A text that edits another is read only between the declarations the edit
 cannot reach on either side, so appending a declaration costs that
 declaration, and patching one in the middle of a file costs it and its
 predecessor, not the file. The base is the text the edit replaced when the
-caller knows it (``Project.analysis`` passes the entry a staged edit
-replaced), else the memoised text that keeps the most.
+caller knows it (``Project.analysis`` passes a staged edit's committed
+entry), else the memoised text that keeps the most.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
 _IDENT_STARTS = frozenset(string.ascii_letters + "_")
 _IDENT_CHARS = _IDENT_STARTS | frozenset(string.digits + ".'")
 # the line break before a line whose first word is a declaration kind
-_DECL_LINE_RE = re.compile(r"\n[^\S\n]*+(?:%s)(?!\S)" % "|".join(DECL_KINDS))
+_DECL_LINE_RE = re.compile(r"\n[^\S\n]*(?:%s)(?!\S)" % "|".join(DECL_KINDS))
 _DOC_META_RE = re.compile(r"\[(\d+)\]\s?(.*)")
 _NONCODE_OPEN_RE = re.compile(r'--|/-|"')
 _BLOCK_DELIM_RE = re.compile(r"/-|-/")
@@ -176,8 +176,8 @@ def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
     Results are memoised by text in a least-recently-used memo of at most
     ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from a
     base: ``base``, a text and its analysis that the caller knows ``text``
-    was made from (``Project.analysis`` passes the entry a staged edit
-    replaced), else the memoised analysis that lets it keep the most text.
+    was made from (``Project.analysis`` passes a staged edit's committed
+    entry), else the memoised analysis that lets it keep the most text.
     It keeps the base's declaration units the edit cannot reach before it
     (``_kept_units``) and after it (``_kept_tail``), and reads only the
     lines between. After the edit, it keeps the units from the first one

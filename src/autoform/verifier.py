@@ -117,8 +117,8 @@ class Project:
     ``read_bytes``, ``analysis`` and ``exists`` see them and the disk does
     not, until ``commit`` writes or ``discard`` drops them. A staged edit
     carries its own analysis, which ``commit`` moves into the committed
-    entry. Its analysis starts from the analysis of the entry it replaced,
-    when that entry has one, so only the edited units are read again.
+    entry. Its analysis starts from the committed entry's analysis, when
+    there is one, so only the edited units are read again.
     ``sync`` writes the edits to disk for a tool that reads it; ``commit``
     then writes no file twice, and ``discard`` puts the committed bytes
     back. A write or delete of a file drops its staged edit. ``files``
@@ -150,9 +150,6 @@ class Project:
         self._absent: set[str] = set()
         # file_id -> its path under the root, built once
         self._paths: dict[str, Path] = {}
-        # file_id -> (text, analysis) of the entry its staged edit replaced,
-        # until the edit is analysed or dropped
-        self._bases: dict[str, tuple[str, simlang.Analysis]] = {}
         # the root and the directories under it this project has made
         self._dirs: set[Path] = {self.root}
 
@@ -188,7 +185,11 @@ class Project:
         if analysis is None:
             if text is None:
                 text = _decode(data)
-            analysis = simlang.analyse(text, self._bases.pop(file_id, None))
+            base = None
+            if file_id in self._staged:
+                c = self._cache.get(file_id)
+                base = (c[1], c[2]) if c is not None and c[2] is not None else None
+            analysis = simlang.analyse(text, base)
             self._holder(file_id)[file_id] = (data, text, analysis)
         return analysis
 
@@ -252,7 +253,6 @@ class Project:
 
     def _store(self, file_id: str, entry: Entry) -> None:
         self._staged.pop(file_id, None)
-        self._bases.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._absent -= {file_id}
         p = self.path(file_id)
@@ -270,15 +270,7 @@ class Project:
 
     def stage(self, file_id: str, text: str) -> None:
         """Make ``text`` the file's content as this project reads it, with no
-        disk call. The entry it replaces, staged or committed, is the base
-        its analysis starts from when that entry has an analysis."""
-        _, old_text, old_analysis = self._staged.get(file_id) or self._cache.get(
-            file_id, (None, None, None)
-        )
-        if old_analysis is not None:
-            self._bases[file_id] = (old_text, old_analysis)
-        else:
-            self._bases.pop(file_id, None)
+        disk call."""
         self._staged[file_id] = _encode(text)
 
     def commit(self) -> None:
@@ -289,7 +281,6 @@ class Project:
         for file_id, entry in list(self._staged.items()):
             if self._synced.pop(file_id, (None, None))[1] == entry[0]:
                 del self._staged[file_id]
-                self._bases.pop(file_id, None)
                 self._cache[file_id] = entry
             else:
                 self._store(file_id, entry)
@@ -299,7 +290,6 @@ class Project:
         the edit to disk, the committed bytes go back."""
         for fid in list(self._staged) if file_id is None else [file_id]:
             self._staged.pop(fid, None)
-            self._bases.pop(fid, None)
             if fid in self._synced and self._synced[fid][0] is None:
                 self.delete(fid)
             elif fid in self._synced:
@@ -321,7 +311,6 @@ class Project:
 
     def delete(self, file_id: str) -> None:
         self._staged.pop(file_id, None)
-        self._bases.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
         self._absent -= {file_id}

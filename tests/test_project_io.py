@@ -663,7 +663,7 @@ class TestIOCounts:
         assert opens.count(tmp_path / "A.lean", "r") == 20
         assert project.analysis("A.lean") is staged
 
-    def test_a_staged_edit_starts_from_the_analysis_of_the_entry_it_replaced(
+    def test_a_staged_edit_starts_from_the_committed_analysis(
         self, tmp_path, monkeypatch
     ):
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
