@@ -1,11 +1,10 @@
-"""Run instrumentation: metrics events, history, token backfill.
+"""Run instrumentation: the metrics stream and token backfill.
 
-Everything reported about a run is reconstructable from these artifacts
-alone. The metrics stream is append-only JSONL where every line has exactly
-four top-level fields (ts, run_id, event, data); its ``item_end`` lines are
-also the one record a resumed run starts from. History is a compact
-append-only JSONL trace with truncated strings whose full text remains in
-per-call logs.
+Everything reported about a run is reconstructable from the metrics stream
+and the per-call logs alone. The metrics stream is the one file a run
+segment writes: append-only JSONL where every line has exactly four
+top-level fields (ts, run_id, event, data); its ``item_end`` lines are
+also the one record a resumed run starts from.
 """
 
 from __future__ import annotations
@@ -15,14 +14,12 @@ import os
 import re
 import secrets
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
 SCHEMA_VERSION = 2
-TRUNCATION_BOUND = 4096
-TRUNCATION_MARK = "...[truncated]"
 _BLOCK = 8192  # bytes read at a time when a JSONL stream is read from its end
 
 TOKEN_FOOTER_RE = re.compile(r"tokens used\s*([0-9][0-9,]*)")
@@ -83,18 +80,25 @@ _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-class _AppendStream:
-    """One append handle on a JSONL file, opened in binary append mode at
-    the first line and kept open until ``close``. Every line of the stream
-    passes through ``_write_line``: one write of its UTF-8 bytes and one
-    flush before the call returns, so a reader tailing the file sees every
-    line written so far. A torn last line left by a killed segment is cut
-    off when the handle opens."""
+class MetricsWriter:
+    """Append-only metrics event stream for one run segment.
 
-    def __init__(self, path: str | Path):
+    One append handle on the JSONL file, opened in binary append mode at
+    the first line and kept open until ``close``. Every line passes through
+    ``_write_line``: one write of its UTF-8 bytes and one flush before the
+    call returns, so a reader tailing the file sees every line written so
+    far. A torn last line left by a killed segment is cut off when the
+    handle opens."""
+
+    def __init__(self, path: str | Path, run_id: str):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = None
+        self.run_id = run_id
+        self._run_id_json = _LINE_ENCODER.encode(run_id)
+        # event name -> its JSON string; a run writes a handful of names
+        self._event_json: dict[str, str] = {}
+        self._started = False
 
     def _write_line(self, line: str) -> None:
         """Append ``line``, which ends in a newline, and flush it."""
@@ -109,23 +113,11 @@ class _AppendStream:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self):
+    def __enter__(self) -> "MetricsWriter":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class MetricsWriter(_AppendStream):
-    """Append-only metrics event stream for one run segment."""
-
-    def __init__(self, path: str | Path, run_id: str):
-        super().__init__(path)
-        self.run_id = run_id
-        self._run_id_json = _LINE_ENCODER.encode(run_id)
-        # event name -> its JSON string; a run writes a handful of names
-        self._event_json: dict[str, str] = {}
-        self._started = False
 
     def _append(self, event: str, data: dict) -> dict:
         # the bytes json.dumps(record, ensure_ascii=False) gives; a ts needs no escaping
@@ -228,54 +220,6 @@ def read_events_backwards(path: str | Path) -> Iterator[dict]:
                     raise ValueError(f"{path}: bad metrics line: {exc}") from exc
 
 
-def write_summary(path: str | Path, summary: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
-
-
-def _truncate(value: object) -> object:
-    if isinstance(value, str) and len(value) > TRUNCATION_BOUND:
-        return value[: TRUNCATION_BOUND - len(TRUNCATION_MARK)] + TRUNCATION_MARK
-    return value
-
-
-@dataclass
-class HistoryRecord:
-    pipeline: str
-    run_id: str
-    lean_file: str
-    task_id: str
-    kind: str
-    summary: str = ""
-    log_path: str = ""
-    payload: dict = field(default_factory=dict)
-    ts: str = ""
-
-    def as_dict(self) -> dict:
-        payload = {k: _truncate(v) for k, v in self.payload.items()}
-        return {
-            "ts": self.ts or utc_now_iso(),
-            "pipeline": self.pipeline,
-            "run_id": self.run_id,
-            "lean_file": self.lean_file,
-            "task_id": self.task_id,
-            "kind": self.kind,
-            "summary": _truncate(self.summary),
-            "log_path": self.log_path,
-            "payload": payload,
-        }
-
-
-class HistoryStore(_AppendStream):
-    """Append-only compact per-task trace; long strings are truncated."""
-
-    def append(self, record: HistoryRecord) -> dict:
-        obj = record.as_dict()
-        self._write_line(_LINE_ENCODER.encode(obj) + "\n")
-        return obj
-
-
 def parse_token_footer(log_text: str) -> int | None:
     """Token count from the stable footer marker; last occurrence wins."""
     matches = TOKEN_FOOTER_RE.findall(log_text)
@@ -340,59 +284,3 @@ def token_backfill(log_directory: str | Path, metrics: MetricsWriter) -> list[To
         events.append(ev)
         metrics.emit("task_tokens", ev.as_data())
     return events
-
-
-@dataclass
-class RunInstrumentation:
-    """Bundle of the per-run sinks handed to pipeline stages."""
-
-    metrics: MetricsWriter
-    history: HistoryStore
-    log_dir: Path
-
-    @property
-    def run_id(self) -> str:
-        return self.metrics.run_id
-
-    def emit(self, event: str, data: dict) -> None:
-        self.metrics.emit(event, data)
-
-    def append_history(
-        self,
-        pipeline: str,
-        lean_file: str,
-        task_id: str,
-        kind: str,
-        summary: str,
-        response,
-        **payload,
-    ) -> None:
-        """One history line for an operator ``response``: this run's id, the
-        response's transcript as the log path and its token count in the
-        payload are filled in."""
-        payload["tokens_used"] = response.tokens_used or 0
-        self.history.append(
-            HistoryRecord(
-                pipeline=pipeline,
-                run_id=self.run_id,
-                lean_file=lean_file,
-                task_id=task_id,
-                kind=kind,
-                summary=summary,
-                log_path=response.transcript_ref or "",
-                payload=payload,
-            )
-        )
-
-    def close(self) -> None:
-        """Close the stream handles; the owner of the run segment calls this."""
-        try:
-            self.metrics.close()
-        finally:
-            self.history.close()
-
-    def __enter__(self) -> "RunInstrumentation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

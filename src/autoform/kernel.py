@@ -32,7 +32,7 @@ from .diagnostics import (
     err_count,
     localize,
 )
-from .instrumentation import RunInstrumentation
+from .instrumentation import MetricsWriter
 from .verifier import Entry, Project, Verifier
 
 DEFAULT_MAX_SCOPE_EXPANSIONS = 3
@@ -178,7 +178,7 @@ def try_patch(
     return AttemptOutcome(False, before, after, diagnostics_before)
 
 
-def run_item(project: Project, instrumentation: RunInstrumentation, start: dict, work: Callable):
+def run_item(project: Project, metrics: MetricsWriter, start: dict, work: Callable):
     """One dataset item as one transaction: the ``item_start`` line with
     ``start``, then ``work()``, the stage's work, which returns the item's
     result and leaves its edits staged. They are committed once, before the
@@ -186,7 +186,7 @@ def run_item(project: Project, instrumentation: RunInstrumentation, start: dict,
     which moves the resume cursor past the item; if anything raises, they
     are discarded and no ``item_end`` line follows."""
     started = time.monotonic()
-    instrumentation.emit("item_start", start)
+    metrics.emit("item_start", start)
     try:
         result = work()
         project.commit()
@@ -194,7 +194,7 @@ def run_item(project: Project, instrumentation: RunInstrumentation, start: dict,
         # a crash inside the item leaves the project as the item found it
         project.discard()
         raise
-    instrumentation.emit(
+    metrics.emit(
         "item_end", {**result.end_fields(), "seconds": round(time.monotonic() - started, 6)}
     )
     return result

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from .diagnostics import Scope, SourceRange
-from .instrumentation import RunInstrumentation, parse_token_footer
+from .instrumentation import MetricsWriter, parse_token_footer
 from .kernel import PatchProposal
 
 OPERATOR_KINDS = (
@@ -115,7 +115,7 @@ def write_per_call_log(
     stderr: str,
 ) -> Path:
     """Persist one invocation transcript; the returned path is the log id
-    referenced from history records and consumed by token backfill."""
+    that the call's ``oracle_result`` line names and token backfill reads."""
     agent = AGENT_ROLES[kind]
     safe_task = re.sub(r"[^A-Za-z0-9_.-]", "-", task_id) or "task"
     log_dir.mkdir(parents=True, exist_ok=True)
@@ -220,12 +220,12 @@ class OperatorSet:
     accounting are counts of these events.
     """
 
-    def __init__(self, handlers: dict[str, Handler], instrumentation: RunInstrumentation):
+    def __init__(self, handlers: dict[str, Handler], metrics: MetricsWriter):
         unknown = set(handlers) - set(OPERATOR_KINDS)
         if unknown:
             raise OperatorConfigError(f"unknown operator kinds: {sorted(unknown)}")
         self.handlers = dict(handlers)
-        self.instrumentation = instrumentation
+        self.metrics = metrics
         self.invocations = 0
         self.tokens_used = 0
 
@@ -256,5 +256,5 @@ class OperatorSet:
             snap = _file_snapshot(request.payload)
             if snap is not None:
                 data["file_snapshot"] = snap
-        self.instrumentation.emit("oracle_result", data)
+        self.metrics.emit("oracle_result", data)
         return response

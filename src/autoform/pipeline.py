@@ -2,10 +2,11 @@
 
 A run segment checks the whole configuration before it reads its metrics
 stream or writes anything, wires together the dataset, project, verifier
-adapter, operator set, and instrumentation sinks, emits run_start/run_end
-around the stage driver, and writes a summary mirroring the run_end
-payload. Resumed
-segments get a fresh run id and start one past the last ``item_end`` line
+adapter, operator set, and metrics stream, and emits run_start/run_end
+around the stage driver; the run_end payload is the segment's summary.
+The metrics stream is the one file a segment writes under the runs
+directory, beside the bridge's per-call logs. Resumed segments get a fresh
+run id and start one past the last ``item_end`` line
 of the metrics stream (``resolve_cursor``), the one record of what the
 run committed, including the names each stage-1 item declared; totals are
 reconstructed later by summing over run ids.
@@ -26,14 +27,7 @@ from .corpus import (
     load_dataset,
     load_lemma_map,
 )
-from .instrumentation import (
-    HistoryStore,
-    MetricsWriter,
-    RunInstrumentation,
-    new_run_id,
-    read_events_backwards,
-    write_summary,
-)
+from .instrumentation import MetricsWriter, new_run_id, read_events_backwards
 from .operators import OPERATOR_KINDS, ExternalBridge, OperatorSet
 from .stage1 import Stage1Config, Stage1ItemResult, run_stage1
 from .stage2 import Stage2Config, Stage2ItemResult, run_stage2
@@ -210,7 +204,7 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
 def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
     """One run segment of ``stage``, wired to this segment's sinks.
 
-    ``drive(project, verifier, operators, instrumentation, start_index)``
+    ``drive(project, verifier, operators, metrics, start_index)``
     processes the stage's items and returns them with the summary fields
     only that stage reports; the fields every stage reports are added here.
     """
@@ -223,12 +217,8 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
     start_index = resolve_cursor(config, pipeline)
     project = Project(config.project)
     run_id = config.run_id or new_run_id(pipeline, stage)
-    with RunInstrumentation(
-        metrics=MetricsWriter(runs / f"metrics_{pipeline}.jsonl", run_id),
-        history=HistoryStore(runs / f"history_{pipeline}.jsonl"),
-        log_dir=runs / "calls",
-    ) as instr:
-        instr.metrics.run_start(
+    with MetricsWriter(runs / f"metrics_{pipeline}.jsonl", run_id) as metrics:
+        metrics.run_start(
             {
                 "pipeline": pipeline,
                 "stage": stage,
@@ -237,10 +227,10 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
                 "config": config.as_dict(),
             }
         )
-        verifier = Verifier(adapter, instr.metrics)
-        operators = OperatorSet(handlers, instr)
+        verifier = Verifier(adapter, metrics)
+        operators = OperatorSet(handlers, metrics)
         started = time.monotonic()
-        results, stage_fields = drive(project, verifier, operators, instr, start_index)
+        results, stage_fields = drive(project, verifier, operators, metrics, start_index)
         pb_ok, _ = verifier.verify_project(project)
         summary = {
             "pipeline": pipeline,
@@ -254,8 +244,7 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
             "pb": pb_ok,
             **stage_fields,
         }
-        instr.metrics.run_end(summary)
-        write_summary(runs / f"summary_{instr.run_id}.json", summary)
+        metrics.run_end(summary)
         return results, summary
 
 
@@ -266,14 +255,14 @@ def run_statement_stage(
     """One Stage-1 run segment over the dataset; returns results and summary."""
     records = records if records is not None else load_dataset(config.dataset)
 
-    def drive(project, verifier, operators, instr, start_index):
+    def drive(project, verifier, operators, metrics, start_index):
         results = run_stage1(
             records,
             project,
             config.stage1_config(),
             operators,
             verifier,
-            instr,
+            metrics,
             start_index=start_index,
             max_items=config.max_items,
         )
@@ -301,14 +290,14 @@ def run_proof_stage(
     if lemma_map is None and config.lemma_map:
         lemma_map = load_lemma_map(config.lemma_map)
 
-    def drive(project, verifier, operators, instr, start_index):
+    def drive(project, verifier, operators, metrics, start_index):
         results = run_stage2(
             records,
             project,
             config.stage2_config(),
             operators,
             verifier,
-            instr,
+            metrics,
             lemma_map=lemma_map,
             start_index=start_index,
             max_items=config.max_items,

@@ -22,9 +22,9 @@ search with an identifier-boundary check.
 A text that edits another is read only between the declarations the edit
 cannot reach on either side, so appending a declaration costs that
 declaration, and patching one in the middle of a file costs it and its
-predecessor, not the file. The base is the text the edit replaced when the
-caller knows it (``Project.analysis`` passes a staged edit's committed
-entry), else the memoised text that keeps the most.
+predecessor, not the file. The base is the text the edit replaced, which
+the caller passes (``Project.analysis`` passes a staged edit's committed
+entry); with no base the text is read whole.
 """
 
 from __future__ import annotations
@@ -174,17 +174,17 @@ def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
     """The analysis of ``text``.
 
     Results are memoised by text in a least-recently-used memo of at most
-    ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from a
-    base: ``base``, a text and its analysis that the caller knows ``text``
-    was made from (``Project.analysis`` passes a staged edit's committed
-    entry), else the memoised analysis that lets it keep the most text.
-    It keeps the base's declaration units the edit cannot reach before it
-    (``_kept_units``) and after it (``_kept_tail``), and reads only the
-    lines between. After the edit, it keeps the units from the first one
-    whose first line no comment or string of the base crosses; it keeps
-    none there when a comment or string of ``text`` crosses that line, or
-    when the edit would change that unit's docstring or unit start. It
-    reads the whole text when no unit can be kept. Either way the result
+    ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from
+    ``base``, a text and its analysis that the caller knows ``text`` was
+    made from (``Project.analysis`` passes a staged edit's committed
+    entry); without one it reads the whole text. It keeps the base's
+    declaration units the edit cannot reach before it (``_kept_units``)
+    and after it (``_kept_tail``), and reads only the lines between.
+    After the edit, it keeps the units from the first one whose first line
+    no comment or string of the base crosses; it keeps none there when a
+    comment or string of ``text`` crosses that line, or when the edit
+    would change that unit's docstring or unit start. It reads the whole
+    text when no unit can be kept. Either way the result
     equals a fresh analysis of ``text``, field for field. An analysis is
     immutable and a pure function of the text, so sharing one between
     callers is safe.
@@ -448,41 +448,37 @@ def _resume_point(
 ) -> tuple[Analysis | None, int, int]:
     """The analysis to start ``text``'s analysis from, and how many of its
     declaration units to keep at the front and at the end: ``base``'s when
-    it keeps a unit, else, with no ``base``, the memoised one that keeps the
-    most text; (None, 0, 0) when none keeps a unit."""
-    best: tuple[Analysis | None, int, int] = (None, 0, 0)
-    best_reused = 0
-    for base_text, candidate in _memo.items() if base is None else (base,):
-        decls = candidate.parsed.declarations
-        if not decls:
-            continue
-        starts = candidate.line_starts
-        kept = tail = 0
-        # a base keeps front units only if text keeps its first two
-        # declaration lines, and tail units only if text ends with its last
-        # declaration from the line break before it: one startswith and one
-        # endswith reject every other text
-        after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
-        if after < len(starts) and text.startswith(base_text[: starts[after]]):
-            kept = _kept_units(text, base_text, candidate)
-        resume = starts[decls[kept - 1].range.end_line] if kept else 0
-        last = starts[decls[-1].range.start_line]
-        if last and text.endswith(base_text[last - 1 :]):
-            tail = _kept_tail(text, base_text, candidate, kept, resume)
-        reused = resume
-        if tail:
-            reused += len(base_text) - starts[decls[-tail].range.start_line]
-        if reused > best_reused:
-            best, best_reused = (candidate, kept, tail), reused
-    return best
+    it keeps some of its text, else (None, 0, 0)."""
+    if base is None:
+        return None, 0, 0
+    base_text, analysis = base
+    decls = analysis.parsed.declarations
+    if not decls:
+        return None, 0, 0
+    starts = analysis.line_starts
+    kept = tail = 0
+    # the base keeps front units only if text keeps its first two
+    # declaration lines, and tail units only if text ends with its last
+    # declaration from the line break before it: one startswith and one
+    # endswith reject every other text
+    after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
+    if after < len(starts) and text.startswith(base_text[: starts[after]]):
+        kept = _kept_units(text, base_text, analysis)
+    resume = starts[decls[kept - 1].range.end_line] if kept else 0
+    last = starts[decls[-1].range.start_line]
+    if last and text.endswith(base_text[last - 1 :]):
+        tail = _kept_tail(text, base_text, analysis, kept, resume)
+    if not resume and not tail:
+        return None, 0, 0
+    return analysis, kept, tail
 
 
 def _kept_units(text: str, base_text: str, base: Analysis) -> int:
-    """How many of a candidate ``base``'s declaration units ``text`` keeps
-    at the front.
+    """How many of the ``base``'s declaration units ``text`` keeps at the
+    front.
 
-    Let d be the line of the first character where the two texts differ; a
-    candidate's second declaration starts before d. The base's declarations
+    Let d be the line of the first character where the two texts differ;
+    the base's second declaration starts before d. The base's declarations
     that start before line d are kept, except the last of them, whose end
     can still move. None is kept (0) when a comment or string of the base
     crosses the offset where the kept units end: the scan would resume
@@ -506,13 +502,13 @@ def _kept_units(text: str, base_text: str, base: Analysis) -> int:
 
 
 def _kept_tail(text: str, base_text: str, base: Analysis, kept: int, resume: int) -> int:
-    """How many of a candidate ``base``'s declaration units ``text`` keeps
-    at the end, after the ``kept`` front units that end at ``resume``.
+    """How many of the ``base``'s declaration units ``text`` keeps at the
+    end, after the ``kept`` front units that end at ``resume``.
 
     A unit after the front units is kept, with every unit after it, when
     ``text`` ends with the base's text from the line break before the
     unit's first line, at an offset of ``text`` not before ``resume``. The
-    first such unit is found by bisection; a candidate's last unit is one.
+    first such unit is found by bisection; the base's last unit is one.
     A comment or string of the base that crosses the start of that unit's
     first line would not let the scan there start afresh, so the tail then
     starts at the first unit after the span instead; none is kept (0) when

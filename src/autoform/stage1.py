@@ -22,7 +22,7 @@ from functools import partial
 from . import simlang
 from .corpus import DatasetRecord
 from .diagnostics import Scope, SourceRange, err_count, localize
-from .instrumentation import RunInstrumentation
+from .instrumentation import MetricsWriter
 from .kernel import (
     DEFAULT_MAX_SCOPE_EXPANSIONS,
     PatchOutOfScopeError,
@@ -185,7 +185,7 @@ def run_stage1(
     config: Stage1Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation,
+    metrics: MetricsWriter,
     start_index: int | None = None,
     max_items: int | None = None,
 ) -> list[Stage1ItemResult]:
@@ -199,8 +199,8 @@ def run_stage1(
             "section": record.context.section_number,
             "lean_file": target_file(record),
         }
-        work = partial(_run_item, record, project, config, operators, verifier, instrumentation)
-        return run_item(project, instrumentation, start, work)
+        work = partial(_run_item, record, project, config, operators, verifier)
+        return run_item(project, metrics, start, work)
 
     return run_items(((r.index, r) for r in records), run_one, start_index, max_items)
 
@@ -211,7 +211,6 @@ def _run_item(
     config: Stage1Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation,
 ) -> Stage1ItemResult:
     """Stage the record's declaration and repair its file; the edits stay
     staged for the item's commit, or are discarded if errors remain. A
@@ -257,20 +256,11 @@ def _run_item(
                 "file_text": text,
                 "diagnostics": [d.as_dict() for d in local],
                 "scope": scope,
-                "target_range": _repair_target(text, local, decl_range),
+                "target_range": _repair_target(project.analysis(file_id), local),
             },
         )
         repair = operators.invoke(repair_req)
         rounds += 1
-        instrumentation.append_history(
-            "statement",
-            file_id,
-            str(record.index),
-            "agent_b_repair",
-            f"round={rounds} ok={repair.ok}",
-            repair,
-            round=rounds,
-        )
         if not repair.ok or repair.patch is None:
             continue
         try:
@@ -289,11 +279,12 @@ def _run_item(
     return result
 
 
-def _repair_target(text: str, local_diags, decl_range: SourceRange) -> SourceRange:
+def _repair_target(analysis: simlang.Analysis, local_diags) -> SourceRange:
     """Contiguous region a bridge repair patch should replace: the declaration
-    containing the first localized error, else that error's own range."""
+    of the file's ``analysis`` containing the first localized error, else
+    that error's own range."""
     first = min(local_diags, key=lambda d: d.sort_key())
-    for decl in simlang.analyse(text).parsed.declarations:
+    for decl in analysis.parsed.declarations:
         if decl.range.intersects(first.range):
             return decl.range
     return first.range

@@ -9,6 +9,8 @@ executor proof-patch attempts are additionally capped at R * C. The item's
 split and accepted patches are staged in the ``Project``; the item runs as
 one transaction of the kernel (``kernel.run_item``), which commits them
 once before its ``item_end`` line and discards them if the item raises.
+That line's ``a_accepted`` lists the ordinals, among the item's
+``a_attempts`` proof proposals, of those the kernel accepted.
 
 An item is one loop. Each pass first looks the target hole up, if it is
 about to plan or its last proposal was accepted: a closed target ends the
@@ -26,15 +28,15 @@ replan or a fresh plan could be due.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import simlang
 from .corpus import DEFAULT_PROOF_TARGET_ENVS, DatasetRecord, LemmaMapEntry, is_proof_target
 from .diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count
-from .instrumentation import RunInstrumentation
+from .instrumentation import MetricsWriter
 from .kernel import PatchOutOfScopeError, run_item, run_items, try_patch
-from .operators import OperatorRequest, OperatorResponse, OperatorSet
+from .operators import OperatorRequest, OperatorSet
 from .stage1 import target_file
 from .verifier import Project, Verifier, header_scope
 
@@ -111,6 +113,8 @@ class Stage2ItemResult:
     fix_attempts: int = 0
     plans: int = 0
     file: str = ""
+    # the proof_attempts ordinals of the proposals the kernel accepted
+    accepted_attempts: list[int] = field(default_factory=list)
 
     @property
     def closed(self) -> bool:
@@ -123,6 +127,7 @@ class Stage2ItemResult:
             "status": self.status,
             "verifier_calls": self.verifier_calls,
             "a_attempts": self.proof_attempts,
+            "a_accepted": self.accepted_attempts,
             "b_attempts": self.fix_attempts,
             "c_plans": self.plans,
             "lean_file": self.file,
@@ -169,7 +174,7 @@ def split_if_large_and_resolve(
     file_id: str,
     task: ProofTask | None,
     threshold: int,
-    instrumentation: RunInstrumentation | None = None,
+    metrics: MetricsWriter | None = None,
 ) -> str:
     """Partition an oversized file at declaration boundaries.
 
@@ -226,8 +231,8 @@ def split_if_large_and_resolve(
         != _signatures(decl for decl, _ in group)
     ]
     if taken:
-        if instrumentation is not None:
-            instrumentation.emit(
+        if metrics is not None:
+            metrics.emit(
                 "warning",
                 {"reason": f"split part exists: {taken[0]}", "lean_file": file_id},
             )
@@ -242,10 +247,8 @@ def split_if_large_and_resolve(
 
     aggregate = "\n".join(f"import {simlang.module_name(pid)}" for pid in part_ids) + "\n"
     project.stage(file_id, aggregate)
-    if instrumentation is not None:
-        instrumentation.emit(
-            "split", {"lean_file": file_id, "parts": part_ids, "lines": len(lines)}
-        )
+    if metrics is not None:
+        metrics.emit("split", {"lean_file": file_id, "parts": part_ids, "lines": len(lines)})
 
     if task is None:
         return file_id
@@ -270,7 +273,7 @@ def run_stage2_item(
     config: Stage2Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation,
+    metrics: MetricsWriter,
 ) -> Stage2ItemResult:
     """Close one proof item's hole under the verifier-call budget; its edits
     stay staged for the item's commit. Every exit but the ``skipped``,
@@ -278,16 +281,14 @@ def run_stage2_item(
     result = Stage2ItemResult(index=task.index, label=task.label, file=file_id)
 
     def skip(reason: str) -> Stage2ItemResult:
-        instrumentation.emit(
-            "warning", {"reason": reason, "lean_file": file_id, "index": task.index}
-        )
+        metrics.emit("warning", {"reason": reason, "lean_file": file_id, "index": task.index})
         result.status = "skipped"
         return result
 
-    def attempt(kind: str, payload: dict) -> tuple[OperatorResponse, bool]:
+    def attempt(kind: str, payload: dict) -> bool:
         """Invoke ``kind`` on the file and put the patch it returns, if any,
         through the kernel, scoped to ``payload["target_range"]`` plus the
-        header. Returns the response and whether the patch was accepted."""
+        header. Returns whether the patch was accepted."""
         nonlocal diags
         text = project.read(file_id)
         response = operators.invoke(
@@ -297,24 +298,24 @@ def run_stage2_item(
             )
         )
         if not response.ok or response.patch is None:
-            return response, False
+            return False
         scope = Scope.of(payload["target_range"]).union(header_scope(project.analysis(file_id)))
         try:
             outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
         except PatchOutOfScopeError:
-            return response, False  # rejected unchecked: no verifier call
+            return False  # rejected unchecked: no verifier call
         result.verifier_calls += 1
         diags = outcome.diagnostics_after
-        return response, outcome.accepted
+        return outcome.accepted
 
     try:
         file_id = split_if_large_and_resolve(
-            project, file_id, task, config.split_threshold, instrumentation
+            project, file_id, task, config.split_threshold, metrics
         )
         result.file = file_id
     except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
         project.discard()
-        instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
+        metrics.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
 
     if not project.exists(file_id):
         return skip(f"no such file: {file_id}")  # stage 1 left no file for this section
@@ -369,16 +370,6 @@ def run_stage2_item(
             )
             result.plans += 1
             plan = plan_resp.text if plan_resp.ok else ""
-            instrumentation.append_history(
-                "proof",
-                file_id,
-                str(task.index),
-                "agent_c_plan",
-                f"plans={result.plans} ok={plan_resp.ok}",
-                plan_resp,
-                round=result.plans,
-                plan=plan or "",
-            )
         elif result.proof_attempts % config.r == 0:
             replan = operators.invoke(
                 OperatorRequest(
@@ -397,7 +388,7 @@ def run_stage2_item(
                 plan = replan.text
 
         result.proof_attempts += 1
-        proposal, accepted = attempt(
+        accepted = attempt(
             "propose_proof_patch",
             {
                 "hole": hole.range,
@@ -409,16 +400,8 @@ def run_stage2_item(
                 "attempt": result.proof_attempts,
             },
         )
-        instrumentation.append_history(
-            "proof",
-            file_id,
-            str(task.index),
-            "agent_a_attempt",
-            f"attempt={result.proof_attempts} accepted={accepted}",
-            proposal,
-            attempt=result.proof_attempts,
-            accepted=accepted,
-        )
+        if accepted:
+            result.accepted_attempts.append(result.proof_attempts)
 
 
 def build_proof_tasks(
@@ -443,7 +426,7 @@ def run_stage2(
     config: Stage2Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation,
+    metrics: MetricsWriter,
     lemma_map: dict[str, LemmaMapEntry] | None = None,
     start_index: int | None = None,
     max_items: int | None = None,
@@ -461,9 +444,9 @@ def run_stage2(
             "nonempty_lines": sum(1 for ln in text.split("\n") if ln.strip()),
         }
         work = partial(
-            run_stage2_item, project, file_id, task, config, operators, verifier, instrumentation
+            run_stage2_item, project, file_id, task, config, operators, verifier, metrics
         )
-        return run_item(project, instrumentation, start, work)
+        return run_item(project, metrics, start, work)
 
     tasks = build_proof_tasks(records, lemma_map, proof_target_envs)
     items = ((task.index, (target_file(record), task)) for record, task in tasks)

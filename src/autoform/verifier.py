@@ -129,9 +129,7 @@ class Project:
     not seen by a live ``Project``; build a new one after it (each pipeline
     segment builds its own, so ``--resume`` starts cold). That holds for a
     file it has seen absent too: ``exists`` and ``committed_bytes`` do not
-    ask the disk again until the project writes or deletes the file, and
-    for a directory it has made: a later write there makes none, until the
-    project deletes a file in it.
+    ask the disk again until the project writes or deletes the file.
     ``reload_bytes`` is the one read that always goes to disk, one ``open``
     of the file's path, which the project builds once and keeps.
     """
@@ -150,8 +148,6 @@ class Project:
         self._absent: set[str] = set()
         # file_id -> its path under the root, built once
         self._paths: dict[str, Path] = {}
-        # the root and the directories under it this project has made
-        self._dirs: set[Path] = {self.root}
 
     def path(self, file_id: str) -> Path:
         path = self._paths.get(file_id)
@@ -257,16 +253,9 @@ class Project:
         self._absent -= {file_id}
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
-            self._make_parent(p)
+            p.parent.mkdir(parents=True, exist_ok=True)
         _write_file(p, entry[0])
         self._cache[file_id] = entry
-
-    def _make_parent(self, path: Path) -> None:
-        """Make the directory ``path`` goes in, unless this project has
-        made it already."""
-        if path.parent not in self._dirs:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self._dirs.add(path.parent)
 
     def stage(self, file_id: str, text: str) -> None:
         """Make ``text`` the file's content as this project reads it, with no
@@ -304,9 +293,11 @@ class Project:
         edits stay staged and the cache keeps the committed bytes."""
         for file_id, (data, _, _) in self._staged.items():
             if self._synced.get(file_id, (None, None))[1] is not data:
-                self._synced[file_id] = (self.committed_bytes(file_id), data)
+                committed = self.committed_bytes(file_id)
+                self._synced[file_id] = (committed, data)
                 self._absent -= {file_id}
-                self._make_parent(self.path(file_id))
+                if committed is None:
+                    self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
                 _write_file(self.path(file_id), data)
 
     def delete(self, file_id: str) -> None:
@@ -315,8 +306,6 @@ class Project:
         self._cache.pop(file_id, None)
         self._absent -= {file_id}
         p = self.path(file_id)
-        # the directory may be left empty, for anything to remove
-        self._dirs -= {p.parent}
         if p.exists():
             p.unlink()
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from autoform.corpus import dump_dataset
-from autoform.instrumentation import HistoryStore, MetricsWriter, RunInstrumentation
+from autoform.instrumentation import MetricsWriter
 from autoform.pipeline import RunConfig
 from autoform.toydata import build_toy_lemma_map, build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
@@ -51,13 +51,7 @@ def toy_config(tmp_path, toy_records):
 
 
 @pytest.fixture
-def instrumentation(tmp_path):
-    runs = tmp_path / "runs"
-    metrics = MetricsWriter(runs / "metrics_test.jsonl", "test_stage0_run")
-    metrics.run_start({"pipeline": "test"})
-    with RunInstrumentation(
-        metrics=metrics,
-        history=HistoryStore(runs / "history_test.jsonl"),
-        log_dir=runs / "calls",
-    ) as instr:
-        yield instr
+def metrics(tmp_path):
+    with MetricsWriter(tmp_path / "runs" / "metrics_test.jsonl", "test_stage0_run") as writer:
+        writer.run_start({"pipeline": "test"})
+        yield writer

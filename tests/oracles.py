@@ -23,7 +23,7 @@ from autoform.diagnostics import (
     offset_to_pos,
     pos_to_offset,
 )
-from autoform.instrumentation import RunInstrumentation
+from autoform.instrumentation import MetricsWriter
 from autoform.kernel import PatchOutOfScopeError, try_patch
 from autoform.operators import OperatorRequest, OperatorSet
 from autoform.simlang import (
@@ -568,9 +568,10 @@ def random_module(rng: random.Random, imports: list[str], decls: int = 8) -> str
 
 # -- reference stage-2 item loop ---------------------------------------------
 # The item loop before it became one flat loop, verbatim but for the names
-# of the two helpers it calls. Its lookup falls back to the unique holed
-# declaration even when the file has labels, and its lookup after an
-# accepted proposal lets AmbiguousTargetError escape.
+# of the two helpers it calls and the record of accepted proposals. Its
+# lookup falls back to the unique holed declaration even when the file has
+# labels, and its lookup after an accepted proposal lets
+# AmbiguousTargetError escape, with the item's result attached as ``result``.
 
 
 def ref_locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
@@ -610,7 +611,7 @@ def ref_run_stage2_item(
     config: Stage2Config,
     operators: OperatorSet,
     verifier: Verifier,
-    instrumentation: RunInstrumentation,
+    metrics: MetricsWriter,
 ) -> Stage2ItemResult:
     """Close one proof item's hole under the verifier-call budget; its edits
     stay staged for the item's commit. Every exit but the ``skipped``,
@@ -618,16 +619,16 @@ def ref_run_stage2_item(
     result = Stage2ItemResult(index=task.index, label=task.label, file=file_id)
     try:
         file_id = split_if_large_and_resolve(
-            project, file_id, task, config.split_threshold, instrumentation
+            project, file_id, task, config.split_threshold, metrics
         )
         result.file = file_id
     except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
         project.discard()
-        instrumentation.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
+        metrics.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
 
     if not project.exists(file_id):
         # stage 1 left no file for this section: nothing to verify or patch
-        instrumentation.emit(
+        metrics.emit(
             "warning",
             {"reason": f"no such file: {file_id}", "lean_file": file_id, "index": task.index},
         )
@@ -671,7 +672,7 @@ def ref_run_stage2_item(
         try:
             hole = ref_locate_target_hole(project, file_id, task)
         except AmbiguousTargetError as exc:
-            instrumentation.emit(
+            metrics.emit(
                 "warning", {"reason": str(exc), "lean_file": file_id, "index": task.index}
             )
             result.status = "skipped"
@@ -694,16 +695,6 @@ def ref_run_stage2_item(
         plan_resp = operators.invoke(plan_req)
         result.plans += 1
         plan_text = plan_resp.text if plan_resp.ok else ""
-        instrumentation.append_history(
-            "proof",
-            file_id,
-            str(task.index),
-            "agent_c_plan",
-            f"plans={result.plans} ok={plan_resp.ok}",
-            plan_resp,
-            round=result.plans,
-            plan=plan_text or "",
-        )
 
         for _ in range(config.c):
             for _ in range(config.r):
@@ -736,19 +727,16 @@ def ref_run_stage2_item(
                         accepted = outcome.accepted
                     except PatchOutOfScopeError:
                         pass
-                instrumentation.append_history(
-                    "proof",
-                    file_id,
-                    str(task.index),
-                    "agent_a_attempt",
-                    f"attempt={result.proof_attempts} accepted={accepted}",
-                    proposal,
-                    attempt=result.proof_attempts,
-                    accepted=accepted,
-                )
-                if accepted and ref_locate_target_hole(project, file_id, task) is None:
-                    result.status = "solved"
-                    return result
+                if accepted:
+                    result.accepted_attempts.append(result.proof_attempts)
+                    try:
+                        closed = ref_locate_target_hole(project, file_id, task) is None
+                    except AmbiguousTargetError as exc:
+                        exc.result = result
+                        raise
+                    if closed:
+                        result.status = "solved"
+                        return result
                 if result.verifier_calls >= config.t:
                     return result
                 if result.proof_attempts >= config.attempt_bound:

@@ -121,7 +121,7 @@ def test_rollback_fidelity(tmp_path):
 
 
 @criterion("budget bounds under adversarial operators")
-def test_budget_bounds(tmp_path, instrumentation):
+def test_budget_bounds(tmp_path, metrics):
     records = build_toy_records()
 
     # stage 1: per-item verifier calls <= 1 + K with K = 3
@@ -129,7 +129,7 @@ def test_budget_bounds(tmp_path, instrumentation):
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(adversarial_handlers(), EventSink())
     config = Stage1Config(k=3)
-    results = run_stage1(records[:6], project, config, operators, verifier, instrumentation)
+    results = run_stage1(records[:6], project, config, operators, verifier, metrics)
     for r in results:
         assert r.verifier_calls <= 1 + config.k, r
         assert r.b_attempts <= config.k, r
@@ -138,14 +138,14 @@ def test_budget_bounds(tmp_path, instrumentation):
     project2 = Project(tmp_path / "s2")
     good = OperatorSet(toy_handlers(), EventSink())
     ver2 = Verifier(SimulatedVerifier(), EventSink())
-    ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, instrumentation)
+    ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, metrics)
     assert all(r.compiled for r in ok_results)
 
     s2cfg = Stage2Config(r=10, c=21)
     adversarial = OperatorSet(adversarial_handlers(), EventSink())
     record, task = build_proof_tasks(records)[0]
     result = run_stage2_item(
-        project2, target_file(record), task, s2cfg, adversarial, ver2, instrumentation
+        project2, target_file(record), task, s2cfg, adversarial, ver2, metrics
     )
     assert result.status == "unsolved"
     assert result.proof_attempts <= s2cfg.r * s2cfg.c
@@ -328,12 +328,12 @@ def test_resume_idempotence(tmp_path):
 
 
 @criterion("matched-statement guard (zero signature changes)")
-def test_matched_statement_guard(tmp_path, instrumentation):
+def test_matched_statement_guard(tmp_path, metrics):
     records = build_toy_records()
     project = Project(tmp_path / "project")
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(toy_handlers(), EventSink())
-    results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
+    results = run_stage1(records, project, Stage1Config(), operators, verifier, metrics)
     assert all(r.compiled for r in results)
 
     changes = 0
@@ -341,7 +341,7 @@ def test_matched_statement_guard(tmp_path, instrumentation):
         file_id = target_file(record)
         before = oracle_signatures(project.read(file_id))
         result = run_stage2_item(
-            project, file_id, task, Stage2Config(), operators, verifier, instrumentation
+            project, file_id, task, Stage2Config(), operators, verifier, metrics
         )
         assert result.status == "solved"
         after = oracle_signatures(project.read(file_id))

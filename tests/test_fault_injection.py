@@ -22,7 +22,7 @@ import pytest
 
 from autoform import accounting, pipeline, verifier
 from autoform.corpus import dump_dataset
-from autoform.instrumentation import HistoryStore, MetricsWriter, _AppendStream, read_events
+from autoform.instrumentation import MetricsWriter, read_events
 from autoform.operators import OperatorSet
 from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
 from autoform.toydata import build_toy_records
@@ -67,10 +67,10 @@ class Fault:
 class Kill:
     """Makes ``fault`` a kill: from the moment it fires until its run
     segment has unwound, no write lands (stream lines, project files and
-    deletions, renames and the summary)."""
+    deletions, and renames)."""
 
     WRITES = (
-        (_AppendStream, "_write_line"),
+        (MetricsWriter, "_write_line"),
         (verifier, "_write_file"),
         (Path, "write_bytes"),
         (Path, "write_text"),
@@ -176,24 +176,28 @@ def lean_check(writer, event, *args) -> bool:
     return event == "lean_check"
 
 
+def oracle_result(writer, event, *args) -> bool:
+    return event == "oracle_result"
+
+
 # (owner, method, call numbers, after, matches). The call numbers cross
 # both stages on both corpora: the toy run makes 31 + 36 verifier calls
 # (the last 4 of each stage are the closing project check), 27 + 32
-# (split: 27 + 8) operator calls, 3 + 32 (split: 3 + 8) history lines,
+# (split: 27 + 8) operator calls, each with its oracle_result line,
 # 27 + 32 (split: 27 + 20) lean_check lines, 24 + 16 item_end lines and
 # 24 + 16 project file writes, all of them commits. Each stage is one
-# segment, so it writes one run_start line and one summary.
+# segment, so it writes one run_start line and one run_end line.
 BOUNDARIES = {
     "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
     "verifier call, after it returns": (SimulatedVerifier, "verify_file", (5, 40), True, None),
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
-    "history line": (HistoryStore, "append", (1, 3, 4, 11), False, None),
-    "history line, after it lands": (HistoryStore, "append", (1, 4), True, None),
     "commit write, before it lands": (verifier, "_write_file", (1, 24, 25, 40), False, lean_file),
     "commit write, after it lands": (verifier, "_write_file", (1, 24, 25, 40), True, lean_file),
     "run_start line": (MetricsWriter, "run_start", (1, 2), False, None),
     "run_start line, after it lands": (MetricsWriter, "run_start", (1, 2), True, None),
     "lean_check line, after it lands": (MetricsWriter, "emit", (1, 5, 27, 40), True, lean_check),
+    "oracle_result line": (MetricsWriter, "emit", (1, 27, 28, 35), False, oracle_result),
+    "oracle_result line, after it lands": (MetricsWriter, "emit", (1, 28), True, oracle_result),
     "item_end line": (MetricsWriter, "emit", (1, 24, 25, 40), False, item_end),
     "item_end line, after it lands": (
         MetricsWriter,
@@ -202,7 +206,8 @@ BOUNDARIES = {
         True,
         item_end,
     ),
-    "summary write": (pipeline, "write_summary", (1, 2), False, None),
+    "run_end line": (MetricsWriter, "run_end", (1, 2), False, None),
+    "run_end line, after it lands": (MetricsWriter, "run_end", (1, 2), True, None),
 }
 
 CASES = [
@@ -258,24 +263,23 @@ def test_provenance_of_committed_items_survives_a_crash(tmp_path, monkeypatch, u
 
 
 def stream_lines(runs: Path) -> int:
-    """The lines of every metrics and history stream in ``runs``."""
-    streams = [*runs.glob("metrics_*.jsonl"), *runs.glob("history_*.jsonl")]
-    return sum(len(path.read_bytes().splitlines()) for path in streams)
+    """The lines of every metrics stream in ``runs``."""
+    return sum(len(path.read_bytes().splitlines()) for path in runs.glob("metrics_*.jsonl"))
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["toy", "split"])
 def test_every_stream_line_passes_the_kill_harness_write_point(tmp_path, monkeypatch, split):
-    # Kill silences _AppendStream._write_line; a line written any other way
+    # Kill silences MetricsWriter._write_line; a line written any other way
     # would land after a kill
     cfg = make_config(tmp_path / "work", split)
-    real = _AppendStream._write_line
+    real = MetricsWriter._write_line
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(_AppendStream, "_write_line", counted)
+    monkeypatch.setattr(MetricsWriter, "_write_line", counted)
     assert run_to_completion(cfg) == 0
     assert len(calls) == stream_lines(Path(cfg.runs_dir)) > 0
 
@@ -313,17 +317,21 @@ def test_no_metrics_line_lands_between_a_kill_and_the_unwind(tmp_path, monkeypat
 
 
 
-RUN_FILES = ("metrics_*.jsonl", "history_*.jsonl", "summary_*.json")
+RUN_FILES = ("metrics_*.jsonl",)
 
 
 @pytest.mark.parametrize("crash", [False, True], ids=["uninterrupted", "crash-then-resume"])
-def test_the_runs_directory_holds_only_streams_and_summaries(tmp_path, monkeypatch, crash):
-    # the streams are the record of a run: no other state file is kept beside them
+def test_the_runs_directory_holds_only_the_metrics_streams(tmp_path, monkeypatch, crash):
+    # the streams are the record of a run: no other file is kept beside them
     cfg = make_config(tmp_path / "work", split=False)
     if crash:
         Fault(monkeypatch, SimulatedVerifier, "verify_file", 5)
     assert run_to_completion(cfg) == int(crash)
     entries = sorted(p.name for p in Path(cfg.runs_dir).iterdir())
     assert [e for e in entries if not any(fnmatch(e, pattern) for pattern in RUN_FILES)] == []
-    # one summary per segment that ran to its end
-    assert len([e for e in entries if e.startswith("summary_")]) == 2
+    # one run_end line per segment that ran to its end
+    runs = Path(cfg.runs_dir)
+    events = read_events(runs / "metrics_statement.jsonl") + read_events(
+        runs / "metrics_proof.jsonl"
+    )
+    assert len([e for e in events if e["event"] == "run_end"]) == 2

@@ -12,18 +12,13 @@ from hypothesis import given, strategies as st
 
 from autoform import instrumentation
 from autoform.instrumentation import (
-    HistoryRecord,
-    HistoryStore,
     MetricsWriter,
-    TRUNCATION_BOUND,
-    TRUNCATION_MARK,
     new_run_id,
     parse_token_footer,
     read_events,
     read_events_backwards,
     token_backfill,
     utc_now_iso,
-    write_summary,
 )
 
 from helpers import EventSink
@@ -136,10 +131,6 @@ class TestMetricsWriter:
         assert parts[0] == "proof" and parts[1] == "stage2"
         assert len(parts[-1]) == 8  # hex suffix
 
-    def test_summary_write(self, tmp_path):
-        write_summary(tmp_path / "s.json", {"pipeline": "proof", "processed_items": 3})
-        assert json.loads((tmp_path / "s.json").read_text())["processed_items"] == 3
-
     def test_torn_trailing_line_is_ignored_by_readers(self, tmp_path):
         path = tmp_path / "m.jsonl"
         with MetricsWriter(path, "r") as metrics:
@@ -236,44 +227,6 @@ class TestReadEvents:
         else:
             with pytest.raises(ValueError, match=re.escape(f"{path}:2: {expected}")):
                 read_events(path)
-
-
-class TestHistoryStore:
-    def record(self, **kw):
-        base = dict(
-            pipeline="proof",
-            run_id="r",
-            lean_file="A.lean",
-            task_id="1",
-            kind="agent_c_plan",
-            summary="ok",
-            payload={"round": 1, "plan": "use w", "plan_raw": "{...}"},
-        )
-        base.update(kw)
-        return HistoryRecord(**base)
-
-    def test_append_and_shape(self, tmp_path):
-        with HistoryStore(tmp_path / "h.jsonl") as store:
-            store.append(self.record())
-            line = json.loads((tmp_path / "h.jsonl").read_text())
-            assert line["kind"] == "agent_c_plan"
-            assert line["payload"]["plan"] == "use w"
-            assert {"ts", "pipeline", "run_id", "lean_file", "task_id", "kind"} <= set(line)
-
-    def test_long_strings_truncated_with_marker(self, tmp_path):
-        with HistoryStore(tmp_path / "h.jsonl") as store:
-            store.append(self.record(summary="x" * (25 * TRUNCATION_BOUND)))
-            line = json.loads((tmp_path / "h.jsonl").read_text())
-            assert len(line["summary"]) == TRUNCATION_BOUND
-            assert line["summary"].endswith(TRUNCATION_MARK)
-
-    def test_payload_strings_truncated_too(self, tmp_path):
-        with HistoryStore(tmp_path / "h.jsonl") as store:
-            long_log = "e" * (3 * TRUNCATION_BOUND)
-            store.append(self.record(payload={"error_log": long_log, "round": 2}))
-            line = json.loads((tmp_path / "h.jsonl").read_text())
-            assert len(line["payload"]["error_log"]) == TRUNCATION_BOUND
-            assert line["payload"]["round"] == 2
 
 
 def agent_log(tokens: str) -> str:

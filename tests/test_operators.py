@@ -74,11 +74,11 @@ def test_operator_registry_is_consistent():
 
 
 class TestOperatorSet:
-    def test_each_invoke_emits_exactly_one_oracle_result(self, instrumentation):
-        ops = OperatorSet(toy_handlers(), instrumentation)
+    def test_each_invoke_emits_exactly_one_oracle_result(self, metrics):
+        ops = OperatorSet(toy_handlers(), metrics)
         ops.invoke(proof_request())
         ops.invoke(proof_request())
-        events = read_events(instrumentation.metrics.path)
+        events = read_events(metrics.path)
         oracle = [e for e in events if e["event"] == "oracle_result"]
         assert len(oracle) == 2
         assert ops.invocations == 2
@@ -94,11 +94,11 @@ class TestOperatorSet:
         with pytest.raises(ValueError):
             OperatorRequest(kind="transmute", payload={})
 
-    def test_crashing_handler_becomes_failed_response(self, instrumentation):
+    def test_crashing_handler_becomes_failed_response(self, metrics):
         def boom(request):
             raise RuntimeError("no thanks")
 
-        ops = OperatorSet({"propose_proof_patch": boom}, instrumentation)
+        ops = OperatorSet({"propose_proof_patch": boom}, metrics)
         response = ops.invoke(proof_request())
         assert not response.ok
         assert "no thanks" in response.error
@@ -229,20 +229,19 @@ class TestExternalBridge:
         assert project.read("A.lean") == project.read("B.lean")
 
     def test_oracle_event_count_matches_per_call_logs(
-        self, project, tmp_path, toy_records, instrumentation
+        self, project, tmp_path, toy_records, metrics
     ):
         """Q from events equals the number of per-call transcripts written."""
-        instr = instrumentation
         verifier = Verifier(SimulatedVerifier(), EventSink())
         ops = OperatorSet(toy_handlers(), EventSink())
-        run_stage1(toy_records[:6], project, Stage1Config(), ops, verifier, instr)
+        run_stage1(toy_records[:6], project, Stage1Config(), ops, verifier, metrics)
 
         cmd = write_agent_script(
             tmp_path / "agent.sh", FIXED_PATCH_AGENT.replace("exact w", "exact c1s1Alpha")
         )
         bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
-        bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, instr)
-        vers = Verifier(SimulatedVerifier(), metrics=instr.metrics)
+        bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, metrics)
+        vers = Verifier(SimulatedVerifier(), metrics=metrics)
         record = toy_records[1]
         task = ProofTask.from_record(record)
         result = run_stage2_item(
@@ -252,10 +251,10 @@ class TestExternalBridge:
             Stage2Config(),
             bridge_ops,
             vers,
-            instr,
+            metrics,
         )
         assert result.status == "solved"
-        events = read_events(instr.metrics.path)
+        events = read_events(metrics.path)
         oracle_events = [e for e in events if e["event"] == "oracle_result"]
         logs = list((tmp_path / "calls").glob("*.log"))
         assert len(oracle_events) == len(logs) == bridge_ops.invocations

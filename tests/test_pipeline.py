@@ -29,8 +29,6 @@ class TestRunSegments:
             events = read_events(runs / f"metrics_{pipeline}.jsonl")
             run_end = [e for e in events if e["event"] == "run_end"][-1]
             assert run_end["data"] == summary
-            on_disk = json.loads((runs / f"summary_{run_end['run_id']}.json").read_text())
-            assert on_disk == summary
 
     def test_run_start_records_config_and_environment(self, toy_config):
         run_both(toy_config)
@@ -267,10 +265,10 @@ class TestResumeEquivalence:
         assert totals(solid) == totals(stepped)
 
 
-# Digest of every artifact a toy run leaves (metrics, history, summaries,
+# Digest of every artifact a toy run leaves (the metrics streams and the
 # project tree), taken with ``_artifact_dump``.
 # A refactor that claims to change no behaviour must leave it as it is.
-PINNED_ARTIFACT_DIGEST = "2099fdb1896445e41bc2a3b32ebc57513723c4d4bd9766ab662aaec73f2baa31"
+PINNED_ARTIFACT_DIGEST = "aa3619d1385c7d5eb2f70c60eeeff913e4d35caa63115e9288ff0e502d656e44"
 
 _VOLATILE_KEYS = frozenset({"ts", "run_id", "seconds", "total_seconds"})
 
@@ -288,22 +286,14 @@ def _scrub(value, tmp: str):
 
 
 def _artifact_dump(cfg: RunConfig, tmp: str) -> str:
-    """Every JSON artifact with sorted keys (keys and values are pinned, key
+    """Every metrics line with sorted keys (keys and values are pinned, key
     order is not), then every project file, in a fixed order."""
     runs, project = Path(cfg.runs_dir), Path(cfg.project)
     out = []
-
-    def add(title, obj):
-        text = json.dumps(_scrub(obj, tmp), ensure_ascii=False, sort_keys=True)
-        out.append(f"== {title}\n{text}")
-
     for pipeline in ("statement", "proof"):
-        for kind in ("metrics", "history"):
-            for line in read_events(runs / f"{kind}_{pipeline}.jsonl"):
-                add(f"{kind}_{pipeline}", line)
-    summaries = [json.loads(p.read_text()) for p in runs.glob("summary_*.json")]
-    for summary in sorted(summaries, key=lambda s: (s["stage"], s["next_index"])):
-        add("summary", summary)
+        for line in read_events(runs / f"metrics_{pipeline}.jsonl"):
+            text = json.dumps(_scrub(line, tmp), ensure_ascii=False, sort_keys=True)
+            out.append(f"== metrics_{pipeline}\n{text}")
     for f in sorted(p for p in project.rglob("*") if p.is_file()):
         out.append(f"== {f.relative_to(project).as_posix()}\n{f.read_text(encoding='utf-8')}")
     return "\n".join(out) + "\n"
@@ -316,12 +306,27 @@ def test_toy_run_artifacts_match_pinned_digest(toy_config, tmp_path):
     assert digest == PINNED_ARTIFACT_DIGEST, f"artifact digest {digest}; normalised dump:\n{dump}"
 
 
+def test_toy_run_records_every_accepted_proof_proposal(toy_config):
+    # a toy proposal that is accepted closes its hole and ends the item, so
+    # a solved item's one accepted proposal is its last
+    run_both(toy_config)
+    ends = [
+        e["data"]
+        for e in read_events(Path(toy_config.runs_dir) / "metrics_proof.jsonl")
+        if e["event"] == "item_end"
+    ]
+    solved = [end for end in ends if end["status"] == "solved"]
+    assert solved
+    for end in solved:
+        assert end["a_accepted"] == [end["a_attempts"]]
+
+
 # Digest of the same dump for a run whose stage 2 uses the adversarial
 # operators, which never close a hole. Its first segment ends every item on
 # the attempt bound R * C and the resumed second segment on the verifier
 # budget T, both after replans every R proposals: exits the toy run, which
 # closes every hole on its first proposal, never takes.
-PINNED_ADVERSARIAL_DIGEST = "951c2f371a10802b4c2c5fccdea33eab276da307f39761256aeec9f800ed034e"
+PINNED_ADVERSARIAL_DIGEST = "f9a41df49ae3491291e53542b662bcc5ad0ad5a008f010dbc2d816c5e10b9883"
 
 
 def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):
@@ -333,6 +338,12 @@ def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):
         toy_config.resume, toy_config.budget_t, toy_config.max_items = resume, budget_t, max_items
         results, _ = run_proof_stage(toy_config)
         assert all(r.status == "unsolved" for r in results)
+    ends = [
+        e["data"]
+        for e in read_events(Path(toy_config.runs_dir) / "metrics_proof.jsonl")
+        if e["event"] == "item_end"
+    ]
+    assert ends and all(end["a_accepted"] == [] for end in ends)
     dump = _artifact_dump(toy_config, str(tmp_path))
     digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
     assert digest == PINNED_ADVERSARIAL_DIGEST, f"artifact digest {digest}; dump:\n{dump}"

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from autoform import diagnostics, simlang
 from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange
-from autoform.instrumentation import HistoryRecord, HistoryStore, MetricsWriter, read_events
+from autoform.instrumentation import MetricsWriter, read_events
 from autoform.kernel import PatchProposal, Snapshot, try_patch
 from autoform.verifier import (
     ExternalVerifier,
@@ -203,25 +203,6 @@ class TestProjectCache:
         project.write("x/y/Z.lean", "second\r\n")
         assert project.read("x/y/Z.lean") == "second\n"
         assert (tmp_path / "x" / "y" / "Z.lean").read_bytes() == b"second\r\n"
-
-    def test_a_directory_is_made_once(self, tmp_path, monkeypatch):
-        project = Project(tmp_path)
-        made = []
-        mkdir = Path.mkdir
-
-        def counting(path, *args, **kwargs):
-            made.append(path)
-            return mkdir(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "mkdir", counting)
-        project.write("x/A.lean", "a\n")
-        project.write("x/B.lean", "b\n")
-        project.stage("y/C.lean", "c\n")
-        project.stage("y/D.lean", "d\n")
-        project.sync()
-        project.commit()
-        project.write("E.lean", "e\n")
-        assert made == [tmp_path / "x", tmp_path / "y"]
 
     def test_failed_disk_write_drops_the_entry(self, tmp_path, monkeypatch):
         project = Project(tmp_path)
@@ -712,15 +693,6 @@ class TestIOCounts:
                 metrics.emit("tick", {"i": i})
                 assert read_events(path)[-1]["data"] == {"i": i}
             assert len(read_events(path)) == 101
-        assert opens.count(path, "a") == 1
-
-    def test_history_store_opens_once_and_flushes_every_line(self, tmp_path, monkeypatch):
-        path = tmp_path / "h.jsonl"
-        opens = OpenCounter(monkeypatch)
-        with HistoryStore(path) as store:
-            for i in range(20):
-                store.append(HistoryRecord("proof", "r", "A.lean", str(i), "agent_a_attempt"))
-                assert read_events(path)[-1]["task_id"] == str(i)
         assert opens.count(path, "a") == 1
 
     def test_closed_writer_reopens_on_the_next_line(self, tmp_path):

@@ -310,28 +310,37 @@ def units_file(rng, units):
     )
 
 
-def assert_fresh(text):
-    """The memoised analysis of ``text`` equals one read with no base."""
-    assert simlang.analyse(text) == simlang._analyse(text), text
+def based_on(base_text):
+    """The base argument of ``simlang.analyse`` for an edit of ``base_text``;
+    None for no base."""
+    return None if base_text is None else (base_text, simlang.analyse(base_text))
+
+
+def assert_fresh(text, base_text=None):
+    """The analysis of ``text``, started from that of ``base_text`` when
+    one is given, equals one read with no base."""
+    assert simlang.analyse(text, based_on(base_text)) == simlang._analyse(text), text
 
 
 def kept_units(base_text, text):
     """How many declaration units the analysis of ``text`` plans to keep
-    from that of ``base_text`` at the front and at the end, with nothing
-    else memoised."""
+    from that of ``base_text`` at the front and at the end. The memo is
+    cleared first, so a ``read`` of ``text`` after it is a miss."""
     simlang._memo.clear()
-    base = simlang.analyse(base_text)
-    found, kept, tail = simlang._resume_point(text)
-    assert found in (None, base)
+    base = based_on(base_text)
+    found, kept, tail = simlang._resume_point(text, base)
+    assert found in (None, base[1])
     return kept, tail
 
 
-def read(text):
-    """Analyse ``text``, assert that the analysis equals a fresh one, and
-    return how many units the read behind it kept at the front and at the
-    end; a read that could not keep its planned tail reports 0 there."""
+def read(text, base_text):
+    """Analyse ``text`` from the analysis of ``base_text``, assert that the
+    analysis equals a fresh one, and return how many units the read behind
+    it kept at the front and at the end; a read that could not keep its
+    planned tail reports 0 there."""
     plans = []
     real = simlang._analyse
+    base = based_on(base_text)
 
     def spy(text, base=None, kept=0, tail=0):
         plans.append((kept, tail))
@@ -339,7 +348,7 @@ def read(text):
 
     simlang._analyse = spy
     try:
-        simlang.analyse(text)
+        simlang.analyse(text, base)
     finally:
         simlang._analyse = real
     assert_fresh(text)
@@ -357,7 +366,8 @@ def count_parses(monkeypatch):
 
 
 class TestIncrementalAnalysis:
-    """An analysis that starts from a memoised one must equal a fresh one."""
+    """An analysis that starts from the one of the text an edit replaced
+    must equal a fresh one."""
 
     def test_random_edit_sequences(self):
         rng = random.Random(20261018)
@@ -368,10 +378,11 @@ class TestIncrementalAnalysis:
                 text = random_file(rng, lines=rng.randint(0, 30))
             else:
                 text = units_file(rng, rng.randint(0, 20))
+            base_text = None
             for _ in range(rng.randint(1, 10)):
-                resumed += simlang._resume_point(text)[1] > 0
-                assert_fresh(text)
-                text = random_edit(rng, text)
+                resumed += simlang._resume_point(text, based_on(base_text))[1] > 0
+                assert_fresh(text, base_text)
+                base_text, text = text, random_edit(rng, text)
         assert resumed > 300
 
     @settings(max_examples=300, deadline=None)
@@ -384,22 +395,21 @@ class TestIncrementalAnalysis:
         # the edit ends the text, or comes before an unchanged tail
         prefix = "def a : T := sorry\ntheorem b : P := a\n" + shared
         for tail in ("", "\ndef y : T := sorry\n/-- [3] Y -/\ndef z : T := y\n"):
-            simlang.analyse(prefix + before + tail)
-            assert_fresh(prefix + after + tail)
+            assert_fresh(prefix + after + tail, prefix + before + tail)
 
     def test_edit_inside_the_header_keeps_every_unit_at_the_end(self):
         base = units_file(random.Random(1), 6)
         text = base.replace("import A", "import B")
         units = len(simlang.parse_file(base).declarations)
         assert kept_units(base, text) == (0, units)
-        assert read(text) == (0, units)
+        assert read(text, base) == (0, units)
         assert simlang.parse_file(text).imports[0].module == "B"
 
     def test_edit_in_the_first_declaration_keeps_the_rest_at_the_end(self):
         base = "def a : T := sorry\ndef b : T := a\ndef c : T := b\n"
         text = base.replace(": T := sorry", ": T := c")
         assert kept_units(base, text) == (0, 2)
-        assert read(text) == (0, 2)
+        assert read(text, base) == (0, 2)
 
     def test_comment_or_string_across_the_resume_offset_reads_everything(self):
         for opener, closer in (("/- note", "-/"), ('"note', '"')):
@@ -412,7 +422,7 @@ class TestIncrementalAnalysis:
             text = base.replace("def d : T := sorry", "def d : T := c")
             assert simlang.parse_file(base).declarations[2].name == "c"
             assert kept_units(base, text) == (0, 0)
-            assert_fresh(text)
+            assert_fresh(text, base)
 
     def test_edit_that_leaves_a_comment_or_string_unterminated(self):
         # the new span swallows the planned tail, so the read goes on to the
@@ -421,7 +431,7 @@ class TestIncrementalAnalysis:
         for opener in ("/- open", '"open'):
             text = base.replace("def d4 : T := sorry", f"def d4 : T := sorry {opener}")
             assert kept_units(base, text) == (3, 1)
-            assert read(text) == (3, 0)
+            assert read(text, base) == (3, 0)
             assert len(simlang.parse_file(text).declarations) == 5
 
     def test_declaration_line_turned_into_a_stray_line(self):
@@ -430,11 +440,11 @@ class TestIncrementalAnalysis:
         base = "import A\n" + "".join(f"def d{k} : T := sorry\n\n" for k in range(5))
         text = base.replace("def d0 ", "xdef d0 ")
         assert kept_units(base, text) == (0, 4)
-        assert read(text) == (0, 4)
+        assert read(text, base) == (0, 4)
         assert simlang.parse_file(text).stray_lines == (1,)
         text = base.replace("def d3 ", "xdef d3 ")
         assert kept_units(base, text) == (2, 1)
-        assert read(text) == (2, 1)
+        assert read(text, base) == (2, 1)
         assert simlang.parse_file(text).stray_lines == ()
 
     def test_docstring_on_the_line_of_the_previous_units_code(self):
@@ -445,16 +455,16 @@ class TestIncrementalAnalysis:
         )
         text = base + "def d : T := c\n"
         assert kept_units(base, text) == (2, 0)
-        assert_fresh(text)
+        assert_fresh(text, base)
         assert simlang.parse_file(text).declarations[2].doc_index == 2
 
     def test_appending_to_a_long_file_parses_at_most_two_declarations(self, monkeypatch):
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
         simlang._memo.clear()
-        simlang.analyse(text)
+        base = based_on(text)
         parsed = count_parses(monkeypatch)
         longer = text + "/-- [400] Item 400 -/\ndef e : T := d399\n"
-        analysis = simlang.analyse(longer)
+        analysis = simlang.analyse(longer, base)
         assert len(parsed) <= 2
         monkeypatch.undo()
         assert analysis == simlang._analyse(longer)
@@ -463,10 +473,10 @@ class TestIncrementalAnalysis:
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
         for new in ("def d200 : T := exact d199\n", "def d200 : T :=\n  exact d199\n\n"):
             simlang._memo.clear()
-            simlang.analyse(text)
+            base = based_on(text)
             parsed = count_parses(monkeypatch)
             edited = text.replace("def d200 : T := sorry\n", new)
-            analysis = simlang.analyse(edited)
+            analysis = simlang.analyse(edited, base)
             assert len(parsed) <= 2, new
             monkeypatch.undo()
             assert analysis == simlang._analyse(edited)
@@ -479,14 +489,14 @@ class TestIncrementalAnalysis:
         # check of the analysis interprets nothing
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
         simlang._memo.clear()
-        simlang.analyse(text)
+        base = based_on(text)
         interpreted = []
         interpret = simlang.interpret_body
         monkeypatch.setattr(
             simlang, "interpret_body", lambda tokens: interpreted.append(1) or interpret(tokens)
         )
         edited = text.replace("def d200 : T := sorry\n", "def d200 : T := exact d199\n")
-        analysis = simlang.analyse(edited)
+        analysis = simlang.analyse(edited, base)
         assert 1 <= len(interpreted) <= 2
         assert analysis.body_terms[200] == simlang.BodyTerm(reference="d199")
         interpreted.clear()
@@ -524,7 +534,7 @@ class TestIncrementalAnalysis:
                 edited = "\n".join(lines)
                 if edited not in simlang._memo:
                     same = edited.count("\n") == text.count("\n")
-                    tails[same] += read(edited)[1] > 0
+                    tails[same] += read(edited, text)[1] > 0
                 text = edited
         print(tails)
         assert tails[True] >= 100 and tails[False] >= 120, tails
@@ -541,7 +551,7 @@ class TestIncrementalAnalysis:
         # an edit above the docstring keeps the unit with its docstring
         text = base.replace("def d1 : T := sorry", "def d1 : T := d0")
         assert kept_units(base, text) == (0, 2)
-        assert read(text) == (0, 2)
+        assert read(text, base) == (0, 2)
         assert simlang.parse_file(text).declarations[2].unit_range.start_line == 3
         # a new docstring text, or a unit start that moves onto the docstring,
         # falls back to reading to the end
@@ -551,13 +561,13 @@ class TestIncrementalAnalysis:
             base.replace("/-- [2] Item 2 -/\n", "/-- [2] Item 2 -/ code\n"),
         ):
             assert kept_units(base, edited) == (1, 2), edited
-            assert read(edited) == (1, 0), edited
+            assert read(edited, base) == (1, 0), edited
 
     def test_edit_that_opens_a_comment_closed_inside_the_tail(self):
         base = "".join(f"def d{k} : T := sorry\n" for k in range(5)) + 'def s : S := "-/"\n'
         text = base.replace("def d1 : T := sorry", "def d1 : T := sorry /- open")
         assert kept_units(base, text) == (0, 4)
-        assert read(text) == (0, 0)
+        assert read(text, base) == (0, 0)
         assert [d.name for d in simlang.parse_file(text).declarations] == ["d0", "d1"]
 
     def test_edit_that_closes_a_base_comment_reaching_into_the_tail(self):
@@ -576,7 +586,7 @@ class TestIncrementalAnalysis:
         ]
         text = base.replace("/- open", "/- open -/")
         assert kept_units(base, text) == (1, 1)
-        assert read(text) == (1, 1)
+        assert read(text, base) == (1, 1)
         assert [d.name for d in simlang.parse_file(text).declarations] == [
             "d0", "d1", "d2", "d3", "d5",
         ]
@@ -595,14 +605,14 @@ class TestIncrementalAnalysis:
         )
         text = base.replace("/- open", "/- open -/")
         assert kept_units(base, text) == (1, 1)
-        assert read(text) == (1, 1)
+        assert read(text, base) == (1, 1)
         assert [d.name for d in simlang.parse_file(text).declarations] == [
             "d0", "d1", "d2", "d3", "d5", "d6",
         ]
         short_base = base.removesuffix("def d6 : T := sorry\n")
         short_text = text.removesuffix("def d6 : T := sorry\n")
         assert kept_units(short_base, short_text) == (1, 0)
-        assert read(short_text) == (1, 0)
+        assert read(short_text, short_base) == (1, 0)
 
 
 def one_section_records(n_items):

@@ -86,8 +86,8 @@ class TestGenStub:
             gen_stub(record(env="axiomset"), "n", "T")
 
 
-def item_ends(instrumentation) -> list[dict]:
-    events = read_events(instrumentation.metrics.path)
+def item_ends(metrics) -> list[dict]:
+    events = read_events(metrics.path)
     return [e["data"] for e in events if e["event"] == "item_end"]
 
 
@@ -99,9 +99,9 @@ def build_world(project, handlers, sink=None, k=3):
 
 
 class TestRunStage1:
-    def test_toy_corpus_compiles_fully(self, project, toy_records, instrumentation):
+    def test_toy_corpus_compiles_fully(self, project, toy_records, metrics):
         verifier, operators, config, sink = build_world(project, toy_handlers())
-        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, metrics)
         assert all(r.compiled for r in results)
         assert len(results) == len(toy_records)
         # early exit keeps total calls far below the cap
@@ -110,30 +110,30 @@ class TestRunStage1:
         assert ok  # PB with placeholders present
         assert any("sorry" in project.read(f) for f in project.files())
 
-    def test_per_item_call_bounds(self, project, toy_records, instrumentation):
+    def test_per_item_call_bounds(self, project, toy_records, metrics):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, metrics)
         for r in results:
             assert 1 <= r.verifier_calls <= 1 + config.k
             assert r.b_attempts <= config.k
 
-    def test_tricky_items_consume_repair_rounds(self, project, toy_records, instrumentation):
+    def test_tricky_items_consume_repair_rounds(self, project, toy_records, metrics):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, metrics)
         repaired = {r.index for r in results if r.b_attempts > 0}
         assert repaired == {2, 9, 20}
         for r in results:
             if r.index in repaired:
                 assert r.verifier_calls == 2  # initial check + one accepted repair
 
-    def test_oracle_call_accounting(self, project, toy_records, instrumentation):
+    def test_oracle_call_accounting(self, project, toy_records, metrics):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, metrics)
         # one synthesis call per item plus one repair call per attempt
         assert operators.invocations == len(results) + sum(r.b_attempts for r in results)
 
     def test_failed_item_restores_file_and_later_items_proceed(
-        self, project, toy_records, instrumentation
+        self, project, toy_records, metrics
     ):
         toy = toy_handlers()
         adversarial = adversarial_handlers()
@@ -153,7 +153,7 @@ class TestRunStage1:
         verifier, operators, config, _ = build_world(project, handlers)
 
         records = [r for r in toy_records if r.index <= 6]
-        results = run_stage1(records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(records, project, config, operators, verifier, metrics)
 
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed"
@@ -165,25 +165,25 @@ class TestRunStage1:
         ok, _ = verifier.verify_project(project)
         assert ok
 
-    def test_restored_item_leaves_no_trace_in_bytes(self, project, toy_records, instrumentation):
+    def test_restored_item_leaves_no_trace_in_bytes(self, project, toy_records, metrics):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        run_stage1(records, project, config, operators, verifier, instrumentation)
+        run_stage1(records, project, config, operators, verifier, metrics)
         file_id = target_file(records[0])
         before = Snapshot.capture(project, file_id)
 
         failing = [r for r in toy_records if r.index == 3]
         verifier2, operators2, config2, _ = build_world(project, adversarial_handlers())
-        results = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
+        results = run_stage1(failing, project, config2, operators2, verifier2, metrics)
         assert results[0].status == "restored_failed"
         assert before.matches(project)
 
     def test_item_that_raises_leaves_the_file_as_it_found_it(
-        self, project, toy_records, instrumentation
+        self, project, toy_records, metrics
     ):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        run_stage1(records, project, config, operators, verifier, instrumentation)
+        run_stage1(records, project, config, operators, verifier, metrics)
         file_id = target_file(records[0])
         before = project.path(file_id).read_bytes()
 
@@ -198,24 +198,24 @@ class TestRunStage1:
         item = [r for r in toy_records if r.index == 3]
         assert target_file(item[0]) == file_id
         with pytest.raises(Crash):
-            run_stage1(item, project, config, operators, crashing, instrumentation)
+            run_stage1(item, project, config, operators, crashing, metrics)
         assert project.path(file_id).read_bytes() == before
         assert project.read(file_id) == before.decode()
         # no item_end line, so no names are recorded for the crashed item
-        ends = item_ends(instrumentation)
+        ends = item_ends(metrics)
         assert [e["index"] for e in ends] == [1, 2]
 
-    def test_names_for_compiled_items_only(self, project, toy_records, instrumentation):
+    def test_names_for_compiled_items_only(self, project, toy_records, metrics):
         records = [r for r in toy_records if r.index <= 2]
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        results = run_stage1(records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(records, project, config, operators, verifier, metrics)
         assert [r.names for r in results] == [("c1s1Alpha",), ("c1s1AlphaSpec",)]
 
         failing = [r for r in toy_records if r.index == 3]
         verifier2, operators2, config2, _ = build_world(project, adversarial_handlers())
-        failed = run_stage1(failing, project, config2, operators2, verifier2, instrumentation)
+        failed = run_stage1(failing, project, config2, operators2, verifier2, metrics)
         assert failed[0].status == "restored_failed" and failed[0].names == ()
-        ends = item_ends(instrumentation)
+        ends = item_ends(metrics)
         assert [(e["index"], e["names"]) for e in ends] == [
             (1, ["c1s1Alpha"]),
             (2, ["c1s1AlphaSpec"]),
@@ -223,7 +223,7 @@ class TestRunStage1:
         ]
 
     def test_unparseable_skeleton_consumes_rounds_not_the_run(
-        self, project, toy_records, instrumentation
+        self, project, toy_records, metrics
     ):
         def garbage_gen(request):
             return OperatorResponse(ok=True, text="%% not a declaration %%")
@@ -231,13 +231,13 @@ class TestRunStage1:
         handlers = dict(toy_handlers(), gen_skeleton=garbage_gen)
         verifier, operators, config, _ = build_world(project, handlers)
         results = run_stage1(
-            toy_records[:2], project, config, operators, verifier, instrumentation
+            toy_records[:2], project, config, operators, verifier, metrics
         )
         assert all(r.status == "restored_failed" for r in results)
         assert all(r.verifier_calls <= 1 + config.k for r in results)
 
     def test_scope_expansion_reaches_preexisting_breakage(
-        self, project, toy_records, instrumentation
+        self, project, toy_records, metrics
     ):
         # the target file already contains a broken declaration; the new item's
         # scope localizes nothing, so the loop expands to the nearest error and
@@ -246,7 +246,7 @@ class TestRunStage1:
         project.write(file_id, "def older : Z9 := ghostName\n")
         verifier, operators, config, _ = build_world(project, toy_handlers())
         results = run_stage1(
-            toy_records[:1], project, config, operators, verifier, instrumentation
+            toy_records[:1], project, config, operators, verifier, metrics
         )
         assert results[0].status == "compiled"
         assert results[0].b_attempts == 1
@@ -256,27 +256,26 @@ class TestRunStage1:
         ok, _ = verifier.verify_project(project)
         assert ok
 
-    def test_item_events(self, project, toy_records, instrumentation):
-        instr = instrumentation
-        verifier = Verifier(SimulatedVerifier(), metrics=instr.metrics)
-        operators = OperatorSet(toy_handlers(), instr)
-        run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, instr)
+    def test_item_events(self, project, toy_records, metrics):
+        verifier = Verifier(SimulatedVerifier(), metrics=metrics)
+        operators = OperatorSet(toy_handlers(), metrics)
+        run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, metrics)
 
-        events = read_events(instr.metrics.path)
+        events = read_events(metrics.path)
         starts = [e for e in events if e["event"] == "item_start"]
         ends = [e for e in events if e["event"] == "item_end"]
         assert len(starts) == len(ends) == 3
         assert ends[0]["data"]["status"] == "compiled"
         assert {"index", "label", "chapter", "section"} <= set(starts[0]["data"])
 
-    def test_start_index_skips_processed_items(self, project, toy_records, instrumentation):
+    def test_start_index_skips_processed_items(self, project, toy_records, metrics):
         verifier, operators, config, _ = build_world(project, toy_handlers())
         first = run_stage1(
-            toy_records, project, config, operators, verifier, instrumentation, max_items=2
+            toy_records, project, config, operators, verifier, metrics, max_items=2
         )
         assert [r.index for r in first] == [1, 2]
         rest = run_stage1(
-            toy_records, project, config, operators, verifier, instrumentation, start_index=3
+            toy_records, project, config, operators, verifier, metrics, start_index=3
         )
         assert [r.index for r in rest] == list(range(3, 25))
         ok, _ = verifier.verify_project(project)
@@ -298,7 +297,7 @@ class TestItemCommit:
         return writes
 
     def test_each_compiled_item_writes_once_and_a_failed_one_never(
-        self, project, toy_records, monkeypatch, instrumentation
+        self, project, toy_records, monkeypatch, metrics
     ):
         toy, adversarial = toy_handlers(), adversarial_handlers()
 
@@ -313,7 +312,7 @@ class TestItemCommit:
         handlers = dict(toy, gen_skeleton=selective_gen, repair_patch=selective_repair)
         verifier, operators, config, _ = build_world(project, handlers)
         writes = self.record_writes(monkeypatch)
-        results = run_stage1(toy_records, project, config, operators, verifier, instrumentation)
+        results = run_stage1(toy_records, project, config, operators, verifier, metrics)
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed" and by_index[3].b_attempts > 0
         assert by_index[2].b_attempts == 1  # an accepted repair adds no write
@@ -322,7 +321,7 @@ class TestItemCommit:
         assert sorted(writes) == sorted(Path(r.file).name for r in compiled)
 
     def test_an_item_that_raises_writes_nothing(
-        self, project, toy_records, monkeypatch, instrumentation
+        self, project, toy_records, monkeypatch, metrics
     ):
         class Crash(BaseException):
             pass
@@ -334,17 +333,17 @@ class TestItemCommit:
         verifier, operators, config, _ = build_world(project, handlers)
         writes = self.record_writes(monkeypatch)
         with pytest.raises(Crash):
-            run_stage1(toy_records[:2], project, config, operators, verifier, instrumentation)
+            run_stage1(toy_records[:2], project, config, operators, verifier, metrics)
         assert writes == ["section01.lean"]  # item 1 only; tricky item 2 crashed
         assert "[2]" not in project.read("Chapters/Chap01/section01.lean")
 
 
 class TestReentry:
     def test_a_committed_declaration_is_checked_not_inserted_again(
-        self, project, toy_records, instrumentation
+        self, project, toy_records, metrics
     ):
         verifier, operators, config, _ = build_world(project, toy_handlers())
-        run_stage1(toy_records[:2], project, config, operators, verifier, instrumentation)
+        run_stage1(toy_records[:2], project, config, operators, verifier, metrics)
         file_id = target_file(toy_records[1])
         before = project.path(file_id).read_bytes()
 
@@ -353,7 +352,7 @@ class TestReentry:
         resumed = Project(project.root)
         verifier, operators, config, sink = build_world(resumed, toy_handlers())
         results = run_stage1(
-            toy_records[:2], resumed, config, operators, verifier, instrumentation, start_index=2
+            toy_records[:2], resumed, config, operators, verifier, metrics, start_index=2
         )
         assert [(r.index, r.status, r.verifier_calls) for r in results] == [(2, "compiled", 1)]
         assert operators.invocations == 0  # no skeleton was asked for

@@ -8,7 +8,7 @@ import pytest
 
 from autoform import simlang
 from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, range_text
-from autoform.instrumentation import HistoryStore, MetricsWriter, RunInstrumentation, read_events
+from autoform.instrumentation import MetricsWriter, read_events
 from autoform.kernel import PatchProposal
 from autoform.operators import OperatorResponse, OperatorSet
 from autoform.scripted import adversarial_handlers, toy_handlers
@@ -35,10 +35,10 @@ def make_verifier(sink=None):
     return Verifier(SimulatedVerifier(), sink or EventSink())
 
 
-def compiled_project(project, records, instrumentation):
+def compiled_project(project, records, metrics):
     verifier = make_verifier()
     operators = OperatorSet(toy_handlers(), EventSink())
-    results = run_stage1(records, project, Stage1Config(), operators, verifier, instrumentation)
+    results = run_stage1(records, project, Stage1Config(), operators, verifier, metrics)
     assert all(r.compiled for r in results)
     return project
 
@@ -216,19 +216,19 @@ class TestSplit:
         assert not [f for f in project.files() if "section02_part" in f]
 
 
-    def test_split_never_stages_over_an_existing_file(self, project, instrumentation):
+    def test_split_never_stages_over_an_existing_file(self, project, metrics):
         file_id = self.setup_project(project, n_decls=40)
         taken = "Chapters/Chap09/section01_part2.lean"
         project.write(taken, "def unrelated : U := sorry\n")
         before = {f: (project.root / f).read_bytes() for f in project.files()}
         task = ProofTask(index=40, label="Lemma 9.40")
-        resolved = split_if_large_and_resolve(project, file_id, task, 40, instrumentation)
+        resolved = split_if_large_and_resolve(project, file_id, task, 40, metrics)
         assert resolved == file_id
         assert project.staged(file_id) is None
         assert project.staged(file_id.replace(".lean", "_part1.lean")) is None
         project.commit()
         assert {f: (project.root / f).read_bytes() for f in project.files()} == before
-        events = read_events(instrumentation.metrics.path)
+        events = read_events(metrics.path)
         warnings = [e["data"] for e in events if e["event"] == "warning"]
         assert warnings == [{"reason": f"split part exists: {taken}", "lean_file": file_id}]
 
@@ -247,9 +247,9 @@ class TestSplit:
         assert project.staged(part1) == staged
 
     def test_a_toy_split_asks_the_disk_for_no_absent_file(
-        self, project, toy_records, instrumentation, monkeypatch
+        self, project, toy_records, metrics, monkeypatch
     ):
-        compiled_project(project, toy_records, instrumentation)
+        compiled_project(project, toy_records, metrics)
         record, task = build_proof_tasks(toy_records)[0]
         file_id = target_file(record)
         absent_reads = []
@@ -264,7 +264,7 @@ class TestSplit:
         monkeypatch.setattr(Project, "reload_bytes", reload_bytes)
         result = run_stage2_item(
             project, file_id, task, Stage2Config(split_threshold=10),
-            OperatorSet(toy_handlers(), EventSink()), make_verifier(), instrumentation,
+            OperatorSet(toy_handlers(), EventSink()), make_verifier(), metrics,
         )
         assert result.status == "solved" and "_part" in result.file
         assert absent_reads == []
@@ -272,9 +272,9 @@ class TestSplit:
 
 class TestItemCommit:
     def test_a_split_that_raises_leaves_nothing_staged(
-        self, project, toy_records, instrumentation, monkeypatch
+        self, project, toy_records, metrics, monkeypatch
     ):
-        compiled_project(project, toy_records, instrumentation)
+        compiled_project(project, toy_records, metrics)
         record, task = build_proof_tasks(toy_records)[0]
         file_id = target_file(record)
         real = Project.stage
@@ -289,24 +289,24 @@ class TestItemCommit:
         operators = OperatorSet(toy_handlers(), EventSink())
         verifier = make_verifier()
         result = run_stage2_item(
-            project, file_id, task, config, operators, verifier, instrumentation
+            project, file_id, task, config, operators, verifier, metrics
         )
         assert result.status == "solved" and result.file == file_id  # solved unsplit
-        events = read_events(instrumentation.metrics.path)
+        events = read_events(metrics.path)
         warnings = [e["data"]["reason"] for e in events if e["event"] == "warning"]
         assert warnings == ["split failed: no space for part 2"]
         assert project.staged(file_id.replace(".lean", "_part1.lean")) is None
         assert not [f for f in project.files() if "_part" in f]
 
     def test_the_items_edits_land_in_one_commit_before_its_item_end(
-        self, project, toy_records, instrumentation, monkeypatch
+        self, project, toy_records, metrics, monkeypatch
     ):
-        compiled_project(project, toy_records, instrumentation)
+        compiled_project(project, toy_records, metrics)
         record, task = build_proof_tasks(toy_records)[0]
         file_id = target_file(record)
         before = project.path(file_id).read_bytes()
         log = []
-        real_emit, real_commit = instrumentation.metrics.emit, project.commit
+        real_emit, real_commit = metrics.emit, project.commit
 
         def emit(event, data):
             log.append(event)
@@ -316,12 +316,12 @@ class TestItemCommit:
             log.append(("commit", project.path(file_id).read_bytes()))
             real_commit()
 
-        monkeypatch.setattr(instrumentation.metrics, "emit", emit)
+        monkeypatch.setattr(metrics, "emit", emit)
         monkeypatch.setattr(project, "commit", commit)
-        verifier = Verifier(SimulatedVerifier(), metrics=instrumentation.metrics)
-        operators = OperatorSet(toy_handlers(), instrumentation)
+        verifier = Verifier(SimulatedVerifier(), metrics=metrics)
+        operators = OperatorSet(toy_handlers(), metrics)
         [result] = run_stage2(
-            toy_records, project, Stage2Config(), operators, verifier, instrumentation, max_items=1
+            toy_records, project, Stage2Config(), operators, verifier, metrics, max_items=1
         )
         assert result.index == task.index and result.file == file_id
         assert result.status == "solved" and verifier.calls == 2
@@ -330,9 +330,9 @@ class TestItemCommit:
 
 
 class TestMissingSectionFile:
-    def test_items_of_a_missing_section_are_skipped(self, project, toy_records, instrumentation):
+    def test_items_of_a_missing_section_are_skipped(self, project, toy_records, metrics):
         # stage 1 restored away every item of one section, so its file is absent
-        compiled_project(project, toy_records, instrumentation)
+        compiled_project(project, toy_records, metrics)
         missing = target_file(build_proof_tasks(toy_records)[0][0])
         project.delete(missing)
         sink = EventSink()
@@ -342,14 +342,14 @@ class TestMissingSectionFile:
             Stage2Config(),
             OperatorSet(toy_handlers(), EventSink()),
             make_verifier(sink),
-            instrumentation,
+            metrics,
         )
         gone = [r for r in results if r.file == missing]
         assert gone and all(r.status == "skipped" and r.verifier_calls == 0 for r in gone)
         assert all(r.closed for r in results if r.file != missing)
         assert sink.count("lean_check") == sum(r.verifier_calls for r in results)
         warnings = [
-            e["data"] for e in read_events(instrumentation.metrics.path) if e["event"] == "warning"
+            e["data"] for e in read_events(metrics.path) if e["event"] == "warning"
         ]
         assert [w["lean_file"] for w in warnings] == [missing] * len(gone)
         assert all(missing in w["reason"] for w in warnings)
@@ -360,7 +360,7 @@ class TestTargetLookupSkips:
     """Every lookup of the target ends the item ``skipped`` with a warning
     when the task label picks out no single declaration."""
 
-    def run(self, project, instrumentation, label, propose):
+    def run(self, project, metrics, label, propose):
         project.write("A.lean", TWO_THEOREMS)
         handlers = dict(toy_handlers(), propose_proof_patch=propose)
         result = run_stage2_item(
@@ -370,12 +370,12 @@ class TestTargetLookupSkips:
             Stage2Config(),
             OperatorSet(handlers, EventSink()),
             make_verifier(),
-            instrumentation,
+            metrics,
         )
-        events = read_events(instrumentation.metrics.path)
+        events = read_events(metrics.path)
         return result, [e["data"] for e in events if e["event"] == "warning"]
 
-    def test_accepted_patch_that_duplicates_the_label(self, project, instrumentation):
+    def test_accepted_patch_that_duplicates_the_label(self, project, metrics):
         def propose(request):
             patch = PatchProposal(
                 file="A.lean",
@@ -384,17 +384,17 @@ class TestTargetLookupSkips:
             )
             return OperatorResponse(ok=True, patch=patch)
 
-        result, warnings = self.run(project, instrumentation, "Theorem A", propose)
+        result, warnings = self.run(project, metrics, "Theorem A", propose)
         assert (result.status, result.proof_attempts, result.verifier_calls) == ("skipped", 1, 2)
         reason = "label 'Theorem A' matches 2 declarations"
         assert warnings == [{"reason": reason, "lean_file": "A.lean", "index": 1}]
         assert "theorem a2" in project.staged("A.lean")  # the accepted patch stays staged
 
-    def test_label_missing_from_a_labelled_file(self, project, instrumentation):
+    def test_label_missing_from_a_labelled_file(self, project, metrics):
         def propose(request):
             raise AssertionError("no proposal for a target that was not found")
 
-        result, warnings = self.run(project, instrumentation, "Theorem C", propose)
+        result, warnings = self.run(project, metrics, "Theorem C", propose)
         assert (result.status, result.plans, result.verifier_calls) == ("skipped", 0, 1)
         reason = "label 'Theorem C' matches 0 declarations"
         assert warnings == [{"reason": reason, "lean_file": "A.lean", "index": 1}]
@@ -402,9 +402,9 @@ class TestTargetLookupSkips:
 
 
 class ToyWorld:
-    def __init__(self, project, records, instrumentation, handlers=None, sink=None, config=None):
-        self.project = compiled_project(project, records, instrumentation)
-        self.instrumentation = instrumentation
+    def __init__(self, project, records, metrics, handlers=None, sink=None, config=None):
+        self.project = compiled_project(project, records, metrics)
+        self.metrics = metrics
         self.records = records
         self.sink = sink or EventSink()
         self.verifier = make_verifier(self.sink)
@@ -422,13 +422,13 @@ class ToyWorld:
             self.config,
             self.operators,
             self.verifier,
-            self.instrumentation,
+            self.metrics,
         )
 
 
 class TestRunStage2Item:
-    def test_first_attempt_close(self, project, toy_records, instrumentation):
-        world = ToyWorld(project, toy_records, instrumentation)
+    def test_first_attempt_close(self, project, toy_records, metrics):
+        world = ToyWorld(project, toy_records, metrics)
         record, task = world.tasks()[0]
         file_id = target_file(record)
         holes_before = simlang.count_holes(project.read(file_id))
@@ -439,8 +439,8 @@ class TestRunStage2Item:
         assert result.verifier_calls == 2
         assert simlang.count_holes(project.read(file_id)) == holes_before - 1
 
-    def test_already_proved_target(self, project, toy_records, instrumentation):
-        world = ToyWorld(project, toy_records, instrumentation)
+    def test_already_proved_target(self, project, toy_records, metrics):
+        world = ToyWorld(project, toy_records, metrics)
         record, task = world.tasks()[0]
         world.run_item(record, task)
         again = world.run_item(record, task)
@@ -448,10 +448,10 @@ class TestRunStage2Item:
         assert again.proof_attempts == 0
         assert again.verifier_calls == 1
 
-    def test_adversarial_budget_exhaustion(self, project, toy_records, instrumentation):
+    def test_adversarial_budget_exhaustion(self, project, toy_records, metrics):
         config = Stage2Config(t=50, r=3, c=4)
         world = ToyWorld(
-            project, toy_records, instrumentation, handlers=adversarial_handlers(), config=config
+            project, toy_records, metrics, handlers=adversarial_handlers(), config=config
         )
         record, task = world.tasks()[0]
         file_id = target_file(record)
@@ -464,16 +464,16 @@ class TestRunStage2Item:
         assert ok  # file still verifies
         assert simlang.count_holes(project.read(file_id)) == holes_before
 
-    def test_tight_verifier_budget_stops_early(self, project, toy_records, instrumentation):
+    def test_tight_verifier_budget_stops_early(self, project, toy_records, metrics):
         config = Stage2Config(t=5, r=10, c=21)
         world = ToyWorld(
-            project, toy_records, instrumentation, handlers=adversarial_handlers(), config=config
+            project, toy_records, metrics, handlers=adversarial_handlers(), config=config
         )
         record, task = world.tasks()[0]
         result = world.run_item(record, task)
         assert result.verifier_calls <= config.t
 
-    def test_broken_file_with_failing_fixer_terminates(self, project, toy_records, instrumentation):
+    def test_broken_file_with_failing_fixer_terminates(self, project, toy_records, metrics):
         def hopeless(request):
             raise RuntimeError("fixer is down")
 
@@ -481,7 +481,7 @@ class TestRunStage2Item:
         world = ToyWorld(
             project,
             toy_records,
-            instrumentation,
+            metrics,
             handlers=dict(toy_handlers(), fix_compile_error=hopeless),
             config=config,
         )
@@ -493,10 +493,10 @@ class TestRunStage2Item:
         assert result.fix_attempts == config.t  # starved fixer is bounded too
         assert result.verifier_calls <= config.t
 
-    def test_error_fix_interlude_then_close(self, project, toy_records, instrumentation):
+    def test_error_fix_interlude_then_close(self, project, toy_records, metrics):
         # the file acquired a compile error since stage 1: the item first
         # commits an error fix, then locates the hole and closes it
-        world = ToyWorld(project, toy_records, instrumentation)
+        world = ToyWorld(project, toy_records, metrics)
         record, task = world.tasks()[0]
         file_id = target_file(record)
         project.write(file_id, project.read(file_id) + "\ndef zz : Q9 := ghost\n")
@@ -508,22 +508,34 @@ class TestRunStage2Item:
         ok, _ = world.verifier.adapter.verify_file(project, file_id)
         assert ok
 
-    def test_goal_query_disabled_pipeline_completes(self, project, toy_records, instrumentation):
+    def test_the_item_end_lists_the_accepted_proposals(self, project, toy_records, metrics):
+        # the first proposal is checked and rejected, the second closes the hole
+        toy, adversarial = toy_handlers(), adversarial_handlers()
+        proposers = iter([adversarial["propose_proof_patch"], toy["propose_proof_patch"]])
+        handlers = dict(toy, propose_proof_patch=lambda request: next(proposers)(request))
+        world = ToyWorld(project, toy_records, metrics, handlers=handlers)
+        record, task = world.tasks()[0]
+        result = world.run_item(record, task)
+        assert result.status == "solved"
+        assert (result.proof_attempts, result.verifier_calls) == (2, 3)
+        assert result.end_fields()["a_accepted"] == [2]
+
+    def test_goal_query_disabled_pipeline_completes(self, project, toy_records, metrics):
         config = Stage2Config(goal_query_enabled=False)
-        world = ToyWorld(project, toy_records, instrumentation, config=config)
+        world = ToyWorld(project, toy_records, metrics, config=config)
         record, task = world.tasks()[0]
         assert world.run_item(record, task).status == "solved"
 
-    def test_elaboration_preserved_after_every_item(self, project, toy_records, instrumentation):
-        world = ToyWorld(project, toy_records, instrumentation, handlers=adversarial_handlers(),
+    def test_elaboration_preserved_after_every_item(self, project, toy_records, metrics):
+        world = ToyWorld(project, toy_records, metrics, handlers=adversarial_handlers(),
                          config=Stage2Config(t=8, r=2, c=2))
         for record, task in world.tasks():
             world.run_item(record, task)
             ok, diags = world.verifier.adapter.verify_file(project, target_file(record))
             assert ok, diags
 
-    def test_hole_count_never_increases_across_items(self, project, toy_records, instrumentation):
-        world = ToyWorld(project, toy_records, instrumentation)
+    def test_hole_count_never_increases_across_items(self, project, toy_records, metrics):
+        world = ToyWorld(project, toy_records, metrics)
         for record, task in world.tasks():
             file_id = target_file(record)
             before = simlang.count_holes(project.read(file_id))
@@ -532,8 +544,8 @@ class TestRunStage2Item:
 
 
 class TestMatchedStatementGuard:
-    def test_signatures_byte_identical_across_items(self, project, toy_records, instrumentation):
-        world = ToyWorld(project, toy_records, instrumentation)
+    def test_signatures_byte_identical_across_items(self, project, toy_records, metrics):
+        world = ToyWorld(project, toy_records, metrics)
         for record, task in world.tasks():
             file_id = target_file(record)
             before = oracle_signatures(project.read(file_id))
@@ -544,16 +556,16 @@ class TestMatchedStatementGuard:
 
 class TestRunStage2Driver:
     def test_full_toy_run_closes_every_target(
-        self, project, toy_records, toy_lemma_map, instrumentation
+        self, project, toy_records, toy_lemma_map, metrics
     ):
-        world = ToyWorld(project, toy_records, instrumentation)
+        world = ToyWorld(project, toy_records, metrics)
         results = run_stage2(
             toy_records,
             world.project,
             world.config,
             world.operators,
             world.verifier,
-            instrumentation,
+            metrics,
             lemma_map=toy_lemma_map,
         )
         assert len(results) == 16
@@ -580,7 +592,7 @@ class TestRequestConditioning:
     """Operators see only the conditioning each kind is allowed."""
 
     def test_plan_requests_carry_task_and_goal_but_no_file_text(
-        self, project, toy_records, toy_lemma_map, instrumentation
+        self, project, toy_records, toy_lemma_map, metrics
     ):
         captured = {"plan": [], "propose_proof_patch": []}
         base = toy_handlers()
@@ -594,14 +606,14 @@ class TestRequestConditioning:
 
         handlers = dict(base, plan=spy("plan"),
                         propose_proof_patch=spy("propose_proof_patch"))
-        world = ToyWorld(project, toy_records, instrumentation, handlers=handlers)
+        world = ToyWorld(project, toy_records, metrics, handlers=handlers)
         results = run_stage2(
             toy_records,
             world.project,
             world.config,
             world.operators,
             world.verifier,
-            instrumentation,
+            metrics,
             lemma_map=toy_lemma_map,
         )
         assert all(r.closed for r in results)
@@ -616,7 +628,7 @@ class TestRequestConditioning:
             assert {"file", "file_text", "hole", "plan", "task"} <= set(payload)
 
     def test_goal_state_reaches_plan_requests_when_available(
-        self, project, toy_records, instrumentation
+        self, project, toy_records, metrics
     ):
         seen_goals = []
         base = toy_handlers()
@@ -625,7 +637,7 @@ class TestRequestConditioning:
             seen_goals.append(request.payload["goal_state"])
             return base["plan"](request)
 
-        world = ToyWorld(project, toy_records, instrumentation, handlers=dict(base, plan=plan_spy))
+        world = ToyWorld(project, toy_records, metrics, handlers=dict(base, plan=plan_spy))
         record, task = world.tasks()[0]
         world.run_item(record, task)
         assert seen_goals and seen_goals[0] is not None
@@ -728,9 +740,10 @@ def random_handlers(rng: random.Random) -> dict:
 
 
 def run_scenario(item_fn, root, seed: int):
-    """One item of scenario ``seed`` under ``item_fn``: its result fields (or
-    the text of the AmbiguousTargetError it raised), metrics and history
-    lines without timestamps, and the project's staged and committed text."""
+    """One item of scenario ``seed`` under ``item_fn``: its result fields,
+    accepted proposals included (or the text of the AmbiguousTargetError it
+    raised and the proposals accepted before it), its metrics lines without
+    timestamps, and the project's staged and committed text."""
     rng = random.Random(seed)
     labels = [f"Theorem {k}" for k in range(rng.choice([0, 2, 4, 8]))]
     text = random_section(rng, labels)
@@ -747,27 +760,20 @@ def run_scenario(item_fn, root, seed: int):
     if rng.random() < 0.97:
         project.write(SECTION, text)
     task = ProofTask(index=seed, label=label, reference_proof="trivial")
-    runs = root / "runs"
-    metrics = MetricsWriter(runs / "metrics.jsonl", "run")
-    metrics.run_start({})
-    with RunInstrumentation(
-        metrics=metrics,
-        history=HistoryStore(runs / "history.jsonl"),
-        log_dir=runs / "calls",
-    ) as instr:
+    stream = root / "runs" / "metrics.jsonl"
+    with MetricsWriter(stream, "run") as metrics:
+        metrics.run_start({})
         verifier = Verifier(SimulatedVerifier(), metrics)
-        operators = OperatorSet(random_handlers(random.Random(-seed)), instr)
+        operators = OperatorSet(random_handlers(random.Random(-seed)), metrics)
         try:
-            outcome = asdict(item_fn(project, SECTION, task, config, operators, verifier, instr))
-        except AmbiguousTargetError as exc:
-            outcome = str(exc)
+            outcome = asdict(item_fn(project, SECTION, task, config, operators, verifier, metrics))
+        except AmbiguousTargetError as exc:  # raised by the reference only
+            outcome = {"raised": str(exc), "accepted_attempts": exc.result.accepted_attempts}
 
-    def lines(name):
-        return [{k: v for k, v in e.items() if k != "ts"} for e in read_events(runs / name)]
-
+    lines = [{k: v for k, v in e.items() if k != "ts"} for e in read_events(stream)]
     ids = [SECTION] + [SECTION.replace(".lean", f"_part{k}.lean") for k in range(1, 9)]
     files = {f: (project.staged(f), project.committed_bytes(f)) for f in ids}
-    return outcome, lines("metrics.jsonl")[1:], lines("history.jsonl"), files
+    return outcome, lines[1:], files
 
 
 def test_item_loop_matches_reference_loop(tmp_path):
@@ -781,7 +787,7 @@ def test_item_loop_matches_reference_loop(tmp_path):
     for seed in range(600):
         old = run_scenario(ref_run_stage2_item, tmp_path / f"{seed}" / "old", seed)
         new = run_scenario(run_stage2_item, tmp_path / f"{seed}" / "new", seed)
-        outcome, events, history, files = new
+        outcome, events, files = new
         if old == new:
             seen[outcome["status"]] += 1
             continue
@@ -789,11 +795,14 @@ def test_item_loop_matches_reference_loop(tmp_path):
         *before, warning = events
         assert warning["event"] == "warning" and warning["data"]["index"] == seed
         reason = warning["data"]["reason"]
-        if isinstance(old[0], str):  # raised by the reference after an accept
+        accepted = outcome["accepted_attempts"]
+        if "raised" in old[0]:  # raised by the reference after an accept
             seen["ambiguous after accept"] += 1
-            assert (reason, before, history, files) == old, seed
+            assert (reason, before, files) == (old[0]["raised"], *old[1:]), seed
+            assert accepted == old[0]["accepted_attempts"], seed
         else:
             seen["label missing"] += 1
             assert reason.endswith("matches 0 declarations"), seed
-            assert before == old[1][: len(before)] and history == old[2][: len(history)], seed
+            assert before == old[1][: len(before)], seed
+            assert accepted == old[0]["accepted_attempts"][: len(accepted)], seed
     assert min(seen.values()) >= 5 and len(seen) == 6, seen

@@ -12,8 +12,8 @@ disk). No module analyses the text of a project file itself, through
 Only ``simlang.py`` calls ``interpret_body(``: a body's term is read with
 its declaration, into the analysis, so no checker or stage interprets
 bodies again on every call. Only ``instrumentation.py`` calls
-``_write_line(``: every metrics and history line passes through that one
-write point, which the kill harness of ``test_fault_injection.py``
+``_write_line(``: every metrics line passes through that one write
+point, which the kill harness of ``test_fault_injection.py``
 silences once a fault fires."""
 
 from __future__ import annotations
