@@ -59,25 +59,43 @@ def toy_repair_patch(request: OperatorRequest) -> OperatorResponse:
 
     Patching only the body range keeps the edit inside diagnostic-derived
     scopes (an error's range plus the header), not just insertion scopes.
+    The operator reads only the lines of the payload's ``target_range``,
+    the declaration the caller names, not the whole file.
     """
-    text = request.payload["file_text"]
     diags = [d for d in request.payload["diagnostics"] if d["severity"] == "error"]
     if not diags:
         return OperatorResponse.failed("nothing to repair")
-    rng = SourceRange.from_dict(diags[0]["range"])
-    parsed = simlang.parse_file(text)
-    for decl in parsed.declarations:
-        if decl.range.intersects(rng) and decl.kind in STUB_TEMPLATES and decl.type_text:
+    rng = _range(diags[0]["range"])
+    target = _range(request.payload["target_range"])
+    first = target.start_line
+    # a range that ends at column 0 ends with the line before
+    last = target.end_line - (target.end_col == 0 and target.end_line > first)
+    lines = request.payload["file_text"].split("\n")[first : last + 1]
+    for decl in simlang.parse_file("\n".join(lines)).declarations:
+        if (
+            _moved(decl.range, first).intersects(rng)
+            and decl.kind in STUB_TEMPLATES
+            and decl.type_text
+        ):
             template = STUB_TEMPLATES[decl.kind]
             body = " sorry" if template.endswith(":= sorry") else " by sorry"
             patch = PatchProposal(
                 file=request.payload["file"],
-                scope=Scope.of(decl.body_range),
+                scope=Scope.of(_moved(decl.body_range, first)),
                 replacement=body,
                 origin="scripted:repair_patch",
             )
             return OperatorResponse(ok=True, patch=patch)
     return OperatorResponse.failed("no repairable declaration under the diagnostic")
+
+
+def _range(rng: SourceRange | dict) -> SourceRange:
+    return SourceRange.from_dict(rng) if isinstance(rng, dict) else rng
+
+
+def _moved(rng: SourceRange, lines: int) -> SourceRange:
+    """``rng`` moved ``lines`` lines down."""
+    return SourceRange(rng.start_line + lines, rng.start_col, rng.end_line + lines, rng.end_col)
 
 
 def toy_fix_compile_error(request: OperatorRequest) -> OperatorResponse:
@@ -87,6 +105,7 @@ def toy_fix_compile_error(request: OperatorRequest) -> OperatorResponse:
             "file": request.payload["file"],
             "file_text": request.payload["file_text"],
             "diagnostics": [request.payload["diagnostic"]],
+            "target_range": request.payload["target_range"],
         },
     )
     return toy_repair_patch(shim)
@@ -109,9 +128,7 @@ def toy_propose_proof_patch(request: OperatorRequest) -> OperatorResponse:
     term = extract_lean_directive(task.get("reference_proof", ""))
     if term is None:
         return OperatorResponse.failed("reference proof carries no closing term")
-    hole = request.payload["hole"]
-    if isinstance(hole, dict):
-        hole = SourceRange.from_dict(hole)
+    hole = _range(request.payload["hole"])
     patch = PatchProposal(
         file=request.payload["file"],
         scope=Scope.of(hole),
@@ -170,9 +187,7 @@ def adversarial_fix_compile_error(request: OperatorRequest) -> OperatorResponse:
 
 def adversarial_propose_proof_patch(request: OperatorRequest) -> OperatorResponse:
     # replacing the hole with another hole keeps the objective flat
-    hole = request.payload["hole"]
-    if isinstance(hole, dict):
-        hole = SourceRange.from_dict(hole)
+    hole = _range(request.payload["hole"])
     patch = PatchProposal(
         file=request.payload["file"],
         scope=Scope.of(hole),

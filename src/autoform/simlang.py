@@ -11,13 +11,15 @@ The header is the contiguous prefix of header-keyword lines within the
 first ``HEADER_BOUND`` lines; the bound is a property of the language, not
 of a run.
 
-``analyse`` reads a file text once, in one linear pass, and memoises the
-result by content; ``parse_file`` and ``count_holes`` are views over that
-analysis. The pass masks comments and strings, finds the declaration lines
-with one search, and reads each declaration unit once, in one call that
-gives its declaration, body term and placeholders; positions come from the
-line numbers the pass already has, and placeholders are found by substring
-search with an identifier-boundary check.
+``analyse`` reads a file text once, in one linear pass, and keeps no
+state: the ``Project`` keeps each file's analysis with its bytes, so each
+content is analysed once. ``parse_file`` and ``count_holes`` are views
+over that analysis. The pass masks comments and strings, finds the
+declaration lines with one search, and reads each declaration unit once,
+in one call that gives its declaration, body term and placeholders;
+positions come from the line numbers the pass already has, and
+placeholders are found by substring search with an identifier-boundary
+check.
 
 A text that edits another is read only between the declarations the edit
 cannot reach on either side, so appending a declaration costs that
@@ -32,7 +34,6 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_left
-from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
@@ -44,7 +45,6 @@ DECL_KINDS = ("theorem", "lemma", "def", "abbrev", "example", "instance", "axiom
 DEFINITION_KINDS = frozenset({"def", "abbrev"})
 HEADER_KEYWORDS = ("import", "namespace", "section", "open")
 HEADER_BOUND = 64
-ANALYSIS_MEMO_SIZE = 8
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
 _IDENT_STARTS = frozenset(string.ascii_letters + "_")
@@ -171,33 +171,22 @@ class Analysis:
 
 
 def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
-    """The analysis of ``text``.
+    """The analysis of ``text``, a pure function of it.
 
-    Results are memoised by text in a least-recently-used memo of at most
-    ``ANALYSIS_MEMO_SIZE`` entries. On a miss, the analysis starts from
-    ``base``, a text and its analysis that the caller knows ``text`` was
-    made from (``Project.analysis`` passes a staged edit's committed
-    entry); without one it reads the whole text. It keeps the base's
-    declaration units the edit cannot reach before it (``_kept_units``)
-    and after it (``_kept_tail``), and reads only the lines between.
-    After the edit, it keeps the units from the first one whose first line
-    no comment or string of the base crosses; it keeps none there when a
-    comment or string of ``text`` crosses that line, or when the edit
-    would change that unit's docstring or unit start. It reads the whole
-    text when no unit can be kept. Either way the result
+    The analysis starts from ``base``, a text and its analysis that the
+    caller knows ``text`` was made from (``Project.analysis`` passes a
+    staged edit's committed entry); without one it reads the whole text.
+    It keeps the base's declaration units the edit cannot reach before it
+    (``_kept_units``) and after it (``_kept_tail``), and reads only the
+    lines between. After the edit, it keeps the units from the first one
+    whose first line no comment or string of the base crosses; it keeps
+    none there when a comment or string of ``text`` crosses that line, or
+    when the edit would change that unit's docstring or unit start. It
+    reads the whole text when no unit can be kept. Either way the result
     equals a fresh analysis of ``text``, field for field. An analysis is
-    immutable and a pure function of the text, so sharing one between
-    callers is safe.
+    immutable, so sharing one between callers is safe.
     """
-    analysis = _memo.get(text)
-    if analysis is None:
-        analysis = _analyse(text, *_resume_point(text, base))
-        _memo[text] = analysis
-        if len(_memo) > ANALYSIS_MEMO_SIZE:
-            _memo.popitem(last=False)
-    else:
-        _memo.move_to_end(text)
-    return analysis
+    return _analyse(text, *_resume_point(text, base))
 
 
 def _mask(text: str, spans: list[tuple[str, int, int]], start: int, end: int) -> str:
@@ -547,9 +536,6 @@ def _crosses(spans: Sequence[tuple[str, int, int]], offset: int) -> bool:
     """Whether a span of ``spans`` starts before ``offset`` and ends after it."""
     i = bisect_left(spans, offset, key=itemgetter(1))
     return bool(i) and spans[i - 1][2] > offset
-
-
-_memo: OrderedDict[str, Analysis] = OrderedDict()
 
 
 def _parse_declaration(

@@ -283,7 +283,7 @@ def _repair_target(analysis: simlang.Analysis, local_diags) -> SourceRange:
     """Contiguous region a bridge repair patch should replace: the declaration
     of the file's ``analysis`` containing the first localized error, else
     that error's own range."""
-    first = min(local_diags, key=lambda d: d.sort_key())
+    first = min(local_diags.errors(), key=lambda d: d.sort_key())
     for decl in analysis.parsed.declarations:
         if decl.range.intersects(first.range):
             return decl.range

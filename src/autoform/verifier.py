@@ -101,16 +101,27 @@ def _encode(text: str) -> Entry:
     return text.encode("utf-8"), None if "\r" in text else text, None
 
 
+def _kept(entry: Entry | None, data: bytes) -> Entry:
+    """``entry``, with its text and analysis, when it holds ``data``; else a
+    new entry of ``data``."""
+    return entry if entry is not None and entry[0] == data else (data, None, None)
+
+
+# the root and the committed entries of the last Project built in this
+# process, for the next Project built on that root to take over
+_last_cache: tuple[Path, dict[str, Entry]] | None = None
+
+
 class Project:
     """A project is a directory tree of source files addressed by relative path.
 
     The project keeps, per file, an entry: the bytes it last read or wrote,
     their decoded text and the text's analysis, so unchanged bytes are read
     from disk once and analysed once. ``analysis`` computes the analysis on
-    first ask through ``simlang.analyse``, whose memo and incremental reuse
-    still apply, and keeps it in the entry until the bytes change. Writes go
-    to disk first and then to the cache; a write that raises drops the
-    file's entry, so the next read goes to disk.
+    first ask through ``simlang.analyse``, which keeps nothing, and keeps it
+    in the entry until the bytes change. The project owns every analysis of
+    its files. Writes go to disk first and then to the cache; a write that
+    raises drops the file's entry, so the next read goes to disk.
 
     The project is the working copy of one dataset item: its edits are
     *staged* in memory on top of the committed bytes, where ``read``,
@@ -118,27 +129,37 @@ class Project:
     not, until ``commit`` writes or ``discard`` drops them. A staged edit
     carries its own analysis, which ``commit`` moves into the committed
     entry. Its analysis starts from the committed entry's analysis, when
-    there is one, so only the edited units are read again.
-    ``sync`` writes the edits to disk for a tool that reads it; ``commit``
-    then writes no file twice, and ``discard`` puts the committed bytes
-    back. A write or delete of a file drops its staged edit. ``files``
-    lists the disk.
+    there is one, so only the edited units are read again. Staging the
+    bytes the project already reads for the file keeps that entry, and so
+    its analysis. ``sync`` writes the edits to disk for a tool that reads
+    it; ``commit`` then writes no file twice, and ``discard`` puts the
+    committed bytes back. A write or delete of a file drops its staged
+    edit. ``files`` lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
     writer of the root. A change made under the root by anything else is
-    not seen by a live ``Project``; build a new one after it (each pipeline
-    segment builds its own, so ``--resume`` starts cold). That holds for a
-    file it has seen absent too: ``exists`` and ``committed_bytes`` do not
-    ask the disk again until the project writes or deletes the file.
+    not seen by a live ``Project``; build a new one after it. Each pipeline
+    segment builds its own, which reads every file from disk again. It
+    takes over the committed entries of the last ``Project`` built on the
+    same root in this process, but uses one only when the bytes it reads
+    are the entry's bytes, so a file rewritten in between is analysed
+    afresh and a new process starts cold. Absence is not read again
+    either: once the project has seen a file absent, ``exists`` and
+    ``committed_bytes`` do not ask the disk until it writes or deletes it.
     ``reload_bytes`` is the one read that always goes to disk, one ``open``
     of the file's path, which the project builds once and keeps.
     """
 
     def __init__(self, root: str | Path):
+        global _last_cache
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # file_id -> the entry of its committed bytes
         self._cache: dict[str, Entry] = {}
+        # the last project's committed entries on this root, each taken by a
+        # read from disk that finds the same bytes
+        self._inherited = _last_cache[1] if _last_cache and _last_cache[0] == self.root else {}
+        _last_cache = (self.root, self._cache)
         # staged edits, same shape, in staging order
         self._staged: dict[str, Entry] = {}
         # file_id -> (committed bytes, None when absent; the staged bytes a sync
@@ -231,14 +252,12 @@ class Project:
             self._absent.add(file_id)
             return None
         self._absent -= {file_id}
-        if entry is None or entry[0] != data:
-            entry = (data, None, None)
-        self._cache[file_id] = entry
+        self._cache[file_id] = _kept(entry or self._inherited.get(file_id), data)
         return data
 
     def _load(self, file_id: str) -> Entry:
-        entry = (_read_file(self.path(file_id)), None, None)
-        self._cache[file_id] = entry
+        data = _read_file(self.path(file_id))
+        entry = self._cache[file_id] = _kept(self._inherited.get(file_id), data)
         return entry
 
     def write(self, file_id: str, text: str) -> None:
@@ -259,8 +278,11 @@ class Project:
 
     def stage(self, file_id: str, text: str) -> None:
         """Make ``text`` the file's content as this project reads it, with no
-        disk call."""
-        self._staged[file_id] = _encode(text)
+        disk call. Text whose bytes the project already reads for the file
+        keeps that entry, with its text and analysis."""
+        entry = _encode(text)
+        current = self._staged.get(file_id) or self._cache.get(file_id)
+        self._staged[file_id] = current if current and current[0] == entry[0] else entry
 
     def commit(self) -> None:
         """Write every staged edit by the write path in staging order, so
@@ -282,11 +304,7 @@ class Project:
             if fid in self._synced and self._synced[fid][0] is None:
                 self.delete(fid)
             elif fid in self._synced:
-                data = self._synced[fid][0]
-                entry = self._cache.get(fid)
-                if entry is None or entry[0] != data:
-                    entry = (data, None, None)
-                self._store(fid, entry)
+                self._store(fid, _kept(self._cache.get(fid), self._synced[fid][0]))
 
     def sync(self) -> None:
         """Write every staged edit to disk for a tool that reads it; the

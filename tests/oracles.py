@@ -4,7 +4,7 @@ line classifier for header detection, a regex signature extractor, and a
 random file generator mixing code, comments, and strings.
 
 Below them, reference copies of the per-call scanner, parser and checker
-that the memoised file analysis replaced, and a generator of modules with
+that the single-pass file analysis replaced, and a generator of modules with
 imports for multi-file projects. Last, a reference copy of the stage-2 item
 loop as nested ``for``/``else`` rounds, with the target lookup it used."""
 
@@ -180,8 +180,8 @@ def random_file(rng: random.Random, lines: int = 14) -> str:
 
 # -- reference scanner, parser and checker --------------------------------------
 #
-# Verbatim copies of the library's per-call implementations from before file
-# analyses were memoised: every function re-scans and re-masks the whole text.
+# Verbatim copies of the library's per-call implementations from before the
+# single-pass file analysis: every function re-scans and re-masks the whole text.
 # The differential tests require the analysis-backed library to agree with
 # these exactly. They share with the library only its result types, its
 # constants and helpers the analysis did not replace (`interpret_body`,

@@ -337,8 +337,45 @@ class TestProjectAnalysis:
         project.sync()
         project.discard()
         assert (tmp_path / "A.lean").read_text() == "def a : T := sorry\n"
-        simlang._memo.clear()  # so a dropped analysis could not come back from the memo
         assert project.analysis("A.lean") is committed
+
+    def test_staging_the_bytes_it_reads_keeps_the_entry_and_its_analysis(self, tmp_path):
+        project = Project(tmp_path)
+        project.write("A.lean", "def a : T := sorry\n")
+        committed = project.analysis("A.lean")
+        project.stage("A.lean", "def a : T := sorry\n")
+        assert project.staged_entry("A.lean")[2] is committed
+        project.stage("A.lean", "def a : T := sorry\ndef b : T := a\n")
+        candidate = project.analysis("A.lean")
+        project.stage("A.lean", "def a : T := sorry\ndef b : T := a\n")
+        assert project.staged_entry("A.lean")[2] is candidate
+
+    def test_a_new_project_keeps_the_analyses_of_unchanged_bytes(self, tmp_path, monkeypatch):
+        root, other = tmp_path / "root", tmp_path / "other"
+        files = [f"M{k}.lean" for k in range(12)]
+        old = Project(root)
+        for k, f in enumerate(files):
+            old.write(f, f"def d{k} : T := sorry\n")
+        analyses = {f: old.analysis(f) for f in files}
+        for f in files:
+            (other / f).parent.mkdir(parents=True, exist_ok=True)
+            (other / f).write_bytes((root / f).read_bytes())
+        (root / "M0.lean").write_text("def e : T := sorry\n")  # rewritten behind the project
+        analysed = []
+        real = simlang._analyse
+        monkeypatch.setattr(
+            simlang, "_analyse", lambda text, *args: analysed.append(text) or real(text, *args)
+        )
+        new = Project(root)
+        assert all(new.analysis(f) is analyses[f] for f in files[1:])
+        assert analysed == []
+        assert new.analysis("M0.lean").parsed.declarations[0].name == "e"
+        assert analysed == ["def e : T := sorry\n"]
+        # another root inherits nothing, even where its bytes are the same
+        elsewhere = Project(other)
+        assert not any(elsewhere.analysis(f) is analyses[f] for f in files)
+        assert len(analysed) == 1 + len(files)
+
 
 class TestInPlaceWrite:
     """A project file is written in place from offset 0 and then cut to
@@ -397,7 +434,7 @@ class TestInPlaceWrite:
 
 
 class TestStagedCandidates:
-    def test_a_staged_candidate_is_read_from_memory_until_synced(self, tmp_path):
+    def test_a_staged_candidate_stays_off_disk_until_synced(self, tmp_path):
         project = Project(tmp_path)
         project.stage("new/N.lean", "staged\r\n")
         assert project.exists("new/N.lean")
@@ -644,6 +681,25 @@ class TestIOCounts:
         assert opens.count(tmp_path / "A.lean", "r") == 20
         assert project.analysis("A.lean") is staged
 
+    def test_a_rejected_no_op_attempt_analyses_nothing(self, tmp_path, monkeypatch):
+        text = "def w : P := sorry\nlemma l : P := by sorry\n"
+        project = Project(tmp_path)
+        project.write("A.lean", text)
+        verifier = Verifier(SimulatedVerifier(), EventSink())
+        _, diags = verifier.verify_file(project, "A.lean")
+        committed = project.analysis("A.lean")
+        scope = Scope.of(SourceRange.whole_lines(1, 1))
+        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by sorry\n")
+        analysed = []
+        real = simlang._analyse
+        monkeypatch.setattr(
+            simlang, "_analyse", lambda text, *args: analysed.append(text) or real(text, *args)
+        )
+        for stage in (1, 2):
+            assert not try_patch(stage, project, "A.lean", scope, patch, diags, verifier).accepted
+        assert analysed == []
+        assert project.analysis("A.lean") is committed
+
     def test_a_staged_edit_starts_from_the_committed_analysis(
         self, tmp_path, monkeypatch
     ):
@@ -652,9 +708,6 @@ class TestIOCounts:
         project.write("Big.lean", text)
         verifier = Verifier(SimulatedVerifier(), EventSink())
         _, diags = verifier.verify_file(project, "Big.lean")
-        # a memo full of other edits of the file, each a candidate base
-        for k in range(300, 300 + simlang.ANALYSIS_MEMO_SIZE):
-            simlang.analyse(text.replace(f"def d{k} : T := sorry", f"def d{k} : T := d0"))
         line = 1 + 3 * 200
         target = SourceRange(line, 16, line, 21)
         patch = PatchProposal(file="Big.lean", scope=Scope.of(target), replacement="d199")
@@ -670,9 +723,8 @@ class TestIOCounts:
         edited = project.read("Big.lean")
         assert edited == text.replace("def d200 : T := sorry", "def d200 : T := d199")
 
-        # with nothing memoised, the base still comes from the project
+        # staged again after a discard, the base still comes from the project
         project.discard()
-        simlang._memo.clear()
         project.stage("Big.lean", edited)
         parsed = []
         parse = simlang._parse_declaration

@@ -28,6 +28,16 @@ from oracles import (
 )
 
 
+def test_simlang_keeps_no_mutable_module_state():
+    # an analysis is a pure function of its text; the Project keeps them
+    mutable = {
+        name
+        for name, value in vars(simlang).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    }
+    assert mutable == set()
+
+
 class TestCountHoles:
     def test_single_tactic_hole(self):
         assert simlang.count_holes("theorem t : True := by sorry\n") == 1
@@ -220,7 +230,7 @@ SOUP_TOKENS = [
 
 
 class TestAnalysisMatchesReference:
-    """The memoised single-pass analysis against verbatim copies of the
+    """The single-pass analysis against verbatim copies of the
     per-call scanner, parser and body tokenizer it replaced."""
 
     def assert_same(self, text):
@@ -324,9 +334,7 @@ def assert_fresh(text, base_text=None):
 
 def kept_units(base_text, text):
     """How many declaration units the analysis of ``text`` plans to keep
-    from that of ``base_text`` at the front and at the end. The memo is
-    cleared first, so a ``read`` of ``text`` after it is a miss."""
-    simlang._memo.clear()
+    from that of ``base_text`` at the front and at the end."""
     base = based_on(base_text)
     found, kept, tail = simlang._resume_point(text, base)
     assert found in (None, base[1])
@@ -373,7 +381,6 @@ class TestIncrementalAnalysis:
         rng = random.Random(20261018)
         resumed = 0
         for _ in range(300):
-            simlang._memo.clear()
             if rng.random() < 0.5:
                 text = random_file(rng, lines=rng.randint(0, 30))
             else:
@@ -460,7 +467,6 @@ class TestIncrementalAnalysis:
 
     def test_appending_to_a_long_file_parses_at_most_two_declarations(self, monkeypatch):
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
-        simlang._memo.clear()
         base = based_on(text)
         parsed = count_parses(monkeypatch)
         longer = text + "/-- [400] Item 400 -/\ndef e : T := d399\n"
@@ -472,7 +478,6 @@ class TestIncrementalAnalysis:
     def test_mid_file_edit_of_a_long_file_parses_at_most_two_declarations(self, monkeypatch):
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
         for new in ("def d200 : T := exact d199\n", "def d200 : T :=\n  exact d199\n\n"):
-            simlang._memo.clear()
             base = based_on(text)
             parsed = count_parses(monkeypatch)
             edited = text.replace("def d200 : T := sorry\n", new)
@@ -488,20 +493,20 @@ class TestIncrementalAnalysis:
         # a body's term is read with its unit: kept units keep theirs, and a
         # check of the analysis interprets nothing
         text = "".join(f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400))
-        simlang._memo.clear()
-        base = based_on(text)
+        project = Project(tmp_path)
+        project.write("Big.lean", text)
+        project.analysis("Big.lean")
         interpreted = []
         interpret = simlang.interpret_body
         monkeypatch.setattr(
             simlang, "interpret_body", lambda tokens: interpreted.append(1) or interpret(tokens)
         )
         edited = text.replace("def d200 : T := sorry\n", "def d200 : T := exact d199\n")
-        analysis = simlang.analyse(edited, base)
+        project.stage("Big.lean", edited)
+        analysis = project.analysis("Big.lean")
         assert 1 <= len(interpreted) <= 2
         assert analysis.body_terms[200] == simlang.BodyTerm(reference="d199")
         interpreted.clear()
-        project = Project(tmp_path)
-        project.stage("Big.lean", edited)
         checker = SimulatedVerifier()
         for _ in range(10):
             ok, _ = checker.verify_file(project, "Big.lean")
@@ -515,7 +520,6 @@ class TestIncrementalAnalysis:
         rng = random.Random(20261019)
         tails = {True: 0, False: 0}
         for _ in range(150):
-            simlang._memo.clear()
             text = units_file(rng, rng.randint(3, 25))
             simlang.analyse(text)
             for _ in range(rng.randint(1, 8)):
@@ -532,9 +536,8 @@ class TestIncrementalAnalysis:
                 else:
                     del lines[i : i + rng.randint(1, 3)]
                 edited = "\n".join(lines)
-                if edited not in simlang._memo:
-                    same = edited.count("\n") == text.count("\n")
-                    tails[same] += read(edited, text)[1] > 0
+                same = edited.count("\n") == text.count("\n")
+                tails[same] += read(edited, text)[1] > 0
                 text = edited
         print(tails)
         assert tails[True] >= 100 and tails[False] >= 120, tails
@@ -638,32 +641,50 @@ def one_section_records(n_items):
 
 
 class TestPipelineAnalyses:
-    """Every analysis a whole run makes equals a fresh read of its text."""
+    """Every analysis a whole run reads equals a fresh read of its text."""
 
     def run_checked(self, monkeypatch, cfg):
-        """Run both stages, checking each analysis the memo did not hold;
-        return how many of those kept a tail of a memoised analysis."""
-        simlang._memo.clear()
+        """Run both stages, each as one segment or, when ``cfg.max_items``
+        is set, as ``--resume`` segments in this process, and check every
+        analysis a ``Project`` returns, computed or kept, against
+        ``simlang._analyse``. Return how many of the computed ones kept a
+        tail of their base, and how many were returned by a later
+        ``Project`` than the one that computed them."""
         tails = []
         real = simlang.analyse
 
         def analyse(text, base=None):
-            if text not in simlang._memo:
-                tails.append(simlang._resume_point(text, base)[2] > 0)
-                analysis = real(text, base)
-                assert analysis == simlang._analyse(text), text
-                return analysis
+            tails.append(simlang._resume_point(text, base)[2] > 0)
             return real(text, base)
 
+        # (id of an analysis, text it was returned for) -> the analysis, kept
+        # alive so no id is reused; id of an analysis -> its first project
+        checked, first_project = {}, {}
+        inherited = []
+        real_analysis = Project.analysis
+
+        def analysis(project, file_id):
+            result = real_analysis(project, file_id)
+            text = project.read(file_id)
+            if (id(result), text) not in checked:
+                checked[id(result), text] = result
+                assert result == simlang._analyse(text), text
+            owner = first_project.setdefault(id(result), id(project))
+            if owner != id(project):
+                inherited.append(result)
+            return result
+
         monkeypatch.setattr(simlang, "analyse", analyse)
-        cfg.stage = 1
-        run_statement_stage(cfg)
-        cfg.stage = 2
-        run_proof_stage(cfg)
-        return sum(tails)
+        monkeypatch.setattr(Project, "analysis", analysis)
+        cfg.resume = cfg.max_items is not None
+        for stage, run in ((1, run_statement_stage), (2, run_proof_stage)):
+            cfg.stage = stage
+            while run(cfg)[0] and cfg.resume:
+                pass
+        return sum(tails), len(inherited)
 
     def test_toy_run(self, monkeypatch, toy_config):
-        assert self.run_checked(monkeypatch, toy_config) >= 10
+        assert self.run_checked(monkeypatch, toy_config)[0] >= 10
 
     def test_toy_run_with_splits(self, monkeypatch, toy_config, tmp_path):
         # parts of one or two units leave no tail to keep; the reads must
@@ -676,7 +697,18 @@ class TestPipelineAnalyses:
         dataset = tmp_path / "data" / "one_section.json"
         dump_dataset(one_section_records(60), dataset)
         toy_config.dataset = str(dataset)
-        assert self.run_checked(monkeypatch, toy_config) >= 39
+        assert self.run_checked(monkeypatch, toy_config)[0] >= 39
+
+    def test_resume_segments_with_splits_in_one_process(self, monkeypatch, toy_config, tmp_path):
+        # each segment's new Project takes over the last one's entries of
+        # unchanged bytes; every one it hands out must still be exact
+        dataset = tmp_path / "data" / "one_section.json"
+        dump_dataset(one_section_records(60), dataset)
+        toy_config.dataset = str(dataset)
+        toy_config.split_threshold = 100
+        toy_config.max_items = 5
+        assert self.run_checked(monkeypatch, toy_config)[1] > 0
+        assert any("_part" in p.name for p in (tmp_path / "project").rglob("*.lean"))
 
 
 class TestModuleNames:

@@ -12,6 +12,7 @@ from autoform.scripted import adversarial_handlers, toy_handlers
 from autoform.stage1 import (
     Stage1Config,
     StubTemplateError,
+    _repair_target,
     gen_stub,
     run_stage1,
     target_file,
@@ -280,6 +281,17 @@ class TestRunStage1:
         assert [r.index for r in rest] == list(range(3, 25))
         ok, _ = verifier.verify_project(project)
         assert ok
+
+
+def test_the_repair_target_is_the_declaration_of_the_first_error(tmp_path):
+    # a placeholder warning above the error does not name the target, so the
+    # repair operator, which reads only the target's lines, finds the error
+    project = Project(tmp_path)
+    project.write("A.lean", "def a : T := sorry\ntheorem b : T := ghost\n")
+    _, diags = SimulatedVerifier().verify_file(project, "A.lean")
+    assert [d.severity for d in diags] == ["warning", "error"]
+    target = _repair_target(project.analysis("A.lean"), diags)
+    assert target == project.analysis("A.lean").parsed.declarations[1].range
 
 
 class TestItemCommit:

@@ -9,6 +9,10 @@ transaction and ``Snapshot.restore``) and the two stages (stage 1's
 disk). No module analyses the text of a project file itself, through
 ``analyse`` or its ``count_holes`` and ``parse_file`` views:
 ``Project.analysis`` is the one path, so each content is analysed once.
+Only ``verifier.py`` (``Project.analysis``), ``simlang.py`` (its own
+views) and ``kernel.py`` (the objective of an absent file in
+``try_patch``) call ``analyse(``, and only ``scripted.py`` (the repair
+operator's read of one declaration) calls ``parse_file(``.
 Only ``simlang.py`` calls ``interpret_body(``: a body's term is read with
 its declaration, into the analysis, so no checker or stage interprets
 bodies again on every call. Only ``instrumentation.py`` calls
@@ -32,6 +36,8 @@ CALLERS = {
     "commit": {"kernel.py", "cli.py"},
     "discard": {"kernel.py", "stage1.py", "stage2.py"},
     "sync": {"verifier.py"},
+    "analyse": {"verifier.py", "simlang.py", "kernel.py"},
+    "parse_file": {"scripted.py"},
     "interpret_body": {"simlang.py"},
     "_write_line": {"instrumentation.py"},
 }

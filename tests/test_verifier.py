@@ -150,7 +150,7 @@ def write_random_project(project, rng: random.Random, modules: int) -> list[str]
 
 
 class TestCheckMatchesReference:
-    """verify_file and goal_state over the memoised analysis against the
+    """verify_file and goal_state over the kept analysis against the
     checker that re-parsed every file on every call."""
 
     def test_multi_file_projects_with_import_chains(self, project, sim):
@@ -231,7 +231,6 @@ class TestAnalysisReuse:
         monkeypatch.setattr(
             simlang, "noncode_spans", lambda *args: scans.append(1) or scan(*args)
         )
-        simlang._memo.clear()
         text = "".join(
             f"/-- [{k}] Item {k} -/\ndef d{k} : T := sorry\n\n" for k in range(400)
         )
@@ -240,19 +239,12 @@ class TestAnalysisReuse:
         ok, _ = verifier.verify_file(project, "Big.lean")
         assert ok and len(scans) == 1
         verifier.verify_file(project, "Big.lean")
-        hole = simlang.analyse(project.read("Big.lean")).hole_ranges[-1]
+        hole = project.analysis("Big.lean").hole_ranges[-1]
         assert verifier.goal_state(project, "Big.lean", hole).goal == "T"
         assert len(scans) == 1
         project.write("Big.lean", text + "def e : T := sorry\n")
         verifier.verify_file(project, "Big.lean")
         assert len(scans) == 2
-
-    def test_memo_never_exceeds_its_bound(self):
-        simlang._memo.clear()
-        for k in range(3 * simlang.ANALYSIS_MEMO_SIZE):
-            simlang.analyse(f"def d{k} : T := sorry\n")
-            assert len(simlang._memo) <= simlang.ANALYSIS_MEMO_SIZE
-        assert len(simlang._memo) == simlang.ANALYSIS_MEMO_SIZE
 
 
 def ref_check(project, file_id: str) -> tuple[bool, tuple]:
@@ -351,7 +343,6 @@ class TestSplitChain:
     ):
         parts = probe_chain(Project(tmp_path))
         assert len(parts) == 27
-        simlang._memo.clear()
         analysed = []
         real = simlang._analyse
         monkeypatch.setattr(
