@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,51 +123,79 @@ class MetricsBundle:
 
 STAGE1_STATUSES = {"compiled", "restored_failed"}
 STAGE2_STATUSES = {"solved", "unsolved", "already_closed", "skipped"}
-CLOSED_STATUSES = {"solved", "already_closed"}
+
+
+def _stage_fields(item_ends: Iterable[dict]) -> dict[int, dict]:
+    """Stage -> the summary fields its ``run_end`` line reports, folded from
+    ``item_end`` payloads: the count of each status, the attempt totals and
+    the stage's rates, SCC and ARR for stage 1 and PSR for stage 2, each
+    None over no item. A payload of neither stage's statuses counts in
+    neither."""
+    count = dict.fromkeys(STAGE1_STATUSES | STAGE2_STATUSES, 0)
+    b1 = b1_compiled = a2 = b2 = c2 = 0
+    for data in item_ends:
+        status = data.get("status")
+        if status in STAGE1_STATUSES:
+            count[status] += 1
+            b = int(data.get("b_attempts", 0))
+            b1 += b
+            if status == "compiled":
+                b1_compiled += b
+        elif status in STAGE2_STATUSES:
+            count[status] += 1
+            a2 += int(data.get("a_attempts", 0))
+            b2 += int(data.get("b_attempts", 0))
+            c2 += int(data.get("c_plans", 0))
+    compiled, solved, already = count["compiled"], count["solved"], count["already_closed"]
+    items1 = compiled + count["restored_failed"]
+    items2 = solved + already + count["unsolved"] + count["skipped"]
+    return {
+        1: {
+            "compiled": compiled,
+            "restored_failed": count["restored_failed"],
+            "total_b_attempts": b1,
+            "scc": round(100.0 * compiled / items1, 2) if items1 else None,
+            "arr": round(b1_compiled / compiled, 4) if compiled else None,
+        },
+        2: {
+            "solved": solved,
+            "already_closed": already,
+            "unsolved": count["unsolved"],
+            "skipped": count["skipped"],
+            "total_a_attempts": a2,
+            "total_b_attempts": b2,
+            "total_c_plans": c2,
+            "total_sorries_eliminated": solved,
+            "psr": round(100.0 * (solved + already) / items2, 2) if items2 else None,
+        },
+    }
+
+
+def _item_ends(events: list[dict]) -> list[dict]:
+    return [ev.get("data", {}) for ev in events if ev.get("event") == "item_end"]
+
+
+def _bundle(events: list[dict], stages: dict[int, dict]) -> MetricsBundle:
+    """PB from the last project-check event, the rest from the stages' fields."""
+    pb: bool | None = None
+    for ev in events:
+        if ev.get("event") == "project_check":
+            pb = bool(ev["data"].get("ok"))
+    return MetricsBundle(pb=pb, scc=stages[1]["scc"], arr=stages[1]["arr"], psr=stages[2]["psr"])
 
 
 def compute_metrics(events: list[dict], item_results: list | None = None) -> MetricsBundle:
     """PB/SCC/ARR/PSR from a run's artifacts.
 
-    When explicit item results are given they take precedence; otherwise
-    everything is reconstructed from item_end payloads and the final
-    project-check event.
+    When explicit item results are given, their ``end_fields()`` take
+    precedence; otherwise everything is reconstructed from item_end
+    payloads and the final project-check event.
     """
-    pb: bool | None = None
-    for ev in events:
-        if ev.get("event") == "project_check":
-            pb = bool(ev["data"].get("ok"))
-
-    stage1: list[tuple[str, int]] = []  # (status, b_attempts)
-    stage2: list[str] = []  # status
     if item_results is not None:
-        for r in item_results:
-            status = getattr(r, "status", None)
-            if status in STAGE1_STATUSES:
-                stage1.append((status, getattr(r, "b_attempts", 0)))
-            elif status in STAGE2_STATUSES:
-                stage2.append(status)
+        item_ends = [r.end_fields() for r in item_results]
     else:
-        for ev in events:
-            if ev.get("event") != "item_end":
-                continue
-            data = ev.get("data", {})
-            status = data.get("status")
-            if status in STAGE1_STATUSES:
-                stage1.append((status, int(data.get("b_attempts", 0))))
-            elif status in STAGE2_STATUSES:
-                stage2.append(status)
-
-    scc = arr = psr = None
-    if stage1:
-        compiled = [(s, b) for s, b in stage1 if s == "compiled"]
-        scc = round(100.0 * len(compiled) / len(stage1), 2)
-        if compiled:
-            arr = round(sum(b for _, b in compiled) / len(compiled), 4)
-    if stage2:
-        closed = sum(1 for s in stage2 if s in CLOSED_STATUSES)
-        psr = round(100.0 * closed / len(stage2), 2)
-    return MetricsBundle(pb=pb, scc=scc, arr=arr, psr=psr)
+        item_ends = _item_ends(events)
+    return _bundle(events, _stage_fields(item_ends))
 
 
 @dataclass(frozen=True)
@@ -203,21 +232,6 @@ class AccountingReport:
         }
 
 
-def _targets_solved(events: list[dict]) -> tuple[int, int]:
-    targets = solved = 0
-    for ev in events:
-        if ev.get("event") != "item_end":
-            continue
-        status = ev.get("data", {}).get("status")
-        if status in STAGE1_STATUSES:
-            targets += 1
-            solved += 1 if status == "compiled" else 0
-        elif status in STAGE2_STATUSES:
-            targets += 1
-            solved += 1 if status in CLOSED_STATUSES else 0
-    return targets, solved
-
-
 def build_report(
     events: list[dict],
     run_ids: set[str] | None = None,
@@ -226,16 +240,18 @@ def build_report(
     chosen = select_events(events, run_ids)
     v = count_verifier_calls(events, run_ids)
     q = count_oracle_calls(events, run_ids)
-    targets, solved = _targets_solved(chosen)
+    stages = _stage_fields(_item_ends(chosen))
+    s1, s2 = stages[1], stages[2]
+    solved = s1["compiled"] + s2["solved"] + s2["already_closed"]
     ids = tuple(sorted(run_ids)) if run_ids is not None else tuple(sorted(runs_in(chosen)))
     return AccountingReport(
         run_ids=ids,
-        targets=targets,
+        targets=solved + s1["restored_failed"] + s2["unsolved"] + s2["skipped"],
         solved=solved,
         verifier_calls=v,
         oracle_calls=q,
         tokens=total_tokens(events, run_ids),
-        metrics=compute_metrics(chosen),
+        metrics=_bundle(chosen, stages),
         costs={alpha: cost_alpha(v, q, alpha) for alpha in alphas},
     )
 

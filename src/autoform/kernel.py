@@ -7,8 +7,8 @@ verified once. It stays staged, for the item to commit, only when the
 stage objective strictly improves under the priority order. Anything else
 puts back the pre-attempt view, and the file is read back from disk to
 check that it holds its committed bytes. An adapter whose tool reads the
-disk syncs the staged text to it first; the restore then writes the
-committed bytes back. Primary metric is always the file error count; the
+disk syncs the staged text to it first; where that changed the file, the
+restore writes the committed bytes back. Primary metric is always the file error count; the
 secondary is the localized error count (stage 1) or the file hole count
 (stage 2), so a patch that increases compilation errors is never accepted.
 ``run_item`` makes a dataset item one transaction of the ``Project``, and

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
-from . import scripted, stage1, stage2
+from . import accounting, scripted, stage1, stage2
 from .corpus import (
     DEFAULT_PROOF_TARGET_ENVS,
     DatasetRecord,
@@ -266,16 +266,7 @@ def run_statement_stage(
             start_index=start_index,
             max_items=config.max_items,
         )
-        compiled = sum(1 for r in results if r.compiled)
-        return results, {
-            "compiled": compiled,
-            "restored_failed": sum(1 for r in results if r.status == "restored_failed"),
-            "total_b_attempts": sum(r.b_attempts for r in results),
-            "scc": round(100.0 * compiled / len(results), 2) if results else None,
-            "arr": round(sum(r.b_attempts for r in results if r.compiled) / compiled, 4)
-            if compiled
-            else None,
-        }
+        return results, accounting._stage_fields([r.end_fields() for r in results])[1]
 
     return _run_segment(config, 1, drive)
 
@@ -303,18 +294,6 @@ def run_proof_stage(
             max_items=config.max_items,
             proof_target_envs=frozenset(config.proof_target_envs),
         )
-        closed = sum(1 for r in results if r.closed)
-        solved = sum(1 for r in results if r.status == "solved")
-        return results, {
-            "solved": solved,
-            "already_closed": sum(1 for r in results if r.status == "already_closed"),
-            "unsolved": sum(1 for r in results if r.status == "unsolved"),
-            "skipped": sum(1 for r in results if r.status == "skipped"),
-            "total_a_attempts": sum(r.proof_attempts for r in results),
-            "total_b_attempts": sum(r.fix_attempts for r in results),
-            "total_c_plans": sum(r.plans for r in results),
-            "total_sorries_eliminated": solved,
-            "psr": round(100.0 * closed / len(results), 2) if results else None,
-        }
+        return results, accounting._stage_fields([r.end_fields() for r in results])[2]
 
     return _run_segment(config, 2, drive)

@@ -10,6 +10,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import subprocess
@@ -109,15 +110,18 @@ def _kept(entry: Entry | None, data: bytes) -> Entry:
 
 # the root and the committed entries of the last Project built in this
 # process, for the next Project built on that root to take over
-_last_cache: tuple[Path, dict[str, Entry]] | None = None
+_last_cache: tuple[Path, dict[str, Entry | None]] | None = None
 
 
 class Project:
     """A project is a directory tree of source files addressed by relative path.
 
-    The project keeps, per file, an entry: the bytes it last read or wrote,
-    their decoded text and the text's analysis, so unchanged bytes are read
-    from disk once and analysed once. ``analysis`` computes the analysis on
+    The project keeps one record of each fact about the disk. A file's
+    committed entry holds the bytes the disk holds, their decoded text and
+    the text's analysis, or is None for a file known to be absent (not a
+    regular file). One private read fills it, so unchanged bytes are read
+    from disk once and an absent file is not asked for again until the
+    project writes or deletes it. ``analysis`` computes the analysis on
     first ask through ``simlang.analyse``, which keeps nothing, and keeps it
     in the entry until the bytes change. The project owns every analysis of
     its files. Writes go to disk first and then to the cache; a write that
@@ -128,45 +132,38 @@ class Project:
     ``read_bytes``, ``analysis`` and ``exists`` see them and the disk does
     not, until ``commit`` writes or ``discard`` drops them. A staged edit
     carries its own analysis, which ``commit`` moves into the committed
-    entry. Its analysis starts from the committed entry's analysis, when
-    there is one, so only the edited units are read again. Staging the
-    bytes the project already reads for the file keeps that entry, and so
-    its analysis. ``sync`` writes the edits to disk for a tool that reads
-    it; ``commit`` then writes no file twice, and ``discard`` puts the
-    committed bytes back. A write or delete of a file drops its staged
-    edit. ``files`` lists the disk.
+    entry; it starts from the committed entry's analysis, when there is
+    one, so only the edited units are read again. Staging the bytes the
+    project already reads for the file keeps that entry. ``sync`` writes the
+    edits to disk for a tool that reads it, and the project records only
+    synced bytes that differ from the committed ones. So ``sync``,
+    ``commit`` and ``discard`` write a file only when the disk holds other
+    bytes than it must: a rejected candidate whose bytes are the committed
+    ones costs no write. A write or delete of a file drops its staged edit.
+    ``files`` lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
-    writer of the root. A change made under the root by anything else is
-    not seen by a live ``Project``; build a new one after it. Each pipeline
-    segment builds its own, which reads every file from disk again. It
-    takes over the committed entries of the last ``Project`` built on the
-    same root in this process, but uses one only when the bytes it reads
-    are the entry's bytes, so a file rewritten in between is analysed
-    afresh and a new process starts cold. Absence is not read again
-    either: once the project has seen a file absent, ``exists`` and
-    ``committed_bytes`` do not ask the disk until it writes or deletes it.
-    ``reload_bytes`` is the one read that always goes to disk, one ``open``
-    of the file's path, which the project builds once and keeps.
+    writer of the root; build a new one after anything else changes it.
+    Each pipeline segment builds its own, which reads every file from disk
+    again. It takes over the committed entries of the last ``Project`` built
+    on the same root in this process, each only when the bytes it reads are
+    the entry's bytes. ``reload_bytes`` always reads the disk.
     """
 
     def __init__(self, root: str | Path):
         global _last_cache
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        # file_id -> the entry of its committed bytes
-        self._cache: dict[str, Entry] = {}
+        # file_id -> the entry of its committed bytes; None: not a regular file
+        self._cache: dict[str, Entry | None] = {}
         # the last project's committed entries on this root, each taken by a
         # read from disk that finds the same bytes
         self._inherited = _last_cache[1] if _last_cache and _last_cache[0] == self.root else {}
         _last_cache = (self.root, self._cache)
         # staged edits, same shape, in staging order
         self._staged: dict[str, Entry] = {}
-        # file_id -> (committed bytes, None when absent; the staged bytes a sync
-        # wrote) for each file whose disk holds the latter
-        self._synced: dict[str, tuple[bytes | None, bytes]] = {}
-        # files seen absent on disk since the project last wrote or deleted them
-        self._absent: set[str] = set()
+        # file_id -> the staged bytes a sync wrote in place of the committed ones
+        self._synced: dict[str, bytes] = {}
         # file_id -> its path under the root, built once
         self._paths: dict[str, Path] = {}
 
@@ -177,14 +174,7 @@ class Project:
         return path
 
     def exists(self, file_id: str) -> bool:
-        if file_id in self._staged or file_id in self._cache:
-            return True
-        if file_id in self._absent:
-            return False
-        if self.path(file_id).is_file():
-            return True
-        self._absent.add(file_id)
-        return False
+        return file_id in self._staged or self._committed(file_id) is not None
 
     def read(self, file_id: str) -> str:
         data, text, analysis = self._entry(file_id)
@@ -211,11 +201,33 @@ class Project:
         return analysis
 
     def _entry(self, file_id: str) -> Entry:
-        return self._staged.get(file_id) or self._cache.get(file_id) or self._load(file_id)
+        entry = self._staged.get(file_id) or self._committed(file_id)
+        if entry is None:
+            raise FileNotFoundError(errno.ENOENT, "no such file", str(self.path(file_id)))
+        return entry
 
     def _holder(self, file_id: str) -> dict[str, Entry]:
         """The entries that hold the file's entry as this project reads it."""
         return self._staged if file_id in self._staged else self._cache
+
+    def _committed(self, file_id: str) -> Entry | None:
+        """The file's committed entry, read on first ask; None when absent."""
+        if file_id not in self._cache:
+            self._read(file_id)
+        return self._cache[file_id]
+
+    def _read(self, file_id: str) -> bytes | None:
+        """The one disk read: the file's bytes, None when it is not a regular
+        file. Unless a sync put them there, they become the committed entry,
+        which keeps the text and analysis of an entry of the same bytes."""
+        try:
+            data = _read_file(self.path(file_id))
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            data = None
+        if file_id not in self._synced:
+            entry = self._cache.get(file_id) or self._inherited.get(file_id)
+            self._cache[file_id] = None if data is None else _kept(entry, data)
+        return data
 
     def staged(self, file_id: str) -> str | None:
         """The text staged for the file; None when nothing is."""
@@ -234,31 +246,14 @@ class Project:
 
     def committed_bytes(self, file_id: str) -> bytes | None:
         """The file's committed bytes, whatever is staged; None when absent."""
-        if file_id in self._synced:
-            return self._synced[file_id][0]
-        entry = self._cache.get(file_id)
-        if entry is not None:
-            return entry[0]
-        return None if file_id in self._absent else self.reload_bytes(file_id)
+        entry = self._committed(file_id)
+        return None if entry is None else entry[0]
 
     def reload_bytes(self, file_id: str) -> bytes | None:
         """The file's bytes read from disk, bypassing the cache; None when
-        the file is absent. Bytes that differ from the entry's replace it;
-        the same bytes keep its text and analysis."""
-        entry = self._cache.pop(file_id, None)
-        try:
-            data = _read_file(self.path(file_id))
-        except FileNotFoundError:
-            self._absent.add(file_id)
-            return None
-        self._absent -= {file_id}
-        self._cache[file_id] = _kept(entry or self._inherited.get(file_id), data)
-        return data
-
-    def _load(self, file_id: str) -> Entry:
-        data = _read_file(self.path(file_id))
-        entry = self._cache[file_id] = _kept(self._inherited.get(file_id), data)
-        return entry
+        the file is absent. Bytes a sync put there leave the committed entry
+        as it is; other bytes replace it, the same bytes keep it."""
+        return self._read(file_id)
 
     def write(self, file_id: str, text: str) -> None:
         self._store(file_id, _encode(text))
@@ -269,7 +264,6 @@ class Project:
     def _store(self, file_id: str, entry: Entry) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
-        self._absent -= {file_id}
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
             p.parent.mkdir(parents=True, exist_ok=True)
@@ -287,42 +281,47 @@ class Project:
     def commit(self) -> None:
         """Write every staged edit by the write path in staging order, so
         the parts of a split land before the aggregate that imports them. An
-        edit whose bytes the last ``sync`` put on disk is not written again.
+        edit whose bytes the disk holds, committed or synced, is not written.
         Each edit's entry, analysis included, becomes the committed one."""
         for file_id, entry in list(self._staged.items()):
-            if self._synced.pop(file_id, (None, None))[1] == entry[0]:
+            if self._synced.pop(file_id, self.committed_bytes(file_id)) == entry[0]:
                 del self._staged[file_id]
                 self._cache[file_id] = entry
             else:
                 self._store(file_id, entry)
 
     def discard(self, file_id: str | None = None) -> None:
-        """Drop the file's staged edit, or every one. Where ``sync`` wrote
-        the edit to disk, the committed bytes go back."""
+        """Drop the file's staged edit, or every one. Where a sync left other
+        bytes on disk, the committed bytes go back."""
         for fid in list(self._staged) if file_id is None else [file_id]:
             self._staged.pop(fid, None)
-            if fid in self._synced and self._synced[fid][0] is None:
-                self.delete(fid)
-            elif fid in self._synced:
-                self._store(fid, _kept(self._cache.get(fid), self._synced[fid][0]))
+            if fid in self._synced:
+                entry = self._cache[fid]
+                if entry is None:
+                    self.delete(fid)
+                else:
+                    self._store(fid, entry)
 
     def sync(self) -> None:
-        """Write every staged edit to disk for a tool that reads it; the
-        edits stay staged and the cache keeps the committed bytes."""
+        """Write every staged edit the disk does not hold, for a tool that
+        reads it; the edits stay staged. A write that raises leaves the file
+        recorded as synced, so a discard puts the committed bytes back."""
         for file_id, (data, _, _) in self._staged.items():
-            if self._synced.get(file_id, (None, None))[1] is not data:
-                committed = self.committed_bytes(file_id)
-                self._synced[file_id] = (committed, data)
-                self._absent -= {file_id}
-                if committed is None:
-                    self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
-                _write_file(self.path(file_id), data)
+            committed = self.committed_bytes(file_id)
+            if self._synced.get(file_id, committed) == data:
+                continue
+            if committed is None:
+                self.path(file_id).parent.mkdir(parents=True, exist_ok=True)
+            if data != committed:
+                self._synced[file_id] = data
+            _write_file(self.path(file_id), data)
+            if data == committed:
+                del self._synced[file_id]
 
     def delete(self, file_id: str) -> None:
         self._staged.pop(file_id, None)
         self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
-        self._absent -= {file_id}
         p = self.path(file_id)
         if p.exists():
             p.unlink()

@@ -514,6 +514,67 @@ class TestStagedCandidates:
         assert not (tmp_path / "A_part1.lean").exists()
         assert (tmp_path / "A.lean").read_text() == "import A_part1\n"
 
+        # a candidate whose bytes are the committed ones: the disk holds them
+        project.commit()
+        written.clear()
+        project.stage("A.lean", "import A_part1\n")
+        project.sync()
+        project.discard()
+        assert written == []
+        # after another edit's sync, staging the committed bytes puts them back once
+        project.stage("A.lean", "edit\n")
+        project.sync()
+        project.stage("A.lean", "import A_part1\n")
+        project.sync()
+        project.sync()
+        project.discard()
+        assert written == ["A.lean", "A.lean"]
+        assert (tmp_path / "A.lean").read_text() == "import A_part1\n"
+
+    def test_a_disk_read_of_synced_bytes_keeps_the_committed_entry(self, tmp_path):
+        project = Project(tmp_path)
+        project.write("A.lean", "committed\n")
+        committed = project.analysis("A.lean")
+        project.stage("A.lean", "synced\n")
+        project.sync()
+        assert project.reload_bytes("A.lean") == b"synced\n"
+        assert project.committed_bytes("A.lean") == b"committed\n"
+        project.discard()
+        assert (tmp_path / "A.lean").read_bytes() == b"committed\n"
+        assert project.read("A.lean") == "committed\n"
+        assert project.analysis("A.lean") is committed
+
+    def test_a_sync_whose_write_raises_is_put_back_by_the_discard(self, tmp_path, monkeypatch):
+        project = Project(tmp_path)
+        project.write("A.lean", "committed\n")
+
+        def torn(path, data):
+            _write_file(path, data[:3])
+            raise OSError("disk full")
+
+        for staged in ("synced\n", "committed\n"):
+            project.stage("A.lean", "other\n")
+            project.sync()
+            project.stage("A.lean", staged)
+            with monkeypatch.context() as m:
+                m.setattr("autoform.verifier._write_file", torn)
+                with pytest.raises(OSError, match="disk full"):
+                    project.sync()
+            project.discard()
+            assert (tmp_path / "A.lean").read_bytes() == b"committed\n"
+            assert project.reload_bytes("A.lean") == b"committed\n"
+
+    def test_a_path_that_is_not_a_regular_file_is_absent(self, tmp_path):
+        (tmp_path / "X.lean").mkdir()
+        (tmp_path / "F.lean").write_text("a file\n")
+        project = Project(tmp_path)
+        for file_id in ("X.lean", "F.lean/B.lean"):
+            assert not project.exists(file_id)
+            assert project.committed_bytes(file_id) is None
+            assert project.reload_bytes(file_id) is None
+            with pytest.raises(FileNotFoundError):
+                project.read(file_id)
+
     def test_a_project_command_sees_staged_candidates(self, tmp_path):
         project = Project(tmp_path / "p")
         project.write("A.lean", "def a : T := sorry\n")

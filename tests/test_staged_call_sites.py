@@ -18,7 +18,10 @@ its declaration, into the analysis, so no checker or stage interprets
 bodies again on every call. Only ``instrumentation.py`` calls
 ``_write_line(``: every metrics line passes through that one write
 point, which the kill harness of ``test_fault_injection.py``
-silences once a fault fires."""
+silences once a fault fires. Exactly one function, ``Project``'s one disk
+read, calls ``_read_file(``: every first read, ``exists``,
+``committed_bytes`` and ``reload_bytes`` go through it, so the record of
+what the disk holds is filled in one place."""
 
 from __future__ import annotations
 
@@ -40,6 +43,7 @@ CALLERS = {
     "parse_file": {"scripted.py"},
     "interpret_body": {"simlang.py"},
     "_write_line": {"instrumentation.py"},
+    "_read_file": {"verifier.py"},
 }
 
 
@@ -66,6 +70,17 @@ def files_calling(name: str) -> set[str]:
 def test_only_its_owner_calls(name):
     assert files_calling(name) == CALLERS[name]
 
+
+def test_one_function_reads_project_files():
+    tree = ast.parse((PACKAGE / "verifier.py").read_text(encoding="utf-8"))
+    readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and called_name(node) == "_read_file"
+    }
+    assert readers == {"_read"}
 
 
 def read_into(scope: ast.AST) -> set[str]:
