@@ -22,11 +22,11 @@ placeholders are found by substring search with an identifier-boundary
 check.
 
 A text that edits another is read only between the declarations the edit
-cannot reach on either side, so appending a declaration costs that
-declaration, and patching one in the middle of a file costs it and its
-predecessor, not the file. The base is the text the edit replaced, which
-the caller passes (``Project.analysis`` passes a staged edit's committed
-entry); with no base the text is read whole.
+cannot reach on either side, so appending a declaration, or patching one
+in the middle of a file, costs that declaration, not the file. The base is
+the text the edit replaced, which the caller passes (``Project.analysis``
+passes a staged edit's committed entry); with no base the text is read
+whole.
 """
 
 from __future__ import annotations
@@ -178,7 +178,11 @@ def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
     staged edit's committed entry); without one it reads the whole text.
     It keeps the base's declaration units the edit cannot reach before it
     (``_kept_units``) and after it (``_kept_tail``), and reads only the
-    lines between. After the edit, it keeps the units from the first one
+    lines between. Before the edit, it keeps every unit whose lines ``text``
+    keeps through the unit's last line; it keeps one fewer when code
+    follows the last of them, which then ends further down, and none when a
+    comment or string of the base runs on past their end or to the end of
+    the base text. After the edit, it keeps the units from the first one
     whose first line no comment or string of the base crosses; it keeps
     none there when a comment or string of ``text`` crosses that line, or
     when the edit would change that unit's docstring or unit start. It
@@ -232,8 +236,12 @@ def _analyse(
     With ``kept`` > 0, the pass reuses the first ``kept`` declaration units
     of ``base`` and starts at the line after them. The caller
     (``_kept_units``) guarantees that ``text`` has the same lines as the
-    base's text up to that point, and that no comment or string of the base
-    crosses it, so everything read before it is the same in both texts.
+    base's text up to that point. The pass checks the rest. If a comment or
+    string of the base crosses that point, or runs to the end of the base
+    text, where ``text`` may carry it on, it keeps no unit. If the lines it
+    reads hold code above the first declaration line, that code extends
+    the last kept unit, so it keeps one unit fewer. Otherwise everything
+    before that point is the same in both texts.
 
     With ``tail`` > 0, the pass also reuses the last ``tail`` units of
     ``base`` and stops at the line where the first of them starts. The
@@ -259,10 +267,14 @@ def _analyse(
         stop = tail_start + len(text) - len(base.masked)
     if kept:
         # lines before ``first`` come from the base and are never read again
-        declarations = list(base.parsed.declarations[:kept])
-        first = declarations[-1].range.end_line
+        first = base.parsed.declarations[kept - 1].range.end_line
         resume = base.line_starts[first]
         spans = list(base.noncode[: bisect_left(base.noncode, resume, key=itemgetter(1))])
+        if spans and spans[-1][2] >= resume:
+            # a comment or string of the base crosses the resume offset, or
+            # runs to the end of the base text, where text may carry it on
+            return _analyse(text, base, 0, tail)
+        declarations = list(base.parsed.declarations[:kept])
         kept_holes = bisect_left(base.hole_ranges, first, key=attrgetter("start_line"))
         holes = list(base.hole_ranges[:kept_holes])
         stray_lines = base.parsed.stray_lines
@@ -320,8 +332,11 @@ def _analyse(
     # the lines above the first declaration: placeholders, and the last
     # line with code (a kept unit's last line is code)
     above = starts[decl_starts[0]] if decl_starts else stop
-    new_holes = list(_holes(masked, resume, above, first, starts))
     code = masked[resume:above].rstrip()
+    if kept and code:
+        # the code belongs to the last kept unit, whose end moves: read it again
+        return _analyse(text, base, kept - 1, tail)
+    new_holes = list(_holes(masked, resume, above, first, starts))
     last_code = first + code.count("\n") if code else first - 1
 
     first_unit = n_lines
@@ -445,48 +460,46 @@ def _resume_point(
     if not decls:
         return None, 0, 0
     starts = analysis.line_starts
-    kept = tail = 0
-    # the base keeps front units only if text keeps its first two
-    # declaration lines, and tail units only if text ends with its last
+    # the base keeps front units only if text keeps its first unit's lines
+    # (``_kept_units``), and tail units only if text ends with its last
     # declaration from the line break before it: one startswith and one
     # endswith reject every other text
-    after = decls[1].range.start_line + 1 if len(decls) > 1 else len(starts)
-    if after < len(starts) and text.startswith(base_text[: starts[after]]):
-        kept = _kept_units(text, base_text, analysis)
+    kept = _kept_units(text, base_text, analysis)
     resume = starts[decls[kept - 1].range.end_line] if kept else 0
     last = starts[decls[-1].range.start_line]
+    tail = 0
     if last and text.endswith(base_text[last - 1 :]):
         tail = _kept_tail(text, base_text, analysis, kept, resume)
-    if not resume and not tail:
+    if not kept and not tail:
         return None, 0, 0
     return analysis, kept, tail
 
 
 def _kept_units(text: str, base_text: str, base: Analysis) -> int:
     """How many of the ``base``'s declaration units ``text`` keeps at the
-    front.
-
-    Let d be the line of the first character where the two texts differ;
-    the base's second declaration starts before d. The base's declarations
-    that start before line d are kept, except the last of them, whose end
-    can still move. None is kept (0) when a comment or string of the base
-    crosses the offset where the kept units end: the scan would resume
-    inside it.
+    front: every unit whose lines ``text`` keeps through the unit's last
+    line, found by bisection; none (0) when it does not keep the first
+    unit's. ``_analyse`` checks what the kept lines alone do not decide:
+    that the scan can resume after them, and that the last kept unit still
+    ends where it did.
     """
     decls = base.parsed.declarations
     starts = base.line_starts
-    lo, hi = 1, len(decls) - 1
+
+    def keeps(k: int) -> bool:
+        # does text have the base's lines through unit k - 1's last line?
+        after = decls[k - 1].range.end_line
+        return after < len(starts) and text.startswith(base_text[: starts[after]])
+
+    if not keeps(1):
+        return 0
+    lo, hi = 1, len(decls)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        # does text have the base's lines through declaration mid's first?
-        after = decls[mid].range.start_line + 1
-        if after < len(starts) and text.startswith(base_text[: starts[after]]):
+        if keeps(mid):
             lo = mid
         else:
             hi = mid - 1
-    resume = starts[decls[lo - 1].range.end_line]
-    if _crosses(base.noncode, resume):
-        return 0
     return lo
 
 

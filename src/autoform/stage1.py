@@ -85,10 +85,6 @@ class Stage1ItemResult:
     file: str = ""
     names: tuple[str, ...] = ()
 
-    @property
-    def compiled(self) -> bool:
-        return self.status == "compiled"
-
     def end_fields(self) -> dict:
         return {
             "index": self.index,

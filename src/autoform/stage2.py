@@ -116,10 +116,6 @@ class Stage2ItemResult:
     # the proof_attempts ordinals of the proposals the kernel accepted
     accepted_attempts: list[int] = field(default_factory=list)
 
-    @property
-    def closed(self) -> bool:
-        return self.status in ("solved", "already_closed")
-
     def end_fields(self) -> dict:
         return {
             "index": self.index,

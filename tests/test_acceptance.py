@@ -139,7 +139,7 @@ def test_budget_bounds(tmp_path, metrics):
     good = OperatorSet(toy_handlers(), EventSink())
     ver2 = Verifier(SimulatedVerifier(), EventSink())
     ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, metrics)
-    assert all(r.compiled for r in ok_results)
+    assert all(r.status == "compiled" for r in ok_results)
 
     s2cfg = Stage2Config(r=10, c=21)
     adversarial = OperatorSet(adversarial_handlers(), EventSink())
@@ -334,7 +334,7 @@ def test_matched_statement_guard(tmp_path, metrics):
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(toy_handlers(), EventSink())
     results = run_stage1(records, project, Stage1Config(), operators, verifier, metrics)
-    assert all(r.compiled for r in results)
+    assert all(r.status == "compiled" for r in results)
 
     changes = 0
     for record, task in build_proof_tasks(records):

@@ -64,7 +64,7 @@ class TestRunSegments:
         (r1, _), _ = run_both(toy_config)
         events = read_events(Path(toy_config.runs_dir) / "metrics_statement.jsonl")
         ends = [e["data"] for e in events if e["event"] == "item_end"]
-        assert len(ends) == 24 and all(r.compiled for r in r1)
+        assert len(ends) == 24 and all(r.status == "compiled" for r in r1)
         # one generated declaration per statement item
         doc_index = {
             d.name: d.doc_index

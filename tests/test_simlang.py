@@ -344,8 +344,8 @@ def kept_units(base_text, text):
 def read(text, base_text):
     """Analyse ``text`` from the analysis of ``base_text``, assert that the
     analysis equals a fresh one, and return how many units the read behind
-    it kept at the front and at the end; a read that could not keep its
-    planned tail reports 0 there."""
+    it kept at the front and at the end; a read that could not keep all the
+    units ``kept_units`` planned reports the ones it kept."""
     plans = []
     real = simlang._analyse
     base = based_on(base_text)
@@ -426,9 +426,16 @@ class TestIncrementalAnalysis:
                 f"{closer} def c : T := sorry\n"
                 "def d : T := sorry\n"
             )
-            text = base.replace("def d : T := sorry", "def d : T := c")
             assert simlang.parse_file(base).declarations[2].name == "c"
-            assert kept_units(base, text) == (0, 0)
+            # an edit of d resumes after c, past the end of the span
+            text = base.replace("def d : T := sorry", "def d : T := c")
+            assert kept_units(base, text) == (3, 0)
+            assert read(text, base) == (3, 0)
+            assert_fresh(text, base)
+            # an edit of c would resume after b, inside the span
+            text = text.replace("def c : T := sorry", "def c : T := b")
+            assert kept_units(base, text) == (2, 0)
+            assert read(text, base) == (0, 0)
             assert_fresh(text, base)
 
     def test_edit_that_leaves_a_comment_or_string_unterminated(self):
@@ -437,8 +444,8 @@ class TestIncrementalAnalysis:
         base = "".join(f"def d{k} : T := sorry\n" for k in range(6))
         for opener in ("/- open", '"open'):
             text = base.replace("def d4 : T := sorry", f"def d4 : T := sorry {opener}")
-            assert kept_units(base, text) == (3, 1)
-            assert read(text, base) == (3, 0)
+            assert kept_units(base, text) == (4, 1)
+            assert read(text, base) == (4, 0)
             assert len(simlang.parse_file(text).declarations) == 5
 
     def test_declaration_line_turned_into_a_stray_line(self):
@@ -449,8 +456,9 @@ class TestIncrementalAnalysis:
         assert kept_units(base, text) == (0, 4)
         assert read(text, base) == (0, 4)
         assert simlang.parse_file(text).stray_lines == (1,)
+        # the stray line is code after d2, so d2's end moves and d2 is read again
         text = base.replace("def d3 ", "xdef d3 ")
-        assert kept_units(base, text) == (2, 1)
+        assert kept_units(base, text) == (3, 1)
         assert read(text, base) == (2, 1)
         assert simlang.parse_file(text).stray_lines == ()
 
@@ -461,7 +469,8 @@ class TestIncrementalAnalysis:
             "def c : T := sorry\n"
         )
         text = base + "def d : T := c\n"
-        assert kept_units(base, text) == (2, 0)
+        assert kept_units(base, text) == (3, 0)
+        assert read(text, base) == (3, 0)
         assert_fresh(text, base)
         assert simlang.parse_file(text).declarations[2].doc_index == 2
 
@@ -471,7 +480,7 @@ class TestIncrementalAnalysis:
         parsed = count_parses(monkeypatch)
         longer = text + "/-- [400] Item 400 -/\ndef e : T := d399\n"
         analysis = simlang.analyse(longer, base)
-        assert len(parsed) <= 2
+        assert len(parsed) == 1
         monkeypatch.undo()
         assert analysis == simlang._analyse(longer)
 
@@ -482,7 +491,7 @@ class TestIncrementalAnalysis:
             parsed = count_parses(monkeypatch)
             edited = text.replace("def d200 : T := sorry\n", new)
             analysis = simlang.analyse(edited, base)
-            assert len(parsed) <= 2, new
+            assert len(parsed) == 1, new
             monkeypatch.undo()
             assert analysis == simlang._analyse(edited)
             assert analysis.parsed.declarations[399].doc_index == 399
@@ -504,7 +513,7 @@ class TestIncrementalAnalysis:
         edited = text.replace("def d200 : T := sorry\n", "def d200 : T := exact d199\n")
         project.stage("Big.lean", edited)
         analysis = project.analysis("Big.lean")
-        assert 1 <= len(interpreted) <= 2
+        assert len(interpreted) == 1
         assert analysis.body_terms[200] == simlang.BodyTerm(reference="d199")
         interpreted.clear()
         checker = SimulatedVerifier()
@@ -553,24 +562,25 @@ class TestIncrementalAnalysis:
         )
         # an edit above the docstring keeps the unit with its docstring
         text = base.replace("def d1 : T := sorry", "def d1 : T := d0")
-        assert kept_units(base, text) == (0, 2)
-        assert read(text, base) == (0, 2)
+        assert kept_units(base, text) == (1, 2)
+        assert read(text, base) == (1, 2)
         assert simlang.parse_file(text).declarations[2].unit_range.start_line == 3
         # a new docstring text, or a unit start that moves onto the docstring,
-        # falls back to reading to the end
-        for edited in (
-            base.replace("[2] Item 2", "[7] Item 7"),
-            base.replace("sorry\n\n/--", "sorry\n/--"),
-            base.replace("/-- [2] Item 2 -/\n", "/-- [2] Item 2 -/ code\n"),
+        # falls back to reading to the end; code after the docstring also
+        # moves the end of d1, which is then read again
+        for edited, kept in (
+            (base.replace("[2] Item 2", "[7] Item 7"), 2),
+            (base.replace("sorry\n\n/--", "sorry\n/--"), 2),
+            (base.replace("/-- [2] Item 2 -/\n", "/-- [2] Item 2 -/ code\n"), 1),
         ):
-            assert kept_units(base, edited) == (1, 2), edited
-            assert read(edited, base) == (1, 0), edited
+            assert kept_units(base, edited) == (2, 2), edited
+            assert read(edited, base) == (kept, 0), edited
 
     def test_edit_that_opens_a_comment_closed_inside_the_tail(self):
         base = "".join(f"def d{k} : T := sorry\n" for k in range(5)) + 'def s : S := "-/"\n'
         text = base.replace("def d1 : T := sorry", "def d1 : T := sorry /- open")
-        assert kept_units(base, text) == (0, 4)
-        assert read(text, base) == (0, 0)
+        assert kept_units(base, text) == (1, 4)
+        assert read(text, base) == (1, 0)
         assert [d.name for d in simlang.parse_file(text).declarations] == ["d0", "d1"]
 
     def test_edit_that_closes_a_base_comment_reaching_into_the_tail(self):
@@ -588,8 +598,8 @@ class TestIncrementalAnalysis:
             "d0", "d1", "d2", "d4", "d5",
         ]
         text = base.replace("/- open", "/- open -/")
-        assert kept_units(base, text) == (1, 1)
-        assert read(text, base) == (1, 1)
+        assert kept_units(base, text) == (2, 1)
+        assert read(text, base) == (2, 1)
         assert [d.name for d in simlang.parse_file(text).declarations] == [
             "d0", "d1", "d2", "d3", "d5",
         ]
@@ -607,15 +617,58 @@ class TestIncrementalAnalysis:
             "def d6 : T := sorry\n"
         )
         text = base.replace("/- open", "/- open -/")
-        assert kept_units(base, text) == (1, 1)
-        assert read(text, base) == (1, 1)
+        assert kept_units(base, text) == (2, 1)
+        assert read(text, base) == (2, 1)
         assert [d.name for d in simlang.parse_file(text).declarations] == [
             "d0", "d1", "d2", "d3", "d5", "d6",
         ]
         short_base = base.removesuffix("def d6 : T := sorry\n")
         short_text = text.removesuffix("def d6 : T := sorry\n")
-        assert kept_units(short_base, short_text) == (1, 0)
-        assert read(short_text, short_base) == (1, 0)
+        assert kept_units(short_base, short_text) == (2, 0)
+        assert read(short_text, short_base) == (2, 0)
+
+    def test_append_after_a_comment_or_string_left_open_at_the_end(self):
+        # the base's last span runs to its end, where the kept units end too;
+        # an append carries the span on, so no unit is kept
+        for opener in ("/- open", '"open'):
+            base = f"def a : T := sorry\ndef b : T := sorry {opener}\n"
+            text = base + "def c : T := b\n"
+            assert kept_units(base, text) == (2, 0)
+            assert read(text, base) == (0, 0)
+            assert [d.name for d in simlang.parse_file(text).declarations] == ["a", "b"]
+
+    def test_append_of_stray_code_reads_the_last_unit_again(self, monkeypatch):
+        # code after the last unit belongs to it, so its end moves
+        base = "def a : T := sorry\ndef b : T := sorry\n"
+        text = base + "stray words\n"
+        assert kept_units(base, text) == (2, 0)
+        assert read(text, base) == (1, 0)
+        based = based_on(base)
+        parsed = count_parses(monkeypatch)
+        analysis = simlang.analyse(text, based)
+        assert len(parsed) == 1
+        monkeypatch.undo()
+        assert analysis == simlang._analyse(text)
+        assert analysis.parsed.declarations[1].range.end_line == 3
+        assert analysis.parsed.stray_lines == ()
+        # when a comment of the base crosses the line that read would start
+        # at, nothing is kept
+        base = "def a : T := sorry /- note\n-/ def b : T := sorry\n"
+        text = base + "stray words\n"
+        assert kept_units(base, text) == (2, 0)
+        assert read(text, base) == (0, 0)
+
+    def test_append_to_a_one_declaration_base_parses_one_declaration(self, monkeypatch):
+        base = "import A\n\ndef a : T := sorry\n"
+        text = base + "def b : T := a\n"
+        assert kept_units(base, text) == (1, 0)
+        assert read(text, base) == (1, 0)
+        based = based_on(base)
+        parsed = count_parses(monkeypatch)
+        analysis = simlang.analyse(text, based)
+        assert len(parsed) == 1
+        monkeypatch.undo()
+        assert analysis == simlang._analyse(text)
 
 
 def one_section_records(n_items):
@@ -685,6 +738,26 @@ class TestPipelineAnalyses:
 
     def test_toy_run(self, monkeypatch, toy_config):
         assert self.run_checked(monkeypatch, toy_config)[0] >= 10
+
+    def test_toy_run_parses_one_declaration_per_edit(self, monkeypatch, toy_config):
+        # a stage-1 append and a stage-2 proof patch each read the one unit
+        # they write; the rest comes from the committed entry's analysis
+        parsed = count_parses(monkeypatch)
+        per_edit = []
+        real = simlang.analyse
+
+        def analyse(text, base=None):
+            before = len(parsed)
+            result = real(text, base)
+            if base is not None:
+                per_edit.append(len(parsed) - before)
+            return result
+
+        monkeypatch.setattr(simlang, "analyse", analyse)
+        for stage, run in ((1, run_statement_stage), (2, run_proof_stage)):
+            toy_config.stage = stage
+            run(toy_config)
+        assert len(per_edit) >= 30 and set(per_edit) == {1}, per_edit
 
     def test_toy_run_with_splits(self, monkeypatch, toy_config, tmp_path):
         # parts of one or two units leave no tail to keep; the reads must

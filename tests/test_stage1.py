@@ -103,7 +103,7 @@ class TestRunStage1:
     def test_toy_corpus_compiles_fully(self, project, toy_records, metrics):
         verifier, operators, config, sink = build_world(project, toy_handlers())
         results = run_stage1(toy_records, project, config, operators, verifier, metrics)
-        assert all(r.compiled for r in results)
+        assert all(r.status == "compiled" for r in results)
         assert len(results) == len(toy_records)
         # early exit keeps total calls far below the cap
         assert verifier.calls <= len(toy_records) * (1 + config.k)
@@ -328,7 +328,7 @@ class TestItemCommit:
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed" and by_index[3].b_attempts > 0
         assert by_index[2].b_attempts == 1  # an accepted repair adds no write
-        compiled = [r for r in results if r.compiled]
+        compiled = [r for r in results if r.status == "compiled"]
         assert len(writes) == len(compiled) == len(results) - 1
         assert sorted(writes) == sorted(Path(r.file).name for r in compiled)
 

@@ -39,7 +39,7 @@ def compiled_project(project, records, metrics):
     verifier = make_verifier()
     operators = OperatorSet(toy_handlers(), EventSink())
     results = run_stage1(records, project, Stage1Config(), operators, verifier, metrics)
-    assert all(r.compiled for r in results)
+    assert all(r.status == "compiled" for r in results)
     return project
 
 
@@ -346,7 +346,7 @@ class TestMissingSectionFile:
         )
         gone = [r for r in results if r.file == missing]
         assert gone and all(r.status == "skipped" and r.verifier_calls == 0 for r in gone)
-        assert all(r.closed for r in results if r.file != missing)
+        assert all(r.status in ("solved", "already_closed") for r in results if r.file != missing)
         assert sink.count("lean_check") == sum(r.verifier_calls for r in results)
         warnings = [
             e["data"] for e in read_events(metrics.path) if e["event"] == "warning"
@@ -616,7 +616,7 @@ class TestRequestConditioning:
             metrics,
             lemma_map=toy_lemma_map,
         )
-        assert all(r.closed for r in results)
+        assert all(r.status in ("solved", "already_closed") for r in results)
         assert captured["plan"]
         for payload in captured["plan"]:
             assert "file_text" not in payload and "file" not in payload
