@@ -26,7 +26,6 @@ from .verifier import (
     Project,
     SimulatedVerifier,
     Verifier,
-    VerifierEnvironment,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "Snapshot",
     "SourceRange",
     "Verifier",
-    "VerifierEnvironment",
     "err_count",
     "load_dataset",
     "load_lemma_map",

@@ -3,7 +3,7 @@
 Subcommands: validate, stage1, stage2, resume, split, backfill, account,
 report, simulate. All configuration is explicit via flags or a JSON config
 file; the only environment override is AUTOFORM_ROOT, which rebases
-relative dataset/project paths.
+relative dataset, project, runs-directory and lemma-map paths.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data or IO error,
 4 runtime failure (verifier launch, failed pipeline).
@@ -26,7 +26,7 @@ from .instrumentation import (
     token_backfill,
 )
 from .pipeline import RunConfig, run_proof_stage, run_statement_stage
-from .stage2 import DEFAULT_SPLIT_THRESHOLD, split_if_large_and_resolve
+from .stage2 import DEFAULT_SPLIT_THRESHOLD, Stage2Config, split_if_large_and_resolve
 from .verifier import Project, VerifierLaunchError
 
 EXIT_OK = 0
@@ -48,9 +48,8 @@ def _resolve(path: str) -> str:
     return str(p)
 
 
-def _config_from_args(args: argparse.Namespace, stage: int) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if getattr(args, "config", None) else RunConfig()
-    cfg.stage = stage
     for key in ("dataset", "project", "runs_dir", "adapter", "operators", "lemma_map", "run_id"):
         value = getattr(args, key, None)
         if value:
@@ -61,14 +60,12 @@ def _config_from_args(args: argparse.Namespace, stage: int) -> RunConfig:
             setattr(cfg, key, value)
     if getattr(args, "resume", False):
         cfg.resume = True
-    if getattr(args, "no_goal_query", False):
-        cfg.goal_query_enabled = False
     if not cfg.dataset or not cfg.project:
         raise SystemExit2("--dataset and --project are required")
-    cfg.dataset = _resolve(cfg.dataset)
-    cfg.project = _resolve(cfg.project)
-    if cfg.runs_dir:
-        cfg.runs_dir = _resolve(cfg.runs_dir)
+    for key in ("dataset", "project", "runs_dir", "lemma_map"):
+        value = getattr(cfg, key)
+        if value:
+            setattr(cfg, key, _resolve(value))
     return cfg
 
 
@@ -87,14 +84,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_stage1(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, stage=1)
+    cfg = _config_from_args(args)
     results, summary = run_statement_stage(cfg)
     print(json.dumps(summary, indent=2))
     return EXIT_OK if summary["pb"] and summary["restored_failed"] == 0 else EXIT_RUNTIME
 
 
 def cmd_stage2(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args, stage=2)
+    cfg = _config_from_args(args)
     results, summary = run_proof_stage(cfg)
     print(json.dumps(summary, indent=2))
     solved_all = summary["processed_items"] == summary["solved"] + summary["already_closed"]
@@ -111,6 +108,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     if not args.file.endswith(".lean"):
         raise SystemExit2(f"--file must name a .lean file: {args.file}")
+    Stage2Config(split_threshold=args.threshold)  # rejects a threshold below 1
     root = Path(_resolve(args.project))
     if not (root / args.file).is_file():
         raise FileNotFoundError(f"no such file: {args.file}")
@@ -186,9 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         adapter="simulated",
         lemma_map=str(lemma_path),
     )
-    cfg.stage = 1
     _, s1 = run_statement_stage(cfg)
-    cfg.stage = 2
     _, s2 = run_proof_stage(cfg)
 
     events = read_events(Path(cfg.runs_dir) / "metrics_statement.jsonl")
@@ -238,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lemma-map", dest="lemma_map")
         p.add_argument("--max-items", dest="max_items", type=int)
         p.add_argument("--resume", action="store_true")
-        p.add_argument("--no-goal-query", dest="no_goal_query", action="store_true")
         p.add_argument("--run-id", dest="run_id")
 
     p = sub.add_parser("validate", help="check a dataset (and lemma map) parses")

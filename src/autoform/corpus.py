@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-DEFAULT_PROOF_TARGET_ENVS = frozenset({"theorem", "lemma", "proposition", "corollary"})
+PROOF_TARGET_ENVS = frozenset({"theorem", "lemma", "proposition", "corollary"})
 
 RECORD_KEYS = (
     "index",
@@ -153,12 +153,9 @@ def dump_dataset(records: list[DatasetRecord], path: str | Path) -> None:
     )
 
 
-def is_proof_target(
-    record: DatasetRecord,
-    proof_target_envs: frozenset[str] = DEFAULT_PROOF_TARGET_ENVS,
-) -> bool:
+def is_proof_target(record: DatasetRecord) -> bool:
     """True iff the record is a proposition-like item eligible for proof repair."""
-    return record.env in proof_target_envs and bool(record.proof.strip())
+    return record.env in PROOF_TARGET_ENVS and bool(record.proof.strip())
 
 
 @dataclass(frozen=True)

@@ -16,28 +16,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import accounting, scripted, stage1, stage2
-from .corpus import (
-    DEFAULT_PROOF_TARGET_ENVS,
-    DatasetRecord,
-    LemmaMapEntry,
-    load_dataset,
-    load_lemma_map,
-)
+from .corpus import DatasetRecord, LemmaMapEntry, load_dataset, load_lemma_map
 from .instrumentation import MetricsWriter, new_run_id, read_events_backwards
 from .operators import OPERATOR_KINDS, ExternalBridge, OperatorSet
 from .stage1 import Stage1Config, Stage1ItemResult, run_stage1
 from .stage2 import Stage2Config, Stage2ItemResult, run_stage2
-from .verifier import (
-    ExternalVerifier,
-    Project,
-    SimulatedVerifier,
-    Verifier,
-    VerifierEnvironment,
-)
+from .verifier import ExternalVerifier, Project, SimulatedVerifier, Verifier
 
 
 # The JSON values a config file may give a RunConfig field, by the field's
@@ -50,7 +38,6 @@ _JSON_TYPES = {
     "bool": ((bool,), "true or false"),
     "int | None": ((int, type(None)), "an integer or null"),
     "list[str]": ((list,), "a list of strings"),
-    "tuple[str, ...]": ((list,), "a list of strings"),
 }
 
 
@@ -82,8 +69,6 @@ class RunConfig:
     project_command: list[str] = field(default_factory=list)
     operator_timeout: float = 600.0
     lemma_map: str = ""
-    goal_query_enabled: bool = True
-    proof_target_envs: tuple[str, ...] = tuple(sorted(DEFAULT_PROOF_TARGET_ENVS))
     max_items: int | None = None
     resume: bool = False
     run_id: str = ""
@@ -101,17 +86,8 @@ class RunConfig:
             accepted, name = _JSON_TYPES[annotations[key]]
             if not _json_type_ok(value, accepted):
                 raise ValueError(f"config key {key!r} must be {name}")
-            if isinstance(getattr(cfg, key), tuple):
-                value = tuple(value)
             setattr(cfg, key, value)
         return cfg
-
-    def environment(self) -> VerifierEnvironment:
-        return VerifierEnvironment(
-            toolchain_id=self.toolchain_id,
-            dependency_revision=self.dependency_revision,
-            adapter=self.adapter,
-        )
 
     def stage1_config(self) -> Stage1Config:
         return Stage1Config(k=self.budget_k)
@@ -122,7 +98,6 @@ class RunConfig:
             r=self.budget_r,
             c=self.budget_c,
             split_threshold=self.split_threshold,
-            goal_query_enabled=self.goal_query_enabled,
         )
 
     def check(self) -> None:
@@ -137,11 +112,6 @@ class RunConfig:
 
     def runs_path(self) -> Path:
         return Path(self.runs_dir) if self.runs_dir else Path(self.project) / "runs"
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["proof_target_envs"] = list(self.proof_target_envs)
-        return d
 
 
 PIPELINE_NAMES = {1: "statement", 2: "proof"}
@@ -207,7 +177,9 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
     ``drive(project, verifier, operators, metrics, start_index)``
     processes the stage's items and returns them with the summary fields
     only that stage reports; the fields every stage reports are added here.
+    The segment runs and records ``config`` with its ``stage`` set to ``stage``.
     """
+    config = replace(config, stage=stage)
     pipeline = PIPELINE_NAMES[stage]
     runs = config.runs_path()
     # the whole config is checked before the segment reads its stream or writes anything
@@ -223,8 +195,7 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
                 "pipeline": pipeline,
                 "stage": stage,
                 "data_file": str(config.dataset),
-                "environment": config.environment().as_dict(),
-                "config": config.as_dict(),
+                "config": asdict(config),
             }
         )
         verifier = Verifier(adapter, metrics)
@@ -292,7 +263,6 @@ def run_proof_stage(
             lemma_map=lemma_map,
             start_index=start_index,
             max_items=config.max_items,
-            proof_target_envs=frozenset(config.proof_target_envs),
         )
         return results, accounting._stage_fields([r.end_fields() for r in results])[2]
 

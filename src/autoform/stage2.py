@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import simlang
-from .corpus import DEFAULT_PROOF_TARGET_ENVS, DatasetRecord, LemmaMapEntry, is_proof_target
+from .corpus import DatasetRecord, LemmaMapEntry, is_proof_target
 from .diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count
 from .instrumentation import MetricsWriter
 from .kernel import PatchOutOfScopeError, run_item, run_items, try_patch
@@ -52,7 +52,6 @@ class Stage2Config:
     r: int = DEFAULT_R
     c: int = DEFAULT_C
     split_threshold: int = DEFAULT_SPLIT_THRESHOLD
-    goal_query_enabled: bool = True
 
     def __post_init__(self) -> None:
         if min(self.t, self.r, self.c) < 1:
@@ -350,9 +349,7 @@ def run_stage2_item(
             return result
 
         if planning:
-            goal = None
-            if config.goal_query_enabled:
-                goal = verifier.goal_state(project, file_id, hole.range)
+            goal = verifier.goal_state(project, file_id, hole.range)
             goal_payload = goal.as_dict() if goal is not None else None
             plan_resp = operators.invoke(
                 OperatorRequest(
@@ -403,13 +400,11 @@ def run_stage2_item(
 def build_proof_tasks(
     records: list[DatasetRecord],
     lemma_map: dict[str, LemmaMapEntry] | None = None,
-    proof_target_envs=None,
 ) -> list[tuple[DatasetRecord, ProofTask]]:
-    envs = proof_target_envs or DEFAULT_PROOF_TARGET_ENVS
     lemma_map = lemma_map or {}
     out = []
     for record in records:
-        if not is_proof_target(record, envs):
+        if not is_proof_target(record):
             continue
         hints = lemma_map.get(str(record.index)) or lemma_map.get(record.label)
         out.append((record, ProofTask.from_record(record, hints)))
@@ -426,7 +421,6 @@ def run_stage2(
     lemma_map: dict[str, LemmaMapEntry] | None = None,
     start_index: int | None = None,
     max_items: int | None = None,
-    proof_target_envs=None,
 ) -> list[Stage2ItemResult]:
     """Process proof items in increasing index order (Stage 2)."""
 
@@ -444,6 +438,6 @@ def run_stage2(
         )
         return run_item(project, metrics, start, work)
 
-    tasks = build_proof_tasks(records, lemma_map, proof_target_envs)
+    tasks = build_proof_tasks(records, lemma_map)
     items = ((task.index, (target_file(record), task)) for record, task in tasks)
     return run_items(items, run_one, start_index, max_items)

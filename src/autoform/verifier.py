@@ -37,20 +37,6 @@ class VerifierLaunchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class VerifierEnvironment:
-    toolchain_id: str
-    dependency_revision: str
-    adapter: str  # "external" | "simulated"
-
-    def as_dict(self) -> dict:
-        return {
-            "toolchain_id": self.toolchain_id,
-            "dependency_revision": self.dependency_revision,
-            "adapter": self.adapter,
-        }
-
-
-@dataclass(frozen=True)
 class GoalState:
     goal: str
     context: tuple[tuple[str, str], ...] = ()

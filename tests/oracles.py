@@ -683,9 +683,7 @@ def ref_run_stage2_item(
         if result.proof_attempts >= config.attempt_bound:
             return result
 
-        goal = None
-        if config.goal_query_enabled:
-            goal = verifier.goal_state(project, file_id, hole.range)
+        goal = verifier.goal_state(project, file_id, hole.range)
         goal_payload = goal.as_dict() if goal is not None else None
 
         plan_req = OperatorRequest(

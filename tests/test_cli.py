@@ -9,7 +9,7 @@ from autoform.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import read_events
 from autoform.pipeline import RunConfig
-from autoform.toydata import build_toy_records
+from autoform.toydata import build_toy_lemma_map, build_toy_records
 
 
 @pytest.fixture
@@ -97,12 +97,20 @@ class TestStages:
 
 
 class TestRemovedSettings:
-    """The header bound, the run-level cost fractions and the override of a
-    corrupt checkpoint are not settings: a config or flag that names one is
-    refused, not stored and ignored."""
+    """The header bound, the run-level cost fractions, the override of a
+    corrupt checkpoint, the goal-query switch and the proof-target set are
+    not settings: a config or flag that names one is refused, not stored
+    and ignored."""
 
     @pytest.mark.parametrize(
-        "key, value", [("header_bound", 64), ("alphas", [0.1]), ("force_restart", False)]
+        "key, value",
+        [
+            ("header_bound", 64),
+            ("alphas", [0.1]),
+            ("force_restart", False),
+            ("goal_query_enabled", False),
+            ("proof_target_envs", ["theorem"]),
+        ],
     )
     def test_config_key_is_unknown(self, tmp_path, key, value):
         cfg = tmp_path / "run.json"
@@ -110,7 +118,9 @@ class TestRemovedSettings:
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_file(cfg)
 
-    @pytest.mark.parametrize("flag", [["--alpha", "0.3"], ["--force-restart"]])
+    @pytest.mark.parametrize(
+        "flag", [["--alpha", "0.3"], ["--force-restart"], ["--no-goal-query"]]
+    )
     @pytest.mark.parametrize("command", [["stage1"], ["stage2"], ["resume", "--stage", "1"]])
     def test_removed_flag_is_a_usage_error(self, toy_dataset, tmp_path, command, flag, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -130,17 +140,17 @@ class TestMalformedConfig:
             ([{"dataset": "toy.json"}], "must hold a JSON object"),
             ("toy.json", "must hold a JSON object"),
             (None, "must hold a JSON object"),
-            ({"proof_target_envs": None}, "'proof_target_envs' must be a list"),
-            ({"proof_target_envs": "theorem"}, "'proof_target_envs' must be a list"),
-            ({"proof_target_envs": {"theorem": True}}, "'proof_target_envs' must be a list"),
-            ({"proof_target_envs": ["theorem", 1]}, "'proof_target_envs' must be a list"),
+            ({"operator_command": None}, "'operator_command' must be a list"),
+            ({"operator_command": "run"}, "'operator_command' must be a list"),
+            ({"operator_command": {"run": True}}, "'operator_command' must be a list"),
+            ({"operator_command": ["run", 1]}, "'operator_command' must be a list"),
             ({"budget_k": "3"}, "'budget_k' must be an integer"),
             ({"budget_k": True}, "'budget_k' must be an integer"),
             ({"budget_t": 2.5}, "'budget_t' must be an integer"),
             ({"max_items": "2"}, "'max_items' must be an integer or null"),
             ({"max_items": False}, "'max_items' must be an integer or null"),
             ({"operator_timeout": "60"}, "'operator_timeout' must be a number"),
-            ({"goal_query_enabled": 1}, "'goal_query_enabled' must be true or false"),
+            ({"resume": 1}, "'resume' must be true or false"),
             ({"operators": ["toy"]}, "'operators' must be a string"),
         ],
     )
@@ -293,6 +303,19 @@ class TestSplitCommand:
         assert [p.name for p in project.iterdir()] == ["Notes.txt"]
         assert (project / "Notes.txt").read_text() == notes
 
+    def test_a_threshold_below_1_exits_2_untouched(self, tmp_path, capsys):
+        project = tmp_path / "project"
+        project.mkdir()
+        # five lines, three theorems
+        text = "\n\n".join(f"theorem t{i} : True := trivial" for i in range(3)) + "\n"
+        (project / "Small.lean").write_text(text)
+        code = run_cli("split", "--project", project, "--file", "Small.lean", "--threshold", "0")
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "split threshold must be at least 1" in err
+        assert [p.name for p in project.iterdir()] == ["Small.lean"]
+        assert (project / "Small.lean").read_text() == text
+
 
 class TestBackfillCommand:
     def test_backfill_writes_metrics_run(self, tmp_path, capsys):
@@ -313,3 +336,23 @@ class TestRootOverride:
         monkeypatch.setenv("AUTOFORM_ROOT", str(tmp_path))
         code = run_cli("validate", "--dataset", toy_dataset.name)
         assert code == EXIT_OK
+
+    def test_env_var_rebases_the_lemma_map_of_a_run(self, toy_dataset, tmp_path, monkeypatch,
+                                                    capsys):
+        lemma_map = tmp_path / "data" / "h.json"
+        lemma_map.parent.mkdir()
+        lemma_map.write_text(json.dumps([e.as_dict() for e in build_toy_lemma_map().values()]))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        monkeypatch.setenv("AUTOFORM_ROOT", str(tmp_path))
+        lemma_flag = ["--lemma-map", "data/h.json"]
+        flags = ["--dataset", toy_dataset.name, "--project", "project", *lemma_flag]
+        assert run_cli("validate", "--dataset", toy_dataset.name, *lemma_flag) == EXIT_OK
+        assert run_cli("stage1", *flags) == EXIT_OK
+        assert run_cli("stage2", *flags) == EXIT_OK
+        assert run_cli("resume", "--stage", "2", *flags) == EXIT_OK
+        events = read_events(tmp_path / "project" / "runs" / "metrics_proof.jsonl")
+        starts = [e["data"]["config"] for e in events if e["event"] == "run_start"]
+        assert [c["lemma_map"] for c in starts] == [str(lemma_map)] * 2
+        assert list(elsewhere.iterdir()) == []

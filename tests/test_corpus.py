@@ -133,16 +133,12 @@ class TestIsProofTarget:
     def test_proposition_like_envs_default(self):
         for env in ("theorem", "lemma", "proposition", "corollary"):
             assert is_proof_target(self.make(env, "..."))
+        assert not is_proof_target(self.make("claim", "..."))
 
     def test_empty_proof_excluded(self):
         rec = self.make("theorem", "")
         assert not is_proof_target(rec)
         assert not is_proof_target(self.make("theorem", "  \n"))
-
-    def test_env_vocabulary_is_configurable(self):
-        rec = self.make("claim", "...")
-        assert not is_proof_target(rec)
-        assert is_proof_target(rec, proof_target_envs=frozenset({"claim"}))
 
     def test_pure_function_of_inputs(self):
         rec = self.make("lemma", "...")

@@ -6,12 +6,13 @@ a sync already wrote. ``DiskTool`` is such a tool without a subprocess: an
 ``ExternalVerifier`` whose ``_run`` checks a fresh ``Project`` of the root
 with the simulated checker, in process, and prints the diagnostics as
 ``file:line:col: severity: message`` lines, exiting 1 on an error. Each
-shape runs both ways, with goal queries off on both sides (the external
-adapter answers none), and must give the same V, Q, item statuses,
-report and project bytes. No project write may repeat bytes the file
-already holds. Each write crossing of stage 1 under this tool is a sync,
-so a kill just after it leaves an uncommitted candidate on disk; a resume
-must still reach the bytes and outcome of an uninterrupted run.
+shape runs both ways and must give the same V, Q, item statuses, report
+and project bytes; the external adapter answers no goal query, and the
+scripted operators do not read the goal. No project write may repeat
+bytes the file already holds. Each write crossing of stage 1 under this
+tool is a sync, so a kill just after it leaves an uncommitted candidate
+on disk; a resume must still reach the bytes and outcome of an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class Writes:
 def run_shape(work: Path, shape: str, writes: Writes) -> dict:
     split, stage2_operators, _, _ = SHAPES[shape]
     cfg = make_config(work, split)
-    cfg.goal_query_enabled = False
     cfg.stage = 1
     run_statement_stage(cfg)
     cfg.stage, cfg.operators, writes.stage = 2, stage2_operators, 2
@@ -141,7 +141,6 @@ def test_a_tool_that_reads_the_disk_sees_what_the_simulated_checker_sees(
 @pytest.fixture(scope="module")
 def uninterrupted(tmp_path_factory):
     cfg = make_config(tmp_path_factory.mktemp("solid") / "work", split=False)
-    cfg.goal_query_enabled = False
     assert run_to_completion(cfg) == 0
     return outcome(cfg)
 
@@ -172,7 +171,6 @@ def test_a_kill_after_a_sync_resumes_to_the_uninterrupted_run(
     n, tmp_path, monkeypatch, uninterrupted
 ):
     cfg = make_config(tmp_path / "work", split=False)
-    cfg.goal_query_enabled = False
     on_disk(monkeypatch)
     fault = Fault(monkeypatch, verifier, "_write_file", n, after=True, matches=lean_file)
     Kill(monkeypatch, fault)

@@ -35,9 +35,18 @@ class TestRunSegments:
         events = read_events(Path(toy_config.runs_dir) / "metrics_statement.jsonl")
         start = events[0]
         assert start["event"] == "run_start"
-        assert start["data"]["environment"]["adapter"] == "simulated"
+        assert start["data"]["config"]["adapter"] == "simulated"
         assert start["data"]["config"]["dataset"] == toy_config.dataset
         assert start["data"]["data_file"] == toy_config.dataset
+
+    def test_a_segment_records_the_stage_it_runs(self, toy_config):
+        # the config is left at its default stage, 1, for both segments
+        run_statement_stage(toy_config)
+        _, summary = run_proof_stage(toy_config)
+        assert summary["stage"] == 2 and toy_config.stage == 1
+        for pipeline, stage in (("statement", 1), ("proof", 2)):
+            start = read_events(Path(toy_config.runs_dir) / f"metrics_{pipeline}.jsonl")[0]
+            assert (start["data"]["stage"], start["data"]["config"]["stage"]) == (stage, stage)
 
     def test_account_reproduces_live_run_totals(self, toy_config):
         (_, s1), (_, s2) = run_both(toy_config)
@@ -268,7 +277,7 @@ class TestResumeEquivalence:
 # Digest of every artifact a toy run leaves (the metrics streams and the
 # project tree), taken with ``_artifact_dump``.
 # A refactor that claims to change no behaviour must leave it as it is.
-PINNED_ARTIFACT_DIGEST = "aa3619d1385c7d5eb2f70c60eeeff913e4d35caa63115e9288ff0e502d656e44"
+PINNED_ARTIFACT_DIGEST = "965cf97b78f48bf647827fdf6508d979e396eee80034c6b8978e4bb9c2116ddf"
 
 _VOLATILE_KEYS = frozenset({"ts", "run_id", "seconds", "total_seconds"})
 
@@ -326,7 +335,7 @@ def test_toy_run_records_every_accepted_proof_proposal(toy_config):
 # the attempt bound R * C and the resumed second segment on the verifier
 # budget T, both after replans every R proposals: exits the toy run, which
 # closes every hole on its first proposal, never takes.
-PINNED_ADVERSARIAL_DIGEST = "f9a41df49ae3491291e53542b662bcc5ad0ad5a008f010dbc2d816c5e10b9883"
+PINNED_ADVERSARIAL_DIGEST = "796b1df16641c1c3a28ba77bf1086db3fed222dccf937b0b42a8551470f1faf0"
 
 
 def test_adversarial_stage2_artifacts_match_pinned_digest(toy_config, tmp_path):

@@ -520,12 +520,6 @@ class TestRunStage2Item:
         assert (result.proof_attempts, result.verifier_calls) == (2, 3)
         assert result.end_fields()["a_accepted"] == [2]
 
-    def test_goal_query_disabled_pipeline_completes(self, project, toy_records, metrics):
-        config = Stage2Config(goal_query_enabled=False)
-        world = ToyWorld(project, toy_records, metrics, config=config)
-        record, task = world.tasks()[0]
-        assert world.run_item(record, task).status == "solved"
-
     def test_elaboration_preserved_after_every_item(self, project, toy_records, metrics):
         world = ToyWorld(project, toy_records, metrics, handlers=adversarial_handlers(),
                          config=Stage2Config(t=8, r=2, c=2))
@@ -754,7 +748,6 @@ def run_scenario(item_fn, root, seed: int):
         r=rng.randint(1, 4),
         c=rng.randint(1, 4),
         split_threshold=rng.choice([DEFAULT_SPLIT_THRESHOLD, 6]),
-        goal_query_enabled=rng.random() < 0.5,
     )
     project = Project(root / "project")
     if rng.random() < 0.97:
