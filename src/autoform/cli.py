@@ -110,7 +110,10 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise SystemExit2(f"--file must name a .lean file: {args.file}")
     Stage2Config(split_threshold=args.threshold)  # rejects a threshold below 1
     root = Path(_resolve(args.project))
-    if not (root / args.file).is_file():
+    path = root / args.file
+    if Path(args.file).is_absolute() or not path.resolve().is_relative_to(root.resolve()):
+        raise SystemExit2(f"--file must name a file inside --project: {args.file}")
+    if not path.is_file():
         raise FileNotFoundError(f"no such file: {args.file}")
     project = Project(root)
     result = split_if_large_and_resolve(project, args.file, None, args.threshold)

@@ -47,6 +47,7 @@ HEADER_KEYWORDS = ("import", "namespace", "section", "open")
 HEADER_BOUND = 64
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
+_MODULE_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*(?:\.[A-Za-z_][A-Za-z0-9_']*)*")
 _IDENT_STARTS = frozenset(string.ascii_letters + "_")
 _IDENT_CHARS = _IDENT_STARTS | frozenset(string.digits + ".'")
 # the line break before a line whose first word is a declaration kind
@@ -695,5 +696,10 @@ def module_name(file_id: str) -> str:
     return path.replace("/", ".")
 
 
-def module_file(module: str) -> str:
+def module_file(module: str) -> str | None:
+    """Project-relative file path of a dotted module name, or None when the
+    name is not identifiers joined by dots: such a name (``.root.x`` would
+    be ``/root/x.lean``) could lead out of the project root."""
+    if not _MODULE_RE.fullmatch(module):
+        return None
     return module.replace(".", "/") + ".lean"

@@ -373,6 +373,8 @@ class SimulatedVerifier:
         cyclic = False
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
+            if dep is None:
+                continue
             exports, cycle = self._exports(project, dep, cache, seen)
             table.update(exports)
             cyclic = cyclic or cycle
@@ -401,6 +403,9 @@ class SimulatedVerifier:
         for imp in parsed.imports:
             dep = simlang.module_file(imp.module)
             rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
+            if dep is None:
+                out.append(Diagnostic(rng, "error", f"invalid module name '{imp.module}'"))
+                continue
             if not project.exists(dep):
                 out.append(Diagnostic(rng, "error", f"unknown module '{imp.module}'"))
                 continue

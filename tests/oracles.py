@@ -447,7 +447,10 @@ def ref_verify_file(
         table: dict[str, str] = {}
         cyclic = False
         for imp in parsed.imports:
-            names, cycle = exports(module_file(imp.module), cache, seen)
+            dep = module_file(imp.module)
+            if dep is None:
+                continue
+            names, cycle = exports(dep, cache, seen)
             table.update(names)
             cyclic = cyclic or cycle
         for decl in parsed.declarations:
@@ -465,6 +468,9 @@ def ref_verify_file(
             continue
         dep = module_file(imp.module)
         rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
+        if dep is None:
+            out.append(Diagnostic(rng, "error", f"invalid module name '{imp.module}'"))
+            continue
         if not project.exists(dep):
             out.append(Diagnostic(rng, "error", f"unknown module '{imp.module}'"))
             continue

@@ -316,6 +316,22 @@ class TestSplitCommand:
         assert [p.name for p in project.iterdir()] == ["Small.lean"]
         assert (project / "Small.lean").read_text() == text
 
+    @pytest.mark.parametrize("where", ["absolute", "dotdot"])
+    def test_a_file_outside_the_project_exits_2_untouched(self, tmp_path, capsys, where):
+        project, elsewhere = tmp_path / "project", tmp_path / "elsewhere"
+        project.mkdir()
+        elsewhere.mkdir()
+        text = "\n\n".join(f"theorem t{i} : True := trivial" for i in range(14)) + "\n"
+        (elsewhere / "Big.lean").write_text(text)
+        file = elsewhere / "Big.lean" if where == "absolute" else "../elsewhere/Big.lean"
+        code = run_cli("split", "--project", project, "--file", file, "--threshold", "10")
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and "--file must name a file inside --project" in err
+        assert list(project.iterdir()) == []
+        assert [p.name for p in elsewhere.iterdir()] == ["Big.lean"]
+        assert (elsewhere / "Big.lean").read_text() == text
+
 
 class TestBackfillCommand:
     def test_backfill_writes_metrics_run(self, tmp_path, capsys):

@@ -1,26 +1,30 @@
 """Fault injection at the write and call boundaries of a run.
 
-Each case raises once at the N-th crossing of one boundary, then resumes
-with ``--resume`` semantics until both stages are complete. The project
-bytes, the provenance map (the names in the stage-1 ``item_end`` lines)
-and the reported targets, solved, SCC and PSR must equal those of an
-uninterrupted run. The faults are ``BaseException`` subclasses, so no
-``except Exception`` on the way swallows them. In ``crash`` mode the
-segment unwinds as after an exception, closing its streams. In ``kill``
-mode no write lands after the fault fires, as when the process dies
-there. Both corpora are the toy corpus; the second splits every
-section file in stage 2.
+Each case stops a run once at the N-th crossing of one boundary, then
+resumes with ``--resume`` semantics until both stages are complete. The
+project bytes, the provenance map (the names in the stage-1 ``item_end``
+lines) and the reported targets, solved, SCC and PSR must equal those of
+an uninterrupted run. In ``crash`` mode the fault raises ``Crash``, a
+``BaseException`` subclass that no ``except Exception`` on the way
+swallows, and the segment unwinds as after an exception, closing its
+streams. In ``kill`` mode the run goes on in a forked child, which sends
+itself ``SIGKILL`` at the fault: no handler, restore or close runs after
+it, as when the process dies there. The parent checks that the child died
+so, then resumes in process. Both corpora are the toy corpus; the second
+splits every section file in stage 2.
 """
 
 from __future__ import annotations
 
 import os
+import signal
+import traceback
 from fnmatch import fnmatch
 from pathlib import Path
 
 import pytest
 
-from autoform import accounting, pipeline, verifier
+from autoform import accounting, verifier
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import MetricsWriter, read_events
 from autoform.operators import OperatorSet
@@ -31,6 +35,10 @@ from autoform.verifier import SimulatedVerifier
 from helpers import tree_hash
 
 SPLIT_THRESHOLD = 10  # below every toy section file's length after stage 1
+# exit codes of a kill child that was not killed
+CHILD_RAISED, FAULT_NEVER_FIRED = 3, 4
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="a kill case forks a child")
 
 
 class Crash(BaseException):
@@ -39,22 +47,21 @@ class Crash(BaseException):
 
 class Fault:
     """Wraps ``owner.name`` so that its ``n``-th matching call raises
-    ``Crash``, before the call or, with ``after``, once it has returned."""
+    ``Crash``, before the call or, with ``after``, once it has returned.
+    With ``kill`` the process sends itself ``SIGKILL`` there instead."""
 
-    def __init__(self, monkeypatch, owner, name, n, after=False, matches=None):
-        self.n, self.after, self.calls, self.fired = n, after, 0, False
+    def __init__(self, monkeypatch, owner, name, n, after=False, matches=None, kill=False):
+        self.n, self.after, self.kill, self.calls, self.fired = n, after, kill, 0, False
         real = getattr(owner, name)
         matches = matches or (lambda *args: True)
 
         def wrapped(*args, **kwargs):
             hit = not self.fired and matches(*args) and self._count()
             if hit and not self.after:
-                self.fired = True
-                raise Crash(f"{name} call {n}")
+                self._fire(f"{name} call {n}")
             result = real(*args, **kwargs)
             if hit:
-                self.fired = True
-                raise Crash(f"{name} call {n}, after it returned")
+                self._fire(f"{name} call {n}, after it returned")
             return result
 
         monkeypatch.setattr(owner, name, wrapped)
@@ -63,42 +70,11 @@ class Fault:
         self.calls += 1
         return self.calls == self.n
 
-
-class Kill:
-    """Makes ``fault`` a kill: from the moment it fires until its run
-    segment has unwound, no write lands (stream lines, project files and
-    deletions, and renames)."""
-
-    WRITES = (
-        (MetricsWriter, "_write_line"),
-        (verifier, "_write_file"),
-        (Path, "write_bytes"),
-        (Path, "write_text"),
-        (Path, "unlink"),
-        (os, "replace"),
-    )
-
-    def __init__(self, monkeypatch, fault: Fault):
-        self.fault, self.unwound = fault, False
-        for owner, name in self.WRITES:
-            monkeypatch.setattr(owner, name, self._unless_dead(getattr(owner, name)))
-        real_segment = pipeline._run_segment
-
-        def segment(*args):
-            try:
-                return real_segment(*args)
-            finally:
-                self.unwound = self.fault.fired
-
-        monkeypatch.setattr(pipeline, "_run_segment", segment)
-
-    def _unless_dead(self, real):
-        def write(*args, **kwargs):
-            if self.fault.fired and not self.unwound:
-                return None
-            return real(*args, **kwargs)
-
-        return write
+    def _fire(self, message: str) -> None:
+        self.fired = True
+        if self.kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise Crash(message)
 
 
 def make_config(work: Path, split: bool) -> RunConfig:
@@ -113,12 +89,13 @@ def make_config(work: Path, split: bool) -> RunConfig:
     )
 
 
-def run_to_completion(cfg: RunConfig) -> int:
+def run_to_completion(cfg: RunConfig, resume: bool = False) -> int:
     """Both stages, each resumed after every crash until it completes;
-    returns the number of crashes."""
+    returns the number of crashes. With ``resume`` each stage starts as a
+    resume, as after a kill."""
     crashes = 0
     for stage, run in ((1, run_statement_stage), (2, run_proof_stage)):
-        cfg.stage, cfg.resume = stage, False
+        cfg.stage, cfg.resume = stage, resume
         while True:
             try:
                 run(cfg)
@@ -210,6 +187,35 @@ BOUNDARIES = {
     "run_end line, after it lands": (MetricsWriter, "run_end", (1, 2), True, None),
 }
 
+
+def run_killed_child(cfg: RunConfig, boundary: str, n: int, monkeypatch) -> None:
+    """Runs both stages in one forked child that sends itself ``SIGKILL``
+    at the ``n``-th crossing of ``boundary``; returns once the child is
+    reaped, and fails unless it died so."""
+    owner, name, _, after, matches = BOUNDARIES[boundary]
+    pid = os.fork()
+    if pid == 0:  # the child dies at the fault or ends here, never back in pytest
+        code = CHILD_RAISED
+        try:
+            Fault(monkeypatch, owner, name, n, after=after, matches=matches, kill=True)
+            run_to_completion(cfg)
+            code = FAULT_NEVER_FIRED
+        except BaseException:
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    status = None
+    try:
+        _, status = os.waitpid(pid, 0)
+    finally:
+        if status is None:  # the wait was interrupted: end and reap the child
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    assert code != FAULT_NEVER_FIRED, f"{boundary} {n}: the run completed without the fault"
+    assert code == -signal.SIGKILL, f"{boundary} {n}: the child ended with {code}, not by SIGKILL"
+
+
 CASES = [
     pytest.param(
         boundary,
@@ -217,6 +223,7 @@ CASES = [
         split,
         mode,
         id=f"{'kill-' if mode == 'kill' else ''}{boundary}-{n}-{'split' if split else 'toy'}",
+        marks=needs_fork if mode == "kill" else (),
     )
     for boundary, (_, _, ns, _, _) in BOUNDARIES.items()
     for n in ns
@@ -229,14 +236,16 @@ CASES = [
 def test_crash_then_resume_matches_an_uninterrupted_run(
     boundary, n, split, mode, tmp_path, monkeypatch, uninterrupted
 ):
-    owner, name, _, after, matches = BOUNDARIES[boundary]
     cfg = make_config(tmp_path / "work", split)
-    fault = Fault(monkeypatch, owner, name, n, after=after, matches=matches)
     if mode == "kill":
-        Kill(monkeypatch, fault)
-    assert run_to_completion(cfg) == 1
-    assert fault.fired
-    monkeypatch.undo()
+        run_killed_child(cfg, boundary, n, monkeypatch)
+        assert run_to_completion(cfg, resume=True) == 0
+    else:
+        owner, name, _, after, matches = BOUNDARIES[boundary]
+        fault = Fault(monkeypatch, owner, name, n, after=after, matches=matches)
+        assert run_to_completion(cfg) == 1
+        assert fault.fired
+        monkeypatch.undo()
     assert outcome(cfg) == uninterrupted[split]
 
 
@@ -262,59 +271,17 @@ def test_provenance_of_committed_items_survives_a_crash(tmp_path, monkeypatch, u
     assert len(recorded) == 24
 
 
-def stream_lines(runs: Path) -> int:
-    """The lines of every metrics stream in ``runs``."""
-    return sum(len(path.read_bytes().splitlines()) for path in runs.glob("metrics_*.jsonl"))
-
-
-@pytest.mark.parametrize("split", [False, True], ids=["toy", "split"])
-def test_every_stream_line_passes_the_kill_harness_write_point(tmp_path, monkeypatch, split):
-    # Kill silences MetricsWriter._write_line; a line written any other way
-    # would land after a kill
-    cfg = make_config(tmp_path / "work", split)
-    real = MetricsWriter._write_line
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(MetricsWriter, "_write_line", counted)
-    assert run_to_completion(cfg) == 0
-    assert len(calls) == stream_lines(Path(cfg.runs_dir)) > 0
-
-
-def test_no_metrics_line_lands_between_a_kill_and_the_unwind(tmp_path, monkeypatch):
-    # the 5th lean_check line lands, then the process dies; the line the
-    # dying writer still tries to emit must not land
+@needs_fork
+def test_no_metrics_line_lands_after_a_kill(tmp_path, monkeypatch):
+    # the 5th lean_check line lands, then the process dies: the stream ends
+    # with that whole line
     cfg = make_config(tmp_path / "work", split=False)
+    run_killed_child(cfg, "lean_check line, after it lands", 5, monkeypatch)
     stream = Path(cfg.runs_dir) / "metrics_statement.jsonl"
-    fault = Fault(monkeypatch, MetricsWriter, "emit", 5, after=True, matches=lean_check)
-    Kill(monkeypatch, fault)
-    at_fault, at_unwind = [], []
-    faulty_emit, killed_segment = MetricsWriter.emit, pipeline._run_segment
-
-    def emit(writer, *args, **kwargs):
-        try:
-            return faulty_emit(writer, *args, **kwargs)
-        except Crash:
-            at_fault.append(len(read_events(stream)))
-            writer.emit("tick", {"after": "the kill"})
-            raise
-
-    def segment(*args):
-        try:
-            return killed_segment(*args)
-        except Crash:
-            at_unwind.append(len(read_events(stream)))
-            raise
-
-    monkeypatch.setattr(MetricsWriter, "emit", emit)
-    monkeypatch.setattr(pipeline, "_run_segment", segment)
-    assert run_to_completion(cfg) == 1
-    assert len(at_fault) == 1 and at_fault[0] > 5
-    assert at_fault == at_unwind
-
+    events = read_events(stream)
+    assert stream.read_bytes().endswith(b"\n")
+    assert events[-1]["event"] == "lean_check"
+    assert [e["event"] for e in events].count("lean_check") == 5
 
 
 RUN_FILES = ("metrics_*.jsonl",)

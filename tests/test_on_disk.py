@@ -10,9 +10,9 @@ shape runs both ways and must give the same V, Q, item statuses, report
 and project bytes; the external adapter answers no goal query, and the
 scripted operators do not read the goal. No project write may repeat
 bytes the file already holds. Each write crossing of stage 1 under this
-tool is a sync, so a kill just after it leaves an uncommitted candidate
-on disk; a resume must still reach the bytes and outcome of an
-uninterrupted run.
+tool is a sync, so a forked child that sends itself ``SIGKILL`` just after
+one leaves an uncommitted candidate on disk, with no restore run; a
+resume must still reach the bytes and outcome of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -23,20 +23,11 @@ import pytest
 
 from autoform import accounting, pipeline, verifier
 from autoform.instrumentation import read_events
-from autoform.kernel import SnapshotRestoreError
 from autoform.pipeline import run_proof_stage, run_statement_stage
 from autoform.verifier import ExternalVerifier, Project, SimulatedVerifier
 
 from helpers import tree_hash
-from test_fault_injection import (
-    Crash,
-    Fault,
-    Kill,
-    lean_file,
-    make_config,
-    outcome,
-    run_to_completion,
-)
+from test_fault_injection import make_config, needs_fork, outcome, run_killed_child, run_to_completion
 
 # shape -> (split, stage-2 operators, V, Q)
 SHAPES = {
@@ -145,36 +136,13 @@ def uninterrupted(tmp_path_factory):
     return outcome(cfg)
 
 
-def run_killed(cfg) -> list[str]:
-    """Both stages, each resumed after the kill until it completes; returns
-    the name of what each killed segment raised. ``Kill`` lets the segment
-    unwind with no write landing, so a kill inside a kernel attempt leaves
-    the candidate on disk and the restore's byte check raises
-    ``SnapshotRestoreError`` over the ``Crash``; a dead process would have
-    left the same disk, so that error counts as the kill."""
-    raised = []
-    for stage, run in ((1, run_statement_stage), (2, run_proof_stage)):
-        cfg.stage, cfg.resume = stage, False
-        while True:
-            try:
-                run(cfg)
-                break
-            except (Crash, SnapshotRestoreError) as exc:
-                assert isinstance(exc, Crash) or isinstance(exc.__context__, Crash)
-                raised.append(type(exc).__name__)
-                cfg.resume = True
-    return raised
-
-
+@needs_fork
 @pytest.mark.parametrize("n", range(1, STAGE1_WRITES + 1))
 def test_a_kill_after_a_sync_resumes_to_the_uninterrupted_run(
     n, tmp_path, monkeypatch, uninterrupted
 ):
     cfg = make_config(tmp_path / "work", split=False)
     on_disk(monkeypatch)
-    fault = Fault(monkeypatch, verifier, "_write_file", n, after=True, matches=lean_file)
-    Kill(monkeypatch, fault)
-    assert len(run_killed(cfg)) == 1
-    assert fault.fired
-    monkeypatch.undo()
+    run_killed_child(cfg, "commit write, after it lands", n, monkeypatch)
+    assert run_to_completion(cfg, resume=True) == 0
     assert outcome(cfg) == uninterrupted

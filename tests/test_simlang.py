@@ -788,3 +788,7 @@ class TestModuleNames:
     def test_roundtrip(self):
         assert simlang.module_name("Chapters/Chap01/section01.lean") == "Chapters.Chap01.section01"
         assert simlang.module_file("Chapters.Chap01.section01") == "Chapters/Chap01/section01.lean"
+
+    @pytest.mark.parametrize("module", [".root.x", "..x", "A..B", "A/B", "A-B"])
+    def test_a_name_that_is_not_dotted_identifiers_names_no_file(self, module):
+        assert simlang.module_file(module) is None

@@ -96,6 +96,26 @@ class TestSimulatedVerifyFile:
         err = diags.errors()[0]
         assert err.range.start_line == 0 and "Nowhere.Real" in err.message
 
+    def test_an_import_that_leads_out_of_the_project_is_an_error(self, project, sim, tmp_path):
+        # `.a.b` would name `/a/b.lean`: a module name must be dotted
+        # identifiers, and no check reads a file outside the root
+        outside = tmp_path / "outside" / "Out.lean"
+        outside.parent.mkdir()
+        outside.write_text("theorem outside : True := trivial\n")
+        module = "." + ".".join(outside.with_suffix("").parts[1:])
+        project.write("A.lean", f"import {module}\ntheorem t : True := outside\n")
+        project.write("B.lean", "import A\ntheorem u : True := outside\n")
+        expected = {
+            "A.lean": [(0, f"invalid module name '{module}'"), (1, "unknown identifier 'outside'")],
+            "B.lean": [(1, "unknown identifier 'outside'")],
+        }
+        for file_id, errors in expected.items():
+            ok, diags = sim.verify_file(project, file_id)
+            assert not ok
+            assert [(e.range.start_line, e.message) for e in diags.errors()] == errors
+            ref_ok, ref_diags = ref_verify_file(project, file_id)
+            assert (ok, diags.items) == (ref_ok, ref_diags.items)
+
     def test_missing_file(self, project, sim):
         ok, diags = sim.verify_file(project, "Ghost.lean")
         assert not ok and err_count(diags) == 1
