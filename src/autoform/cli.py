@@ -1,9 +1,9 @@
 """Command-line entry points.
 
 Subcommands: validate, stage1, stage2, resume, split, backfill, account,
-report, simulate. All configuration is explicit via flags or a JSON config
-file; the only environment override is AUTOFORM_ROOT, which rebases
-relative dataset, project, runs-directory and lemma-map paths.
+report, simulate, synthlogs. All configuration is explicit via flags or a
+JSON config file; the only environment override is AUTOFORM_ROOT, which
+rebases relative dataset, project, runs-directory and lemma-map paths.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data or IO error,
 4 runtime failure (verifier launch, failed pipeline).
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import posixpath
 import sys
 from pathlib import Path
 
@@ -111,8 +112,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     Stage2Config(split_threshold=args.threshold)  # rejects a threshold below 1
     root = Path(_resolve(args.project))
     path = root / args.file
-    if Path(args.file).is_absolute() or not path.resolve().is_relative_to(root.resolve()):
-        raise SystemExit2(f"--file must name a file inside --project: {args.file}")
+    # the parts and their imports are named from --file: it must be a plain relative path
+    names = args.file.split("/")
+    plain = posixpath.normpath(args.file) == args.file and "" not in names and ".." not in names
+    if not plain or not path.resolve().is_relative_to(root.resolve()):
+        raise SystemExit2(f"--file must name a file inside --project as a plain path: {args.file}")
     if not path.is_file():
         raise FileNotFoundError(f"no such file: {args.file}")
     project = Project(root)

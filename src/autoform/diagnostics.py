@@ -141,6 +141,11 @@ def err_count(diagnostics: DiagnosticSet) -> int:
     return diagnostics.error_count
 
 
+def select_error(diagnostics: DiagnosticSet) -> Diagnostic:
+    """The first error by ``Diagnostic.sort_key``; ValueError when there is none."""
+    return min(diagnostics.errors(), key=Diagnostic.sort_key)
+
+
 def _normalize_ranges(ranges: Sequence[SourceRange]) -> tuple[SourceRange, ...]:
     if len(ranges) == 1:
         return tuple(ranges)  # one range is normalized already

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 import string
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
@@ -127,6 +127,13 @@ class Declaration:
     doc_index: int | None = None
     doc_label: str | None = None
     malformed: str | None = None
+
+
+def declaration_at(declarations: Sequence[Declaration], rng: SourceRange) -> int | None:
+    """The index of the declaration ``rng`` meets, or None: declarations are
+    disjoint and in order, so only the first that ends after ``rng`` starts can."""
+    i = bisect_right(declarations, rng.start, key=lambda d: d.range.end)
+    return i if i < len(declarations) and declarations[i].range.intersects(rng) else None
 
 
 @dataclass(frozen=True)

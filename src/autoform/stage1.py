@@ -21,7 +21,7 @@ from functools import partial
 
 from . import simlang
 from .corpus import DatasetRecord
-from .diagnostics import Scope, SourceRange, err_count, localize
+from .diagnostics import Scope, SourceRange, err_count, localize, select_error
 from .instrumentation import MetricsWriter
 from .kernel import (
     DEFAULT_MAX_SCOPE_EXPANSIONS,
@@ -279,8 +279,7 @@ def _repair_target(analysis: simlang.Analysis, local_diags) -> SourceRange:
     """Contiguous region a bridge repair patch should replace: the declaration
     of the file's ``analysis`` containing the first localized error, else
     that error's own range."""
-    first = min(local_diags.errors(), key=lambda d: d.sort_key())
-    for decl in analysis.parsed.declarations:
-        if decl.range.intersects(first.range):
-            return decl.range
-    return first.range
+    first = select_error(local_diags)
+    declarations = analysis.parsed.declarations
+    i = simlang.declaration_at(declarations, first.range)
+    return first.range if i is None else declarations[i].range

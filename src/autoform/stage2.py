@@ -33,7 +33,7 @@ from functools import partial
 
 from . import simlang
 from .corpus import DatasetRecord, LemmaMapEntry, is_proof_target
-from .diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, err_count
+from .diagnostics import Scope, SourceRange, err_count, select_error
 from .instrumentation import MetricsWriter
 from .kernel import PatchOutOfScopeError, run_item, run_items, try_patch
 from .operators import OperatorRequest, OperatorSet
@@ -154,14 +154,6 @@ def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleT
     raise AmbiguousTargetError(
         f"no label match for {task.label!r} and {len(holed)} positional candidates"
     )
-
-
-def select_error(diagnostics: DiagnosticSet) -> Diagnostic:
-    """The error with the smallest start position; ties break by message."""
-    errors = diagnostics.errors()
-    if not errors:
-        raise ValueError("select_error requires at least one error diagnostic")
-    return min(errors, key=lambda d: (d.range.start, d.message))
 
 
 def split_if_large_and_resolve(

@@ -5,7 +5,8 @@ and is the desk-scale test oracle. The external adapter shells out to a configur
 check command and parses its output; it never silently drops toolchain
 output. Both present the same surface: ``verify_file`` returning
 ``(ok, DiagnosticSet)`` where ok holds iff there are zero error-level
-diagnostics.
+diagnostics. A goal query (``goal_state``) is asked only of a file whose
+last counted check found no error, so it runs no check and counts as no call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import errno
 import os
 import re
 import subprocess
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -464,21 +464,12 @@ class SimulatedVerifier:
     ) -> tuple[bool, DiagnosticSet]:
         return _verify_each_file(self, project, files)
 
-    def goal_state(
-        self, project: Project, file_id: str, hole: SourceRange
-    ) -> GoalState | None:
-        """Goal and preceding context of the declaration at ``hole``; None
-        unless the file exists and verifies. Not a counted verifier call."""
-        if not project.exists(file_id):
-            return None
-        analysis = project.analysis(file_id)
-        if err_count(self._check(project, file_id, analysis)) > 0:
-            return None
-        # declarations are disjoint and in line order, so the only one that
-        # can meet the hole is the first that ends after the hole starts
-        declarations = analysis.parsed.declarations
-        i = bisect_right(declarations, hole.start, key=lambda d: d.range.end)
-        if i == len(declarations) or not declarations[i].range.intersects(hole):
+    def goal_state(self, project: Project, file_id: str, hole: SourceRange) -> GoalState | None:
+        """Goal and preceding context of the declaration at ``hole``, or None:
+        a lookup in the analysis, asked only of a file that verifies."""
+        declarations = project.analysis(file_id).parsed.declarations
+        i = simlang.declaration_at(declarations, hole)
+        if i is None:
             return None
         context = tuple((d.name, d.type_text) for d in declarations[:i] if d.name)
         return GoalState(goal=declarations[i].type_text, context=context)
@@ -611,8 +602,8 @@ class Verifier:
 
     Every ``verify_file`` call emits exactly one verifier-check metrics
     event; project checks emit a distinct event and never count toward the
-    verifier-call total. Goal-state queries are logged nowhere and excluded
-    from all accounting.
+    verifier-call total. A goal-state query needs no line: asked only of a
+    file whose last counted check found no error, it runs no check.
     """
 
     adapter: object

@@ -22,6 +22,7 @@ from autoform.diagnostics import (
     err_count,
     offset_to_pos,
     pos_to_offset,
+    select_error,
 )
 from autoform.instrumentation import MetricsWriter
 from autoform.kernel import PatchOutOfScopeError, try_patch
@@ -43,7 +44,6 @@ from autoform.stage2 import (
     ProofTask,
     Stage2Config,
     Stage2ItemResult,
-    select_error,
     split_if_large_and_resolve,
 )
 from autoform.verifier import Project, Verifier, header_scope

@@ -316,21 +316,33 @@ class TestSplitCommand:
         assert [p.name for p in project.iterdir()] == ["Small.lean"]
         assert (project / "Small.lean").read_text() == text
 
-    @pytest.mark.parametrize("where", ["absolute", "dotdot"])
+    @pytest.mark.parametrize("where", ["absolute", "dotdot", "dot", "sub_dotdot"])
     def test_a_file_outside_the_project_exits_2_untouched(self, tmp_path, capsys, where):
+        # "./Big.lean" and "sub/../Big.lean" name a file of the project, but
+        # not in the plain form its parts and their imports are named from
         project, elsewhere = tmp_path / "project", tmp_path / "elsewhere"
         project.mkdir()
         elsewhere.mkdir()
+        (project / "sub").mkdir()
         text = "\n\n".join(f"theorem t{i} : True := trivial" for i in range(14)) + "\n"
-        (elsewhere / "Big.lean").write_text(text)
-        file = elsewhere / "Big.lean" if where == "absolute" else "../elsewhere/Big.lean"
+        home = elsewhere if where in ("absolute", "dotdot") else project
+        (home / "Big.lean").write_text(text)
+        file = {
+            "absolute": elsewhere / "Big.lean",
+            "dotdot": "../elsewhere/Big.lean",
+            "dot": "./Big.lean",
+            "sub_dotdot": "sub/../Big.lean",
+        }[where]
         code = run_cli("split", "--project", project, "--file", file, "--threshold", "10")
         assert code == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and "--file must name a file inside --project" in err
-        assert list(project.iterdir()) == []
-        assert [p.name for p in elsewhere.iterdir()] == ["Big.lean"]
-        assert (elsewhere / "Big.lean").read_text() == text
+        assert sorted(p.name for p in project.iterdir()) == sorted(
+            ["sub"] + (["Big.lean"] if home == project else [])
+        )
+        assert list((project / "sub").iterdir()) == []
+        assert [p.name for p in elsewhere.iterdir()] == (["Big.lean"] if home == elsewhere else [])
+        assert (home / "Big.lean").read_text() == text
 
 
 class TestBackfillCommand:

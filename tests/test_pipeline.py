@@ -9,6 +9,7 @@ import pytest
 from autoform import accounting, simlang, stage1
 from autoform.instrumentation import MetricsWriter, read_events
 from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_statement_stage
+from autoform.verifier import SimulatedVerifier
 
 from helpers import tree_hash
 
@@ -19,6 +20,34 @@ def run_both(cfg: RunConfig):
     cfg.stage = 2
     r2, s2 = run_proof_stage(cfg)
     return (r1, s1), (r2, s2)
+
+
+class TestCheckerRuns:
+    def test_every_checker_run_is_a_lean_check_or_a_project_check_file(
+        self, toy_config, monkeypatch
+    ):
+        """The checker runs only in counted calls: once per ``lean_check``
+        line and once per file of a ``project_check`` line. A goal query,
+        asked only of a file that verifies, runs none."""
+        runs, goal_queries = [], []
+        check, goal_state = SimulatedVerifier._check, SimulatedVerifier.goal_state
+        monkeypatch.setattr(
+            SimulatedVerifier, "_check", lambda self, *a: runs.append(1) or check(self, *a)
+        )
+        monkeypatch.setattr(
+            SimulatedVerifier,
+            "goal_state",
+            lambda self, *a: goal_queries.append(1) or goal_state(self, *a),
+        )
+        run_both(toy_config)
+        runs_dir = Path(toy_config.runs_dir)
+        events = read_events(runs_dir / "metrics_statement.jsonl") + read_events(
+            runs_dir / "metrics_proof.jsonl"
+        )
+        lean_checks = sum(1 for e in events if e["event"] == "lean_check")
+        files = sum(e["data"]["files"] for e in events if e["event"] == "project_check")
+        assert goal_queries and files
+        assert len(runs) == lean_checks + files
 
 
 class TestRunSegments:

@@ -204,6 +204,24 @@ class TestParseFile:
         assert analysis.body_terms[0].error is not None
 
 
+class TestDeclarationAt:
+    """The declaration a range meets, found by bisection, against the first
+    one a linear filter finds."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(0, 30),
+        st.lists(st.tuples(st.integers(0, 34), st.integers(0, 40)), min_size=2, max_size=2),
+    )
+    def test_matches_a_linear_filter(self, rng, lines, ends):
+        declarations = simlang.parse_file(random_file(rng, lines)).declarations
+        start, end = sorted(ends)
+        span = SourceRange(*start, *end)
+        met = [i for i, d in enumerate(declarations) if d.range.intersects(span)]
+        assert simlang.declaration_at(declarations, span) == (met[0] if met else None)
+
+
 class TestBodyInterpretation:
     def cases(self, body):
         text = f"def x : T := {body}\n"

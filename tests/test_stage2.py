@@ -7,7 +7,15 @@ from dataclasses import asdict
 import pytest
 
 from autoform import simlang
-from autoform.diagnostics import Diagnostic, DiagnosticSet, Scope, SourceRange, range_text
+from autoform.diagnostics import (
+    Diagnostic,
+    DiagnosticSet,
+    Scope,
+    SourceRange,
+    err_count,
+    range_text,
+    select_error,
+)
 from autoform.instrumentation import MetricsWriter, read_events
 from autoform.kernel import PatchProposal
 from autoform.operators import OperatorResponse, OperatorSet
@@ -22,7 +30,6 @@ from autoform.stage2 import (
     locate_target_hole,
     run_stage2,
     run_stage2_item,
-    select_error,
     split_if_large_and_resolve,
 )
 from autoform.verifier import Project, SimulatedVerifier, Verifier
@@ -733,11 +740,13 @@ def random_handlers(rng: random.Random) -> dict:
     }
 
 
-def run_scenario(item_fn, root, seed: int):
-    """One item of scenario ``seed`` under ``item_fn``: its result fields,
-    accepted proposals included (or the text of the AmbiguousTargetError it
-    raised and the proposals accepted before it), its metrics lines without
-    timestamps, and the project's staged and committed text."""
+def run_scenario(item_fn, root, seed: int, adapter=None):
+    """One item of scenario ``seed`` under ``item_fn``, checked by
+    ``adapter`` (a fresh ``SimulatedVerifier`` by default): its result
+    fields, accepted proposals included (or the text of the
+    AmbiguousTargetError it raised and the proposals accepted before it),
+    its metrics lines without timestamps, and the project's staged and
+    committed text."""
     rng = random.Random(seed)
     labels = [f"Theorem {k}" for k in range(rng.choice([0, 2, 4, 8]))]
     text = random_section(rng, labels)
@@ -756,7 +765,7 @@ def run_scenario(item_fn, root, seed: int):
     stream = root / "runs" / "metrics.jsonl"
     with MetricsWriter(stream, "run") as metrics:
         metrics.run_start({})
-        verifier = Verifier(SimulatedVerifier(), metrics)
+        verifier = Verifier(adapter or SimulatedVerifier(), metrics)
         operators = OperatorSet(random_handlers(random.Random(-seed)), metrics)
         try:
             outcome = asdict(item_fn(project, SECTION, task, config, operators, verifier, metrics))
@@ -799,3 +808,36 @@ def test_item_loop_matches_reference_loop(tmp_path):
             assert before == old[1][: len(before)], seed
             assert accepted == old[0]["accepted_attempts"][: len(accepted)], seed
     assert min(seen.values()) >= 5 and len(seen) == 6, seen
+
+
+class GoalQuerySpy(SimulatedVerifier):
+    """The simulated checker, recording the text and error count of each
+    file's last check and, at each goal query, the file's text and that
+    record."""
+
+    def __init__(self):
+        self.last_check: dict[str, tuple[str, int]] = {}
+        self.queries: list[tuple[str, tuple[str, int] | None]] = []
+
+    def verify_file(self, project, file_id):
+        ok, diags = super().verify_file(project, file_id)
+        self.last_check[file_id] = (project.read(file_id), err_count(diags))
+        return ok, diags
+
+    def goal_state(self, project, file_id, hole):
+        self.queries.append((project.read(file_id), self.last_check.get(file_id)))
+        return super().goal_state(project, file_id, hole)
+
+
+def test_a_goal_is_asked_only_of_the_text_of_a_clean_last_check(tmp_path):
+    """The precondition that lets ``goal_state`` run no check, at its one
+    caller: over the seeded scenarios, the file's text at each goal query
+    is the text of its last counted check, and that check found no error."""
+    queries = 0
+    for seed in range(600):
+        spy = GoalQuerySpy()
+        run_scenario(run_stage2_item, tmp_path / f"{seed}", seed, spy)
+        for text, last_check in spy.queries:
+            assert last_check == (text, 0), seed
+        queries += len(spy.queries)
+    assert queries >= 100, queries

@@ -17,8 +17,9 @@ Only ``simlang.py`` calls ``interpret_body(``: a body's term is read with
 its declaration, into the analysis, so no checker or stage interprets
 bodies again on every call. Only ``instrumentation.py`` calls
 ``_write_line(``: every metrics line passes through that one write
-point, which the kill harness of ``test_fault_injection.py``
-silences once a fault fires. Exactly one function, ``Project``'s one disk
+point, so a kill case of ``test_fault_injection.py``, a child process
+that sends itself ``SIGKILL`` at the fault, leaves the stream as the
+lines written before it. Exactly one function, ``Project``'s one disk
 read, calls ``_read_file(``: every first read, ``exists``,
 ``committed_bytes`` and ``reload_bytes`` go through it, so the record of
 what the disk holds is filled in one place."""
