@@ -16,6 +16,7 @@ import secrets
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Iterator
 
@@ -77,18 +78,40 @@ def _cut_torn_tail(path: Path) -> None:
 # one encoder for every stream line; json.dumps with a non-default option
 # builds a new one per call
 _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# what ``_LINE_ENCODER.iterencode`` passes ``c_make_encoder`` after the markers dict
+_C_ENCODER_ARGS = (
+    _LINE_ENCODER.default,
+    encode_basestring,
+    _LINE_ENCODER.indent,
+    _LINE_ENCODER.key_separator,
+    _LINE_ENCODER.item_separator,
+    _LINE_ENCODER.sort_keys,
+    _LINE_ENCODER.skipkeys,
+    _LINE_ENCODER.allow_nan,
+)
 _raw_decode = json.JSONDecoder().raw_decode
+
+
+def _encode_data(data: dict) -> str:
+    """``_LINE_ENCODER.encode(data)``, through the C encoder that call ends
+    in, without the Python ``iterencode`` wrapper before it. A fresh
+    markers dict per call keeps its check for circular data; a chunked
+    result is joined whole."""
+    if c_make_encoder is None:
+        return _LINE_ENCODER.encode(data)
+    return "".join(c_make_encoder({}, *_C_ENCODER_ARGS)(data, 0))
 
 
 class MetricsWriter:
     """Append-only metrics event stream for one run segment.
 
-    One append handle on the JSONL file, opened in binary append mode at
-    the first line and kept open until ``close``. Every line passes through
-    ``_write_line``: one write of its UTF-8 bytes and one flush before the
-    call returns, so a reader tailing the file sees every line written so
-    far. A torn last line left by a killed segment is cut off when the
-    handle opens."""
+    One unbuffered append handle on the JSONL file, opened in binary append
+    mode at the first line and kept open until ``close``. Every line passes
+    through ``_write_line``: its UTF-8 bytes go to the file in raw writes,
+    one unless the system writes short, before the call returns. No buffer
+    holds a line back, so a reader tailing the file sees every line written
+    so far, and a killed segment leaves at most a torn last line, which is
+    cut off when the next handle opens."""
 
     def __init__(self, path: str | Path, run_id: str):
         self.path = Path(path)
@@ -101,12 +124,15 @@ class MetricsWriter:
         self._started = False
 
     def _write_line(self, line: str) -> None:
-        """Append ``line``, which ends in a newline, and flush it."""
+        """Append ``line``, which ends in a newline: raw writes until the
+        system has taken every byte."""
         if self._fh is None:
             _cut_torn_tail(self.path)
-            self._fh = self.path.open("ab")
-        self._fh.write(line.encode("utf-8"))
-        self._fh.flush()
+            self._fh = self.path.open("ab", buffering=0)
+        data = line.encode("utf-8")
+        written = self._fh.write(data)
+        while written < len(data):
+            written += self._fh.write(data[written:])
 
     def close(self) -> None:
         if self._fh is not None:
@@ -127,7 +153,7 @@ class MetricsWriter:
             event_json = self._event_json[event] = _LINE_ENCODER.encode(event)
         self._write_line(
             f'{{"ts": "{ts}", "run_id": {self._run_id_json}, '
-            f'"event": {event_json}, "data": {_LINE_ENCODER.encode(data)}}}\n'
+            f'"event": {event_json}, "data": {_encode_data(data)}}}\n'
         )
         return {"ts": ts, "run_id": self.run_id, "event": event, "data": data}
 

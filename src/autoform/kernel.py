@@ -13,7 +13,7 @@ secondary is the localized error count (stage 1) or the file hole count
 (stage 2), so a patch that increases compilation errors is never accepted.
 ``run_item`` makes a dataset item one transaction of the ``Project``, and
 ``run_items`` runs a stage's items in order from a start cursor. The
-``item_end`` line of an item, appended and flushed after its commit, is
+``item_end`` line of an item, written to the file after its commit, is
 the durable record that moves the cursor past it.
 """
 

@@ -153,7 +153,7 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
 
     Without ``--resume`` that is always None. With it, the segment starts
     one past the ``index`` of the last ``item_end`` line in the pipeline's
-    metrics stream: the line is flushed right after the item's commit, so it
+    metrics stream: the line is written right after the item's commit, so it
     is the durable record of the last item done. The stream is read
     backwards and only the lines after that ``item_end`` are parsed; when
     the last segment ended no item, the scan goes on into the segment

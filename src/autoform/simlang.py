@@ -188,9 +188,10 @@ def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
     (``_kept_units``) and after it (``_kept_tail``), and reads only the
     lines between. Before the edit, it keeps every unit whose lines ``text``
     keeps through the unit's last line; it keeps one fewer when code
-    follows the last of them, which then ends further down, and none when a
-    comment or string of the base runs on past their end or to the end of
-    the base text. After the edit, it keeps the units from the first one
+    follows the last of them, which then ends further down. When a comment
+    or string of the base runs on past their end or to the end of the base
+    text, it keeps only the units that end above the line where that span
+    starts. After the edit, it keeps the units from the first one
     whose first line no comment or string of the base crosses; it keeps
     none there when a comment or string of ``text`` crosses that line, or
     when the edit would change that unit's docstring or unit start. It
@@ -246,7 +247,8 @@ def _analyse(
     (``_kept_units``) guarantees that ``text`` has the same lines as the
     base's text up to that point. The pass checks the rest. If a comment or
     string of the base crosses that point, or runs to the end of the base
-    text, where ``text`` may carry it on, it keeps no unit. If the lines it
+    text, where ``text`` may carry it on, it keeps only the units that end
+    above the line where that comment or string starts. If the lines it
     reads hold code above the first declaration line, that code extends
     the last kept unit, so it keeps one unit fewer. Otherwise everything
     before that point is the same in both texts.
@@ -280,8 +282,15 @@ def _analyse(
         spans = list(base.noncode[: bisect_left(base.noncode, resume, key=itemgetter(1))])
         if spans and spans[-1][2] >= resume:
             # a comment or string of the base crosses the resume offset, or
-            # runs to the end of the base text, where text may carry it on
-            return _analyse(text, base, 0, tail)
+            # runs to the end of the base text, where text may carry it on:
+            # keep only the units that end above the line it starts on
+            kept = bisect_right(
+                base.parsed.declarations,
+                spans[-1][1],
+                hi=kept,
+                key=lambda d: base.line_starts[d.range.end_line],
+            )
+            return _analyse(text, base, kept, tail)
         declarations = list(base.parsed.declarations[:kept])
         kept_holes = bisect_left(base.hole_ranges, first, key=attrgetter("start_line"))
         holes = list(base.hole_ranges[:kept_holes])

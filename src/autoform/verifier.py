@@ -30,6 +30,7 @@ from .instrumentation import MetricsWriter
 from .simlang import DEFINITION_KINDS
 
 DEFAULT_BUILTINS = {"trivial": "True"}
+_READ_CHUNK = 1 << 16  # bytes per os.read: one read takes a file below 64 KiB
 
 
 class VerifierLaunchError(RuntimeError):
@@ -55,9 +56,19 @@ def _decode(data: bytes) -> str:
 
 
 def _read_file(path: Path) -> bytes:
-    """The bytes of the file at ``path``: one ``open`` and one read."""
-    with open(path, "rb") as f:
-        return f.read()
+    """The bytes of the file at ``path``, read through a raw descriptor:
+    ``os.read`` until an empty read, with no file object, buffer or
+    ``fstat``. A directory opens, and its first read raises
+    ``IsADirectoryError``. ``O_BINARY`` (Windows only) keeps the bytes from
+    newline translation."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _write_file(path: Path, data: bytes) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import tempfile
 import time
@@ -8,7 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from autoform import instrumentation
 from autoform.instrumentation import (
@@ -26,9 +27,17 @@ from helpers import EventSink
 
 # strings of the characters a JSON string escapes or leaves, or any text
 NAMES = st.text(alphabet=st.sampled_from('a"\\\u00e9\u2200\n\x00 ')) | st.text()
+# JSON-able values with what a line may carry: non-ASCII text, NaN and the
+# infinities, int keys and nested lists
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | NAMES,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAMES | st.integers(), inner, max_size=3),
     max_leaves=12,
 )
 
@@ -53,6 +62,21 @@ class TestUtcNowIso:
             monkeypatch.setattr(time, "time_ns", lambda: ns)
             expected = datetime.fromtimestamp(sec, timezone.utc).replace(microsecond=us)
             assert utc_now_iso() == expected.isoformat()
+
+
+class ShortWrites:
+    """A raw append handle whose every write takes at most 7 bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def write(self, data: bytes) -> int:
+        self.writes += 1
+        return self.fh.write(bytes(data[:7]))
+
+    def close(self) -> None:
+        self.fh.close()
 
 
 class TestMetricsWriter:
@@ -104,6 +128,24 @@ class TestMetricsWriter:
         for record in records:
             assert datetime.fromisoformat(record["ts"]).tzinfo == timezone.utc
             assert record["ts"].endswith("+00:00")
+
+    def test_a_stream_written_7_bytes_at_a_time_is_the_same_stream(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(instrumentation, "utc_now_iso", lambda: "2026-01-02T03:04:05.000006+00:00")
+
+        def write(path: Path, handle=None) -> bytes:
+            metrics = MetricsWriter(path, "r")
+            metrics._fh = handle
+            with metrics:
+                metrics.run_start({"pipeline": "proof"})
+                for k in range(20):
+                    metrics.emit("tick", {"k": k, "text": "\u00e9\u2200" * k})
+            return path.read_bytes()
+
+        whole = write(tmp_path / "whole.jsonl")
+        short = tmp_path / "short.jsonl"
+        handle = ShortWrites(short.open("ab", buffering=0))
+        assert write(short, handle) == whole
+        assert handle.writes >= len(whole) / 7 > 21
 
     def test_emit_before_run_start_is_an_error(self, tmp_path):
         with MetricsWriter(tmp_path / "m.jsonl", "r") as metrics:
@@ -200,6 +242,74 @@ class TestMetricsWriter:
         events.close()  # a reader that stops early leaves no handle open
         with pytest.raises(ValueError, match="bad metrics line"):
             list(read_events_backwards(path))
+
+
+def stream_bytes(records: list[dict]) -> bytes:
+    """The stream ``json.dumps`` makes of ``records``, one line each."""
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode("utf-8")
+
+
+def without_c_encoder(mp: pytest.MonkeyPatch) -> None:
+    """Run as on a Python whose json module has no C encoder: the writer
+    falls back to ``JSONEncoder.encode``, which then encodes in Python."""
+    mp.setattr(instrumentation, "c_make_encoder", None)
+    mp.setattr(json.encoder, "c_make_encoder", None)
+
+
+C_ENCODER = pytest.mark.parametrize("c_encoder", [True, False], ids=["c_encoder", "no_c_encoder"])
+
+
+class TestLineBytes:
+    """Each line is the bytes ``json.dumps(record, ensure_ascii=False)``
+    gives its record, plus a newline, also where json has no C encoder
+    (``test_any_line_is_the_bytes_json_dumps_gives`` covers the C path)."""
+
+    @given(events=st.lists(st.tuples(NAMES, JSON_VALUES), max_size=4))
+    def test_any_line_without_the_c_encoder(self, events):
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            without_c_encoder(mp)
+            path = Path(tmp) / "m.jsonl"
+            with MetricsWriter(path, "r\u00e9") as metrics:
+                records = [metrics.run_start({})]
+                records += [metrics.emit(event, data) for event, data in events]
+            assert path.read_bytes() == stream_bytes(records)
+
+    @C_ENCODER
+    def test_a_payload_over_64_kib(self, tmp_path, monkeypatch, c_encoder):
+        # Python 3.11's C encoder returns this as two chunks, past 100,000
+        # pieces; the line holds both
+        if not c_encoder:
+            without_c_encoder(monkeypatch)
+        payload = {
+            "rows": list(range(60_000)),
+            "text": "\u00e9\u2200 " * 30_000,
+            7: [[math.nan, math.inf, -math.inf], {"k": None}],
+        }
+        path = tmp_path / "m.jsonl"
+        with MetricsWriter(path, "r") as metrics:
+            records = [metrics.run_start({}), metrics.emit("big", payload)]
+        data = path.read_bytes()
+        assert len(data) > 64 * 1024
+        assert data == stream_bytes(records)
+
+    @C_ENCODER
+    def test_a_circular_payload_raises_and_leaves_the_writer_usable(
+        self, tmp_path, monkeypatch, c_encoder
+    ):
+        if not c_encoder:
+            without_c_encoder(monkeypatch)
+        path = tmp_path / "m.jsonl"
+        payload = {"inner": [1, 2], "loop": []}
+        payload["loop"].append(payload)
+        with MetricsWriter(path, "r") as metrics:
+            records = [metrics.run_start({})]
+            with pytest.raises(ValueError, match="Circular reference"):
+                metrics.emit("tick", payload)
+            # once the loop is cut the same objects encode: no line keeps
+            # the circular check's marks of an earlier one
+            payload["loop"].clear()
+            records.append(metrics.emit("tick", payload))
+        assert path.read_bytes() == stream_bytes(records)
 
 
 class TestReadEvents:

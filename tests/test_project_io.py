@@ -32,6 +32,7 @@ from autoform.verifier import (
     SimulatedVerifier,
     Verifier,
     VerifierLaunchError,
+    _READ_CHUNK,
     _write_file,
 )
 
@@ -431,6 +432,66 @@ class TestInPlaceWrite:
         monkeypatch.undo()
         assert flags and all(f & os.O_WRONLY and not f & os.O_TRUNC for f in flags)
         assert (tmp_path / "A.lean").read_bytes() == b"short\n"
+
+
+class DescriptorCounter:
+    """Counts the descriptors ``os.open`` returns and ``os.close`` closes,
+    and the ``os.read`` calls, each of which it lets take at most ``limit``
+    bytes when one is given."""
+
+    def __init__(self, monkeypatch, limit: int | None = None):
+        self.opened: list[int] = []
+        self.closed: list[int] = []
+        self.reads = 0
+        real_open, real_close, real_read = os.open, os.close, os.read
+
+        def counting_open(*args, **kwargs):
+            fd = real_open(*args, **kwargs)
+            self.opened.append(fd)
+            return fd
+
+        def counting_close(fd):
+            self.closed.append(fd)
+            real_close(fd)
+
+        def counting_read(fd, n):
+            self.reads += 1
+            return real_read(fd, n if limit is None else min(n, limit))
+
+        monkeypatch.setattr(os, "open", counting_open)
+        monkeypatch.setattr(os, "close", counting_close)
+        monkeypatch.setattr(os, "read", counting_read)
+
+
+class TestRawRead:
+    """A project file is read through a raw descriptor, ``os.read`` until
+    an empty read, and the descriptor is closed whatever the read did."""
+
+    def test_a_file_larger_than_one_read_comes_back_whole(self, tmp_path, monkeypatch):
+        data = random.Random(3).randbytes(3 * _READ_CHUNK + 123)
+        (tmp_path / "Big.lean").write_bytes(data)
+        project = Project(tmp_path)
+        fds = DescriptorCounter(monkeypatch)
+        assert project.reload_bytes("Big.lean") == data
+        assert fds.reads == 5  # three full chunks, the rest, then the empty read
+        # a system that hands back fewer bytes than asked changes nothing
+        fds = DescriptorCounter(monkeypatch, limit=1000)
+        assert project.reload_bytes("Big.lean") == data
+        assert fds.reads == len(data) // 1000 + 2
+
+    def test_a_thousand_reads_leave_no_descriptor_open(self, tmp_path, monkeypatch):
+        # a directory opens and its read raises; a missing file and a path
+        # under a regular file open nothing; all three read as absent
+        (tmp_path / "A.lean").write_text("def a : T := sorry\n")
+        (tmp_path / "X.lean").mkdir()
+        project = Project(tmp_path)
+        fds = DescriptorCounter(monkeypatch)
+        file_ids = ("A.lean", "X.lean", "Missing.lean", "A.lean/B.lean")
+        for k in range(1000):
+            data = project.reload_bytes(file_ids[k % 4])
+            assert (data is not None) == (k % 4 == 0)
+        assert len(fds.opened) == 500
+        assert sorted(fds.closed) == sorted(fds.opened)
 
 
 class TestStagedCandidates:

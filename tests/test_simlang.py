@@ -436,7 +436,7 @@ class TestIncrementalAnalysis:
         assert kept_units(base, text) == (0, 2)
         assert read(text, base) == (0, 2)
 
-    def test_comment_or_string_across_the_resume_offset_reads_everything(self):
+    def test_comment_or_string_across_the_resume_offset_keeps_the_units_above_it(self):
         for opener, closer in (("/- note", "-/"), ('"note', '"')):
             base = (
                 "def a : T := sorry\n"
@@ -450,10 +450,11 @@ class TestIncrementalAnalysis:
             assert kept_units(base, text) == (3, 0)
             assert read(text, base) == (3, 0)
             assert_fresh(text, base)
-            # an edit of c would resume after b, inside the span
+            # an edit of c would resume after b, inside the span, so the read
+            # keeps only a, which ends above the line the span starts on
             text = text.replace("def c : T := sorry", "def c : T := b")
             assert kept_units(base, text) == (2, 0)
-            assert read(text, base) == (0, 0)
+            assert read(text, base) == (1, 0)
             assert_fresh(text, base)
 
     def test_edit_that_leaves_a_comment_or_string_unterminated(self):
@@ -647,12 +648,12 @@ class TestIncrementalAnalysis:
 
     def test_append_after_a_comment_or_string_left_open_at_the_end(self):
         # the base's last span runs to its end, where the kept units end too;
-        # an append carries the span on, so no unit is kept
+        # an append carries the span on, so only a, above the span, is kept
         for opener in ("/- open", '"open'):
             base = f"def a : T := sorry\ndef b : T := sorry {opener}\n"
             text = base + "def c : T := b\n"
             assert kept_units(base, text) == (2, 0)
-            assert read(text, base) == (0, 0)
+            assert read(text, base) == (1, 0)
             assert [d.name for d in simlang.parse_file(text).declarations] == ["a", "b"]
 
     def test_append_of_stray_code_reads_the_last_unit_again(self, monkeypatch):
