@@ -6,14 +6,15 @@ carry neither, so both totals are reconstructed from per-item repair
 counters: one initial verification plus one per bounded repair attempt,
 and likewise one synthesis call plus one repair call. Aggregation across
 run ids is plain summation with no deduplication, which is what makes
-interrupted-and-resumed runs add up exactly.
+interrupted-and-resumed runs add up exactly. A report is one fold over the
+events (``_Fold``): each event is read once, and the per-run schema rule is
+applied after it, once per run id.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,15 +32,6 @@ KNOWN_SCHEMAS = (1, 2)
 DEFAULT_ALPHAS = (0.05, 0.10, 0.25)
 
 
-def runs_in(events: list[dict]) -> dict[str, dict]:
-    """run_id -> run_start payload for every run present in the stream."""
-    out: dict[str, dict] = {}
-    for ev in events:
-        if ev.get("event") == "run_start":
-            out[ev["run_id"]] = ev.get("data", {})
-    return out
-
-
 def _schema_of(run_start_data: dict) -> int:
     version = run_start_data.get("schema_version", 1)
     if version not in KNOWN_SCHEMAS:
@@ -47,57 +39,79 @@ def _schema_of(run_start_data: dict) -> int:
     return version
 
 
-def select_events(events: list[dict], run_ids: set[str] | None = None) -> list[dict]:
-    if run_ids is None:
-        return list(events)
-    return [ev for ev in events if ev.get("run_id") in run_ids]
+class _Fold:
+    """One pass over the events whose ``run_id`` is in ``run_ids`` (all of
+    them when it is None). Per run id, in ``runs``: the ``lean_check`` and
+    ``oracle_result`` counts, the legacy reconstruction (one plus
+    ``b_attempts`` per ``item_end``) and the last ``run_start`` payload;
+    the runs are the filter's ids, or else every id an event carries.
+    Across runs: the ``item_end`` payloads, the last ``project_check``
+    payload and the token total. A missing ``data`` reads as ``{}``."""
 
+    def __init__(self, events: Iterable[dict], run_ids: set[str] | None = None):
+        runs = {} if run_ids is None else {run_id: [0, 0, 0, {}] for run_id in run_ids}
+        item_ends = []
+        check = backfill = None
+        oracle_tokens = 0
+        for ev in events:
+            run_id = ev.get("run_id")
+            tally = runs.get(run_id)
+            if tally is None:
+                if run_ids is not None:
+                    continue
+                tally = [0, 0, 0, {}]  # an event with no run_id counts in no run
+                if run_id is not None or "run_id" in ev:
+                    runs[run_id] = tally
+            kind = ev.get("event")
+            if kind == VERIFIER_EVENT:
+                tally[0] += 1
+            elif kind == ORACLE_EVENT:
+                tally[1] += 1
+                oracle_tokens += int(ev.get("data", {}).get("tokens_used", 0) or 0)
+            elif kind == "item_end":
+                data = ev.get("data", {})
+                tally[2] += 1 + int(data.get("b_attempts", 0))
+                item_ends.append(data)
+            elif kind == "run_start":
+                tally[3] = ev.get("data", {})
+            elif kind == "project_check":
+                check = ev.get("data", {})
+            elif kind == "task_tokens":
+                backfill = (backfill or 0) + int(ev.get("data", {}).get("tokens_used_total", 0))
+        self.runs, self.item_ends, self.check = runs, item_ends, check
+        self.tokens = oracle_tokens if backfill is None else backfill
 
-def _legacy_reconstruction(events: list[dict], run_id: str) -> int:
-    """items + sum of bounded repair attempts, from item_end payloads."""
-    total = 0
-    for ev in events:
-        if ev.get("run_id") == run_id and ev.get("event") == "item_end":
-            total += 1 + int(ev.get("data", {}).get("b_attempts", 0))
-    return total
+    def calls(self) -> tuple[int, int]:
+        """(V, Q) summed over the runs in id order: event counts, or the
+        legacy reconstruction for a schema-1 run."""
+        v = q = 0
+        for run_id in sorted(self.runs):
+            verifier, oracle, legacy, start = self.runs[run_id]
+            if _schema_of(start) == 1:
+                verifier = oracle = legacy
+            v += verifier
+            q += oracle
+        return v, q
 
-
-def _count(events: list[dict], run_ids: set[str] | None, label: str) -> int:
-    starts = runs_in(events)
-    if run_ids is None:
-        run_ids = set(starts)
-        run_ids.update(ev["run_id"] for ev in events if "run_id" in ev)
-    labelled = Counter(ev.get("run_id") for ev in events if ev.get("event") == label)
-    total = 0
-    for run_id in sorted(run_ids):
-        schema = _schema_of(starts.get(run_id, {}))
-        if schema == 1:
-            total += _legacy_reconstruction(events, run_id)
-        else:
-            total += labelled[run_id]
-    return total
+    def metrics(self, stages: dict[int, dict]) -> MetricsBundle:
+        """PB from the last project-check event, the rest from the stages' fields."""
+        pb = None if self.check is None else bool(self.check.get("ok"))
+        s1, s2 = stages[1], stages[2]
+        return MetricsBundle(pb=pb, scc=s1["scc"], arr=s1["arr"], psr=s2["psr"])
 
 
 def count_verifier_calls(events: list[dict], run_ids: set[str] | None = None) -> int:
-    return _count(events, run_ids, VERIFIER_EVENT)
+    return _Fold(events, run_ids).calls()[0]
 
 
 def count_oracle_calls(events: list[dict], run_ids: set[str] | None = None) -> int:
-    return _count(events, run_ids, ORACLE_EVENT)
+    return _Fold(events, run_ids).calls()[1]
 
 
 def total_tokens(events: list[dict], run_ids: set[str] | None = None) -> int:
     """Token totals: backfill task_tokens events are canonical when present,
     else per-call token fields on oracle-result events are summed."""
-    chosen = select_events(events, run_ids)
-    backfill = [ev for ev in chosen if ev.get("event") == "task_tokens"]
-    if backfill:
-        return sum(int(ev["data"].get("tokens_used_total", 0)) for ev in backfill)
-    return sum(
-        int(ev["data"].get("tokens_used", 0) or 0)
-        for ev in chosen
-        if ev.get("event") == ORACLE_EVENT
-    )
+    return _Fold(events, run_ids).tokens
 
 
 def cost_alpha(v: int, q: int, alpha: float) -> float:
@@ -171,19 +185,6 @@ def _stage_fields(item_ends: Iterable[dict]) -> dict[int, dict]:
     }
 
 
-def _item_ends(events: list[dict]) -> list[dict]:
-    return [ev.get("data", {}) for ev in events if ev.get("event") == "item_end"]
-
-
-def _bundle(events: list[dict], stages: dict[int, dict]) -> MetricsBundle:
-    """PB from the last project-check event, the rest from the stages' fields."""
-    pb: bool | None = None
-    for ev in events:
-        if ev.get("event") == "project_check":
-            pb = bool(ev["data"].get("ok"))
-    return MetricsBundle(pb=pb, scc=stages[1]["scc"], arr=stages[1]["arr"], psr=stages[2]["psr"])
-
-
 def compute_metrics(events: list[dict], item_results: list | None = None) -> MetricsBundle:
     """PB/SCC/ARR/PSR from a run's artifacts.
 
@@ -191,11 +192,9 @@ def compute_metrics(events: list[dict], item_results: list | None = None) -> Met
     precedence; otherwise everything is reconstructed from item_end
     payloads and the final project-check event.
     """
-    if item_results is not None:
-        item_ends = [r.end_fields() for r in item_results]
-    else:
-        item_ends = _item_ends(events)
-    return _bundle(events, _stage_fields(item_ends))
+    fold = _Fold(events)
+    ends = fold.item_ends if item_results is None else [r.end_fields() for r in item_results]
+    return fold.metrics(_stage_fields(ends))
 
 
 @dataclass(frozen=True)
@@ -237,21 +236,19 @@ def build_report(
     run_ids: set[str] | None = None,
     alphas: tuple[float, ...] = DEFAULT_ALPHAS,
 ) -> AccountingReport:
-    chosen = select_events(events, run_ids)
-    v = count_verifier_calls(events, run_ids)
-    q = count_oracle_calls(events, run_ids)
-    stages = _stage_fields(_item_ends(chosen))
+    fold = _Fold(events, run_ids)
+    v, q = fold.calls()
+    stages = _stage_fields(fold.item_ends)
     s1, s2 = stages[1], stages[2]
     solved = s1["compiled"] + s2["solved"] + s2["already_closed"]
-    ids = tuple(sorted(run_ids)) if run_ids is not None else tuple(sorted(runs_in(chosen)))
     return AccountingReport(
-        run_ids=ids,
+        run_ids=tuple(sorted(fold.runs)),
         targets=solved + s1["restored_failed"] + s2["unsolved"] + s2["skipped"],
         solved=solved,
         verifier_calls=v,
         oracle_calls=q,
-        tokens=total_tokens(events, run_ids),
-        metrics=_bundle(chosen, stages),
+        tokens=fold.tokens,
+        metrics=fold.metrics(stages),
         costs={alpha: cost_alpha(v, q, alpha) for alpha in alphas},
     )
 
@@ -288,30 +285,31 @@ def per_problem_rows(events: list[dict], run_ids: set[str] | None = None) -> lis
     The length proxy is the non-empty line count of the target file at item
     start (recorded in the item_start payload), before any successful patch.
     """
-    chosen = select_events(events, run_ids)
     lengths: dict[int, int] = {}
-    for ev in chosen:
-        if ev.get("event") == "item_start" and "nonempty_lines" in ev.get("data", {}):
-            lengths[int(ev["data"]["index"])] = int(ev["data"]["nonempty_lines"])
-    rows = []
-    for ev in chosen:
-        if ev.get("event") != "item_end":
+    ends = []
+    for ev in events:
+        if run_ids is not None and ev.get("run_id") not in run_ids:
             continue
-        data = ev.get("data", {})
-        if data.get("status") not in STAGE2_STATUSES:
-            continue
-        index = int(data["index"])
-        rows.append(
-            {
-                "index": index,
-                "label": data.get("label", ""),
-                "lean_file": data.get("lean_file", ""),
-                "nonempty_lines": lengths.get(index, ""),
-                "outcome": data.get("status", ""),
-            }
-        )
-    rows.sort(key=lambda r: r["index"])
-    return rows
+        kind = ev.get("event")
+        if kind == "item_start":
+            data = ev.get("data", {})
+            if "nonempty_lines" in data:
+                lengths[int(data["index"])] = int(data["nonempty_lines"])
+        elif kind == "item_end":
+            data = ev.get("data", {})
+            if data.get("status") in STAGE2_STATUSES:
+                ends.append(data)
+    rows = [
+        {
+            "index": (index := int(data["index"])),
+            "label": data.get("label", ""),
+            "lean_file": data.get("lean_file", ""),
+            "nonempty_lines": lengths.get(index, ""),
+            "outcome": data.get("status", ""),
+        }
+        for data in ends
+    ]
+    return sorted(rows, key=lambda r: r["index"])
 
 
 def render_csv(rows: list[dict]) -> str:

@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import c_make_encoder, encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterator
 
@@ -89,7 +90,8 @@ _C_ENCODER_ARGS = (
     _LINE_ENCODER.skipkeys,
     _LINE_ENCODER.allow_nan,
 )
-_raw_decode = json.JSONDecoder().raw_decode
+# the scanner of json.loads's decoder: the C one where it exists
+_scan_once = make_scanner(json.JSONDecoder())
 
 
 def _encode_data(data: dict) -> str:
@@ -172,42 +174,38 @@ class MetricsWriter:
         return self.emit("run_end", summary)
 
 
-def _decode_line(line: str) -> object:
-    """``json.loads(line)`` for a line with no surrounding whitespace: one
-    decode, without ``json.loads``'s per-call checks. A line that does not
-    decode whole is handed to ``json.loads``, which raises its error."""
-    try:
-        obj, end = _raw_decode(line)
-        if end == len(line):
-            return obj
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)
-
-
 def read_events(path: str | Path) -> list[dict]:
     """Parse a JSONL event stream, reading only durable (newline-terminated)
-    lines so readers can tail a file a pipeline is still writing. Each
-    stripped line is decoded once, as ``json.loads`` decodes it; a line
-    that does not hold exactly one JSON value raises ``json.loads``'s error
-    as a ``ValueError`` naming its path and line."""
+    lines so readers can tail a file a pipeline is still writing. Each line
+    reads as ``json.loads`` reads it stripped, and the text is walked by
+    offset, with no list of lines: a line that starts with ``{`` is one
+    scanner call at its offset, kept when the value ends at the line's
+    newline. Any other line goes to ``json.loads`` stripped; one that does
+    not hold exactly one JSON value raises ``json.loads``'s error as a
+    ``ValueError`` naming its path and line."""
     events = []
     path = Path(path)
     if not path.exists():
         return events
     text = path.read_text(encoding="utf-8")
-    durable, sep, _tail = text.rpartition("\n")
-    if not sep:
-        return events
-    for lineno, line in enumerate(durable.split("\n")):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = _decode_line(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno + 1}: bad metrics line: {exc}") from exc
-        events.append(obj)
+    pos, last = 0, text.rfind("\n")
+    while pos <= last:
+        end = text.find("\n", pos)
+        stop = -1
+        if text[pos] == "{":
+            try:
+                obj, stop = _scan_once(text, pos)
+            except (StopIteration, json.JSONDecodeError):
+                pass
+        if stop == end:
+            events.append(obj)
+        elif line := text[pos:end].strip():
+            try:
+                events.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                lineno = text.count("\n", 0, pos) + 1
+                raise ValueError(f"{path}:{lineno}: bad metrics line: {exc}") from exc
+        pos = end + 1
     return events
 
 

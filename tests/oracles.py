@@ -5,15 +5,32 @@ random file generator mixing code, comments, and strings.
 
 Below them, reference copies of the per-call scanner, parser and checker
 that the single-pass file analysis replaced, and a generator of modules with
-imports for multi-file projects. Last, a reference copy of the stage-2 item
-loop as nested ``for``/``else`` rounds, with the target lookup it used."""
+imports for multi-file projects. Then a reference copy of the stage-2 item
+loop as nested ``for``/``else`` rounds, with the target lookup it used.
+Last, reference copies of the metrics-stream read and the accounting report
+from before each became one pass."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
 from autoform import simlang
+from autoform.accounting import (
+    DEFAULT_ALPHAS,
+    KNOWN_SCHEMAS,
+    ORACLE_EVENT,
+    STAGE2_STATUSES,
+    VERIFIER_EVENT,
+    AccountingReport,
+    MetricsBundle,
+    UnknownSchemaError,
+    _stage_fields,
+    cost_alpha,
+)
 from autoform.diagnostics import (
     Diagnostic,
     DiagnosticSet,
@@ -765,3 +782,184 @@ def ref_run_stage2_item(
                 continue
             break  # compile errors surfaced: back to the outer loop's fixer
     return result
+
+
+# -- reference metrics read and report ----------------------------------------
+# The metrics-stream read and the accounting report before each became one
+# pass, verbatim but for the ``ref_`` names. The read splits the durable text
+# into a list of lines and decodes each stripped line; the report scans the
+# events about a dozen times. They share with the library its result types,
+# its constants, ``_stage_fields`` and ``cost_alpha``. Two behaviours of
+# theirs were bugs: a ``project_check``, ``oracle_result`` or
+# ``task_tokens`` event with no ``data`` raises ``KeyError``, and with no
+# filter the report's ``run_ids`` leave out a run that has no ``run_start``
+# although its calls are counted.
+
+_ref_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _ref_decode_line(line: str) -> object:
+    try:
+        obj, end = _ref_raw_decode(line)
+        if end == len(line):
+            return obj
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)
+
+
+def ref_read_events(path: str | Path) -> list[dict]:
+    events = []
+    path = Path(path)
+    if not path.exists():
+        return events
+    text = path.read_text(encoding="utf-8")
+    durable, sep, _tail = text.rpartition("\n")
+    if not sep:
+        return events
+    for lineno, line in enumerate(durable.split("\n")):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = _ref_decode_line(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno + 1}: bad metrics line: {exc}") from exc
+        events.append(obj)
+    return events
+
+
+def ref_runs_in(events: list[dict]) -> dict[str, dict]:
+    out: dict[str, dict] = {}
+    for ev in events:
+        if ev.get("event") == "run_start":
+            out[ev["run_id"]] = ev.get("data", {})
+    return out
+
+
+def _ref_schema_of(run_start_data: dict) -> int:
+    version = run_start_data.get("schema_version", 1)
+    if version not in KNOWN_SCHEMAS:
+        raise UnknownSchemaError(f"unknown metrics schema version {version!r}")
+    return version
+
+
+def ref_select_events(events: list[dict], run_ids: set[str] | None = None) -> list[dict]:
+    if run_ids is None:
+        return list(events)
+    return [ev for ev in events if ev.get("run_id") in run_ids]
+
+
+def _ref_legacy_reconstruction(events: list[dict], run_id: str) -> int:
+    total = 0
+    for ev in events:
+        if ev.get("run_id") == run_id and ev.get("event") == "item_end":
+            total += 1 + int(ev.get("data", {}).get("b_attempts", 0))
+    return total
+
+
+def _ref_count(events: list[dict], run_ids: set[str] | None, label: str) -> int:
+    starts = ref_runs_in(events)
+    if run_ids is None:
+        run_ids = set(starts)
+        run_ids.update(ev["run_id"] for ev in events if "run_id" in ev)
+    labelled = Counter(ev.get("run_id") for ev in events if ev.get("event") == label)
+    total = 0
+    for run_id in sorted(run_ids):
+        schema = _ref_schema_of(starts.get(run_id, {}))
+        if schema == 1:
+            total += _ref_legacy_reconstruction(events, run_id)
+        else:
+            total += labelled[run_id]
+    return total
+
+
+def ref_count_verifier_calls(events: list[dict], run_ids: set[str] | None = None) -> int:
+    return _ref_count(events, run_ids, VERIFIER_EVENT)
+
+
+def ref_count_oracle_calls(events: list[dict], run_ids: set[str] | None = None) -> int:
+    return _ref_count(events, run_ids, ORACLE_EVENT)
+
+
+def ref_total_tokens(events: list[dict], run_ids: set[str] | None = None) -> int:
+    chosen = ref_select_events(events, run_ids)
+    backfill = [ev for ev in chosen if ev.get("event") == "task_tokens"]
+    if backfill:
+        return sum(int(ev["data"].get("tokens_used_total", 0)) for ev in backfill)
+    return sum(
+        int(ev["data"].get("tokens_used", 0) or 0)
+        for ev in chosen
+        if ev.get("event") == ORACLE_EVENT
+    )
+
+
+def _ref_item_ends(events: list[dict]) -> list[dict]:
+    return [ev.get("data", {}) for ev in events if ev.get("event") == "item_end"]
+
+
+def _ref_bundle(events: list[dict], stages: dict[int, dict]) -> MetricsBundle:
+    pb: bool | None = None
+    for ev in events:
+        if ev.get("event") == "project_check":
+            pb = bool(ev["data"].get("ok"))
+    return MetricsBundle(pb=pb, scc=stages[1]["scc"], arr=stages[1]["arr"], psr=stages[2]["psr"])
+
+
+def ref_compute_metrics(events: list[dict], item_results: list | None = None) -> MetricsBundle:
+    if item_results is not None:
+        item_ends = [r.end_fields() for r in item_results]
+    else:
+        item_ends = _ref_item_ends(events)
+    return _ref_bundle(events, _stage_fields(item_ends))
+
+
+def ref_build_report(
+    events: list[dict],
+    run_ids: set[str] | None = None,
+    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
+) -> AccountingReport:
+    chosen = ref_select_events(events, run_ids)
+    v = ref_count_verifier_calls(events, run_ids)
+    q = ref_count_oracle_calls(events, run_ids)
+    stages = _stage_fields(_ref_item_ends(chosen))
+    s1, s2 = stages[1], stages[2]
+    solved = s1["compiled"] + s2["solved"] + s2["already_closed"]
+    ids = tuple(sorted(run_ids)) if run_ids is not None else tuple(sorted(ref_runs_in(chosen)))
+    return AccountingReport(
+        run_ids=ids,
+        targets=solved + s1["restored_failed"] + s2["unsolved"] + s2["skipped"],
+        solved=solved,
+        verifier_calls=v,
+        oracle_calls=q,
+        tokens=ref_total_tokens(events, run_ids),
+        metrics=_ref_bundle(chosen, stages),
+        costs={alpha: cost_alpha(v, q, alpha) for alpha in alphas},
+    )
+
+
+def ref_per_problem_rows(events: list[dict], run_ids: set[str] | None = None) -> list[dict]:
+    chosen = ref_select_events(events, run_ids)
+    lengths: dict[int, int] = {}
+    for ev in chosen:
+        if ev.get("event") == "item_start" and "nonempty_lines" in ev.get("data", {}):
+            lengths[int(ev["data"]["index"])] = int(ev["data"]["nonempty_lines"])
+    rows = []
+    for ev in chosen:
+        if ev.get("event") != "item_end":
+            continue
+        data = ev.get("data", {})
+        if data.get("status") not in STAGE2_STATUSES:
+            continue
+        index = int(data["index"])
+        rows.append(
+            {
+                "index": index,
+                "label": data.get("label", ""),
+                "lean_file": data.get("lean_file", ""),
+                "nonempty_lines": lengths.get(index, ""),
+                "outcome": data.get("status", ""),
+            }
+        )
+    rows.sort(key=lambda r: r["index"])
+    return rows

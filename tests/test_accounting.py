@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from autoform import synthlogs
 from autoform.accounting import (
@@ -17,6 +17,15 @@ from autoform.accounting import (
 )
 from autoform.stage1 import Stage1ItemResult
 from autoform.stage2 import Stage2ItemResult
+
+from oracles import (
+    ref_build_report,
+    ref_compute_metrics,
+    ref_count_oracle_calls,
+    ref_count_verifier_calls,
+    ref_per_problem_rows,
+    ref_total_tokens,
+)
 
 
 class TestVerifierCallCounts:
@@ -65,17 +74,22 @@ class ReadCountingEvent(dict):
 
 
 class TestManyResumedRunIds:
-    def test_counts_sum_over_segments_in_one_pass(self):
-        segments = 400
+    SEGMENTS = 400
+
+    def events(self) -> list[ReadCountingEvent]:
         events = [
             ReadCountingEvent(ev)
-            for k in range(segments)
+            for k in range(self.SEGMENTS)
             for ev in synthlogs.stage2_events(
                 f"seg{k:03d}", targets=2, solved=1, verifier_calls=3, oracle_calls=4
             )
         ]
         legacy = synthlogs.legacy_stage1_events("legacy", [0, 1])
-        events += [ReadCountingEvent(ev) for ev in legacy]
+        return events + [ReadCountingEvent(ev) for ev in legacy]
+
+    def test_counts_sum_over_segments_in_one_pass(self):
+        segments = self.SEGMENTS
+        events = self.events()
         ReadCountingEvent.reads = 0
         assert count_verifier_calls(events) == 3 * segments + (2 + 1)
         assert count_oracle_calls(events) == 4 * segments + (2 + 1)
@@ -83,6 +97,17 @@ class TestManyResumedRunIds:
         # rescan of the stream per run id; the one legacy segment rescans
         assert ReadCountingEvent.reads <= 2 * 8 * len(events)
         assert count_verifier_calls(events, {"seg007", "legacy"}) == 3 + 3
+
+    def test_a_report_reads_each_event_a_bounded_number_of_times(self):
+        events = self.events()
+        for run_ids in (None, {"seg007", "legacy", "absent"}):
+            ReadCountingEvent.reads = 0
+            build_report(events, run_ids)
+            # one fold reads an event's run id, its kind and at most its data
+            assert ReadCountingEvent.reads <= 4 * len(events)
+            ReadCountingEvent.reads = 0
+            per_problem_rows(events, run_ids)
+            assert ReadCountingEvent.reads <= 3 * len(events)
 
 
 class TestOracleCallCounts:
@@ -230,3 +255,136 @@ class TestReports:
         header, first = csv_text.splitlines()[:2]
         assert header == "index,label,lean_file,nonempty_lines,outcome"
         assert first.startswith("1,Target 1,")
+
+
+class TestMissingData:
+    def test_every_kind_reads_a_missing_data_as_empty(self):
+        events = [
+            {"ts": "t", "run_id": "r", "event": "run_start", "data": {"schema_version": 2}},
+            {"ts": "t", "run_id": "r", "event": "oracle_result"},
+            {"ts": "t", "run_id": "r", "event": "lean_check"},
+            {"ts": "t", "run_id": "r", "event": "project_check"},
+        ]
+        report = build_report(events)
+        assert (report.verifier_calls, report.oracle_calls, report.tokens) == (1, 1, 0)
+        assert report.metrics.pb is False
+        backfill = {"ts": "t", "run_id": "b", "event": "task_tokens"}
+        assert build_report(events + [backfill]).tokens == 0
+        assert total_tokens([events[1]]) == 0
+
+
+class TestRunIds:
+    # a run with item_end and lean_check lines but no run_start line: schema
+    # 1, so V and Q are each one item plus its two repair attempts
+    UNSTARTED = [
+        {"ts": "t", "run_id": "u", "event": "lean_check", "data": {}},
+        {"ts": "t", "run_id": "u", "event": "item_end",
+         "data": {"index": 1, "status": "compiled", "b_attempts": 2}},
+    ]
+
+    def test_the_report_names_every_run_its_totals_sum_over(self):
+        report = build_report(self.UNSTARTED)
+        assert (report.verifier_calls, report.oracle_calls) == (3, 3)
+        assert report.run_ids == ("u",)
+        started = synthlogs.stage2_events("s", targets=1, solved=1,
+                                          verifier_calls=2, oracle_calls=2)
+        report = build_report(started + self.UNSTARTED)
+        assert (report.verifier_calls, report.run_ids) == (2 + 3, ("s", "u"))
+
+    def test_a_filter_names_its_ids_also_when_absent(self):
+        report = build_report(self.UNSTARTED, {"u", "gone"})
+        assert (report.verifier_calls, report.run_ids) == (3, ("gone", "u"))
+
+
+RUN_IDS = st.sampled_from(["a", "b", "c"])
+COUNTS = st.integers(0, 3)
+STATUSES = st.sampled_from(
+    ["compiled", "restored_failed", "solved", "unsolved", "already_closed", "skipped", "other"]
+)
+
+
+def _payload(draw, kind: str) -> dict:
+    """A ``data`` payload of ``kind`` with the fields accounting reads, each
+    present or not."""
+    fields = {
+        "run_start": {"schema_version": st.sampled_from([1, 2, 99])},
+        "oracle_result": {"tokens_used": st.none() | st.integers(0, 50)},
+        "task_tokens": {"tokens_used_total": st.integers(0, 500)},
+        "project_check": {"ok": st.booleans()},
+        "item_start": {"nonempty_lines": st.integers(0, 90)},
+        "item_end": {
+            "status": STATUSES,
+            "a_attempts": COUNTS,
+            "b_attempts": COUNTS,
+            "c_plans": COUNTS,
+            "label": st.text(max_size=3),
+            "lean_file": st.sampled_from(["A.lean", "B.lean"]),
+        },
+    }.get(kind, {})
+    data = {"index": draw(st.integers(0, 6))} if kind in ("item_start", "item_end") else {}
+    for name, values in fields.items():
+        if draw(st.booleans()):
+            data[name] = draw(values)
+    return data
+
+
+@st.composite
+def event_lists(draw, backfill: bool) -> list[dict]:
+    """Events of runs of schema 1, 2 or 99 (absent means 1), each run
+    opened by a ``run_start`` line; later ``run_start`` lines of a run may
+    change its schema. Every event carries ``data``."""
+    kinds = ["lean_check", "oracle_result", "item_start", "item_end", "project_check",
+             "run_start", "run_end", "warning"] + (["task_tokens"] * backfill)
+    body = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        body.append({"ts": "t", "run_id": draw(RUN_IDS), "event": kind,
+                     "data": _payload(draw, kind)})
+    opened = sorted({ev["run_id"] for ev in body})
+    starts = [{"ts": "t", "run_id": run_id, "event": "run_start",
+               "data": _payload(draw, "run_start")} for run_id in opened]
+    return starts + body
+
+
+FILTERS = st.none() | st.sets(st.sampled_from(["a", "b", "c", "absent"]))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except UnknownSchemaError as exc:
+        return ("UnknownSchemaError", str(exc))
+
+
+class TestSameAsTheScanningReport:
+    """The fold gives what the report that scanned the events about a dozen
+    times gave (``oracles.ref_build_report``). The two bugs that report had
+    are left out here and tested above: every event carries ``data``, and
+    every run has a ``run_start`` line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(events=st.booleans().flatmap(event_lists), run_ids=FILTERS)
+    def test_report_rows_and_views(self, events, run_ids):
+        assert _outcome(lambda: build_report(events, run_ids).as_dict()) == _outcome(
+            lambda: ref_build_report(events, run_ids).as_dict()
+        )
+        assert per_problem_rows(events, run_ids) == ref_per_problem_rows(events, run_ids)
+        assert _outcome(lambda: count_verifier_calls(events, run_ids)) == _outcome(
+            lambda: ref_count_verifier_calls(events, run_ids)
+        )
+        assert _outcome(lambda: count_oracle_calls(events, run_ids)) == _outcome(
+            lambda: ref_count_oracle_calls(events, run_ids)
+        )
+        assert total_tokens(events, run_ids) == ref_total_tokens(events, run_ids)
+        assert compute_metrics(events) == ref_compute_metrics(events)
+
+    def test_over_the_archived_run_fixtures(self):
+        events = (
+            synthlogs.real_analysis_stage1_fixture()
+            + synthlogs.real_analysis_stage2_fixture()
+            + synthlogs.fateh_auto_stage2_fixture()
+        )
+        run_ids = sorted({ev["run_id"] for ev in events})
+        for chosen in (None, set(run_ids[:1]), set(run_ids[1:]) | {"absent"}):
+            assert build_report(events, chosen) == ref_build_report(events, chosen)
+            assert per_problem_rows(events, chosen) == ref_per_problem_rows(events, chosen)

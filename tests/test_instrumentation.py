@@ -6,6 +6,7 @@ import re
 import tempfile
 import time
 from datetime import datetime, timezone
+from json.scanner import py_make_scanner
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from autoform.instrumentation import (
 )
 
 from helpers import EventSink
+from oracles import ref_read_events
 
 
 # strings of the characters a JSON string escapes or leaves, or any text
@@ -40,6 +42,38 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(NAMES | st.integers(), inner, max_size=3),
     max_leaves=12,
 )
+# ASCII and Unicode whitespace that str.strip removes
+BLANKS = st.sampled_from(["", " ", "\t", "\x0c", "\xa0", "\u3000"])
+# one line of a metrics stream, without its newline: an object line, or a
+# value that is not one object, with whitespace around it
+STREAM_LINES = st.tuples(
+    BLANKS,
+    st.builds(lambda v: json.dumps(v, ensure_ascii=False), st.dictionaries(NAMES, JSON_VALUES))
+    | st.sampled_from(
+        [
+            "",
+            '{"a":\n1}',  # an object that runs across the newline
+            '{"a":',
+            "1}",
+            '{"a": 1} {"b": 2}',
+            '{"a":1}{"b":2}',
+            '{"a": 1},',
+            "1",
+            '"s"',
+            "[1, 2]",
+            "null",
+            "NaN",
+            '{"a": NaN}',
+            "-Infinity",
+            "{",
+            "}",
+            '{"a": }',
+            "{'a': 1}",
+            '\ufeff{"a": 1}',
+        ]
+    ),
+    BLANKS,
+).map("".join)
 
 
 class TestUtcNowIso:
@@ -326,6 +360,7 @@ class TestReadEvents:
             " line 1 column 1 (char 0)",
         ),
         (' {"a": 1}\r', [{"z": 0}, {"a": 1}]),
+        ('{"a":\n1}', "bad metrics line: Expecting value: line 1 column 6 (char 5)"),
     ]
 
     @pytest.mark.parametrize("line, expected", ODD_LINES)
@@ -337,6 +372,33 @@ class TestReadEvents:
         else:
             with pytest.raises(ValueError, match=re.escape(f"{path}:2: {expected}")):
                 read_events(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(STREAM_LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+        tail=st.sampled_from(["", '{"torn": ', '{"a": 1}', "  "]),
+        python_scanner=st.booleans(),
+    )
+    def test_any_stream_reads_as_the_list_of_lines_read_it(self, lines, tail, python_scanner):
+        """The events, or the error text, equal those of the reader that
+        split the durable text into lines and decoded each stripped line,
+        with the C scanner and with json's Python one."""
+        text = "".join(line + end for line, end in lines) + tail
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            if python_scanner:
+                mp.setattr(instrumentation, "_scan_once", py_make_scanner(json.JSONDecoder()))
+            path = Path(tmp) / "m.jsonl"
+            path.write_bytes(text.encode("utf-8"))
+            assert outcome(read_events, path) == outcome(ref_read_events, path)
+
+
+def outcome(read, path) -> tuple[str, str]:
+    """What ``read(path)`` gives, as text: its events, or its error. A
+    ``repr`` tells 1 from 1.0 and lets NaN equal itself."""
+    try:
+        return ("events", repr(read(path)))
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def agent_log(tokens: str) -> str:
