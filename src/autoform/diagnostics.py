@@ -5,40 +5,50 @@ document order: a range covers [start, end). Zero-width ranges (insertion
 points) are treated as one column wide for intersection tests so that a
 diagnostic pinned to a single position still localizes; a scope that merges
 such a point into the range ending at it keeps that column.
+
+The check and attempt loop builds several of these records per verifier
+call, so each is immutable without a per-field ``object.__setattr__``.
+``SourceRange`` and ``Diagnostic`` are tuple subclasses whose ``__new__``
+validates; ``DiagnosticSet`` and ``Scope`` count or normalise once, at
+construction, in slotted classes that refuse assignment. Between records
+of one class, a tuple record compares, hashes, sorts and reprs as a frozen
+dataclass of the same fields would. It is also a tuple, though: it equals
+the plain tuple of its fields, iterates over them and has a ``len``. No
+caller may rely on any of the three, and code that converts values by type
+must test for a record before its generic tuple case, as
+``OperatorRequest.json_payload`` tests for ``SourceRange`` and ``Scope``.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 SEVERITIES = ("error", "warning", "info")
 
 _NEWLINE_RE = re.compile("\n")
 
+# builds a record's tuple without running its validating __new__ again
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True, order=True)
-class SourceRange:
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
 
-    def __post_init__(self) -> None:
-        if self.end_line < self.start_line or (
-            self.end_line == self.start_line and self.end_col < self.start_col
-        ):
-            raise ValueError(f"range start {self.start} after end {self.end}")
+class SourceRange(namedtuple("SourceRange", "start_line start_col end_line end_col")):
+    # a SourceRange sorts by (start, end): the order of its fields
+    __slots__ = ()
 
-    @property
-    def start(self) -> tuple[int, int]:
-        return (self.start_line, self.start_col)
+    def __new__(cls, start_line: int, start_col: int, end_line: int, end_col: int):
+        if end_line < start_line or (end_line == start_line and end_col < start_col):
+            raise ValueError(
+                f"range start {(start_line, start_col)} after end {(end_line, end_col)}"
+            )
+        return _new_tuple(cls, (start_line, start_col, end_line, end_col))
 
-    @property
-    def end(self) -> tuple[int, int]:
-        return (self.end_line, self.end_col)
+    # (start_line, start_col) and (end_line, end_col), read in C
+    start = property(itemgetter(0, 1))
+    end = property(itemgetter(2, 3))
 
     def _span(self) -> tuple[tuple[int, int], tuple[int, int]]:
         # widen zero-width ranges to one column for overlap tests
@@ -72,15 +82,13 @@ class SourceRange:
         return cls(first, 0, last + 1, 0)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    range: SourceRange
-    severity: str
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "range severity message")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"severity must be one of {SEVERITIES}: {self.severity!r}")
+    def __new__(cls, range: SourceRange, severity: str, message: str):
+        if severity not in SEVERITIES:
+            raise ValueError(f"severity must be one of {SEVERITIES}: {severity!r}")
+        return _new_tuple(cls, (range, severity, message))
 
     def sort_key(self) -> tuple:
         r = self.range
@@ -90,20 +98,40 @@ class Diagnostic:
         return {"range": self.range.as_dict(), "severity": self.severity, "message": self.message}
 
 
-@dataclass(frozen=True)
-class DiagnosticSet:
+class _Frozen:
+    """Refuses assignment to, and deletion of, the slots of a record; its
+    constructor fills them through the slot descriptors."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DiagnosticSet(_Frozen):
     """Finite multiset of diagnostics; duplicates are counted, not collapsed.
 
     Equality is order-insensitive (normalized by position/severity/message).
+    The error-severity and warning-severity items are counted once, when
+    the set is built, as ``error_count`` and ``warning_count``.
     """
 
-    items: tuple[Diagnostic, ...] = ()
-    # the number of error-severity items, counted once when the set is built
-    error_count: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("items", "error_count", "warning_count")
 
-    def __post_init__(self) -> None:
-        errors = sum(1 for d in self.items if d.severity == "error")
-        object.__setattr__(self, "error_count", errors)
+    def __init__(self, items: tuple[Diagnostic, ...] = ()) -> None:
+        errors = warnings = 0
+        for d in items:
+            severity = d.severity
+            if severity == "error":
+                errors += 1
+            elif severity == "warning":
+                warnings += 1
+        _set_items(self, items)
+        _set_error_count(self, errors)
+        _set_warning_count(self, warnings)
 
     @classmethod
     def of(cls, items: Iterable[Diagnostic]) -> "DiagnosticSet":
@@ -120,6 +148,12 @@ class DiagnosticSet:
     def __hash__(self) -> int:
         return hash(self.normalized())
 
+    def __repr__(self) -> str:
+        return f"DiagnosticSet(items={self.items!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.items,))
+
     def __iter__(self) -> Iterator[Diagnostic]:
         return iter(self.items)
 
@@ -132,6 +166,11 @@ class DiagnosticSet:
     def union(self, other: "DiagnosticSet") -> "DiagnosticSet":
         return DiagnosticSet(self.items + other.items)
 
+
+# the setters of the slot descriptors, which _Frozen.__setattr__ does not guard
+_set_items = DiagnosticSet.items.__set__
+_set_error_count = DiagnosticSet.error_count.__set__
+_set_warning_count = DiagnosticSet.warning_count.__set__
 
 EMPTY_DIAGNOSTICS = DiagnosticSet()
 
@@ -147,11 +186,10 @@ def select_error(diagnostics: DiagnosticSet) -> Diagnostic:
 
 
 def _normalize_ranges(ranges: Sequence[SourceRange]) -> tuple[SourceRange, ...]:
-    if len(ranges) == 1:
-        return tuple(ranges)  # one range is normalized already
-    ordered = sorted(ranges, key=lambda r: (r.start, r.end))
+    if len(ranges) < 2:
+        return tuple(ranges)  # no range or one range is normalized already
     merged: list[SourceRange] = []
-    for r in ordered:
+    for r in sorted(ranges):  # by (start, end): a SourceRange sorts by its fields
         if merged and r.start <= merged[-1].end:
             last = merged[-1]
             end = r.end
@@ -165,18 +203,31 @@ def _normalize_ranges(ranges: Sequence[SourceRange]) -> tuple[SourceRange, ...]:
     return tuple(merged)
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(_Frozen):
     """Finite union of ranges within one file; normalized to disjoint ranges."""
 
-    ranges: tuple[SourceRange, ...] = field(default=())
+    __slots__ = ("ranges",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ranges", _normalize_ranges(self.ranges))
+    def __init__(self, ranges: tuple[SourceRange, ...] = ()) -> None:
+        _set_ranges(self, _normalize_ranges(ranges))
 
     @classmethod
     def of(cls, *ranges: SourceRange) -> "Scope":
-        return cls(tuple(ranges))
+        return cls(ranges)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ranges == other.ranges
+
+    def __hash__(self) -> int:
+        return hash((self.ranges,))
+
+    def __repr__(self) -> str:
+        return f"Scope(ranges={self.ranges!r})"
+
+    def __reduce__(self):
+        return (self.__class__, (self.ranges,))
 
     @property
     def is_empty(self) -> bool:
@@ -189,11 +240,20 @@ class Scope:
         return Scope(self.ranges + (r,))
 
     def intersects(self, r: SourceRange) -> bool:
-        return any(sr.intersects(r) for sr in self.ranges)
+        for sr in self.ranges:
+            if sr.intersects(r):
+                return True
+        return False
 
     def covers(self, r: SourceRange) -> bool:
         """True iff r lies entirely within one normalized scope range."""
-        return any(sr.contains(r) for sr in self.ranges)
+        for sr in self.ranges:
+            if sr.contains(r):
+                return True
+        return False
+
+
+_set_ranges = Scope.ranges.__set__
 
 
 def localize(diagnostics: DiagnosticSet, scope: Scope) -> DiagnosticSet:

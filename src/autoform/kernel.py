@@ -20,8 +20,8 @@ the durable record that moves the cursor past it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections import namedtuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import simlang
 from .diagnostics import (
@@ -46,14 +46,15 @@ class SnapshotRestoreError(RuntimeError):
     """A rollback failed to reproduce the pre-edit bytes; the run must abort."""
 
 
-@dataclass(frozen=True)
-class ObjectivePair:
-    primary: int
-    secondary: int
+# The records of an attempt are immutable tuples, with the caveats the
+# ``diagnostics`` module gives for its records.
+class ObjectivePair(namedtuple("ObjectivePair", "primary secondary")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.primary < 0 or self.secondary < 0:
+    def __new__(cls, primary: int, secondary: int):
+        if primary < 0 or secondary < 0:
             raise ValueError("objective components must be non-negative")
+        return tuple.__new__(cls, (primary, secondary))
 
 
 def prec(a: ObjectivePair, b: ObjectivePair) -> bool:
@@ -70,8 +71,7 @@ def stage2_objective(diagnostics: DiagnosticSet, analysis: simlang.Analysis) -> 
     return ObjectivePair(err_count(diagnostics), len(analysis.hole_ranges))
 
 
-@dataclass(frozen=True)
-class PatchProposal:
+class PatchProposal(NamedTuple):
     file: str
     scope: Scope
     replacement: str
@@ -85,8 +85,7 @@ class PatchProposal:
         return self.scope.ranges[0]
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     file: str
     # the item's staged entry of the file before the attempt: its bytes, and
     # the text and analysis made of them, so a restore keeps the analysis
@@ -113,8 +112,7 @@ class Snapshot:
         return project.reload_bytes(self.file) == self.committed
 
 
-@dataclass(frozen=True)
-class AttemptOutcome:
+class AttemptOutcome(NamedTuple):
     accepted: bool
     before: ObjectivePair
     after: ObjectivePair
@@ -225,11 +223,12 @@ def _line_distance(r: SourceRange, scope: Scope) -> int:
     for sr in scope.ranges:
         if sr.intersects(r):
             return 0
-        if r.start_line > sr.end_line:
+        # the lines between the two by position: a whole-lines range ends
+        # at column 0 of the line after it, and an error on that line is 0 away
+        if r.start >= sr.end:
             d = r.start_line - sr.end_line
         else:
             d = sr.start_line - r.end_line
-        d = abs(d)
         best = d if best is None else min(best, d)
     return best if best is not None else 0
 

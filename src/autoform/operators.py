@@ -13,9 +13,10 @@ from __future__ import annotations
 import json
 import re
 import subprocess
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .diagnostics import Scope, SourceRange
 from .instrumentation import MetricsWriter, parse_token_footer
@@ -47,17 +48,20 @@ class OperatorConfigError(RuntimeError):
     """No handler registered for a requested operator kind."""
 
 
-@dataclass(frozen=True)
-class OperatorRequest:
-    kind: str
-    payload: dict
+class OperatorRequest(namedtuple("OperatorRequest", "kind payload")):
+    """An immutable tuple, with the caveats the ``diagnostics`` module gives
+    for its records."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, payload: dict):
+        if kind not in OPERATOR_KINDS:
+            raise ValueError(f"unknown operator kind {kind!r}")
+        return tuple.__new__(cls, (kind, payload))
 
     def json_payload(self) -> dict:
         def conv(v):
+            # a SourceRange is a tuple: convert it before the generic case
             if isinstance(v, SourceRange):
                 return v.as_dict()
             if isinstance(v, Scope):
@@ -76,8 +80,7 @@ class OperatorRequest:
 TEXT_KINDS = frozenset({"gen_skeleton", "plan", "replan"})
 
 
-@dataclass(frozen=True)
-class OperatorResponse:
+class OperatorResponse(NamedTuple):
     ok: bool
     patch: PatchProposal | None = None
     text: str | None = None

@@ -635,7 +635,7 @@ class Verifier:
                 "lean_file": file_id,
                 "ok": ok,
                 "errors": err_count(diags),
-                "warnings": sum(1 for d in diags if d.severity == "warning"),
+                "warnings": diags.warning_count,
                 "size": size,
                 "lines": lines,
             },

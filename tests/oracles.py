@@ -7,8 +7,10 @@ Below them, reference copies of the per-call scanner, parser and checker
 that the single-pass file analysis replaced, and a generator of modules with
 imports for multi-file projects. Then a reference copy of the stage-2 item
 loop as nested ``for``/``else`` rounds, with the target lookup it used.
-Last, reference copies of the metrics-stream read and the accounting report
-from before each became one pass."""
+Then reference copies of the metrics-stream read and the accounting report
+from before each became one pass. Last, reference copies of the records of
+the check and attempt loop from before each stopped being a frozen
+dataclass."""
 
 from __future__ import annotations
 
@@ -16,7 +18,9 @@ import json
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from autoform import simlang
 from autoform.accounting import (
@@ -32,6 +36,7 @@ from autoform.accounting import (
     cost_alpha,
 )
 from autoform.diagnostics import (
+    SEVERITIES,
     Diagnostic,
     DiagnosticSet,
     Scope,
@@ -42,8 +47,8 @@ from autoform.diagnostics import (
     select_error,
 )
 from autoform.instrumentation import MetricsWriter
-from autoform.kernel import PatchOutOfScopeError, try_patch
-from autoform.operators import OperatorRequest, OperatorSet
+from autoform.kernel import PatchOutOfScopeError, SnapshotRestoreError, try_patch
+from autoform.operators import OPERATOR_KINDS, OperatorRequest, OperatorSet
 from autoform.simlang import (
     DECL_KINDS,
     DEFINITION_KINDS,
@@ -63,7 +68,7 @@ from autoform.stage2 import (
     Stage2ItemResult,
     split_if_large_and_resolve,
 )
-from autoform.verifier import Project, Verifier, header_scope
+from autoform.verifier import Entry, Project, Verifier, header_scope
 
 IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.'")
 
@@ -963,3 +968,303 @@ def ref_per_problem_rows(events: list[dict], run_ids: set[str] | None = None) ->
         )
     rows.sort(key=lambda r: r["index"])
     return rows
+
+
+# -- reference records ---------------------------------------------------------
+# The records of the check and attempt loop as the frozen dataclasses they
+# were before each became an immutable tuple or slotted class, verbatim but
+# for the ``Ref``/``ref_`` names. They share with the library its constants
+# and its kernel errors. ``ref_repr`` gives a reference record's repr with
+# the library's class names.
+
+@dataclass(frozen=True, order=True)
+class RefSourceRange:
+    start_line: int
+    start_col: int
+    end_line: int
+    end_col: int
+
+    def __post_init__(self) -> None:
+        if self.end_line < self.start_line or (
+            self.end_line == self.start_line and self.end_col < self.start_col
+        ):
+            raise ValueError(f"range start {self.start} after end {self.end}")
+
+    @property
+    def start(self) -> tuple[int, int]:
+        return (self.start_line, self.start_col)
+
+    @property
+    def end(self) -> tuple[int, int]:
+        return (self.end_line, self.end_col)
+
+    def _span(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        # widen zero-width ranges to one column for overlap tests
+        if self.start == self.end:
+            return self.start, (self.end_line, self.end_col + 1)
+        return self.start, self.end
+
+    def intersects(self, other: "RefSourceRange") -> bool:
+        sa, ea = self._span()
+        sb, eb = other._span()
+        return max(sa, sb) < min(ea, eb)
+
+    def contains(self, other: "RefSourceRange") -> bool:
+        return self.start <= other.start and other.end <= self.end
+
+    def as_dict(self) -> dict:
+        return {
+            "start_line": self.start_line,
+            "start_col": self.start_col,
+            "end_line": self.end_line,
+            "end_col": self.end_col,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RefSourceRange":
+        return cls(d["start_line"], d["start_col"], d["end_line"], d["end_col"])
+
+    @classmethod
+    def whole_lines(cls, first: int, last: int) -> "RefSourceRange":
+        """Range covering lines [first, last] entirely."""
+        return cls(first, 0, last + 1, 0)
+
+
+@dataclass(frozen=True)
+class RefDiagnostic:
+    range: RefSourceRange
+    severity: str
+    message: str
+
+    def __post_init__(self) -> None:
+        if self.severity not in SEVERITIES:
+            raise ValueError(f"severity must be one of {SEVERITIES}: {self.severity!r}")
+
+    def sort_key(self) -> tuple:
+        r = self.range
+        return (r.start_line, r.start_col, r.end_line, r.end_col, self.severity, self.message)
+
+    def as_dict(self) -> dict:
+        return {"range": self.range.as_dict(), "severity": self.severity, "message": self.message}
+
+
+@dataclass(frozen=True)
+class RefDiagnosticSet:
+    """Finite multiset of diagnostics; duplicates are counted, not collapsed.
+
+    Equality is order-insensitive (normalized by position/severity/message).
+    """
+
+    items: tuple[RefDiagnostic, ...] = ()
+    # the number of error-severity items, counted once when the set is built
+    error_count: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        errors = sum(1 for d in self.items if d.severity == "error")
+        object.__setattr__(self, "error_count", errors)
+
+    @classmethod
+    def of(cls, items: Iterable[RefDiagnostic]) -> "RefDiagnosticSet":
+        return cls(tuple(items))
+
+    def normalized(self) -> tuple[RefDiagnostic, ...]:
+        return tuple(sorted(self.items, key=RefDiagnostic.sort_key))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RefDiagnosticSet):
+            return NotImplemented
+        return self.normalized() == other.normalized()
+
+    def __hash__(self) -> int:
+        return hash(self.normalized())
+
+    def __iter__(self) -> Iterator[RefDiagnostic]:
+        return iter(self.items)
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+    def errors(self) -> tuple[RefDiagnostic, ...]:
+        return tuple(d for d in self.items if d.severity == "error")
+
+    def union(self, other: "RefDiagnosticSet") -> "RefDiagnosticSet":
+        return RefDiagnosticSet(self.items + other.items)
+
+
+REF_EMPTY_DIAGNOSTICS = RefDiagnosticSet()
+
+
+def ref_err_count(diagnostics: RefDiagnosticSet) -> int:
+    """Number of error-severity diagnostics, multiset-counted."""
+    return diagnostics.error_count
+
+
+def ref_select_error(diagnostics: RefDiagnosticSet) -> RefDiagnostic:
+    """The first error by ``RefDiagnostic.sort_key``; ValueError when there is none."""
+    return min(diagnostics.errors(), key=RefDiagnostic.sort_key)
+
+
+def _ref_normalize_ranges(ranges: Sequence[RefSourceRange]) -> tuple[RefSourceRange, ...]:
+    if len(ranges) == 1:
+        return tuple(ranges)  # one range is normalized already
+    ordered = sorted(ranges, key=lambda r: (r.start, r.end))
+    merged: list[RefSourceRange] = []
+    for r in ordered:
+        if merged and r.start <= merged[-1].end:
+            last = merged[-1]
+            end = r.end
+            if end == last.end and r.start == end and last.start != end:
+                # a point at the end of a range joins it as its one-column footprint
+                end = (r.end_line, r.end_col + 1)
+            if end > last.end:
+                merged[-1] = RefSourceRange(*last.start, *end)
+        else:
+            merged.append(r)
+    return tuple(merged)
+
+
+@dataclass(frozen=True)
+class RefScope:
+    """Finite union of ranges within one file; normalized to disjoint ranges."""
+
+    ranges: tuple[RefSourceRange, ...] = field(default=())
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ranges", _ref_normalize_ranges(self.ranges))
+
+    @classmethod
+    def of(cls, *ranges: RefSourceRange) -> "RefScope":
+        return cls(tuple(ranges))
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.ranges
+
+    def union(self, other: "RefScope") -> "RefScope":
+        return RefScope(self.ranges + other.ranges)
+
+    def with_range(self, r: RefSourceRange) -> "RefScope":
+        return RefScope(self.ranges + (r,))
+
+    def intersects(self, r: RefSourceRange) -> bool:
+        return any(sr.intersects(r) for sr in self.ranges)
+
+    def covers(self, r: RefSourceRange) -> bool:
+        """True iff r lies entirely within one normalized scope range."""
+        return any(sr.contains(r) for sr in self.ranges)
+
+
+def ref_localize(diagnostics: RefDiagnosticSet, scope: RefScope) -> RefDiagnosticSet:
+    """Restrict a diagnostic multiset to items whose range intersects the scope."""
+    if scope.is_empty:
+        return REF_EMPTY_DIAGNOSTICS
+    return RefDiagnosticSet.of(d for d in diagnostics if scope.intersects(d.range))
+
+
+@dataclass(frozen=True)
+class RefObjectivePair:
+    primary: int
+    secondary: int
+
+    def __post_init__(self) -> None:
+        if self.primary < 0 or self.secondary < 0:
+            raise ValueError("objective components must be non-negative")
+
+
+@dataclass(frozen=True)
+class RefPatchProposal:
+    file: str
+    scope: RefScope
+    replacement: str
+    origin: str = ""
+
+    def target_range(self) -> RefSourceRange:
+        if len(self.scope.ranges) != 1:
+            raise PatchOutOfScopeError(
+                f"patch must target one contiguous range, got {len(self.scope.ranges)}"
+            )
+        return self.scope.ranges[0]
+
+
+@dataclass(frozen=True)
+class RefSnapshot:
+    file: str
+    # the item's staged entry of the file before the attempt: its bytes, and
+    # the text and analysis made of them, so a restore keeps the analysis
+    staged: Entry | None
+    committed: bytes | None  # what the disk must hold after a restore; None: absent
+
+    @classmethod
+    def capture(cls, project: Project, file_id: str) -> "RefSnapshot":
+        return cls(file_id, project.staged_entry(file_id), project.committed_bytes(file_id))
+
+    def restore(self, project: Project) -> None:
+        """Put back the pre-attempt view: drop the candidate (a synced one by
+        writing the committed bytes back) and re-stage the item's earlier
+        edit, entry and all. Either way the disk is read back to check."""
+        project.discard(self.file)
+        if self.staged is not None:
+            project.restage(self.file, self.staged)
+        if not self.matches(project):
+            raise SnapshotRestoreError(f"restore of {self.file} did not reproduce snapshot")
+
+    def matches(self, project: Project) -> bool:
+        """Whether the bytes on disk, not the project's cached copy, are the
+        committed bytes: the check that a restore really landed."""
+        return project.reload_bytes(self.file) == self.committed
+
+
+@dataclass(frozen=True)
+class RefAttemptOutcome:
+    accepted: bool
+    before: RefObjectivePair
+    after: RefObjectivePair
+    diagnostics_after: RefDiagnosticSet
+
+
+@dataclass(frozen=True)
+class RefOperatorRequest:
+    kind: str
+    payload: dict
+
+    def __post_init__(self) -> None:
+        if self.kind not in OPERATOR_KINDS:
+            raise ValueError(f"unknown operator kind {self.kind!r}")
+
+    def json_payload(self) -> dict:
+        def conv(v):
+            if isinstance(v, RefSourceRange):
+                return v.as_dict()
+            if isinstance(v, RefScope):
+                return [r.as_dict() for r in v.ranges]
+            if isinstance(v, dict):
+                return {k: conv(x) for k, x in v.items()}
+            if isinstance(v, (list, tuple)):
+                return [conv(x) for x in v]
+            return v
+
+        return {"kind": self.kind, "payload": conv(self.payload)}
+
+
+@dataclass(frozen=True)
+class RefOperatorResponse:
+    ok: bool
+    patch: RefPatchProposal | None = None
+    text: str | None = None
+    tokens_used: int | None = None
+    transcript_ref: str | None = None
+    error: str | None = None
+
+    @classmethod
+    def failed(cls, error: str, transcript_ref: str | None = None) -> "RefOperatorResponse":
+        return cls(ok=False, error=error, transcript_ref=transcript_ref)
+
+
+_REF_NAME_RE = re.compile(
+    r"\bRef(?=(?:SourceRange|DiagnosticSet|Diagnostic|Scope|ObjectivePair|PatchProposal"
+    r"|Snapshot|AttemptOutcome|OperatorRequest|OperatorResponse)\()"
+)
+
+
+def ref_repr(record: object) -> str:
+    return _REF_NAME_RE.sub("", repr(record))

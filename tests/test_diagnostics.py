@@ -87,12 +87,13 @@ class TestErrCount:
 
     @given(diag_sets, diag_sets, scopes)
     def test_kept_count_equals_a_recount_however_the_set_is_built(self, a, b, scope):
-        def recount(ds):
-            return sum(1 for d in ds.items if d.severity == "error")
+        def recount(ds, severity):
+            return sum(1 for d in ds.items if d.severity == severity)
 
         built = (a, a.union(b), localize(a.union(b), scope), localize(a, Scope()), DiagnosticSet())
         for ds in built:
-            assert err_count(ds) == ds.error_count == recount(ds)
+            assert err_count(ds) == ds.error_count == recount(ds, "error")
+            assert ds.warning_count == recount(ds, "warning")
 
 
 class TestLocalize:

@@ -23,6 +23,7 @@ from autoform.kernel import (
     PatchProposal,
     Snapshot,
     SnapshotRestoreError,
+    _line_distance,
     expand_scope,
     prec,
     stage1_objective,
@@ -511,6 +512,18 @@ class TestExpandScope:
         grown = expand_scope(scope, DiagnosticSet.of([far, near]), Scope())
         assert grown.intersects(near.range)
         assert not grown.intersects(far.range)
+
+    def test_error_on_the_line_after_a_whole_lines_scope_is_nearest(self):
+        # whole_lines(10, 20) ends at (21, 0): an error on line 21 is 0 lines
+        # past it, nearer than a header error 10 lines before it
+        scope = Scope.of(SourceRange.whole_lines(10, 20))
+        after = Diagnostic(SourceRange(21, 5, 21, 9), "error", "after")
+        header = Diagnostic(SourceRange(0, 0, 0, 10), "error", "header")
+        assert _line_distance(after.range, scope) == 0
+        assert _line_distance(header.range, scope) == 10
+        grown = expand_scope(scope, DiagnosticSet.of([header, after]), Scope())
+        assert grown.covers(after.range)
+        assert not grown.intersects(header.range)
 
 
 class TestRandomizedAcceptContract:
