@@ -15,7 +15,6 @@ import re
 import secrets
 import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from json.encoder import c_make_encoder, encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Iterator
 
 SCHEMA_VERSION = 2
 _BLOCK = 8192  # bytes read at a time when a JSONL stream is read from its end
+_O_BINARY = getattr(os, "O_BINARY", 0)  # Windows only: no newline translation
 
 TOKEN_FOOTER_RE = re.compile(r"tokens used\s*([0-9][0-9,]*)")
 
@@ -52,28 +52,36 @@ def utc_now_iso() -> str:
 
 
 def new_run_id(pipeline: str, stage: str | int) -> str:
-    ts = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
+    ts = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
     return f"{pipeline}_stage{stage}_{ts}_{secrets.token_hex(4)}"
 
 
 def _cut_torn_tail(path: Path) -> None:
     """Drop the bytes after the last newline of ``path``: a line a killed
     writer left unfinished, which no reader counts. Lines appended after it
-    then start on a line of their own instead of extending it."""
-    if not path.exists():
+    then start on a line of their own instead of extending it. One open,
+    ``fstat`` and ``pread`` of the last byte settle the usual case, a
+    stream that ends in a newline, with no write; only a torn stream is
+    read backwards in blocks for its last newline. A missing file is left
+    missing."""
+    try:
+        fd = os.open(path, os.O_RDWR | _O_BINARY)
+    except (FileNotFoundError, NotADirectoryError):
         return
-    with path.open("r+b") as fh:
-        end = pos = fh.seek(0, os.SEEK_END)
+    try:
+        pos = os.fstat(fd).st_size
+        if pos == 0 or os.pread(fd, 1, pos - 1) == b"\n":
+            return
         while pos > 0:
             step = min(_BLOCK, pos)
             pos -= step
-            fh.seek(pos)
-            cut = fh.read(step).rfind(b"\n")
+            cut = os.pread(fd, step, pos).rfind(b"\n")
             if cut >= 0:
                 pos += cut + 1
                 break
-        if pos < end:
-            fh.truncate(pos)
+        os.ftruncate(fd, pos)
+    finally:
+        os.close(fd)
 
 
 # one encoder for every stream line; json.dumps with a non-default option
@@ -212,20 +220,23 @@ def read_events(path: str | Path) -> list[dict]:
 def read_events_backwards(path: str | Path) -> Iterator[dict]:
     """The durable lines of a JSONL event stream, last first, each parsed
     only when it is reached: a reader that stops early reads and parses
-    only the tail. The bytes after the last newline are ignored, as
-    ``read_events`` ignores them."""
-    path = Path(path)
-    if not path.exists():
+    only the tail. The stream is read through a raw descriptor, one
+    ``pread`` per block from the end, with no file object or buffer; the
+    descriptor closes when the iterator ends or is dropped. The bytes after
+    the last newline are ignored, as ``read_events`` ignores them, and a
+    missing file yields nothing."""
+    try:
+        fd = os.open(path, os.O_RDONLY | _O_BINARY)
+    except (FileNotFoundError, NotADirectoryError):
         return
-    with path.open("rb") as fh:
-        pos = fh.seek(0, os.SEEK_END)
+    try:
+        pos = os.fstat(fd).st_size
         pending = b""  # bytes before the lines already yielded
         durable = False  # whether the torn tail has been cut off
         while pos > 0:
             step = min(_BLOCK, pos)
             pos -= step
-            fh.seek(pos)
-            pending = fh.read(step) + pending
+            pending = os.pread(fd, step, pos) + pending
             if not durable:
                 cut = pending.rfind(b"\n")
                 if cut < 0:
@@ -242,6 +253,8 @@ def read_events_backwards(path: str | Path) -> Iterator[dict]:
                     yield json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}: bad metrics line: {exc}") from exc
+    finally:
+        os.close(fd)
 
 
 def parse_token_footer(log_text: str) -> int | None:

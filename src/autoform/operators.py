@@ -117,14 +117,23 @@ def write_per_call_log(
     stdout: str,
     stderr: str,
 ) -> Path:
-    """Persist one invocation transcript; the returned path is the log id
-    that the call's ``oracle_result`` line names and token backfill reads."""
+    """Persist one invocation transcript in a new file; the returned path is
+    the log id that the call's ``oracle_result`` line names and token
+    backfill reads. The file is created exclusively under sequence number
+    ``seq``, or the first one above it that no log of the same name holds,
+    so a run never overwrites an earlier run's transcript."""
     agent = AGENT_ROLES[kind]
     safe_task = re.sub(r"[^A-Za-z0-9_.-]", "-", task_id) or "task"
     log_dir.mkdir(parents=True, exist_ok=True)
-    path = log_dir / f"{pipeline}_agent_{agent}_task_{safe_task}_{seq:05d}.log"
-    path.write_text(format_per_call_log(stdout, stderr), encoding="utf-8")
-    return path
+    text = format_per_call_log(stdout, stderr)
+    while True:
+        path = log_dir / f"{pipeline}_agent_{agent}_task_{safe_task}_{seq:05d}.log"
+        try:
+            with path.open("x", encoding="utf-8") as fh:
+                fh.write(text)
+            return path
+        except FileExistsError:
+            seq += 1
 
 
 @dataclass
@@ -145,10 +154,12 @@ class ExternalBridge:
 
     def _log(self, request: OperatorRequest, stdout: str, stderr: str) -> Path:
         task_id = str(request.payload.get("task_id", request.payload.get("index", "task")))
-        self._seq += 1
-        return write_per_call_log(
-            self.log_dir, self.pipeline, request.kind, task_id, self._seq, stdout, stderr
+        path = write_per_call_log(
+            self.log_dir, self.pipeline, request.kind, task_id, self._seq + 1, stdout, stderr
         )
+        # the number used: above the next one when an earlier run holds that log
+        self._seq = int(path.stem.rsplit("_", 1)[1])
+        return path
 
     def __call__(self, request: OperatorRequest) -> OperatorResponse:
         doc = json.dumps(request.json_payload(), ensure_ascii=False)

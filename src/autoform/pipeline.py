@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import accounting, scripted, stage1, stage2
@@ -115,6 +115,18 @@ class RunConfig:
 
 
 PIPELINE_NAMES = {1: "statement", 2: "proof"}
+_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
+
+
+def _config_data(config: RunConfig) -> dict:
+    """``asdict(config)`` without its deep copy: each field's value, with
+    each list copied. Every other field holds a str, a number, a bool or
+    None, which a copy returns as it is."""
+    data = {}
+    for name in _CONFIG_FIELDS:
+        value = getattr(config, name)
+        data[name] = value.copy() if isinstance(value, list) else value
+    return data
 
 
 def make_adapter(config: RunConfig):
@@ -195,7 +207,7 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
                 "pipeline": pipeline,
                 "stage": stage,
                 "data_file": str(config.dataset),
-                "config": asdict(config),
+                "config": _config_data(config),
             }
         )
         verifier = Verifier(adapter, metrics)

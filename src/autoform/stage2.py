@@ -389,18 +389,20 @@ def run_stage2_item(
             result.accepted_attempts.append(result.proof_attempts)
 
 
+def proof_task(record: DatasetRecord, lemma_map: dict[str, LemmaMapEntry]) -> ProofTask:
+    """The record's task, with its lemma-map hints: the entry under its
+    index, else the one under its label."""
+    hints = lemma_map.get(str(record.index)) or lemma_map.get(record.label)
+    return ProofTask.from_record(record, hints)
+
+
 def build_proof_tasks(
     records: list[DatasetRecord],
     lemma_map: dict[str, LemmaMapEntry] | None = None,
 ) -> list[tuple[DatasetRecord, ProofTask]]:
+    """Every proof target of ``records`` with its task, in record order."""
     lemma_map = lemma_map or {}
-    out = []
-    for record in records:
-        if not is_proof_target(record):
-            continue
-        hints = lemma_map.get(str(record.index)) or lemma_map.get(record.label)
-        out.append((record, ProofTask.from_record(record, hints)))
-    return out
+    return [(r, proof_task(r, lemma_map)) for r in records if is_proof_target(r)]
 
 
 def run_stage2(
@@ -414,10 +416,13 @@ def run_stage2(
     start_index: int | None = None,
     max_items: int | None = None,
 ) -> list[Stage2ItemResult]:
-    """Process proof items in increasing index order (Stage 2)."""
+    """Process proof items in increasing index order (Stage 2). A record's
+    task, with its lemma-map hints, is built when its item runs: a segment
+    builds none for the items before ``start_index`` or after its last one."""
+    lemma_map = lemma_map or {}
 
-    def run_one(item: tuple[str, ProofTask]) -> Stage2ItemResult:
-        file_id, task = item
+    def run_one(record: DatasetRecord) -> Stage2ItemResult:
+        file_id, task = target_file(record), proof_task(record, lemma_map)
         text = project.read(file_id) if project.exists(file_id) else ""
         start = {
             "index": task.index,
@@ -430,6 +435,5 @@ def run_stage2(
         )
         return run_item(project, metrics, start, work)
 
-    tasks = build_proof_tasks(records, lemma_map)
-    items = ((task.index, (target_file(record), task)) for record, task in tasks)
+    items = ((r.index, r) for r in records if is_proof_target(r))
     return run_items(items, run_one, start_index, max_items)

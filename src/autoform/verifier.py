@@ -324,13 +324,34 @@ class Project:
             p.unlink()
 
     def files(self) -> list[str]:
-        if not self.root.exists():
-            return []
-        return sorted(
-            str(p.relative_to(self.root)).replace("\\", "/")
-            for p in self.root.rglob("*.lean")
-            if p.is_file()
-        )
+        """The ids of the project's source files on disk, sorted: every
+        ``.lean`` name under the root that is a regular file or a symlink to
+        one, its path parts joined with ``/``. One ``os.scandir`` walk that
+        does not descend into a symlink to a directory and skips a directory
+        it may not read; a missing root lists nothing. This is the list
+        ``root.rglob("*.lean")`` filtered by ``is_file`` gives, without a
+        ``Path`` per entry."""
+        ids: list[str] = []
+        dirs = [(str(self.root), "")]  # (path, file id prefix) still to list
+        while dirs:
+            path, prefix = dirs.pop()
+            try:
+                it = os.scandir(path)
+            except (FileNotFoundError, NotADirectoryError, PermissionError):
+                continue
+            with it:
+                for entry in it:
+                    name = entry.name
+                    if entry.is_dir(follow_symlinks=False):
+                        dirs.append((entry.path, f"{prefix}{name}/"))
+                    elif name.endswith(".lean"):
+                        try:
+                            if entry.is_file():
+                                ids.append(prefix + name)
+                        except OSError:  # a symlink loop, or a path gone meanwhile
+                            pass
+        ids.sort()
+        return ids
 
 
 def _verify_each_file(

@@ -10,7 +10,8 @@ loop as nested ``for``/``else`` rounds, with the target lookup it used.
 Then reference copies of the metrics-stream read and the accounting report
 from before each became one pass. Last, reference copies of the records of
 the check and attempt loop from before each stopped being a frozen
-dataclass."""
+dataclass, and the project listing from before it became one
+``os.scandir`` walk."""
 
 from __future__ import annotations
 
@@ -1268,3 +1269,19 @@ _REF_NAME_RE = re.compile(
 
 def ref_repr(record: object) -> str:
     return _REF_NAME_RE.sub("", repr(record))
+
+
+# -- reference project listing -------------------------------------------------
+# ``Project.files`` before it became one ``os.scandir`` walk, verbatim but for
+# taking the root as an argument: ``rglob`` builds a ``Path`` per entry, and
+# each match costs an ``is_file`` stat and a ``relative_to``.
+
+
+def ref_project_files(root: Path) -> list[str]:
+    if not root.exists():
+        return []
+    return sorted(
+        str(p.relative_to(root)).replace("\\", "/")
+        for p in root.rglob("*.lean")
+        if p.is_file()
+    )

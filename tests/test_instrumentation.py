@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import tempfile
 import time
@@ -202,10 +203,14 @@ class TestMetricsWriter:
         assert read_events(path)[0]["data"]["schema_version"] == 2
 
     def test_run_id_shape(self):
+        before = datetime.now(timezone.utc).replace(microsecond=0)
         run_id = new_run_id("proof", 2)
-        parts = run_id.split("_")
-        assert parts[0] == "proof" and parts[1] == "stage2"
-        assert len(parts[-1]) == 8  # hex suffix
+        after = datetime.now(timezone.utc)
+        m = re.fullmatch(r"proof_stage2_(\d{8}T\d{6}Z)_[0-9a-f]{8}", run_id)
+        assert m, run_id
+        stamp = datetime.strptime(m.group(1), "%Y%m%dT%H%M%SZ").replace(tzinfo=timezone.utc)
+        assert before <= stamp <= after  # the UTC time of the call, to the second
+        assert re.fullmatch(r"statement_stage1_\d{8}T\d{6}Z_[0-9a-f]{8}", new_run_id("statement", 1))
 
     def test_torn_trailing_line_is_ignored_by_readers(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -234,6 +239,38 @@ class TestMetricsWriter:
             ("b", "run_start"),
         ]
         assert list(read_events_backwards(path)) == list(reversed(events))
+
+    def test_a_torn_tail_longer_than_a_block_is_cut(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        with MetricsWriter(path, "a") as metrics:
+            metrics.run_start({})
+        durable = path.read_bytes()
+        torn = b'{"ts": "t", "data": "' + b"x" * (3 * instrumentation._BLOCK + 17)
+        with path.open("ab") as fh:
+            fh.write(torn)
+        with MetricsWriter(path, "b") as metrics:
+            metrics.run_start({})
+        assert path.read_bytes().startswith(durable)
+        assert [e["run_id"] for e in read_events(path)] == ["a", "b"]
+
+    def test_a_stream_that_ends_in_a_newline_gets_no_write_when_a_handle_opens(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "m.jsonl"
+        with MetricsWriter(path, "a") as metrics:
+            metrics.run_start({})
+        durable = path.read_bytes()
+        os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+        truncations = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, n: truncations.append(n))
+        instrumentation._cut_torn_tail(path)
+        assert path.read_bytes() == durable
+        assert path.stat().st_mtime_ns == 1_000_000_000
+        with MetricsWriter(path, "b") as metrics:
+            metrics.run_start({})
+        assert truncations == []
+        assert path.read_bytes().startswith(durable)
+        assert [e["run_id"] for e in read_events(path)] == ["a", "b"]
 
     def test_a_stream_that_is_all_torn_line_starts_empty(self, tmp_path):
         path = tmp_path / "m.jsonl"
@@ -266,6 +303,30 @@ class TestMetricsWriter:
         assert list(read_events_backwards(path)) == []
         monkeypatch.setattr(instrumentation, "_BLOCK", 4)
         assert list(read_events_backwards(path)) == []
+
+    def test_backwards_reader_closes_its_descriptor(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"event": "a"}\n{"event": "b"}\n')
+        opened, closed = [], []
+        real_open, real_close = os.open, os.close
+
+        def counting_open(*args, **kwargs):
+            fd = real_open(*args, **kwargs)
+            opened.append(fd)
+            return fd
+
+        def counting_close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        monkeypatch.setattr(os, "close", counting_close)
+        assert [e["event"] for e in read_events_backwards(path)] == ["b", "a"]
+        events = read_events_backwards(path)
+        assert next(events) == {"event": "b"}
+        del events  # a reader dropped early
+        assert list(read_events_backwards(tmp_path / "missing.jsonl")) == []
+        assert len(opened) == 2 and sorted(closed) == sorted(opened)
 
     def test_backwards_reader_stops_early_and_raises_on_a_bad_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(instrumentation, "_BLOCK", 5)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,3 +308,38 @@ class TestPerCallLogFormat:
         assert events[0].task == "2"
         assert events[0].tokens_used_total == 2468
         assert events[0].log_file_count == 2
+
+    def test_a_second_run_does_not_overwrite_an_earlier_runs_logs(self, tmp_path):
+        """Two runs that share a log directory: each fresh bridge starts its
+        sequence at 1, so the second run's call for the same task takes the
+        next free number instead of overwriting the first run's transcript."""
+        logs = tmp_path / "calls"
+        paths = []
+        for run in ("first", "second"):
+            agent = f"import sys; sys.stdin.read(); print('{run} run'); print('tokens used 7')"
+            bridge = ExternalBridge(command=[sys.executable, "-c", agent], log_dir=logs, pipeline="proof")
+            paths.append(Path(bridge(proof_request()).transcript_ref))
+        assert paths[0] != paths[1]
+        assert [p.name for p in paths] == [
+            "proof_agent_a_task_2_00001.log",
+            "proof_agent_a_task_2_00002.log",
+        ]
+        assert "first run" in paths[0].read_text() and "second run" not in paths[0].read_text()
+        assert "second run" in paths[1].read_text()
+        [event] = token_backfill(logs, EventSink())
+        assert (event.task, event.log_file_count, event.tokens_used_total) == ("2", 2, 14)
+
+    def test_a_bridge_numbers_on_from_the_log_it_took(self, tmp_path):
+        logs = tmp_path / "calls"
+        logs.mkdir()
+        (logs / "proof_agent_a_task_2_00001.log").write_text("earlier\n")
+        (logs / "proof_agent_a_task_2_00002.log").write_text("earlier\n")
+        agent = "import sys; sys.stdin.read(); print('now')"
+        bridge = ExternalBridge(command=[sys.executable, "-c", agent], log_dir=logs, pipeline="proof")
+        first, second = (Path(bridge(proof_request()).transcript_ref).name for _ in range(2))
+        assert (first, second) == ("proof_agent_a_task_2_00003.log", "proof_agent_a_task_2_00004.log")
+        # one sequence across the bridge's tasks, going on from the number taken
+        other = proof_request()
+        other.payload["task_id"] = "9"
+        assert Path(bridge(other).transcript_ref).name == "proof_agent_a_task_9_00005.log"
+        assert (logs / "proof_agent_a_task_2_00001.log").read_text() == "earlier\n"

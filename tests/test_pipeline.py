@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
-from autoform import accounting, simlang, stage1
+from autoform import accounting, pipeline, simlang, stage1
 from autoform.instrumentation import MetricsWriter, read_events
 from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_statement_stage
 from autoform.verifier import SimulatedVerifier
@@ -67,6 +68,18 @@ class TestRunSegments:
         assert start["data"]["config"]["adapter"] == "simulated"
         assert start["data"]["config"]["dataset"] == toy_config.dataset
         assert start["data"]["data_file"] == toy_config.dataset
+
+    def test_run_start_config_is_asdict_of_the_segment_config(self, toy_config):
+        toy_config.operator_command = ["agent", "--flag"]
+        toy_config.verify_command = ["lean", "check"]
+        toy_config.max_items = 2
+        run_statement_stage(toy_config)
+        start = read_events(Path(toy_config.runs_dir) / "metrics_statement.jsonl")[0]
+        assert start["data"]["config"] == asdict(replace(toy_config, stage=1))
+        assert list(start["data"]["config"]) == [f.name for f in fields(RunConfig)]
+        data = pipeline._config_data(toy_config)
+        assert data == asdict(toy_config)
+        assert data["operator_command"] is not toy_config.operator_command  # a copy
 
     def test_a_segment_records_the_stage_it_runs(self, toy_config):
         # the config is left at its default stage, 1, for both segments

@@ -37,6 +37,7 @@ from autoform.verifier import (
 )
 
 from helpers import EventSink
+from oracles import ref_project_files
 
 FILES = ("A.lean", "sub/B.lean", "sub/deep/C.lean", "other/D.lean")
 CONTENTS = (
@@ -492,6 +493,69 @@ class TestRawRead:
             assert (data is not None) == (k % 4 == 0)
         assert len(fds.opened) == 500
         assert sorted(fds.closed) == sorted(fds.opened)
+
+
+class TestListing:
+    """``Project.files`` is one ``os.scandir`` walk that lists what the
+    ``rglob`` listing before it listed (``oracles.ref_project_files``)."""
+
+    def make_tree(self, root: Path) -> None:
+        for file_id in ("A.lean", "sub/B.lean", "sub/deep/C.lean", "X.lean/Inner.lean", ".hidden/H.lean"):
+            (root / file_id).parent.mkdir(parents=True, exist_ok=True)
+            (root / file_id).write_text("def a : T := sorry\n")
+        (root / "notes.txt").write_text("not a source file\n")
+        (root / "sub" / "B.lean.bak").write_text("not a source file\n")
+        (root / ".lean").write_text("")
+        (root / "link.lean").symlink_to(root / "sub" / "B.lean")
+        (root / "dirlink").symlink_to(root / "sub", target_is_directory=True)
+        (root / "dirlink.lean").symlink_to(root / "sub", target_is_directory=True)
+        (root / "dangling.lean").symlink_to(root / "missing.lean")
+        (root / "loop.lean").symlink_to(root / "loop.lean")
+
+    def test_the_walk_lists_what_rglob_listed(self, tmp_path):
+        root = tmp_path / "project"
+        self.make_tree(root)
+        project = Project(root)
+        assert project.files() == ref_project_files(root) == [
+            ".hidden/H.lean",
+            ".lean",
+            "A.lean",
+            "X.lean/Inner.lean",
+            "link.lean",
+            "sub/B.lean",
+            "sub/deep/C.lean",
+        ]
+
+    def test_an_unreadable_directory_is_skipped(self, tmp_path, monkeypatch):
+        root = tmp_path / "project"
+        self.make_tree(root)
+        locked = root / "locked"
+        (locked / "inner").mkdir(parents=True)
+        (locked / "L.lean").write_text("")
+        (locked / "inner" / "M.lean").write_text("")
+        scandir = os.scandir
+
+        def refusing_scandir(path="."):
+            # the refusal a directory without read permission gives, which a
+            # superuser would not get from chmod
+            if os.fspath(path) == str(locked):
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing_scandir)
+        project = Project(root)
+        assert project.files() == ref_project_files(root)
+        assert "link.lean" in project.files()
+        assert not [f for f in project.files() if f.startswith("locked/")]
+
+    def test_an_empty_root_and_a_missing_one_list_nothing(self, tmp_path):
+        root = tmp_path / "project"
+        project = Project(root)
+        assert project.files() == ref_project_files(root) == []
+        root.rmdir()
+        assert project.files() == ref_project_files(root) == []
+        root.write_text("a regular file where the root was\n")
+        assert project.files() == ref_project_files(root) == []
 
 
 class TestStagedCandidates:

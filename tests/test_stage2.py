@@ -6,7 +6,7 @@ from dataclasses import asdict
 
 import pytest
 
-from autoform import simlang
+from autoform import scripted, simlang
 from autoform.diagnostics import (
     Diagnostic,
     DiagnosticSet,
@@ -17,6 +17,7 @@ from autoform.diagnostics import (
     select_error,
 )
 from autoform.instrumentation import MetricsWriter, read_events
+from autoform.pipeline import run_proof_stage, run_statement_stage
 from autoform.kernel import PatchProposal
 from autoform.operators import OperatorResponse, OperatorSet
 from autoform.scripted import adversarial_handlers, toy_handlers
@@ -587,6 +588,44 @@ class TestRunStage2Driver:
         assert tasks[2].lemma_hints is not None
         assert tasks[2].lemma_hints.decl_hints == ("c1s1Alpha",)
         assert tasks[4].lemma_hints is None
+
+
+class TestResumedSegment:
+    def test_a_resumed_segment_builds_tasks_only_for_the_items_it_runs(
+        self, toy_config, toy_lemma_map, monkeypatch
+    ):
+        """Resumed at cursor 5 with room for two items, a stage-2 segment
+        builds the tasks of items 5 and 6 only, and item 5's lemma-map
+        hints still reach its plan request."""
+        run_statement_stage(toy_config)
+        toy_config.resume, toy_config.max_items = True, 2
+        first, _ = run_proof_stage(toy_config, lemma_map=toy_lemma_map)
+        assert [r.index for r in first] == [2, 4]
+
+        built = []
+        from_record = ProofTask.from_record.__func__
+
+        def counting_from_record(cls, record, hints=None):
+            built.append(record.index)
+            return from_record(cls, record, hints)
+
+        plans = []
+        base = toy_handlers()
+
+        def plan(request):
+            plans.append(request.payload)
+            return base["plan"](request)
+
+        monkeypatch.setattr(ProofTask, "from_record", classmethod(counting_from_record))
+        monkeypatch.setattr(scripted, "toy_handlers", lambda: dict(base, plan=plan))
+        second, _ = run_proof_stage(toy_config, lemma_map=toy_lemma_map)
+        assert [r.index for r in second] == [5, 6]
+        assert built == [5, 6]
+        assert plans[0]["task"]["index"] == 5
+        assert plans[0]["task"]["navigation_cues"] == {
+            "decl_hints": ["trivial"],
+            "notes": "a built-in closes trivial goals",
+        }
 
 
 class TestRequestConditioning:
