@@ -4,12 +4,25 @@ A dataset is a JSON array of record objects. Records are consumed in
 strictly increasing ``index`` order no matter how the file is ordered on
 disk. Unknown keys are preserved in a side map so a round-trip re-emits
 the input faithfully.
+
+``dump_dataset`` writes the array with one compact record per line, each
+encoded by json's C encoder; ``load_dataset`` reads any JSON array, so a
+file in an indented layout loads the same. A malformed record, field or
+file is a ``DatasetError`` naming the record's position and field.
+
+``SectionContext`` and ``DatasetRecord`` are immutable tuples
+(``namedtuple`` subclasses): they compare, hash and print as the frozen
+dataclasses they replaced, refuse assignment, and take ``_replace`` for a
+changed copy. As tuples they also equal the plain tuple of their fields,
+iterate over them and have a ``len``; callers must not rely on any of the
+three.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from pathlib import Path
 
 PROOF_TARGET_ENVS = frozenset({"theorem", "lemma", "proposition", "corollary"})
@@ -25,6 +38,7 @@ RECORD_KEYS = (
     "dependencies",
     "proof",
 )
+_RECORD_KEY_SET = frozenset(RECORD_KEYS)
 
 CONTEXT_KEYS = (
     "chapter_number",
@@ -35,47 +49,74 @@ CONTEXT_KEYS = (
     "subsection",
 )
 
+# one record per line: the C encoder, as ``indent`` would force the Python one
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 
 class DatasetError(ValueError):
     """Malformed dataset container or record."""
 
 
-@dataclass(frozen=True)
-class SectionContext:
-    chapter_number: int = 0
-    chapter: str = ""
-    section_number: str = ""
-    section: str = ""
-    subsection_number: str = ""
-    subsection: str = ""
+def _as_int(value: object) -> int | None:
+    """``value`` as an int, or None if it is not integer-valued: a bool, a
+    number with a fractional part, or a value ``int`` refuses."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _where(position: int | None) -> str:
+    return "section context" if position is None else f"record at position {position}"
+
+
+def _context(d: object, cls: type, position: int | None) -> "SectionContext":
+    """The context ``d`` of the record at ``position`` (None: not in a record)."""
+    if not isinstance(d, dict):
+        raise DatasetError(f"{_where(position)} has a context that is not an object")
+    get = d.get
+    number = get("chapter_number", 0) or 0
+    if type(number) is not int:
+        number = _as_int(number)
+        if number is None:
+            raise DatasetError(f"{_where(position)} has non-integer context.chapter_number")
+    return tuple.__new__(
+        cls,
+        (
+            number,
+            str(get("chapter", "")),
+            str(get("section_number", "")),
+            str(get("section", "")),
+            str(get("subsection_number", "")),
+            str(get("subsection", "")),
+        ),
+    )
+
+
+class SectionContext(namedtuple("SectionContext", CONTEXT_KEYS, defaults=(0, "", "", "", "", ""))):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in CONTEXT_KEYS}
+        return dict(zip(CONTEXT_KEYS, self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SectionContext":
-        return cls(
-            chapter_number=int(d.get("chapter_number", 0) or 0),
-            chapter=str(d.get("chapter", "")),
-            section_number=str(d.get("section_number", "")),
-            section=str(d.get("section", "")),
-            subsection_number=str(d.get("subsection_number", "")),
-            subsection=str(d.get("subsection", "")),
-        )
+        return _context(d, cls, None)
 
 
-@dataclass(frozen=True)
-class DatasetRecord:
-    index: int
-    label: str
-    env: str
-    number_components: tuple[int, ...] = ()
-    extracted_labels: tuple[str, ...] = ()
-    context: SectionContext = field(default_factory=SectionContext)
-    content: str = ""
-    dependencies: tuple[str, ...] = ()
-    proof: str = ""
-    extra: tuple[tuple[str, object], ...] = ()
+_NO_CONTEXT = SectionContext()
+
+
+class DatasetRecord(
+    namedtuple(
+        "DatasetRecord",
+        RECORD_KEYS + ("extra",),
+        defaults=((), (), _NO_CONTEXT, "", (), "", ()),
+    )
+):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         d = {
@@ -89,8 +130,15 @@ class DatasetRecord:
             "dependencies": list(self.dependencies),
             "proof": self.proof,
         }
-        d.update(dict(self.extra))
+        d.update(self.extra)
         return d
+
+
+def _list_field(obj: dict, key: str, position: int) -> list:
+    value = obj.get(key) or []
+    if not isinstance(value, list):
+        raise DatasetError(f"record at position {position} has a {key} that is not a list")
+    return value
 
 
 def _parse_record(obj: dict, position: int) -> DatasetRecord:
@@ -102,22 +150,34 @@ def _parse_record(obj: dict, position: int) -> DatasetRecord:
     content = obj["content"]
     if not isinstance(content, str) or not content:
         raise DatasetError(f"record at position {position} has empty content")
-    try:
-        index = int(obj["index"])
-    except (TypeError, ValueError):
-        raise DatasetError(f"record at position {position} has non-integer index") from None
-    extra = tuple(sorted((k, v) for k, v in obj.items() if k not in RECORD_KEYS))
-    return DatasetRecord(
-        index=index,
-        label=str(obj["label"]),
-        env=str(obj["env"]),
-        number_components=tuple(int(n) for n in obj.get("number_components", []) or []),
-        extracted_labels=tuple(str(s) for s in obj.get("extracted_labels", []) or []),
-        context=SectionContext.from_dict(obj.get("context", {}) or {}),
-        content=content,
-        dependencies=tuple(str(s) for s in obj.get("dependencies", []) or []),
-        proof=str(obj.get("proof", "") or ""),
-        extra=extra,
+    index = obj["index"]
+    if type(index) is not int:
+        index = _as_int(index)
+        if index is None:
+            raise DatasetError(f"record at position {position} has non-integer index")
+    numbers = _list_field(obj, "number_components", position)
+    numbers = tuple([n if type(n) is int else _as_int(n) for n in numbers])
+    if None in numbers:
+        raise DatasetError(f"record at position {position} has non-integer number_components entry")
+    context = obj.get("context")
+    context = _context(context, SectionContext, position) if context else _NO_CONTEXT
+    extra = ()
+    if not obj.keys() <= _RECORD_KEY_SET:
+        extra = tuple(sorted([(k, v) for k, v in obj.items() if k not in _RECORD_KEY_SET]))
+    return tuple.__new__(
+        DatasetRecord,
+        (
+            index,
+            str(obj["label"]),
+            str(obj["env"]),
+            numbers,
+            tuple([str(s) for s in _list_field(obj, "extracted_labels", position)]),
+            context,
+            content,
+            tuple([str(s) for s in _list_field(obj, "dependencies", position)]),
+            str(obj.get("proof", "") or ""),
+            extra,
+        ),
     )
 
 
@@ -136,21 +196,25 @@ def parse_dataset(data: object) -> list[DatasetRecord]:
     return records
 
 
+def _read_json(path: Path, what: str) -> object:
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"malformed {what} in {path}: not valid UTF-8 ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"malformed {what} in {path}: {exc}") from exc
+
+
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Load a dataset file and return its records sorted ascending by index."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed dataset container in {path}: {exc}") from exc
-    return parse_dataset(data)
+    return parse_dataset(_read_json(Path(path), "dataset container"))
 
 
 def dump_dataset(records: list[DatasetRecord], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps([r.as_dict() for r in records], indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    """Write ``records`` as a JSON array with one compact record per line."""
+    encode = _ENCODER.encode
+    lines = ",\n".join([encode(r.as_dict()) for r in records])
+    Path(path).write_text("[\n" + lines + "\n]\n" if records else "[]\n", encoding="utf-8")
 
 
 def is_proof_target(record: DatasetRecord) -> bool:
@@ -176,11 +240,7 @@ def load_lemma_map(path: str | Path) -> dict[str, LemmaMapEntry]:
 
     Hints condition operators only; they never participate in acceptance.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"malformed lemma map in {path}: {exc}") from exc
+    data = _read_json(Path(path), "lemma map")
     if isinstance(data, dict):
         entries = [dict(v, problem_id=v.get("problem_id", k)) for k, v in data.items()]
     elif isinstance(data, list):

@@ -272,11 +272,15 @@ def run_stage2_item(
         result.status = "skipped"
         return result
 
+    scoped = (None, None, None)  # (target range, file analysis, their scope)
+
     def attempt(kind: str, payload: dict) -> bool:
         """Invoke ``kind`` on the file and put the patch it returns, if any,
         through the kernel, scoped to ``payload["target_range"]`` plus the
-        header. Returns whether the patch was accepted."""
-        nonlocal diags
+        header. Returns whether the patch was accepted. The scope is kept
+        while the target and the file's analysis stay the same: a rejected
+        patch restores the entry, and so the analysis, it replaced."""
+        nonlocal diags, scoped
         text = project.read(file_id)
         response = operators.invoke(
             OperatorRequest(
@@ -286,9 +290,11 @@ def run_stage2_item(
         )
         if not response.ok or response.patch is None:
             return False
-        scope = Scope.of(payload["target_range"]).union(header_scope(project.analysis(file_id)))
+        target, analysis = payload["target_range"], project.analysis(file_id)
+        if target != scoped[0] or analysis is not scoped[1]:
+            scoped = (target, analysis, Scope.of(target).union(header_scope(analysis)))
         try:
-            outcome = try_patch(2, project, file_id, scope, response.patch, diags, verifier)
+            outcome = try_patch(2, project, file_id, scoped[2], response.patch, diags, verifier)
         except PatchOutOfScopeError:
             return False  # rejected unchecked: no verifier call
         result.verifier_calls += 1

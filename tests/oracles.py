@@ -10,8 +10,9 @@ loop as nested ``for``/``else`` rounds, with the target lookup it used.
 Then reference copies of the metrics-stream read and the accounting report
 from before each became one pass. Last, reference copies of the records of
 the check and attempt loop from before each stopped being a frozen
-dataclass, and the project listing from before it became one
-``os.scandir`` walk."""
+dataclass, the project listing from before it became one ``os.scandir``
+walk, and the dataset records, parse and dump from before the records
+became tuples and the dump one compact record per line."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from autoform.accounting import (
     _stage_fields,
     cost_alpha,
 )
+from autoform.corpus import CONTEXT_KEYS, RECORD_KEYS, DatasetError
 from autoform.diagnostics import (
     SEVERITIES,
     Diagnostic,
@@ -1263,7 +1265,7 @@ class RefOperatorResponse:
 
 _REF_NAME_RE = re.compile(
     r"\bRef(?=(?:SourceRange|DiagnosticSet|Diagnostic|Scope|ObjectivePair|PatchProposal"
-    r"|Snapshot|AttemptOutcome|OperatorRequest|OperatorResponse)\()"
+    r"|Snapshot|AttemptOutcome|OperatorRequest|OperatorResponse|SectionContext|DatasetRecord)\()"
 )
 
 
@@ -1284,4 +1286,114 @@ def ref_project_files(root: Path) -> list[str]:
         str(p.relative_to(root)).replace("\\", "/")
         for p in root.rglob("*.lean")
         if p.is_file()
+    )
+
+
+# -- reference dataset records ---------------------------------------------------
+# The dataset records as the frozen dataclasses they were before each became
+# an immutable tuple, with the parse and the indented dump of that time,
+# verbatim but for the ``Ref``/``ref_`` names. They share with the library
+# its key tables and ``DatasetError``.
+
+
+@dataclass(frozen=True)
+class RefSectionContext:
+    chapter_number: int = 0
+    chapter: str = ""
+    section_number: str = ""
+    section: str = ""
+    subsection_number: str = ""
+    subsection: str = ""
+
+    def as_dict(self) -> dict:
+        return {k: getattr(self, k) for k in CONTEXT_KEYS}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RefSectionContext":
+        return cls(
+            chapter_number=int(d.get("chapter_number", 0) or 0),
+            chapter=str(d.get("chapter", "")),
+            section_number=str(d.get("section_number", "")),
+            section=str(d.get("section", "")),
+            subsection_number=str(d.get("subsection_number", "")),
+            subsection=str(d.get("subsection", "")),
+        )
+
+
+@dataclass(frozen=True)
+class RefDatasetRecord:
+    index: int
+    label: str
+    env: str
+    number_components: tuple[int, ...] = ()
+    extracted_labels: tuple[str, ...] = ()
+    context: RefSectionContext = field(default_factory=RefSectionContext)
+    content: str = ""
+    dependencies: tuple[str, ...] = ()
+    proof: str = ""
+    extra: tuple[tuple[str, object], ...] = ()
+
+    def as_dict(self) -> dict:
+        d = {
+            "index": self.index,
+            "label": self.label,
+            "env": self.env,
+            "number_components": list(self.number_components),
+            "extracted_labels": list(self.extracted_labels),
+            "context": self.context.as_dict(),
+            "content": self.content,
+            "dependencies": list(self.dependencies),
+            "proof": self.proof,
+        }
+        d.update(dict(self.extra))
+        return d
+
+
+def ref_parse_record(obj: dict, position: int) -> RefDatasetRecord:
+    if not isinstance(obj, dict):
+        raise DatasetError(f"record at position {position} is not an object")
+    for key in ("index", "label", "env", "content"):
+        if key not in obj:
+            raise DatasetError(f"record at position {position} missing required field {key!r}")
+    content = obj["content"]
+    if not isinstance(content, str) or not content:
+        raise DatasetError(f"record at position {position} has empty content")
+    try:
+        index = int(obj["index"])
+    except (TypeError, ValueError):
+        raise DatasetError(f"record at position {position} has non-integer index") from None
+    extra = tuple(sorted((k, v) for k, v in obj.items() if k not in RECORD_KEYS))
+    return RefDatasetRecord(
+        index=index,
+        label=str(obj["label"]),
+        env=str(obj["env"]),
+        number_components=tuple(int(n) for n in obj.get("number_components", []) or []),
+        extracted_labels=tuple(str(s) for s in obj.get("extracted_labels", []) or []),
+        context=RefSectionContext.from_dict(obj.get("context", {}) or {}),
+        content=content,
+        dependencies=tuple(str(s) for s in obj.get("dependencies", []) or []),
+        proof=str(obj.get("proof", "") or ""),
+        extra=extra,
+    )
+
+
+def ref_parse_dataset(data: object) -> list[RefDatasetRecord]:
+    if not isinstance(data, list):
+        raise DatasetError("dataset container must be a JSON array of records")
+    records = [ref_parse_record(obj, pos) for pos, obj in enumerate(data)]
+    seen: dict[int, int] = {}
+    for pos, rec in enumerate(records):
+        if rec.index in seen:
+            raise DatasetError(
+                f"duplicate index {rec.index} at positions {seen[rec.index]} and {pos}"
+            )
+        seen[rec.index] = pos
+    records.sort(key=lambda r: r.index)
+    return records
+
+
+def ref_dump_dataset(records: list[RefDatasetRecord], path: str | Path) -> None:
+    Path(path).write_text(
+        json.dumps([r.as_dict() for r in records], indent=2, ensure_ascii=False) + "\n",
+        encoding="utf-8",
     )

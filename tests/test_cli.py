@@ -37,6 +37,24 @@ class TestValidate:
     def test_missing_file_exits_3(self, tmp_path):
         assert run_cli("validate", "--dataset", tmp_path / "ghost.json") == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'[{"index": 1, "label": "L", "env": "def", "content": "c", "context": "ch"}]',
+             "record at position 0 has a context that is not an object"),
+            (b'[{"index": 1, "label": "L", "env": "def", "content": "c",'
+             b' "context": {"chapter_number": "one"}}]',
+             "record at position 0 has non-integer context.chapter_number"),
+            (b'[{"index": 1, "label": "\xe9", "env": "def", "content": "c"}]', "not valid UTF-8"),
+        ],
+    )
+    def test_a_malformed_record_is_a_dataset_error(self, tmp_path, data, message, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        assert run_cli("validate", "--dataset", bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error:") and message in err
+
 
 class TestStages:
     def test_stage1_then_stage2(self, toy_dataset, tmp_path, capsys):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -699,8 +698,7 @@ def one_section_records(n_items):
         record, tag, k = plan[i % 6], f"c1s1r{i // 6}", i + 1
         label = f"{record.label.split()[0]} 1.1.{k}"
         records.append(
-            replace(
-                record,
+            record._replace(
                 index=k,
                 label=label,
                 number_components=(1, 1, k),

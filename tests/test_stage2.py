@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import copy
 import random
 from collections import Counter
 from dataclasses import asdict
 
 import pytest
 
-from autoform import scripted, simlang
+from autoform import scripted, simlang, stage2
 from autoform.diagnostics import (
     Diagnostic,
     DiagnosticSet,
@@ -33,7 +34,7 @@ from autoform.stage2 import (
     run_stage2_item,
     split_if_large_and_resolve,
 )
-from autoform.verifier import Project, SimulatedVerifier, Verifier
+from autoform.verifier import Project, SimulatedVerifier, Verifier, header_scope
 
 from helpers import EventSink
 from oracles import oracle_signatures, ref_run_stage2_item
@@ -434,6 +435,19 @@ class ToyWorld:
         )
 
 
+@pytest.fixture
+def analyses(monkeypatch):
+    """The analysis of each ``header_scope`` call stage 2 makes, in order."""
+    calls = []
+
+    def counting_header_scope(analysis):
+        calls.append(analysis)
+        return header_scope(analysis)
+
+    monkeypatch.setattr(stage2, "header_scope", counting_header_scope)
+    return calls
+
+
 class TestRunStage2Item:
     def test_first_attempt_close(self, project, toy_records, metrics):
         world = ToyWorld(project, toy_records, metrics)
@@ -471,6 +485,43 @@ class TestRunStage2Item:
         ok, _ = world.verifier.adapter.verify_file(project, file_id)
         assert ok  # file still verifies
         assert simlang.count_holes(project.read(file_id)) == holes_before
+
+    def test_rejected_attempts_reuse_their_scope(self, project, toy_records, metrics, analyses):
+        # each rejected patch restores the analysis it replaced, so the
+        # target's scope with the header is built once for all twelve
+        config = Stage2Config(t=50, r=3, c=4)
+        world = ToyWorld(
+            project, toy_records, metrics, handlers=adversarial_handlers(), config=config
+        )
+        record, task = world.tasks()[0]
+        result = world.run_item(record, task)
+        assert (result.status, result.proof_attempts, result.verifier_calls) == ("unsolved", 12, 13)
+        assert len(analyses) == 1
+
+    def test_a_new_analysis_gets_a_new_scope(
+        self, project, toy_records, metrics, analyses, monkeypatch
+    ):
+        # a project that hands out a fresh copy of the analysis on every read
+        config = Stage2Config(t=50, r=3, c=4)
+        world = ToyWorld(
+            project, toy_records, metrics, handlers=adversarial_handlers(), config=config
+        )
+        analysis = project.analysis
+        monkeypatch.setattr(project, "analysis", lambda file_id: copy.copy(analysis(file_id)))
+        record, task = world.tasks()[0]
+        result = world.run_item(record, task)
+        assert (result.status, result.proof_attempts) == ("unsolved", 12)
+        assert len(analyses) == 12
+
+    def test_a_new_target_gets_a_new_scope(self, project, toy_records, metrics, analyses):
+        # the error fix and the proof patch target different ranges
+        world = ToyWorld(project, toy_records, metrics)
+        record, task = world.tasks()[0]
+        file_id = target_file(record)
+        project.write(file_id, project.read(file_id) + "\ndef zz : Q9 := ghost\n")
+        result = world.run_item(record, task)
+        assert (result.status, result.fix_attempts, result.proof_attempts) == ("solved", 1, 1)
+        assert len(analyses) == 2 and analyses[0] is not analyses[1]
 
     def test_tight_verifier_budget_stops_early(self, project, toy_records, metrics):
         config = Stage2Config(t=5, r=10, c=21)
