@@ -6,9 +6,12 @@ carry neither, so both totals are reconstructed from per-item repair
 counters: one initial verification plus one per bounded repair attempt,
 and likewise one synthesis call plus one repair call. Aggregation across
 run ids is plain summation with no deduplication, which is what makes
-interrupted-and-resumed runs add up exactly. A report is one fold over the
-events (``_Fold``): each event is read once, and the per-run schema rule is
-applied after it, once per run id.
+interrupted-and-resumed runs add up exactly. ``build_report`` is the one
+reader of these numbers: V, Q, tokens and the rates come from one fold
+over the events (``_Fold``), which reads each event once and applies the
+per-run schema rule after it, once per run id. The stage summaries fold
+their items' fields with ``_stage_fields``, which stays private: a run
+segment calls it, and no public accounting function may run inside one.
 """
 
 from __future__ import annotations
@@ -46,7 +49,9 @@ class _Fold:
     ``b_attempts`` per ``item_end``) and the last ``run_start`` payload;
     the runs are the filter's ids, or else every id an event carries.
     Across runs: the ``item_end`` payloads, the last ``project_check``
-    payload and the token total. A missing ``data`` reads as ``{}``."""
+    payload and the token total, which is the sum of the backfill
+    ``task_tokens`` events when there are any, else of the oracle results'
+    ``tokens_used``. A missing ``data`` reads as ``{}``."""
 
     def __init__(self, events: Iterable[dict], run_ids: set[str] | None = None):
         runs = {} if run_ids is None else {run_id: [0, 0, 0, {}] for run_id in run_ids}
@@ -92,26 +97,6 @@ class _Fold:
             v += verifier
             q += oracle
         return v, q
-
-    def metrics(self, stages: dict[int, dict]) -> MetricsBundle:
-        """PB from the last project-check event, the rest from the stages' fields."""
-        pb = None if self.check is None else bool(self.check.get("ok"))
-        s1, s2 = stages[1], stages[2]
-        return MetricsBundle(pb=pb, scc=s1["scc"], arr=s1["arr"], psr=s2["psr"])
-
-
-def count_verifier_calls(events: list[dict], run_ids: set[str] | None = None) -> int:
-    return _Fold(events, run_ids).calls()[0]
-
-
-def count_oracle_calls(events: list[dict], run_ids: set[str] | None = None) -> int:
-    return _Fold(events, run_ids).calls()[1]
-
-
-def total_tokens(events: list[dict], run_ids: set[str] | None = None) -> int:
-    """Token totals: backfill task_tokens events are canonical when present,
-    else per-call token fields on oracle-result events are summed."""
-    return _Fold(events, run_ids).tokens
 
 
 def cost_alpha(v: int, q: int, alpha: float) -> float:
@@ -185,18 +170,6 @@ def _stage_fields(item_ends: Iterable[dict]) -> dict[int, dict]:
     }
 
 
-def compute_metrics(events: list[dict], item_results: list | None = None) -> MetricsBundle:
-    """PB/SCC/ARR/PSR from a run's artifacts.
-
-    When explicit item results are given, their ``end_fields()`` take
-    precedence; otherwise everything is reconstructed from item_end
-    payloads and the final project-check event.
-    """
-    fold = _Fold(events)
-    ends = fold.item_ends if item_results is None else [r.end_fields() for r in item_results]
-    return fold.metrics(_stage_fields(ends))
-
-
 @dataclass(frozen=True)
 class AccountingReport:
     run_ids: tuple[str, ...]
@@ -236,11 +209,14 @@ def build_report(
     run_ids: set[str] | None = None,
     alphas: tuple[float, ...] = DEFAULT_ALPHAS,
 ) -> AccountingReport:
+    """The report over the runs ``run_ids`` (all when None); PB is the last
+    project check's, the other rates are folded from ``item_end`` payloads."""
     fold = _Fold(events, run_ids)
     v, q = fold.calls()
     stages = _stage_fields(fold.item_ends)
     s1, s2 = stages[1], stages[2]
     solved = s1["compiled"] + s2["solved"] + s2["already_closed"]
+    pb = None if fold.check is None else bool(fold.check.get("ok"))
     return AccountingReport(
         run_ids=tuple(sorted(fold.runs)),
         targets=solved + s1["restored_failed"] + s2["unsolved"] + s2["skipped"],
@@ -248,7 +224,7 @@ def build_report(
         verifier_calls=v,
         oracle_calls=q,
         tokens=fold.tokens,
-        metrics=fold.metrics(stages),
+        metrics=MetricsBundle(pb=pb, scc=s1["scc"], arr=s1["arr"], psr=s2["psr"]),
         costs={alpha: cost_alpha(v, q, alpha) for alpha in alphas},
     )
 

@@ -236,26 +236,30 @@ class LemmaMapEntry:
 
 
 def load_lemma_map(path: str | Path) -> dict[str, LemmaMapEntry]:
-    """Load declaration-level hint entries keyed by problem_id.
-
-    Hints condition operators only; they never participate in acceptance.
+    """Load hint entries keyed by problem_id from an array of entries or an
+    object of entries under their problem_id (an entry's own wins). Hints
+    condition operators only; they never participate in acceptance.
     """
     data = _read_json(Path(path), "lemma map")
     if isinstance(data, dict):
-        entries = [dict(v, problem_id=v.get("problem_id", k)) for k, v in data.items()]
+        entries = list(data.items())
     elif isinstance(data, list):
-        entries = data
+        entries = [(None, obj) for obj in data]
     else:
         raise DatasetError("lemma map must be a JSON object or array of entries")
     out: dict[str, LemmaMapEntry] = {}
-    for pos, obj in enumerate(entries):
-        if not isinstance(obj, dict) or "problem_id" not in obj:
-            raise DatasetError(f"lemma map entry at position {pos} missing problem_id")
+    for pos, (key, obj) in enumerate(entries):
+        where = f"lemma map entry at position {pos}"
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{where} is not an object")
+        problem_id = obj.get("problem_id", key)
+        if isinstance(problem_id, bool) or not isinstance(problem_id, (str, int)):
+            raise DatasetError(f"{where} has no string or integer problem_id")
         hints = obj.get("decl_hints", [])
         if not isinstance(hints, list):
-            raise DatasetError(f"lemma map entry at position {pos}: decl_hints must be a list")
+            raise DatasetError(f"{where}: decl_hints must be a list")
         entry = LemmaMapEntry(
-            problem_id=str(obj["problem_id"]),
+            problem_id=str(problem_id),
             decl_hints=tuple(str(h) for h in hints),
             notes=str(obj.get("notes", "") or ""),
         )

@@ -22,7 +22,6 @@ must test for a record before its generic tuple case, as
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import namedtuple
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -283,14 +282,6 @@ def pos_to_offset(text: str, line: int, col: int, starts: Sequence[int] | None =
     base = starts[line]
     limit = starts[line + 1] - 1 if line + 1 < len(starts) else len(text)
     return min(base + max(col, 0), max(limit, base))
-
-
-def offset_to_pos(text: str, offset: int, starts: list[int] | None = None) -> tuple[int, int]:
-    if starts is None:
-        starts = line_starts(text)
-    offset = max(0, min(offset, len(text)))
-    line = bisect_right(starts, offset) - 1
-    return line, offset - starts[line]
 
 
 def apply_replacement(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import subprocess
 from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,15 +20,7 @@ from typing import Callable, NamedTuple
 from .diagnostics import Scope, SourceRange
 from .instrumentation import MetricsWriter, parse_token_footer
 from .kernel import PatchProposal
-
-OPERATOR_KINDS = (
-    "gen_skeleton",
-    "repair_patch",
-    "fix_compile_error",
-    "plan",
-    "replan",
-    "propose_proof_patch",
-)
+from .verifier import run_process
 
 # Short agent-role tags used in per-call log names and metrics payloads.
 AGENT_ROLES = {
@@ -40,6 +31,7 @@ AGENT_ROLES = {
     "replan": "c",
     "propose_proof_patch": "a",
 }
+OPERATOR_KINDS = tuple(AGENT_ROLES)
 
 _FENCED_BLOCK_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
@@ -164,19 +156,11 @@ class ExternalBridge:
     def __call__(self, request: OperatorRequest) -> OperatorResponse:
         doc = json.dumps(request.json_payload(), ensure_ascii=False)
         try:
-            proc = subprocess.run(
-                self.command,
-                input=doc,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-            stdout, stderr = proc.stdout or "", proc.stderr or ""
+            code, stdout, stderr = run_process(self.command, self.timeout, input=doc)
         except (FileNotFoundError, PermissionError) as exc:
             log_path = self._log(request, "", f"launch failure: {exc}")
             return OperatorResponse.failed(f"launch failure: {exc}", str(log_path))
-        except subprocess.TimeoutExpired as exc:
-            stdout = (exc.stdout or b"").decode() if isinstance(exc.stdout, bytes) else (exc.stdout or "")
+        if code is None:
             log_path = self._log(request, stdout, f"timeout after {self.timeout}s")
             return OperatorResponse.failed("timeout", str(log_path))
 

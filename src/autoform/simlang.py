@@ -13,13 +13,14 @@ of a run.
 
 ``analyse`` reads a file text once, in one linear pass, and keeps no
 state: the ``Project`` keeps each file's analysis with its bytes, so each
-content is analysed once. ``parse_file`` and ``count_holes`` are views
-over that analysis. The pass masks comments and strings, finds the
-declaration lines with one search, and reads each declaration unit once,
-in one call that gives its declaration, body term and placeholders;
-positions come from the line numbers the pass already has, and
-placeholders are found by substring search with an identifier-boundary
-check.
+content is analysed once. ``parse_file`` is a view of that analysis, its
+``parsed`` field; a file's placeholders are its ``hole_ranges``, and its
+line count is ``len(line_starts)``. The pass masks comments and strings,
+finds the declaration lines with one search, and reads each declaration
+unit once, in one call that gives its declaration, body term and
+placeholders; positions come from the line numbers the pass already has,
+and placeholders are found by substring search with an
+identifier-boundary check.
 
 A text that edits another is read only between the declarations the edit
 cannot reach on either side, so appending a declaration, or patching one
@@ -110,16 +111,11 @@ def noncode_spans(
     return spans
 
 
-def count_holes(text: str) -> int:
-    return len(analyse(text).hole_ranges)
-
-
 @dataclass(frozen=True)
 class Declaration:
     kind: str
     name: str | None
     type_text: str
-    body_text: str
     range: SourceRange          # declaration lines, excluding docstring
     unit_range: SourceRange     # docstring + declaration lines
     body_range: SourceRange
@@ -152,7 +148,6 @@ class ParsedFile:
     imports: tuple[ImportLine, ...]
     declarations: tuple[Declaration, ...]
     stray_lines: tuple[int, ...]    # non-blank code lines outside header/units
-    line_count: int
 
 
 def parse_file(text: str) -> ParsedFile:
@@ -429,14 +424,12 @@ def _analyse(
         declarations.extend(tail_decls)
         bodies.extend(base.body_terms[-tail:])
         decl_holes.extend(tail_decl_holes)
-        n_lines += base.parsed.line_count - tail_line
 
     parsed = ParsedFile(
         header_span=header_span,
         imports=tuple(imports),
         declarations=tuple(declarations),
         stray_lines=tuple(stray),
-        line_count=n_lines,
     )
     return Analysis(
         masked=masked,
@@ -596,7 +589,7 @@ def _parse_declaration(
 
     kind = unit.split(None, 1)[0]
     name = None
-    type_text = body_text = ""
+    type_text = ""
     body_rng = rng
     malformed = None
     assign = unit.find(":=")
@@ -609,7 +602,6 @@ def _parse_declaration(
         line_break = unit.rfind("\n", 0, body_off)
         body_line = start + unit.count("\n", 0, line_break + 1)
         body_rng = SourceRange(body_line, body_off - line_break - 1, end, b - starts[end])
-        body_text = text[a + body_off : b]
         body = unit[body_off:]
         head = unit[:assign]
         colon = -1
@@ -633,7 +625,6 @@ def _parse_declaration(
         kind=kind,
         name=name,
         type_text=type_text,
-        body_text=body_text,
         range=rng,
         unit_range=unit_rng,
         body_range=body_rng,

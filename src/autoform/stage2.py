@@ -71,15 +71,6 @@ class ProofTask:
     reference_proof: str = ""
     lemma_hints: LemmaMapEntry | None = None
 
-    @classmethod
-    def from_record(cls, record: DatasetRecord, hints: LemmaMapEntry | None = None) -> "ProofTask":
-        return cls(
-            index=record.index,
-            label=record.label,
-            reference_proof=record.proof,
-            lemma_hints=hints,
-        )
-
     def payload(self) -> dict:
         d = {"index": self.index, "label": self.label, "reference_proof": self.reference_proof}
         if self.lemma_hints is not None:
@@ -92,7 +83,6 @@ class ProofTask:
 
 @dataclass(frozen=True)
 class HoleTarget:
-    file: str
     range: SourceRange
     declaration: str
 
@@ -143,12 +133,12 @@ def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleT
         decl, holes = labeled[0]
         if not holes:
             return None
-        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
+        return HoleTarget(range=holes[0], declaration=decl.name or "")
 
     holed = [(d, holes) for d, holes in units if holes]
     if len(holed) == 1:
         decl, holes = holed[0]
-        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
+        return HoleTarget(range=holes[0], declaration=decl.name or "")
     if not holed:
         return None
     raise AmbiguousTargetError(
@@ -399,16 +389,7 @@ def proof_task(record: DatasetRecord, lemma_map: dict[str, LemmaMapEntry]) -> Pr
     """The record's task, with its lemma-map hints: the entry under its
     index, else the one under its label."""
     hints = lemma_map.get(str(record.index)) or lemma_map.get(record.label)
-    return ProofTask.from_record(record, hints)
-
-
-def build_proof_tasks(
-    records: list[DatasetRecord],
-    lemma_map: dict[str, LemmaMapEntry] | None = None,
-) -> list[tuple[DatasetRecord, ProofTask]]:
-    """Every proof target of ``records`` with its task, in record order."""
-    lemma_map = lemma_map or {}
-    return [(r, proof_task(r, lemma_map)) for r in records if is_proof_target(r)]
+    return ProofTask(record.index, record.label, record.proof, hints)
 
 
 def run_stage2(

@@ -37,6 +37,27 @@ class VerifierLaunchError(RuntimeError):
     """Toolchain could not be launched; distinct from a failed verification."""
 
 
+def run_process(
+    argv: list[str], timeout: float, input: str | None = None, cwd: Path | None = None
+) -> tuple[int | None, str, str]:
+    """(exit status, stdout, stderr) of ``argv`` run with ``input`` on its
+    stdin as UTF-8; the status is None when ``timeout`` killed it, and the
+    output then what it wrote before. The verify command and the agent
+    bridge both run here, so output that is not UTF-8 fails neither."""
+    try:
+        data = None if input is None else input.encode("utf-8")
+        proc = subprocess.run(argv, cwd=cwd, input=data, capture_output=True, timeout=timeout)
+        code, out = proc.returncode, (proc.stdout, proc.stderr)
+    except subprocess.TimeoutExpired as exc:
+        code, out = None, (exc.stdout, exc.stderr)
+    # text as ``subprocess`` reads it, but each byte that is not UTF-8 as U+FFFD
+    stdout, stderr = (
+        (b or b"").decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+        for b in out
+    )
+    return code, stdout, stderr
+
+
 @dataclass(frozen=True)
 class GoalState:
     goal: str
@@ -226,11 +247,6 @@ class Project:
             self._cache[file_id] = None if data is None else _kept(entry, data)
         return data
 
-    def staged(self, file_id: str) -> str | None:
-        """The text staged for the file; None when nothing is."""
-        entry = self._staged.get(file_id)
-        return entry[0].decode("utf-8") if entry is not None else None
-
     def staged_entry(self, file_id: str) -> Entry | None:
         """The file's staged entry, with whatever text and analysis it holds
         so far; None when nothing is staged. ``restage`` puts it back."""
@@ -254,9 +270,6 @@ class Project:
 
     def write(self, file_id: str, text: str) -> None:
         self._store(file_id, _encode(text))
-
-    def write_bytes(self, file_id: str, data: bytes) -> None:
-        self._store(file_id, (bytes(data), None, None))
 
     def _store(self, file_id: str, entry: Entry) -> None:
         self._staged.pop(file_id, None)
@@ -573,18 +586,12 @@ class ExternalVerifier:
 
     def _run(self, argv: list[str], cwd: Path) -> tuple[int, str]:
         try:
-            proc = subprocess.run(
-                argv,
-                cwd=str(cwd),
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
+            code, stdout, stderr = run_process(argv, self.timeout, cwd=cwd)
         except (FileNotFoundError, PermissionError, NotADirectoryError) as exc:
             raise VerifierLaunchError(f"cannot launch verifier {argv[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise VerifierLaunchError(f"verifier timed out after {self.timeout}s") from exc
-        return proc.returncode, (proc.stdout or "") + (proc.stderr or "")
+        if code is None:
+            raise VerifierLaunchError(f"verifier timed out after {self.timeout}s")
+        return code, stdout + stderr
 
     def verify_file(self, project: Project, file_id: str) -> tuple[bool, DiagnosticSet]:
         project.sync()

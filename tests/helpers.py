@@ -10,6 +10,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+from autoform.corpus import is_proof_target
+from autoform.stage2 import proof_task
+
 
 class EventSink:
     """Minimal metrics stand-in collecting events in memory."""
@@ -30,3 +33,18 @@ def tree_hash(root: Path) -> str:
         h.update(str(f.relative_to(root)).encode())
         h.update(f.read_bytes())
     return h.hexdigest()
+
+
+def proof_tasks(records, lemma_map=None) -> list:
+    """(record, task) for every proof target of ``records``, in record
+    order, built as ``run_stage2`` builds each item's task."""
+    return [(r, proof_task(r, lemma_map or {})) for r in records if is_proof_target(r)]
+
+
+def item_end_events(results) -> list[dict]:
+    """The ``item_end`` events of one run for ``results``: each payload is
+    the result's ``end_fields()``, as the kernel's item transaction writes it."""
+    return [
+        {"ts": "t", "run_id": "r", "event": "item_end", "data": r.end_fields()}
+        for r in results
+    ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,7 +46,6 @@ from autoform.diagnostics import (
     Scope,
     SourceRange,
     err_count,
-    offset_to_pos,
     pos_to_offset,
     select_error,
 )
@@ -210,7 +210,8 @@ def random_file(rng: random.Random, lines: int = 14) -> str:
 # The differential tests require the analysis-backed library to agree with
 # these exactly. They share with the library only its result types, its
 # constants and helpers the analysis did not replace (`interpret_body`,
-# `module_file`, `offset_to_pos`, `pos_to_offset`). The library applies
+# `module_file`, `pos_to_offset`). `ref_offset_to_pos` is the library's
+# former `offset_to_pos`, which only this reference used. The library applies
 # `interpret_body` inside the analysis, once per declaration read; the
 # reference checker applies it to every body on every call.
 
@@ -224,6 +225,14 @@ def ref_line_starts(text: str) -> list[int]:
         if ch == "\n":
             starts.append(i + 1)
     return starts
+
+
+def ref_offset_to_pos(text: str, offset: int, starts: list[int]) -> tuple[int, int]:
+    """(line, column) of ``offset``, clamped to the text; ``starts`` are
+    the text's line offsets."""
+    offset = max(0, min(offset, len(text)))
+    line = bisect_right(starts, offset) - 1
+    return line, offset - starts[line]
 
 
 def ref_noncode_spans(text: str) -> list[tuple[str, int, int]]:
@@ -285,8 +294,8 @@ def ref_find_hole_ranges(text: str) -> list[SourceRange]:
     out = []
     for m in _REF_IDENT_RE.finditer(masked):
         if m.group(0) == HOLE_TOKEN:
-            sl, sc = offset_to_pos(text, m.start(), starts)
-            el, ec = offset_to_pos(text, m.end(), starts)
+            sl, sc = ref_offset_to_pos(text, m.start(), starts)
+            el, ec = ref_offset_to_pos(text, m.end(), starts)
             out.append(SourceRange(sl, sc, el, ec))
     return out
 
@@ -326,8 +335,8 @@ def ref_parse_file(text: str, header_bound: int = 64) -> ParsedFile:
     doc_spans = []
     for kind, a, b in ref_noncode_spans(text):
         if kind == "block" and text[a : a + 3] == "/--":
-            sl, _ = offset_to_pos(text, a, starts)
-            el, _ = offset_to_pos(text, max(a, b - 1), starts)
+            sl, _ = ref_offset_to_pos(text, a, starts)
+            el, _ = ref_offset_to_pos(text, max(a, b - 1), starts)
             inner = text[a + 3 : max(a + 3, b - 2)]
             doc_spans.append((sl, el, inner))
 
@@ -367,7 +376,6 @@ def ref_parse_file(text: str, header_bound: int = 64) -> ParsedFile:
         imports=tuple(imports),
         declarations=tuple(declarations),
         stray_lines=stray,
-        line_count=n_lines,
     )
 
 
@@ -388,12 +396,11 @@ def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) ->
             doc_index = int(m.group(1))
             doc_label = m.group(2).strip()
 
-    def make(kind="", name=None, type_text="", body_text="", body_rng=None, malformed=None):
+    def make(kind="", name=None, type_text="", body_rng=None, malformed=None):
         return Declaration(
             kind=kind,
             name=name,
             type_text=type_text,
-            body_text=body_text,
             range=rng,
             unit_range=unit_rng,
             body_range=body_rng or rng,
@@ -409,10 +416,9 @@ def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) ->
         return make(kind=kind, malformed="missing ':='")
     head_masked = masked_unit[:assign]
     body_off = assign + 2
-    body_sl, body_sc = offset_to_pos(text, a + body_off, starts)
-    body_el, body_ec = offset_to_pos(text, b, starts)
+    body_sl, body_sc = ref_offset_to_pos(text, a + body_off, starts)
+    body_el, body_ec = ref_offset_to_pos(text, b, starts)
     body_rng = SourceRange(body_sl, body_sc, body_el, body_ec)
-    body_text = raw_unit[body_off:]
 
     head_tokens = head_masked.split()
     name = None
@@ -420,20 +426,16 @@ def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) ->
         colon = head_masked.find(":")
     else:
         if len(head_tokens) < 2 or not _REF_IDENT_RE.fullmatch(head_tokens[1]):
-            return make(kind=kind, body_text=body_text, body_rng=body_rng,
-                        malformed="missing declaration name")
+            return make(kind=kind, body_rng=body_rng, malformed="missing declaration name")
         name = head_tokens[1]
         name_pos = head_masked.find(name, len(kind))
         colon = head_masked.find(":", name_pos + len(name))
     if colon == -1:
-        return make(kind=kind, name=name, body_text=body_text, body_rng=body_rng,
-                    malformed="missing type ascription")
+        return make(kind=kind, name=name, body_rng=body_rng, malformed="missing type ascription")
     type_text = " ".join(raw_unit[colon + 1 : assign].split())
     if not type_text:
-        return make(kind=kind, name=name, body_text=body_text, body_rng=body_rng,
-                    malformed="empty type")
-    return make(kind=kind, name=name, type_text=type_text, body_text=body_text,
-                body_rng=body_rng)
+        return make(kind=kind, name=name, body_rng=body_rng, malformed="empty type")
+    return make(kind=kind, name=name, type_text=type_text, body_rng=body_rng)
 
 
 def ref_body_tokens(text: str, decl: Declaration) -> list[str]:
@@ -618,12 +620,12 @@ def ref_locate_target_hole(project: Project, file_id: str, task: ProofTask) -> H
         decl, holes = labeled[0]
         if not holes:
             return None
-        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
+        return HoleTarget(range=holes[0], declaration=decl.name or "")
 
     holed = [(d, holes) for d, holes in units if holes]
     if len(holed) == 1:
         decl, holes = holed[0]
-        return HoleTarget(file=file_id, range=holes[0], declaration=decl.name or "")
+        return HoleTarget(range=holes[0], declaration=decl.name or "")
     if not holed:
         return None
     raise AmbiguousTargetError(
@@ -912,14 +914,6 @@ def _ref_bundle(events: list[dict], stages: dict[int, dict]) -> MetricsBundle:
         if ev.get("event") == "project_check":
             pb = bool(ev["data"].get("ok"))
     return MetricsBundle(pb=pb, scc=stages[1]["scc"], arr=stages[1]["arr"], psr=stages[2]["psr"])
-
-
-def ref_compute_metrics(events: list[dict], item_results: list | None = None) -> MetricsBundle:
-    if item_results is not None:
-        item_ends = [r.end_fields() for r in item_results]
-    else:
-        item_ends = _ref_item_ends(events)
-    return _ref_bundle(events, _stage_fields(item_ends))
 
 
 def ref_build_report(

@@ -7,56 +7,46 @@ from autoform import synthlogs
 from autoform.accounting import (
     UnknownSchemaError,
     build_report,
-    compute_metrics,
     cost_alpha,
-    count_oracle_calls,
-    count_verifier_calls,
     per_problem_rows,
     render_csv,
-    total_tokens,
 )
 from autoform.stage1 import Stage1ItemResult
 from autoform.stage2 import Stage2ItemResult
 
-from oracles import (
-    ref_build_report,
-    ref_compute_metrics,
-    ref_count_oracle_calls,
-    ref_count_verifier_calls,
-    ref_per_problem_rows,
-    ref_total_tokens,
-)
+from helpers import item_end_events
+from oracles import ref_build_report, ref_per_problem_rows
 
 
 class TestVerifierCallCounts:
     def test_direct_event_count(self):
         events = synthlogs.stage2_events("r1", targets=100, solved=100,
                                          verifier_calls=592, oracle_calls=600)
-        assert count_verifier_calls(events) == 592
+        assert build_report(events).verifier_calls == 592
 
     def test_legacy_reconstruction_from_item_counters(self):
-        events = synthlogs.real_analysis_stage1_fixture()
-        assert count_verifier_calls(events) == 592
-        assert count_oracle_calls(events) == 592
+        report = build_report(synthlogs.real_analysis_stage1_fixture())
+        assert report.verifier_calls == 592
+        assert report.oracle_calls == 592
 
     def test_empty_run(self):
         events = synthlogs.legacy_stage1_events("r_empty", [])
-        assert count_verifier_calls(events) == 0
+        assert build_report(events).verifier_calls == 0
 
     def test_unknown_schema_rejected(self):
         events = [
             {"ts": "t", "run_id": "r", "event": "run_start", "data": {"schema_version": 99}}
         ]
         with pytest.raises(UnknownSchemaError):
-            count_verifier_calls(events)
+            build_report(events)
 
     def test_aggregation_sums_over_run_ids_without_dedup(self):
         a = synthlogs.legacy_stage1_events("seg_a", [0, 1])
         b = synthlogs.legacy_stage1_events("seg_b", [2])
         both = a + b
-        assert count_verifier_calls(both) == (2 + 1) + (1 + 2)
-        assert count_verifier_calls(both, {"seg_a"}) == 3
-        assert count_verifier_calls(both, {"seg_b"}) == 3
+        assert build_report(both).verifier_calls == (2 + 1) + (1 + 2)
+        assert build_report(both, {"seg_a"}).verifier_calls == 3
+        assert build_report(both, {"seg_b"}).verifier_calls == 3
 
 
 class ReadCountingEvent(dict):
@@ -91,12 +81,13 @@ class TestManyResumedRunIds:
         segments = self.SEGMENTS
         events = self.events()
         ReadCountingEvent.reads = 0
-        assert count_verifier_calls(events) == 3 * segments + (2 + 1)
-        assert count_oracle_calls(events) == 4 * segments + (2 + 1)
-        # a bounded number of field reads per event per count, not one
-        # rescan of the stream per run id; the one legacy segment rescans
-        assert ReadCountingEvent.reads <= 2 * 8 * len(events)
-        assert count_verifier_calls(events, {"seg007", "legacy"}) == 3 + 3
+        report = build_report(events)
+        assert report.verifier_calls == 3 * segments + (2 + 1)
+        assert report.oracle_calls == 4 * segments + (2 + 1)
+        # a bounded number of field reads per event, not one rescan of the
+        # stream per run id; the one legacy segment rescans
+        assert ReadCountingEvent.reads <= 8 * len(events)
+        assert build_report(events, {"seg007", "legacy"}).verifier_calls == 3 + 3
 
     def test_a_report_reads_each_event_a_bounded_number_of_times(self):
         events = self.events()
@@ -113,7 +104,7 @@ class TestManyResumedRunIds:
 class TestOracleCallCounts:
     def test_stage2_fixture_totals(self):
         events = synthlogs.real_analysis_stage2_fixture()
-        q = count_oracle_calls(events)
+        q = build_report(events).oracle_calls
         assert q == 1263
         assert round(q / 339, 2) == 3.73
 
@@ -122,7 +113,7 @@ class TestOracleCallCounts:
                                          verifier_calls=1, oracle_calls=1)
         # strip the oracle events: counting sees none
         stripped = [e for e in events if e["event"] != "oracle_result"]
-        assert count_oracle_calls(stripped) == 0
+        assert build_report(stripped).oracle_calls == 0
 
 
 class TestCostAlpha:
@@ -152,10 +143,16 @@ class TestCostAlpha:
         assert cost_alpha(v, q + 1, 0.25) >= cost_alpha(v, q + 1, 0.05)
 
 
-class TestComputeMetrics:
+def metrics_of(results, events=()):
+    """The report's metrics over ``events`` and the ``item_end`` events of
+    ``results``."""
+    return build_report([*events, *item_end_events(results)]).metrics
+
+
+class TestMetrics:
     def test_scc_all_compiled(self):
         results = [Stage1ItemResult(i, f"b{i}", "compiled") for i in range(416)]
-        m = compute_metrics([], results)
+        m = metrics_of(results)
         assert m.scc == 100.0
 
     def test_arr_small_example(self):
@@ -164,34 +161,34 @@ class TestComputeMetrics:
             Stage1ItemResult(i, f"b{i}", "compiled", b_attempts=a)
             for i, a in enumerate(attempts)
         ]
-        assert compute_metrics([], results).arr == pytest.approx(0.4)
+        assert metrics_of(results).arr == pytest.approx(0.4)
 
     def test_arr_counts_only_compiled_blocks(self):
         results = [
             Stage1ItemResult(0, "a", "compiled", b_attempts=2),
             Stage1ItemResult(1, "b", "restored_failed", b_attempts=3),
         ]
-        m = compute_metrics([], results)
+        m = metrics_of(results)
         assert m.arr == 2.0
         assert m.scc == 50.0
 
     def test_psr_full_closure(self):
         results = [Stage2ItemResult(i, f"h{i}", "solved") for i in range(339)]
-        assert compute_metrics([], results).psr == 100.0
+        assert metrics_of(results).psr == 100.0
 
     def test_psr_empty_set_is_undefined_not_zero(self):
-        m = compute_metrics([], [])
+        m = metrics_of([])
         assert m.psr is None
 
     def test_pb_from_project_check_event(self):
         events = [
             {"ts": "t", "run_id": "r", "event": "project_check", "data": {"ok": True}},
         ]
-        assert compute_metrics(events, []).pb is True
+        assert metrics_of([], events).pb is True
 
-    def test_event_reconstruction_matches_item_results(self):
+    def test_event_reconstruction_of_an_archived_run(self):
         events = synthlogs.real_analysis_stage1_fixture()
-        m = compute_metrics(events)
+        m = build_report(events).metrics
         assert m.scc == 100.0
         assert m.arr == pytest.approx(176 / 416, abs=5e-5)  # reported at 4 decimals
         assert m.pb is True
@@ -206,7 +203,7 @@ class TestTokens:
             {"ts": "t", "run_id": "b", "event": "task_tokens",
              "data": {"tokens_used_total": 999}},
         ]
-        assert total_tokens(events) == 999
+        assert build_report(events).tokens == 999
 
     def test_oracle_fields_summed_otherwise(self):
         events = [
@@ -215,7 +212,7 @@ class TestTokens:
             {"ts": "t", "run_id": "r", "event": "oracle_result", "data": {}},
             {"ts": "t", "run_id": "r", "event": "oracle_result", "data": {"tokens_used": 5}},
         ]
-        assert total_tokens(events) == 15
+        assert build_report(events).tokens == 15
 
 
 class TestReports:
@@ -270,7 +267,7 @@ class TestMissingData:
         assert report.metrics.pb is False
         backfill = {"ts": "t", "run_id": "b", "event": "task_tokens"}
         assert build_report(events + [backfill]).tokens == 0
-        assert total_tokens([events[1]]) == 0
+        assert build_report([events[1]]).tokens == 0
 
 
 class TestRunIds:
@@ -369,14 +366,6 @@ class TestSameAsTheScanningReport:
             lambda: ref_build_report(events, run_ids).as_dict()
         )
         assert per_problem_rows(events, run_ids) == ref_per_problem_rows(events, run_ids)
-        assert _outcome(lambda: count_verifier_calls(events, run_ids)) == _outcome(
-            lambda: ref_count_verifier_calls(events, run_ids)
-        )
-        assert _outcome(lambda: count_oracle_calls(events, run_ids)) == _outcome(
-            lambda: ref_count_oracle_calls(events, run_ids)
-        )
-        assert total_tokens(events, run_ids) == ref_total_tokens(events, run_ids)
-        assert compute_metrics(events) == ref_compute_metrics(events)
 
     def test_over_the_archived_run_fixtures(self):
         events = (

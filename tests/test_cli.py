@@ -55,6 +55,22 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith("dataset error:") and message in err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"P1": 5}, "lemma map entry at position 0 is not an object"),
+            ([{"problem_id": ["a"]}], "has no string or integer problem_id"),
+        ],
+    )
+    def test_a_malformed_lemma_map_is_a_dataset_error(
+        self, toy_dataset, tmp_path, data, message, capsys
+    ):
+        bad = tmp_path / "lm.json"
+        bad.write_text(json.dumps(data))
+        assert run_cli("validate", "--dataset", toy_dataset, "--lemma-map", bad) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("dataset error:") and message in err
+
 
 class TestStages:
     def test_stage1_then_stage2(self, toy_dataset, tmp_path, capsys):

@@ -191,6 +191,33 @@ class TestLemmaMap:
         with pytest.raises(DatasetError, match="decl_hints"):
             load_lemma_map(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"P1": 5}, "entry at position 0 is not an object"),
+            ({"P1": {}, "P2": ["a.b"]}, "entry at position 1 is not an object"),
+            ([{"problem_id": "x"}, "P2"], "entry at position 1 is not an object"),
+            ([{"problem_id": ["a"]}], "position 0 has no string or integer problem_id"),
+            ([{"problem_id": True}], "position 0 has no string or integer problem_id"),
+            ([{"problem_id": None}], "position 0 has no string or integer problem_id"),
+            ({"P1": {"problem_id": 1.5}}, "position 0 has no string or integer problem_id"),
+        ],
+        ids=["object-value", "object-list-value", "array-string", "list-id", "bool-id",
+             "null-id", "float-id-overriding-its-key"],
+    )
+    def test_a_malformed_entry_is_a_dataset_error(self, tmp_path, data, message):
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DatasetError, match=message):
+            load_lemma_map(path)
+
+    def test_string_and_integer_ids_still_load(self, tmp_path):
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps([{"problem_id": 7}, {"problem_id": "P8"}]))
+        assert sorted(load_lemma_map(path)) == ["7", "P8"]
+        path.write_text(json.dumps({"P1": {"problem_id": 9}, "P2": {}}))
+        assert sorted(load_lemma_map(path)) == ["9", "P2"]
+
 
 class TestMalformedRecords:
     """Every malformed record is a ``DatasetError`` naming its position and

@@ -1,6 +1,9 @@
 """Guard against dead code: every top-level function and class, and every
 non-dunder method, defined in ``src/autoform`` is referenced by name
-somewhere in ``src/`` or ``tests/`` outside its own definition."""
+somewhere in the program outside its own definition. The program is
+``src/`` and the benchmark harness in ``perfbench/``, without its tests:
+a definition that only tests call is dead too, and fails the guard with
+its ``file:line name``."""
 
 from __future__ import annotations
 
@@ -45,19 +48,64 @@ def _definitions(tree: ast.Module):
                     yield member
 
 
-def unreferenced_definitions() -> list[str]:
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+def unreferenced(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``name:line definition`` for each definition in the ``package``
+    sources (module name -> source) that neither a package source nor a
+    ``callers`` source references outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in package.items()}
     used: Counter = Counter()
-    for tree in trees.values():
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
         used += _references(tree)
-    dead = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in _definitions(trees[path]):
-            if used[node.name] - _references(node)[node.name] <= 0:
-                dead.append(f"{path.relative_to(ROOT).as_posix()}:{node.lineno} {node.name}")
-    return dead
+    return [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in sorted(trees.items())
+        for node in _definitions(tree)
+        if used[node.name] - _references(node)[node.name] <= 0
+    ]
+
+
+def program_callers() -> list[str]:
+    """The sources outside the package that count as callers: the rest of
+    ``src/`` and the harness modules of ``perfbench/``, not its tests."""
+    paths = [p for p in (ROOT / "src").rglob("*.py") if p.parent != PACKAGE]
+    paths += [
+        p
+        for p in (ROOT / "perfbench").glob("*.py")
+        if not p.name.startswith("test_") and p.name != "conftest.py"
+    ]
+    return [p.read_text(encoding="utf-8") for p in sorted(paths)]
 
 
 def test_every_definition_is_referenced():
-    assert unreferenced_definitions() == []
+    package = {
+        f"src/autoform/{p.name}": p.read_text(encoding="utf-8")
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert unreferenced(package, program_callers()) == []
+
+
+def test_the_guard_flags_a_definition_only_tests_call():
+    package = {
+        "lib.py": (
+            "def used():\n"
+            "    return helper()\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def test_only():\n"
+            "    return 2\n"
+            "class Box:\n"
+            "    def kept(self):\n"
+            "        return 3\n"
+            "    def dropped(self):\n"
+            "        return 4\n"
+        )
+    }
+    program = ["from lib import used, recursive, Box\nBox().kept()\n"]
+    tests = ["from lib import test_only\nassert test_only() == 2\nBox().dropped()\n"]
+    assert unreferenced(package, program) == [
+        "lib.py:7 test_only",
+        "lib.py:12 dropped",
+    ]
+    assert unreferenced(package, program + tests) == []

@@ -272,7 +272,7 @@ class TestSnapshot:
     them."""
 
     def test_restore_is_byte_exact(self, project):
-        project.write_bytes("A.lean", b"original\r\n")
+        project.write("A.lean", "original\r\n")
         snap = Snapshot.capture(project, "A.lean")
         project.stage("A.lean", "mutated\n")
         project.sync()
@@ -325,7 +325,7 @@ class TestSnapshot:
 class TestVerifierFailure:
     def test_launch_error_restores_the_pre_attempt_bytes(self, project, tmp_path):
         text = "def a : T := ghost\r\ndef b : U := sorry\n"
-        project.write_bytes("A.lean", text.encode())
+        project.write("A.lean", text)
         before = (project.root / "A.lean").read_bytes()
         _, diags = make_verifier().verify_file(project, "A.lean")
         adapter = ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"])

@@ -24,7 +24,7 @@ from autoform.operators import (
 )
 from autoform.scripted import adversarial_handlers, toy_handlers, toy_propose_proof_patch
 from autoform.stage1 import Stage1Config, run_stage1
-from autoform.stage2 import ProofTask, Stage2Config, run_stage2_item
+from autoform.stage2 import Stage2Config, proof_task, run_stage2_item
 from autoform.verifier import SimulatedVerifier, Verifier
 
 from helpers import EventSink
@@ -196,6 +196,29 @@ class TestExternalBridge:
         response = bridge(proof_request())
         assert not response.ok and response.error == "timeout"
 
+    def test_output_that_is_not_utf8_is_read_with_replacement(self, tmp_path, metrics):
+        cmd = write_agent_script(
+            tmp_path / "agent.sh", "cat > /dev/null\nprintf '```\\nexact w\\377\\n```\\n'\n"
+        )
+        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls")
+        response = OperatorSet({"propose_proof_patch": bridge}, metrics).invoke(proof_request())
+        assert response.ok and response.patch.replacement == "exact w\ufffd"
+        [event] = [e for e in read_events(metrics.path) if e["event"] == "oracle_result"]
+        assert event["data"]["log_path"] == response.transcript_ref
+        log = Path(response.transcript_ref).read_text(encoding="utf-8")
+        assert log.startswith("STDOUT:\n```\nexact w\ufffd\n```\n")
+
+    def test_a_timeout_inside_a_character_is_a_timeout(self, tmp_path):
+        # half of the two-byte "é" (C3 A9), then the agent hangs until killed
+        cmd = write_agent_script(
+            tmp_path / "agent.sh", "cat > /dev/null\nprintf 'partial \\303'\nexec sleep 10\n"
+        )
+        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", timeout=0.5)
+        response = bridge(proof_request())
+        assert not response.ok and response.error == "timeout"
+        log = Path(response.transcript_ref).read_text(encoding="utf-8")
+        assert log == format_per_call_log("partial \ufffd", "timeout after 0.5s")
+
     def test_bridge_and_scripted_agree_on_kernel_outcome(self, project, tmp_path):
         """The same fixed proof patch is accepted identically through either path."""
         text = "def w : P := sorry\nlemma l : P := by sorry\n"
@@ -244,7 +267,7 @@ class TestExternalBridge:
         bridge_ops = OperatorSet({k: bridge for k in OPERATOR_KINDS}, metrics)
         vers = Verifier(SimulatedVerifier(), metrics=metrics)
         record = toy_records[1]
-        task = ProofTask.from_record(record)
+        task = proof_task(record, {})
         result = run_stage2_item(
             project,
             "Chapters/Chap01/section01.lean",

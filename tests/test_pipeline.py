@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_st
 from autoform.verifier import SimulatedVerifier
 
 from helpers import tree_hash
+
+BRIDGE_AGENT = Path(__file__).resolve().parent / "bridge_agent.py"
 
 
 def run_both(cfg: RunConfig):
@@ -154,6 +157,50 @@ class TestRunSegments:
     def test_a_stage_run_leaves_no_checkpoint_file(self, toy_config):
         run_both(toy_config)
         assert list(Path(toy_config.runs_dir).glob("checkpoint_*.json")) == []
+
+
+class TestBridgeOperators:
+    """Both stages through the operator bridge, with the toy operators run
+    as an agent process (``bridge_agent.py``), give what the in-process toy
+    operators give. A slice of the toy corpus keeps the agent processes
+    few: six statements, one of them repaired, and the four proof targets
+    among them."""
+
+    @staticmethod
+    def outcome(cfg: RunConfig):
+        """Item statuses, V, Q, the project's bytes and the report CSV of
+        the slice's two segments."""
+        r1, _ = run_statement_stage(replace(cfg, max_items=6))
+        r2, _ = run_proof_stage(replace(cfg, max_items=4))
+        runs = Path(cfg.runs_dir)
+        events = read_events(runs / "metrics_statement.jsonl") + read_events(
+            runs / "metrics_proof.jsonl"
+        )
+        report = accounting.build_report(events)
+        return (
+            [(r.index, r.status) for r in r1 + r2],
+            report.verifier_calls,
+            report.oracle_calls,
+            tree_hash(Path(cfg.project)),
+            accounting.render_csv(accounting.per_problem_rows(events)),
+        )
+
+    def test_a_bridge_run_matches_the_in_process_run(self, toy_config, tmp_path, monkeypatch):
+        monkeypatch.delenv("PYTHONPATH", raising=False)  # the agent finds autoform itself
+        bridge_config = replace(
+            toy_config,
+            project=str(tmp_path / "bridge_project"),
+            runs_dir=str(tmp_path / "bridge_runs"),
+            operators="bridge",
+            operator_command=[sys.executable, str(BRIDGE_AGENT)],
+        )
+        toy, bridge = self.outcome(toy_config), self.outcome(bridge_config)
+        assert bridge == toy
+        assert toy[0] == [(k, "compiled") for k in range(1, 7)] + [
+            (k, "solved") for k in (2, 4, 5, 6)
+        ]
+        # every oracle call ran the agent and left its transcript
+        assert len(list((tmp_path / "bridge_runs" / "calls").glob("*.log"))) == bridge[2]
 
 
 class TestResolveCursor:
@@ -307,9 +354,10 @@ class TestResumeEquivalence:
             events = read_events(runs / "metrics_statement.jsonl") + read_events(
                 runs / "metrics_proof.jsonl"
             )
+            report = accounting.build_report(events)
             return (
-                accounting.count_verifier_calls(events),
-                accounting.count_oracle_calls(events),
+                report.verifier_calls,
+                report.oracle_calls,
                 sum(1 for e in events if e["event"] == "item_end"),
             )
 

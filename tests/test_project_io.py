@@ -52,7 +52,7 @@ CONTENTS = (
 )
 OPS = (
     "write",
-    "write_bytes",
+    "new_bytes",
     "delete",
     "commit",
     "discard",
@@ -129,11 +129,22 @@ def disk(root: Path) -> dict:
     return out
 
 
-def apply(project: Project, op: str, file_id: str, content: str, raw: bytes) -> None:
+def write_behind(project: Project, file_id: str, data: bytes) -> Project:
+    """Write ``data`` to the file on disk, behind ``project``, and return a
+    new project of the root, as the ownership rule asks after such a write."""
+    path = project.path(file_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    return Project(project.root)
+
+
+def apply(project: Project, op: str, file_id: str, content: str, raw: bytes) -> Project:
+    """Run ``op`` on ``project``; the project to go on with, which is a new
+    one after ``new_bytes``."""
     if op == "write":
         project.write(file_id, content)
-    elif op == "write_bytes":
-        project.write_bytes(file_id, raw)
+    elif op == "new_bytes":
+        return write_behind(project, file_id, raw)
     elif op == "delete":
         project.delete(file_id)
     elif op in ("commit", "discard", "sync"):
@@ -149,19 +160,20 @@ def apply(project: Project, op: str, file_id: str, content: str, raw: bytes) -> 
             pass
     else:
         _answer(getattr(project, op), file_id)
+    return project
 
 
 def check_sequence(root: Path, steps) -> None:
     project = Project(root)
     synced = False  # a sync put staged edits on disk that a commit or discard has not settled
     for step in steps:
-        apply(project, *step)
+        project = apply(project, *step)
         synced = step[0] == "sync" or synced and step[0] not in ("commit", "discard")
         if synced:
             continue
         on_disk = {f: (root / f).read_bytes() if (root / f).is_file() else None for f in FILES}
         assert {f: project.committed_bytes(f) for f in FILES} == on_disk, step
-        if all(project.staged(f) is None for f in FILES):
+        if all(project.staged_entry(f) is None for f in FILES):
             cached = observe(project)
             assert cached == observe(Project(root)), step
             assert cached == disk(root), step
@@ -237,7 +249,7 @@ ANALYSED_BYTES = tuple(t.encode("utf-8") for t in ANALYSED_TEXTS) + (
 )
 ANALYSIS_OPS = (
     "write",
-    "write_bytes",
+    "new_bytes",
     "stage",
     "commit",
     "discard",
@@ -246,7 +258,7 @@ ANALYSIS_OPS = (
     "reload_bytes",
     "analysis",  # asks only
 )
-CHANGING_OPS = ("write", "write_bytes", "stage", "delete", "reload_bytes")
+CHANGING_OPS = ("write", "new_bytes", "stage", "delete", "reload_bytes")
 
 
 class TestProjectAnalysis:
@@ -268,11 +280,11 @@ class TestProjectAnalysis:
             discarded = []  # (text, analysis) of every discarded candidate
             for step in range(60):
                 op, f = rng.choice(ANALYSIS_OPS), rng.choice(FILES)
-                staged = {g for g in FILES if project.staged(g) is not None}
+                staged = {g for g in FILES if project.staged_entry(g) is not None}
                 if op == "write":
                     project.write(f, rng.choice(ANALYSED_TEXTS))
-                elif op == "write_bytes":
-                    project.write_bytes(f, rng.choice(ANALYSED_BYTES))
+                elif op == "new_bytes":
+                    project = write_behind(project, f, rng.choice(ANALYSED_BYTES))
                 elif op == "stage":
                     project.stage(f, rng.choice(ANALYSED_TEXTS))
                 elif op == "discard":
@@ -283,15 +295,18 @@ class TestProjectAnalysis:
                         # new bytes behind the project: the reload must drop the entry
                         (root / f).write_bytes(rng.choice(ANALYSED_BYTES))
                     data = project.reload_bytes(f)
-                    if data is not None and project.staged(f) is None:
+                    if data is not None and project.staged_entry(f) is None:
                         assert project.read_bytes(f) == data == (root / f).read_bytes()
                 elif op in ("commit", "sync"):
                     getattr(project, op)()
                 elif op == "delete":
                     project.delete(f)
-                # the files whose content the step may change; a commit moves
-                # each staged analysis into the committed entry as it is
+                # the files whose content the step may change (a new project
+                # drops the staged edits); a commit moves each staged analysis
+                # into the committed entry as it is
                 changed = staged if op == "discard" else {f} if op in CHANGING_OPS else set()
+                if op == "new_bytes":
+                    changed |= staged
                 for g in FILES:
                     try:
                         text = project.read(g) if project.exists(g) else None
@@ -399,8 +414,8 @@ class TestInPlaceWrite:
     )
     def test_a_rewrite_lands_byte_exact(self, tmp_path, before, after):
         project = Project(tmp_path)
-        project.write_bytes("A.lean", before)
-        project.write_bytes("A.lean", after)
+        project.write("A.lean", before.decode("utf-8"))
+        project.write("A.lean", after.decode("utf-8"))
         assert (tmp_path / "A.lean").read_bytes() == after
         assert Project(tmp_path).read_bytes("A.lean") == after
 
@@ -565,23 +580,23 @@ class TestStagedCandidates:
         assert project.exists("new/N.lean")
         assert project.read("new/N.lean") == "staged\n"
         assert project.read_bytes("new/N.lean") == b"staged\r\n"
-        assert project.staged("new/N.lean") == "staged\r\n"
+        assert project.staged_entry("new/N.lean")[0] == b"staged\r\n"
         assert not (tmp_path / "new").exists() and project.files() == []
         project.discard()
-        assert not project.exists("new/N.lean") and project.staged("new/N.lean") is None
+        assert not project.exists("new/N.lean") and project.staged_entry("new/N.lean") is None
 
         project.stage("new/N.lean", "staged\n")
         project.sync()  # on disk for a tool that reads it, still staged, not committed
         assert (tmp_path / "new" / "N.lean").read_bytes() == b"staged\n"
         assert project.files() == ["new/N.lean"]
         assert project.committed_bytes("new/N.lean") is None
-        assert project.staged("new/N.lean") == "staged\n"
+        assert project.staged_entry("new/N.lean")[0] == b"staged\n"
         project.discard()  # puts the committed state, absent, back on disk
         assert not (tmp_path / "new" / "N.lean").exists() and not project.exists("new/N.lean")
 
         project.stage("new/N.lean", "again\n")
         project.write("new/N.lean", "written\n")  # a write drops the staged edit
-        assert project.staged("new/N.lean") is None
+        assert project.staged_entry("new/N.lean") is None
         project.stage("new/N.lean", "again\n")
         project.delete("new/N.lean")
         assert not project.exists("new/N.lean")
@@ -607,7 +622,7 @@ class TestStagedCandidates:
         assert written == []
         project.commit()
         assert written == ["S_part1.lean", "S.lean", "S_part2.lean"]
-        assert project.staged("S.lean") is None
+        assert project.staged_entry("S.lean") is None
         assert (tmp_path / "S_part1.lean").read_text() == "one, patched\n"
 
         written.clear()
@@ -845,7 +860,7 @@ class TestIOCounts:
         scope = Scope.of(SourceRange.whole_lines(2, 2))
         patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma m : P := w")
         outcome = try_patch(2, project, "A.lean", scope, patch, diags, verifier)
-        assert outcome.accepted and project.staged("A.lean") is not None
+        assert outcome.accepted and project.staged_entry("A.lean") is not None
         staged = project.analysis("A.lean")
 
         lookups = []

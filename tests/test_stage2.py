@@ -28,7 +28,6 @@ from autoform.stage2 import (
     AmbiguousTargetError,
     ProofTask,
     Stage2Config,
-    build_proof_tasks,
     locate_target_hole,
     run_stage2,
     run_stage2_item,
@@ -36,7 +35,7 @@ from autoform.stage2 import (
 )
 from autoform.verifier import Project, SimulatedVerifier, Verifier, header_scope
 
-from helpers import EventSink
+from helpers import EventSink, proof_tasks
 from oracles import oracle_signatures, ref_run_stage2_item
 
 
@@ -233,8 +232,8 @@ class TestSplit:
         task = ProofTask(index=40, label="Lemma 9.40")
         resolved = split_if_large_and_resolve(project, file_id, task, 40, metrics)
         assert resolved == file_id
-        assert project.staged(file_id) is None
-        assert project.staged(file_id.replace(".lean", "_part1.lean")) is None
+        assert project.staged_entry(file_id) is None
+        assert project.staged_entry(file_id.replace(".lean", "_part1.lean")) is None
         project.commit()
         assert {f: (project.root / f).read_bytes() for f in project.files()} == before
         events = read_events(metrics.path)
@@ -246,20 +245,20 @@ class TestSplit:
         task = ProofTask(index=40, label="Lemma 9.40")
         split_if_large_and_resolve(project, file_id, task, threshold=40)
         part1 = file_id.replace(".lean", "_part1.lean")
-        staged = project.staged(part1)
+        staged = project.staged_entry(part1)[0]
         project.discard()
         # the commit landed part 1, with a proof in it, and stopped there
-        project.write(part1, staged.replace(":= sorry", ":= ground", 1))
-        assert project.read(part1) != staged
+        project.write(part1, staged.decode().replace(":= sorry", ":= ground", 1))
+        assert project.read_bytes(part1) != staged
         resolved = split_if_large_and_resolve(project, file_id, task, threshold=40)
         assert resolved != file_id
-        assert project.staged(part1) == staged
+        assert project.staged_entry(part1)[0] == staged
 
     def test_a_toy_split_asks_the_disk_for_no_absent_file(
         self, project, toy_records, metrics, monkeypatch
     ):
         compiled_project(project, toy_records, metrics)
-        record, task = build_proof_tasks(toy_records)[0]
+        record, task = proof_tasks(toy_records)[0]
         file_id = target_file(record)
         absent_reads = []
         real = Project.reload_bytes
@@ -284,7 +283,7 @@ class TestItemCommit:
         self, project, toy_records, metrics, monkeypatch
     ):
         compiled_project(project, toy_records, metrics)
-        record, task = build_proof_tasks(toy_records)[0]
+        record, task = proof_tasks(toy_records)[0]
         file_id = target_file(record)
         real = Project.stage
 
@@ -304,14 +303,14 @@ class TestItemCommit:
         events = read_events(metrics.path)
         warnings = [e["data"]["reason"] for e in events if e["event"] == "warning"]
         assert warnings == ["split failed: no space for part 2"]
-        assert project.staged(file_id.replace(".lean", "_part1.lean")) is None
+        assert project.staged_entry(file_id.replace(".lean", "_part1.lean")) is None
         assert not [f for f in project.files() if "_part" in f]
 
     def test_the_items_edits_land_in_one_commit_before_its_item_end(
         self, project, toy_records, metrics, monkeypatch
     ):
         compiled_project(project, toy_records, metrics)
-        record, task = build_proof_tasks(toy_records)[0]
+        record, task = proof_tasks(toy_records)[0]
         file_id = target_file(record)
         before = project.path(file_id).read_bytes()
         log = []
@@ -342,7 +341,7 @@ class TestMissingSectionFile:
     def test_items_of_a_missing_section_are_skipped(self, project, toy_records, metrics):
         # stage 1 restored away every item of one section, so its file is absent
         compiled_project(project, toy_records, metrics)
-        missing = target_file(build_proof_tasks(toy_records)[0][0])
+        missing = target_file(proof_tasks(toy_records)[0][0])
         project.delete(missing)
         sink = EventSink()
         results = run_stage2(
@@ -397,7 +396,7 @@ class TestTargetLookupSkips:
         assert (result.status, result.proof_attempts, result.verifier_calls) == ("skipped", 1, 2)
         reason = "label 'Theorem A' matches 2 declarations"
         assert warnings == [{"reason": reason, "lean_file": "A.lean", "index": 1}]
-        assert "theorem a2" in project.staged("A.lean")  # the accepted patch stays staged
+        assert b"theorem a2" in project.staged_entry("A.lean")[0]  # the accepted patch stays staged
 
     def test_label_missing_from_a_labelled_file(self, project, metrics):
         def propose(request):
@@ -407,7 +406,7 @@ class TestTargetLookupSkips:
         assert (result.status, result.plans, result.verifier_calls) == ("skipped", 0, 1)
         reason = "label 'Theorem C' matches 0 declarations"
         assert warnings == [{"reason": reason, "lean_file": "A.lean", "index": 1}]
-        assert project.staged("A.lean") is None
+        assert project.staged_entry("A.lean") is None
 
 
 class ToyWorld:
@@ -421,7 +420,7 @@ class ToyWorld:
         self.config = config or Stage2Config()
 
     def tasks(self):
-        return build_proof_tasks(self.records)
+        return proof_tasks(self.records)
 
     def run_item(self, record, task):
         return run_stage2_item(
@@ -453,13 +452,13 @@ class TestRunStage2Item:
         world = ToyWorld(project, toy_records, metrics)
         record, task = world.tasks()[0]
         file_id = target_file(record)
-        holes_before = simlang.count_holes(project.read(file_id))
+        holes_before = len(project.analysis(file_id).hole_ranges)
         result = world.run_item(record, task)
         assert result.status == "solved"
         assert result.proof_attempts == 1
         # one kernel call for the accepted attempt, after the item's initial check
         assert result.verifier_calls == 2
-        assert simlang.count_holes(project.read(file_id)) == holes_before - 1
+        assert len(project.analysis(file_id).hole_ranges) == holes_before - 1
 
     def test_already_proved_target(self, project, toy_records, metrics):
         world = ToyWorld(project, toy_records, metrics)
@@ -477,14 +476,14 @@ class TestRunStage2Item:
         )
         record, task = world.tasks()[0]
         file_id = target_file(record)
-        holes_before = simlang.count_holes(project.read(file_id))
+        holes_before = len(project.analysis(file_id).hole_ranges)
         result = world.run_item(record, task)
         assert result.status == "unsolved"
         assert result.proof_attempts == config.r * config.c
         assert result.verifier_calls <= config.t
         ok, _ = world.verifier.adapter.verify_file(project, file_id)
         assert ok  # file still verifies
-        assert simlang.count_holes(project.read(file_id)) == holes_before
+        assert len(project.analysis(file_id).hole_ranges) == holes_before
 
     def test_rejected_attempts_reuse_their_scope(self, project, toy_records, metrics, analyses):
         # each rejected patch restores the analysis it replaced, so the
@@ -591,9 +590,9 @@ class TestRunStage2Item:
         world = ToyWorld(project, toy_records, metrics)
         for record, task in world.tasks():
             file_id = target_file(record)
-            before = simlang.count_holes(project.read(file_id))
+            before = len(project.analysis(file_id).hole_ranges)
             world.run_item(record, task)
-            assert simlang.count_holes(project.read(file_id)) <= before
+            assert len(project.analysis(file_id).hole_ranges) <= before
 
 
 class TestMatchedStatementGuard:
@@ -627,14 +626,14 @@ class TestRunStage2Driver:
         assert ok
 
     def test_proof_targets_filtered_by_env_and_proof(self, toy_records):
-        tasks = build_proof_tasks(toy_records)
+        tasks = proof_tasks(toy_records)
         assert len(tasks) == 16
         assert all(rec.proof for rec, _ in tasks)
         assert all(rec.env in {"theorem", "lemma", "proposition", "corollary"} for rec, _ in tasks)
 
     def test_lemma_hints_attached(self, toy_records, toy_lemma_map):
         tasks = dict(
-            (task.index, task) for _, task in build_proof_tasks(toy_records, toy_lemma_map)
+            (task.index, task) for _, task in proof_tasks(toy_records, toy_lemma_map)
         )
         assert tasks[2].lemma_hints is not None
         assert tasks[2].lemma_hints.decl_hints == ("c1s1Alpha",)
@@ -654,11 +653,11 @@ class TestResumedSegment:
         assert [r.index for r in first] == [2, 4]
 
         built = []
-        from_record = ProofTask.from_record.__func__
+        proof_task = stage2.proof_task
 
-        def counting_from_record(cls, record, hints=None):
+        def counting_proof_task(record, lemma_map):
             built.append(record.index)
-            return from_record(cls, record, hints)
+            return proof_task(record, lemma_map)
 
         plans = []
         base = toy_handlers()
@@ -667,7 +666,7 @@ class TestResumedSegment:
             plans.append(request.payload)
             return base["plan"](request)
 
-        monkeypatch.setattr(ProofTask, "from_record", classmethod(counting_from_record))
+        monkeypatch.setattr(stage2, "proof_task", counting_proof_task)
         monkeypatch.setattr(scripted, "toy_handlers", lambda: dict(base, plan=plan))
         second, _ = run_proof_stage(toy_config, lemma_map=toy_lemma_map)
         assert [r.index for r in second] == [5, 6]
@@ -864,7 +863,10 @@ def run_scenario(item_fn, root, seed: int, adapter=None):
 
     lines = [{k: v for k, v in e.items() if k != "ts"} for e in read_events(stream)]
     ids = [SECTION] + [SECTION.replace(".lean", f"_part{k}.lean") for k in range(1, 9)]
-    files = {f: (project.staged(f), project.committed_bytes(f)) for f in ids}
+    files = {
+        f: (project.read_bytes(f) if project.staged_entry(f) else None, project.committed_bytes(f))
+        for f in ids
+    }
     return outcome, lines[1:], files
 
 

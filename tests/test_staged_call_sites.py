@@ -7,7 +7,7 @@ transaction and ``Snapshot.restore``) and the two stages (stage 1's
 ``restored_failed`` item, stage 2's failed split) call ``.discard(``; only
 ``verifier.py`` calls ``.sync(`` (the adapter whose tool reads the
 disk). No module analyses the text of a project file itself, through
-``analyse`` or its ``count_holes`` and ``parse_file`` views:
+``analyse`` or its ``parse_file`` view:
 ``Project.analysis`` is the one path, so each content is analysed once.
 Only ``verifier.py`` (``Project.analysis``), ``simlang.py`` (its own
 views) and ``kernel.py`` (the objective of an absent file in
@@ -98,13 +98,13 @@ def read_into(scope: ast.AST) -> set[str]:
     return names
 
 
-ANALYSIS_VIEWS = {"analyse", "count_holes", "parse_file"}
+ANALYSIS_VIEWS = {"analyse", "parse_file"}
 
 
 def analysed_reads(tree: ast.AST) -> set[int]:
-    """Lines of ``analyse``, ``count_holes`` or ``parse_file`` calls (bare or
-    as ``simlang.<name>``) on ``<expr>.read(...)``, or on a name that the
-    same function assigns from such a read."""
+    """Lines of ``analyse`` or ``parse_file`` calls (bare or as
+    ``simlang.<name>``) on ``<expr>.read(...)``, or on a name that the same
+    function assigns from such a read."""
     found = set()
     functions = [
         n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -139,7 +139,7 @@ def test_the_analysis_guard_sees_both_forms_and_spares_text_callers():
         "    return simlang.analyse(project.read('A.lean'))\n"
         "def through_a_name(project):\n"
         "    text = project.read('A.lean') if project.exists('A.lean') else ''\n"
-        "    simlang.count_holes(text)\n"
+        "    simlang.parse_file(text)\n"
         "    return analyse(text)\n"
         "def given_text(text):\n"
         "    return simlang.analyse(text)\n"

@@ -501,6 +501,15 @@ class TestExternalVerifier:
         assert err_count(diags) == 1
         assert any("status 2" in d.message for d in diags.errors())
 
+    def test_output_that_is_not_utf8_is_read_with_replacement(self, tmp_path, project):
+        project.write("A.lean", "def a : T := ghost\n")
+        script = write_script(
+            tmp_path / "check.sh", "printf '%s:1:13: error: bad \\377 byte\\n' \"$1\"\nexit 1\n"
+        )
+        ok, diags = ExternalVerifier(command=[script, "{file}"]).verify_file(project, "A.lean")
+        assert not ok
+        assert [d.message for d in diags.errors()] == ["bad \ufffd byte"]
+
     def test_launch_failure_is_distinguished(self, project):
         project.write("A.lean", "def a : T := sorry\n")
         ext = ExternalVerifier(command=["/nonexistent/toolchain", "{file}"])
