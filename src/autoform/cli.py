@@ -121,8 +121,11 @@ def cmd_split(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"no such file: {args.file}")
     project = Project(root)
     result = split_if_large_and_resolve(project, args.file, None, args.threshold)
+    # a split stages the file as an aggregate that imports each part it wrote
+    split = project.staged_entry(args.file) is not None
+    count = len(project.analysis(args.file).imports) if split else 0
+    parts = [f"{args.file[:-5]}_part{k}.lean" for k in range(1, count + 1)]
     project.commit()
-    parts = [f for f in project.files() if f.startswith(args.file[:-5] + "_part")]
     print(json.dumps({"file": args.file, "resolved": result, "parts": parts}, indent=2))
     return EXIT_OK
 

@@ -258,10 +258,12 @@ def load_lemma_map(path: str | Path) -> dict[str, LemmaMapEntry]:
         hints = obj.get("decl_hints", [])
         if not isinstance(hints, list):
             raise DatasetError(f"{where}: decl_hints must be a list")
-        entry = LemmaMapEntry(
-            problem_id=str(problem_id),
-            decl_hints=tuple(str(h) for h in hints),
-            notes=str(obj.get("notes", "") or ""),
-        )
+        for k, hint in enumerate(hints):
+            if not isinstance(hint, str):
+                raise DatasetError(f"{where}: decl_hints entry {k} is not a string")
+        notes = obj.get("notes")
+        if notes is not None and not isinstance(notes, str):
+            raise DatasetError(f"{where}: notes is not a string")
+        entry = LemmaMapEntry(str(problem_id), tuple(hints), notes or "")
         out[entry.problem_id] = entry
     return out

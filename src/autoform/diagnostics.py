@@ -17,6 +17,9 @@ the plain tuple of its fields, iterates over them and has a ``len``. No
 caller may rely on any of the three, and code that converts values by type
 must test for a record before its generic tuple case, as
 ``OperatorRequest.json_payload`` tests for ``SourceRange`` and ``Scope``.
+
+Diagnostics sort by their fields: range (start, then end), severity,
+message. ``DiagnosticSet.normalized`` and ``select_error`` use that order.
 """
 
 from __future__ import annotations
@@ -82,16 +85,13 @@ class SourceRange(namedtuple("SourceRange", "start_line start_col end_line end_c
 
 
 class Diagnostic(namedtuple("Diagnostic", "range severity message")):
+    # a Diagnostic sorts by (range, severity, message): the order of its fields
     __slots__ = ()
 
     def __new__(cls, range: SourceRange, severity: str, message: str):
         if severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}: {severity!r}")
         return _new_tuple(cls, (range, severity, message))
-
-    def sort_key(self) -> tuple:
-        r = self.range
-        return (r.start_line, r.start_col, r.end_line, r.end_col, self.severity, self.message)
 
     def as_dict(self) -> dict:
         return {"range": self.range.as_dict(), "severity": self.severity, "message": self.message}
@@ -137,7 +137,7 @@ class DiagnosticSet(_Frozen):
         return cls(tuple(items))
 
     def normalized(self) -> tuple[Diagnostic, ...]:
-        return tuple(sorted(self.items, key=Diagnostic.sort_key))
+        return tuple(sorted(self.items))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiagnosticSet):
@@ -180,8 +180,8 @@ def err_count(diagnostics: DiagnosticSet) -> int:
 
 
 def select_error(diagnostics: DiagnosticSet) -> Diagnostic:
-    """The first error by ``Diagnostic.sort_key``; ValueError when there is none."""
-    return min(diagnostics.errors(), key=Diagnostic.sort_key)
+    """The first error in the order of diagnostics; ValueError when there is none."""
+    return min(diagnostics.errors())
 
 
 def _normalize_ranges(ranges: Sequence[SourceRange]) -> tuple[SourceRange, ...]:
@@ -271,10 +271,9 @@ def line_starts(text: str, start: int = 0, end: int | None = None) -> list[int]:
     return starts
 
 
-def pos_to_offset(text: str, line: int, col: int, starts: Sequence[int] | None = None) -> int:
-    """Character offset of (line, col), clamped to the document."""
-    if starts is None:
-        starts = line_starts(text)
+def pos_to_offset(text: str, line: int, col: int, starts: Sequence[int]) -> int:
+    """Character offset of (line, col), clamped to the document whose line
+    offsets are ``starts``."""
     if line < 0:
         return 0
     if line >= len(starts):
@@ -284,13 +283,9 @@ def pos_to_offset(text: str, line: int, col: int, starts: Sequence[int] | None =
     return min(base + max(col, 0), max(limit, base))
 
 
-def apply_replacement(
-    text: str, rng: SourceRange, replacement: str, starts: Sequence[int] | None = None
-) -> str:
-    """Replace the half-open region covered by rng with new text; ``starts``,
-    when given, are the line offsets of ``text``."""
-    if starts is None:
-        starts = line_starts(text)
+def apply_replacement(text: str, rng: SourceRange, replacement: str, starts: Sequence[int]) -> str:
+    """Replace the half-open region covered by rng with new text; ``starts``
+    are the line offsets of ``text``."""
     a = pos_to_offset(text, rng.start_line, rng.start_col, starts)
     b = pos_to_offset(text, rng.end_line, rng.end_col, starts)
     if b < a:

@@ -1,7 +1,9 @@
 """The refinement primitive: objectives, priority order, and the
 snapshot -> stage -> verify -> keep/restore patch executor, inside an item.
 
-A patch is a whole-region text replacement for one contiguous range. The
+A patch (``PatchProposal``) replaces the text of one contiguous range,
+its ``range``, which the attempt's scope must cover; the line offsets of
+the replacement come from the ``Project``'s analysis of the file. The
 patched text is staged in the ``Project``, the item's working copy, and
 verified once. It stays staged, for the item to commit, only when the
 stage objective strictly improves under the priority order. Anything else
@@ -73,16 +75,9 @@ def stage2_objective(diagnostics: DiagnosticSet, analysis: simlang.Analysis) -> 
 
 class PatchProposal(NamedTuple):
     file: str
-    scope: Scope
+    range: SourceRange
     replacement: str
     origin: str = ""
-
-    def target_range(self) -> SourceRange:
-        if len(self.scope.ranges) != 1:
-            raise PatchOutOfScopeError(
-                f"patch must target one contiguous range, got {len(self.scope.ranges)}"
-            )
-        return self.scope.ranges[0]
 
 
 class Snapshot(NamedTuple):
@@ -140,24 +135,25 @@ def try_patch(
         raise ValueError(f"stage must be 1 or 2, got {stage}")
     if patch.file != file_id:
         raise ValueError(f"patch file {patch.file!r} does not match target {file_id!r}")
-    target = patch.target_range()
-    if not scope.covers(target):
-        raise PatchOutOfScopeError(f"patch range {target} not covered by permitted scope")
+    if not scope.covers(patch.range):
+        raise PatchOutOfScopeError(f"patch range {patch.range} not covered by permitted scope")
 
     exists = project.exists(file_id)
     text_before = project.read(file_id) if exists else ""
+    # the project keeps the analysis of the text, so the objective and the
+    # line offsets cost no scan of it
+    analysis = project.analysis(file_id) if exists else simlang.analyse("")
     if stage == 1:
-        before, starts = stage1_objective(diagnostics_before, scope), None
+        before = stage1_objective(diagnostics_before, scope)
     else:
-        # the project keeps the analysis of the text, so the objective and
-        # the line offsets cost no scan of it
-        analysis = project.analysis(file_id) if exists else simlang.analyse("")
-        before, starts = stage2_objective(diagnostics_before, analysis), analysis.line_starts
+        before = stage2_objective(diagnostics_before, analysis)
     # captured after the reads above, so a staged edit's entry holds its
     # text and analysis and a restore puts both back
     snap = Snapshot.capture(project, file_id)
 
-    candidate = apply_replacement(text_before, target, patch.replacement, starts)
+    candidate = apply_replacement(
+        text_before, patch.range, patch.replacement, analysis.line_starts
+    )
     project.stage(file_id, candidate)
     try:
         ok, diags_after = verifier.verify_file(project, file_id)

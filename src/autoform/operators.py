@@ -165,7 +165,7 @@ class ExternalBridge:
             return OperatorResponse.failed("timeout", str(log_path))
 
         log_path = self._log(request, stdout, stderr)
-        tokens = parse_token_footer(log_path.read_text(encoding="utf-8"))
+        tokens = parse_token_footer(format_per_call_log(stdout, stderr))
 
         if request.kind in TEXT_KINDS:
             block = extract_fenced_block(stdout)
@@ -188,12 +188,7 @@ class ExternalBridge:
         replacement = block.rstrip("\n")
         if target.end_col == 0 and target.end_line > target.start_line:
             replacement += "\n"  # line-oriented region: keep the file's line structure
-        patch = PatchProposal(
-            file=file_id,
-            scope=Scope.of(target),
-            replacement=replacement,
-            origin=f"bridge:{request.kind}",
-        )
+        patch = PatchProposal(file_id, target, replacement, f"bridge:{request.kind}")
         return OperatorResponse(
             ok=True, patch=patch, tokens_used=tokens, transcript_ref=str(log_path)
         )

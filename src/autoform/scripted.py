@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from . import simlang
-from .diagnostics import Scope, SourceRange
+from .diagnostics import SourceRange
 from .kernel import PatchProposal
 from .operators import OperatorRequest, OperatorResponse
 from .stage1 import STUB_TEMPLATES, gen_stub
@@ -81,7 +81,7 @@ def toy_repair_patch(request: OperatorRequest) -> OperatorResponse:
             body = " sorry" if template.endswith(":= sorry") else " by sorry"
             patch = PatchProposal(
                 file=request.payload["file"],
-                scope=Scope.of(_moved(decl.body_range, first)),
+                range=_moved(decl.body_range, first),
                 replacement=body,
                 origin="scripted:repair_patch",
             )
@@ -131,7 +131,7 @@ def toy_propose_proof_patch(request: OperatorRequest) -> OperatorResponse:
     hole = _range(request.payload["hole"])
     patch = PatchProposal(
         file=request.payload["file"],
-        scope=Scope.of(hole),
+        range=hole,
         replacement=f"exact {term}",
         origin="scripted:propose_proof_patch",
     )
@@ -166,7 +166,7 @@ def _noop_patch(request: OperatorRequest, rng: SourceRange) -> OperatorResponse:
 
     patch = PatchProposal(
         file=request.payload["file"],
-        scope=Scope.of(rng),
+        range=rng,
         replacement=range_text(request.payload["file_text"], rng),
         origin="scripted:adversarial",
     )
@@ -190,7 +190,7 @@ def adversarial_propose_proof_patch(request: OperatorRequest) -> OperatorRespons
     hole = _range(request.payload["hole"])
     patch = PatchProposal(
         file=request.payload["file"],
-        scope=Scope.of(hole),
+        range=hole,
         replacement="sorry",
         origin="scripted:adversarial",
     )

@@ -13,14 +13,15 @@ of a run.
 
 ``analyse`` reads a file text once, in one linear pass, and keeps no
 state: the ``Project`` keeps each file's analysis with its bytes, so each
-content is analysed once. ``parse_file`` is a view of that analysis, its
-``parsed`` field; a file's placeholders are its ``hole_ranges``, and its
-line count is ``len(line_starts)``. The pass masks comments and strings,
-finds the declaration lines with one search, and reads each declaration
-unit once, in one call that gives its declaration, body term and
-placeholders; positions come from the line numbers the pass already has,
-and placeholders are found by substring search with an
-identifier-boundary check.
+content is analysed once. ``parse_file`` is ``analyse`` without a base. An
+``Analysis`` holds the file's header span, imports, declarations and stray
+lines; each ``Declaration`` holds its body term and its placeholders. A
+file's placeholders are its ``hole_ranges``, and its line count is
+``len(line_starts)``. The pass masks comments and strings, finds the
+declaration lines with one search, and reads each declaration unit once;
+positions come from the line numbers the pass already has, and
+placeholders are found by substring search with an identifier-boundary
+check.
 
 A text that edits another is read only between the declarations the edit
 cannot reach on either side, so appending a declaration, or patching one
@@ -119,6 +120,8 @@ class Declaration:
     range: SourceRange          # declaration lines, excluding docstring
     unit_range: SourceRange     # docstring + declaration lines
     body_range: SourceRange
+    term: BodyTerm              # the body, interpreted from its masked tokens
+    holes: tuple[SourceRange, ...]  # placeholders on the declaration lines
     docstring: str | None = None
     doc_index: int | None = None
     doc_label: str | None = None
@@ -139,7 +142,13 @@ class ImportLine:
 
 
 @dataclass(frozen=True)
-class ParsedFile:
+class Analysis:
+    """Everything read from one file text, computed in one linear pass."""
+
+    masked: str
+    line_starts: tuple[int, ...]
+    noncode: tuple[tuple[str, int, int], ...]
+    hole_ranges: tuple[SourceRange, ...]
     # (first, last) line numbers of the header prefix, or None. Blank and
     # comment-only lines inside the prefix are tolerated; the span ends at
     # the last header-keyword line before the first code line, capped at
@@ -150,27 +159,8 @@ class ParsedFile:
     stray_lines: tuple[int, ...]    # non-blank code lines outside header/units
 
 
-def parse_file(text: str) -> ParsedFile:
-    return analyse(text).parsed
-
-
-@dataclass(frozen=True)
-class Analysis:
-    """Everything read from one file text, computed in one linear pass.
-
-    ``body_terms`` and ``decl_holes`` run parallel to
-    ``parsed.declarations``: each declaration's body term, interpreted once
-    from its masked tokens when its unit is read, and the placeholder ranges
-    inside each declaration.
-    """
-
-    masked: str
-    line_starts: tuple[int, ...]
-    noncode: tuple[tuple[str, int, int], ...]
-    hole_ranges: tuple[SourceRange, ...]
-    parsed: ParsedFile
-    body_terms: tuple[BodyTerm, ...]
-    decl_holes: tuple[tuple[SourceRange, ...], ...]
+def parse_file(text: str) -> Analysis:
+    return analyse(text)
 
 
 def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
@@ -266,13 +256,13 @@ def _analyse(
     """
     stop = len(text)
     if tail:
-        first_tail = base.parsed.declarations[-tail]
+        first_tail = base.declarations[-tail]
         tail_line = first_tail.range.start_line
         tail_start = base.line_starts[tail_line]
         stop = tail_start + len(text) - len(base.masked)
     if kept:
         # lines before ``first`` come from the base and are never read again
-        first = base.parsed.declarations[kept - 1].range.end_line
+        first = base.declarations[kept - 1].range.end_line
         resume = base.line_starts[first]
         spans = list(base.noncode[: bisect_left(base.noncode, resume, key=itemgetter(1))])
         if spans and spans[-1][2] >= resume:
@@ -280,24 +270,22 @@ def _analyse(
             # runs to the end of the base text, where text may carry it on:
             # keep only the units that end above the line it starts on
             kept = bisect_right(
-                base.parsed.declarations,
+                base.declarations,
                 spans[-1][1],
                 hi=kept,
                 key=lambda d: base.line_starts[d.range.end_line],
             )
             return _analyse(text, base, kept, tail)
-        declarations = list(base.parsed.declarations[:kept])
+        declarations = list(base.declarations[:kept])
         kept_holes = bisect_left(base.hole_ranges, first, key=attrgetter("start_line"))
         holes = list(base.hole_ranges[:kept_holes])
-        stray_lines = base.parsed.stray_lines
+        stray_lines = base.stray_lines
         stray = list(stray_lines[: bisect_left(stray_lines, first)])
-        bodies = list(base.body_terms[:kept])
-        decl_holes = list(base.decl_holes[:kept])
         starts = list(base.line_starts[:first]) + line_starts(text, resume, stop)
-        header_span, imports = base.parsed.header_span, list(base.parsed.imports)
+        header_span, imports = base.header_span, base.imports
         prefix = base.masked[:resume]
     else:
-        declarations, spans, holes, stray, bodies, decl_holes = [], [], [], [], [], []
+        declarations, spans, holes, stray = [], [], [], []
         first = resume = 0
         starts = line_starts(text, 0, stop)
         prefix = ""
@@ -382,13 +370,9 @@ def _analyse(
         after = decl_starts[idx + 1] if idx + 1 < len(decl_starts) else n_lines
         limit = starts[after] - 1 if after < len(starts) else stop
         end = last_code = start + masked[at:limit].rstrip().count("\n")
-        decl, body, unit_holes = _parse_declaration(
-            text, masked, starts, start, end, unit_start, doc, at
-        )
+        decl = _parse_declaration(text, masked, starts, start, end, unit_start, doc, at)
         declarations.append(decl)
-        bodies.append(body)
-        decl_holes.append(unit_holes)
-        new_holes.extend(unit_holes)
+        new_holes.extend(decl.holes)
 
     # only a line above the first unit can be outside every unit and hold code
     lo = max(header_end + 1, first)
@@ -405,15 +389,13 @@ def _analyse(
         if chars:
             tail_starts = [offset + chars for offset in tail_starts]
             tail_spans = [(kind, a + chars, b + chars) for kind, a, b in tail_spans]
-        tail_decls = base.parsed.declarations[-tail:]
-        tail_decl_holes = base.decl_holes[-tail:]
+        tail_decls = base.declarations[-tail:]
         tail_holes = base.hole_ranges[
             bisect_left(base.hole_ranges, tail_line, key=attrgetter("start_line")) :
         ]
-        tail_stray = base.parsed.stray_lines[bisect_left(base.parsed.stray_lines, tail_line) :]
+        tail_stray = base.stray_lines[bisect_left(base.stray_lines, tail_line) :]
         if lines:
             tail_decls = [_moved_declaration(decl, lines) for decl in tail_decls]
-            tail_decl_holes = [_moved_ranges(hs, lines) for hs in tail_decl_holes]
             tail_holes = _moved_ranges(tail_holes, lines)
             tail_stray = [lineno + lines for lineno in tail_stray]
         masked += base.masked[tail_start:]
@@ -422,23 +404,16 @@ def _analyse(
         new_holes.extend(tail_holes)
         stray.extend(tail_stray)
         declarations.extend(tail_decls)
-        bodies.extend(base.body_terms[-tail:])
-        decl_holes.extend(tail_decl_holes)
 
-    parsed = ParsedFile(
-        header_span=header_span,
-        imports=tuple(imports),
-        declarations=tuple(declarations),
-        stray_lines=tuple(stray),
-    )
     return Analysis(
         masked=masked,
         line_starts=tuple(starts),
         noncode=tuple(spans + new_spans),
         hole_ranges=tuple(holes + new_holes),
-        parsed=parsed,
-        body_terms=tuple(bodies),
-        decl_holes=tuple(decl_holes),
+        header_span=header_span,
+        imports=tuple(imports),
+        declarations=tuple(declarations),
+        stray_lines=tuple(stray),
     )
 
 
@@ -450,11 +425,12 @@ def _moved_ranges(ranges: Sequence[SourceRange], lines: int) -> tuple[SourceRang
 
 
 def _moved_declaration(decl: Declaration, lines: int) -> Declaration:
-    """``decl`` moved ``lines`` lines down."""
+    """``decl`` moved ``lines`` lines down, with its placeholders."""
     rng, unit_rng, body_rng = _moved_ranges(
         (decl.range, decl.unit_range, decl.body_range), lines
     )
-    return replace(decl, range=rng, unit_range=unit_rng, body_range=body_rng)
+    holes = _moved_ranges(decl.holes, lines)
+    return replace(decl, range=rng, unit_range=unit_rng, body_range=body_rng, holes=holes)
 
 
 def _resume_point(
@@ -466,7 +442,7 @@ def _resume_point(
     if base is None:
         return None, 0, 0
     base_text, analysis = base
-    decls = analysis.parsed.declarations
+    decls = analysis.declarations
     if not decls:
         return None, 0, 0
     starts = analysis.line_starts
@@ -493,7 +469,7 @@ def _kept_units(text: str, base_text: str, base: Analysis) -> int:
     that the scan can resume after them, and that the last kept unit still
     ends where it did.
     """
-    decls = base.parsed.declarations
+    decls = base.declarations
     starts = base.line_starts
 
     def keeps(k: int) -> bool:
@@ -526,7 +502,7 @@ def _kept_tail(text: str, base_text: str, base: Analysis, kept: int, resume: int
     starts at the first unit after the span instead; none is kept (0) when
     no unit starts after it.
     """
-    decls = base.parsed.declarations
+    decls = base.declarations
     starts = base.line_starts
     grow = len(text) - len(base_text)
 
@@ -570,10 +546,10 @@ def _parse_declaration(
     unit_start: int,
     doc: tuple[int, str] | None,
     a: int,
-) -> tuple[Declaration, BodyTerm, tuple[SourceRange, ...]]:
+) -> Declaration:
     """The declaration on lines [start, end], which begin at offset ``a``,
-    read once: the declaration, its body term and its placeholders. ``doc``
-    is its docstring's (first line, inner text), or None."""
+    read once, with its body term and its placeholders. ``doc`` is its
+    docstring's (first line, inner text), or None."""
     b = starts[end + 1] - 1 if end + 1 < len(starts) else len(masked)
     unit = masked[a:b]
     rng = SourceRange(start, 0, end + 1, 0)
@@ -621,19 +597,20 @@ def _parse_declaration(
                 type_text = " ".join(text[a + colon + 1 : a + assign].split())
                 if not type_text:
                     malformed = "empty type"
-    decl = Declaration(
+    return Declaration(
         kind=kind,
         name=name,
         type_text=type_text,
         range=rng,
         unit_range=unit_rng,
         body_range=body_rng,
+        term=interpret_body(body.split()),
+        holes=_holes(masked, a, b, start, starts),
         docstring=docstring,
         doc_index=doc_index,
         doc_label=doc_label,
         malformed=malformed,
     )
-    return decl, interpret_body(body.split()), _holes(masked, a, b, start, starts)
 
 
 def _holes(masked: str, a: int, b: int, line: int, starts: list[int]) -> tuple[SourceRange, ...]:

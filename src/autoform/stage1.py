@@ -171,7 +171,7 @@ def _item_units(project: Project, file_id: str, index: int) -> list[simlang.Decl
     """The named declarations whose docstring carries ``[index]``."""
     if not project.exists(file_id):
         return []
-    declarations = project.analysis(file_id).parsed.declarations
+    declarations = project.analysis(file_id).declarations
     return [d for d in declarations if d.name and d.doc_index == index]
 
 
@@ -280,6 +280,6 @@ def _repair_target(analysis: simlang.Analysis, local_diags) -> SourceRange:
     of the file's ``analysis`` containing the first localized error, else
     that error's own range."""
     first = select_error(local_diags)
-    declarations = analysis.parsed.declarations
+    declarations = analysis.declarations
     i = simlang.declaration_at(declarations, first.range)
     return first.range if i is None else declarations[i].range

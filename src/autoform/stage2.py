@@ -33,7 +33,7 @@ from functools import partial
 
 from . import simlang
 from .corpus import DatasetRecord, LemmaMapEntry, is_proof_target
-from .diagnostics import Scope, SourceRange, err_count, select_error
+from .diagnostics import Scope, err_count, select_error
 from .instrumentation import MetricsWriter
 from .kernel import PatchOutOfScopeError, run_item, run_items, try_patch
 from .operators import OperatorRequest, OperatorSet
@@ -81,12 +81,6 @@ class ProofTask:
         return d
 
 
-@dataclass(frozen=True)
-class HoleTarget:
-    range: SourceRange
-    declaration: str
-
-
 class AmbiguousTargetError(RuntimeError):
     """The task label matches two declarations, or none in a file that has
     labels; the item is skipped."""
@@ -119,26 +113,23 @@ class Stage2ItemResult:
         }
 
 
-def locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
-    """Find the task's placeholder: by docstring label, falling back to the
-    unique holed declaration only in a file without labels. None when
-    already closed."""
-    analysis = project.analysis(file_id)
-    units = list(zip(analysis.parsed.declarations, analysis.decl_holes))
+def locate_target_hole(
+    project: Project, file_id: str, task: ProofTask
+) -> simlang.Declaration | None:
+    """The declaration holding the task's placeholder, its first hole: found
+    by docstring label, falling back to the unique holed declaration only in
+    a file without labels. None when already closed."""
+    declarations = project.analysis(file_id).declarations
 
-    labeled = [(d, holes) for d, holes in units if d.doc_label == task.label]
-    if len(labeled) > 1 or (not labeled and any(d.doc_label for d, _ in units)):
+    labeled = [d for d in declarations if d.doc_label == task.label]
+    if len(labeled) > 1 or (not labeled and any(d.doc_label for d in declarations)):
         raise AmbiguousTargetError(f"label {task.label!r} matches {len(labeled)} declarations")
     if labeled:
-        decl, holes = labeled[0]
-        if not holes:
-            return None
-        return HoleTarget(range=holes[0], declaration=decl.name or "")
+        return labeled[0] if labeled[0].holes else None
 
-    holed = [(d, holes) for d, holes in units if holes]
+    holed = [d for d in declarations if d.holes]
     if len(holed) == 1:
-        decl, holes = holed[0]
-        return HoleTarget(range=holes[0], declaration=decl.name or "")
+        return holed[0]
     if not holed:
         return None
     raise AmbiguousTargetError(
@@ -153,7 +144,9 @@ def split_if_large_and_resolve(
     threshold: int,
     metrics: MetricsWriter | None = None,
 ) -> str:
-    """Partition an oversized file at declaration boundaries.
+    """Partition an oversized file at declaration boundaries: one whose
+    analysis has more than ``threshold`` lines. Only such a file's text is
+    read into lines.
 
     Parts are named ``<stem>_part<K>.lean`` with a linear import chain
     (each part imports its predecessor) and the original path becomes a
@@ -167,20 +160,19 @@ def split_if_large_and_resolve(
     """
     if not project.exists(file_id):
         return file_id
-    text = project.read(file_id)
-    lines = text.split("\n")
-    if len(lines) <= threshold:
+    analysis = project.analysis(file_id)
+    if len(analysis.line_starts) <= threshold:
         return file_id
 
-    parsed = project.analysis(file_id).parsed
-    if parsed.stray_lines or not parsed.declarations:
+    if analysis.stray_lines or not analysis.declarations:
         return file_id  # cannot attribute every line to a unit; abort split
+    lines = project.read(file_id).split("\n")
     header_lines = []
-    if parsed.header_span is not None:
-        header_lines = lines[parsed.header_span[0] : parsed.header_span[1] + 1]
+    if analysis.header_span is not None:
+        header_lines = lines[analysis.header_span[0] : analysis.header_span[1] + 1]
 
     units = []
-    for decl in parsed.declarations:
+    for decl in analysis.declarations:
         unit_text = "\n".join(lines[decl.unit_range.start_line : decl.range.end_line + 1])
         units.append((decl, unit_text))
 
@@ -204,7 +196,7 @@ def split_if_large_and_resolve(
         pid
         for pid, group in zip(part_ids, groups)
         if project.exists(pid)
-        and _signatures(project.analysis(pid).parsed.declarations)
+        and _signatures(project.analysis(pid).declarations)
         != _signatures(decl for decl, _ in group)
     ]
     if taken:
@@ -306,11 +298,12 @@ def run_stage2_item(
     _, diags = verifier.verify_file(project, file_id)
     result.verifier_calls += 1
 
-    hole = plan = goal_payload = None  # hole: the target located when planning
+    # the declaration located when planning; its first hole is the target
+    decl = plan = goal_payload = None
     accepted = False
     while True:
         # look the target up before planning and after every accepted proposal
-        planning = hole is None and result.verifier_calls < config.t and not err_count(diags)
+        planning = decl is None and result.verifier_calls < config.t and not err_count(diags)
         if planning or accepted:
             try:
                 found = locate_target_hole(project, file_id, task)
@@ -320,7 +313,7 @@ def run_stage2_item(
                 result.status = "solved" if result.proof_attempts else "already_closed"
                 return result
             if planning:
-                hole = found
+                decl = found
 
         if result.verifier_calls >= config.t:
             return result
@@ -337,7 +330,7 @@ def run_stage2_item(
             return result
 
         if planning:
-            goal = verifier.goal_state(project, file_id, hole.range)
+            goal = verifier.goal_state(project, file_id, decl.holes[0])
             goal_payload = goal.as_dict() if goal is not None else None
             plan_resp = operators.invoke(
                 OperatorRequest(
@@ -372,12 +365,12 @@ def run_stage2_item(
         accepted = attempt(
             "propose_proof_patch",
             {
-                "hole": hole.range,
-                "declaration": hole.declaration,
+                "hole": decl.holes[0],
+                "declaration": decl.name or "",
                 "plan": plan,
                 "task": task.payload(),
                 "goal_state": goal_payload,
-                "target_range": hole.range,
+                "target_range": decl.holes[0],
                 "attempt": result.proof_attempts,
             },
         )

@@ -413,17 +413,17 @@ class SimulatedVerifier:
         if not project.exists(file_id):
             return {}, False
         seen.add(file_id)
-        parsed = project.analysis(file_id).parsed
+        analysis = project.analysis(file_id)
         table: dict[str, str] = {}
         cyclic = False
-        for imp in parsed.imports:
+        for imp in analysis.imports:
             dep = simlang.module_file(imp.module)
             if dep is None:
                 continue
             exports, cycle = self._exports(project, dep, cache, seen)
             table.update(exports)
             cyclic = cyclic or cycle
-        for decl in parsed.declarations:
+        for decl in analysis.declarations:
             if decl.name and not decl.malformed:
                 table[decl.name] = decl.type_text
         cache[file_id] = (table, cyclic)
@@ -440,12 +440,11 @@ class SimulatedVerifier:
         return (err_count(diags) == 0, diags)
 
     def _check(self, project: Project, file_id: str, analysis: simlang.Analysis) -> DiagnosticSet:
-        parsed = analysis.parsed
         out: list[Diagnostic] = []
 
         imported: dict[str, str] = {}
         cache: dict = {}
-        for imp in parsed.imports:
+        for imp in analysis.imports:
             dep = simlang.module_file(imp.module)
             rng = SourceRange.whole_lines(imp.lineno, imp.lineno)
             if dep is None:
@@ -459,13 +458,13 @@ class SimulatedVerifier:
                 out.append(Diagnostic(rng, "error", f"import cycle through '{imp.module}'"))
             imported.update(exports)
 
-        for lineno in parsed.stray_lines:
+        for lineno in analysis.stray_lines:
             rng = SourceRange.whole_lines(lineno, lineno)
             out.append(Diagnostic(rng, "error", "unexpected content outside a declaration"))
 
         scope_table = dict(DEFAULT_BUILTINS)
         scope_table.update(imported)
-        for decl, term in zip(parsed.declarations, analysis.body_terms):
+        for decl in analysis.declarations:
             if decl.malformed:
                 out.append(
                     Diagnostic(decl.range, "error", f"malformed declaration: {decl.malformed}")
@@ -475,6 +474,7 @@ class SimulatedVerifier:
                 out.append(
                     Diagnostic(decl.range, "error", f"'{decl.name}' has already been declared")
                 )
+            term = decl.term
             if term.error:
                 out.append(Diagnostic(decl.body_range, "error", term.error))
             elif term.is_hole:
@@ -512,7 +512,7 @@ class SimulatedVerifier:
     def goal_state(self, project: Project, file_id: str, hole: SourceRange) -> GoalState | None:
         """Goal and preceding context of the declaration at ``hole``, or None:
         a lookup in the analysis, asked only of a file that verifies."""
-        declarations = project.analysis(file_id).parsed.declarations
+        declarations = project.analysis(file_id).declarations
         i = simlang.declaration_at(declarations, hole)
         if i is None:
             return None
@@ -687,7 +687,7 @@ class Verifier:
 def header_scope(analysis: simlang.Analysis) -> Scope:
     """Scope over the header prefix (``simlang.HEADER_BOUND``) of the
     analysed file; empty if none."""
-    span = analysis.parsed.header_span
+    span = analysis.header_span
     if span is None:
         return Scope()
     return Scope.of(SourceRange.whole_lines(span[0], span[1]))

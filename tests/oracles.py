@@ -4,7 +4,9 @@ line classifier for header detection, a regex signature extractor, and a
 random file generator mixing code, comments, and strings.
 
 Below them, reference copies of the per-call scanner, parser and checker
-that the single-pass file analysis replaced, and a generator of modules with
+that the single-pass file analysis replaced, the parser with its own file
+and declaration records (``ref_view`` reads an analysis into them), and a
+generator of modules with
 imports for multi-file projects. Then a reference copy of the stage-2 item
 loop as nested ``for``/``else`` rounds, with the target lookup it used.
 Then reference copies of the metrics-stream read and the accounting report
@@ -57,15 +59,12 @@ from autoform.simlang import (
     DEFINITION_KINDS,
     HEADER_KEYWORDS,
     HOLE_TOKEN,
-    Declaration,
     ImportLine,
-    ParsedFile,
     interpret_body,
     module_file,
 )
 from autoform.stage2 import (
     AmbiguousTargetError,
-    HoleTarget,
     ProofTask,
     Stage2Config,
     Stage2ItemResult,
@@ -317,7 +316,51 @@ def ref_header_line_span(text: str, bound: int = 64) -> tuple[int, int] | None:
     return (0, last_header)
 
 
-def ref_parse_file(text: str, header_bound: int = 64) -> ParsedFile:
+# The reference parser's records: the library's declaration and file records
+# from before each declaration held its body term and placeholders and the
+# file record was folded into the analysis.
+
+
+@dataclass(frozen=True)
+class RefDeclaration:
+    kind: str
+    name: str | None
+    type_text: str
+    range: SourceRange          # declaration lines, excluding docstring
+    unit_range: SourceRange     # docstring + declaration lines
+    body_range: SourceRange
+    docstring: str | None = None
+    doc_index: int | None = None
+    doc_label: str | None = None
+    malformed: str | None = None
+
+
+@dataclass(frozen=True)
+class RefParsedFile:
+    header_span: tuple[int, int] | None
+    imports: tuple[ImportLine, ...]
+    declarations: tuple[RefDeclaration, ...]
+    stray_lines: tuple[int, ...]    # non-blank code lines outside header/units
+
+
+def ref_view(analysis: simlang.Analysis) -> RefParsedFile:
+    """The fields of ``analysis`` that the reference parser computes, in its
+    records: every field but each declaration's term and holes."""
+    return RefParsedFile(
+        header_span=analysis.header_span,
+        imports=analysis.imports,
+        declarations=tuple(
+            RefDeclaration(
+                d.kind, d.name, d.type_text, d.range, d.unit_range, d.body_range,
+                d.docstring, d.doc_index, d.doc_label, d.malformed,
+            )
+            for d in analysis.declarations
+        ),
+        stray_lines=analysis.stray_lines,
+    )
+
+
+def ref_parse_file(text: str, header_bound: int = 64) -> RefParsedFile:
     masked = ref_mask_noncode(text)
     masked_lines = masked.split("\n")
     starts = ref_line_starts(text)
@@ -346,7 +389,7 @@ def ref_parse_file(text: str, header_bound: int = 64) -> ParsedFile:
         if parts and parts[0] in DECL_KINDS:
             decl_starts.append(lineno)
 
-    declarations: list[Declaration] = []
+    declarations: list[RefDeclaration] = []
     covered: set[int] = set(range(0, header_end + 1))
     for idx, start in enumerate(decl_starts):
         end = (decl_starts[idx + 1] - 1) if idx + 1 < len(decl_starts) else n_lines - 1
@@ -371,7 +414,7 @@ def ref_parse_file(text: str, header_bound: int = 64) -> ParsedFile:
         for lineno in range(header_end + 1, n_lines)
         if lineno not in covered and masked_lines[lineno].strip()
     )
-    return ParsedFile(
+    return RefParsedFile(
         header_span=header_span,
         imports=tuple(imports),
         declarations=tuple(declarations),
@@ -379,7 +422,7 @@ def ref_parse_file(text: str, header_bound: int = 64) -> ParsedFile:
     )
 
 
-def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) -> Declaration:
+def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) -> RefDeclaration:
     rng = SourceRange.whole_lines(start, end)
     unit_rng = SourceRange.whole_lines(unit_start, end)
     a = starts[start]
@@ -397,7 +440,7 @@ def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) ->
             doc_label = m.group(2).strip()
 
     def make(kind="", name=None, type_text="", body_rng=None, malformed=None):
-        return Declaration(
+        return RefDeclaration(
             kind=kind,
             name=name,
             type_text=type_text,
@@ -438,7 +481,7 @@ def _ref_parse_declaration(text, masked, starts, start, end, unit_start, doc) ->
     return make(kind=kind, name=name, type_text=type_text, body_rng=body_rng)
 
 
-def ref_body_tokens(text: str, decl: Declaration) -> list[str]:
+def ref_body_tokens(text: str, decl: RefDeclaration) -> list[str]:
     masked = ref_mask_noncode(text)
     starts = ref_line_starts(text)
     a = pos_to_offset(text, decl.body_range.start_line, decl.body_range.start_col, starts)
@@ -605,13 +648,23 @@ def random_module(rng: random.Random, imports: list[str], decls: int = 8) -> str
 # lookup falls back to the unique holed declaration even when the file has
 # labels, and its lookup after an accepted proposal lets
 # AmbiguousTargetError escape, with the item's result attached as ``result``.
+# The lookup returns a record of its own, the target hole and the name of
+# its declaration.
 
 
-def ref_locate_target_hole(project: Project, file_id: str, task: ProofTask) -> HoleTarget | None:
+@dataclass(frozen=True)
+class RefHoleTarget:
+    range: SourceRange
+    declaration: str
+
+
+def ref_locate_target_hole(
+    project: Project, file_id: str, task: ProofTask
+) -> RefHoleTarget | None:
     """Find the task's placeholder: by docstring label, falling back to the
     unique holed declaration when labels are absent. None when already closed."""
     analysis = simlang.analyse(project.read(file_id))
-    units = list(zip(analysis.parsed.declarations, analysis.decl_holes))
+    units = [(d, d.holes) for d in analysis.declarations]
 
     labeled = [(d, holes) for d, holes in units if d.doc_label == task.label]
     if len(labeled) > 1:
@@ -620,12 +673,12 @@ def ref_locate_target_hole(project: Project, file_id: str, task: ProofTask) -> H
         decl, holes = labeled[0]
         if not holes:
             return None
-        return HoleTarget(range=holes[0], declaration=decl.name or "")
+        return RefHoleTarget(range=holes[0], declaration=decl.name or "")
 
     holed = [(d, holes) for d, holes in units if holes]
     if len(holed) == 1:
         decl, holes = holed[0]
-        return HoleTarget(range=holes[0], declaration=decl.name or "")
+        return RefHoleTarget(range=holes[0], declaration=decl.name or "")
     if not holed:
         return None
     raise AmbiguousTargetError(
@@ -970,8 +1023,9 @@ def ref_per_problem_rows(events: list[dict], run_ids: set[str] | None = None) ->
 # -- reference records ---------------------------------------------------------
 # The records of the check and attempt loop as the frozen dataclasses they
 # were before each became an immutable tuple or slotted class, verbatim but
-# for the ``Ref``/``ref_`` names. They share with the library its constants
-# and its kernel errors. ``ref_repr`` gives a reference record's repr with
+# for the ``Ref``/``ref_`` names and for ``RefPatchProposal``, which holds its
+# one ``range`` as the library's patch does. They share with the library its
+# constants and its kernel errors. ``ref_repr`` gives a reference record's repr with
 # the library's class names.
 
 @dataclass(frozen=True, order=True)
@@ -1171,16 +1225,9 @@ class RefObjectivePair:
 @dataclass(frozen=True)
 class RefPatchProposal:
     file: str
-    scope: RefScope
+    range: RefSourceRange
     replacement: str
     origin: str = ""
-
-    def target_range(self) -> RefSourceRange:
-        if len(self.scope.ranges) != 1:
-            raise PatchOutOfScopeError(
-                f"patch must target one contiguous range, got {len(self.scope.ranges)}"
-            )
-        return self.scope.ranges[0]
 
 
 @dataclass(frozen=True)

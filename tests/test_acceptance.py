@@ -70,7 +70,8 @@ def randomized_attempts(project: Project, total_attempts: int, seed: int):
                 break
             stage = rng.choice([1, 2])
             line = rng.randrange(len(names))
-            scope = Scope.of(SourceRange.whole_lines(line, line))
+            target = SourceRange.whole_lines(line, line)
+            scope = Scope.of(target)
             kind = rng.choice(["def", "theorem", "lemma"])
             replacement = rng.choice(
                 [
@@ -83,7 +84,7 @@ def randomized_attempts(project: Project, total_attempts: int, seed: int):
                 ]
             )
             snap = Snapshot.capture(project, file_id)
-            patch = PatchProposal(file=file_id, scope=scope, replacement=replacement)
+            patch = PatchProposal(file=file_id, range=target, replacement=replacement)
             outcome = try_patch(stage, project, file_id, scope, patch, diags, verifier)
             diags = outcome.diagnostics_after
             produced += 1

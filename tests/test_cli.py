@@ -60,6 +60,8 @@ class TestValidate:
         [
             ({"P1": 5}, "lemma map entry at position 0 is not an object"),
             ([{"problem_id": ["a"]}], "has no string or integer problem_id"),
+            ([{"problem_id": "P1", "decl_hints": [["a"], None, 3]}], "decl_hints entry 0"),
+            ([{"problem_id": "P1", "notes": {"x": 1}}], "notes is not a string"),
         ],
     )
     def test_a_malformed_lemma_map_is_a_dataset_error(
@@ -312,6 +314,24 @@ class TestSplitCommand:
         assert code == EXIT_OK
         data = json.loads(capsys.readouterr().out)
         assert len(data["parts"]) >= 4
+
+    def test_split_reports_only_the_parts_it_wrote(self, tmp_path, capsys):
+        project = tmp_path / "project"
+        project.mkdir()
+        lines = ["def d0 : T := sorry"] + [f"def d{i} : T := d{i-1}" for i in range(1, 40)]
+        (project / "A.lean").write_text("\n\n".join(lines) + "\n")
+        (project / "A_partner.lean").write_text("def p : T := sorry\n")
+        code = run_cli("split", "--project", project, "--file", "A.lean", "--threshold", "40")
+        assert code == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        parts = [f"A_part{k}.lean" for k in range(1, len(data["parts"]) + 1)]
+        assert len(parts) >= 2 and data["parts"] == parts
+        aggregate = (project / "A.lean").read_text()
+        assert aggregate == "".join(f"import {p[:-5]}\n" for p in parts)
+        # a file under the threshold is not split, and no part is reported
+        code = run_cli("split", "--project", project, "--file", "A.lean", "--threshold", "40")
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["parts"] == []
 
     def test_missing_file_exits_3(self, tmp_path, capsys):
         project = tmp_path / "project"

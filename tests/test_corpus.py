@@ -201,15 +201,29 @@ class TestLemmaMap:
             ([{"problem_id": True}], "position 0 has no string or integer problem_id"),
             ([{"problem_id": None}], "position 0 has no string or integer problem_id"),
             ({"P1": {"problem_id": 1.5}}, "position 0 has no string or integer problem_id"),
+            (
+                [{"problem_id": "x"}, {"problem_id": "P1", "decl_hints": [["a"], None, 3]}],
+                "position 1: decl_hints entry 0 is not a string",
+            ),
+            ([{"problem_id": "P1", "decl_hints": ["a", None]}], "decl_hints entry 1 is not"),
+            ([{"problem_id": "P1", "decl_hints": ["a", 3]}], "decl_hints entry 1 is not"),
+            ([{"problem_id": "P1", "notes": {"x": 1}}], "position 0: notes is not a string"),
+            ({"P1": {"notes": 3}}, "position 0: notes is not a string"),
         ],
         ids=["object-value", "object-list-value", "array-string", "list-id", "bool-id",
-             "null-id", "float-id-overriding-its-key"],
+             "null-id", "float-id-overriding-its-key", "list-hint", "null-hint", "int-hint",
+             "object-notes", "int-notes"],
     )
     def test_a_malformed_entry_is_a_dataset_error(self, tmp_path, data, message):
         path = tmp_path / "lm.json"
         path.write_text(json.dumps(data))
         with pytest.raises(DatasetError, match=message):
             load_lemma_map(path)
+
+    def test_an_absent_or_null_note_reads_empty(self, tmp_path):
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps([{"problem_id": "a"}, {"problem_id": "b", "notes": None}]))
+        assert [e.notes for e in load_lemma_map(path).values()] == ["", ""]
 
     def test_string_and_integer_ids_still_load(self, tmp_path):
         path = tmp_path / "lm.json"

@@ -10,6 +10,7 @@ from autoform.diagnostics import (
     SourceRange,
     apply_replacement,
     err_count,
+    line_starts,
     localize,
     range_text,
 )
@@ -157,16 +158,16 @@ class TestScope:
 class TestTextEdits:
     def test_apply_replacement(self):
         text = "line0\nline1\nline2\n"
-        out = apply_replacement(text, rng(1, 0, 2, 0), "NEW\n")
+        out = apply_replacement(text, rng(1, 0, 2, 0), "NEW\n", line_starts(text))
         assert out == "line0\nNEW\nline2\n"
 
     def test_range_text_roundtrip(self):
         text = "alpha\nbeta\ngamma\n"
         r = rng(1, 1, 2, 3)
         assert range_text(text, r) == "eta\ngam"
-        assert apply_replacement(text, r, range_text(text, r)) == text
+        assert apply_replacement(text, r, range_text(text, r), line_starts(text)) == text
 
     def test_replacement_clamps_out_of_document_positions(self):
         text = "one\n"
-        out = apply_replacement(text, rng(5, 0, 9, 0), "x")
+        out = apply_replacement(text, rng(5, 0, 9, 0), "x", line_starts(text))
         assert out == "one\nx"

@@ -14,6 +14,7 @@ from autoform.diagnostics import (
     SourceRange,
     apply_replacement,
     err_count,
+    line_starts,
     localize,
 )
 from autoform.kernel import (
@@ -122,7 +123,7 @@ class TestTryPatch:
         return verifier, diags
 
     def patch(self, rng, replacement):
-        return PatchProposal(file="A.lean", scope=Scope.of(rng), replacement=replacement)
+        return PatchProposal(file="A.lean", range=rng, replacement=replacement)
 
     def test_accept_on_primary_improvement(self, project):
         text = "def a : T := ghost\ndef b : U := phantom\n"
@@ -212,7 +213,7 @@ class TestTryPatch:
     def test_patch_file_mismatch_rejected(self, project):
         text = "def a : T := sorry\n"
         verifier, diags = self.setup_file(project, text)
-        bad = PatchProposal(file="B.lean", scope=Scope.of(SourceRange(0, 0, 0, 1)), replacement="")
+        bad = PatchProposal(file="B.lean", range=SourceRange(0, 0, 0, 1), replacement="")
         with pytest.raises(ValueError, match="does not match"):
             try_patch(1, project, "A.lean", whole_file_scope(text), bad, diags, verifier)
 
@@ -236,17 +237,6 @@ class TestTryPatch:
             )
         assert verifier.calls == checks_before  # no verifier call was spent
         assert project.read("A.lean") == text
-
-    def test_multi_range_patch_scope_rejected(self, project):
-        text = "def a : T := ghost\n"
-        verifier, diags = self.setup_file(project, text)
-        bad = PatchProposal(
-            file="A.lean",
-            scope=Scope.of(SourceRange(0, 0, 0, 1), SourceRange(0, 5, 0, 6)),
-            replacement="x",
-        )
-        with pytest.raises(PatchOutOfScopeError, match="contiguous"):
-            try_patch(1, project, "A.lean", whole_file_scope(text), bad, diags, verifier)
 
     def test_exactly_one_verifier_call_per_attempt(self, project):
         text = "def a : T := ghost\n"
@@ -331,7 +321,7 @@ class TestVerifierFailure:
         adapter = ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"])
         broken = Verifier(adapter, EventSink())
         scope = Scope.of(SourceRange.whole_lines(0, 0))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="def a : T := sorry")
+        patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(0, 0), replacement="def a : T := sorry")
         for stage in (1, 2):
             with pytest.raises(VerifierLaunchError):
                 try_patch(stage, project, "A.lean", whole_file_scope(text), patch, diags, broken)
@@ -396,7 +386,7 @@ class TestStagedCandidates:
         spy = DiskSpy()
         verifier = Verifier(spy, EventSink())
         _, diags = verifier.verify_file(project, file_id)
-        patch = PatchProposal(file=file_id, scope=Scope.of(rng), replacement=replacement)
+        patch = PatchProposal(file=file_id, range=rng, replacement=replacement)
         scope = whole_file_scope(text or "")
         outcome = try_patch(stage, project, file_id, scope, patch, diags, verifier)
         assert outcome.accepted == accepted
@@ -406,7 +396,8 @@ class TestStagedCandidates:
         assert on_disk == before  # an accepted candidate stays staged until the commit
         project.commit()
         if accepted:
-            candidate = apply_replacement(text or "", rng, replacement).encode()
+            old = text or ""
+            candidate = apply_replacement(old, rng, replacement, line_starts(old)).encode()
             assert path.read_bytes() == candidate == project.read_bytes(file_id)
         elif before is None:
             assert not path.exists() and not project.exists(file_id)
@@ -426,17 +417,18 @@ class TestStagedCandidates:
         assert ok
         scope = whole_file_scope(text)
 
-        rejected = PatchProposal(file="A.lean", scope=Scope.of(HOLE), replacement="ghost")
+        rejected = PatchProposal(file="A.lean", range=HOLE, replacement="ghost")
         outcome = try_patch(2, project, "A.lean", scope, rejected, diags, verifier)
         assert not outcome.accepted
-        assert seen.read_bytes() == apply_replacement(text, HOLE, "ghost").encode()
+        rejected_text = apply_replacement(text, HOLE, "ghost", line_starts(text))
+        assert seen.read_bytes() == rejected_text.encode()
         assert (project.root / "A.lean").read_bytes() == before == project.read_bytes("A.lean")
         assert project.read("A.lean") == text
 
-        accepted = PatchProposal(file="A.lean", scope=Scope.of(HOLE), replacement="exact w")
+        accepted = PatchProposal(file="A.lean", range=HOLE, replacement="exact w")
         outcome = try_patch(2, project, "A.lean", scope, accepted, diags, verifier)
         assert outcome.accepted
-        candidate = apply_replacement(text, HOLE, "exact w")
+        candidate = apply_replacement(text, HOLE, "exact w", line_starts(text))
         assert seen.read_bytes() == candidate.encode()
         project.commit()
         assert (project.root / "A.lean").read_bytes() == candidate.encode()
@@ -463,7 +455,7 @@ class TestStagedCandidates:
         monkeypatch.setattr("autoform.verifier._write_file", counting)
         for line in (1, 2):  # k = 2 accepted attempts: one sync write each
             scope = Scope.of(SourceRange(line, 18, line, 23))
-            patch = PatchProposal(file="A.lean", scope=scope, replacement="exact w")
+            patch = PatchProposal(file="A.lean", range=SourceRange(line, 18, line, 23), replacement="exact w")
             outcome = try_patch(2, project, "A.lean", whole_file_scope(text), patch, diags, verifier)
             assert outcome.accepted
             diags = outcome.diagnostics_after
@@ -474,7 +466,7 @@ class TestStagedCandidates:
 
         writes.clear()  # a rejected attempt: its sync write, then the restore write
         scope = Scope.of(SourceRange(0, 13, 0, 18))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="ghost")
+        patch = PatchProposal(file="A.lean", range=SourceRange(0, 13, 0, 18), replacement="ghost")
         assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
         assert len(writes) == 2 and writes[-1] == project.read_bytes("A.lean")
 
@@ -546,7 +538,8 @@ class TestRandomizedAcceptContract:
             for _ in range(6):
                 stage = rng.choice([1, 2])
                 line = rng.randrange(len(names))
-                scope = Scope.of(SourceRange.whole_lines(line, line))
+                target = SourceRange.whole_lines(line, line)
+                scope = Scope.of(target)
                 replacement = rng.choice(
                     [
                         f"def {names[line]} : T{line % 2} := sorry",
@@ -556,7 +549,7 @@ class TestRandomizedAcceptContract:
                     ]
                 )
                 snap = Snapshot.capture(project, file_id)
-                patch = PatchProposal(file=file_id, scope=scope, replacement=replacement)
+                patch = PatchProposal(file=file_id, range=target, replacement=replacement)
                 outcome = try_patch(stage, project, file_id, scope, patch, diags, verifier)
                 if outcome.accepted:
                     if not prec(outcome.after, outcome.before):

@@ -227,7 +227,7 @@ class TestExternalBridge:
         project.write("A.lean", text)
         _, diags = verifier.verify_file(project, "A.lean")
         scripted_resp = toy_propose_proof_patch(proof_request())
-        scope = Scope.of(scripted_resp.patch.target_range()).union(
+        scope = Scope.of(scripted_resp.patch.range).union(
             Scope.of(SourceRange.whole_lines(0, 1))
         )
         scripted_outcome = try_patch(
@@ -242,7 +242,7 @@ class TestExternalBridge:
         bridge_resp = bridge(
             OperatorRequest(kind=req.kind, payload=dict(req.payload, file="B.lean"))
         )
-        scope_b = Scope.of(bridge_resp.patch.target_range()).union(
+        scope_b = Scope.of(bridge_resp.patch.range).union(
             Scope.of(SourceRange.whole_lines(0, 1))
         )
         bridge_outcome = try_patch(

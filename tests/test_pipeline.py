@@ -123,7 +123,7 @@ class TestRunSegments:
         doc_index = {
             d.name: d.doc_index
             for f in Path(toy_config.project).rglob("*.lean")
-            for d in simlang.analyse(f.read_text(encoding="utf-8")).parsed.declarations
+            for d in simlang.analyse(f.read_text(encoding="utf-8")).declarations
             if d.name and d.doc_index is not None
         }
         assert len(doc_index) == 24
@@ -167,11 +167,12 @@ class TestBridgeOperators:
     among them."""
 
     @staticmethod
-    def outcome(cfg: RunConfig):
+    def outcome(cfg: RunConfig, proof_cfg: RunConfig | None = None, proofs: int = 4):
         """Item statuses, V, Q, the project's bytes and the report CSV of
-        the slice's two segments."""
+        the slice's two segments, the proof segment run with ``proof_cfg``
+        when one is given, on the first ``proofs`` proof targets."""
         r1, _ = run_statement_stage(replace(cfg, max_items=6))
-        r2, _ = run_proof_stage(replace(cfg, max_items=4))
+        r2, _ = run_proof_stage(replace(proof_cfg or cfg, max_items=proofs))
         runs = Path(cfg.runs_dir)
         events = read_events(runs / "metrics_statement.jsonl") + read_events(
             runs / "metrics_proof.jsonl"
@@ -201,6 +202,32 @@ class TestBridgeOperators:
         ]
         # every oracle call ran the agent and left its transcript
         assert len(list((tmp_path / "bridge_runs" / "calls").glob("*.log"))) == bridge[2]
+
+    def test_rejected_patches_and_replans_match_the_in_process_run(
+        self, toy_config, tmp_path, monkeypatch
+    ):
+        """Stage 1 with the toy operators, then stage 2 with the adversarial
+        ones, run as an agent process: every proof patch goes through the
+        bridge to the kernel, which rejects it, and each item replans until
+        its attempt bound. Stage 1 runs in process, to keep the agent
+        processes few."""
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        own = replace(
+            toy_config,
+            project=str(tmp_path / "bridge_project"),
+            runs_dir=str(tmp_path / "bridge_runs"),
+        )
+        budgets = {"budget_r": 2, "budget_c": 2}
+        adversarial = replace(toy_config, operators="adversarial", **budgets)
+        agent = [sys.executable, str(BRIDGE_AGENT), "adversarial"]
+        bridged = replace(own, operators="bridge", operator_command=agent, **budgets)
+        toy = self.outcome(toy_config, adversarial, proofs=2)
+        bridge = self.outcome(own, bridged, proofs=2)
+        assert bridge == toy
+        assert toy[0][6:] == [(2, "unsolved"), (4, "unsolved")]
+        events = read_events(tmp_path / "bridge_runs" / "metrics_proof.jsonl")
+        kinds = [e["data"]["kind"] for e in events if e["event"] == "oracle_result"]
+        assert kinds.count("replan") == 2 and kinds.count("propose_proof_patch") == 8
 
 
 class TestResolveCursor:

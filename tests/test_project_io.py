@@ -90,7 +90,7 @@ def patch_attempt(project: Project, op: str, file_id: str, content: str) -> None
     verdict = {"patch_accepted": "ok", "patch_rejected": "error", "patch_raises": "raises"}[op]
     before = LINE_ERROR if verdict == "ok" else DiagnosticSet()
     scope = Scope.of(FIRST_LINE)
-    patch = PatchProposal(file=file_id, scope=scope, replacement=content)
+    patch = PatchProposal(file=file_id, range=FIRST_LINE, replacement=content)
     verifier = Verifier(VerdictAdapter(verdict), EventSink())
     outcome = try_patch(1, project, file_id, scope, patch, before, verifier)
     assert outcome.accepted == (verdict == "ok")
@@ -343,7 +343,7 @@ class TestProjectAnalysis:
         assert project.reload_bytes("A.lean") is not None  # same bytes: kept
         assert project.analysis("A.lean") is moved
         project.write("A.lean", "def c : T := sorry\n")
-        assert project.analysis("A.lean").parsed.declarations[0].name == "c"
+        assert project.analysis("A.lean").declarations[0].name == "c"
 
 
     def test_a_discard_after_a_sync_keeps_the_committed_analysis(self, tmp_path):
@@ -386,7 +386,7 @@ class TestProjectAnalysis:
         new = Project(root)
         assert all(new.analysis(f) is analyses[f] for f in files[1:])
         assert analysed == []
-        assert new.analysis("M0.lean").parsed.declarations[0].name == "e"
+        assert new.analysis("M0.lean").declarations[0].name == "e"
         assert analysed == ["def e : T := sorry\n"]
         # another root inherits nothing, even where its bytes are the same
         elsewhere = Project(other)
@@ -759,7 +759,7 @@ class TestIOCounts:
         verifier = Verifier(SimulatedVerifier(), EventSink())
         _, diags = verifier.verify_file(project, "A.lean")
         scope = Scope.of(SourceRange.whole_lines(1, 1))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")
+        patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(1, 1), replacement="lemma l : P := by ghost")
 
         committed = project.analysis("A.lean")
         opens = OpenCounter(monkeypatch)
@@ -786,7 +786,7 @@ class TestIOCounts:
         verifier = Verifier(SimulatedVerifier(), EventSink())
         _, diags = verifier.verify_file(project, "N.lean")
         scope = Scope.of(SourceRange.whole_lines(1, 1))
-        patch = PatchProposal(file="N.lean", scope=scope, replacement="lemma l : P := by ghost")
+        patch = PatchProposal(file="N.lean", range=SourceRange.whole_lines(1, 1), replacement="lemma l : P := by ghost")
 
         capturing = [False]
         reloads = {"capture": 0, "restore": 0}
@@ -825,7 +825,7 @@ class TestIOCounts:
         verifier = Verifier(SimulatedVerifier(), EventSink())
         _, diags = verifier.verify_file(project, "A.lean")
         scope = Scope.of(SourceRange.whole_lines(1, 1))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")
+        patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(1, 1), replacement="lemma l : P := by ghost")
 
         counts = {"analyse": 0, "line_starts": 0}
         real_analyse, real_line_starts = simlang.analyse, diagnostics.line_starts
@@ -858,7 +858,7 @@ class TestIOCounts:
         verifier = Verifier(SimulatedVerifier(), EventSink())
         _, diags = verifier.verify_file(project, "A.lean")
         scope = Scope.of(SourceRange.whole_lines(2, 2))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma m : P := w")
+        patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(2, 2), replacement="lemma m : P := w")
         outcome = try_patch(2, project, "A.lean", scope, patch, diags, verifier)
         assert outcome.accepted and project.staged_entry("A.lean") is not None
         staged = project.analysis("A.lean")
@@ -872,7 +872,7 @@ class TestIOCounts:
         )
         opens = OpenCounter(monkeypatch)
         scope = Scope.of(SourceRange.whole_lines(1, 1))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by ghost")
+        patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(1, 1), replacement="lemma l : P := by ghost")
         diags = outcome.diagnostics_after
         for _ in range(20):
             assert not try_patch(2, project, "A.lean", scope, patch, diags, verifier).accepted
@@ -890,7 +890,7 @@ class TestIOCounts:
         _, diags = verifier.verify_file(project, "A.lean")
         committed = project.analysis("A.lean")
         scope = Scope.of(SourceRange.whole_lines(1, 1))
-        patch = PatchProposal(file="A.lean", scope=scope, replacement="lemma l : P := by sorry\n")
+        patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(1, 1), replacement="lemma l : P := by sorry\n")
         analysed = []
         real = simlang._analyse
         monkeypatch.setattr(
@@ -911,7 +911,7 @@ class TestIOCounts:
         _, diags = verifier.verify_file(project, "Big.lean")
         line = 1 + 3 * 200
         target = SourceRange(line, 16, line, 21)
-        patch = PatchProposal(file="Big.lean", scope=Scope.of(target), replacement="d199")
+        patch = PatchProposal(file="Big.lean", range=target, replacement="d199")
 
         kept_units = []
         real_kept_units = simlang._kept_units

@@ -24,6 +24,7 @@ from oracles import (
     ref_mask_noncode,
     ref_noncode_spans,
     ref_parse_file,
+    ref_view,
 )
 
 
@@ -103,9 +104,11 @@ class TestHoleBoundaries:
     def assert_same(self, text):
         for analysis in (simlang.analyse(text), simlang._analyse(text)):
             assert list(analysis.hole_ranges) == ref_find_hole_ranges(text), text
-            assert analysis.parsed == ref_parse_file(text, 64), text
-            for decl, holes in zip(analysis.parsed.declarations, analysis.decl_holes):
-                assert list(holes) == [h for h in analysis.hole_ranges if decl.range.contains(h)]
+            assert ref_view(analysis) == ref_parse_file(text, 64), text
+            for decl in analysis.declarations:
+                assert list(decl.holes) == [
+                    h for h in analysis.hole_ranges if decl.range.contains(h)
+                ]
 
     @pytest.mark.parametrize("case", BOUNDARY_CASES)
     def test_each_boundary_alone_in_code_comments_and_strings(self, case):
@@ -137,7 +140,7 @@ class TestHoleBoundaries:
 
 
 def header_span(text):
-    return simlang.analyse(text).parsed.header_span
+    return simlang.analyse(text).header_span
 
 
 class TestHeaderSpan:
@@ -185,8 +188,8 @@ class TestParseFile:
     def test_multiline_declaration(self):
         text = "theorem long :\n    SomeType :=\n  by sorry\n"
         analysis = simlang.analyse(text)
-        assert analysis.parsed.declarations[0].type_text == "SomeType"
-        assert analysis.body_terms[0].is_hole
+        assert analysis.declarations[0].type_text == "SomeType"
+        assert analysis.declarations[0].term.is_hole
 
     def test_malformed_missing_assign(self):
         decl = simlang.parse_file("def broken : T\n").declarations[0]
@@ -203,8 +206,8 @@ class TestParseFile:
     def test_trailing_text_absorbed_into_body(self):
         text = "def x : T := sorry\nleftover junk\n"
         analysis = simlang.analyse(text)
-        assert analysis.parsed.stray_lines == ()
-        assert analysis.body_terms[0].error is not None
+        assert analysis.stray_lines == ()
+        assert analysis.declarations[0].term.error is not None
 
 
 class TestDeclarationAt:
@@ -228,7 +231,7 @@ class TestDeclarationAt:
 class TestBodyInterpretation:
     def cases(self, body):
         text = f"def x : T := {body}\n"
-        return simlang.analyse(text).body_terms[0]
+        return simlang.analyse(text).declarations[0].term
 
     def test_hole_forms(self):
         assert self.cases("sorry").is_hole
@@ -259,16 +262,14 @@ class TestAnalysisMatchesReference:
         assert line_starts(text) == ref_line_starts(text)
         analysis = simlang.analyse(text)
         assert analysis.masked == ref_mask_noncode(text)
-        assert simlang.parse_file(text) == ref_parse_file(text, 64)
-        assert analysis.parsed.header_span == ref_header_line_span(text, 64)
+        assert ref_view(simlang.parse_file(text)) == ref_parse_file(text, 64)
+        assert analysis.header_span == ref_header_line_span(text, 64)
         holes = ref_find_hole_ranges(text)
         assert list(analysis.hole_ranges) == holes
         assert list(analysis.line_starts) == ref_line_starts(text)
-        declarations = analysis.parsed.declarations
-        assert len(analysis.body_terms) == len(analysis.decl_holes) == len(declarations)
-        for decl, term, decl_holes in zip(declarations, analysis.body_terms, analysis.decl_holes):
-            assert term == simlang.interpret_body(ref_body_tokens(text, decl))
-            assert list(decl_holes) == [h for h in holes if decl.range.contains(h)]
+        for decl in analysis.declarations:
+            assert decl.term == simlang.interpret_body(ref_body_tokens(text, decl))
+            assert list(decl.holes) == [h for h in holes if decl.range.contains(h)]
 
     def test_random_files(self):
         rng = random.Random(20261017)
@@ -325,7 +326,7 @@ def random_edit(rng, text):
     elif op == 3:
         del lines[i : i + rng.randint(1, 2)]
     else:
-        declarations = simlang.analyse(text).parsed.declarations
+        declarations = simlang.analyse(text).declarations
         if declarations:
             resume = rng.choice(declarations).range.end_line
             if rng.random() < 0.5 or resume == len(lines):
@@ -516,7 +517,7 @@ class TestIncrementalAnalysis:
             assert len(parsed) == 1, new
             monkeypatch.undo()
             assert analysis == simlang._analyse(edited)
-            assert analysis.parsed.declarations[399].doc_index == 399
+            assert analysis.declarations[399].doc_index == 399
 
     def test_mid_file_edit_of_a_long_file_interprets_at_most_two_bodies(
         self, monkeypatch, tmp_path
@@ -536,7 +537,7 @@ class TestIncrementalAnalysis:
         project.stage("Big.lean", edited)
         analysis = project.analysis("Big.lean")
         assert len(interpreted) == 1
-        assert analysis.body_terms[200] == simlang.BodyTerm(reference="d199")
+        assert analysis.declarations[200].term == simlang.BodyTerm(reference="d199")
         interpreted.clear()
         checker = SimulatedVerifier()
         for _ in range(10):
@@ -671,8 +672,8 @@ class TestIncrementalAnalysis:
         assert len(parsed) == 1
         monkeypatch.undo()
         assert analysis == simlang._analyse(text)
-        assert analysis.parsed.declarations[1].range.end_line == 3
-        assert analysis.parsed.stray_lines == ()
+        assert analysis.declarations[1].range.end_line == 3
+        assert analysis.stray_lines == ()
         # when a comment of the base crosses the line that read would start
         # at, nothing is kept
         base = "def a : T := sorry /- note\n-/ def b : T := sorry\n"

@@ -291,7 +291,7 @@ def test_the_repair_target_is_the_declaration_of_the_first_error(tmp_path):
     _, diags = SimulatedVerifier().verify_file(project, "A.lean")
     assert [d.severity for d in diags] == ["warning", "error"]
     target = _repair_target(project.analysis("A.lean"), diags)
-    assert target == project.analysis("A.lean").parsed.declarations[1].range
+    assert target == project.analysis("A.lean").declarations[1].range
 
 
 class TestItemCommit:

@@ -11,7 +11,6 @@ from autoform import scripted, simlang, stage2
 from autoform.diagnostics import (
     Diagnostic,
     DiagnosticSet,
-    Scope,
     SourceRange,
     err_count,
     range_text,
@@ -73,11 +72,11 @@ class TestLocateTargetHole:
     def test_unique_labeled_declaration(self, project):
         project.write("A.lean", LABELED_FILE)
         task = ProofTask(index=2, label="Lemma 0.2")
-        hole = locate_target_hole(project, "A.lean", task)
-        assert hole is not None
-        assert hole.declaration == "goal"
+        decl = locate_target_hole(project, "A.lean", task)
+        assert decl is not None
+        assert decl.name == "goal"
         text_at = simlang.analyse(project.read("A.lean")).hole_ranges
-        assert hole.range in text_at
+        assert decl.holes[0] in text_at
 
     def test_already_closed_target_is_absent(self, project):
         project.write("A.lean", LABELED_FILE.replace("lemma goal : P := by sorry",
@@ -88,8 +87,8 @@ class TestLocateTargetHole:
     def test_positional_fallback_with_stripped_docstrings(self, project):
         project.write("A.lean", "def w : P := w0\nlemma goal : P := by sorry\n")
         task = ProofTask(index=2, label="Lemma 0.2")
-        hole = locate_target_hole(project, "A.lean", task)
-        assert hole is not None and hole.declaration == "goal"
+        decl = locate_target_hole(project, "A.lean", task)
+        assert decl is not None and decl.name == "goal"
 
     def test_ambiguous_label_reported(self, project):
         dup = LABELED_FILE + "\n/-- [3] Lemma 0.2 -/\nlemma goal2 : P := by sorry\n"
@@ -387,7 +386,7 @@ class TestTargetLookupSkips:
         def propose(request):
             patch = PatchProposal(
                 file="A.lean",
-                scope=Scope.of(request.payload["hole"]),
+                range=request.payload["hole"],
                 replacement="trivial\n\n/-- [1] Theorem A -/\ntheorem a2 : True := trivial",
             )
             return OperatorResponse(ok=True, patch=patch)
@@ -767,9 +766,8 @@ def random_handlers(rng: random.Random) -> dict:
     error, close a hole, or close one and add a labelled declaration."""
     fresh = iter(range(10**6))
 
-    def patched(request, target, replacement, extra=()):
-        scope = Scope(tuple([target, *extra]))
-        patch = PatchProposal(request.payload["file"], scope, replacement, "scripted:random")
+    def patched(request, target, replacement):
+        patch = PatchProposal(request.payload["file"], target, replacement, "scripted:random")
         return OperatorResponse(ok=True, patch=patch)
 
     def common(request, target):
@@ -783,8 +781,8 @@ def random_handlers(rng: random.Random) -> dict:
         if roll == 3:
             far = SourceRange(target.end_line + 40, 0, target.end_line + 40, 1)
             return patched(request, far, "trivial")
-        if roll == 4:  # a patch over two ranges is out of scope too
-            return patched(request, target, "trivial", extra=[SourceRange(0, 0, 0, 1)])
+        if roll == 4:  # a patch that runs on past the target is out of scope too
+            return patched(request, SourceRange(*target.start, target.end_line + 40, 0), "trivial")
         return patched(request, target, range_text(request.payload["file_text"], target))
 
     def propose(request):

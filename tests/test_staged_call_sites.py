@@ -7,12 +7,12 @@ transaction and ``Snapshot.restore``) and the two stages (stage 1's
 ``restored_failed`` item, stage 2's failed split) call ``.discard(``; only
 ``verifier.py`` calls ``.sync(`` (the adapter whose tool reads the
 disk). No module analyses the text of a project file itself, through
-``analyse`` or its ``parse_file`` view:
+``analyse`` or ``parse_file``, which returns the same ``Analysis``:
 ``Project.analysis`` is the one path, so each content is analysed once.
-Only ``verifier.py`` (``Project.analysis``), ``simlang.py`` (its own
-views) and ``kernel.py`` (the objective of an absent file in
-``try_patch``) call ``analyse(``, and only ``scripted.py`` (the repair
-operator's read of one declaration) calls ``parse_file(``.
+Only ``verifier.py`` (``Project.analysis``), ``simlang.py``
+(``parse_file``) and ``kernel.py`` (the objective and line offsets of an
+absent file in ``try_patch``) call ``analyse(``, and only ``scripted.py``
+(the repair operator's read of one declaration) calls ``parse_file(``.
 Only ``simlang.py`` calls ``interpret_body(``: a body's term is read with
 its declaration, into the analysis, so no checker or stage interprets
 bodies again on every call. Only ``instrumentation.py`` calls
