@@ -27,7 +27,7 @@ from .instrumentation import (
     token_backfill,
 )
 from .pipeline import RunConfig, run_proof_stage, run_statement_stage
-from .stage2 import DEFAULT_SPLIT_THRESHOLD, Stage2Config, split_if_large_and_resolve
+from .stage2 import DEFAULT_SPLIT_THRESHOLD, split_if_large_and_resolve
 from .verifier import Project, VerifierLaunchError
 
 EXIT_OK = 0
@@ -109,7 +109,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     if not args.file.endswith(".lean"):
         raise SystemExit2(f"--file must name a .lean file: {args.file}")
-    Stage2Config(split_threshold=args.threshold)  # rejects a threshold below 1
+    if args.threshold < 1:
+        raise SystemExit2("split threshold must be at least 1")
     root = Path(_resolve(args.project))
     path = root / args.file
     # the parts and their imports are named from --file: it must be a plain relative path

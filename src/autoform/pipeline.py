@@ -4,6 +4,8 @@ A run segment checks the whole configuration before it reads its metrics
 stream or writes anything, wires together the dataset, project, verifier
 adapter, operator set, and metrics stream, and emits run_start/run_end
 around the stage driver; the run_end payload is the segment's summary.
+Both stages share that body; it hands the stage driver the ``RunConfig``,
+whose budgets, split threshold and ``max_items`` the driver reads.
 The metrics stream is the one file a segment writes under the runs
 directory, beside the bridge's per-call logs. Resumed segments get a fresh
 run id and start one past the last ``item_end`` line
@@ -17,14 +19,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import accounting, scripted, stage1, stage2
 from .corpus import DatasetRecord, LemmaMapEntry, load_dataset, load_lemma_map
 from .instrumentation import MetricsWriter, new_run_id, read_events_backwards
 from .operators import OPERATOR_KINDS, ExternalBridge, OperatorSet
-from .stage1 import Stage1Config, Stage1ItemResult, run_stage1
-from .stage2 import Stage2Config, Stage2ItemResult, run_stage2
+from .stage1 import Stage1ItemResult, run_stage1
+from .stage2 import Stage2ItemResult, run_stage2
 from .verifier import ExternalVerifier, Project, SimulatedVerifier, Verifier
 
 
@@ -89,26 +92,18 @@ class RunConfig:
             setattr(cfg, key, value)
         return cfg
 
-    def stage1_config(self) -> Stage1Config:
-        return Stage1Config(k=self.budget_k)
-
-    def stage2_config(self) -> Stage2Config:
-        return Stage2Config(
-            t=self.budget_t,
-            r=self.budget_r,
-            c=self.budget_c,
-            split_threshold=self.split_threshold,
-        )
-
     def check(self) -> None:
-        """Raise ValueError for a value that a run of either stage rejects;
-        the stage configs hold the rules for their own fields."""
+        """Raise ValueError for a value that a run of either stage rejects."""
+        if self.budget_k < 0:
+            raise ValueError("per-item repair budget must be non-negative")
+        if min(self.budget_t, self.budget_r, self.budget_c) < 1:
+            raise ValueError("budgets T, R, C must all be at least 1")
+        if self.split_threshold < 1:
+            raise ValueError("split threshold must be at least 1")
         if self.max_items is not None and self.max_items < 0:
             raise ValueError("max_items must be non-negative or null")
         if self.operator_timeout <= 0:
             raise ValueError("operator_timeout must be positive")
-        self.stage1_config()
-        self.stage2_config()
 
     def runs_path(self) -> Path:
         return Path(self.runs_dir) if self.runs_dir else Path(self.project) / "runs"
@@ -183,13 +178,14 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
     return None
 
 
-def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
+def _run_segment(
+    config: RunConfig, stage: int, run_stage, records: list[DatasetRecord]
+) -> tuple[list, dict]:
     """One run segment of ``stage``, wired to this segment's sinks.
 
-    ``drive(project, verifier, operators, metrics, start_index)``
-    processes the stage's items and returns them with the summary fields
-    only that stage reports; the fields every stage reports are added here.
-    The segment runs and records ``config`` with its ``stage`` set to ``stage``.
+    ``run_stage`` is the stage's driver; it processes the segment's items
+    and returns their results, whose summary fields are added here. The
+    segment runs and records ``config`` with its ``stage`` set to ``stage``.
     """
     config = replace(config, stage=stage)
     pipeline = PIPELINE_NAMES[stage]
@@ -213,7 +209,7 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
         verifier = Verifier(adapter, metrics)
         operators = OperatorSet(handlers, metrics)
         started = time.monotonic()
-        results, stage_fields = drive(project, verifier, operators, metrics, start_index)
+        results = run_stage(records, project, config, operators, verifier, metrics, start_index)
         pb_ok, _ = verifier.verify_project(project)
         summary = {
             "pipeline": pipeline,
@@ -225,7 +221,10 @@ def _run_segment(config: RunConfig, stage: int, drive) -> tuple[list, dict]:
             "total_oracle_calls": operators.invocations,
             "total_tokens_used": operators.tokens_used,
             "pb": pb_ok,
-            **stage_fields,
+            # private on purpose: the benchmark's tracer wraps every public
+            # accounting function and keeps no accounting totals inside a
+            # segment, so a public one called here fails its layer metrics
+            **accounting._stage_fields([r.end_fields() for r in results])[stage],
         }
         metrics.run_end(summary)
         return results, summary
@@ -237,24 +236,7 @@ def run_statement_stage(
 ) -> tuple[list[Stage1ItemResult], dict]:
     """One Stage-1 run segment over the dataset; returns results and summary."""
     records = records if records is not None else load_dataset(config.dataset)
-
-    def drive(project, verifier, operators, metrics, start_index):
-        results = run_stage1(
-            records,
-            project,
-            config.stage1_config(),
-            operators,
-            verifier,
-            metrics,
-            start_index=start_index,
-            max_items=config.max_items,
-        )
-        # private on purpose: the benchmark's tracer wraps every public
-        # accounting function and keeps no accounting totals inside a
-        # segment, so a public one called here fails its layer metrics
-        return results, accounting._stage_fields([r.end_fields() for r in results])[1]
-
-    return _run_segment(config, 1, drive)
+    return _run_segment(config, 1, run_stage1, records)
 
 
 def run_proof_stage(
@@ -266,19 +248,4 @@ def run_proof_stage(
     records = records if records is not None else load_dataset(config.dataset)
     if lemma_map is None and config.lemma_map:
         lemma_map = load_lemma_map(config.lemma_map)
-
-    def drive(project, verifier, operators, metrics, start_index):
-        results = run_stage2(
-            records,
-            project,
-            config.stage2_config(),
-            operators,
-            verifier,
-            metrics,
-            lemma_map=lemma_map,
-            start_index=start_index,
-            max_items=config.max_items,
-        )
-        return results, accounting._stage_fields([r.end_fields() for r in results])[2]
-
-    return _run_segment(config, 2, drive)
+    return _run_segment(config, 2, partial(run_stage2, lemma_map=lemma_map), records)

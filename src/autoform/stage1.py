@@ -4,20 +4,21 @@ repair each target file until it verifies, allowing proof placeholders.
 Items are processed in strictly increasing index order. Per item: stage
 the skeleton proposed by the skeleton operator, set the scope to the
 inserted declaration plus the file header, verify once, then run up to K
-localize/repair rounds through the patch executor, expanding the scope
-when localization comes up empty. Each item is one ``kernel.run_item``
-transaction: it commits once if no errors remain and is discarded
-otherwise or on a raise, so later items are unaffected. Its ``item_end``
-line carries the names it declared, read from the ``[index]`` docstrings
-of the text it commits: that line is the one record of its provenance. A
-declaration already committed by an interrupted run is checked again, not
-inserted again.
+(``RunConfig.budget_k``) localize/repair rounds through the patch
+executor, expanding the scope when localization comes up empty. Each
+item is one ``kernel.run_item`` transaction: it commits once if no
+errors remain and is discarded otherwise or on a raise, so later items
+are unaffected. Its ``item_end`` line carries the names it declared,
+read from the ``[index]`` docstrings of the text it commits: that line
+is the one record of its provenance. A declaration already committed by
+an interrupted run is checked again, not inserted again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 from . import simlang
 from .corpus import DatasetRecord
@@ -33,6 +34,9 @@ from .kernel import (
 )
 from .operators import OperatorRequest, OperatorSet
 from .verifier import Project, Verifier, header_scope
+
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 DEFAULT_K = 3
 
@@ -64,15 +68,6 @@ class StubTemplateError(ValueError):
 
 
 TARGET_FILE = "Chapters/Chap{chapter:02d}/section{section:02d}.lean"
-
-
-@dataclass
-class Stage1Config:
-    k: int = DEFAULT_K
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError("per-item repair budget must be non-negative")
 
 
 @dataclass
@@ -178,14 +173,15 @@ def _item_units(project: Project, file_id: str, index: int) -> list[simlang.Decl
 def run_stage1(
     records: list[DatasetRecord],
     project: Project,
-    config: Stage1Config,
+    config: RunConfig,
     operators: OperatorSet,
     verifier: Verifier,
     metrics: MetricsWriter,
     start_index: int | None = None,
-    max_items: int | None = None,
 ) -> list[Stage1ItemResult]:
-    """Compile ordered statement items into the project (Stage 1)."""
+    """Compile ordered statement items into the project (Stage 1), at most
+    ``config.max_items`` of them from ``start_index`` on."""
+    config.check()
 
     def run_one(record: DatasetRecord) -> Stage1ItemResult:
         start = {
@@ -198,13 +194,13 @@ def run_stage1(
         work = partial(_run_item, record, project, config, operators, verifier)
         return run_item(project, metrics, start, work)
 
-    return run_items(((r.index, r) for r in records), run_one, start_index, max_items)
+    return run_items(((r.index, r) for r in records), run_one, start_index, config.max_items)
 
 
 def _run_item(
     record: DatasetRecord,
     project: Project,
-    config: Stage1Config,
+    config: RunConfig,
     operators: OperatorSet,
     verifier: Verifier,
 ) -> Stage1ItemResult:
@@ -230,7 +226,7 @@ def _run_item(
 
     rounds = 0
     expansions = 0
-    while err_count(diags) > 0 and rounds < config.k:
+    while err_count(diags) > 0 and rounds < config.budget_k:
         local = localize(diags, scope)
         if err_count(local) == 0:
             # nothing actionable localizes (warnings alone cannot drive the

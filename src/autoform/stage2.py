@@ -3,12 +3,14 @@ bounded plan/execute/repair loops and optional splitting of oversized files.
 
 Statement signatures are never edited here; a proof patch is scoped to the
 hole's range plus the file header, and the kernel rejects anything that
-does not strictly improve (errors first, then hole count). The verifier
-call budget T caps everything an item does, including its initial check;
-executor proof-patch attempts are additionally capped at R * C. The item's
-split and accepted patches are staged in the ``Project``; the item runs as
-one transaction of the kernel (``kernel.run_item``), which commits them
-once before its ``item_end`` line and discards them if the item raises.
+does not strictly improve (errors first, then hole count). The budgets
+are the run's ``RunConfig.budget_t``, ``budget_r`` and ``budget_c``. The
+verifier call budget T caps everything an item does, including its
+initial check; executor proof-patch attempts are additionally capped at
+R * C. The item's split and accepted patches are staged in the
+``Project``; the item runs as one transaction of the kernel
+(``kernel.run_item``), which commits them once before its ``item_end``
+line and discards them if the item raises.
 That line's ``a_accepted`` lists the ordinals, among the item's
 ``a_attempts`` proof proposals, of those the kernel accepted.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import TYPE_CHECKING
 
 from . import simlang
 from .corpus import DatasetRecord, LemmaMapEntry, is_proof_target
@@ -40,28 +43,13 @@ from .operators import OperatorRequest, OperatorSet
 from .stage1 import target_file
 from .verifier import Project, Verifier, header_scope
 
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
+
 DEFAULT_R = 10
 DEFAULT_C = 21
 DEFAULT_T = DEFAULT_R * DEFAULT_C + 9
 DEFAULT_SPLIT_THRESHOLD = 1200
-
-
-@dataclass
-class Stage2Config:
-    t: int = DEFAULT_T
-    r: int = DEFAULT_R
-    c: int = DEFAULT_C
-    split_threshold: int = DEFAULT_SPLIT_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if min(self.t, self.r, self.c) < 1:
-            raise ValueError("budgets T, R, C must all be at least 1")
-        if self.split_threshold < 1:
-            raise ValueError("split threshold must be at least 1")
-
-    @property
-    def attempt_bound(self) -> int:
-        return self.r * self.c
 
 
 @dataclass(frozen=True)
@@ -157,6 +145,8 @@ def split_if_large_and_resolve(
     whose declarations are not the part's, nothing is staged and a warning
     line names it. A file with the part's declarations is that part, left
     by a commit of this split that did not finish, and is written again.
+    A part whose module name reads back as another path (a dot in the
+    file's directory or stem) raises ValueError before anything is staged.
     """
     if not project.exists(file_id):
         return file_id
@@ -177,11 +167,10 @@ def split_if_large_and_resolve(
         units.append((decl, unit_text))
 
     groups: list[list[tuple[simlang.Declaration, str]]] = [[]]
-    budget = max(threshold, 1)
     used = len(header_lines)
     for decl, unit_text in units:
         unit_lines = unit_text.count("\n") + 2
-        if groups[-1] and used + unit_lines > budget:
+        if groups[-1] and used + unit_lines > threshold:
             groups.append([])
             used = len(header_lines)
         groups[-1].append((decl, unit_text))
@@ -191,6 +180,10 @@ def split_if_large_and_resolve(
 
     stem = file_id[:-5] if file_id.endswith(".lean") else file_id
     part_ids = [f"{stem}_part{k}.lean" for k in range(1, len(groups) + 1)]
+    # each part is imported by its module name, which must name the part again
+    for pid in part_ids:
+        if simlang.module_file(simlang.module_name(pid)) != pid:
+            raise ValueError(f"cannot split {file_id}: {pid} is not importable by module name")
     # every name is looked up, so the project knows the parts are absent
     taken = [
         pid
@@ -239,7 +232,7 @@ def run_stage2_item(
     project: Project,
     file_id: str,
     task: ProofTask,
-    config: Stage2Config,
+    config: RunConfig,
     operators: OperatorSet,
     verifier: Verifier,
     metrics: MetricsWriter,
@@ -303,7 +296,7 @@ def run_stage2_item(
     accepted = False
     while True:
         # look the target up before planning and after every accepted proposal
-        planning = decl is None and result.verifier_calls < config.t and not err_count(diags)
+        planning = decl is None and result.verifier_calls < config.budget_t and not err_count(diags)
         if planning or accepted:
             try:
                 found = locate_target_hole(project, file_id, task)
@@ -315,10 +308,10 @@ def run_stage2_item(
             if planning:
                 decl = found
 
-        if result.verifier_calls >= config.t:
+        if result.verifier_calls >= config.budget_t:
             return result
         if err_count(diags):
-            if result.fix_attempts >= config.t:
+            if result.fix_attempts >= config.budget_t:
                 # a fixer that never yields an applicable patch consumes no
                 # verifier budget; bound its attempts so the item terminates
                 return result
@@ -326,7 +319,7 @@ def run_stage2_item(
             result.fix_attempts += 1
             attempt("fix_compile_error", {"diagnostic": diag.as_dict(), "target_range": diag.range})
             continue
-        if result.proof_attempts >= config.attempt_bound:
+        if result.proof_attempts >= config.budget_r * config.budget_c:
             return result
 
         if planning:
@@ -344,7 +337,7 @@ def run_stage2_item(
             )
             result.plans += 1
             plan = plan_resp.text if plan_resp.ok else ""
-        elif result.proof_attempts % config.r == 0:
+        elif result.proof_attempts % config.budget_r == 0:
             replan = operators.invoke(
                 OperatorRequest(
                     kind="replan",
@@ -388,17 +381,18 @@ def proof_task(record: DatasetRecord, lemma_map: dict[str, LemmaMapEntry]) -> Pr
 def run_stage2(
     records: list[DatasetRecord],
     project: Project,
-    config: Stage2Config,
+    config: RunConfig,
     operators: OperatorSet,
     verifier: Verifier,
     metrics: MetricsWriter,
-    lemma_map: dict[str, LemmaMapEntry] | None = None,
     start_index: int | None = None,
-    max_items: int | None = None,
+    lemma_map: dict[str, LemmaMapEntry] | None = None,
 ) -> list[Stage2ItemResult]:
-    """Process proof items in increasing index order (Stage 2). A record's
-    task, with its lemma-map hints, is built when its item runs: a segment
-    builds none for the items before ``start_index`` or after its last one."""
+    """Process proof items in increasing index order (Stage 2), at most
+    ``config.max_items`` of them from ``start_index`` on. A record's task,
+    with its lemma-map hints, is built when its item runs: a segment builds
+    none for the items before ``start_index`` or after its last one."""
+    config.check()
     lemma_map = lemma_map or {}
 
     def run_one(record: DatasetRecord) -> Stage2ItemResult:
@@ -416,4 +410,4 @@ def run_stage2(
         return run_item(project, metrics, start, work)
 
     items = ((r.index, r) for r in records if is_proof_target(r))
-    return run_items(items, run_one, start_index, max_items)
+    return run_items(items, run_one, start_index, config.max_items)

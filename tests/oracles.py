@@ -54,6 +54,7 @@ from autoform.diagnostics import (
 from autoform.instrumentation import MetricsWriter
 from autoform.kernel import PatchOutOfScopeError, SnapshotRestoreError, try_patch
 from autoform.operators import OPERATOR_KINDS, OperatorRequest, OperatorSet
+from autoform.pipeline import RunConfig
 from autoform.simlang import (
     DECL_KINDS,
     DEFINITION_KINDS,
@@ -66,7 +67,6 @@ from autoform.simlang import (
 from autoform.stage2 import (
     AmbiguousTargetError,
     ProofTask,
-    Stage2Config,
     Stage2ItemResult,
     split_if_large_and_resolve,
 )
@@ -694,7 +694,7 @@ def ref_run_stage2_item(
     project: Project,
     file_id: str,
     task: ProofTask,
-    config: Stage2Config,
+    config: RunConfig,
     operators: OperatorSet,
     verifier: Verifier,
     metrics: MetricsWriter,
@@ -725,9 +725,9 @@ def ref_run_stage2_item(
     result.verifier_calls += 1
 
     goal_payload = None
-    while result.verifier_calls < config.t:
+    while result.verifier_calls < config.budget_t:
         if err_count(diags) > 0:
-            if result.fix_attempts >= config.t:
+            if result.fix_attempts >= config.budget_t:
                 # a fixer that never yields an applicable patch consumes no
                 # verifier budget; bound its attempts so the item terminates
                 return result
@@ -766,7 +766,7 @@ def ref_run_stage2_item(
         if hole is None:
             result.status = "solved" if result.proof_attempts > 0 else "already_closed"
             return result
-        if result.proof_attempts >= config.attempt_bound:
+        if result.proof_attempts >= config.budget_r * config.budget_c:
             return result
 
         goal = verifier.goal_state(project, file_id, hole.range)
@@ -780,8 +780,8 @@ def ref_run_stage2_item(
         result.plans += 1
         plan_text = plan_resp.text if plan_resp.ok else ""
 
-        for _ in range(config.c):
-            for _ in range(config.r):
+        for _ in range(config.budget_c):
+            for _ in range(config.budget_r):
                 propose_req = OperatorRequest(
                     kind="propose_proof_patch",
                     payload={
@@ -821,9 +821,9 @@ def ref_run_stage2_item(
                     if closed:
                         result.status = "solved"
                         return result
-                if result.verifier_calls >= config.t:
+                if result.verifier_calls >= config.budget_t:
                     return result
-                if result.proof_attempts >= config.attempt_bound:
+                if result.proof_attempts >= config.budget_r * config.budget_c:
                     return result
                 if err_count(diags) > 0:
                     break

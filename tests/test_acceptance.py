@@ -16,8 +16,8 @@ from autoform.kernel import PatchProposal, Snapshot, prec, try_patch
 from autoform.operators import OperatorSet
 from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
 from autoform.scripted import adversarial_handlers, toy_handlers
-from autoform.stage1 import Stage1Config, Stage1ItemResult, run_stage1, target_file
-from autoform.stage2 import Stage2Config, Stage2ItemResult, run_stage2_item
+from autoform.stage1 import Stage1ItemResult, run_stage1, target_file
+from autoform.stage2 import Stage2ItemResult, run_stage2_item
 from autoform.toydata import build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
 
@@ -129,29 +129,29 @@ def test_budget_bounds(tmp_path, metrics):
     project = Project(tmp_path / "s1")
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(adversarial_handlers(), EventSink())
-    config = Stage1Config(k=3)
+    config = RunConfig(budget_k=3)
     results = run_stage1(records[:6], project, config, operators, verifier, metrics)
     for r in results:
-        assert r.verifier_calls <= 1 + config.k, r
-        assert r.b_attempts <= config.k, r
+        assert r.verifier_calls <= 1 + config.budget_k, r
+        assert r.b_attempts <= config.budget_k, r
 
     # stage 2: proof-patch attempts <= R*C with R=10, C=21; calls <= T
     project2 = Project(tmp_path / "s2")
     good = OperatorSet(toy_handlers(), EventSink())
     ver2 = Verifier(SimulatedVerifier(), EventSink())
-    ok_results = run_stage1(records, project2, Stage1Config(), good, ver2, metrics)
+    ok_results = run_stage1(records, project2, RunConfig(), good, ver2, metrics)
     assert all(r.status == "compiled" for r in ok_results)
 
-    s2cfg = Stage2Config(r=10, c=21)
+    s2cfg = RunConfig(budget_r=10, budget_c=21)
     adversarial = OperatorSet(adversarial_handlers(), EventSink())
     record, task = proof_tasks(records)[0]
     result = run_stage2_item(
         project2, target_file(record), task, s2cfg, adversarial, ver2, metrics
     )
     assert result.status == "unsolved"
-    assert result.proof_attempts <= s2cfg.r * s2cfg.c
+    assert result.proof_attempts <= s2cfg.budget_r * s2cfg.budget_c
     assert result.proof_attempts == 210
-    assert result.verifier_calls <= s2cfg.t
+    assert result.verifier_calls <= s2cfg.budget_t
 
 
 @criterion("accounting replay of archived-run totals")
@@ -337,7 +337,7 @@ def test_matched_statement_guard(tmp_path, metrics):
     project = Project(tmp_path / "project")
     verifier = Verifier(SimulatedVerifier(), EventSink())
     operators = OperatorSet(toy_handlers(), EventSink())
-    results = run_stage1(records, project, Stage1Config(), operators, verifier, metrics)
+    results = run_stage1(records, project, RunConfig(), operators, verifier, metrics)
     assert all(r.status == "compiled" for r in results)
 
     changes = 0
@@ -345,7 +345,7 @@ def test_matched_statement_guard(tmp_path, metrics):
         file_id = target_file(record)
         before = oracle_signatures(project.read(file_id))
         result = run_stage2_item(
-            project, file_id, task, Stage2Config(), operators, verifier, metrics
+            project, file_id, task, RunConfig(), operators, verifier, metrics
         )
         assert result.status == "solved"
         after = oracle_signatures(project.read(file_id))

@@ -370,6 +370,24 @@ class TestSplitCommand:
         assert [p.name for p in project.iterdir()] == ["Small.lean"]
         assert (project / "Small.lean").read_text() == text
 
+    @pytest.mark.parametrize("file", ["a.b/X.lean", "A/X.v2.lean"])
+    def test_a_file_whose_parts_cannot_be_imported_exits_2_untouched(
+        self, tmp_path, capsys, file
+    ):
+        # a dot in the directory or the stem: the import of part 1, such as
+        # a.b.X_part1, names another file (a/b/X_part1.lean)
+        project = tmp_path / "project"
+        (project / file).parent.mkdir(parents=True)
+        text = "\n\n".join(f"theorem t{i} : True := trivial" for i in range(40)) + "\n"
+        (project / file).write_text(text)
+        code = run_cli("split", "--project", project, "--file", file, "--threshold", "10")
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and f"cannot split {file}" in err
+        written = sorted(p.relative_to(project).as_posix() for p in project.rglob("*"))
+        assert written == [file.split("/")[0], file]
+        assert (project / file).read_text() == text
+
     @pytest.mark.parametrize("where", ["absolute", "dotdot", "dot", "sub_dotdot"])
     def test_a_file_outside_the_project_exits_2_untouched(self, tmp_path, capsys, where):
         # "./Big.lean" and "sub/../Big.lean" name a file of the project, but

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 import pytest
@@ -313,17 +314,24 @@ class TestSnapshot:
 
 
 class TestVerifierFailure:
-    def test_launch_error_restores_the_pre_attempt_bytes(self, project, tmp_path):
+    @pytest.mark.parametrize("failure", ["missing", "timeout"])
+    def test_launch_error_restores_the_pre_attempt_bytes(self, project, tmp_path, failure):
         text = "def a : T := ghost\r\ndef b : U := sorry\n"
         project.write("A.lean", text)
         before = (project.root / "A.lean").read_bytes()
         _, diags = make_verifier().verify_file(project, "A.lean")
-        adapter = ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"])
+        if failure == "missing":
+            adapter = ExternalVerifier([str(tmp_path / "no-such-verifier"), "{file}"])
+            message = "cannot launch verifier"
+        else:
+            # exec: the kill at the timeout ends the sleep itself, not a shell around it
+            sleeper = ["/bin/sh", "-c", "exec sleep 5", "sh", "{file}"]
+            adapter = ExternalVerifier(sleeper, timeout=0.2)
+            message = re.escape("verifier timed out after 0.2s")
         broken = Verifier(adapter, EventSink())
-        scope = Scope.of(SourceRange.whole_lines(0, 0))
         patch = PatchProposal(file="A.lean", range=SourceRange.whole_lines(0, 0), replacement="def a : T := sorry")
         for stage in (1, 2):
-            with pytest.raises(VerifierLaunchError):
+            with pytest.raises(VerifierLaunchError, match=message):
                 try_patch(stage, project, "A.lean", whole_file_scope(text), patch, diags, broken)
             assert (project.root / "A.lean").read_bytes() == before
             assert project.read_bytes("A.lean") == before

@@ -22,9 +22,10 @@ from autoform.operators import (
     extract_fenced_block,
     format_per_call_log,
 )
+from autoform.pipeline import RunConfig
 from autoform.scripted import adversarial_handlers, toy_handlers, toy_propose_proof_patch
-from autoform.stage1 import Stage1Config, run_stage1
-from autoform.stage2 import Stage2Config, proof_task, run_stage2_item
+from autoform.stage1 import run_stage1
+from autoform.stage2 import proof_task, run_stage2_item
 from autoform.verifier import SimulatedVerifier, Verifier
 
 from helpers import EventSink
@@ -258,7 +259,7 @@ class TestExternalBridge:
         """Q from events equals the number of per-call transcripts written."""
         verifier = Verifier(SimulatedVerifier(), EventSink())
         ops = OperatorSet(toy_handlers(), EventSink())
-        run_stage1(toy_records[:6], project, Stage1Config(), ops, verifier, metrics)
+        run_stage1(toy_records[:6], project, RunConfig(), ops, verifier, metrics)
 
         cmd = write_agent_script(
             tmp_path / "agent.sh", FIXED_PATCH_AGENT.replace("exact w", "exact c1s1Alpha")
@@ -272,7 +273,7 @@ class TestExternalBridge:
             project,
             "Chapters/Chap01/section01.lean",
             task,
-            Stage2Config(),
+            RunConfig(),
             bridge_ops,
             vers,
             metrics,

@@ -166,20 +166,26 @@ class TestBridgeOperators:
     few: six statements, one of them repaired, and the four proof targets
     among them."""
 
-    @staticmethod
-    def outcome(cfg: RunConfig, proof_cfg: RunConfig | None = None, proofs: int = 4):
+    @classmethod
+    def outcome(cls, cfg: RunConfig, proof_cfg: RunConfig | None = None, proofs: int = 4):
         """Item statuses, V, Q, the project's bytes and the report CSV of
         the slice's two segments, the proof segment run with ``proof_cfg``
         when one is given, on the first ``proofs`` proof targets."""
         r1, _ = run_statement_stage(replace(cfg, max_items=6))
         r2, _ = run_proof_stage(replace(proof_cfg or cfg, max_items=proofs))
+        return cls.measured(cfg, r1 + r2)
+
+    @staticmethod
+    def measured(cfg: RunConfig, results: list):
+        """Item statuses of ``results``, and V, Q, the project's bytes and
+        the report CSV of the runs of ``cfg``."""
         runs = Path(cfg.runs_dir)
         events = read_events(runs / "metrics_statement.jsonl") + read_events(
             runs / "metrics_proof.jsonl"
         )
         report = accounting.build_report(events)
         return (
-            [(r.index, r.status) for r in r1 + r2],
+            [(r.index, r.status) for r in results],
             report.verifier_calls,
             report.oracle_calls,
             tree_hash(Path(cfg.project)),
@@ -202,6 +208,39 @@ class TestBridgeOperators:
         ]
         # every oracle call ran the agent and left its transcript
         assert len(list((tmp_path / "bridge_runs" / "calls").glob("*.log"))) == bridge[2]
+
+    def test_resumed_bridge_segments_match_the_in_process_run(
+        self, toy_config, tmp_path, monkeypatch
+    ):
+        """The slice through the bridge in ``--resume --max-items 2``
+        segments, three of stage 1 and two of stage 2, gives what one
+        in-process segment of each stage gives, and each oracle call of
+        every segment leaves a transcript of its own."""
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        segmented = replace(
+            toy_config,
+            project=str(tmp_path / "bridge_project"),
+            runs_dir=str(tmp_path / "bridge_runs"),
+            operators="bridge",
+            operator_command=[sys.executable, str(BRIDGE_AGENT)],
+            resume=True,
+            max_items=2,
+        )
+        segments = [run_statement_stage(segmented)[0] for _ in range(3)]
+        segments += [run_proof_stage(segmented)[0] for _ in range(2)]
+        assert [[r.index for r in results] for results in segments] == [
+            [1, 2], [3, 4], [5, 6], [2, 4], [5, 6]
+        ]
+        bridge = self.measured(segmented, [r for results in segments for r in results])
+        assert bridge == self.outcome(toy_config)
+        runs = tmp_path / "bridge_runs"
+        events = read_events(runs / "metrics_statement.jsonl") + read_events(
+            runs / "metrics_proof.jsonl"
+        )
+        assert sum(e["event"] == "run_start" for e in events) == 5
+        logs = {str(p) for p in (runs / "calls").glob("*.log")}
+        named = [e["data"]["log_path"] for e in events if e["event"] == "oracle_result"]
+        assert len(logs) == len(named) == bridge[2] and set(named) == logs
 
     def test_rejected_patches_and_replans_match_the_in_process_run(
         self, toy_config, tmp_path, monkeypatch

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,9 +9,9 @@ from autoform.corpus import DatasetRecord, SectionContext
 from autoform.instrumentation import read_events
 from autoform.kernel import Snapshot
 from autoform.operators import OperatorResponse, OperatorSet
+from autoform.pipeline import RunConfig
 from autoform.scripted import adversarial_handlers, toy_handlers
 from autoform.stage1 import (
-    Stage1Config,
     StubTemplateError,
     _repair_target,
     gen_stub,
@@ -96,7 +97,7 @@ def build_world(project, handlers, sink=None, k=3):
     sink = sink or EventSink()
     verifier = Verifier(SimulatedVerifier(), metrics=sink)
     operators = OperatorSet(handlers, EventSink())
-    return verifier, operators, Stage1Config(k=k), sink
+    return verifier, operators, RunConfig(budget_k=k), sink
 
 
 class TestRunStage1:
@@ -106,7 +107,7 @@ class TestRunStage1:
         assert all(r.status == "compiled" for r in results)
         assert len(results) == len(toy_records)
         # early exit keeps total calls far below the cap
-        assert verifier.calls <= len(toy_records) * (1 + config.k)
+        assert verifier.calls <= len(toy_records) * (1 + config.budget_k)
         ok, _ = verifier.verify_project(project)
         assert ok  # PB with placeholders present
         assert any("sorry" in project.read(f) for f in project.files())
@@ -115,8 +116,8 @@ class TestRunStage1:
         verifier, operators, config, _ = build_world(project, toy_handlers())
         results = run_stage1(toy_records, project, config, operators, verifier, metrics)
         for r in results:
-            assert 1 <= r.verifier_calls <= 1 + config.k
-            assert r.b_attempts <= config.k
+            assert 1 <= r.verifier_calls <= 1 + config.budget_k
+            assert r.b_attempts <= config.budget_k
 
     def test_tricky_items_consume_repair_rounds(self, project, toy_records, metrics):
         verifier, operators, config, _ = build_world(project, toy_handlers())
@@ -158,7 +159,7 @@ class TestRunStage1:
 
         by_index = {r.index: r for r in results}
         assert by_index[3].status == "restored_failed"
-        assert by_index[3].verifier_calls <= 1 + config.k
+        assert by_index[3].verifier_calls <= 1 + config.budget_k
         # the failed item's bytes were rolled back before item 4 started, so
         # items 4..6 still compiled on top of the restored file
         assert all(by_index[i].status == "compiled" for i in (1, 2, 4, 5, 6))
@@ -235,7 +236,7 @@ class TestRunStage1:
             toy_records[:2], project, config, operators, verifier, metrics
         )
         assert all(r.status == "restored_failed" for r in results)
-        assert all(r.verifier_calls <= 1 + config.k for r in results)
+        assert all(r.verifier_calls <= 1 + config.budget_k for r in results)
 
     def test_scope_expansion_reaches_preexisting_breakage(
         self, project, toy_records, metrics
@@ -260,7 +261,7 @@ class TestRunStage1:
     def test_item_events(self, project, toy_records, metrics):
         verifier = Verifier(SimulatedVerifier(), metrics=metrics)
         operators = OperatorSet(toy_handlers(), metrics)
-        run_stage1(toy_records[:3], project, Stage1Config(), operators, verifier, metrics)
+        run_stage1(toy_records[:3], project, RunConfig(), operators, verifier, metrics)
 
         events = read_events(metrics.path)
         starts = [e for e in events if e["event"] == "item_start"]
@@ -272,7 +273,7 @@ class TestRunStage1:
     def test_start_index_skips_processed_items(self, project, toy_records, metrics):
         verifier, operators, config, _ = build_world(project, toy_handlers())
         first = run_stage1(
-            toy_records, project, config, operators, verifier, metrics, max_items=2
+            toy_records, project, replace(config, max_items=2), operators, verifier, metrics
         )
         assert [r.index for r in first] == [1, 2]
         rest = run_stage1(
@@ -281,6 +282,13 @@ class TestRunStage1:
         assert [r.index for r in rest] == list(range(3, 25))
         ok, _ = verifier.verify_project(project)
         assert ok
+
+    def test_the_driver_refuses_a_config_a_run_rejects(self, project, toy_records, metrics):
+        verifier, operators, _, _ = build_world(project, toy_handlers())
+        config = RunConfig(budget_k=-1)
+        with pytest.raises(ValueError, match="per-item repair budget must be non-negative"):
+            run_stage1(toy_records, project, config, operators, verifier, metrics)
+        assert operators.invocations == 0 and project.files() == []
 
 
 def test_the_repair_target_is_the_declaration_of_the_first_error(tmp_path):

@@ -17,16 +17,15 @@ from autoform.diagnostics import (
     select_error,
 )
 from autoform.instrumentation import MetricsWriter, read_events
-from autoform.pipeline import run_proof_stage, run_statement_stage
+from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
 from autoform.kernel import PatchProposal
 from autoform.operators import OperatorResponse, OperatorSet
 from autoform.scripted import adversarial_handlers, toy_handlers
-from autoform.stage1 import Stage1Config, run_stage1, target_file
+from autoform.stage1 import run_stage1, target_file
 from autoform.stage2 import (
     DEFAULT_SPLIT_THRESHOLD,
     AmbiguousTargetError,
     ProofTask,
-    Stage2Config,
     locate_target_hole,
     run_stage2,
     run_stage2_item,
@@ -45,7 +44,7 @@ def make_verifier(sink=None):
 def compiled_project(project, records, metrics):
     verifier = make_verifier()
     operators = OperatorSet(toy_handlers(), EventSink())
-    results = run_stage1(records, project, Stage1Config(), operators, verifier, metrics)
+    results = run_stage1(records, project, RunConfig(), operators, verifier, metrics)
     assert all(r.status == "compiled" for r in results)
     return project
 
@@ -270,7 +269,7 @@ class TestSplit:
 
         monkeypatch.setattr(Project, "reload_bytes", reload_bytes)
         result = run_stage2_item(
-            project, file_id, task, Stage2Config(split_threshold=10),
+            project, file_id, task, RunConfig(split_threshold=10),
             OperatorSet(toy_handlers(), EventSink()), make_verifier(), metrics,
         )
         assert result.status == "solved" and "_part" in result.file
@@ -292,7 +291,7 @@ class TestItemCommit:
             return real(self, staged_id, text)
 
         monkeypatch.setattr(Project, "stage", failing_stage)
-        config = Stage2Config(split_threshold=10)
+        config = RunConfig(split_threshold=10)
         operators = OperatorSet(toy_handlers(), EventSink())
         verifier = make_verifier()
         result = run_stage2_item(
@@ -304,6 +303,30 @@ class TestItemCommit:
         assert warnings == ["split failed: no space for part 2"]
         assert project.staged_entry(file_id.replace(".lean", "_part1.lean")) is None
         assert not [f for f in project.files() if "_part" in f]
+
+    def test_a_file_whose_parts_cannot_be_imported_runs_unsplit(self, project, metrics):
+        # a part of a.b/X.lean would be imported as a.b.X_part1, which names
+        # a/b/X_part1.lean: the split is refused and the item runs on the file
+        file_id = "a.b/X.lean"
+        units = [f"/-- [{i}] Theorem {i} -/\ntheorem t{i} : True := trivial" for i in range(1, 8)]
+        text = "\n\n".join(units) + "\n\n/-- [8] Theorem 8 -/\ntheorem t8 : True := by sorry\n"
+        project.write(file_id, text)
+        task = ProofTask(index=8, label="Theorem 8", reference_proof="\\lean{trivial}")
+        verifier = make_verifier()
+        result = run_stage2_item(
+            project, file_id, task, RunConfig(split_threshold=10),
+            OperatorSet(toy_handlers(), EventSink()), verifier, metrics,
+        )
+        assert result.status == "solved" and result.file == file_id
+        events = read_events(metrics.path)
+        warnings = [e["data"]["reason"] for e in events if e["event"] == "warning"]
+        assert warnings == [
+            f"split failed: cannot split {file_id}: "
+            "a.b/X_part1.lean is not importable by module name"
+        ]
+        project.commit()
+        assert project.files() == [file_id]
+        assert verifier.verify_project(project)[0]
 
     def test_the_items_edits_land_in_one_commit_before_its_item_end(
         self, project, toy_records, metrics, monkeypatch
@@ -328,7 +351,7 @@ class TestItemCommit:
         verifier = Verifier(SimulatedVerifier(), metrics=metrics)
         operators = OperatorSet(toy_handlers(), metrics)
         [result] = run_stage2(
-            toy_records, project, Stage2Config(), operators, verifier, metrics, max_items=1
+            toy_records, project, RunConfig(max_items=1), operators, verifier, metrics
         )
         assert result.index == task.index and result.file == file_id
         assert result.status == "solved" and verifier.calls == 2
@@ -346,7 +369,7 @@ class TestMissingSectionFile:
         results = run_stage2(
             toy_records,
             project,
-            Stage2Config(),
+            RunConfig(),
             OperatorSet(toy_handlers(), EventSink()),
             make_verifier(sink),
             metrics,
@@ -374,7 +397,7 @@ class TestTargetLookupSkips:
             project,
             "A.lean",
             ProofTask(index=1, label=label),
-            Stage2Config(),
+            RunConfig(),
             OperatorSet(handlers, EventSink()),
             make_verifier(),
             metrics,
@@ -416,7 +439,7 @@ class ToyWorld:
         self.sink = sink or EventSink()
         self.verifier = make_verifier(self.sink)
         self.operators = OperatorSet(handlers or toy_handlers(), EventSink())
-        self.config = config or Stage2Config()
+        self.config = config or RunConfig()
 
     def tasks(self):
         return proof_tasks(self.records)
@@ -469,7 +492,7 @@ class TestRunStage2Item:
         assert again.verifier_calls == 1
 
     def test_adversarial_budget_exhaustion(self, project, toy_records, metrics):
-        config = Stage2Config(t=50, r=3, c=4)
+        config = RunConfig(budget_t=50, budget_r=3, budget_c=4)
         world = ToyWorld(
             project, toy_records, metrics, handlers=adversarial_handlers(), config=config
         )
@@ -478,8 +501,8 @@ class TestRunStage2Item:
         holes_before = len(project.analysis(file_id).hole_ranges)
         result = world.run_item(record, task)
         assert result.status == "unsolved"
-        assert result.proof_attempts == config.r * config.c
-        assert result.verifier_calls <= config.t
+        assert result.proof_attempts == config.budget_r * config.budget_c
+        assert result.verifier_calls <= config.budget_t
         ok, _ = world.verifier.adapter.verify_file(project, file_id)
         assert ok  # file still verifies
         assert len(project.analysis(file_id).hole_ranges) == holes_before
@@ -487,7 +510,7 @@ class TestRunStage2Item:
     def test_rejected_attempts_reuse_their_scope(self, project, toy_records, metrics, analyses):
         # each rejected patch restores the analysis it replaced, so the
         # target's scope with the header is built once for all twelve
-        config = Stage2Config(t=50, r=3, c=4)
+        config = RunConfig(budget_t=50, budget_r=3, budget_c=4)
         world = ToyWorld(
             project, toy_records, metrics, handlers=adversarial_handlers(), config=config
         )
@@ -500,7 +523,7 @@ class TestRunStage2Item:
         self, project, toy_records, metrics, analyses, monkeypatch
     ):
         # a project that hands out a fresh copy of the analysis on every read
-        config = Stage2Config(t=50, r=3, c=4)
+        config = RunConfig(budget_t=50, budget_r=3, budget_c=4)
         world = ToyWorld(
             project, toy_records, metrics, handlers=adversarial_handlers(), config=config
         )
@@ -522,19 +545,19 @@ class TestRunStage2Item:
         assert len(analyses) == 2 and analyses[0] is not analyses[1]
 
     def test_tight_verifier_budget_stops_early(self, project, toy_records, metrics):
-        config = Stage2Config(t=5, r=10, c=21)
+        config = RunConfig(budget_t=5, budget_r=10, budget_c=21)
         world = ToyWorld(
             project, toy_records, metrics, handlers=adversarial_handlers(), config=config
         )
         record, task = world.tasks()[0]
         result = world.run_item(record, task)
-        assert result.verifier_calls <= config.t
+        assert result.verifier_calls <= config.budget_t
 
     def test_broken_file_with_failing_fixer_terminates(self, project, toy_records, metrics):
         def hopeless(request):
             raise RuntimeError("fixer is down")
 
-        config = Stage2Config(t=6, r=2, c=2)
+        config = RunConfig(budget_t=6, budget_r=2, budget_c=2)
         world = ToyWorld(
             project,
             toy_records,
@@ -547,8 +570,8 @@ class TestRunStage2Item:
         project.write(file_id, project.read(file_id) + "def zz : Q := ghost\n")
         result = world.run_item(record, task)
         assert result.status == "unsolved"
-        assert result.fix_attempts == config.t  # starved fixer is bounded too
-        assert result.verifier_calls <= config.t
+        assert result.fix_attempts == config.budget_t  # starved fixer is bounded too
+        assert result.verifier_calls <= config.budget_t
 
     def test_error_fix_interlude_then_close(self, project, toy_records, metrics):
         # the file acquired a compile error since stage 1: the item first
@@ -579,7 +602,7 @@ class TestRunStage2Item:
 
     def test_elaboration_preserved_after_every_item(self, project, toy_records, metrics):
         world = ToyWorld(project, toy_records, metrics, handlers=adversarial_handlers(),
-                         config=Stage2Config(t=8, r=2, c=2))
+                         config=RunConfig(budget_t=8, budget_r=2, budget_c=2))
         for record, task in world.tasks():
             world.run_item(record, task)
             ok, diags = world.verifier.adapter.verify_file(project, target_file(record))
@@ -606,6 +629,14 @@ class TestMatchedStatementGuard:
 
 
 class TestRunStage2Driver:
+    def test_the_driver_refuses_a_config_a_run_rejects(self, project, toy_records, metrics):
+        world = ToyWorld(project, toy_records, metrics, config=RunConfig(split_threshold=0))
+        with pytest.raises(ValueError, match="split threshold must be at least 1"):
+            run_stage2(
+                toy_records, project, world.config, world.operators, world.verifier, metrics
+            )
+        assert world.verifier.calls == 0
+
     def test_full_toy_run_closes_every_target(
         self, project, toy_records, toy_lemma_map, metrics
     ):
@@ -839,10 +870,10 @@ def run_scenario(item_fn, root, seed: int, adapter=None):
     text = random_section(rng, labels)
     used = [d.doc_label for d in simlang.parse_file(text).declarations if d.doc_label]
     label = rng.choice(used * 3 + ["Theorem 1", "Theorem 9"])
-    config = Stage2Config(
-        t=rng.randint(1, 14),
-        r=rng.randint(1, 4),
-        c=rng.randint(1, 4),
+    config = RunConfig(
+        budget_t=rng.randint(1, 14),
+        budget_r=rng.randint(1, 4),
+        budget_c=rng.randint(1, 4),
         split_threshold=rng.choice([DEFAULT_SPLIT_THRESHOLD, 6]),
     )
     project = Project(root / "project")
