@@ -49,15 +49,15 @@ class _Fold:
     ``b_attempts`` per ``item_end``) and the last ``run_start`` payload;
     the runs are the filter's ids, or else every id an event carries.
     Across runs: the ``item_end`` payloads, the last ``project_check``
-    payload and the token total, which is the sum of the backfill
-    ``task_tokens`` events when there are any, else of the oracle results'
-    ``tokens_used``. A missing ``data`` reads as ``{}``."""
+    payload and the token total, the sum of the oracle results'
+    ``tokens_used``. Any other event counts nothing. A missing ``data``
+    reads as ``{}``."""
 
     def __init__(self, events: Iterable[dict], run_ids: set[str] | None = None):
         runs = {} if run_ids is None else {run_id: [0, 0, 0, {}] for run_id in run_ids}
         item_ends = []
-        check = backfill = None
-        oracle_tokens = 0
+        check = None
+        tokens = 0
         for ev in events:
             run_id = ev.get("run_id")
             tally = runs.get(run_id)
@@ -72,7 +72,7 @@ class _Fold:
                 tally[0] += 1
             elif kind == ORACLE_EVENT:
                 tally[1] += 1
-                oracle_tokens += int(ev.get("data", {}).get("tokens_used", 0) or 0)
+                tokens += int(ev.get("data", {}).get("tokens_used", 0) or 0)
             elif kind == "item_end":
                 data = ev.get("data", {})
                 tally[2] += 1 + int(data.get("b_attempts", 0))
@@ -81,10 +81,7 @@ class _Fold:
                 tally[3] = ev.get("data", {})
             elif kind == "project_check":
                 check = ev.get("data", {})
-            elif kind == "task_tokens":
-                backfill = (backfill or 0) + int(ev.get("data", {}).get("tokens_used_total", 0))
-        self.runs, self.item_ends, self.check = runs, item_ends, check
-        self.tokens = oracle_tokens if backfill is None else backfill
+        self.runs, self.item_ends, self.check, self.tokens = runs, item_ends, check, tokens
 
     def calls(self) -> tuple[int, int]:
         """(V, Q) summed over the runs in id order: event counts, or the

@@ -1,9 +1,9 @@
 """Command-line entry points.
 
-Subcommands: validate, stage1, stage2, resume, split, backfill, account,
-report, simulate, synthlogs. All configuration is explicit via flags or a
-JSON config file; the only environment override is AUTOFORM_ROOT, which
-rebases relative dataset, project, runs-directory and lemma-map paths.
+Subcommands: validate, stage1, stage2, resume, split, account, report,
+simulate. All configuration is explicit via flags or a JSON config file;
+the only environment override is AUTOFORM_ROOT, which rebases relative
+dataset, project, runs-directory and lemma-map paths.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 data or IO error,
 4 runtime failure (verifier launch, failed pipeline).
@@ -18,14 +18,9 @@ import posixpath
 import sys
 from pathlib import Path
 
-from . import accounting, synthlogs, toydata
+from . import accounting, toydata
 from .corpus import DatasetError, load_dataset, load_lemma_map, is_proof_target, dump_dataset
-from .instrumentation import (
-    MetricsWriter,
-    new_run_id,
-    read_events,
-    token_backfill,
-)
+from .instrumentation import read_events
 from .pipeline import RunConfig, run_proof_stage, run_statement_stage
 from .stage2 import DEFAULT_SPLIT_THRESHOLD, split_if_large_and_resolve
 from .verifier import Project, VerifierLaunchError
@@ -131,17 +126,6 @@ def cmd_split(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_backfill(args: argparse.Namespace) -> int:
-    run_id = args.run_id or new_run_id("backfill", "tokens")
-    with MetricsWriter(_resolve(args.output), run_id) as metrics:
-        metrics.run_start({"pipeline": "backfill", "log_dir": str(args.logs)})
-        events = token_backfill(_resolve(args.logs), metrics)
-        total = sum(ev.tokens_used_total for ev in events)
-        metrics.run_end({"pipeline": "backfill", "tasks": len(events), "total_tokens_used": total})
-    print(f"backfilled {len(events)} tasks, {total} tokens")
-    return EXIT_OK
-
-
 def _load_all_events(paths: list[str]) -> list[dict]:
     events: list[dict] = []
     for path in paths:
@@ -213,19 +197,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_RUNTIME
 
 
-def cmd_synthlogs(args: argparse.Namespace) -> int:
-    out = Path(_resolve(args.output))
-    events = []
-    events += synthlogs.real_analysis_stage1_fixture()
-    events += synthlogs.convex_analysis_stage1_fixture()
-    events += synthlogs.research_paper_stage1_fixture()
-    events += synthlogs.real_analysis_stage2_fixture()
-    events += synthlogs.fateh_auto_stage2_fixture()
-    synthlogs.write_events(out, events)
-    print(f"wrote {len(events)} events to {out}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="autoform", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -271,12 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=DEFAULT_SPLIT_THRESHOLD)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("backfill", help="aggregate token totals from per-call logs")
-    p.add_argument("--logs", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--run-id", dest="run_id")
-    p.set_defaults(func=cmd_backfill)
-
     p = sub.add_parser("account", help="reconstruct totals and metrics from metrics streams")
     p.add_argument("--metrics", action="append", required=True)
     p.add_argument("--run-id", dest="run_id", action="append")
@@ -294,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="full toy pipeline with scripted operators")
     p.add_argument("--workdir", required=True)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("synthlogs", help="write the bundled synthetic accounting fixtures")
-    p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_synthlogs)
 
     return parser
 

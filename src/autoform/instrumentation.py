@@ -1,10 +1,12 @@
-"""Run instrumentation: the metrics stream and token backfill.
+"""Run instrumentation: the metrics stream and the token footer.
 
-Everything reported about a run is reconstructable from the metrics stream
-and the per-call logs alone. The metrics stream is the one file a run
-segment writes: append-only JSONL where every line has exactly four
-top-level fields (ts, run_id, event, data); its ``item_end`` lines are
-also the one record a resumed run starts from.
+Everything reported about a run is reconstructable from its metrics stream
+alone. The metrics stream is the one file a run segment writes:
+append-only JSONL where every line has exactly four top-level fields (ts,
+run_id, event, data); its ``item_end`` lines are also the one record a
+resumed run starts from. A call's tokens are the count on its
+``oracle_result`` line, read from the footer of the call's transcript by
+``parse_token_footer`` when the call is made.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import os
 import re
 import secrets
 import time
-from dataclasses import dataclass
 from json.encoder import c_make_encoder, encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
@@ -25,10 +26,6 @@ _BLOCK = 8192  # bytes read at a time when a JSONL stream is read from its end
 _O_BINARY = getattr(os, "O_BINARY", 0)  # Windows only: no newline translation
 
 TOKEN_FOOTER_RE = re.compile(r"tokens used\s*([0-9][0-9,]*)")
-
-LOG_NAME_RE = re.compile(
-    r"^(?P<pipeline>[A-Za-z0-9]+)_agent_(?P<agent>[A-Za-z0-9]+)_task_(?P<task>.+)_(?P<seq>\d{5})\.log$"
-)
 
 
 # the last whole second ``utc_now_iso`` formatted, and its text: a cache of
@@ -264,60 +261,3 @@ def parse_token_footer(log_text: str) -> int | None:
         return None
     return int(matches[-1].replace(",", ""))
 
-
-@dataclass(frozen=True)
-class TokenBackfillEvent:
-    stage: str
-    task: str
-    tokens_used_total: int
-    tokens_used_by_agent: dict[str, int]
-    log_file_count: int
-
-    def as_data(self) -> dict:
-        return {
-            "stage": self.stage,
-            "task": self.task,
-            "tokens_used_total": self.tokens_used_total,
-            "tokens_used_by_agent": dict(sorted(self.tokens_used_by_agent.items())),
-            "log_file_count": self.log_file_count,
-        }
-
-
-def token_backfill(log_directory: str | Path, metrics: MetricsWriter) -> list[TokenBackfillEvent]:
-    """Aggregate per-task token totals from per-call logs.
-
-    Logs whose names do not follow the per-call naming pattern, or that
-    cannot be read as UTF-8 text, are skipped with a warning event.
-    """
-    log_directory = Path(log_directory)
-    groups: dict[tuple[str, str], dict] = {}
-    for path in sorted(log_directory.glob("*.log")):
-        m = LOG_NAME_RE.match(path.name)
-        if not m:
-            metrics.emit("warning", {"reason": "unrecognized log name", "log": path.name})
-            continue
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            metrics.emit("warning", {"reason": f"unreadable log: {exc}", "log": path.name})
-            continue
-        tokens = parse_token_footer(text)
-        key = (m.group("pipeline"), m.group("task"))
-        entry = groups.setdefault(key, {"by_agent": {}, "count": 0})
-        entry["count"] += 1
-        if tokens is not None:
-            agent = m.group("agent")
-            entry["by_agent"][agent] = entry["by_agent"].get(agent, 0) + tokens
-
-    events = []
-    for (stage, task), entry in sorted(groups.items()):
-        ev = TokenBackfillEvent(
-            stage=stage,
-            task=task,
-            tokens_used_total=sum(entry["by_agent"].values()),
-            tokens_used_by_agent=entry["by_agent"],
-            log_file_count=entry["count"],
-        )
-        events.append(ev)
-        metrics.emit("task_tokens", ev.as_data())
-    return events

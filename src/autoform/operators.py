@@ -81,8 +81,10 @@ class OperatorResponse(NamedTuple):
     error: str | None = None
 
     @classmethod
-    def failed(cls, error: str, transcript_ref: str | None = None) -> "OperatorResponse":
-        return cls(ok=False, error=error, transcript_ref=transcript_ref)
+    def failed(
+        cls, error: str, transcript_ref: str | None = None, tokens_used: int | None = None
+    ) -> "OperatorResponse":
+        return cls(ok=False, error=error, transcript_ref=transcript_ref, tokens_used=tokens_used)
 
 
 Handler = Callable[[OperatorRequest], OperatorResponse]
@@ -110,10 +112,11 @@ def write_per_call_log(
     stderr: str,
 ) -> Path:
     """Persist one invocation transcript in a new file; the returned path is
-    the log id that the call's ``oracle_result`` line names and token
-    backfill reads. The file is created exclusively under sequence number
-    ``seq``, or the first one above it that no log of the same name holds,
-    so a run never overwrites an earlier run's transcript."""
+    the log id that the call's ``oracle_result`` line names. That line also
+    holds the count of the transcript's token footer, read once when the
+    bridge writes the log. The file is created exclusively under sequence
+    number ``seq``, or the first one above it that no log of the same name
+    holds, so a run never overwrites an earlier run's transcript."""
     agent = AGENT_ROLES[kind]
     safe_task = re.sub(r"[^A-Za-z0-9_.-]", "-", task_id) or "task"
     log_dir.mkdir(parents=True, exist_ok=True)
@@ -135,7 +138,10 @@ class ExternalBridge:
     ``command`` is an argv template; the request JSON document is written to
     the process's stdin. The final fenced block of stdout becomes the
     proposal text. Launch failures, timeouts, and output without a fenced
-    block all come back as failed responses that consume one attempt.
+    block all come back as failed responses that consume one attempt. Every
+    response but a launch failure's carries the token count of its
+    transcript's footer, failed ones too: a timed-out call's is read from
+    its partial stdout.
     """
 
     command: list[str]
@@ -144,54 +150,51 @@ class ExternalBridge:
     timeout: float = 600.0
     _seq: int = field(default=0, init=False)
 
-    def _log(self, request: OperatorRequest, stdout: str, stderr: str) -> Path:
+    def _log(self, request: OperatorRequest, stdout: str, stderr: str) -> tuple[str, int | None]:
+        """Write the call's transcript: its path, and the count of its token
+        footer."""
         task_id = str(request.payload.get("task_id", request.payload.get("index", "task")))
         path = write_per_call_log(
             self.log_dir, self.pipeline, request.kind, task_id, self._seq + 1, stdout, stderr
         )
         # the number used: above the next one when an earlier run holds that log
         self._seq = int(path.stem.rsplit("_", 1)[1])
-        return path
+        return str(path), parse_token_footer(format_per_call_log(stdout, stderr))
 
     def __call__(self, request: OperatorRequest) -> OperatorResponse:
         doc = json.dumps(request.json_payload(), ensure_ascii=False)
         try:
             code, stdout, stderr = run_process(self.command, self.timeout, input=doc)
         except (FileNotFoundError, PermissionError) as exc:
-            log_path = self._log(request, "", f"launch failure: {exc}")
-            return OperatorResponse.failed(f"launch failure: {exc}", str(log_path))
+            log_path, _ = self._log(request, "", f"launch failure: {exc}")
+            return OperatorResponse.failed(f"launch failure: {exc}", log_path)  # nothing ran
         if code is None:
-            log_path = self._log(request, stdout, f"timeout after {self.timeout}s")
-            return OperatorResponse.failed("timeout", str(log_path))
-
-        log_path = self._log(request, stdout, stderr)
-        tokens = parse_token_footer(format_per_call_log(stdout, stderr))
+            stderr = f"timeout after {self.timeout}s"
+        log_path, tokens = self._log(request, stdout, stderr)
+        if code is None:
+            return OperatorResponse.failed("timeout", log_path, tokens)
 
         if request.kind in TEXT_KINDS:
             block = extract_fenced_block(stdout)
             text = block if block is not None else stdout.strip()
             if not text:
-                return OperatorResponse.failed("empty output", str(log_path))
-            return OperatorResponse(
-                ok=True, text=text, tokens_used=tokens, transcript_ref=str(log_path)
-            )
+                return OperatorResponse.failed("empty output", log_path, tokens)
+            return OperatorResponse(ok=True, text=text, tokens_used=tokens, transcript_ref=log_path)
 
         block = extract_fenced_block(stdout)
         if block is None:
-            return OperatorResponse.failed("no fenced block in output", str(log_path))
+            return OperatorResponse.failed("no fenced block in output", log_path, tokens)
         target = request.payload.get("target_range")
         file_id = request.payload.get("file")
         if target is None or file_id is None:
-            return OperatorResponse.failed("request lacks a target range", str(log_path))
+            return OperatorResponse.failed("request lacks a target range", log_path, tokens)
         if isinstance(target, dict):
             target = SourceRange.from_dict(target)
         replacement = block.rstrip("\n")
         if target.end_col == 0 and target.end_line > target.start_line:
             replacement += "\n"  # line-oriented region: keep the file's line structure
         patch = PatchProposal(file_id, target, replacement, f"bridge:{request.kind}")
-        return OperatorResponse(
-            ok=True, patch=patch, tokens_used=tokens, transcript_ref=str(log_path)
-        )
+        return OperatorResponse(ok=True, patch=patch, tokens_used=tokens, transcript_ref=log_path)
 
 
 def _file_snapshot(payload: dict) -> dict | None:

@@ -194,10 +194,10 @@ def split_if_large_and_resolve(
     ]
     if taken:
         if metrics is not None:
-            metrics.emit(
-                "warning",
-                {"reason": f"split part exists: {taken[0]}", "lean_file": file_id},
-            )
+            warning = {"reason": f"split part exists: {taken[0]}", "lean_file": file_id}
+            if task is not None:
+                warning["index"] = task.index
+            metrics.emit("warning", warning)
         return file_id
     for k, group in enumerate(groups):
         head = list(header_lines)
@@ -283,7 +283,9 @@ def run_stage2_item(
         result.file = file_id
     except Exception as exc:  # split failure: drop what it staged, log, continue unsplit
         project.discard()
-        metrics.emit("warning", {"reason": f"split failed: {exc}", "lean_file": file_id})
+        metrics.emit(
+            "warning", {"reason": f"split failed: {exc}", "lean_file": file_id, "index": task.index}
+        )
 
     if not project.exists(file_id):
         return skip(f"no such file: {file_id}")  # stage 1 left no file for this section

@@ -170,7 +170,8 @@ class Project:
 
     def __init__(self, root: str | Path):
         global _last_cache
-        self.root = Path(root)
+        # absolute, so a tool run in the root reads ``{root}`` and ``{abs_file}`` right
+        self.root = Path(root).absolute()
         self.root.mkdir(parents=True, exist_ok=True)
         # file_id -> the entry of its committed bytes; None: not a regular file
         self._cache: dict[str, Entry | None] = {}

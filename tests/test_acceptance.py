@@ -5,15 +5,16 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 import time
 
-from autoform import simlang, synthlogs
+from autoform import simlang
 from autoform.accounting import build_report, cost_alpha
 from autoform.corpus import dump_dataset
 from autoform.diagnostics import Scope, SourceRange
-from autoform.instrumentation import parse_token_footer, read_events, token_backfill
+from autoform.instrumentation import MetricsWriter, parse_token_footer, read_events
 from autoform.kernel import PatchProposal, Snapshot, prec, try_patch
-from autoform.operators import OperatorSet
+from autoform.operators import ExternalBridge, OperatorRequest, OperatorSet
 from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
 from autoform.scripted import adversarial_handlers, toy_handlers
 from autoform.stage1 import Stage1ItemResult, run_stage1, target_file
@@ -21,7 +22,15 @@ from autoform.stage2 import Stage2ItemResult, run_stage2_item
 from autoform.toydata import build_toy_records
 from autoform.verifier import Project, SimulatedVerifier, Verifier
 
-from helpers import EventSink, item_end_events, proof_tasks, tree_hash
+from helpers import (
+    EventSink,
+    item_end_events,
+    proof_tasks,
+    stage1_attempt_profile,
+    synthetic_proof_run,
+    synthetic_statement_run,
+    tree_hash,
+)
 from oracles import oracle_count_holes, oracle_signatures
 
 
@@ -154,12 +163,12 @@ def test_budget_bounds(tmp_path, metrics):
     assert result.verifier_calls <= s2cfg.budget_t
 
 
-@criterion("accounting replay of archived-run totals")
+@criterion("accounting replay of synthetic-run totals")
 def test_accounting_replay():
-    legacy = synthlogs.real_analysis_stage1_fixture()
+    legacy = synthetic_statement_run()
     assert build_report(legacy).verifier_calls == 592
 
-    stage2 = build_report(synthlogs.real_analysis_stage2_fixture())
+    stage2 = build_report(synthetic_proof_run())
     v, q = stage2.verifier_calls, stage2.oracle_calls
     assert v == 628
     assert abs(round(v / 339, 2) - 1.85) <= 0.005
@@ -174,7 +183,7 @@ def test_accounting_replay():
 @criterion("metric definitions reproduce reported rows")
 def test_metric_definitions():
     def stage1_results(items, attempts_total):
-        profile = synthlogs.stage1_attempt_profile(items, attempts_total)
+        profile = stage1_attempt_profile(items, attempts_total)
         return [
             Stage1ItemResult(i, f"b{i}", "compiled", b_attempts=a)
             for i, a in enumerate(profile)
@@ -219,23 +228,27 @@ def test_hole_oracle_equivalence():
     assert disagreements == 0
 
 
-@criterion("token footer parsing and backfill totals")
-def test_token_backfill(tmp_path):
+@criterion("token footer parsing and per-call totals")
+def test_token_footer_totals(tmp_path):
     assert parse_token_footer("tokens used 12,345") == 12345
+    assert parse_token_footer("STDOUT:\n...\ntokens used\n34,170\nSTDERR:\n") == 34170
 
-    logs = tmp_path / "calls"
-    logs.mkdir()
-    (logs / "final_agent_a_task_0_L119_00001.log").write_text(
-        "STDOUT:\n...\ntokens used\n34,170\nSTDERR:\n"
-    )
-    (logs / "final_agent_c_task_0_L119_00002.log").write_text(
-        "STDOUT:\n...\ntokens used\n31,661\nSTDERR:\n"
-    )
-    events = token_backfill(logs, EventSink())
-    assert len(events) == 1
-    assert events[0].tokens_used_total == 65831
-    assert events[0].tokens_used_by_agent == {"a": 34170, "c": 31661}
-    assert events[0].tokens_used_total == 34170 + 31661
+    # each bridge call's footer is its oracle_result line's count; the
+    # report sums those lines, failed calls included
+    agent = "import sys; sys.stdin.read(); print('tokens used'); print(sys.argv[1])"
+    metrics_path = tmp_path / "metrics.jsonl"
+    with MetricsWriter(metrics_path, "footer_run") as metrics:
+        metrics.run_start({})
+        for kind, footer in (("propose_proof_patch", "34,170"), ("plan", "31,661")):
+            bridge = ExternalBridge(
+                [sys.executable, "-c", agent, footer], tmp_path / "calls", "final"
+            )
+            request = OperatorRequest(kind, {"task_id": "0_L119"})
+            OperatorSet({kind: bridge}, metrics).invoke(request)
+    events = read_events(metrics_path)
+    tokens = [e["data"]["tokens_used"] for e in events if e["event"] == "oracle_result"]
+    assert tokens == [34170, 31661]
+    assert build_report(events).tokens == 65831 == 34170 + 31661
 
 
 @criterion("end-to-end toy pipeline (PB, SCC=100, PSR=100, account replay)")

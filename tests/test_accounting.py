@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autoform import synthlogs
 from autoform.accounting import (
     UnknownSchemaError,
     build_report,
@@ -14,23 +13,30 @@ from autoform.accounting import (
 from autoform.stage1 import Stage1ItemResult
 from autoform.stage2 import Stage2ItemResult
 
-from helpers import item_end_events
+from helpers import (
+    item_end_events,
+    legacy_stage1_events,
+    stage2_events,
+    synthetic_partial_proof_run,
+    synthetic_proof_run,
+    synthetic_statement_run,
+)
 from oracles import ref_build_report, ref_per_problem_rows
 
 
 class TestVerifierCallCounts:
     def test_direct_event_count(self):
-        events = synthlogs.stage2_events("r1", targets=100, solved=100,
-                                         verifier_calls=592, oracle_calls=600)
+        events = stage2_events("r1", targets=100, solved=100,
+                               verifier_calls=592, oracle_calls=600)
         assert build_report(events).verifier_calls == 592
 
     def test_legacy_reconstruction_from_item_counters(self):
-        report = build_report(synthlogs.real_analysis_stage1_fixture())
+        report = build_report(synthetic_statement_run())
         assert report.verifier_calls == 592
         assert report.oracle_calls == 592
 
     def test_empty_run(self):
-        events = synthlogs.legacy_stage1_events("r_empty", [])
+        events = legacy_stage1_events("r_empty", [])
         assert build_report(events).verifier_calls == 0
 
     def test_unknown_schema_rejected(self):
@@ -41,8 +47,8 @@ class TestVerifierCallCounts:
             build_report(events)
 
     def test_aggregation_sums_over_run_ids_without_dedup(self):
-        a = synthlogs.legacy_stage1_events("seg_a", [0, 1])
-        b = synthlogs.legacy_stage1_events("seg_b", [2])
+        a = legacy_stage1_events("seg_a", [0, 1])
+        b = legacy_stage1_events("seg_b", [2])
         both = a + b
         assert build_report(both).verifier_calls == (2 + 1) + (1 + 2)
         assert build_report(both, {"seg_a"}).verifier_calls == 3
@@ -70,11 +76,11 @@ class TestManyResumedRunIds:
         events = [
             ReadCountingEvent(ev)
             for k in range(self.SEGMENTS)
-            for ev in synthlogs.stage2_events(
+            for ev in stage2_events(
                 f"seg{k:03d}", targets=2, solved=1, verifier_calls=3, oracle_calls=4
             )
         ]
-        legacy = synthlogs.legacy_stage1_events("legacy", [0, 1])
+        legacy = legacy_stage1_events("legacy", [0, 1])
         return events + [ReadCountingEvent(ev) for ev in legacy]
 
     def test_counts_sum_over_segments_in_one_pass(self):
@@ -103,14 +109,14 @@ class TestManyResumedRunIds:
 
 class TestOracleCallCounts:
     def test_stage2_fixture_totals(self):
-        events = synthlogs.real_analysis_stage2_fixture()
+        events = synthetic_proof_run()
         q = build_report(events).oracle_calls
         assert q == 1263
         assert round(q / 339, 2) == 3.73
 
     def test_zero_invocations(self):
-        events = synthlogs.stage2_events("r0", targets=1, solved=1,
-                                         verifier_calls=1, oracle_calls=1)
+        events = stage2_events("r0", targets=1, solved=1,
+                               verifier_calls=1, oracle_calls=1)
         # strip the oracle events: counting sees none
         stripped = [e for e in events if e["event"] != "oracle_result"]
         assert build_report(stripped).oracle_calls == 0
@@ -186,8 +192,8 @@ class TestMetrics:
         ]
         assert metrics_of([], events).pb is True
 
-    def test_event_reconstruction_of_an_archived_run(self):
-        events = synthlogs.real_analysis_stage1_fixture()
+    def test_event_reconstruction_of_a_synthetic_run(self):
+        events = synthetic_statement_run()
         m = build_report(events).metrics
         assert m.scc == 100.0
         assert m.arr == pytest.approx(176 / 416, abs=5e-5)  # reported at 4 decimals
@@ -195,15 +201,19 @@ class TestMetrics:
 
 
 class TestTokens:
-    def test_backfill_events_are_canonical(self):
+    def test_a_task_tokens_line_counts_nothing(self):
+        """A ``task_tokens`` line, which older streams may hold, counts as
+        much as a ``warning`` line: the tokens are the oracle results'."""
         events = [
             {"ts": "t", "run_id": "r", "event": "run_start", "data": {"schema_version": 2}},
             {"ts": "t", "run_id": "r", "event": "oracle_result",
              "data": {"tokens_used": 10}},
-            {"ts": "t", "run_id": "b", "event": "task_tokens",
-             "data": {"tokens_used_total": 999}},
         ]
-        assert build_report(events).tokens == 999
+        old = {"ts": "t", "run_id": "r", "event": "task_tokens",
+               "data": {"tokens_used_total": 999}}
+        warning = dict(old, event="warning")
+        assert build_report(events + [old]) == build_report(events + [warning])
+        assert build_report(events + [old]).tokens == 10
 
     def test_oracle_fields_summed_otherwise(self):
         events = [
@@ -217,19 +227,15 @@ class TestTokens:
 
 class TestReports:
     def test_build_report_over_mixed_fixture(self):
-        events = (
-            synthlogs.real_analysis_stage1_fixture()
-            + synthlogs.real_analysis_stage2_fixture()
-        )
-        report = build_report(events)
+        report = build_report(synthetic_statement_run() + synthetic_proof_run())
         assert report.verifier_calls == 592 + 628
         assert report.oracle_calls == 592 + 1263
         assert report.targets == 416 + 339
         assert report.metrics.scc == 100.0 and report.metrics.psr == 100.0
         assert report.costs[0.10] == cost_alpha(1220, 1855, 0.10)
 
-    def test_fateh_report(self):
-        events = synthlogs.fateh_auto_stage2_fixture()
+    def test_partial_proof_run_report(self):
+        events = synthetic_partial_proof_run()
         report = build_report(events)
         assert report.verifier_calls == 283
         assert report.oracle_calls == 339
@@ -238,7 +244,7 @@ class TestReports:
         assert report.calls_per_solved == round(283 / 96, 2)
 
     def test_per_problem_rows_sorted_and_deterministic(self):
-        events = synthlogs.fateh_auto_stage2_fixture()
+        events = synthetic_partial_proof_run()
         rows = per_problem_rows(events)
         assert len(rows) == 100
         assert [r["index"] for r in rows] == sorted(r["index"] for r in rows)
@@ -247,7 +253,7 @@ class TestReports:
         assert render_csv(rows) == render_csv(per_problem_rows(events))
 
     def test_csv_shape(self):
-        events = synthlogs.fateh_auto_stage2_fixture()
+        events = synthetic_partial_proof_run()
         csv_text = render_csv(per_problem_rows(events))
         header, first = csv_text.splitlines()[:2]
         assert header == "index,label,lean_file,nonempty_lines,outcome"
@@ -265,8 +271,8 @@ class TestMissingData:
         report = build_report(events)
         assert (report.verifier_calls, report.oracle_calls, report.tokens) == (1, 1, 0)
         assert report.metrics.pb is False
-        backfill = {"ts": "t", "run_id": "b", "event": "task_tokens"}
-        assert build_report(events + [backfill]).tokens == 0
+        old = {"ts": "t", "run_id": "r", "event": "task_tokens"}
+        assert build_report(events + [old]).tokens == 0
         assert build_report([events[1]]).tokens == 0
 
 
@@ -283,8 +289,8 @@ class TestRunIds:
         report = build_report(self.UNSTARTED)
         assert (report.verifier_calls, report.oracle_calls) == (3, 3)
         assert report.run_ids == ("u",)
-        started = synthlogs.stage2_events("s", targets=1, solved=1,
-                                          verifier_calls=2, oracle_calls=2)
+        started = stage2_events("s", targets=1, solved=1,
+                                verifier_calls=2, oracle_calls=2)
         report = build_report(started + self.UNSTARTED)
         assert (report.verifier_calls, report.run_ids) == (2 + 3, ("s", "u"))
 
@@ -306,7 +312,6 @@ def _payload(draw, kind: str) -> dict:
     fields = {
         "run_start": {"schema_version": st.sampled_from([1, 2, 99])},
         "oracle_result": {"tokens_used": st.none() | st.integers(0, 50)},
-        "task_tokens": {"tokens_used_total": st.integers(0, 500)},
         "project_check": {"ok": st.booleans()},
         "item_start": {"nonempty_lines": st.integers(0, 90)},
         "item_end": {
@@ -326,12 +331,12 @@ def _payload(draw, kind: str) -> dict:
 
 
 @st.composite
-def event_lists(draw, backfill: bool) -> list[dict]:
+def event_lists(draw) -> list[dict]:
     """Events of runs of schema 1, 2 or 99 (absent means 1), each run
     opened by a ``run_start`` line; later ``run_start`` lines of a run may
     change its schema. Every event carries ``data``."""
     kinds = ["lean_check", "oracle_result", "item_start", "item_end", "project_check",
-             "run_start", "run_end", "warning"] + (["task_tokens"] * backfill)
+             "run_start", "run_end", "warning"]
     body = []
     for _ in range(draw(st.integers(0, 30))):
         kind = draw(st.sampled_from(kinds))
@@ -357,21 +362,22 @@ class TestSameAsTheScanningReport:
     """The fold gives what the report that scanned the events about a dozen
     times gave (``oracles.ref_build_report``). The two bugs that report had
     are left out here and tested above: every event carries ``data``, and
-    every run has a ``run_start`` line."""
+    every run has a ``run_start`` line. So is the ``task_tokens`` rule the
+    fold dropped: no event is such a line."""
 
     @settings(max_examples=300, deadline=None)
-    @given(events=st.booleans().flatmap(event_lists), run_ids=FILTERS)
+    @given(events=event_lists(), run_ids=FILTERS)
     def test_report_rows_and_views(self, events, run_ids):
         assert _outcome(lambda: build_report(events, run_ids).as_dict()) == _outcome(
             lambda: ref_build_report(events, run_ids).as_dict()
         )
         assert per_problem_rows(events, run_ids) == ref_per_problem_rows(events, run_ids)
 
-    def test_over_the_archived_run_fixtures(self):
+    def test_over_the_synthetic_runs(self):
         events = (
-            synthlogs.real_analysis_stage1_fixture()
-            + synthlogs.real_analysis_stage2_fixture()
-            + synthlogs.fateh_auto_stage2_fixture()
+            synthetic_statement_run()
+            + synthetic_proof_run()
+            + synthetic_partial_proof_run()
         )
         run_ids = sorted({ev["run_id"] for ev in events})
         for chosen in (None, set(run_ids[:1]), set(run_ids[1:]) | {"absent"}):

@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from autoform import synthlogs
-from autoform.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from autoform import cli
+from autoform.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, build_parser, main
 from autoform.corpus import dump_dataset
 from autoform.instrumentation import read_events
 from autoform.pipeline import RunConfig
 from autoform.toydata import build_toy_lemma_map, build_toy_records
+
+from helpers import synthetic_partial_proof_run, synthetic_proof_run, synthetic_statement_run
 
 
 @pytest.fixture
@@ -252,18 +254,14 @@ class TestAccountAndReport:
     @pytest.fixture
     def fixture_logs(self, tmp_path):
         path = tmp_path / "synthetic.jsonl"
-        events = (
-            synthlogs.real_analysis_stage1_fixture()
-            + synthlogs.real_analysis_stage2_fixture()
-            + synthlogs.fateh_auto_stage2_fixture()
-        )
-        synthlogs.write_events(path, events)
+        events = synthetic_statement_run() + synthetic_proof_run() + synthetic_partial_proof_run()
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in events), encoding="utf-8")
         return path
 
-    def test_account_reproduces_archived_totals(self, fixture_logs, capsys):
+    def test_account_reproduces_synthetic_totals(self, fixture_logs, capsys):
         code = run_cli(
             "account", "--metrics", fixture_logs, "--json",
-            "--run-id", "statement_stage1_synthetic_ra",
+            "--run-id", "statement_synthetic",
         )
         assert code == EXIT_OK
         data = json.loads(capsys.readouterr().out)
@@ -272,7 +270,7 @@ class TestAccountAndReport:
 
         code = run_cli(
             "account", "--metrics", fixture_logs, "--json",
-            "--run-id", "proof_stage2_synthetic_ra",
+            "--run-id", "proof_synthetic",
         )
         data = json.loads(capsys.readouterr().out)
         assert data["verifier_calls"] == 628
@@ -284,24 +282,19 @@ class TestAccountAndReport:
 
     def test_account_custom_alpha(self, fixture_logs, capsys):
         run_cli("account", "--metrics", fixture_logs, "--json",
-                "--run-id", "proof_stage2_synthetic_fateh", "--alpha", "0.25")
+                "--run-id", "proof_synthetic_partial", "--alpha", "0.25")
         data = json.loads(capsys.readouterr().out)
         assert data["costs"] == {"0.25": 367.75}
 
     def test_report_csv_is_deterministic(self, fixture_logs, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         run_cli("report", "--metrics", fixture_logs, "--output", out1,
-                "--run-id", "proof_stage2_synthetic_fateh")
+                "--run-id", "proof_synthetic_partial")
         run_cli("report", "--metrics", fixture_logs, "--output", out2,
-                "--run-id", "proof_stage2_synthetic_fateh")
+                "--run-id", "proof_synthetic_partial")
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().splitlines()
         assert len(lines) == 101  # header + 100 problems
-
-    def test_synthlogs_command(self, tmp_path, capsys):
-        out = tmp_path / "fixtures.jsonl"
-        assert run_cli("synthlogs", "--output", out) == EXIT_OK
-        assert out.exists()
 
 
 class TestSplitCommand:
@@ -417,18 +410,12 @@ class TestSplitCommand:
         assert (home / "Big.lean").read_text() == text
 
 
-class TestBackfillCommand:
-    def test_backfill_writes_metrics_run(self, tmp_path, capsys):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        (logs / "proof_agent_a_task_1_00001.log").write_text(
-            "STDOUT:\nhi\ntokens used\n1,000\nSTDERR:\n"
-        )
-        out = tmp_path / "metrics_backfill.jsonl"
-        assert run_cli("backfill", "--logs", logs, "--output", out) == EXIT_OK
-        events = read_events(out)
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "run_start" and "task_tokens" in kinds
+def test_the_docstring_names_every_subcommand():
+    """The subcommands the ``cli`` docstring lists are the parser's."""
+    listed = cli.__doc__.split("Subcommands:")[1].split(".")[0]
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if a.dest == "command"]
+    assert [name.strip() for name in listed.split(",")] == list(sub.choices)
 
 
 class TestRootOverride:

@@ -1,9 +1,9 @@
-"""Guard against dead code: every top-level function and class, and every
-non-dunder method, defined in ``src/autoform`` is referenced by name
-somewhere in the program outside its own definition. The program is
-``src/`` and the benchmark harness in ``perfbench/``, without its tests:
-a definition that only tests call is dead too, and fails the guard with
-its ``file:line name``."""
+"""Guard against dead code: every top-level function and class, every
+non-dunder method and every non-dunder module-level name assigned in
+``src/autoform`` is referenced by name somewhere in the program outside its
+own definition or assignment. The program is ``src/`` and the benchmark
+harness in ``perfbench/``, without its tests: a definition that only tests
+call is dead too, and fails the guard with its ``file:line name``."""
 
 from __future__ import annotations
 
@@ -33,19 +33,32 @@ def _references(node: ast.AST) -> Counter:
     return names
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds, unpacked targets included."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        sub.id for target in targets for sub in ast.walk(target) if isinstance(sub, ast.Name)
+    ]
+
+
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the non-dunder methods of those
-    classes."""
+    """(name, statement) for the top-level functions and classes, the
+    non-dunder methods of those classes and the non-dunder names that
+    top-level assignments bind."""
     for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from ((name, node) for name in _assigned(node) if not _dunder(name))
         if not isinstance(node, _DEFINITIONS):
             continue
-        yield node
+        yield node.name, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, _DEFINITIONS) and not (
-                    member.name.startswith("__") and member.name.endswith("__")
-                ):
-                    yield member
+                if isinstance(member, _DEFINITIONS) and not _dunder(member.name):
+                    yield member.name, member
 
 
 def unreferenced(package: dict[str, str], callers: list[str]) -> list[str]:
@@ -57,10 +70,10 @@ def unreferenced(package: dict[str, str], callers: list[str]) -> list[str]:
     for tree in [*trees.values(), *map(ast.parse, callers)]:
         used += _references(tree)
     return [
-        f"{name}:{node.lineno} {node.name}"
-        for name, tree in sorted(trees.items())
-        for node in _definitions(tree)
-        if used[node.name] - _references(node)[node.name] <= 0
+        f"{module}:{node.lineno} {name}"
+        for module, tree in sorted(trees.items())
+        for name, node in _definitions(tree)
+        if used[name] - _references(node)[name] <= 0
     ]
 
 
@@ -100,12 +113,24 @@ def test_the_guard_flags_a_definition_only_tests_call():
             "        return 3\n"
             "    def dropped(self):\n"
             "        return 4\n"
+            "READ = 5\n"
+            "TEST_ONLY_RE, (PAIRED, _) = 6, (7, 8)\n"
+            "ANNOTATED: int = 9\n"
+            "LOOP = lambda: LOOP\n"
+            "__version__ = '1'\n"
         )
     }
-    program = ["from lib import used, recursive, Box\nBox().kept()\n"]
-    tests = ["from lib import test_only\nassert test_only() == 2\nBox().dropped()\n"]
+    program = ["from lib import used, recursive, Box, READ, PAIRED\nBox().kept()\n"]
+    tests = [
+        "from lib import test_only, TEST_ONLY_RE, _, ANNOTATED, LOOP\n"
+        "assert test_only() == 2\nBox().dropped()\n"
+    ]
     assert unreferenced(package, program) == [
         "lib.py:7 test_only",
         "lib.py:12 dropped",
+        "lib.py:15 TEST_ONLY_RE",
+        "lib.py:15 _",
+        "lib.py:16 ANNOTATED",
+        "lib.py:17 LOOP",
     ]
     assert unreferenced(package, program + tests) == []

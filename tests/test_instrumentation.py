@@ -17,14 +17,11 @@ from autoform import instrumentation
 from autoform.instrumentation import (
     MetricsWriter,
     new_run_id,
-    parse_token_footer,
     read_events,
     read_events_backwards,
-    token_backfill,
     utc_now_iso,
 )
 
-from helpers import EventSink
 from oracles import ref_read_events
 
 
@@ -460,91 +457,3 @@ def outcome(read, path) -> tuple[str, str]:
         return ("events", repr(read(path)))
     except ValueError as exc:
         return (type(exc).__name__, str(exc))
-
-
-def agent_log(tokens: str) -> str:
-    return f"STDOUT:\nwork work\ntokens used\n{tokens}\nSTDERR:\n"
-
-
-class TestTokenBackfill:
-    def test_roll_up_per_task_with_agent_breakdown(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        (logs / "final_agent_a_task_0_L119_00001.log").write_text(agent_log("34,170"))
-        (logs / "final_agent_c_task_0_L119_00002.log").write_text(agent_log("31,661"))
-        events = token_backfill(logs, EventSink())
-        assert len(events) == 1
-        ev = events[0]
-        assert ev.stage == "final" and ev.task == "0_L119"
-        assert ev.tokens_used_total == 65831
-        assert ev.tokens_used_by_agent == {"a": 34170, "c": 31661}
-        assert ev.log_file_count == 2
-        data = ev.as_data()
-        assert data["tokens_used_total"] == sum(data["tokens_used_by_agent"].values())
-
-    def test_empty_directory(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        assert token_backfill(logs, EventSink()) == []
-
-    def test_unrecognized_names_warned_and_skipped(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        (logs / "random.log").write_text(agent_log("10"))
-        with MetricsWriter(tmp_path / "m.jsonl", "backfill_tokens_x") as metrics:
-            metrics.run_start({"pipeline": "backfill"})
-            events = token_backfill(logs, metrics)
-            assert events == []
-            warnings = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "warning"]
-            assert len(warnings) == 1
-
-    def test_a_log_that_is_not_utf8_is_warned_and_skipped(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        (logs / "proof_agent_a_task_5_00001.log").write_text(agent_log("1,234"))
-        (logs / "proof_agent_b_task_5_00002.log").write_bytes(b"tokens used\n99\n\xff\n")
-        sink = EventSink()
-        events = token_backfill(logs, sink)
-        assert [(e.task, e.tokens_used_total, e.log_file_count) for e in events] == [("5", 1234, 1)]
-        warnings = [e["data"] for e in sink.events if e["event"] == "warning"]
-        assert len(warnings) == 1
-        assert warnings[0]["log"] == "proof_agent_b_task_5_00002.log"
-        assert warnings[0]["reason"].startswith("unreadable log: ")
-
-    def test_totals_equal_direct_footer_sums(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        names = [
-            "proof_agent_a_task_7_00001.log",
-            "proof_agent_a_task_7_00002.log",
-            "proof_agent_c_task_7_00003.log",
-            "proof_agent_b_task_9_00004.log",
-        ]
-        for i, name in enumerate(names):
-            (logs / name).write_text(agent_log(str(1000 + i)))
-        events = {e.task: e for e in token_backfill(logs, EventSink())}
-        direct = sum(
-            parse_token_footer((logs / n).read_text()) for n in names if "_task_7_" in n
-        )
-        assert events["7"].tokens_used_total == direct
-        assert events["9"].tokens_used_total == 1003
-
-    def test_backfill_emits_task_tokens_events(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        (logs / "proof_agent_a_task_3_00001.log").write_text(agent_log("42"))
-        with MetricsWriter(tmp_path / "m.jsonl", "backfill_tokens_y") as metrics:
-            metrics.run_start({"pipeline": "backfill"})
-            token_backfill(logs, metrics)
-            events = [e for e in read_events(tmp_path / "m.jsonl") if e["event"] == "task_tokens"]
-            assert len(events) == 1
-            assert events[0]["data"]["tokens_used_total"] == 42
-
-    def test_log_without_footer_counts_file_but_no_tokens(self, tmp_path):
-        logs = tmp_path / "calls"
-        logs.mkdir()
-        (logs / "proof_agent_a_task_4_00001.log").write_text("STDOUT:\nno footer\nSTDERR:\n")
-        events = token_backfill(logs, EventSink())
-        assert events[0].log_file_count == 1
-        assert events[0].tokens_used_total == 0
-

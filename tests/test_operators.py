@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from autoform.accounting import build_report
 from autoform.diagnostics import Scope, SourceRange
-from autoform.instrumentation import parse_token_footer, read_events, token_backfill
+from autoform.instrumentation import MetricsWriter, parse_token_footer, read_events
 from autoform.kernel import try_patch
 from autoform.operators import (
     AGENT_ROLES,
@@ -110,12 +111,16 @@ class TestOperatorSet:
 class TestTokenFooter:
     def test_comma_grouped_integer(self):
         assert parse_token_footer("...\ntokens used\n12,345\n") == 12345
+        for footer, count in (("34,170", 34170), ("31,661", 31661), ("1,234", 1234), ("42", 42)):
+            log = f"STDOUT:\nwork work\ntokens used\n{footer}\nSTDERR:\n"
+            assert parse_token_footer(log) == count
 
     def test_inline_form(self):
         assert parse_token_footer("tokens used 777") == 777
 
     def test_missing_marker(self):
         assert parse_token_footer("no marker here") is None
+        assert parse_token_footer("STDOUT:\nno footer\nSTDERR:\n") is None
 
     def test_last_occurrence_wins(self):
         text = "tokens used 100\nmore output\ntokens used\n2,000\n"
@@ -158,7 +163,7 @@ class TestExternalBridge:
             command=["/nonexistent/agent"], log_dir=tmp_path / "calls", pipeline="proof"
         )
         response = bridge(proof_request())
-        assert not response.ok
+        assert not response.ok and response.tokens_used is None  # nothing ran
         log = Path(response.transcript_ref).read_text()
         assert log.startswith("STDOUT:\n\nSTDERR:\n")
         assert "launch failure" in log
@@ -219,6 +224,46 @@ class TestExternalBridge:
         assert not response.ok and response.error == "timeout"
         log = Path(response.transcript_ref).read_text(encoding="utf-8")
         assert log == format_per_call_log("partial \ufffd", "timeout after 0.5s")
+
+    @pytest.mark.parametrize(
+        "kind, script, error",
+        [
+            ("propose_proof_patch", "echo nothing here\necho 'tokens used 300'\n",
+             "no fenced block in output"),
+            ("plan", "echo 'tokens used 300' >&2\n", "empty output"),
+            ("propose_proof_patch", "echo 'partial'\necho 'tokens used 300'\nexec sleep 10\n",
+             "timeout"),
+        ],
+        ids=["no_fenced_block", "empty_output", "timeout"],
+    )
+    def test_a_failed_call_counts_its_footers_tokens(self, tmp_path, metrics, kind, script, error):
+        cmd = write_agent_script(tmp_path / "agent.sh", "cat > /dev/null\n" + script)
+        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", timeout=0.5)
+        request = OperatorRequest(kind=kind, payload=proof_request().payload)
+        response = OperatorSet({kind: bridge}, metrics).invoke(request)
+        assert (response.ok, response.error, response.tokens_used) == (False, error, 300)
+        assert parse_token_footer(Path(response.transcript_ref).read_text()) == 300
+        [event] = [e for e in read_events(metrics.path) if e["event"] == "oracle_result"]
+        assert event["data"]["tokens_used"] == 300
+
+    def test_two_runs_sharing_a_calls_directory_each_count_their_own_tokens(self, tmp_path):
+        """Each run's total is the sum of its own oracle_result lines, not of
+        every transcript in the directory."""
+        stream = tmp_path / "runs" / "metrics_proof.jsonl"
+        for run_id, footers in (("first", ("1,000", "234")), ("second", ("800",))):
+            with MetricsWriter(stream, run_id) as metrics:
+                metrics.run_start({"pipeline": "proof"})
+                for footer in footers:
+                    agent = f"import sys; sys.stdin.read(); print('tokens used {footer}')"
+                    bridge = ExternalBridge(
+                        [sys.executable, "-c", agent], tmp_path / "calls", pipeline="proof"
+                    )
+                    OperatorSet({"propose_proof_patch": bridge}, metrics).invoke(proof_request())
+        assert len(list((tmp_path / "calls").glob("*.log"))) == 3
+        events = read_events(stream)
+        assert build_report(events, {"first"}).tokens == 1234
+        assert build_report(events, {"second"}).tokens == 800
+        assert build_report(events).tokens == 2034
 
     def test_bridge_and_scripted_agree_on_kernel_outcome(self, project, tmp_path):
         """The same fixed proof patch is accepted identically through either path."""
@@ -322,17 +367,6 @@ class TestPerCallLogFormat:
         assert "/" not in path.name.replace(path.anchor, "")
         assert path.name == "proof_agent_c_task_a-b-c_00001.log"
 
-    def test_backfill_reads_bridge_logs(self, tmp_path):
-        cmd = write_agent_script(tmp_path / "agent.sh", FIXED_PATCH_AGENT)
-        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", pipeline="proof")
-        bridge(proof_request())
-        bridge(proof_request())
-        events = token_backfill(tmp_path / "calls", EventSink())
-        assert len(events) == 1
-        assert events[0].task == "2"
-        assert events[0].tokens_used_total == 2468
-        assert events[0].log_file_count == 2
-
     def test_a_second_run_does_not_overwrite_an_earlier_runs_logs(self, tmp_path):
         """Two runs that share a log directory: each fresh bridge starts its
         sequence at 1, so the second run's call for the same task takes the
@@ -342,7 +376,9 @@ class TestPerCallLogFormat:
         for run in ("first", "second"):
             agent = f"import sys; sys.stdin.read(); print('{run} run'); print('tokens used 7')"
             bridge = ExternalBridge(command=[sys.executable, "-c", agent], log_dir=logs, pipeline="proof")
-            paths.append(Path(bridge(proof_request()).transcript_ref))
+            response = bridge(proof_request())
+            assert response.tokens_used == 7
+            paths.append(Path(response.transcript_ref))
         assert paths[0] != paths[1]
         assert [p.name for p in paths] == [
             "proof_agent_a_task_2_00001.log",
@@ -350,8 +386,6 @@ class TestPerCallLogFormat:
         ]
         assert "first run" in paths[0].read_text() and "second run" not in paths[0].read_text()
         assert "second run" in paths[1].read_text()
-        [event] = token_backfill(logs, EventSink())
-        assert (event.task, event.log_file_count, event.tokens_used_total) == ("2", 2, 14)
 
     def test_a_bridge_numbers_on_from_the_log_it_took(self, tmp_path):
         logs = tmp_path / "calls"

@@ -236,7 +236,9 @@ class TestSplit:
         assert {f: (project.root / f).read_bytes() for f in project.files()} == before
         events = read_events(metrics.path)
         warnings = [e["data"] for e in events if e["event"] == "warning"]
-        assert warnings == [{"reason": f"split part exists: {taken}", "lean_file": file_id}]
+        assert warnings == [
+            {"reason": f"split part exists: {taken}", "lean_file": file_id, "index": 40}
+        ]
 
     def test_split_writes_again_a_part_an_unfinished_commit_left(self, project):
         file_id = self.setup_project(project, n_decls=40)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import stat
+import sys
 
 import pytest
 
@@ -525,6 +526,19 @@ class TestExternalVerifier:
         recorded = out.read_text().split()
         assert recorded[0] == "Sub/A.lean"
         assert recorded[1] == str(project.root)
+
+    def test_a_relative_root_expands_to_paths_the_tool_can_open(self, tmp_path, monkeypatch):
+        """The tool runs in the root, so ``{abs_file}`` and ``{root}`` must
+        not be relative to where the project was named."""
+        monkeypatch.chdir(tmp_path)
+        project = Project("proj")
+        project.write("A.lean", "def a : T := sorry\n")
+        opener = "import os, sys; open(sys.argv[1]); assert os.path.isdir(sys.argv[2])"
+        ext = ExternalVerifier(command=[sys.executable, "-c", opener, "{abs_file}", "{root}"])
+        ok, diags = ext.verify_file(project, "A.lean")
+        assert ok and len(diags) == 0
+        assert project.root.is_absolute() and project.root.samefile(tmp_path / "proj")
+        assert project.files() == ["A.lean"]
 
     def test_project_command(self, tmp_path, project):
         project.write("A.lean", "def a : T := sorry\n")
