@@ -169,7 +169,10 @@ class ExternalBridge:
             log_path, _ = self._log(request, "", f"launch failure: {exc}")
             return OperatorResponse.failed(f"launch failure: {exc}", log_path)  # nothing ran
         if code is None:
-            stderr = f"timeout after {self.timeout}s"
+            # below what the agent wrote before the kill, so a footer there counts
+            if stderr and not stderr.endswith("\n"):
+                stderr += "\n"
+            stderr += f"timeout after {self.timeout}s"
         log_path, tokens = self._log(request, stdout, stderr)
         if code is None:
             return OperatorResponse.failed("timeout", log_path, tokens)

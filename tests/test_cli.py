@@ -286,6 +286,25 @@ class TestAccountAndReport:
         data = json.loads(capsys.readouterr().out)
         assert data["costs"] == {"0.25": 367.75}
 
+    def test_account_counts_only_the_oracle_results_tokens(self, tmp_path, capsys):
+        """An old stream's backfill run, whose ``task_tokens`` line restated
+        the proof run's transcripts, adds no tokens to the total."""
+        path = tmp_path / "old.jsonl"
+        events = [
+            {"ts": "t", "run_id": "proof", "event": "run_start", "data": {"schema_version": 2}},
+            {"ts": "t", "run_id": "proof", "event": "oracle_result", "data": {"tokens_used": 34170}},
+            {"ts": "t", "run_id": "proof", "event": "oracle_result", "data": {"tokens_used": 31661}},
+            {"ts": "t", "run_id": "backfill", "event": "run_start",
+             "data": {"schema_version": 2, "pipeline": "backfill"}},
+            {"ts": "t", "run_id": "backfill", "event": "task_tokens",
+             "data": {"task": "0_L119", "tokens_used_total": 65831}},
+        ]
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in events), encoding="utf-8")
+        assert run_cli("account", "--metrics", path, "--json") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tokens"] == 65831
+        assert run_cli("account", "--metrics", path, "--json", "--run-id", "backfill") == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["tokens"] == 0
+
     def test_report_csv_is_deterministic(self, fixture_logs, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         run_cli("report", "--metrics", fixture_logs, "--output", out1,

@@ -107,6 +107,26 @@ class TestOperatorSet:
         assert "no thanks" in response.error
         assert ops.invocations == 1  # the failure consumed the attempt
 
+    def test_the_sets_total_is_the_sum_of_its_oracle_results(self, metrics):
+        """Per agent and in all, the counts on the oracle_result lines are
+        what the set and the report total; a call with no count adds none."""
+        def answer(tokens):
+            return lambda request: OperatorResponse(ok=True, text="t", tokens_used=tokens)
+
+        handlers = {"plan": answer(31_661), "propose_proof_patch": answer(34_170),
+                    "replan": answer(None), "repair_patch": answer(5)}
+        ops = OperatorSet(handlers, metrics)
+        for kind in ("plan", "propose_proof_patch", "replan", "repair_patch", "plan"):
+            ops.invoke(OperatorRequest(kind, {"task_id": "0_L119"}))
+        events = read_events(metrics.path)
+        by_agent: dict[str, int] = {}
+        for e in events:
+            if e["event"] == "oracle_result":
+                agent = e["data"]["agent"]
+                by_agent[agent] = by_agent.get(agent, 0) + e["data"].get("tokens_used", 0)
+        assert by_agent == {"a": 34_170, "b": 5, "c": 63_322}
+        assert ops.tokens_used == build_report(events).tokens == 97_497 == sum(by_agent.values())
+
 
 class TestTokenFooter:
     def test_comma_grouped_integer(self):
@@ -245,6 +265,46 @@ class TestExternalBridge:
         assert parse_token_footer(Path(response.transcript_ref).read_text()) == 300
         [event] = [e for e in read_events(metrics.path) if e["event"] == "oracle_result"]
         assert event["data"]["tokens_used"] == 300
+
+    @pytest.mark.parametrize(
+        "printf", ["'tokens used 300\\n'", "'tokens used 300'"], ids=["ends_in_newline", "no_newline"]
+    )
+    def test_a_timeout_keeps_the_agents_stderr_and_counts_its_footer(self, tmp_path, printf):
+        cmd = write_agent_script(
+            tmp_path / "agent.sh", f"cat > /dev/null\nprintf {printf} >&2\nexec sleep 10\n"
+        )
+        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls", timeout=0.5)
+        response = bridge(proof_request())
+        assert (response.ok, response.error, response.tokens_used) == (False, "timeout", 300)
+        log = Path(response.transcript_ref).read_text(encoding="utf-8")
+        assert log == format_per_call_log("", "tokens used 300\ntimeout after 0.5s")
+
+    def test_a_call_without_a_footer_counts_no_tokens(self, tmp_path, metrics):
+        script = "cat > /dev/null\necho '```'\necho 'exact w'\necho '```'\n"
+        cmd = write_agent_script(tmp_path / "agent.sh", script)
+        ops = OperatorSet(
+            {"propose_proof_patch": ExternalBridge(command=cmd, log_dir=tmp_path / "calls")},
+            metrics,
+        )
+        response = ops.invoke(proof_request())
+        assert response.ok and response.tokens_used is None
+        events = read_events(metrics.path)
+        [event] = [e for e in events if e["event"] == "oracle_result"]
+        assert "tokens_used" not in event["data"]
+        assert ops.tokens_used == build_report(events).tokens == 0
+
+    def test_a_footer_after_output_that_is_not_utf8_is_counted(self, tmp_path, metrics):
+        cmd = write_agent_script(
+            tmp_path / "agent.sh",
+            "cat > /dev/null\nprintf '```\\nexact w\\n```\\n\\377\\ntokens used\\n1,234\\n'\n",
+        )
+        bridge = ExternalBridge(command=cmd, log_dir=tmp_path / "calls")
+        response = OperatorSet({"propose_proof_patch": bridge}, metrics).invoke(proof_request())
+        assert response.ok and response.tokens_used == 1234
+        log = Path(response.transcript_ref).read_text(encoding="utf-8")
+        assert "\ufffd\ntokens used\n1,234\n" in log
+        [event] = [e for e in read_events(metrics.path) if e["event"] == "oracle_result"]
+        assert event["data"]["tokens_used"] == 1234
 
     def test_two_runs_sharing_a_calls_directory_each_count_their_own_tokens(self, tmp_path):
         """Each run's total is the sum of its own oracle_result lines, not of
