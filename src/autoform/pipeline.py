@@ -167,13 +167,26 @@ def resolve_cursor(config: RunConfig, pipeline: str) -> int | None:
     before it, but not past the ``run_start`` of a segment run without
     ``--resume``: that run started at the first item, and so does this one.
     A stream with no ``item_end`` line starts at the first item too.
+
+    A ``run_end`` line reached first ends the scan there: its
+    ``next_index`` is one past the segment's last item, or, when it ran
+    none, the cursor the segment started at, which is what the scan would
+    find further back. So segments that ran no item are not parsed again.
+    The one exception is a ``next_index`` of 0 from a segment that ran no
+    item, which also stands for a segment that started at the first item;
+    the scan goes on past it.
     """
     if not config.resume:
         return None
     for event in read_events_backwards(config.runs_path() / f"metrics_{pipeline}.jsonl"):
-        if event["event"] == "item_end":
-            return event["data"]["index"] + 1
-        if event["event"] == "run_start" and not event["data"]["config"]["resume"]:
+        kind, data = event["event"], event["data"]
+        if kind == "item_end":
+            return data["index"] + 1
+        if kind == "run_end":
+            cursor = data.get("next_index")
+            if type(cursor) is int and (cursor or data.get("processed_items")):
+                return cursor
+        if kind == "run_start" and not data["config"]["resume"]:
             break
     return None
 

@@ -27,8 +27,14 @@ A text that edits another is read only between the declarations the edit
 cannot reach on either side, so appending a declaration, or patching one
 in the middle of a file, costs that declaration, not the file. The base is
 the text the edit replaced, which the caller passes (``Project.analysis``
-passes a staged edit's committed entry); with no base the text is read
+passes the entry a staged edit replaced); with no base the text is read
 whole.
+
+A part of a split is built from the split file's text and analysis
+(``split_units``, ``split_part``): its units are the file's, held
+verbatim, so their declarations, placeholders and comment and string spans
+are moved into the part, not read again; only the part's few head lines
+are read.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ _NONCODE_OPEN_RE = re.compile(r'--|/-|"')
 _BLOCK_DELIM_RE = re.compile(r"/-|-/")
 _STRING_STOP_RE = re.compile(r'[\\"]')
 _NOT_NEWLINE_RE = re.compile("[^\n]")
+_new_tuple = tuple.__new__
 
 
 def noncode_spans(
@@ -167,8 +174,8 @@ def analyse(text: str, base: tuple[str, Analysis] | None = None) -> Analysis:
     """The analysis of ``text``, a pure function of it.
 
     The analysis starts from ``base``, a text and its analysis that the
-    caller knows ``text`` was made from (``Project.analysis`` passes a
-    staged edit's committed entry); without one it reads the whole text.
+    caller knows ``text`` was made from (``Project.analysis`` passes the
+    entry a staged edit replaced); without one it reads the whole text.
     It keeps the base's declaration units the edit cannot reach before it
     (``_kept_units``) and after it (``_kept_tail``), and reads only the
     lines between. Before the edit, it keeps every unit whose lines ``text``
@@ -417,20 +424,167 @@ def _analyse(
     )
 
 
-def _moved_ranges(ranges: Sequence[SourceRange], lines: int) -> tuple[SourceRange, ...]:
-    return tuple(
-        SourceRange(r.start_line + lines, r.start_col, r.end_line + lines, r.end_col)
-        for r in ranges
+def split_units(text: str, analysis: Analysis) -> list[tuple[Declaration, int]]:
+    """Each declaration of ``text`` with the first of the lines a split
+    takes for its unit, which end on the declaration's last line: the
+    unit's first line, or that of a docstring that starts on the line right
+    after the declaration before, and so lies above the unit on lines of
+    its own. A docstring that shares a line with the code before it is not
+    taken."""
+    starts, spans = analysis.line_starts, analysis.noncode
+    units = []
+    below = 0  # the first line after the declaration before
+    for decl in analysis.declarations:
+        first = decl.unit_range.start_line
+        if decl.docstring is not None and first == decl.range.start_line:
+            # the docstring is the last one that ends above the declaration
+            at = starts[first]
+            i = bisect_left(spans, at, key=itemgetter(1))
+            while i:
+                i -= 1
+                kind, a, b = spans[i]
+                if kind == "block" and b <= at and text.startswith("/--", a):
+                    break
+            doc_line = bisect_right(starts, a) - 1
+            if doc_line >= below:
+                first = doc_line
+        units.append((decl, first))
+        below = decl.range.end_line
+    return units
+
+
+def split_part(
+    text: str,
+    analysis: Analysis,
+    head: Sequence[str],
+    units: Sequence[tuple[Declaration, int]],
+) -> tuple[str, Analysis]:
+    """The text of one part of a split of ``text``, and its analysis.
+
+    The part is the ``head`` lines and a blank line, when there is a head,
+    then the ``units`` (``split_units``), each held verbatim with one blank
+    line between, and a line break. The head is read afresh, as it is only
+    a few lines. Each unit's declaration, placeholders and comment and
+    string spans are ``analysis``'s, moved by the unit's line and character
+    offsets in the part (``_moved_part``). When ``analysis`` cannot vouch
+    for a unit in its new place, the part is read whole instead. Either way
+    the analysis equals ``analyse`` of the part's text.
+    """
+    starts = analysis.line_starts
+    head_text = "\n".join(head) + "\n\n" if head else ""
+    # each unit's offsets in ``text``: from its first line to its last line's end
+    bounds = [
+        (
+            starts[first],
+            starts[decl.range.end_line] - 1 if decl.range.end_line < len(starts) else len(text),
+        )
+        for decl, first in units
+    ]
+    part_text = head_text + "\n\n".join(text[a:b] for a, b in bounds) + "\n"
+    moved = _moved_part(text, analysis, head_text, len(head), units, bounds)
+    return part_text, moved or _analyse(part_text)
+
+
+def _moved_part(
+    text: str,
+    analysis: Analysis,
+    head_text: str,
+    head_lines: int,
+    units: Sequence[tuple[Declaration, int]],
+    bounds: list[tuple[int, int]],
+) -> Analysis | None:
+    """The analysis of the part ``split_part`` builds: ``head_text`` read
+    afresh, then the units of ``analysis`` at ``bounds``, moved. None when
+    ``analysis`` cannot vouch for a unit in its new place: a comment or
+    string crosses one of the unit's ends, or may be unterminated at the
+    end of ``text``; the unit's docstring is not among its lines; its lines
+    start in the header. None too when the head does not read as a header
+    with nothing open at its end, or there is no unit."""
+    fresh = _analyse(head_text)
+    if (
+        not units
+        or fresh.declarations
+        or fresh.stray_lines
+        or fresh.header_span != ((0, head_lines - 1) if head_lines else None)
+        or (fresh.noncode and fresh.noncode[-1][2] > len(head_text) - 2)
+    ):
+        return None
+    starts, spans = analysis.line_starts, analysis.noncode
+    header_end = analysis.header_span[1] if analysis.header_span else -1
+    masked = [fresh.masked]
+    part_starts = list(fresh.line_starts[:-1])
+    part_spans = list(fresh.noncode)
+    holes = list(fresh.hole_ranges)
+    declarations = []
+    offset, line = len(head_text), len(part_starts)
+    # one walk over the spans, from the last one that starts before the first unit
+    j = max(bisect_left(spans, bounds[0][0], key=itemgetter(1)) - 1, 0)
+    for (decl, first), (a, b) in zip(units, bounds):
+        if first <= header_end or (decl.docstring is not None and first == decl.range.start_line):
+            return None
+        while j < len(spans) and spans[j][1] < a:  # above the unit: none may run into it
+            if spans[j][2] > a:
+                return None
+            j += 1
+        lo = j
+        while j < len(spans) and spans[j][1] < b:
+            j += 1
+        if j > lo:
+            kind, _, last_end = spans[j - 1]
+            if last_end > b or (last_end == len(text) and kind != "line"):
+                return None
+        chars, lines = offset - a, line - first
+        end_line = decl.range.end_line
+        masked.append(analysis.masked[a:b])
+        masked.append("\n\n")
+        part_starts.extend([start + chars for start in starts[first:end_line]])
+        part_starts.append(offset + b - a + 1)  # the blank line after the unit
+        part_spans.extend([(kind, x + chars, y + chars) for kind, x, y in spans[lo:j]])
+        moved = _moved_declaration(decl, lines) if lines else decl
+        if first != decl.unit_range.start_line:
+            # a docstring taken from above the unit starts it in the part
+            unit_rng = SourceRange(first + lines, 0, end_line + lines, 0)
+            moved = replace(moved, unit_range=unit_rng)
+        declarations.append(moved)
+        holes.extend(moved.holes)
+        offset += b - a + 2
+        line += end_line - first + 1
+    masked[-1] = "\n"  # the last unit ends the part with one line break
+    return Analysis(
+        masked="".join(masked),
+        line_starts=tuple(part_starts),
+        noncode=tuple(part_spans),
+        hole_ranges=tuple(holes),
+        header_span=fresh.header_span,
+        imports=fresh.imports,
+        declarations=tuple(declarations),
+        stray_lines=(),
     )
+
+
+def _moved_range(r: SourceRange, lines: int) -> SourceRange:
+    # a range moved by whole lines is still a range: no check is needed
+    start_line, start_col, end_line, end_col = r
+    return _new_tuple(SourceRange, (start_line + lines, start_col, end_line + lines, end_col))
+
+
+def _moved_ranges(ranges: Sequence[SourceRange], lines: int) -> tuple[SourceRange, ...]:
+    return tuple([_moved_range(r, lines) for r in ranges])
 
 
 def _moved_declaration(decl: Declaration, lines: int) -> Declaration:
-    """``decl`` moved ``lines`` lines down, with its placeholders."""
-    rng, unit_rng, body_rng = _moved_ranges(
-        (decl.range, decl.unit_range, decl.body_range), lines
+    """``decl`` moved ``lines`` lines down, with its placeholders. The copy
+    takes the fields of ``decl`` as they are, which costs a fraction of
+    ``replace``, whose ``__init__`` sets each field again."""
+    moved = object.__new__(Declaration)
+    moved.__dict__.update(
+        decl.__dict__,
+        range=_moved_range(decl.range, lines),
+        unit_range=_moved_range(decl.unit_range, lines),
+        body_range=_moved_range(decl.body_range, lines),
+        holes=_moved_ranges(decl.holes, lines),
     )
-    holes = _moved_ranges(decl.holes, lines)
-    return replace(decl, range=rng, unit_range=unit_rng, body_range=body_rng, holes=holes)
+    return moved
 
 
 def _resume_point(

@@ -134,19 +134,26 @@ def split_if_large_and_resolve(
 ) -> str:
     """Partition an oversized file at declaration boundaries: one whose
     analysis has more than ``threshold`` lines. Only such a file's text is
-    read into lines.
+    read.
 
     Parts are named ``<stem>_part<K>.lean`` with a linear import chain
     (each part imports its predecessor) and the original path becomes a
-    thin aggregate importing every part; all are staged. Returns the part
-    containing the task's target, or the input file when no split happens.
-    The declaration multiset across parts equals the original file's. A
-    split never stages over another file: if a part's name holds a file
-    whose declarations are not the part's, nothing is staged and a warning
-    line names it. A file with the part's declarations is that part, left
-    by a commit of this split that did not finish, and is written again.
-    A part whose module name reads back as another path (a dot in the
-    file's directory or stem) raises ValueError before anything is staged.
+    thin aggregate importing every part; all are staged. A part is the
+    file's header lines, its import, and its units (``simlang.split_units``)
+    held verbatim, with one blank line between units; each is staged with
+    its analysis, built from the file's (``simlang.split_part``), so no
+    unit is read again. Returns the part containing the task's target, or
+    the input file when no split happens. The declarations across the
+    parts, in order, are the original file's. A split that is not made
+    writes a warning line that says why: the file has stray lines or no
+    declarations, its units fit in one part, or a part would not hold its
+    units' declarations (a comment or string crosses a cut). A split never
+    stages over another file: if a part's name holds a file whose
+    declarations are not the part's, nothing is staged and a warning line
+    names it. A file with the part's declarations is that part, left by a
+    commit of this split that did not finish, and is written again. A part
+    whose module name reads back as another path (a dot in the file's
+    directory or stem) raises ValueError before anything is staged.
     """
     if not project.exists(file_id):
         return file_id
@@ -154,29 +161,35 @@ def split_if_large_and_resolve(
     if len(analysis.line_starts) <= threshold:
         return file_id
 
-    if analysis.stray_lines or not analysis.declarations:
-        return file_id  # cannot attribute every line to a unit; abort split
-    lines = project.read(file_id).split("\n")
+    def not_made(reason: str) -> str:
+        if metrics is not None:
+            warning = {"reason": reason, "lean_file": file_id}
+            if task is not None:
+                warning["index"] = task.index
+            metrics.emit("warning", warning)
+        return file_id
+
+    # every line must belong to the header or to a unit
+    if analysis.stray_lines:
+        return not_made("split not made: lines outside every declaration")
+    if not analysis.declarations:
+        return not_made("split not made: no declarations")
+    text = project.read(file_id)
     header_lines = []
     if analysis.header_span is not None:
-        header_lines = lines[analysis.header_span[0] : analysis.header_span[1] + 1]
+        header_lines = text[: analysis.line_starts[analysis.header_span[1] + 1] - 1].split("\n")
 
-    units = []
-    for decl in analysis.declarations:
-        unit_text = "\n".join(lines[decl.unit_range.start_line : decl.range.end_line + 1])
-        units.append((decl, unit_text))
-
-    groups: list[list[tuple[simlang.Declaration, str]]] = [[]]
+    groups: list[list[tuple[simlang.Declaration, int]]] = [[]]
     used = len(header_lines)
-    for decl, unit_text in units:
-        unit_lines = unit_text.count("\n") + 2
+    for decl, first in simlang.split_units(text, analysis):
+        unit_lines = decl.range.end_line - first + 1  # and the blank line after it
         if groups[-1] and used + unit_lines > threshold:
             groups.append([])
             used = len(header_lines)
-        groups[-1].append((decl, unit_text))
+        groups[-1].append((decl, first))
         used += unit_lines
     if len(groups) < 2:
-        return file_id
+        return not_made("split not made: the declarations fit in one part")
 
     stem = file_id[:-5] if file_id.endswith(".lean") else file_id
     part_ids = [f"{stem}_part{k}.lean" for k in range(1, len(groups) + 1)]
@@ -193,24 +206,25 @@ def split_if_large_and_resolve(
         != _signatures(decl for decl, _ in group)
     ]
     if taken:
-        if metrics is not None:
-            warning = {"reason": f"split part exists: {taken[0]}", "lean_file": file_id}
-            if task is not None:
-                warning["index"] = task.index
-            metrics.emit("warning", warning)
-        return file_id
+        return not_made(f"split part exists: {taken[0]}")
+    parts = []
     for k, group in enumerate(groups):
         head = list(header_lines)
         if k > 0:
             head.append(f"import {simlang.module_name(part_ids[k - 1])}")
-        body = "\n\n".join(unit_text for _, unit_text in group)
-        content = "\n".join(head) + ("\n\n" if head else "") + body + "\n"
-        project.stage(part_ids[k], content)
+        content, part = simlang.split_part(text, analysis, head, group)
+        if _signatures(part.declarations) != _signatures(decl for decl, _ in group):
+            # a comment or string that crosses a cut hides or adds declarations
+            return not_made(f"split not made: {part_ids[k]} would not hold its declarations")
+        parts.append((content, part))
+    for pid, (content, part) in zip(part_ids, parts):
+        project.stage(pid, content, part)
 
     aggregate = "\n".join(f"import {simlang.module_name(pid)}" for pid in part_ids) + "\n"
     project.stage(file_id, aggregate)
     if metrics is not None:
-        metrics.emit("split", {"lean_file": file_id, "parts": part_ids, "lines": len(lines)})
+        lines = len(analysis.line_starts)
+        metrics.emit("split", {"lean_file": file_id, "parts": part_ids, "lines": lines})
 
     if task is None:
         return file_id
@@ -373,6 +387,13 @@ def run_stage2_item(
             result.accepted_attempts.append(result.proof_attempts)
 
 
+def nonempty_lines(text: str) -> int:
+    """How many of the lines of ``text``, split at "\\n", hold a character
+    that ``str.strip`` keeps. ``split``, ``strip`` and ``filter`` all run in
+    C, with no Python frame per line."""
+    return len(list(filter(None, map(str.strip, text.split("\n")))))
+
+
 def proof_task(record: DatasetRecord, lemma_map: dict[str, LemmaMapEntry]) -> ProofTask:
     """The record's task, with its lemma-map hints: the entry under its
     index, else the one under its label."""
@@ -404,7 +425,7 @@ def run_stage2(
             "index": task.index,
             "label": task.label,
             "lean_file": file_id,
-            "nonempty_lines": sum(1 for ln in text.split("\n") if ln.strip()),
+            "nonempty_lines": nonempty_lines(text),
         }
         work = partial(
             run_stage2_item, project, file_id, task, config, operators, verifier, metrics

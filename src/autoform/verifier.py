@@ -150,15 +150,17 @@ class Project:
     ``read_bytes``, ``analysis`` and ``exists`` see them and the disk does
     not, until ``commit`` writes or ``discard`` drops them. A staged edit
     carries its own analysis, which ``commit`` moves into the committed
-    entry; it starts from the committed entry's analysis, when there is
-    one, so only the edited units are read again. Staging the bytes the
-    project already reads for the file keeps that entry. ``sync`` writes the
-    edits to disk for a tool that reads it, and the project records only
-    synced bytes that differ from the committed ones. So ``sync``,
-    ``commit`` and ``discard`` write a file only when the disk holds other
-    bytes than it must: a rejected candidate whose bytes are the committed
-    ones costs no write. A write or delete of a file drops its staged edit.
-    ``files`` lists the disk.
+    entry. The analysis starts from that of the entry the edit replaced:
+    the staged entry's, when it holds one, else the committed entry's, so
+    only the edited units are read again. A caller that holds the analysis
+    of the text it stages (a split's part) stages the two together.
+    Staging the bytes the project already reads for the file keeps that
+    entry. ``sync`` writes the edits to disk for a tool that reads it, and
+    the project records only synced bytes that differ from the committed
+    ones. So ``sync``, ``commit`` and ``discard`` write a file only when
+    the disk holds other bytes than it must: a rejected candidate whose
+    bytes are the committed ones costs no write. A write or delete of a
+    file drops its staged edit. ``files`` lists the disk.
 
     Ownership rule: while a run segment runs, its ``Project`` is the only
     writer of the root; build a new one after anything else changes it.
@@ -181,6 +183,9 @@ class Project:
         _last_cache = (self.root, self._cache)
         # staged edits, same shape, in staging order
         self._staged: dict[str, Entry] = {}
+        # file_id -> the staged entry, analysis and all, that its staged edit
+        # replaced: the base of the edit's analysis
+        self._replaced: dict[str, Entry] = {}
         # file_id -> the staged bytes a sync wrote in place of the committed ones
         self._synced: dict[str, bytes] = {}
         # file_id -> its path under the root, built once
@@ -206,15 +211,19 @@ class Project:
         return self._entry(file_id)[0]
 
     def analysis(self, file_id: str) -> simlang.Analysis:
-        """The analysis of the text ``read`` returns, kept with the bytes."""
+        """The analysis of the text ``read`` returns, kept with the bytes. A
+        staged edit's analysis starts from that of the entry the edit
+        replaced: the staged entry, when it held an analysis, else the
+        committed entry."""
         data, text, analysis = self._entry(file_id)
         if analysis is None:
             if text is None:
                 text = _decode(data)
             base = None
             if file_id in self._staged:
-                c = self._cache.get(file_id)
-                base = (c[1], c[2]) if c is not None and c[2] is not None else None
+                replaced = self._replaced.pop(file_id, None) or self._cache.get(file_id)
+                if replaced is not None and replaced[2] is not None:
+                    base = (replaced[1], replaced[2])
             analysis = simlang.analyse(text, base)
             self._holder(file_id)[file_id] = (data, text, analysis)
         return analysis
@@ -256,6 +265,7 @@ class Project:
     def restage(self, file_id: str, entry: Entry) -> None:
         """Stage an entry ``staged_entry`` returned, as it is: the bytes,
         and the text and analysis already made of them."""
+        self._replaced.pop(file_id, None)
         self._staged[file_id] = entry
 
     def committed_bytes(self, file_id: str) -> bytes | None:
@@ -273,7 +283,7 @@ class Project:
         self._store(file_id, _encode(text))
 
     def _store(self, file_id: str, entry: Entry) -> None:
-        self._staged.pop(file_id, None)
+        self._unstage(file_id)
         self._synced.pop(file_id, None)
         p = self.path(file_id)
         if self._cache.pop(file_id, None) is None:
@@ -281,13 +291,27 @@ class Project:
         _write_file(p, entry[0])
         self._cache[file_id] = entry
 
-    def stage(self, file_id: str, text: str) -> None:
+    def stage(
+        self, file_id: str, text: str, analysis: simlang.Analysis | None = None
+    ) -> None:
         """Make ``text`` the file's content as this project reads it, with no
         disk call. Text whose bytes the project already reads for the file
-        keeps that entry, with its text and analysis."""
+        keeps that entry, with its text and analysis. Otherwise the entry
+        holds ``analysis``, which the caller vouches is ``text``'s, when one
+        is given; without one, it records the staged entry it replaces, when
+        that holds an analysis, for ``analysis`` to start from."""
         entry = _encode(text)
-        current = self._staged.get(file_id) or self._cache.get(file_id)
-        self._staged[file_id] = current if current and current[0] == entry[0] else entry
+        staged = self._staged.get(file_id)
+        current = staged or self._cache.get(file_id)
+        if current and current[0] == entry[0]:
+            entry = current
+        else:
+            self._replaced.pop(file_id, None)
+            if analysis is not None and entry[1] is not None:
+                entry = (entry[0], text, analysis)
+            elif staged is not None and staged[2] is not None:
+                self._replaced[file_id] = staged
+        self._staged[file_id] = entry
 
     def commit(self) -> None:
         """Write every staged edit by the write path in staging order, so
@@ -296,7 +320,7 @@ class Project:
         Each edit's entry, analysis included, becomes the committed one."""
         for file_id, entry in list(self._staged.items()):
             if self._synced.pop(file_id, self.committed_bytes(file_id)) == entry[0]:
-                del self._staged[file_id]
+                self._unstage(file_id)
                 self._cache[file_id] = entry
             else:
                 self._store(file_id, entry)
@@ -305,13 +329,18 @@ class Project:
         """Drop the file's staged edit, or every one. Where a sync left other
         bytes on disk, the committed bytes go back."""
         for fid in list(self._staged) if file_id is None else [file_id]:
-            self._staged.pop(fid, None)
+            self._unstage(fid)
             if fid in self._synced:
                 entry = self._cache[fid]
                 if entry is None:
                     self.delete(fid)
                 else:
                     self._store(fid, entry)
+
+    def _unstage(self, file_id: str) -> None:
+        """Drop the file's staged edit, if any, and the entry it replaced."""
+        self._staged.pop(file_id, None)
+        self._replaced.pop(file_id, None)
 
     def sync(self) -> None:
         """Write every staged edit the disk does not hold, for a tool that
@@ -330,7 +359,7 @@ class Project:
                 del self._synced[file_id]
 
     def delete(self, file_id: str) -> None:
-        self._staged.pop(file_id, None)
+        self._unstage(file_id)
         self._synced.pop(file_id, None)
         self._cache.pop(file_id, None)
         p = self.path(file_id)

@@ -157,19 +157,33 @@ def oracle_result(writer, event, *args) -> bool:
     return event == "oracle_result"
 
 
-# (owner, method, call numbers, after, matches). The call numbers cross
-# both stages on both corpora: the toy run makes 31 + 36 verifier calls
-# (the last 4 of each stage are the closing project check), 27 + 32
-# (split: 27 + 8) operator calls, each with its oracle_result line,
-# 27 + 32 (split: 27 + 20) lean_check lines, 24 + 16 item_end lines and
-# 24 + 16 project file writes, all of them commits. Each stage is one
-# segment, so it writes one run_start line and one run_end line.
+# (owner, method, call numbers, after, matches). A call number is the same
+# on both corpora, or a (toy, split) pair. The call numbers cross both
+# stages on both corpora: the toy run makes 31 + 36 (split: 31 + 32)
+# verifier calls (the last 4 of each stage, split: 4 and 12, are the
+# closing project check), 27 + 32 (split: 27 + 8) operator calls, each
+# with its oracle_result line, 27 + 32 (split: 27 + 20) lean_check lines,
+# 24 + 16 item_end lines and 24 + 16 (split: 24 + 12) project file writes,
+# all of them commits. Each stage is one segment, so it writes one
+# run_start line and one run_end line.
 BOUNDARIES = {
-    "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, 66), False, None),
+    "verifier call": (SimulatedVerifier, "verify_file", (1, 5, 31, 40, (66, 62)), False, None),
     "verifier call, after it returns": (SimulatedVerifier, "verify_file", (5, 40), True, None),
     "operator call": (OperatorSet, "invoke", (1, 5, 28, 35), False, None),
-    "commit write, before it lands": (verifier, "_write_file", (1, 24, 25, 40), False, lean_file),
-    "commit write, after it lands": (verifier, "_write_file", (1, 24, 25, 40), True, lean_file),
+    "commit write, before it lands": (
+        verifier,
+        "_write_file",
+        (1, 24, 25, (40, 36)),
+        False,
+        lean_file,
+    ),
+    "commit write, after it lands": (
+        verifier,
+        "_write_file",
+        (1, 24, 25, (40, 36)),
+        True,
+        lean_file,
+    ),
     "run_start line": (MetricsWriter, "run_start", (1, 2), False, None),
     "run_start line, after it lands": (MetricsWriter, "run_start", (1, 2), True, None),
     "lean_check line, after it lands": (MetricsWriter, "emit", (1, 5, 27, 40), True, lean_check),
@@ -216,13 +230,19 @@ def run_killed_child(cfg: RunConfig, boundary: str, n: int, monkeypatch) -> None
     assert code == -signal.SIGKILL, f"{boundary} {n}: the child ended with {code}, not by SIGKILL"
 
 
+def crossing(n: int | tuple[int, int], split: bool) -> int:
+    """The call number ``n`` of ``BOUNDARIES`` on the toy or the split corpus."""
+    return n[split] if isinstance(n, tuple) else n
+
+
 CASES = [
     pytest.param(
         boundary,
-        n,
+        crossing(n, split),
         split,
         mode,
-        id=f"{'kill-' if mode == 'kill' else ''}{boundary}-{n}-{'split' if split else 'toy'}",
+        id=f"{'kill-' if mode == 'kill' else ''}{boundary}-{crossing(n, split)}-"
+        f"{'split' if split else 'toy'}",
         marks=needs_fork if mode == "kill" else (),
     )
     for boundary, (_, _, ns, _, _) in BOUNDARIES.items()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from autoform import accounting, pipeline, simlang, stage1
-from autoform.instrumentation import MetricsWriter, read_events
+from autoform.instrumentation import MetricsWriter, read_events, read_events_backwards
 from autoform.pipeline import RunConfig, resolve_cursor, run_proof_stage, run_statement_stage
 from autoform.verifier import SimulatedVerifier
 
@@ -379,6 +380,82 @@ class TestResolveCursor:
         assert resolve_cursor(toy_config, "statement") is None
         results, _ = run_statement_stage(toy_config)
         assert [r.index for r in results] == list(range(1, 25))
+
+
+def scan_to_the_last_item_end(path: Path) -> int | None:
+    """The cursor as a scan to the last ``item_end`` line finds it, with no
+    stop at a ``run_end`` line: the reference for ``resolve_cursor``."""
+    for event in read_events_backwards(path):
+        if event["event"] == "item_end":
+            return event["data"]["index"] + 1
+        if event["event"] == "run_start" and not event["data"]["config"]["resume"]:
+            break
+    return None
+
+
+LINE_KINDS = ("run_start", "item_start", "lean_check", "item_end")
+
+
+def write_segment(path: Path, indices: list[int], rng, crash_at: str | None) -> None:
+    """One segment as a run writes it, over the dataset ``indices``: resumed
+    at the reference cursor, or fresh; it runs up to 4 items, and with
+    ``crash_at`` it stops after a random line of that kind, so no
+    ``run_end`` line follows."""
+    resume = rng.random() < 0.8
+    start = scan_to_the_last_item_end(path) if resume else None
+    todo = [i for i in indices if start is None or i >= start][: rng.randint(0, 4)]
+    lines = [("run_start", {"config": {"resume": resume}})]
+    for index in todo:
+        lines += [("item_start", {"index": index}), ("lean_check", {"ok": True})]
+        lines.append(("item_end", {"index": index}))
+    summary = {
+        "processed_items": len(todo),
+        "next_index": todo[-1] + 1 if todo else (start or 0),
+    }
+    lines.append(("run_end", summary))
+    if crash_at is not None:
+        stops = [k for k, (event, _) in enumerate(lines) if event == crash_at]
+        if stops:
+            lines = lines[: rng.choice(stops) + 1]
+    with MetricsWriter(path, "seg") as writer:
+        for event, data in lines:
+            if event == "run_start":
+                writer.run_start(data)
+            else:
+                writer.emit(event, data)
+
+
+class TestCursorAtRunEnd:
+    """``resolve_cursor`` stops at the last ``run_end`` line, and finds the
+    cursor the scan to the last ``item_end`` line finds."""
+
+    def test_random_segment_sequences_with_crashes(self, tmp_path):
+        rng = random.Random(20261022)
+        for trial in range(150):
+            path = tmp_path / f"t{trial}" / "metrics_statement.jsonl"
+            indices = sorted(rng.sample(range(-3, 25), rng.randint(1, 12)))
+            for _ in range(rng.randint(1, 8)):
+                crash_at = rng.choice((None, None, *LINE_KINDS))
+                write_segment(path, indices, rng, crash_at)
+                config = RunConfig(runs_dir=str(path.parent), resume=True)
+                assert resolve_cursor(config, "statement") == scan_to_the_last_item_end(path)
+
+    def test_segments_that_ran_no_item_are_not_parsed_again(self, toy_config, monkeypatch):
+        toy_config.stage, toy_config.resume = 1, True
+        run_statement_stage(toy_config)
+        for _ in range(30):
+            assert run_statement_stage(toy_config)[0] == []
+        parsed = []
+        real = pipeline.read_events_backwards
+
+        def counted(path):
+            for event in real(path):
+                parsed.append(event["event"])
+                yield event
+
+        monkeypatch.setattr(pipeline, "read_events_backwards", counted)
+        assert resolve_cursor(toy_config, "statement") == 25
+        assert parsed == ["run_end"]
 
 
 class TestResumeEquivalence:

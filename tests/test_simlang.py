@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from autoform import simlang
 from autoform.corpus import dump_dataset
 from autoform.diagnostics import SourceRange, line_starts
-from autoform.pipeline import run_proof_stage, run_statement_stage
+from autoform.pipeline import RunConfig, run_proof_stage, run_statement_stage
 from autoform.toydata import build_toy_records
 from autoform.verifier import Project, SimulatedVerifier
 
@@ -814,3 +816,51 @@ class TestModuleNames:
     @pytest.mark.parametrize("module", [".root.x", "..x", "A..B", "A/B", "A-B"])
     def test_a_name_that_is_not_dotted_identifiers_names_no_file(self, module):
         assert simlang.module_file(module) is None
+
+
+def benchmark_workload(monkeypatch, name):
+    """The benchmark's workload ``name``, from ``perfbench/workloads.py``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("workloads").WORKLOADS[name]
+
+
+class TestSplitPartAnalyses:
+    def test_the_split_resume_workload_reads_no_part_afresh(self, monkeypatch, tmp_path):
+        # at seed 7 the one section splits into parts in stage 2: each part
+        # takes its analysis from the section file's, and every edit of a
+        # part starts from the part's analysis
+        workload = benchmark_workload(monkeypatch, "split_resume")
+        dataset = tmp_path / "corpus.json"
+        dump_dataset(workload.records(7), dataset)
+        cfg = RunConfig(
+            dataset=str(dataset),
+            project=str(tmp_path / "project"),
+            runs_dir=str(tmp_path / "runs"),
+            split_threshold=workload.split_threshold,
+            max_items=workload.segment_items,
+            resume=True,
+        )
+        cfg.stage = 1
+        while run_statement_stage(cfg)[0]:
+            pass
+        asked, fresh = [], []  # the file whose analysis is asked for; those read afresh
+        real_analysis, real_analyse = Project.analysis, simlang.analyse
+
+        def analysis(project, file_id):
+            asked.append(file_id)
+            return real_analysis(project, file_id)
+
+        def analyse(text, base=None):
+            if base is None:
+                fresh.append(asked[-1])
+            return real_analyse(text, base)
+
+        monkeypatch.setattr(Project, "analysis", analysis)
+        monkeypatch.setattr(simlang, "analyse", analyse)
+        cfg.stage = 2
+        while run_proof_stage(cfg)[0]:
+            pass
+        parts = [p.name for p in (tmp_path / "project").rglob("*_part*.lean")]
+        assert len(parts) >= 2
+        assert [f for f in fresh if "_part" in f] == []
+

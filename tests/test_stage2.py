@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autoform import scripted, simlang, stage2
 from autoform.diagnostics import (
@@ -27,6 +28,7 @@ from autoform.stage2 import (
     AmbiguousTargetError,
     ProofTask,
     locate_target_hole,
+    nonempty_lines,
     run_stage2,
     run_stage2_item,
     split_if_large_and_resolve,
@@ -277,6 +279,169 @@ class TestSplit:
         assert result.status == "solved" and "_part" in result.file
         assert absent_reads == []
 
+    def test_adjacent_declarations_are_each_cut_once(self, project):
+        # each unit ends on its declaration's last line: a part takes no
+        # line of the unit after it
+        text = "".join(f"def d{k} : T := sorry\n" for k in range(8))
+        project.write("Adjacent.lean", text)
+        split_if_large_and_resolve(project, "Adjacent.lean", None, threshold=4)
+        project.commit()
+        parts = sorted(f for f in project.files() if "_part" in f)
+        assert len(parts) == 4
+        names = [d.name for p in parts for d in project.analysis(p).declarations]
+        assert names == [f"d{k}" for k in range(8)]
+        assert project.read(parts[1]) == (
+            "import Adjacent_part1\n\ndef d2 : T := sorry\n\ndef d3 : T := sorry\n"
+        )
+        assert make_verifier().verify_project(project)[0]
+
+    def test_adjacent_docstring_units_keep_their_docstrings(self, project):
+        # a docstring right below the declaration before lies outside its
+        # unit's range; the split takes it along, so every label stays
+        text = "import Prelude\n" + "".join(
+            f"/-- [{k}] Lemma 9.{k} -/\ndef d{k} : T0 := {'sorry' if k == 0 else f'd{k - 1}'}\n"
+            for k in range(9)
+        )
+        project.write("Prelude.lean", "def ground : G := sorry\n")
+        project.write("Docs.lean", text)
+        original = project.analysis("Docs.lean").declarations
+        assert original[1].unit_range.start_line == original[1].range.start_line
+        task = ProofTask(index=7, label="Lemma 9.7")
+        resolved = split_if_large_and_resolve(project, "Docs.lean", task, threshold=10)
+        project.commit()
+        parts = sorted(f for f in project.files() if "_part" in f)
+        assert len(parts) == 3 and resolved == parts[2]
+        split = [d for p in parts for d in project.analysis(p).declarations]
+        assert [(d.name, d.type_text, d.docstring) for d in split] == [
+            (d.name, d.type_text, d.docstring) for d in original
+        ]
+        assert [d.unit_range.start_line for d in project.analysis(parts[0]).declarations] == [
+            2, 5, 8
+        ]
+        assert make_verifier().verify_project(project)[0]
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("stray ::: junk\n" + "def x : T := sorry\n" * 4, "lines outside every declaration"),
+            ("import A\n" + "-- note\n" * 6, "no declarations"),
+            ("def x : T :=\n" + "  sorry\n" * 6, "the declarations fit in one part"),
+            (
+                "def a : T := sorry /- note\n-/\ndef b : T := sorry\ndef c : T := sorry\n",
+                "Crossing_part1.lean would not hold its declarations",
+            ),
+        ],
+        ids=["stray lines", "no declarations", "one part", "a comment crosses a cut"],
+    )
+    def test_a_split_that_is_not_made_says_why(self, project, metrics, text, reason):
+        project.write("Crossing.lean", text)
+        task = ProofTask(index=3, label="Lemma 3")
+        # at 4 lines, a and b would make the first part, with b in a's comment
+        assert split_if_large_and_resolve(project, "Crossing.lean", task, 4, metrics) == (
+            "Crossing.lean"
+        )
+        assert split_if_large_and_resolve(project, "Crossing.lean", None, 4, metrics) == (
+            "Crossing.lean"
+        )
+        assert project.staged_entry("Crossing.lean") is None
+        warnings = [e["data"] for e in read_events(metrics.path) if e["event"] == "warning"]
+        reason = f"split not made: {reason}"
+        assert warnings == [
+            {"reason": reason, "lean_file": "Crossing.lean", "index": 3},
+            {"reason": reason, "lean_file": "Crossing.lean"},
+        ]
+
+
+# pieces of a random file to split: header lines, then units and the lines
+# between them. A unit's comments and strings close on its own lines, except
+# in CROSSING, where one runs on below its unit or never closes.
+HEADER_LINES = ["import A", "open B", "namespace C", "section", "-- note sorry", "", "/- h -/"]
+UNIT_PIECES = [
+    "def a{k} : T := sorry",
+    "/-- [{k}] Item {k} -/\ntheorem t{k} : P := by sorry",
+    "/-- [{k}] Item {k}\n  two lines -/\n-- note\nlemma l{k} : Q :=\n  by exact a{k}",
+    "def b{k} : T := sorry /-- [{k}] shares a line with code -/",
+    "example : T := sorry -- sorry in a comment",
+    'def s{k} : S := "a string {k} sorry"',
+    "def n{k} : T := /- nested /- sorry -/ -/ sorry",
+    "theorem x{k} : P := by\n  sorry",
+    "-- between units sorry",
+    "/- a block\n  between units -/",
+]
+CROSSING = ["def u{k} : T := sorry /- open", "-/", 'def w{k} : S := "open', '"', "/- unclosed"]
+
+
+@st.composite
+def files_to_split(draw, pieces):
+    head = draw(st.lists(st.sampled_from(HEADER_LINES), max_size=3))
+    chosen = draw(st.lists(st.sampled_from(pieces), max_size=14))
+    text = "\n".join(head)
+    for k, piece in enumerate(chosen):
+        text += draw(st.sampled_from(["\n", "\n\n"])) + piece.format(k=k)
+    return text.lstrip("\n") + draw(st.sampled_from(["", "\n"]))
+
+
+def split_staged(tmp_path_factory, text, threshold):
+    """Split ``text``, staged as ``S.lean`` of a new project, at ``threshold``
+    lines; returns the project, the staged parts in order, and the warnings."""
+    project = Project(tmp_path_factory.getbasetemp() / "split")
+    project.stage("S.lean", text)
+    sink = EventSink()
+    split_if_large_and_resolve(project, "S.lean", None, threshold, sink)
+    parts = []
+    while project.staged_entry(f"S_part{len(parts) + 1}.lean") is not None:
+        parts.append(f"S_part{len(parts) + 1}.lean")
+    return project, parts, [e["data"]["reason"] for e in sink.events if e["event"] == "warning"]
+
+
+class TestSplitParts:
+    """Random files split at random thresholds: every part is staged with
+    its analysis, which equals a fresh read of its text, and the parts hold
+    the file's declarations in order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(files_to_split(UNIT_PIECES + CROSSING), st.integers(1, 16))
+    def test_each_part_is_staged_with_the_analysis_of_its_text(
+        self, tmp_path_factory, text, threshold
+    ):
+        project, parts, _ = split_staged(tmp_path_factory, text, threshold)
+        for part in parts:
+            data, part_text, analysis = project.staged_entry(part)
+            assert analysis is not None and part_text == data.decode()
+            assert analysis == simlang._analyse(part_text), part_text
+
+    @settings(max_examples=300, deadline=None)
+    @given(files_to_split(UNIT_PIECES + CROSSING), st.data())
+    def test_split_part_equals_a_fresh_read_at_any_cut(self, text, data):
+        # cuts and heads the threshold would not pick, falling back or not
+        analysis = simlang._analyse(text)
+        units = simlang.split_units(text, analysis)
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(units)))) | {0, len(units)})
+        head = data.draw(st.lists(st.sampled_from(HEADER_LINES + ["import S_part1"]), max_size=3))
+        for lo, hi in zip(cuts, cuts[1:]):
+            part_text, part = simlang.split_part(text, analysis, head, units[lo:hi])
+            assert part == simlang._analyse(part_text), part_text
+
+    @settings(max_examples=300, deadline=None)
+    @given(files_to_split(UNIT_PIECES), st.integers(1, 16))
+    def test_the_parts_hold_the_declarations_in_order(self, tmp_path_factory, text, threshold):
+        project, parts, warnings = split_staged(tmp_path_factory, text, threshold)
+        assert not [w for w in warnings if w.endswith("would not hold its declarations")]
+        signatures = [
+            (d.kind, d.name, d.type_text)
+            for part in parts
+            for d in project.analysis(part).declarations
+        ]
+        if parts:
+            original = simlang._analyse(text).declarations
+            assert signatures == [(d.kind, d.name, d.type_text) for d in original]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from("ab \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\u200b")))
+def test_nonempty_lines_counts_what_strip_keeps(text):
+    assert nonempty_lines(text) == sum(1 for line in text.split("\n") if line.strip())
+
 
 class TestItemCommit:
     def test_a_split_that_raises_leaves_nothing_staged(
@@ -287,10 +452,10 @@ class TestItemCommit:
         file_id = target_file(record)
         real = Project.stage
 
-        def failing_stage(self, staged_id, text):
+        def failing_stage(self, staged_id, *args):
             if staged_id.endswith("_part2.lean"):
                 raise OSError("no space for part 2")
-            return real(self, staged_id, text)
+            return real(self, staged_id, *args)
 
         monkeypatch.setattr(Project, "stage", failing_stage)
         config = RunConfig(split_threshold=10)

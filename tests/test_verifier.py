@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from autoform import simlang
+from autoform import simlang, stage2
 from autoform.diagnostics import DiagnosticSet, SourceRange, err_count
 from autoform.stage2 import split_if_large_and_resolve
 from autoform.verifier import (
@@ -329,12 +329,10 @@ class TestLongLivedChecker:
         assert any(d.message.startswith("import cycle") for _, diags in checks for d in diags)
 
 
-def probe_chain(project: Project) -> list[str]:
-    """A 270-item section in the shape of the benchmark's probe file (a
+def probe_section() -> str:
+    """A 270-item section in the shape of the benchmark's probe file: a
     docstring, a declaration and a blank line per item, definitions
-    alternating with theorems that use them), split at 40 lines into a
-    chain of 27 parts, each importing the one before, and committed;
-    returns the part files in chain order."""
+    alternating with theorems that use them."""
     items = []
     for k in range(270):
         if k % 2 == 0:
@@ -342,7 +340,14 @@ def probe_chain(project: Project) -> list[str]:
         else:
             decl = f"theorem probe{k}Spec : P{k - 1} := by exact probe{k - 1}"
         items.append(f"/-- [{k + 1}] Item {k + 1} -/\n{decl}\n\n")
-    project.write("Probe.lean", "".join(items))
+    return "".join(items)
+
+
+def probe_chain(project: Project) -> list[str]:
+    """``probe_section`` split at 40 lines into a chain of 21 parts, each
+    importing the one before, and committed; returns the part files in
+    chain order."""
+    project.write("Probe.lean", probe_section())
     split_if_large_and_resolve(project, "Probe.lean", None, 40)
     project.commit()
     parts = [f for f in project.files() if f != "Probe.lean"]
@@ -357,7 +362,7 @@ class TestSplitChain:
         self, tmp_path, monkeypatch
     ):
         parts = probe_chain(Project(tmp_path))
-        assert len(parts) == 27
+        assert len(parts) == 21
         analysed = []
         real = simlang._analyse
         monkeypatch.setattr(
@@ -365,7 +370,7 @@ class TestSplitChain:
         )
         project, sim = Project(tmp_path), SimulatedVerifier()
         ok, _ = sim.verify_project(project)
-        assert ok and len(analysed) <= len(project.files()) == 28
+        assert ok and len(analysed) <= len(project.files()) == 22
         analysed.clear()
         assert sim.verify_project(project)[0] and analysed == []
 
@@ -376,6 +381,41 @@ class TestSplitChain:
         ok, diags = sim.verify_file(project, parts[-1])
         assert analysed == [edited]
         assert (ok, diags.items) == ref_check(project, parts[-1])
+
+    def test_a_split_reads_no_unit_of_its_parts(self, tmp_path, monkeypatch):
+        # every part's analysis comes from the section file's
+        project = Project(tmp_path)
+        project.write("Probe.lean", probe_section())
+        project.analysis("Probe.lean")
+        parsed = []
+        parse = simlang._parse_declaration
+        monkeypatch.setattr(
+            simlang, "_parse_declaration", lambda *args: parsed.append(1) or parse(*args)
+        )
+        split_if_large_and_resolve(project, "Probe.lean", None, 40)
+        parts = [f"Probe_part{k}.lean" for k in range(1, 22)]
+        assert [len(project.analysis(p).declarations) for p in parts] == [13] * 20 + [10]
+        assert parsed == []
+
+    def test_the_first_patch_of_a_part_split_in_the_same_item_reads_one_unit(
+        self, tmp_path, monkeypatch
+    ):
+        # the patch's analysis starts from the part's staged one, not afresh
+        project = Project(tmp_path)
+        project.write("Probe.lean", probe_section())
+        task = stage2.ProofTask(index=201, label="Item 201")
+        part = split_if_large_and_resolve(project, "Probe.lean", task, 40)
+        assert part == "Probe_part16.lean"
+        parsed = []
+        parse = simlang._parse_declaration
+        monkeypatch.setattr(
+            simlang, "_parse_declaration", lambda *args: parsed.append(1) or parse(*args)
+        )
+        patched = project.read(part).replace("probe200 : P200 := sorry", "probe200 : P200 := p")
+        project.stage(part, patched)
+        analysis = project.analysis(part)
+        assert 1 <= len(parsed) <= 2
+        assert analysis == simlang._analyse(patched)
 
 
 class TestSimulatedVerifyProject:
